@@ -126,11 +126,12 @@ fn main() {
     // minimum so load drift cannot skew the ratio. The per-curve loop is
     // exactly what one FitService worker did before batching: fit_with per
     // item against a warmed scratch.
+    let unbatched = config.with_batch_fit(false);
     let per_curve = |scratch: &mut FitScratch| -> Vec<CurvePosterior> {
         items
             .iter()
             .map(|it| {
-                CurvePredictor::new(config.with_seed(it.seed))
+                CurvePredictor::new(unbatched.with_seed(it.seed))
                     .fit_with(&it.curve, it.horizon, None, scratch)
                     .expect("fit ok")
             })

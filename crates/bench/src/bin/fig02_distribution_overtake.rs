@@ -77,16 +77,21 @@ fn main() {
     let horizon = a.max_epochs();
     let post_a = predictor.fit(&curve_prefix(a, 10), horizon).expect("fit A");
     let post_b = predictor.fit(&curve_prefix(b, 10), horizon).expect("fit B");
+    let grid: Vec<u32> = (10..=horizon).step_by(5).collect();
+    let mut pred_a = vec![(0.0, 0.0, 0.0); grid.len()];
+    let mut pred_b = pred_a.clone();
+    post_a.summary_many(&grid, 0.77, &mut pred_a);
+    post_b.summary_many(&grid, 0.77, &mut pred_b);
     write_csv(
         "fig02c_predictions_at_epoch10.csv",
         "epoch,expected_a,std_a,expected_b,std_b,measured_a,measured_b",
-        (10..=horizon).step_by(5).map(|e| {
+        grid.iter().zip(pred_a.iter().zip(&pred_b)).map(|(&e, (pa, pb))| {
             format!(
                 "{e},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4}",
-                post_a.expected(e),
-                post_a.prediction_std(e),
-                post_b.expected(e),
-                post_b.prediction_std(e),
+                pa.0,
+                pa.1,
+                pb.0,
+                pb.1,
                 a.value_at(e),
                 b.value_at(e)
             )

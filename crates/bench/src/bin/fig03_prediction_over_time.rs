@@ -50,11 +50,12 @@ fn main() {
         for (i, p) in profiles.iter().enumerate() {
             let posterior =
                 predictor.fit(&curve_prefix(p, snapshot), horizon).expect("prediction fits");
-            for e in (snapshot..=horizon).step_by(5) {
+            let grid: Vec<u32> = (snapshot..=horizon).step_by(5).collect();
+            let mut predicted = vec![(0.0, 0.0, 0.0); grid.len()];
+            posterior.summary_many(&grid, 0.77, &mut predicted);
+            for (&e, (expected, std, _)) in grid.iter().zip(&predicted) {
                 rows.push(format!(
-                    "{i},{snapshot},{e},{:.4},{:.4},{:.4}",
-                    posterior.expected(e),
-                    posterior.prediction_std(e),
+                    "{i},{snapshot},{e},{expected:.4},{std:.4},{:.4}",
                     p.value_at(e)
                 ));
             }

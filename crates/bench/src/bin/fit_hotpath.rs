@@ -79,7 +79,10 @@ fn main() {
     let quick = quick_mode();
     let n_curves = if quick { 8 } else { 24 };
     let reps = if quick { 2 } else { 3 };
-    let config = if quick { PredictorConfig::test() } else { PredictorConfig::fast() };
+    // This bench measures the libm path against its bit-identical
+    // reference, so it opts out of the default vectorized fit.
+    let config =
+        if quick { PredictorConfig::test() } else { PredictorConfig::fast() }.with_fast_math(false);
     let horizon = 120u32;
     let curves = cifar_curves(n_curves, 20);
 

@@ -163,7 +163,7 @@ fn main() {
     // ---- Cold per-fit latency: reference vs optimized-scalar vs fast_math,
     // interleaved per curve with the per-path total taken as the minimum
     // over repetitions so load drift cannot skew the ratios.
-    let reference = CurvePredictor::new(config.with_seed(7));
+    let reference = CurvePredictor::new(config.with_fast_math(false).with_seed(7));
     let fast = CurvePredictor::new(config.with_fast_math(true).with_seed(7));
     let mut scratch_opt = FitScratch::new();
     let mut scratch_fast = FitScratch::new();
@@ -239,7 +239,8 @@ fn main() {
             .map(|(j, c)| FitRequest { job: JobId::new(j as u64), curve: c.clone(), horizon })
             .collect()
     };
-    let fast_config = config.with_fast_math(true);
+    // Per-curve fast path: cross-curve batching has its own bench.
+    let fast_config = config.with_fast_math(true).with_batch_fit(false);
     let mut cold_refit_secs = f64::INFINITY;
     let mut warm_refit_secs = f64::INFINITY;
     for _ in 0..reps.min(2) {

@@ -16,7 +16,7 @@
 //! further for p_m and set ERT_i = Tmax − Tpass since the search algorithm
 //! will not run further"), which is why the confidence sum may be below 1.
 
-use hyperdrive_curve::CurvePosterior;
+use hyperdrive_curve::{CurvePosterior, QUERY_LANES};
 use hyperdrive_types::SimTime;
 
 /// The output of one expected-remaining-time estimation.
@@ -58,21 +58,34 @@ pub fn estimate_remaining_time(
         epoch_duration > SimTime::ZERO,
         "epoch duration must be positive, got {epoch_duration}"
     );
+    // Posterior queries cost O(draws × families) per epoch; querying every
+    // single future epoch would dominate POP's per-boundary cost. A
+    // strided grid of 48–95 query epochs (`M / step` for `step = M / 48`,
+    // rounded up) with bucket-midpoint mass assignment approximates Eq. 2
+    // to well under an epoch of error, and fits one sweep of the query
+    // kernel.
     let now_epoch = posterior.last_epoch();
+    let step = (max_future_epochs / 48).max(1);
+    let mut epochs = [0u32; QUERY_LANES];
+    let mut lanes = 0;
+    let mut m: u32 = 0;
+    while m < max_future_epochs {
+        m = (m + step).min(max_future_epochs);
+        debug_assert!(lanes < QUERY_LANES, "stride yields at most 95 query epochs");
+        epochs[lanes] = now_epoch + m;
+        lanes += 1;
+    }
+    let mut cdfs = [0.0f64; QUERY_LANES];
+    posterior.prob_at_least_many(&epochs[..lanes], target, &mut cdfs[..lanes]);
+
     let mut prev_cdf: f64 = 0.0;
     let mut expected_epochs = 0.0;
     let mut confidence = 0.0;
     let mut truncated = false;
-
-    // Posterior queries cost O(draws × families); querying every single
-    // future epoch would dominate POP's per-boundary cost. A strided grid
-    // of at most ~48 query points with bucket-midpoint mass assignment
-    // approximates Eq. 2 to well under an epoch of error.
-    let step = (max_future_epochs / 48).max(1);
     let mut prev_m: u32 = 0;
-    while prev_m < max_future_epochs {
-        let m = (prev_m + step).min(max_future_epochs);
-        let cdf = posterior.prob_at_least(now_epoch + m, target).clamp(0.0, 1.0);
+    for (&epoch, &cdf) in epochs[..lanes].iter().zip(&cdfs[..lanes]) {
+        let m = epoch - now_epoch;
+        let cdf = cdf.clamp(0.0, 1.0);
         // First-passage mass landing in (prev_m, m]. The posterior is not
         // exactly monotone in m (Monte Carlo noise), so negative
         // increments clamp to zero and the running CDF is kept monotone.

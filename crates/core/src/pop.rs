@@ -899,7 +899,7 @@ mod tests {
             fast_math_speedup: 3.0,
             batch_fit_speedup: 2.0,
         };
-        let libm = PredictorConfig::test();
+        let libm = PredictorConfig::test().with_fast_math(false).with_batch_fit(false);
         let fast = libm.with_fast_math(true);
         let batched = fast.with_batch_fit(true);
         assert_eq!(

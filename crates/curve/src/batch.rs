@@ -871,7 +871,7 @@ mod tests {
 
     #[test]
     fn non_fast_math_batches_fall_back_to_per_curve() {
-        let config = PredictorConfig::test();
+        let config = PredictorConfig::test().with_fast_math(false);
         let items = mixed_items();
         let mut scratch = FitScratch::default();
         let batched = fit_curves_batched(&config, &items, &mut scratch);

@@ -791,9 +791,9 @@ mod tests {
     fn fingerprint_ignores_batch_fit() {
         // Batched fits are bitwise the unbatched fits, so the flag must
         // not partition the shared cache (cross-hits are intended).
-        let cfg = PredictorConfig::test().with_fast_math(true);
+        let cfg = PredictorConfig::test();
         assert_eq!(
-            fit_fingerprint(&curve(10), &cfg, 42, 100, None),
+            fit_fingerprint(&curve(10), &cfg.with_batch_fit(false), 42, 100, None),
             fit_fingerprint(&curve(10), &cfg.with_batch_fit(true), 42, 100, None),
             "batch_fit must not change the fingerprint"
         );

@@ -23,8 +23,8 @@ pub const SIGMA_INDEX: usize = 11;
 
 /// Start offset of each family's parameter block inside the flattened
 /// parameter vector, in [`ALL_FAMILIES`] order. Families never change at
-/// runtime, so the hot path indexes through this table instead of summing
-/// `param_count()` per access like [`ParamView::family_params`] does.
+/// runtime, so every access indexes through this table instead of summing
+/// `param_count()` (a unit test pins the table against the counts).
 pub const FAMILY_OFFSETS: [usize; 11] = [12, 15, 19, 21, 24, 28, 32, 36, 40, 42, 45];
 
 /// Total dimensionality of the flattened parameter vector:
@@ -78,10 +78,7 @@ impl<'a> ParamView<'a> {
 
     /// The parameters of family `k` (index into [`ALL_FAMILIES`]).
     pub fn family_params(&self, k: usize) -> &'a [f64] {
-        let mut offset = 12;
-        for f in &ALL_FAMILIES[..k] {
-            offset += f.param_count();
-        }
+        let offset = FAMILY_OFFSETS[k];
         &self.theta[offset..offset + ALL_FAMILIES[k].param_count()]
     }
 

@@ -1,5 +1,5 @@
 //! Structure-of-arrays likelihood evaluation on the [`crate::vmath`]
-//! kernels (the opt-in `fast_math` fit path).
+//! kernels (the default `fast_math` fit path, and the posterior queries).
 //!
 //! The reference hot path ([`crate::ensemble::PosteriorEval`]) is already
 //! allocation-free and grid-memoized, but every likelihood call still pays
@@ -14,8 +14,9 @@
 //!
 //! - The fast path is **not** bit-identical to the reference path — it uses
 //!   different (more accurate than ±1e-12) kernel approximations and a
-//!   different factoring of the same formulas. `fast_math` therefore gets
-//!   its own golden traces rather than reusing the reference goldens.
+//!   different factoring of the same formulas. (The committed scheduling
+//!   traces nevertheless come out byte-identical under both, which the
+//!   golden tests pin by replaying each cold golden in both modes.)
 //! - It **is** deterministic: every transcendental routes through `vmath`
 //!   kernels that produce identical bit patterns on every host and backend,
 //!   so fast-path results are reproducible across machines, thread counts
@@ -61,6 +62,17 @@ impl FastGrid {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty grid with room for `n` points.
+    #[must_use]
+    pub fn with_capacity(n: usize) -> Self {
+        FastGrid {
+            xs: Vec::with_capacity(n),
+            ln_xs: Vec::with_capacity(n),
+            ln_x1s: Vec::with_capacity(n),
+            ln_x2s: Vec::with_capacity(n),
+        }
     }
 
     /// Removes all points, retaining capacity.
@@ -423,9 +435,10 @@ fn fast_mean_at(theta: &[f64], grid: &FastGrid, i: usize, hoists: &[f64; 11], ws
 
 /// Accumulates the weighted means over the first `m` grid points into
 /// `out[..m]`, family-major with batched kernels. Per point, bitwise equal
-/// to [`fast_mean_at`].
+/// to [`fast_mean_at`]. Shared by the likelihood and by the posterior-query
+/// sweep ([`crate::CurvePosterior::prob_at_least_many`]).
 #[allow(clippy::too_many_arguments)]
-fn fast_weighted_means(
+pub(crate) fn fast_weighted_means(
     theta: &[f64],
     grid: &FastGrid,
     m: usize,

@@ -25,12 +25,13 @@
 //!   (the multi-tenant server's process-global pool).
 //! * [`vmath`] — batched `exp`/`ln`/`pow` kernels with bit-identical
 //!   SIMD/scalar paths, and [`fastpath`] — the structure-of-arrays
-//!   likelihood built on them (opt-in via
-//!   [`PredictorConfig`]`::fast_math`).
+//!   likelihood built on them (the default fit;
+//!   [`PredictorConfig`]`::with_fast_math(false)` selects the libm
+//!   oracle), which [`CurvePosterior`]'s queries sweep as well.
 //! * [`batch`] — cross-curve batched fitting: several `fast_math` fits
 //!   advance in one lockstep MCMC sweep with likelihood columns fused
 //!   across curves, bitwise-identical per curve to the unbatched path
-//!   (opt-in via [`PredictorConfig`]`::batch_fit`).
+//!   (on by default, [`PredictorConfig`]`::batch_fit`).
 //!
 //! # Example
 //!
@@ -75,10 +76,10 @@ pub use cache::{
     SharedCacheStats, SharedFitCache, FINGERPRINT_VERSION,
 };
 pub use models::{GridPoint, ModelFamily, ALL_FAMILIES};
-pub use predictor::{CurvePosterior, CurvePredictor, PredictorConfig};
+pub use predictor::{CurvePosterior, CurvePredictor, PredictorConfig, QUERY_LANES};
 pub use scratch::FitScratch;
 pub use service::{
-    batch_fit_forced, derive_fit_seed, fit_prefetch_depth, fit_prefetch_forced,
-    resolve_fit_threads, sequential_fit, FitKey, FitOutcome, FitPool, FitPoolStats, FitRequest,
-    FitService, FitStats, SpecFitHandle, SpecStats, DEFAULT_PREFETCH_DEPTH,
+    derive_fit_seed, fit_prefetch_depth, fit_prefetch_forced, resolve_fit_threads, sequential_fit,
+    FitKey, FitOutcome, FitPool, FitPoolStats, FitRequest, FitService, FitStats, SpecFitHandle,
+    SpecStats, DEFAULT_PREFETCH_DEPTH,
 };

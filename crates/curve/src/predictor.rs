@@ -6,9 +6,9 @@ use rand::{Rng, SeedableRng};
 
 use hyperdrive_types::{stats, Error, LearningCurve, Result};
 
-use crate::ensemble::{dimension, log_posterior, ParamView, PosteriorEval};
-use crate::ensemble::{FAMILY_OFFSETS, SIGMA_BOUNDS, SIGMA_INDEX};
-use crate::fastpath::{FastGrid, PosteriorEvalFast};
+use crate::ensemble::{dimension, log_posterior, PosteriorEval};
+use crate::ensemble::{FAMILY_OFFSETS, MIN_WEIGHT_SUM, SIGMA_BOUNDS, SIGMA_INDEX};
+use crate::fastpath::{family_hoists_fast, fast_weighted_means, FastGrid, PosteriorEvalFast};
 use crate::fit;
 use crate::fit::{
     build_initial_walkers, fit_all_families, fit_all_families_fast, fit_all_families_with,
@@ -63,22 +63,23 @@ pub struct PredictorConfig {
     /// re-localizes an already-converged ensemble, so far fewer steps are
     /// needed).
     pub warm_steps: usize,
-    /// Opt-in batched-kernel fitting: route every transcendental in the
-    /// fit through the SIMD-dispatched [`crate::vmath`] kernels over
-    /// structure-of-arrays grid batches (see [`crate::fastpath`]).
-    /// **Changes numerics** relative to the libm reference path (like
-    /// `warm_start`), so it ships default-off and carries its own golden
-    /// traces. Results stay deterministic across hosts, SIMD capabilities
-    /// (the kernels are bit-identical scalar vs vectorized), and fit-thread
-    /// counts; composes with `warm_start`.
+    /// Batched-kernel fitting (default **on**): every transcendental in
+    /// the fit goes through the SIMD-dispatched [`crate::vmath`] kernels
+    /// over structure-of-arrays grid batches (see [`crate::fastpath`]).
+    /// Results are deterministic across hosts, SIMD capabilities (the
+    /// kernels are bit-identical scalar vs vectorized), and fit-thread
+    /// counts; composes with `warm_start`. `with_fast_math(false)` selects
+    /// the libm path instead — same model, different floating-point
+    /// factoring, so not bit-comparable — which survives as the oracle
+    /// the equivalence tests and the `fit_*` benches compare against.
     pub fast_math: bool,
-    /// Opt-in cross-curve batched fitting: when a [`crate::FitService`]
-    /// boundary batch contains several cold `fast_math` fits, their
-    /// likelihood columns are evaluated in one family-major
-    /// structure-of-arrays sweep over concatenated curve columns (see
-    /// [`crate::batch`]). **Does not change numerics**: every per-curve
-    /// result is bitwise identical to the unbatched `fast_math` fit
-    /// (property-test- and golden-trace-pinned), so this flag is pure
+    /// Cross-curve batched fitting (default **on**): when a
+    /// [`crate::FitService`] boundary batch contains several cold
+    /// `fast_math` fits, their likelihood columns are evaluated in one
+    /// family-major structure-of-arrays sweep over concatenated curve
+    /// columns (see [`crate::batch`]). **Does not change numerics**: every
+    /// per-curve result is bitwise identical to the unbatched `fast_math`
+    /// fit (property-test- and golden-trace-pinned), so this flag is pure
     /// speed — it is even excluded from the fit-cache fingerprint so
     /// batched and unbatched runs share cache entries. A no-op unless
     /// `fast_math` is also on; warm-started refits always take the
@@ -101,8 +102,8 @@ impl PredictorConfig {
             min_observations: 4,
             warm_start: false,
             warm_steps: 250,
-            fast_math: false,
-            batch_fit: false,
+            fast_math: true,
+            batch_fit: true,
         }
     }
 
@@ -229,13 +230,12 @@ impl CurvePredictor {
     /// `scratch` buffers and optionally warm-starting from a previous
     /// posterior of the same job.
     ///
-    /// With `warm_start` and `fast_math` disabled (or `warm` absent, or
-    /// the warm attempt not viable) the result is **bit-identical** to
-    /// [`Self::fit_reference`] — the optimizations preserve floating-point
-    /// operation order exactly, and the crate's property tests pin the
-    /// equivalence. With `fast_math` enabled the batched-kernel SoA path
-    /// runs instead: not bit-comparable to the reference, but deterministic
-    /// across hosts, backends, and thread counts (own golden traces).
+    /// With `fast_math` on (the default) the batched-kernel SoA path runs:
+    /// deterministic across hosts, backends, and thread counts. With
+    /// `.with_fast_math(false)` and no warm start applied the result is
+    /// **bit-identical** to [`Self::fit_reference`] — that path preserves
+    /// the reference's floating-point operation order exactly, and the
+    /// crate's property tests pin the equivalence.
     ///
     /// # Errors
     ///
@@ -741,74 +741,234 @@ impl CurvePosterior {
 
     /// Expected (posterior-mean) performance at `epoch`.
     pub fn expected(&self, epoch: u32) -> f64 {
-        let x = f64::from(epoch);
-        let vals: Vec<f64> = self
-            .draws
-            .iter()
-            .map(|t| ParamView::new(t).mean(x))
-            .filter(|v| v.is_finite())
-            .collect();
-        stats::mean(&vals).unwrap_or(f64::NAN)
+        self.moments_at(epoch).0
     }
 
     /// Standard deviation of the predicted mean curve at `epoch` across
     /// posterior draws — the paper's "prediction accuracy" (PA) diagnostic.
     pub fn prediction_std(&self, epoch: u32) -> f64 {
-        let x = f64::from(epoch);
-        let vals: Vec<f64> = self
-            .draws
-            .iter()
-            .map(|t| ParamView::new(t).mean(x))
-            .filter(|v| v.is_finite())
-            .collect();
-        stats::std_dev(&vals).unwrap_or(f64::NAN)
+        self.moments_at(epoch).1
     }
 
     /// Posterior-predictive probability `P(y(epoch) >= target | y(1:n))`
     /// (Eq. 1 of the paper), marginalizing over model parameters and
-    /// observation noise.
+    /// observation noise. The batch-of-one of
+    /// [`Self::prob_at_least_many`]: bitwise the matching lane of any
+    /// larger batch.
     pub fn prob_at_least(&self, epoch: u32, target: f64) -> f64 {
-        let x = f64::from(epoch);
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for theta in &self.draws {
-            let view = ParamView::new(theta);
-            let m = view.mean(x);
-            if !m.is_finite() {
-                continue;
+        let mut out = [0.0];
+        self.prob_at_least_many(&[epoch], target, &mut out);
+        out[0]
+    }
+
+    /// [`Self::prob_at_least`] at every epoch of `epochs` in one
+    /// draw-major sweep, written to `out` (same length). Per draw the
+    /// weight sum and the parameter-only family terms are resolved once
+    /// and the mean curve is swept across all query epochs through the
+    /// batched [`crate::vmath`] kernels; each lane then gains
+    /// `Φ((m − target)/σ)` in draw order, skipping draws whose mean is not
+    /// finite there. Host- and backend-independent (the only
+    /// transcendentals are `vmath`'s).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `epochs` and `out` differ in length.
+    pub fn prob_at_least_many(&self, epochs: &[u32], target: f64, out: &mut [f64]) {
+        self.prob_at_least_many_with(vmath::active_backend(), epochs, target, out);
+    }
+
+    /// [`Self::prob_at_least_many`] on an explicit [`Backend`], for tests
+    /// and benches pinning that the backends agree bitwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `epochs` and `out` differ in length.
+    pub fn prob_at_least_many_with(
+        &self,
+        backend: Backend,
+        epochs: &[u32],
+        target: f64,
+        out: &mut [f64],
+    ) {
+        assert_eq!(epochs.len(), out.len(), "one output slot per query epoch");
+        for (epochs, out) in epochs.chunks(QUERY_LANES).zip(out.chunks_mut(QUERY_LANES)) {
+            let mut mass = Exceedance::new(target);
+            self.sweep_draw_means(backend, epochs, |sigma, means| mass.add(backend, sigma, means));
+            for (lane, o) in out.iter_mut().enumerate() {
+                *o = mass.prob(lane);
             }
-            let sigma = view.sigma();
-            total += stats::normal_cdf((m - target) / sigma);
-            count += 1;
         }
-        if count == 0 {
-            0.0
-        } else {
-            total / count as f64
+    }
+
+    /// `(expected, prediction_std, prob_at_least)` at every epoch of
+    /// `epochs`, written to `out` (same length), sharing one per-draw
+    /// sweep of the mean curve between the three statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `epochs` and `out` differ in length.
+    pub fn summary_many(&self, epochs: &[u32], target: f64, out: &mut [(f64, f64, f64)]) {
+        assert_eq!(epochs.len(), out.len(), "one output slot per query epoch");
+        let backend = vmath::active_backend();
+        for (epochs, out) in epochs.chunks(QUERY_LANES).zip(out.chunks_mut(QUERY_LANES)) {
+            let mut mass = Exceedance::new(target);
+            let mut moments = Moments::new();
+            self.sweep_draw_means(backend, epochs, |sigma, means| {
+                mass.add(backend, sigma, means);
+                moments.add(means);
+            });
+            for (lane, o) in out.iter_mut().enumerate() {
+                let (e, s) = moments.get(lane);
+                *o = (e, s, mass.prob(lane));
+            }
         }
     }
 
     /// Convenience: `(expected, prediction_std, prob_at_least)` at one
-    /// epoch, sharing the per-draw curve evaluations.
+    /// epoch — the batch-of-one of [`Self::summary_many`].
     pub fn summary_at(&self, epoch: u32, target: f64) -> (f64, f64, f64) {
-        let x = f64::from(epoch);
-        let mut means = Vec::with_capacity(self.draws.len());
-        let mut prob = 0.0;
+        let mut out = [(0.0, 0.0, 0.0)];
+        self.summary_many(&[epoch], target, &mut out);
+        out[0]
+    }
+
+    /// `(expected, prediction_std)` at one epoch.
+    fn moments_at(&self, epoch: u32) -> (f64, f64) {
+        let mut moments = Moments::new();
+        self.sweep_draw_means(vmath::active_backend(), &[epoch], |_, means| moments.add(means));
+        moments.get(0)
+    }
+
+    /// The per-draw sweep under every posterior query: evaluates each
+    /// draw's weighted-combination mean curve at all `epochs` (at most
+    /// [`QUERY_LANES`]) and hands `(sigma, means)` to `visit`, in draw
+    /// order. A draw whose weight sum is degenerate is skipped whole; a
+    /// lane where an active family diverged arrives non-finite, for the
+    /// visitor to skip — the two cases where
+    /// [`crate::ensemble::ParamView::mean`] is NaN.
+    fn sweep_draw_means(
+        &self,
+        backend: Backend,
+        epochs: &[u32],
+        mut visit: impl FnMut(f64, &[f64]),
+    ) {
+        let n = epochs.len();
+        assert!(n <= QUERY_LANES, "query sweep holds {QUERY_LANES} lanes, got {n}");
+        let mut grid = FastGrid::with_capacity(n);
+        for &e in epochs {
+            grid.push(f64::from(e));
+        }
+        let mut means = [0.0f64; QUERY_LANES];
+        let mut t = [0.0f64; QUERY_LANES];
+        let mut hoists = [0.0f64; 11];
+        let dim = dimension();
         for theta in &self.draws {
-            let view = ParamView::new(theta);
-            let m = view.mean(x);
-            if !m.is_finite() {
+            assert_eq!(theta.len(), dim, "parameter vector has wrong length");
+            let wsum: f64 = theta[..11].iter().sum();
+            if wsum < MIN_WEIGHT_SUM || wsum.is_nan() {
                 continue;
             }
-            prob += stats::normal_cdf((m - target) / view.sigma());
-            means.push(m);
+            family_hoists_fast(theta, &mut hoists);
+            fast_weighted_means(theta, &grid, n, &mut means, &mut t, &hoists, wsum, backend);
+            visit(theta[SIGMA_INDEX], &means[..n]);
         }
-        if means.is_empty() {
-            return (f64::NAN, f64::NAN, 0.0);
+    }
+}
+
+/// Lanes (query epochs) one posterior-query sweep evaluates at a time;
+/// longer queries run in chunks of this many. Sized so POP's
+/// remaining-time estimate (at most 95 strided epochs) is a single sweep
+/// over stack-resident lane buffers.
+pub const QUERY_LANES: usize = 96;
+
+/// `|u|` beyond which [`stats::erf_with_exp`] returns exactly ±1.
+const ERF_SATURATION: f64 = 6.0;
+
+/// Per-lane accumulator of Eq. 1's exceedance probability across draws.
+struct Exceedance {
+    target: f64,
+    /// `(m − target) / σ / √2` per lane, the `erf` argument.
+    u: [f64; QUERY_LANES],
+    /// `exp(−u²)` per lane, batched through `vmath`.
+    e: [f64; QUERY_LANES],
+    total: [f64; QUERY_LANES],
+    count: [u32; QUERY_LANES],
+}
+
+impl Exceedance {
+    fn new(target: f64) -> Self {
+        Exceedance {
+            target,
+            u: [0.0; QUERY_LANES],
+            e: [0.0; QUERY_LANES],
+            total: [0.0; QUERY_LANES],
+            count: [0; QUERY_LANES],
         }
-        let e = stats::mean(&means).unwrap_or(f64::NAN);
-        let s = stats::std_dev(&means).unwrap_or(f64::NAN);
-        (e, s, prob / means.len() as f64)
+    }
+
+    /// Adds one draw's `Φ((m − target)/σ)` to every lane whose mean is
+    /// finite.
+    fn add(&mut self, backend: Backend, sigma: f64, means: &[f64]) {
+        let n = means.len();
+        for ((u, e), m) in self.u.iter_mut().zip(self.e.iter_mut()).zip(means) {
+            // Past |u| = 6 the A&S `erf` is exactly ±1 in f64 (its tail
+            // term is under half an ulp of 1), so saturating there changes
+            // no result — and keeps `exp(−u²)` clear of the 1e-308 floor
+            // where every product with it would take a denormal assist.
+            *u = ((m - self.target) / sigma / std::f64::consts::SQRT_2)
+                .clamp(-ERF_SATURATION, ERF_SATURATION);
+            *e = -*u * *u;
+        }
+        vmath::vexp_with(backend, &mut self.e[..n]);
+        for (lane, m) in means.iter().enumerate() {
+            if m.is_finite() {
+                self.total[lane] += 0.5 * (1.0 + stats::erf_with_exp(self.u[lane], self.e[lane]));
+                self.count[lane] += 1;
+            }
+        }
+    }
+
+    fn prob(&self, lane: usize) -> f64 {
+        if self.count[lane] == 0 {
+            0.0
+        } else {
+            self.total[lane] / f64::from(self.count[lane])
+        }
+    }
+}
+
+/// Per-lane running mean and spread (Welford) of the predicted mean curve
+/// across draws, over the lanes where it is finite.
+struct Moments {
+    count: [f64; QUERY_LANES],
+    mean: [f64; QUERY_LANES],
+    m2: [f64; QUERY_LANES],
+}
+
+impl Moments {
+    fn new() -> Self {
+        Moments { count: [0.0; QUERY_LANES], mean: [0.0; QUERY_LANES], m2: [0.0; QUERY_LANES] }
+    }
+
+    fn add(&mut self, means: &[f64]) {
+        for (lane, &m) in means.iter().enumerate() {
+            if m.is_finite() {
+                self.count[lane] += 1.0;
+                let d = m - self.mean[lane];
+                self.mean[lane] += d / self.count[lane];
+                self.m2[lane] += d * (m - self.mean[lane]);
+            }
+        }
+    }
+
+    /// `(mean, population standard deviation)` of `lane`; NaN when no
+    /// draw was finite there.
+    fn get(&self, lane: usize) -> (f64, f64) {
+        if self.count[lane] == 0.0 {
+            (f64::NAN, f64::NAN)
+        } else {
+            (self.mean[lane], (self.m2[lane] / self.count[lane]).sqrt())
+        }
     }
 }
 

@@ -131,24 +131,6 @@ pub fn derive_fit_seed(experiment_seed: u64, config: u64, epoch: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-/// True when `HYPERDRIVE_BATCH_FIT` forces cross-curve batched fitting on
-/// for every service in the process (any value except empty, `0`, or
-/// `off`), regardless of [`PredictorConfig::batch_fit`]. Safe to force
-/// globally because batched fits are bitwise identical to unbatched ones —
-/// the CI `batch` job proves it by replaying every golden trace this way.
-#[must_use]
-pub fn batch_fit_forced() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var("HYPERDRIVE_BATCH_FIT")
-            .map(|v| {
-                let v = v.trim();
-                !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("off")
-            })
-            .unwrap_or(false)
-    })
-}
-
 /// Default bound on in-flight speculations per service when
 /// `HYPERDRIVE_FIT_PREFETCH_DEPTH` is unset.
 pub const DEFAULT_PREFETCH_DEPTH: usize = 32;
@@ -247,9 +229,9 @@ pub struct FitStats {
     pub batches: u64,
     /// Fits (subset of `fits`) executed through the cross-curve batched
     /// path ([`crate::batch`]): cold `fast_math` fits grouped per boundary
-    /// batch when `batch_fit` (or `HYPERDRIVE_BATCH_FIT`) is on. Counted
-    /// per *item*, not per lockstep group, so the counter is invariant
-    /// under the worker count like every other trace-visible quantity.
+    /// batch when `batch_fit` is on. Counted per *item*, not per lockstep
+    /// group, so the counter is invariant under the worker count like
+    /// every other trace-visible quantity.
     pub batched_fits: u64,
     /// Lookups this service issued against the shared content-addressed
     /// layer (zero when no layer is attached). `shared_hits / shared_lookups`
@@ -844,7 +826,7 @@ impl FitService {
         // (parallel vectors). Only cold fits qualify: warm-started refits
         // keep the per-curve path, so batching changes *where* a fit runs
         // but never *what* it computes.
-        let batching = (self.config.batch_fit || batch_fit_forced()) && self.config.fast_math;
+        let batching = self.config.batch_fit && self.config.fast_math;
         let mut batch_keys: Vec<FitKey> = Vec::new();
         let mut batch_items: Vec<BatchFitItem> = Vec::new();
         // Speculations this batch adopts (exact fingerprint match):
@@ -1458,7 +1440,7 @@ mod tests {
 
     #[test]
     fn batched_service_matches_unbatched_service_bitwise() {
-        let base = PredictorConfig::test().with_fast_math(true);
+        let base = PredictorConfig::test().with_batch_fit(false);
         let requests: Vec<FitRequest> = (0..6).map(|j| req(j, 8 + j as u32 % 3)).collect();
         let reference: Vec<FitOutcome> =
             isolated(base, 7, 1).fit_batch(&requests).into_iter().collect();
@@ -1483,7 +1465,8 @@ mod tests {
 
     #[test]
     fn batch_fit_without_fast_math_is_inert() {
-        let service = isolated(PredictorConfig::test().with_batch_fit(true), 7, 2);
+        let libm = PredictorConfig::test().with_fast_math(false);
+        let service = isolated(libm.with_batch_fit(true), 7, 2);
         let outcomes = service.fit_batch(&[req(0, 10), req(1, 12)]);
         let stats = service.stats();
         assert_eq!((stats.fits, stats.batched_fits), (2, 0));
@@ -1495,7 +1478,7 @@ mod tests {
 
     #[test]
     fn warm_refits_keep_the_per_curve_path() {
-        let base = PredictorConfig::test().with_fast_math(true).with_warm_start(true);
+        let base = PredictorConfig::test().with_warm_start(true).with_batch_fit(false);
         let run = |config: PredictorConfig| {
             let service = isolated(config, 19, 2);
             let first: Vec<FitRequest> = (0..3).map(|j| req(j, 10)).collect();
@@ -1508,9 +1491,7 @@ mod tests {
         let (warm_u, stats_u) = run(base);
         assert_eq!(stats_b.warm_fits, 3);
         assert_eq!(stats_b.batched_fits, 3, "only the cold first batch is batched");
-        if !batch_fit_forced() {
-            assert_eq!(stats_u.batched_fits, 0);
-        }
+        assert_eq!(stats_u.batched_fits, 0);
         for (b, u) in warm_b.iter().zip(&warm_u) {
             let b = b.result.as_ref().unwrap();
             let u = u.result.as_ref().unwrap();
@@ -1524,7 +1505,7 @@ mod tests {
         // `batch_fit` is deliberately excluded from the fingerprint: a
         // batched fit IS the unbatched fit, bit for bit, so either mode
         // may serve the other's cached posterior.
-        let base = PredictorConfig::test().with_fast_math(true);
+        let base = PredictorConfig::test().with_batch_fit(false);
         let cache = SharedFitCache::in_memory();
         let writer =
             FitService::with_shared_cache(base.with_batch_fit(true), 7, 2, Some(cache.clone()));
@@ -1547,8 +1528,7 @@ mod tests {
 
     #[test]
     fn batched_errors_surface_per_item() {
-        let base = PredictorConfig::test().with_fast_math(true).with_batch_fit(true);
-        let service = isolated(base, 7, 2);
+        let service = isolated(PredictorConfig::test(), 7, 2);
         let short = FitRequest { job: JobId::new(8), curve: curve(1), horizon: 100 };
         let outcomes = service.fit_batch(&[req(0, 10), short, req(1, 12)]);
         assert!(outcomes[0].result.is_ok());
@@ -1563,8 +1543,8 @@ mod tests {
         // own-pool twin computes, because every request carries its own
         // config and derived seed.
         let pool = FitPool::new(2);
-        let cold = PredictorConfig::test();
-        let fast = PredictorConfig::test().with_fast_math(true);
+        let cold = PredictorConfig::test().with_fast_math(false);
+        let fast = PredictorConfig::test();
         let a = FitService::with_pool(cold, 7, Arc::clone(&pool), None);
         let b = FitService::with_pool(fast, 21, Arc::clone(&pool), None);
         let requests: Vec<FitRequest> = (0..4).map(|j| req(j, 10 + j as u32)).collect();

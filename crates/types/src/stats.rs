@@ -102,6 +102,15 @@ pub fn ecdf(values: &[f64]) -> Vec<(f64, f64)> {
 /// Error function via the Abramowitz & Stegun 7.1.26 rational approximation
 /// (max absolute error 1.5e-7, ample for posterior probabilities).
 pub fn erf(x: f64) -> f64 {
+    erf_with_exp(x, (-x * x).exp())
+}
+
+/// [`erf`] with its one transcendental, `exp(-x²)`, supplied by the
+/// caller — so a batched caller can take it from its own kernel (the
+/// posterior-query sweep uses the host-independent vectorized `vmath`
+/// one) and still share this polynomial.
+#[inline]
+pub fn erf_with_exp(x: f64, exp_neg_x2: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     const A1: f64 = 0.254829592;
@@ -111,7 +120,7 @@ pub fn erf(x: f64) -> f64 {
     const A5: f64 = 1.061405429;
     const P: f64 = 0.3275911;
     let t = 1.0 / (1.0 + P * x);
-    let y = 1.0 - (((((A5 * t + A4) * t) + A3) * t + A2) * t + A1) * t * (-x * x).exp();
+    let y = 1.0 - (((((A5 * t + A4) * t) + A3) * t + A2) * t + A1) * t * exp_neg_x2;
     sign * y
 }
 

@@ -5,7 +5,10 @@
 //! scheduling traces (every start/resume, suspend, kill, completion, plus
 //! the per-boundary classification snapshots) are compared **byte for
 //! byte** against committed golden files, at both 1 and 4 fit-service
-//! worker threads.
+//! worker threads. One file per workload pins the cold trace under every
+//! fit mode — the libm oracle, `fast_math`, and the default
+//! `fast_math` + `batch_fit` — because the three agree byte for byte;
+//! warm starts change numerics on purpose and keep their own files.
 //!
 //! These traces lock in the whole deterministic stack at once: curve-fit
 //! seed derivation, fit caching, batch request ordering, slot allocation,
@@ -30,18 +33,8 @@ use hyperdrive_types::SimTime;
 use hyperdrive_workload::{CifarWorkload, LunarWorkload, Workload};
 
 /// Runs one canonical experiment and renders its full decision trace.
-fn trace(
-    workload: &dyn Workload,
-    configs: usize,
-    seed: u64,
-    machines: usize,
-    tmax: SimTime,
-    fit_threads: usize,
-) -> String {
-    trace_with(workload, configs, seed, machines, tmax, fit_threads, false, false, false)
-}
-
-/// [`trace`] with explicit warm-start, fast-math, and batch-fit switches.
+/// Every caller names its fit mode (warm-start, fast-math, batch-fit)
+/// explicitly, so no test silently follows `PredictorConfig`'s defaults.
 #[allow(clippy::too_many_arguments)]
 fn trace_with(
     workload: &dyn Workload,
@@ -194,45 +187,96 @@ fn trace_cached(
     (out, pop.predictions_made())
 }
 
+fn golden_path(name: &str) -> PathBuf {
+    [env!("CARGO_MANIFEST_DIR"), "tests", "golden", name].iter().collect()
+}
+
+fn read_golden(name: &str) -> String {
+    let path = golden_path(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {path:?} ({e}); generate it with \
+             HYPERDRIVE_UPDATE_GOLDEN=1 cargo test --test golden_traces"
+        )
+    })
+}
+
 /// Asserts thread-count invariance, then compares against the committed
-/// golden file (or rewrites it under `HYPERDRIVE_UPDATE_GOLDEN=1`).
+/// golden file (or rewrites it under `HYPERDRIVE_UPDATE_GOLDEN=1`; the
+/// modes sharing a file all write it — they must agree, and the next
+/// plain run fails if they did not).
 fn check_golden(name: &str, build: impl Fn(usize) -> String) {
     let single = build(1);
     let quad = build(4);
     assert_eq!(single, quad, "{name}: fit-pool width leaked into the scheduling trace");
 
-    let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "tests", "golden", name].iter().collect();
     if std::env::var("HYPERDRIVE_UPDATE_GOLDEN").is_ok() {
-        std::fs::write(&path, &single).expect("write golden file");
+        std::fs::write(golden_path(name), &single).expect("write golden file");
         return;
     }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {path:?} ({e}); generate it with \
-             HYPERDRIVE_UPDATE_GOLDEN=1 cargo test --test golden_traces"
-        )
-    });
     assert_eq!(
-        single, expected,
+        single,
+        read_golden(name),
         "{name}: trace diverged from the committed golden; if the behaviour \
          change is intentional, regenerate with HYPERDRIVE_UPDATE_GOLDEN=1"
     );
 }
 
+/// The canonical CIFAR experiment under one fit mode.
+fn cifar_golden(name: &str, warm_start: bool, fast_math: bool, batch_fit: bool) {
+    let workload = CifarWorkload::new().with_max_epochs(40);
+    let tmax = SimTime::from_hours(48.0);
+    check_golden(name, |threads| {
+        trace_with(&workload, 12, 7, 4, tmax, threads, warm_start, fast_math, batch_fit)
+    });
+}
+
+/// The canonical Lunar Lander experiment under one fit mode.
+fn lunar_golden(name: &str, warm_start: bool, fast_math: bool, batch_fit: bool) {
+    let workload = LunarWorkload::new().with_max_blocks(60);
+    let tmax = SimTime::from_hours(200.0);
+    check_golden(name, |threads| {
+        trace_with(&workload, 10, 11, 3, tmax, threads, warm_start, fast_math, batch_fit)
+    });
+}
+
+// One committed cold trace per workload, replayed under all three fit
+// modes × {1, 4} fit threads. The vectorized likelihood (`fast_math`)
+// evaluates the same model through batched kernels with a different
+// (deterministic) floating-point factoring, and cross-curve batching
+// (`batch_fit`) is a bitwise-invisible rearrangement of that path; neither
+// moves a byte of the scheduling trace, regardless of `HYPERDRIVE_VMATH`
+// (the backends are bit-identical). The modes stay separate `#[test]`s so
+// they run in parallel and a divergence names the mode that moved.
+
 #[test]
 fn cifar_surface_trace_is_golden() {
-    let workload = CifarWorkload::new().with_max_epochs(40);
-    check_golden("cifar_trace.csv", |threads| {
-        trace(&workload, 12, 7, 4, SimTime::from_hours(48.0), threads)
-    });
+    cifar_golden("cifar_trace.csv", false, false, false); // libm oracle
+}
+
+#[test]
+fn cifar_surface_fast_trace_is_golden() {
+    cifar_golden("cifar_trace.csv", false, true, false);
+}
+
+#[test]
+fn cifar_surface_batch_trace_is_golden() {
+    cifar_golden("cifar_trace.csv", false, true, true); // the default fit
 }
 
 #[test]
 fn lunar_surface_trace_is_golden() {
-    let workload = LunarWorkload::new().with_max_blocks(60);
-    check_golden("lunar_trace.csv", |threads| {
-        trace(&workload, 10, 11, 3, SimTime::from_hours(200.0), threads)
-    });
+    lunar_golden("lunar_trace.csv", false, false, false); // libm oracle
+}
+
+#[test]
+fn lunar_surface_fast_trace_is_golden() {
+    lunar_golden("lunar_trace.csv", false, true, false);
+}
+
+#[test]
+fn lunar_surface_batch_trace_is_golden() {
+    lunar_golden("lunar_trace.csv", false, true, true); // the default fit
 }
 
 // Warm-started posteriors change the numerics on purpose (shorter,
@@ -242,40 +286,12 @@ fn lunar_surface_trace_is_golden() {
 
 #[test]
 fn cifar_surface_warm_trace_is_golden() {
-    let workload = CifarWorkload::new().with_max_epochs(40);
-    check_golden("cifar_warm_trace.csv", |threads| {
-        trace_with(&workload, 12, 7, 4, SimTime::from_hours(48.0), threads, true, false, false)
-    });
+    cifar_golden("cifar_warm_trace.csv", true, false, false);
 }
 
 #[test]
 fn lunar_surface_warm_trace_is_golden() {
-    let workload = LunarWorkload::new().with_max_blocks(60);
-    check_golden("lunar_warm_trace.csv", |threads| {
-        trace_with(&workload, 10, 11, 3, SimTime::from_hours(200.0), threads, true, false, false)
-    });
-}
-
-// The vectorized likelihood path (`fast_math`) evaluates the same model
-// through batched kernels with a different (deterministic) floating-point
-// factoring, so like warm start it gets its own goldens — again at 1 and
-// 4 fit threads, and regardless of `HYPERDRIVE_VMATH` (the backends are
-// bit-identical, which these traces re-pin end to end).
-
-#[test]
-fn cifar_surface_fast_trace_is_golden() {
-    let workload = CifarWorkload::new().with_max_epochs(40);
-    check_golden("cifar_fast_trace.csv", |threads| {
-        trace_with(&workload, 12, 7, 4, SimTime::from_hours(48.0), threads, false, true, false)
-    });
-}
-
-#[test]
-fn lunar_surface_fast_trace_is_golden() {
-    let workload = LunarWorkload::new().with_max_blocks(60);
-    check_golden("lunar_fast_trace.csv", |threads| {
-        trace_with(&workload, 10, 11, 3, SimTime::from_hours(200.0), threads, false, true, false)
-    });
+    lunar_golden("lunar_warm_trace.csv", true, false, false);
 }
 
 // fast_math composes with warm start: warm refits rescore previous draws
@@ -284,70 +300,19 @@ fn lunar_surface_fast_trace_is_golden() {
 
 #[test]
 fn cifar_surface_fast_warm_trace_is_golden() {
-    let workload = CifarWorkload::new().with_max_epochs(40);
-    check_golden("cifar_fast_warm_trace.csv", |threads| {
-        trace_with(&workload, 12, 7, 4, SimTime::from_hours(48.0), threads, true, true, false)
-    });
+    cifar_golden("cifar_fast_warm_trace.csv", true, true, false);
 }
 
 #[test]
 fn lunar_surface_fast_warm_trace_is_golden() {
-    let workload = LunarWorkload::new().with_max_blocks(60);
-    check_golden("lunar_fast_warm_trace.csv", |threads| {
-        trace_with(&workload, 10, 11, 3, SimTime::from_hours(200.0), threads, true, true, false)
-    });
+    lunar_golden("lunar_fast_warm_trace.csv", true, true, false);
 }
 
-// Cross-curve batched fitting (`batch_fit`) is *supposed* to be bitwise
-// invisible — a pure-speed rearrangement of the fast-math path — but it
-// still gets its own committed goldens so the batched scheduling pipeline
-// (batch formation, chunking across workers, reply collection) is pinned
-// end to end at 1 and 4 fit threads. A separate test below then closes
-// the loop by asserting the batch goldens are byte-identical to the
-// `_fast` goldens.
-
-#[test]
-fn cifar_surface_batch_trace_is_golden() {
-    let workload = CifarWorkload::new().with_max_epochs(40);
-    check_golden("cifar_batch_trace.csv", |threads| {
-        trace_with(&workload, 12, 7, 4, SimTime::from_hours(48.0), threads, false, true, true)
-    });
-}
-
-#[test]
-fn lunar_surface_batch_trace_is_golden() {
-    let workload = LunarWorkload::new().with_max_blocks(60);
-    check_golden("lunar_batch_trace.csv", |threads| {
-        trace_with(&workload, 10, 11, 3, SimTime::from_hours(200.0), threads, false, true, true)
-    });
-}
-
-#[test]
-fn batch_goldens_are_byte_identical_to_fast_goldens() {
-    // The determinism claim in one assertion: turning batching on under
-    // fast math must not move a single byte of the committed trace.
-    if std::env::var("HYPERDRIVE_UPDATE_GOLDEN").is_ok() {
-        return; // files are mid-rewrite by sibling tests in update mode
-    }
-    for (batch, fast) in [
-        ("cifar_batch_trace.csv", "cifar_fast_trace.csv"),
-        ("lunar_batch_trace.csv", "lunar_fast_trace.csv"),
-    ] {
-        let read = |name: &str| -> String {
-            let path: PathBuf =
-                [env!("CARGO_MANIFEST_DIR"), "tests", "golden", name].iter().collect();
-            std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("missing golden file {path:?} ({e})"))
-        };
-        assert_eq!(read(batch), read(fast), "{batch}: batching moved the committed trace");
-    }
-}
-
-// Replaying every *existing* golden with `batch_fit` forced on proves the
-// default traces are untouched by batching: warm-started refits and
-// non-fast-math fits bypass the lockstep path by design, and the cold
-// fast-math fits it does capture are bitwise identical, so all eight
-// traces must come out byte-for-byte unchanged.
+// Replaying the libm and warm goldens with `batch_fit` on proves the flag
+// is inert there: warm-started refits and non-fast-math fits bypass the
+// lockstep path by design, so all six traces must come out byte-for-byte
+// unchanged. (The cold fast-math fits batching does capture are the
+// `_batch_trace_is_golden` tests above.)
 
 #[test]
 fn existing_goldens_are_untouched_by_batch_fit() {
@@ -359,22 +324,21 @@ fn existing_goldens_are_untouched_by_batch_fit() {
     let cifar_t = SimTime::from_hours(48.0);
     let lunar_t = SimTime::from_hours(200.0);
     type Case<'a> = (&'a str, &'a dyn Workload, usize, u64, usize, SimTime, bool, bool);
-    let cases: [Case; 8] = [
+    let cases: [Case; 6] = [
         ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false, false),
         ("cifar_warm_trace.csv", &cifar, 12, 7, 4, cifar_t, true, false),
-        ("cifar_fast_trace.csv", &cifar, 12, 7, 4, cifar_t, false, true),
         ("cifar_fast_warm_trace.csv", &cifar, 12, 7, 4, cifar_t, true, true),
         ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false, false),
         ("lunar_warm_trace.csv", &lunar, 10, 11, 3, lunar_t, true, false),
-        ("lunar_fast_trace.csv", &lunar, 10, 11, 3, lunar_t, false, true),
         ("lunar_fast_warm_trace.csv", &lunar, 10, 11, 3, lunar_t, true, true),
     ];
     for (name, w, configs, seed, machines, tmax, warm, fast) in cases {
-        let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "tests", "golden", name].iter().collect();
-        let golden = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden file {path:?} ({e})"));
+        let golden = read_golden(name);
         let replay = trace_with(w, configs, seed, machines, tmax, 1, warm, fast, true);
-        assert_eq!(replay, golden, "{name}: batch_fit=on moved the default trace");
+        assert_eq!(
+            replay, golden,
+            "{name}: batch_fit=on moved the trace (warm={warm} fast={fast})"
+        );
     }
 }
 
@@ -396,17 +360,15 @@ fn existing_goldens_are_untouched_by_fit_prefetch() {
     let cases: [Case; 8] = [
         ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false, false, false),
         ("cifar_warm_trace.csv", &cifar, 12, 7, 4, cifar_t, true, false, false),
-        ("cifar_fast_trace.csv", &cifar, 12, 7, 4, cifar_t, false, true, false),
-        ("cifar_batch_trace.csv", &cifar, 12, 7, 4, cifar_t, false, true, true),
+        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false, true, false),
+        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false, true, true),
         ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false, false, false),
         ("lunar_warm_trace.csv", &lunar, 10, 11, 3, lunar_t, true, false, false),
-        ("lunar_fast_trace.csv", &lunar, 10, 11, 3, lunar_t, false, true, false),
-        ("lunar_batch_trace.csv", &lunar, 10, 11, 3, lunar_t, false, true, true),
+        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false, true, false),
+        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false, true, true),
     ];
     for (name, w, configs, seed, machines, tmax, warm, fast, batch) in cases {
-        let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "tests", "golden", name].iter().collect();
-        let golden = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden file {path:?} ({e})"));
+        let golden = read_golden(name);
         for threads in [1, 4] {
             let replay =
                 trace_prefetched(w, configs, seed, machines, tmax, threads, warm, fast, batch);
@@ -419,7 +381,7 @@ fn existing_goldens_are_untouched_by_fit_prefetch() {
 }
 
 // The shared content-addressed fit cache must be *pure speed*: every one
-// of the eight golden traces has to come out byte-identical whether fits
+// of the eight (workload, fit mode) cases has to match its golden whether fits
 // run cold (the tests above), replay from a warmed in-memory cache, or
 // replay from a pre-populated disk store — at 1 and 4 fit threads. This
 // is the end-to-end pin on the fingerprint closure: if the key missed
@@ -439,24 +401,22 @@ fn golden_traces_are_invariant_under_shared_fit_cache_modes() {
     let cases: [Case; 8] = [
         ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false, false),
         ("cifar_warm_trace.csv", &cifar, 12, 7, 4, cifar_t, true, false),
-        ("cifar_fast_trace.csv", &cifar, 12, 7, 4, cifar_t, false, true),
+        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false, true),
         ("cifar_fast_warm_trace.csv", &cifar, 12, 7, 4, cifar_t, true, true),
         ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false, false),
         ("lunar_warm_trace.csv", &lunar, 10, 11, 3, lunar_t, true, false),
-        ("lunar_fast_trace.csv", &lunar, 10, 11, 3, lunar_t, false, true),
+        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false, true),
         ("lunar_fast_warm_trace.csv", &lunar, 10, 11, 3, lunar_t, true, true),
     ];
     let disk_root =
         std::env::temp_dir().join(format!("hyperdrive-golden-fitcache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&disk_root);
     for (name, w, configs, seed, machines, tmax, warm, fast) in cases {
-        let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "tests", "golden", name].iter().collect();
-        let golden = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden file {path:?} ({e})"));
+        let golden = read_golden(name);
 
         // Cold run populating a fresh disk-backed cache at 1 thread, then
         // a warmed replay at 4 threads served from the same cache object.
-        let dir = disk_root.join(name);
+        let dir = disk_root.join(format!("{name}-warm{warm}-fast{fast}"));
         let writer = SharedFitCache::with_disk(&dir).expect("open disk-backed fit cache");
         let (cold, cold_preds) = trace_cached(
             w,
