@@ -22,7 +22,7 @@ use hyperdrive_framework::{
     ExperimentResult, ExperimentSpec, ExperimentWorkload, FaultConfig, FaultEvent, FaultKind,
     FaultPlan, JobEnd,
 };
-use hyperdrive_sim::{run_sim, run_sim_with_faults, run_sim_with_recovery};
+use hyperdrive_sim::{run_sim, run_sim_with_recovery, Simulation};
 use hyperdrive_types::{MachineId, SimTime};
 use hyperdrive_workload::CifarWorkload;
 
@@ -116,7 +116,7 @@ fn main() {
             // Race to the target: time-to-target inflation.
             let spec = ExperimentSpec::new(s.machines).with_tmax(horizon).with_seed(noise_seed);
             let mut policy = kind.build(fidelity, noise_seed);
-            let result = run_sim_with_faults(policy.as_mut(), &ew, spec, &plan);
+            let result = Simulation::with_faults(policy.as_mut(), &ew, spec, &plan).run();
             check_run(&result, false, &format!("{} {} target", kind.label(), rate_label));
             if intensity == 0.0 {
                 let base = baseline(p, repeat);
@@ -137,7 +137,7 @@ fn main() {
                 .with_seed(noise_seed)
                 .with_stop_on_target(false);
             let mut policy = kind.build(fidelity, noise_seed);
-            let full = run_sim_with_faults(policy.as_mut(), &ew, spec, &plan);
+            let full = Simulation::with_faults(policy.as_mut(), &ew, spec, &plan).run();
             check_run(&full, true, &format!("{} {} completion", kind.label(), rate_label));
             (result.time_to_target, full)
         });
@@ -282,7 +282,7 @@ fn main() {
             });
         }
         let mut baseline_policy = kind.build(fidelity, noise_seed);
-        let baseline = run_sim_with_faults(baseline_policy.as_mut(), &ew, spec, &plan);
+        let baseline = Simulation::with_faults(baseline_policy.as_mut(), &ew, spec, &plan).run();
         let recovered =
             run_sim_with_recovery(|| kind.build(fidelity, noise_seed), &ew, spec, &plan)
                 .expect("recovery replays cleanly");

@@ -15,7 +15,7 @@ use hyperdrive_framework::{
     run_meta, DefaultPolicy, ExperimentEngine, ExperimentResult, ExperimentSpec,
     ExperimentWorkload, FaultConfig, FaultPlan, Journal, SchedulingPolicy,
 };
-use hyperdrive_sim::{kill_at_every_event, run_sim_journaled};
+use hyperdrive_sim::{kill_at_every_event, Simulation};
 use hyperdrive_types::SimTime;
 use hyperdrive_workload::CifarWorkload;
 
@@ -79,25 +79,26 @@ fn main() {
         let mut policy = pop_policy(1, seed);
         let meta = run_meta(policy.name(), &ew, &spec, &plan);
         let t = Instant::now();
-        let plain = run_sim_journaled(policy.as_mut(), &ew, spec, &plan, Journal::disabled(), None);
+        let plain =
+            Simulation::with_journal(policy.as_mut(), &ew, spec, &plan, Journal::disabled()).run();
         plain_secs.push(t.elapsed().as_secs_f64());
 
         let _ = std::fs::remove_file(&wal_path);
         let journal = Journal::create(&wal_path, meta).expect("temp journal creatable");
         let mut policy = pop_policy(1, seed);
         let t = Instant::now();
-        let journaled = run_sim_journaled(policy.as_mut(), &ew, spec, &plan, journal, None);
+        let mut journaled = Simulation::with_journal(policy.as_mut(), &ew, spec, &plan, journal);
+        while journaled.step_input().is_some() {}
+        inputs = journaled.inputs_delivered();
+        let full = journaled.finish();
         journaled_secs.push(t.elapsed().as_secs_f64());
 
-        let plain = plain.result.expect("no crash armed");
-        let full = journaled.result.expect("no crash armed");
         assert_eq!(
             event_csv(&plain),
             event_csv(&full),
             "journaling must be pure output: identical trace bytes"
         );
         assert_eq!(plain.end_time, full.end_time);
-        inputs = journaled.inputs;
         journal_bytes = std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0);
     }
     let plain_best = min_of(&plain_secs);
@@ -118,9 +119,11 @@ fn main() {
         let mut policy = pop_policy(1, seed);
         let meta = run_meta(policy.name(), &ew, &spec, &plan);
         let journal = Journal::in_memory(meta);
-        let crashed =
-            run_sim_journaled(policy.as_mut(), &ew, spec, &plan, journal.clone(), Some(k));
-        assert!(crashed.result.is_none(), "crash at {k} fired");
+        let mut victim =
+            Simulation::with_journal(policy.as_mut(), &ew, spec, &plan, journal.clone());
+        victim.run_to_input(k);
+        assert_eq!(victim.inputs_delivered(), k, "crash at {k} fired");
+        drop(victim);
         drop(policy);
         let mut fresh = pop_policy(1, seed);
         let t = Instant::now();

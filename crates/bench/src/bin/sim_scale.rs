@@ -1,14 +1,14 @@
 //! Capacity-scaling bench for the discrete-event spine: events/sec and
 //! heap allocations per event as the cluster grows from 32 to 50k
-//! machines, per policy, plus the O(n)-scan reference `ResourceManager`
-//! backend as the speedup baseline at the 10k point. Emits
-//! `BENCH_sim_scale.json` into the results directory.
+//! machines, per policy. Emits `BENCH_sim_scale.json` into the results
+//! directory. (The pre-optimization event loop this was once measured
+//! against — 11.7× slower at 10k machines — is retired; its last reading
+//! is archived in the committed `results/BENCH_sim_scale.json`.)
 //!
-//! Two determinism checks ride along and are hard-asserted:
+//! Two properties ride along and are hard-asserted:
 //!
-//! * **Backend identity** — the fast free-set backend and the retained
-//!   reference backend produce byte-identical traces at the comparison
-//!   point (same event log hash).
+//! * **Zero allocations per steady-state event** under the default policy
+//!   at every cluster size.
 //! * **Machine-count invariance** — with `jobs <= machines` under the
 //!   default policy, the trace is independent of cluster size (the
 //!   lowest-numbered-idle-machine contract), so a fixed-seed 16-job smoke
@@ -24,10 +24,9 @@ use hyperdrive_bench::{harness_fit_threads, print_table, quick_mode, results_dir
 use hyperdrive_core::{PopConfig, PopPolicy};
 use hyperdrive_curve::PredictorConfig;
 use hyperdrive_framework::{
-    Command, DefaultPolicy, EngineEvent, ExperimentEngine, ExperimentResult, ExperimentSpec,
-    ExperimentWorkload, SchedulingPolicy,
+    DefaultPolicy, ExperimentResult, ExperimentSpec, ExperimentWorkload, SchedulingPolicy,
 };
-use hyperdrive_sim::{EventQueue, Simulation};
+use hyperdrive_sim::Simulation;
 use hyperdrive_types::SimTime;
 use hyperdrive_workload::CifarWorkload;
 
@@ -92,8 +91,7 @@ fn scale_spec(machines: usize) -> (ExperimentWorkload, ExperimentSpec) {
     (ew, spec)
 }
 
-/// One timed scaling run on the optimized path, driven through the
-/// stepper so the event count is exact. Returns
+/// One timed scaling run, driven step by step so the event count is exact. Returns
 /// `(events, wall_secs, trace_hash)`.
 fn timed_run(policy: &mut dyn SchedulingPolicy, machines: usize) -> (u64, f64, u64) {
     let (ew, spec) = scale_spec(machines);
@@ -125,46 +123,6 @@ fn timed_best(
         best = (events, secs.min(best.1), hash);
     }
     best
-}
-
-/// The seed executor's per-event shape, retained in-tree for exactly this
-/// comparison: the allocating `handle()` API (a fresh `Vec<Command>` per
-/// event) driving whichever `ResourceManager` backend `HYPERDRIVE_RM`
-/// selects. Paired with `HYPERDRIVE_RM=reference` this is the pre-
-/// optimization event loop end to end.
-fn seed_path_run(machines: usize) -> (u64, f64, u64) {
-    let (ew, spec) = scale_spec(machines);
-    let mut policy = DefaultPolicy::new();
-    let mut engine = ExperimentEngine::new(&mut policy, &ew, spec);
-    let mut queue: EventQueue<EngineEvent> = EventQueue::with_capacity(ew.len() + 1);
-    let dispatch = |cmds: &[Command], now: SimTime, queue: &mut EventQueue<EngineEvent>| {
-        let mut stop = false;
-        for cmd in cmds {
-            match *cmd {
-                Command::RunEpoch { job, duration, token, .. } => {
-                    queue.schedule(now + duration, EngineEvent::EpochDone { job, token });
-                }
-                Command::Suspend { job, latency, token, .. } => {
-                    queue.schedule(now + latency, EngineEvent::SuspendDone { job, token });
-                }
-                Command::Stop => stop = true,
-            }
-        }
-        stop
-    };
-    let t = Instant::now();
-    let mut stop = dispatch(&engine.start(), SimTime::ZERO, &mut queue);
-    let mut events = 0u64;
-    let mut now = SimTime::ZERO;
-    while !stop {
-        let Some((at, ev)) = queue.pop() else { break };
-        now = at;
-        let cmds = engine.handle(ev, at);
-        events += 1;
-        stop = dispatch(&cmds, at, &mut queue);
-    }
-    let secs = t.elapsed().as_secs_f64();
-    (events, secs, trace_hash(&engine.into_result(now)))
 }
 
 /// Allocations per steady-state event at a given cluster size: jobs ==
@@ -229,17 +187,11 @@ fn main() {
     // earlier; the free-set and command-buffer claims are policy-agnostic
     // and the default-policy grid carries the 10k/50k points.
     let pop_grid: &[usize] = if quick { &[32, 256] } else { &[32, 256, 2048] };
-    let reference_point = default_grid.last().copied().unwrap().min(10_000);
-
     let reps = if quick { 2 } else { 3 };
     let mut rows = Vec::new();
     let mut zero_alloc = true;
-    let mut fast_hash = 0u64;
     for &machines in default_grid {
-        let (events, secs, hash) = timed_best(|| Box::new(DefaultPolicy::new()), machines, reps);
-        if machines == reference_point {
-            fast_hash = hash;
-        }
+        let (events, secs, _) = timed_best(|| Box::new(DefaultPolicy::new()), machines, reps);
         let (allocs, measured) = steady_state_allocs(machines);
         zero_alloc &= allocs == 0;
         rows.push(Row {
@@ -279,45 +231,6 @@ fn main() {
     }
     assert!(zero_alloc, "steady-state sim loop allocated");
 
-    // ---- Reference baseline at the comparison point: the retained
-    // pre-optimization event loop — allocating `handle()` API + O(n)
-    // linear-scan ResourceManager backend — on the same workload and
-    // seed. The traces must hash identically: every optimization in the
-    // fast path is a pure data-structure or buffering swap.
-    // The two sides are measured *interleaved* (fast rep, reference rep,
-    // repeat), each keeping its minimum: load drift on a shared host then
-    // hits both sides alike instead of skewing whichever ran second, and
-    // min-over-reps discards the reps it slowed down.
-    let fast_row = rows
-        .iter()
-        .position(|r| r.policy == "default" && r.machines == reference_point)
-        .expect("reference point is on the default grid");
-    let fast_events = rows[fast_row].events;
-    let mut fast_secs = rows[fast_row].secs;
-    let mut ref_events = 0u64;
-    let mut ref_secs = f64::INFINITY;
-    let mut ref_hash = 0u64;
-    let comparison_reps = if quick { 2 } else { 4 };
-    for _ in 0..comparison_reps {
-        let (events, secs, hash) =
-            timed_best(|| Box::new(DefaultPolicy::new()), reference_point, 1);
-        assert_eq!((events, hash), (fast_events, fast_hash), "fast path rep diverged");
-        fast_secs = fast_secs.min(secs);
-        std::env::set_var("HYPERDRIVE_RM", "reference");
-        let (events, secs, hash) = seed_path_run(reference_point);
-        std::env::remove_var("HYPERDRIVE_RM");
-        ref_events = events;
-        ref_secs = ref_secs.min(secs);
-        ref_hash = hash;
-    }
-    rows[fast_row].secs = fast_secs;
-    rows[fast_row].events_per_sec = fast_events as f64 / fast_secs.max(1e-12);
-    let fast_eps = rows[fast_row].events_per_sec;
-    let ref_eps = ref_events as f64 / ref_secs.max(1e-12);
-    let speedup = fast_eps / ref_eps.max(1e-12);
-    let backend_match = fast_hash == ref_hash;
-    assert!(backend_match, "fast and reference paths diverged at {reference_point} machines");
-
     // ---- Machine-count invariance: same study, two cluster sizes, one
     // trace. POP is excluded by construction (its slot budget is
     // `alive_count`, which depends on cluster size).
@@ -344,11 +257,7 @@ fn main() {
         &["policy", "machines", "events", "secs", "events/sec", "allocs/event"],
         &table,
     );
-    println!(
-        "\nreference backend at {reference_point} machines: {ref_eps:.0} events/sec \
-         ({speedup:.1}x slower than free-set), traces identical: {backend_match}"
-    );
-    println!("machine-count invariance (32 vs 2048 machines): {invariant}");
+    println!("\nmachine-count invariance (32 vs 2048 machines): {invariant}");
 
     let json_rows: Vec<String> = rows
         .iter()
@@ -376,11 +285,6 @@ fn main() {
   "rows": [
 {rows}
   ],
-  "reference_machines": {reference_point},
-  "reference_events_per_sec": {ref_eps:.1},
-  "fast_events_per_sec_at_reference_point": {fast_eps:.1},
-  "fast_vs_reference_speedup": {speedup:.2},
-  "backend_trace_hash_match": {backend_match},
   "machine_invariant_hash_match": {invariant},
   "steady_state_zero_alloc": {zero_alloc}
 }}

@@ -16,7 +16,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use hyperdrive_types::{DomainKnowledge, Error, JobId, LearningCurve, MachineId, Result, SimTime};
+use hyperdrive_types::{DomainKnowledge, JobId, LearningCurve, MachineId, Result, SimTime};
 
 use crate::appstat::{AppStatDb, SuspendEvent};
 use crate::dense::DenseMap;
@@ -26,7 +26,7 @@ use crate::experiment::{
 };
 use crate::fault::{FaultPlan, FaultStats, RetryPolicy};
 use crate::job_manager::{JobManager, JobState};
-use crate::journal::{self, Journal, RecoveredJournal, ReplayInput};
+use crate::journal::{self, Journal, RecoveredJournal};
 use crate::policy::{JobDecision, JobEvent, PrefetchHint, SchedulerContext, SchedulingPolicy};
 use crate::resource::ResourceManager;
 use crate::snapshot::JobSnapshot;
@@ -103,18 +103,41 @@ pub enum EngineEvent {
     },
 }
 
-/// What [`ExperimentEngine::recover`] replayed out of a journal: the
-/// executor uses this to rebuild its delivery state and continue the run.
-#[derive(Debug)]
+/// One input delivered to the engine: everything an executor can tell it.
+///
+/// This is the single vocabulary shared by the executors (the simulator's
+/// future-event queue holds `(SimTime, EngineInput)` pairs), the
+/// write-ahead journal (which records exactly these, see
+/// [`crate::journal`]) and recovery (which feeds them back). All of them go
+/// through [`ExperimentEngine::deliver`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EngineInput {
+    /// The experiment begins: fires the initial `AllocateJobs` up-call.
+    /// Always delivered first, at time zero.
+    Start,
+    /// A completion report from the execution backend. Stale reports —
+    /// whose token no longer matches the job's outstanding command because
+    /// a fault invalidated it — are dropped.
+    Event(EngineEvent),
+    /// A machine crashed: it goes dead, any hosted job is interrupted
+    /// (rolled back to its last snapshot), and the policy gets a chance to
+    /// reallocate. Crashing an already-dead machine is a no-op.
+    MachineCrash(MachineId),
+    /// A crashed machine returns to the idle pool, where the policy may
+    /// immediately use it. Recovering an alive machine is a no-op.
+    MachineRecovery(MachineId),
+    /// A node-agent stall was detected: the report for the machine's
+    /// in-flight work is lost, the hosted job is interrupted, and the
+    /// machine — which survives, only its agent was restarted — returns
+    /// to the pool. A stall on a machine hosting nothing is a no-op.
+    AgentStall(MachineId),
+}
+
+/// What [`ExperimentEngine::recover`] replayed out of a journal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveredRun {
     /// Number of journaled inputs replayed.
     pub replayed: usize,
-    /// The replayed inputs, in original order (the simulator pops its
-    /// rebuilt queue against these to verify delivery order).
-    pub inputs: Vec<ReplayInput>,
-    /// The command batch each input produced, with the time it was
-    /// produced at. Identical to the batches of the original run.
-    pub batches: Vec<(SimTime, Vec<Command>)>,
     /// Executor time of the last replayed input (zero if none).
     pub now: SimTime,
     /// True if the run had already stopped (goal reached or `Tmax`).
@@ -439,10 +462,9 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
 
     /// Creates an engine whose probabilistic faults (suspend failure,
     /// snapshot corruption) and retry policy come from `plan`. Timed
-    /// faults in the plan are the executor's responsibility — it calls
-    /// [`inject_machine_crash`](Self::inject_machine_crash) and friends
-    /// when their times come. With [`FaultPlan::none`] this is exactly
-    /// [`ExperimentEngine::new`].
+    /// faults in the plan are the executor's responsibility — it delivers
+    /// [`EngineInput::MachineCrash`] and friends when their times come.
+    /// With [`FaultPlan::none`] this is exactly [`ExperimentEngine::new`].
     ///
     /// # Panics
     ///
@@ -534,15 +556,16 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
     }
 
     /// Recovers an engine from a journal written by an identical run: the
-    /// journaled inputs are replayed through a fresh engine (regenerating
-    /// and verifying every record byte-for-byte), after which the engine
-    /// — and the journal, back in append mode — continue exactly where the
+    /// journaled inputs are delivered to a fresh engine (regenerating and
+    /// verifying every record byte-for-byte), after which the engine — and
+    /// the journal, back in append mode — continue exactly where the
     /// crashed process stopped. The caller must pass the *same* policy
     /// construction, workload, spec, and plan as the original run.
     ///
-    /// Returns the engine plus a [`RecoveredRun`] describing the replayed
-    /// prefix (the regenerated command batches let an executor rebuild its
-    /// delivery queue).
+    /// This is the recovery path for executors that cannot regenerate
+    /// their own inputs (the live executor: wall-clock arrival order is
+    /// gone); the simulator re-derives them from its deterministic queue
+    /// instead and only checks them against the journal.
     ///
     /// # Errors
     ///
@@ -562,60 +585,52 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
     ) -> Result<(Self, RecoveredRun)> {
         let RecoveredJournal { journal, inputs, sealed } = recovered;
         let mut engine = Self::with_journal(policy, workload, spec, plan, journal);
-        let mut batches = Vec::with_capacity(inputs.len());
-        for input in &inputs {
-            let (now, cmds) = match *input {
-                ReplayInput::Start => (SimTime::ZERO, engine.start()),
-                ReplayInput::Event { event, now } => (now, engine.handle(event, now)),
-                ReplayInput::MachineCrash { machine, now } => {
-                    (now, engine.inject_machine_crash(machine, now))
-                }
-                ReplayInput::MachineRecovery { machine, now } => {
-                    (now, engine.inject_machine_recovery(machine, now))
-                }
-                ReplayInput::AgentStall { machine, now } => {
-                    (now, engine.inject_agent_stall(machine, now))
-                }
-            };
-            batches.push((now, cmds));
+        let mut cmds = Vec::new();
+        for &(now, input) in &inputs {
+            engine.deliver(input, now, &mut cmds);
         }
-        if let Some(err) = engine.core.journal.take_divergence() {
-            return Err(err);
-        }
-        let leftover = engine.core.journal.replay_remaining();
-        if leftover > 0 {
-            return Err(Error::JournalDiverged {
-                record: engine.core.journal.records_appended(),
-                detail: format!("replay finished with {leftover} journal records unaccounted for"),
-            });
-        }
-        let now = inputs.iter().rev().find_map(ReplayInput::now).unwrap_or(SimTime::ZERO);
-        let stopped = engine.core.stopped;
-        let run = RecoveredRun { replayed: inputs.len(), inputs, batches, now, stopped, sealed };
+        engine.core.journal.finish_replay()?;
+        let run = RecoveredRun {
+            replayed: inputs.len(),
+            now: inputs.last().map_or(SimTime::ZERO, |&(now, _)| now),
+            stopped: engine.core.stopped,
+            sealed,
+        };
         Ok((engine, run))
     }
 
-    /// Starts the experiment: fires the initial `AllocateJobs` up-call and
-    /// returns the first command batch.
-    pub fn start(&mut self) -> Vec<Command> {
-        let mut out = Vec::new();
-        self.start_into(&mut out);
-        out
-    }
-
-    /// Buffer-reusing form of [`start`](Self::start): the batch is written
-    /// into `out` (cleared first). Executors pass the same buffer to every
-    /// engine call so the steady-state event path allocates nothing.
-    pub fn start_into(&mut self, out: &mut Vec<Command>) {
-        self.core.journal.input_start();
-        self.policy.allocate_jobs(&mut self.core);
+    /// Delivers one input at executor time `now` and writes the follow-up
+    /// command batch into `out` (cleared first) — the engine's only entry
+    /// point. Executors pass the same buffer to every call so the
+    /// steady-state event path allocates nothing.
+    ///
+    /// The input is journaled before any state changes (write-ahead),
+    /// including no-op deliveries (after the run stopped, stale tokens,
+    /// faults on machines they cannot affect), so journal positions
+    /// correspond 1:1 to executor deliveries.
+    ///
+    /// # Panics
+    ///
+    /// Panics on protocol violations (events for jobs in impossible
+    /// states), which indicate an executor bug.
+    pub fn deliver(&mut self, input: EngineInput, now: SimTime, out: &mut Vec<Command>) {
+        self.core.journal.input(input, now);
+        if !self.core.stopped {
+            match input {
+                EngineInput::Start => self.policy.allocate_jobs(&mut self.core),
+                EngineInput::Event(event) => self.on_event(event, now),
+                EngineInput::MachineCrash(machine) => self.on_machine_crash(machine, now),
+                EngineInput::MachineRecovery(machine) => self.on_machine_recovery(machine, now),
+                EngineInput::AgentStall(machine) => self.on_agent_stall(machine, now),
+            }
+        }
         self.finish_turn_into(out);
     }
 
     /// Drains the pending command batch into `out` (cleared first) and
-    /// journals its digest plus an RNG checkpoint. Every engine entry
-    /// point ends here, so each input record is followed by its
-    /// transitions and exactly one commands/checkpoint pair. `Command` is
+    /// journals its digest plus an RNG checkpoint. Every delivery ends
+    /// here, so each input record is followed by its transitions and
+    /// exactly one commands/checkpoint pair. `Command` is
     /// `Copy`, so the drain is a memcpy — no allocation once `out` has
     /// warmed up to the largest batch.
     fn finish_turn_into(&mut self, out: &mut Vec<Command>) {
@@ -651,39 +666,21 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
         self.core.prefetch_hints.clear();
     }
 
-    /// Feeds one completion event back at time `now`, returning follow-up
-    /// commands.
-    ///
-    /// Stale events — whose token no longer matches the job's outstanding
-    /// command because a fault invalidated it — are silently dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics on protocol violations (events for jobs in impossible
-    /// states), which indicate an executor bug.
-    pub fn handle(&mut self, event: EngineEvent, now: SimTime) -> Vec<Command> {
-        let mut out = Vec::new();
-        self.handle_into(event, now, &mut out);
-        out
+    /// §3.1.1: the search never runs past `Tmax`.
+    fn stop_if_past_tmax(&mut self) {
+        if self.core.now >= self.core.spec.tmax {
+            self.core.stop();
+        }
     }
 
-    /// Buffer-reusing form of [`handle`](Self::handle): follow-up commands
-    /// are written into `out` (cleared first).
-    pub fn handle_into(&mut self, event: EngineEvent, now: SimTime, out: &mut Vec<Command>) {
-        // Journaled before any state changes (write-ahead), including
-        // no-op deliveries, so journal positions correspond 1:1 to
-        // executor deliveries.
-        self.core.journal.input_event(event, now);
-        if self.core.stopped {
-            return self.finish_turn_into(out);
-        }
+    fn on_event(&mut self, event: EngineEvent, now: SimTime) {
         let (job, token) = match event {
             EngineEvent::EpochDone { job, token } | EngineEvent::SuspendDone { job, token } => {
                 (job, token)
             }
         };
         if self.core.outstanding.get(job) != Some(&token) {
-            return self.finish_turn_into(out);
+            return; // stale: a fault superseded this command
         }
         self.core.outstanding.remove(job);
         self.core.now = self.core.now.max(now);
@@ -691,34 +688,12 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
             EngineEvent::EpochDone { job, .. } => self.on_epoch_done(job),
             EngineEvent::SuspendDone { job, .. } => self.on_suspend_done(job),
         }
-        // Time budget check (§3.1.1: the search never runs past Tmax).
-        if self.core.now >= self.core.spec.tmax {
-            self.core.stop();
-        }
-        self.finish_turn_into(out);
+        self.stop_if_past_tmax();
     }
 
-    /// Injects a machine crash at time `now`: the machine goes dead, any
-    /// hosted job is interrupted (rolled back to its last snapshot), and
-    /// the policy gets a chance to reallocate. Returns follow-up commands.
-    /// Crashing an already-dead machine is a no-op.
-    pub fn inject_machine_crash(&mut self, machine: MachineId, now: SimTime) -> Vec<Command> {
-        let mut out = Vec::new();
-        self.inject_machine_crash_into(machine, now, &mut out);
-        out
-    }
-
-    /// Buffer-reusing form of
-    /// [`inject_machine_crash`](Self::inject_machine_crash).
-    pub fn inject_machine_crash_into(
-        &mut self,
-        machine: MachineId,
-        now: SimTime,
-        out: &mut Vec<Command>,
-    ) {
-        self.core.journal.input_machine_crash(machine, now);
-        if self.core.stopped || self.core.rm.is_dead(machine) {
-            return self.finish_turn_into(out);
+    fn on_machine_crash(&mut self, machine: MachineId, now: SimTime) {
+        if self.core.rm.is_dead(machine) {
+            return;
         }
         self.core.now = self.core.now.max(now);
         self.core.stats.machine_crashes += 1;
@@ -730,75 +705,32 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
             self.core.interrupt(job, machine, false);
         }
         self.policy.allocate_jobs(&mut self.core);
-        if self.core.now >= self.core.spec.tmax {
-            self.core.stop();
-        }
-        self.finish_turn_into(out);
+        self.stop_if_past_tmax();
     }
 
-    /// Injects a machine recovery at time `now`: the machine returns to
-    /// the idle pool and the policy may immediately use it. Recovering an
-    /// alive machine is a no-op.
-    pub fn inject_machine_recovery(&mut self, machine: MachineId, now: SimTime) -> Vec<Command> {
-        let mut out = Vec::new();
-        self.inject_machine_recovery_into(machine, now, &mut out);
-        out
-    }
-
-    /// Buffer-reusing form of
-    /// [`inject_machine_recovery`](Self::inject_machine_recovery).
-    pub fn inject_machine_recovery_into(
-        &mut self,
-        machine: MachineId,
-        now: SimTime,
-        out: &mut Vec<Command>,
-    ) {
-        self.core.journal.input_machine_recovery(machine, now);
-        if self.core.stopped || !self.core.rm.is_dead(machine) {
-            return self.finish_turn_into(out);
+    fn on_machine_recovery(&mut self, machine: MachineId, now: SimTime) {
+        if !self.core.rm.is_dead(machine) {
+            return;
         }
         self.core.now = self.core.now.max(now);
         self.core.rm.mark_recovered(machine).expect("dead machine recovers");
         self.core.stats.machine_recoveries += 1;
         self.core.record(SchedulerEvent::MachineRecovered { machine, time: self.core.now });
         self.policy.allocate_jobs(&mut self.core);
-        self.finish_turn_into(out);
     }
 
-    /// Injects a detected node-agent stall at time `now`: the report for
-    /// the machine's in-flight work is lost, the hosted job is interrupted
-    /// (rolled back to its last snapshot), and the machine — which
-    /// survives, only its agent was restarted — returns to the pool.
-    /// A stall on a machine hosting nothing is a no-op.
-    pub fn inject_agent_stall(&mut self, machine: MachineId, now: SimTime) -> Vec<Command> {
-        let mut out = Vec::new();
-        self.inject_agent_stall_into(machine, now, &mut out);
-        out
-    }
-
-    /// Buffer-reusing form of
-    /// [`inject_agent_stall`](Self::inject_agent_stall).
-    pub fn inject_agent_stall_into(
-        &mut self,
-        machine: MachineId,
-        now: SimTime,
-        out: &mut Vec<Command>,
-    ) {
-        self.core.journal.input_agent_stall(machine, now);
-        if self.core.stopped || self.core.rm.is_dead(machine) {
-            return self.finish_turn_into(out);
+    fn on_agent_stall(&mut self, machine: MachineId, now: SimTime) {
+        if self.core.rm.is_dead(machine) {
+            return;
         }
         let Some(job) = self.job_on(machine) else {
-            return self.finish_turn_into(out);
+            return;
         };
         self.core.now = self.core.now.max(now);
         self.core.stats.agent_stalls += 1;
         self.core.interrupt(job, machine, true);
         self.policy.allocate_jobs(&mut self.core);
-        if self.core.now >= self.core.spec.tmax {
-            self.core.stop();
-        }
-        self.finish_turn_into(out);
+        self.stop_if_past_tmax();
     }
 
     /// The job currently occupying `machine`, if any.
@@ -813,6 +745,7 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
 
     /// Number of jobs still live (running, suspending, or queued).
     /// Executors use this to detect natural termination under faults.
+    #[inline]
     pub fn active_job_count(&self) -> usize {
         self.core.jm.active_len()
     }
@@ -964,20 +897,9 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
     }
 
     /// True once the experiment has stopped (goal reached or `Tmax`).
+    #[inline]
     pub fn stopped(&self) -> bool {
         self.core.stopped
-    }
-
-    /// Input records journaled so far (the crash-position coordinate of
-    /// the kill-anywhere harness); zero when journaling is disabled.
-    pub fn journaled_inputs(&self) -> u64 {
-        self.core.journal.inputs_appended()
-    }
-
-    /// The engine's journal handle (cheap clone; disabled handles are
-    /// inert). Executors keep one to recover after a simulated crash.
-    pub fn journal(&self) -> Journal {
-        self.core.journal.clone()
     }
 
     /// Seals the journal as *incomplete*: the run is being interrupted on
@@ -1040,12 +962,35 @@ mod tests {
         ExperimentWorkload::from_workload(&w, n, 7)
     }
 
+    /// Delivers one input and returns the batch it produced.
+    fn deliver(
+        engine: &mut ExperimentEngine<'_, '_>,
+        input: EngineInput,
+        now: SimTime,
+    ) -> Vec<Command> {
+        let mut out = Vec::new();
+        engine.deliver(input, now, &mut out);
+        out
+    }
+
+    fn start(engine: &mut ExperimentEngine<'_, '_>) -> Vec<Command> {
+        deliver(engine, EngineInput::Start, SimTime::ZERO)
+    }
+
+    fn handle(
+        engine: &mut ExperimentEngine<'_, '_>,
+        event: EngineEvent,
+        now: SimTime,
+    ) -> Vec<Command> {
+        deliver(engine, EngineInput::Event(event), now)
+    }
+
     #[test]
     fn start_fills_machines() {
         let ew = tiny_workload(5, 4);
         let mut policy = DefaultPolicy::new();
         let mut engine = ExperimentEngine::new(&mut policy, &ew, ExperimentSpec::new(3));
-        let cmds = engine.start();
+        let cmds = start(&mut engine);
         let runs = cmds.iter().filter(|c| matches!(c, Command::RunEpoch { .. })).count();
         assert_eq!(runs, 3, "3 machines -> 3 initial epochs");
     }
@@ -1056,12 +1001,12 @@ mod tests {
         let mut policy = DefaultPolicy::new();
         let spec = ExperimentSpec::new(1).with_stop_on_target(false);
         let mut engine = ExperimentEngine::new(&mut policy, &ew, spec);
-        let mut cmds = engine.start();
+        let mut cmds = start(&mut engine);
         let mut now = SimTime::ZERO;
         let mut epochs_seen = 0;
         while let Some(Command::RunEpoch { job, duration, token, .. }) = cmds.first().copied() {
             now += duration;
-            cmds = engine.handle(EngineEvent::EpochDone { job, token }, now);
+            cmds = handle(&mut engine, EngineEvent::EpochDone { job, token }, now);
             epochs_seen += 1;
             if epochs_seen > 10 {
                 panic!("runaway");
@@ -1082,11 +1027,11 @@ mod tests {
         let spec =
             ExperimentSpec::new(1).with_tmax(SimTime::from_secs(1.0)).with_stop_on_target(false);
         let mut engine = ExperimentEngine::new(&mut policy, &ew, spec);
-        let cmds = engine.start();
+        let cmds = start(&mut engine);
         let Command::RunEpoch { job, duration, token, .. } = cmds[0] else {
             panic!("expected RunEpoch");
         };
-        let cmds = engine.handle(EngineEvent::EpochDone { job, token }, duration);
+        let cmds = handle(&mut engine, EngineEvent::EpochDone { job, token }, duration);
         assert!(cmds.contains(&Command::Stop), "past Tmax the engine stops");
         assert!(engine.stopped());
     }
@@ -1097,11 +1042,11 @@ mod tests {
         let ew = tiny_workload(2, 50).with_target(0.0);
         let mut policy = DefaultPolicy::new();
         let mut engine = ExperimentEngine::new(&mut policy, &ew, ExperimentSpec::new(2));
-        let cmds = engine.start();
+        let cmds = start(&mut engine);
         let Command::RunEpoch { job, duration, token, .. } = cmds[0] else {
             panic!("expected RunEpoch");
         };
-        let cmds = engine.handle(EngineEvent::EpochDone { job, token }, duration);
+        let cmds = handle(&mut engine, EngineEvent::EpochDone { job, token }, duration);
         assert!(cmds.contains(&Command::Stop));
         let result = engine.into_result(duration);
         assert!(result.reached_target());
@@ -1133,7 +1078,7 @@ mod tests {
         let mut policy = HintRecorder { boundary: Some(2), ..Default::default() };
         let spec = ExperimentSpec::new(1).with_stop_on_target(false);
         let mut engine = ExperimentEngine::new(&mut policy, &ew, spec);
-        let mut cmds = engine.start();
+        let mut cmds = start(&mut engine);
         let mut now = SimTime::ZERO;
         let mut issued = Vec::new();
         while let Some(Command::RunEpoch { job, epoch, duration, token, .. }) =
@@ -1141,7 +1086,7 @@ mod tests {
         {
             issued.push((epoch, now + duration));
             now += duration;
-            cmds = engine.handle(EngineEvent::EpochDone { job, token }, now);
+            cmds = handle(&mut engine, EngineEvent::EpochDone { job, token }, now);
         }
         drop(engine);
         // Epochs 2 and 4 hit the boundary; 6 == max_epochs completes the
@@ -1167,11 +1112,11 @@ mod tests {
         let mut policy = HintRecorder::default();
         let spec = ExperimentSpec::new(1).with_stop_on_target(false);
         let mut engine = ExperimentEngine::new(&mut policy, &ew, spec);
-        let mut cmds = engine.start();
+        let mut cmds = start(&mut engine);
         let mut now = SimTime::ZERO;
         while let Some(Command::RunEpoch { job, duration, token, .. }) = cmds.first().copied() {
             now += duration;
-            cmds = engine.handle(EngineEvent::EpochDone { job, token }, now);
+            cmds = handle(&mut engine, EngineEvent::EpochDone { job, token }, now);
         }
         drop(engine);
         assert!(policy.hints.is_empty());
@@ -1196,11 +1141,11 @@ mod tests {
         let mut policy = KillFirst;
         let spec = ExperimentSpec::new(1).with_stop_on_target(false);
         let mut engine = ExperimentEngine::new(&mut policy, &ew, spec);
-        let cmds = engine.start();
+        let cmds = start(&mut engine);
         let Command::RunEpoch { job, duration, token, .. } = cmds[0] else {
             panic!("expected RunEpoch");
         };
-        let cmds = engine.handle(EngineEvent::EpochDone { job, token }, duration);
+        let cmds = handle(&mut engine, EngineEvent::EpochDone { job, token }, duration);
         // The killed job's machine immediately hosts the next idle job.
         assert!(matches!(cmds[0], Command::RunEpoch { job: j, .. } if j != job));
     }
@@ -1224,18 +1169,18 @@ mod tests {
         let mut policy = SuspendAlways;
         let spec = ExperimentSpec::new(1).with_stop_on_target(false);
         let mut engine = ExperimentEngine::new(&mut policy, &ew, spec);
-        let cmds = engine.start();
+        let cmds = start(&mut engine);
         let Command::RunEpoch { job: job0, duration, token, .. } = cmds[0] else {
             panic!("expected RunEpoch");
         };
         let mut now = duration;
-        let cmds = engine.handle(EngineEvent::EpochDone { job: job0, token }, now);
+        let cmds = handle(&mut engine, EngineEvent::EpochDone { job: job0, token }, now);
         let Command::Suspend { job, latency, token, .. } = cmds[0] else {
             panic!("expected Suspend, got {cmds:?}");
         };
         assert_eq!(job, job0);
         now += latency;
-        let cmds = engine.handle(EngineEvent::SuspendDone { job: job0, token }, now);
+        let cmds = handle(&mut engine, EngineEvent::SuspendDone { job: job0, token }, now);
         // Machine freed; the *other* job (FIFO) starts next.
         let Command::RunEpoch { job: next, .. } = cmds[0] else {
             panic!("expected RunEpoch, got {cmds:?}");
@@ -1254,7 +1199,7 @@ mod tests {
         let mut policy = DefaultPolicy::new();
         let spec = ExperimentSpec::new(1).with_dynamic_target(0.02);
         let mut engine = ExperimentEngine::new(&mut policy, &ew, spec);
-        let mut cmds = engine.start();
+        let mut cmds = start(&mut engine);
         let mut now = SimTime::ZERO;
         let mut guard = 0;
         while !cmds.iter().any(|c| matches!(c, Command::Stop)) {
@@ -1262,7 +1207,7 @@ mod tests {
                 break;
             };
             now += duration;
-            cmds = engine.handle(EngineEvent::EpochDone { job, token }, now);
+            cmds = handle(&mut engine, EngineEvent::EpochDone { job, token }, now);
             guard += 1;
             assert!(guard < 500, "runaway dynamic-target loop");
         }
@@ -1285,11 +1230,11 @@ mod tests {
         let ew = tiny_workload(2, 30).with_target(0.0);
         let mut policy = DefaultPolicy::new();
         let mut engine = ExperimentEngine::new(&mut policy, &ew, ExperimentSpec::new(1));
-        let cmds = engine.start();
+        let cmds = start(&mut engine);
         let Command::RunEpoch { job, duration, token, .. } = cmds[0] else {
             panic!("expected RunEpoch");
         };
-        engine.handle(EngineEvent::EpochDone { job, token }, duration);
+        handle(&mut engine, EngineEvent::EpochDone { job, token }, duration);
         let result = engine.into_result(duration);
         assert_eq!(result.milestones.len(), 1);
         assert!(result.reached_target());
@@ -1300,13 +1245,13 @@ mod tests {
         let ew = tiny_workload(1, 5).with_target(0.0);
         let mut policy = DefaultPolicy::new();
         let mut engine = ExperimentEngine::new(&mut policy, &ew, ExperimentSpec::new(1));
-        let cmds = engine.start();
+        let cmds = start(&mut engine);
         let Command::RunEpoch { job, duration, token, .. } = cmds[0] else {
             panic!("expected RunEpoch");
         };
-        engine.handle(EngineEvent::EpochDone { job, token }, duration);
+        handle(&mut engine, EngineEvent::EpochDone { job, token }, duration);
         assert!(engine.stopped());
-        let cmds = engine.handle(EngineEvent::EpochDone { job, token }, duration);
+        let cmds = handle(&mut engine, EngineEvent::EpochDone { job, token }, duration);
         assert!(cmds.is_empty());
     }
 
@@ -1316,18 +1261,19 @@ mod tests {
         let mut policy = DefaultPolicy::new();
         let spec = ExperimentSpec::new(2).with_stop_on_target(false);
         let mut engine = ExperimentEngine::new(&mut policy, &ew, spec);
-        let cmds = engine.start();
+        let cmds = start(&mut engine);
         let Command::RunEpoch { job, machine, duration, token, .. } = cmds[0] else {
             panic!("expected RunEpoch");
         };
         // A stall invalidates the in-flight token; the late reply from the
         // wedged agent must not be double-counted.
-        let followups = engine.inject_agent_stall(machine, SimTime::from_secs(1.0));
+        let followups =
+            deliver(&mut engine, EngineInput::AgentStall(machine), SimTime::from_secs(1.0));
         assert!(
             followups.iter().any(|c| matches!(c, Command::RunEpoch { job: j, .. } if *j == job)),
             "interrupted job reschedules, got {followups:?}"
         );
-        let stale = engine.handle(EngineEvent::EpochDone { job, token }, duration);
+        let stale = handle(&mut engine, EngineEvent::EpochDone { job, token }, duration);
         assert!(stale.is_empty(), "stale completion is dropped");
         let result = engine.into_result(duration);
         assert_eq!(result.faults.agent_stalls, 1);
@@ -1336,24 +1282,67 @@ mod tests {
     }
 
     #[test]
+    fn recover_replays_the_journaled_inputs_and_continues() {
+        let ew = tiny_workload(2, 4);
+        let spec = ExperimentSpec::new(1).with_stop_on_target(false);
+        let plan = FaultPlan::none();
+        let mut policy = DefaultPolicy::new();
+        let journal = Journal::in_memory(journal::run_meta(policy.name(), &ew, &spec, &plan));
+        let mut engine =
+            ExperimentEngine::with_journal(&mut policy, &ew, spec, &plan, journal.clone());
+        let cmds = start(&mut engine);
+        let Command::RunEpoch { job, machine, duration, token, .. } = cmds[0] else {
+            panic!("expected RunEpoch");
+        };
+        deliver(&mut engine, EngineInput::AgentStall(machine), SimTime::from_secs(1.0));
+        handle(&mut engine, EngineEvent::EpochDone { job, token }, duration);
+        drop(engine); // killed: unsealed, three inputs journaled
+
+        let mut fresh = DefaultPolicy::new();
+        let recovered = journal.reopen().unwrap();
+        assert_eq!(recovered.inputs.len(), 3);
+        let (mut engine, run) =
+            ExperimentEngine::recover(&mut fresh, &ew, spec, &plan, recovered).unwrap();
+        assert_eq!(run, RecoveredRun { replayed: 3, now: duration, stopped: false, sealed: false });
+        // The recovered engine carries on where the dead one stopped: the
+        // stalled job was re-issued under a new token, which still lands.
+        assert_eq!(engine.active_job_count(), 2);
+        let crash = deliver(&mut engine, EngineInput::MachineCrash(machine), duration);
+        assert!(crash.is_empty(), "the only machine is dead, nothing can start");
+        drop(engine);
+
+        // A different spec regenerates different records: typed divergence.
+        let mut other = DefaultPolicy::new();
+        let wrong = ExperimentSpec::new(2).with_stop_on_target(false);
+        let err =
+            ExperimentEngine::recover(&mut other, &ew, wrong, &plan, journal.reopen().unwrap())
+                .err()
+                .expect("replay under the wrong spec diverges");
+        assert!(matches!(err, hyperdrive_types::Error::JournalDiverged { .. }), "got {err:?}");
+    }
+
+    #[test]
     fn machine_crash_interrupts_and_recovery_restores_capacity() {
         let ew = tiny_workload(1, 10);
         let mut policy = DefaultPolicy::new();
         let spec = ExperimentSpec::new(1).with_stop_on_target(false);
         let mut engine = ExperimentEngine::new(&mut policy, &ew, spec);
-        let cmds = engine.start();
+        let cmds = start(&mut engine);
         let Command::RunEpoch { job, machine, .. } = cmds[0] else {
             panic!("expected RunEpoch");
         };
         // Crash the only machine: the job is interrupted but nothing can
         // restart it until the machine recovers.
-        let cmds = engine.inject_machine_crash(machine, SimTime::from_secs(5.0));
+        let cmds =
+            deliver(&mut engine, EngineInput::MachineCrash(machine), SimTime::from_secs(5.0));
         assert!(cmds.is_empty(), "no capacity left, got {cmds:?}");
         assert_eq!(engine.active_job_count(), 1, "job waits in the idle queue");
         // Double crash is a no-op.
-        assert!(engine.inject_machine_crash(machine, SimTime::from_secs(6.0)).is_empty());
+        assert!(deliver(&mut engine, EngineInput::MachineCrash(machine), SimTime::from_secs(6.0))
+            .is_empty());
         // Recovery restarts the job from scratch (no snapshot existed).
-        let cmds = engine.inject_machine_recovery(machine, SimTime::from_secs(60.0));
+        let cmds =
+            deliver(&mut engine, EngineInput::MachineRecovery(machine), SimTime::from_secs(60.0));
         assert!(
             cmds.iter()
                 .any(|c| matches!(c, Command::RunEpoch { job: j, epoch: 1, .. } if *j == job)),
@@ -1373,15 +1362,15 @@ mod tests {
         let mut plan = FaultPlan::none();
         plan.retry = RetryPolicy { max_retries: 1, ..RetryPolicy::default() };
         let mut engine = ExperimentEngine::with_fault_injection(&mut policy, &ew, spec, &plan);
-        let cmds = engine.start();
+        let cmds = start(&mut engine);
         let Command::RunEpoch { machine, .. } = cmds[0] else {
             panic!("expected RunEpoch");
         };
         // First stall: retry 1 of 1, job reschedules.
-        let cmds = engine.inject_agent_stall(machine, SimTime::from_secs(1.0));
+        let cmds = deliver(&mut engine, EngineInput::AgentStall(machine), SimTime::from_secs(1.0));
         assert!(cmds.iter().any(|c| matches!(c, Command::RunEpoch { .. })));
         // Second stall: budget exhausted, job fails, nothing reschedules.
-        let cmds = engine.inject_agent_stall(machine, SimTime::from_secs(2.0));
+        let cmds = deliver(&mut engine, EngineInput::AgentStall(machine), SimTime::from_secs(2.0));
         assert!(
             !cmds.iter().any(|c| matches!(c, Command::RunEpoch { .. })),
             "failed job must not reschedule, got {cmds:?}"
@@ -1421,7 +1410,7 @@ mod tests {
         let mut plan = FaultPlan::none();
         plan.snapshot_corrupt_prob = 1.0; // every stored snapshot is damaged
         let mut engine = ExperimentEngine::with_fault_injection(&mut policy, &ew, spec, &plan);
-        let mut cmds = engine.start();
+        let mut cmds = start(&mut engine);
         let mut now = SimTime::ZERO;
         let mut guard = 0;
         while let Some(cmd) = cmds.first().copied() {
@@ -1436,7 +1425,7 @@ mod tests {
                 }
                 Command::Stop => break,
             };
-            cmds = engine.handle(event, now);
+            cmds = handle(&mut engine, event, now);
             guard += 1;
             assert!(guard < 50, "runaway");
         }
@@ -1482,11 +1471,11 @@ mod tests {
         plan.suspend_fail_prob = 1.0; // every suspend dies mid-capture
         plan.retry = RetryPolicy { max_retries: 0, ..RetryPolicy::default() };
         let mut engine = ExperimentEngine::with_fault_injection(&mut policy, &ew, spec, &plan);
-        let cmds = engine.start();
+        let cmds = start(&mut engine);
         let Command::RunEpoch { job, duration, token, .. } = cmds[0] else {
             panic!("expected RunEpoch");
         };
-        let cmds = engine.handle(EngineEvent::EpochDone { job, token }, duration);
+        let cmds = handle(&mut engine, EngineEvent::EpochDone { job, token }, duration);
         assert!(
             !cmds.iter().any(|c| matches!(c, Command::Suspend { .. })),
             "failed suspend issues no Suspend command, got {cmds:?}"

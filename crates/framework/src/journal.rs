@@ -2,9 +2,8 @@
 //!
 //! The engine is a deterministic fold over its inputs: given the same
 //! policy, workload, spec, and fault plan, the same sequence of
-//! [`start`](crate::ExperimentEngine::start) /
-//! [`handle`](crate::ExperimentEngine::handle) / fault injections produces
-//! bit-identical commands, events, and results. The journal exploits that:
+//! [`EngineInput`]s passed to [`deliver`](crate::ExperimentEngine::deliver)
+//! produces bit-identical commands, events, and results. The journal exploits that:
 //! it records every *input* (plus verification digests of every *output*)
 //! in an append-only, checksummed, per-run log, so a run killed at any
 //! point can be recovered by replaying the logged inputs through a fresh
@@ -21,7 +20,7 @@
 //! | kind | record          | role |
 //! |------|-----------------|------|
 //! | 1    | `Start`         | input: the initial `AllocateJobs` up-call |
-//! | 2    | `Event`         | input: a completion fed to `handle` |
+//! | 2    | `Event`         | input: a completion report |
 //! | 3    | `MachineCrash`  | input: injected crash |
 //! | 4    | `MachineRecover`| input: injected recovery |
 //! | 5    | `AgentStall`    | input: injected stall detection |
@@ -61,7 +60,7 @@ use parking_lot::Mutex;
 
 use hyperdrive_types::{Error, JobId, MachineId, Result, SimTime};
 
-use crate::engine::{Command, EngineEvent};
+use crate::engine::{Command, EngineEvent, EngineInput};
 use crate::events::SchedulerEvent;
 use crate::experiment::{ExperimentSpec, ExperimentWorkload};
 use crate::fault::{FaultKind, FaultPlan};
@@ -251,55 +250,6 @@ pub fn run_meta(
     h.finish()
 }
 
-/// One journaled engine input, decoded for replay.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ReplayInput {
-    /// The initial `start()` call.
-    Start,
-    /// A completion fed to `handle(event, now)`.
-    Event {
-        /// The completion.
-        event: EngineEvent,
-        /// Delivery time.
-        now: SimTime,
-    },
-    /// An injected machine crash.
-    MachineCrash {
-        /// Crashed machine.
-        machine: MachineId,
-        /// Injection time.
-        now: SimTime,
-    },
-    /// An injected machine recovery.
-    MachineRecovery {
-        /// Recovered machine.
-        machine: MachineId,
-        /// Injection time.
-        now: SimTime,
-    },
-    /// An injected agent-stall detection.
-    AgentStall {
-        /// Stalled machine.
-        machine: MachineId,
-        /// Detection time.
-        now: SimTime,
-    },
-}
-
-impl ReplayInput {
-    /// The executor time at which the input was delivered (`None` for
-    /// [`Start`](ReplayInput::Start), which is always at time zero).
-    pub fn now(&self) -> Option<SimTime> {
-        match self {
-            ReplayInput::Start => None,
-            ReplayInput::Event { now, .. }
-            | ReplayInput::MachineCrash { now, .. }
-            | ReplayInput::MachineRecovery { now, .. }
-            | ReplayInput::AgentStall { now, .. } => Some(*now),
-        }
-    }
-}
-
 /// A journal opened for recovery: the handle (in replay-verify mode), the
 /// decoded inputs to feed back through the engine, and whether the run had
 /// already sealed (ended) when it was interrupted.
@@ -308,8 +258,9 @@ pub struct RecoveredJournal {
     /// The journal, positioned to verify the recovered prefix and then
     /// append.
     pub journal: Journal,
-    /// Engine inputs in original order.
-    pub inputs: Vec<ReplayInput>,
+    /// Engine inputs in original order, each with its delivery time
+    /// ([`EngineInput::Start`] is always at time zero).
+    pub inputs: Vec<(SimTime, EngineInput)>,
     /// True if the journal ended with a `Seal` record (clean end or
     /// SIGTERM). The seal is stripped so a resumed run re-seals at its own
     /// end.
@@ -611,6 +562,26 @@ impl Journal {
         self.inner.as_ref().map_or(0, |i| i.state.lock().replay.len())
     }
 
+    /// Ends recovery: `Ok` once every recovered record has been
+    /// regenerated byte for byte, so the journal is back in append mode.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::JournalDiverged`] with the first mismatching record, or if
+    /// recovered records are left that replay never regenerated.
+    pub fn finish_replay(&self) -> Result<()> {
+        if let Some(err) = self.take_divergence() {
+            return Err(err);
+        }
+        match self.replay_remaining() {
+            0 => Ok(()),
+            leftover => Err(Error::JournalDiverged {
+                record: self.records_appended(),
+                detail: format!("replay finished with {leftover} journal records unaccounted for"),
+            }),
+        }
+    }
+
     fn append(&self, kind: u8, body: &[u8]) {
         let Some(inner) = &self.inner else { return };
         let frame = encode_frame(kind, body);
@@ -653,46 +624,40 @@ impl Journal {
         }
     }
 
-    pub(crate) fn input_start(&self) {
-        self.append(K_START, &[]);
-    }
-
-    pub(crate) fn input_event(&self, event: EngineEvent, now: SimTime) {
+    /// Appends one input record (write-ahead: the engine calls this before
+    /// applying the input). [`decode_input`] is the inverse.
+    pub(crate) fn input(&self, input: EngineInput, now: SimTime) {
         if self.inner.is_none() {
             return;
         }
         let mut body = Vec::with_capacity(25);
-        let (tag, job, token) = match event {
-            EngineEvent::EpochDone { job, token } => (0u8, job, token),
-            EngineEvent::SuspendDone { job, token } => (1, job, token),
+        let kind = match input {
+            EngineInput::Start => return self.append(K_START, &body),
+            EngineInput::Event(event) => {
+                let (tag, job, token) = match event {
+                    EngineEvent::EpochDone { job, token } => (0u8, job, token),
+                    EngineEvent::SuspendDone { job, token } => (1, job, token),
+                };
+                body.push(tag);
+                put_u64(&mut body, job.raw());
+                put_u64(&mut body, token);
+                K_EVENT
+            }
+            EngineInput::MachineCrash(machine) => {
+                put_u64(&mut body, machine.raw());
+                K_CRASH
+            }
+            EngineInput::MachineRecovery(machine) => {
+                put_u64(&mut body, machine.raw());
+                K_RECOVER
+            }
+            EngineInput::AgentStall(machine) => {
+                put_u64(&mut body, machine.raw());
+                K_STALL
+            }
         };
-        body.push(tag);
-        put_u64(&mut body, job.raw());
-        put_u64(&mut body, token);
-        put_f64(&mut body, now.as_secs());
-        self.append(K_EVENT, &body);
-    }
-
-    fn input_machine(&self, kind: u8, machine: MachineId, now: SimTime) {
-        if self.inner.is_none() {
-            return;
-        }
-        let mut body = Vec::with_capacity(16);
-        put_u64(&mut body, machine.raw());
         put_f64(&mut body, now.as_secs());
         self.append(kind, &body);
-    }
-
-    pub(crate) fn input_machine_crash(&self, machine: MachineId, now: SimTime) {
-        self.input_machine(K_CRASH, machine, now);
-    }
-
-    pub(crate) fn input_machine_recovery(&self, machine: MachineId, now: SimTime) {
-        self.input_machine(K_RECOVER, machine, now);
-    }
-
-    pub(crate) fn input_agent_stall(&self, machine: MachineId, now: SimTime) {
-        self.input_machine(K_STALL, machine, now);
     }
 
     pub(crate) fn transition(&self, ev: &SchedulerEvent) {
@@ -838,7 +803,7 @@ fn parse_frames(bytes: &[u8]) -> Result<(Vec<Vec<u8>>, bool, u64)> {
 
 /// Decodes the input records out of a frame sequence (verification
 /// records are skipped — replay regenerates and checks them).
-fn decode_inputs(frames: &[Vec<u8>]) -> Result<Vec<ReplayInput>> {
+fn decode_inputs(frames: &[Vec<u8>]) -> Result<Vec<(SimTime, EngineInput)>> {
     let mut inputs = Vec::new();
     for (i, frame) in frames.iter().enumerate() {
         let kind = frame[0];
@@ -852,30 +817,29 @@ fn decode_inputs(frames: &[Vec<u8>]) -> Result<Vec<ReplayInput>> {
     Ok(inputs)
 }
 
-fn decode_input(kind: u8, body: &[u8]) -> Option<ReplayInput> {
+fn decode_input(kind: u8, body: &[u8]) -> Option<(SimTime, EngineInput)> {
     let mut c = Cursor { bytes: body, pos: 0 };
     let input = match kind {
-        K_START => ReplayInput::Start,
+        K_START => (SimTime::ZERO, EngineInput::Start),
         K_EVENT => {
             let tag = c.u8()?;
             let job = JobId::new(c.u64()?);
             let token = c.u64()?;
-            let now = c.time()?;
             let event = match tag {
                 0 => EngineEvent::EpochDone { job, token },
                 1 => EngineEvent::SuspendDone { job, token },
                 _ => return None,
             };
-            ReplayInput::Event { event, now }
+            (c.time()?, EngineInput::Event(event))
         }
         K_CRASH | K_RECOVER | K_STALL => {
             let machine = MachineId::new(c.u64()?);
-            let now = c.time()?;
-            match kind {
-                K_CRASH => ReplayInput::MachineCrash { machine, now },
-                K_RECOVER => ReplayInput::MachineRecovery { machine, now },
-                _ => ReplayInput::AgentStall { machine, now },
-            }
+            let input = match kind {
+                K_CRASH => EngineInput::MachineCrash(machine),
+                K_RECOVER => EngineInput::MachineRecovery(machine),
+                _ => EngineInput::AgentStall(machine),
+            };
+            (c.time()?, input)
         }
         _ => return None,
     };
@@ -928,39 +892,22 @@ mod tests {
         dir.join(name)
     }
 
-    fn sample_inputs() -> Vec<ReplayInput> {
+    fn sample_inputs() -> Vec<(SimTime, EngineInput)> {
+        let epoch = EngineEvent::EpochDone { job: JobId::new(0), token: 0 };
+        let suspend = EngineEvent::SuspendDone { job: JobId::new(2), token: 9 };
         vec![
-            ReplayInput::Start,
-            ReplayInput::Event {
-                event: EngineEvent::EpochDone { job: JobId::new(0), token: 0 },
-                now: SimTime::from_secs(10.0),
-            },
-            ReplayInput::MachineCrash { machine: MachineId::new(1), now: SimTime::from_secs(12.0) },
-            ReplayInput::MachineRecovery {
-                machine: MachineId::new(1),
-                now: SimTime::from_secs(30.0),
-            },
-            ReplayInput::AgentStall { machine: MachineId::new(0), now: SimTime::from_secs(44.0) },
-            ReplayInput::Event {
-                event: EngineEvent::SuspendDone { job: JobId::new(2), token: 9 },
-                now: SimTime::from_secs(50.0),
-            },
+            (SimTime::ZERO, EngineInput::Start),
+            (SimTime::from_secs(10.0), EngineInput::Event(epoch)),
+            (SimTime::from_secs(12.0), EngineInput::MachineCrash(MachineId::new(1))),
+            (SimTime::from_secs(30.0), EngineInput::MachineRecovery(MachineId::new(1))),
+            (SimTime::from_secs(44.0), EngineInput::AgentStall(MachineId::new(0))),
+            (SimTime::from_secs(50.0), EngineInput::Event(suspend)),
         ]
     }
 
-    fn append_input(j: &Journal, input: ReplayInput) {
-        match input {
-            ReplayInput::Start => j.input_start(),
-            ReplayInput::Event { event, now } => j.input_event(event, now),
-            ReplayInput::MachineCrash { machine, now } => j.input_machine_crash(machine, now),
-            ReplayInput::MachineRecovery { machine, now } => j.input_machine_recovery(machine, now),
-            ReplayInput::AgentStall { machine, now } => j.input_agent_stall(machine, now),
-        }
-    }
-
     fn write_sample(j: &Journal) {
-        for input in sample_inputs() {
-            append_input(j, input);
+        for (now, input) in sample_inputs() {
+            j.input(input, now);
             j.transition(&SchedulerEvent::Started {
                 job: JobId::new(0),
                 machine: MachineId::new(0),
@@ -1011,7 +958,7 @@ mod tests {
 
         // A differing record sets a sticky divergence error.
         let rec2 = j.reopen().unwrap();
-        rec2.journal.input_start();
+        rec2.journal.input(EngineInput::Start, SimTime::ZERO);
         rec2.journal.rng_checkpoint(1234, 5678); // journal holds a transition here
         match rec2.journal.take_divergence() {
             Some(Error::JournalDiverged { record, .. }) => assert_eq!(record, 1),
@@ -1039,10 +986,10 @@ mod tests {
     #[test]
     fn records_after_seal_are_dropped() {
         let j = Journal::in_memory(3);
-        j.input_start();
+        j.input(EngineInput::Start, SimTime::ZERO);
         j.seal(SimTime::ZERO, true);
-        j.input_event(
-            EngineEvent::EpochDone { job: JobId::new(0), token: 0 },
+        j.input(
+            EngineInput::Event(EngineEvent::EpochDone { job: JobId::new(0), token: 0 }),
             SimTime::from_secs(1.0),
         );
         assert_eq!(j.inputs_appended(), 1, "post-seal input dropped");
@@ -1185,6 +1132,13 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        fn nth_input(i: usize, seed: u64) -> EngineInput {
+            EngineInput::Event(EngineEvent::EpochDone {
+                job: JobId::new(i as u64),
+                token: seed.wrapping_add(i as u64),
+            })
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1202,13 +1156,7 @@ mod tests {
                 let mut frame_lens = Vec::new();
                 for i in 0..n_records {
                     let before = std::fs::metadata(&path).unwrap().len();
-                    append_input(&j, ReplayInput::Event {
-                        event: EngineEvent::EpochDone {
-                            job: JobId::new(i as u64),
-                            token: seed.wrapping_add(i as u64),
-                        },
-                        now: SimTime::from_secs(i as f64),
-                    });
+                    j.input(nth_input(i, seed), SimTime::from_secs(i as f64));
                     let after = std::fs::metadata(&path).unwrap().len();
                     frame_lens.push(after - before);
                 }
@@ -1231,13 +1179,7 @@ mod tests {
                 let rec = Journal::recover(&path, seed).unwrap();
                 prop_assert_eq!(rec.inputs.len(), expect);
                 for (i, input) in rec.inputs.iter().enumerate() {
-                    prop_assert_eq!(*input, ReplayInput::Event {
-                        event: EngineEvent::EpochDone {
-                            job: JobId::new(i as u64),
-                            token: seed.wrapping_add(i as u64),
-                        },
-                        now: SimTime::from_secs(i as f64),
-                    });
+                    prop_assert_eq!(*input, (SimTime::from_secs(i as f64), nth_input(i, seed)));
                 }
                 // The file is now the valid prefix: recovering again is
                 // lossless.

@@ -60,7 +60,7 @@ pub mod resource;
 pub mod snapshot;
 
 pub use appstat::{AppStatDb, SuspendEvent};
-pub use engine::{Command, EngineEvent, ExperimentEngine, RecoveredRun};
+pub use engine::{Command, EngineEvent, EngineInput, ExperimentEngine, RecoveredRun};
 pub use events::{EventLog, GanttSegment, SchedulerEvent};
 pub use experiment::{
     ExperimentJob, ExperimentResult, ExperimentSpec, ExperimentWorkload, JobEnd, JobOutcome,
@@ -69,7 +69,7 @@ pub use experiment::{
 pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultPlan, FaultStats, RetryPolicy};
 pub use generator::{AdaptiveGenerator, GridGenerator, HyperparameterGenerator, RandomGenerator};
 pub use job_manager::{JobManager, JobState};
-pub use journal::{run_meta, Journal, RecoveredJournal, ReplayInput};
+pub use journal::{run_meta, Journal, RecoveredJournal};
 pub use live::{
     install_sigterm_handler, run_live, run_live_journaled, run_live_with_faults, LiveFaultPlan,
 };

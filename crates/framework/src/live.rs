@@ -11,7 +11,7 @@
 //! watchdog: if an agent's report does not arrive within its deadline plus
 //! [`LiveFaultPlan::watchdog_grace`], the agent is declared stalled, a
 //! fresh agent thread replaces it, and the engine rolls the hosted job
-//! back to its last snapshot ([`ExperimentEngine::inject_agent_stall`]).
+//! back to its last snapshot ([`EngineInput::AgentStall`]).
 //! [`run_live_with_faults`] exercises that path deliberately by wedging
 //! chosen requests.
 //!
@@ -29,7 +29,7 @@ use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use hyperdrive_types::{JobId, MachineId, SimTime};
 
-use crate::engine::{Command, EngineEvent, ExperimentEngine};
+use crate::engine::{Command, EngineEvent, EngineInput, ExperimentEngine};
 use crate::experiment::{ExperimentResult, ExperimentSpec, ExperimentWorkload};
 use crate::fault::FaultPlan;
 use crate::journal::Journal;
@@ -218,10 +218,10 @@ pub fn run_live(
 /// The watchdog detects each wedged request `watchdog_grace` past its
 /// deadline, restarts the machine's node agent, and reschedules the
 /// interrupted job from its last snapshot. Stale reports from replaced
-/// agents are dropped by token. Probabilistic engine-side faults (suspend
-/// failure, snapshot corruption) come from the `FaultPlan` embedded in
-/// none here — the live plan covers only agent-level faults; compose with
-/// the simulator for the rest.
+/// agents are dropped by token. Engine-side probabilistic faults (suspend
+/// failure, snapshot corruption) are off in live mode: the engine is
+/// built with [`FaultPlan::none`] (default retry policy), and the live plan
+/// covers only agent-level faults. Use the simulator for the rest.
 ///
 /// # Panics
 ///
@@ -303,7 +303,7 @@ fn run_live_inner(
         // writes each event's follow-up batch in place, mirroring the
         // simulator's allocation-free steady-state loop.
         let mut cmds: Vec<Command> = Vec::new();
-        engine.start_into(&mut cmds);
+        engine.deliver(EngineInput::Start, SimTime::ZERO, &mut cmds);
         let mut stopping = state.dispatch(&cmds, SimTime::ZERO);
         while !state.inflight.is_empty() && !stopping {
             if shutdown_requested() {
@@ -316,7 +316,8 @@ fn run_live_inner(
                 state.agent_txs[machine] = spawn_agent(scope, machine, reply_tx.clone());
                 let now = state.virtual_time(Instant::now());
                 last_now = last_now.max(now);
-                engine.inject_agent_stall_into(MachineId::new(machine as u64), now, &mut cmds);
+                let stall = EngineInput::AgentStall(MachineId::new(machine as u64));
+                engine.deliver(stall, now, &mut cmds);
                 stopping = state.dispatch(&cmds, now) || stopping || engine.stopped();
             }
             if state.inflight.is_empty() || stopping {
@@ -350,7 +351,7 @@ fn run_live_inner(
                     }
                     // Stale reports (from agents replaced after a stall)
                     // are dropped inside the engine by token mismatch.
-                    engine.handle_into(reply.event, now, &mut cmds);
+                    engine.deliver(EngineInput::Event(reply.event), now, &mut cmds);
                     stopping = state.dispatch(&cmds, now) || engine.stopped();
                 }
                 Err(RecvTimeoutError::Timeout) => {
@@ -368,11 +369,8 @@ fn run_live_inner(
                         state.agent_txs[machine] = spawn_agent(scope, machine, reply_tx.clone());
                         let now = state.virtual_time(wall_now);
                         last_now = last_now.max(now);
-                        engine.inject_agent_stall_into(
-                            MachineId::new(machine as u64),
-                            now,
-                            &mut cmds,
-                        );
+                        let stall = EngineInput::AgentStall(MachineId::new(machine as u64));
+                        engine.deliver(stall, now, &mut cmds);
                         stopping = state.dispatch(&cmds, now) || stopping || engine.stopped();
                     }
                 }

@@ -1,57 +1,43 @@
-//! Fault-injecting discrete-event execution.
+//! Reply faults: agent stalls and reply delays on the simulated wire.
 //!
-//! [`run_sim_with_faults`] replays a
-//! [`FaultPlan`](hyperdrive_framework::FaultPlan) against an experiment in
-//! virtual time: machine crash/recovery events are scheduled alongside the
-//! engine's own completions, agent stalls swallow the next completion
-//! report from their machine (the engine learns of the loss only when the
-//! scheduled detection timeout fires), and reply delays postpone a report
-//! without losing it. Probabilistic faults (suspend failure, snapshot
-//! corruption) are evaluated inside the engine from the plan's seeded RNG
-//! stream.
+//! A [`FaultPlan`](hyperdrive_framework::FaultPlan)'s timed machine
+//! crashes and recoveries are ordinary entries on the
+//! [`Simulation`](crate::Simulation)'s future-event queue. The other two
+//! timed kinds act on completion *reports* instead, so they are a filter on
+//! the one place reports are scheduled: an agent stall swallows the next
+//! report from its machine (the engine learns of the loss only when the
+//! detection timeout fires), and a reply delay postpones a report without
+//! losing it. Probabilistic faults (suspend failure, snapshot corruption)
+//! are evaluated inside the engine from the plan's seeded RNG stream.
 //!
-//! Running with [`FaultPlan::none`](hyperdrive_framework::FaultPlan::none)
-//! is byte-identical to [`run_sim`](crate::run_sim) — the property tests
-//! below pin that down.
+//! A plan without stalls or delays builds empty tables and every report
+//! passes straight through: with
+//! [`FaultPlan::none`](hyperdrive_framework::FaultPlan::none) the
+//! fault-capable simulation *is* the plain one.
 
 use std::collections::{HashMap, VecDeque};
 
-use hyperdrive_framework::{
-    Command, EngineEvent, ExperimentEngine, ExperimentResult, ExperimentSpec, ExperimentWorkload,
-    FaultKind, FaultPlan, SchedulingPolicy,
-};
+use hyperdrive_framework::{EngineEvent, EngineInput, FaultKind, FaultPlan};
 use hyperdrive_types::{MachineId, SimTime};
 
-use crate::queue::EventQueue;
+/// Per machine: `(fault time, latency)` in time order. The next report due
+/// at or after the fault time is hit.
+type Pending = HashMap<MachineId, VecDeque<(SimTime, SimTime)>>;
 
-/// Everything that can happen in the fault-injecting simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SimEvent {
-    /// A completion report reaching the scheduler.
-    Engine(EngineEvent),
-    /// A scheduled machine crash.
-    Crash(MachineId),
-    /// A scheduled machine recovery.
-    Recover(MachineId),
-    /// The heartbeat timeout for a swallowed report fires.
-    StallDetected(MachineId),
-}
-
-/// Per-machine queues of pending stall/delay faults, consumed in time
-/// order as replies would pass through them.
+/// Pending stall/delay faults, consumed in time order as reports pass
+/// through them.
 pub(crate) struct ReplyFaults {
-    /// `(fault time, detection latency)` — the next reply due at or after
-    /// the fault time is lost; the scheduler notices `detection` later.
-    stalls: HashMap<MachineId, VecDeque<(SimTime, SimTime)>>,
-    /// `(fault time, extra latency)` — the next reply due at or after the
-    /// fault time arrives late.
-    delays: HashMap<MachineId, VecDeque<(SimTime, SimTime)>>,
+    /// Latency = how long after the lost report's due time the scheduler
+    /// notices.
+    stalls: Pending,
+    /// Latency = how much later the report arrives.
+    delays: Pending,
 }
 
 impl ReplyFaults {
     pub(crate) fn from_plan(plan: &FaultPlan) -> Self {
-        let mut stalls: HashMap<MachineId, VecDeque<(SimTime, SimTime)>> = HashMap::new();
-        let mut delays: HashMap<MachineId, VecDeque<(SimTime, SimTime)>> = HashMap::new();
+        let mut stalls = Pending::new();
+        let mut delays = Pending::new();
         for event in &plan.events {
             match event.kind {
                 FaultKind::AgentStall { detection } => {
@@ -68,149 +54,49 @@ impl ReplyFaults {
         ReplyFaults { stalls, delays }
     }
 
-    /// Routes one completion report due at `due` from `machine`: either it
-    /// is swallowed by a stall (returns the detection time), postponed by a
-    /// delay (returns the late arrival time), or passes through untouched.
-    fn route(&mut self, machine: MachineId, due: SimTime) -> ReplyFate {
-        if let Some(queue) = self.stalls.get_mut(&machine) {
-            if let Some(&(at, detection)) = queue.front() {
-                if at <= due {
-                    queue.pop_front();
-                    return ReplyFate::Lost { detected_at: due + detection };
-                }
-            }
+    /// Routes the report of `event`, due at `due` from `machine`: what
+    /// reaches the scheduler, and when. A stall swallows the report (only
+    /// the watchdog's detection arrives), a delay postpones it, and
+    /// otherwise it arrives on time.
+    pub(crate) fn route(
+        &mut self,
+        machine: MachineId,
+        due: SimTime,
+        event: EngineEvent,
+    ) -> (SimTime, EngineInput) {
+        if self.stalls.is_empty() && self.delays.is_empty() {
+            // The plan had neither (every fault-free run): skip the lookups.
+            return (due, EngineInput::Event(event));
         }
-        if let Some(queue) = self.delays.get_mut(&machine) {
-            if let Some(&(at, delay)) = queue.front() {
-                if at <= due {
-                    queue.pop_front();
-                    return ReplyFate::Delayed { arrives_at: due + delay };
-                }
-            }
+        if let Some(detection) = take_due(&mut self.stalls, machine, due) {
+            return (due + detection, EngineInput::AgentStall(machine));
         }
-        ReplyFate::OnTime
+        match take_due(&mut self.delays, machine, due) {
+            Some(delay) => (due + delay, EngineInput::Event(event)),
+            None => (due, EngineInput::Event(event)),
+        }
     }
 }
 
-enum ReplyFate {
-    OnTime,
-    Delayed { arrives_at: SimTime },
-    Lost { detected_at: SimTime },
-}
-
-/// Translates engine commands into future events, filtering each reply
-/// through the pending stall/delay faults. Returns whether `Stop` was seen.
-pub(crate) fn schedule_faulty(
-    cmds: &[Command],
-    now: SimTime,
-    queue: &mut EventQueue<SimEvent>,
-    reply_faults: &mut ReplyFaults,
-) -> bool {
-    let mut stop = false;
-    for cmd in cmds {
-        let (machine, due, event) = match *cmd {
-            Command::RunEpoch { job, machine, duration, token, .. } => {
-                (machine, now + duration, EngineEvent::EpochDone { job, token })
-            }
-            Command::Suspend { job, machine, latency, token } => {
-                (machine, now + latency, EngineEvent::SuspendDone { job, token })
-            }
-            Command::Stop => {
-                stop = true;
-                continue;
-            }
-        };
-        match reply_faults.route(machine, due) {
-            ReplyFate::OnTime => queue.schedule(due, SimEvent::Engine(event)),
-            ReplyFate::Delayed { arrives_at } => {
-                queue.schedule(arrives_at, SimEvent::Engine(event));
-            }
-            ReplyFate::Lost { detected_at } => {
-                // The report never arrives; only the watchdog does.
-                queue.schedule(detected_at, SimEvent::StallDetected(machine));
-            }
-        }
-    }
-    stop
-}
-
-/// Runs one experiment to completion on the virtual clock while injecting
-/// the faults scheduled in `plan`.
-///
-/// With an empty plan this is byte-identical to [`run_sim`](crate::run_sim):
-/// same event log, same result, zero extra RNG draws. Under faults, every
-/// interrupted job is rolled back to its last snapshot and re-run (capped
-/// by the plan's retry policy), crashed machines rejoin the cluster at
-/// their scheduled recovery times, and the run ends when the engine stops,
-/// every job reaches a terminal state, or the event queue drains.
-pub fn run_sim_with_faults(
-    policy: &mut dyn SchedulingPolicy,
-    workload: &ExperimentWorkload,
-    spec: ExperimentSpec,
-    plan: &FaultPlan,
-) -> ExperimentResult {
-    let mut engine = ExperimentEngine::with_fault_injection(policy, workload, spec, plan);
-    // True worst-case heap occupancy under faults: besides each job's one
-    // live in-flight event, every interruption can orphan a stale-token
-    // event that lingers in the queue until its (delayed) due time, and a
-    // job is interrupted at most `max_retries + 1` times before it fails —
-    // so up to `max_retries + 2` queued events per job — plus one slot per
-    // timed fault in the plan (crashes/recoveries are enqueued up front;
-    // stall detections replace the reply they swallow, so the plan length
-    // over-covers them). Sized here so the queue never reallocates
-    // mid-run.
-    let per_job = plan.retry.max_retries as usize + 2;
-    let capacity = workload.len() * per_job + plan.events.len() + 1;
-    let mut queue: EventQueue<SimEvent> = EventQueue::with_capacity(capacity);
-    let mut reply_faults = ReplyFaults::from_plan(plan);
-    let mut now = SimTime::ZERO;
-
-    // Timed machine faults go straight into the future-event queue.
-    for event in &plan.events {
-        match event.kind {
-            FaultKind::MachineCrash => queue.schedule(event.at, SimEvent::Crash(event.machine)),
-            FaultKind::MachineRecover => {
-                queue.schedule(event.at, SimEvent::Recover(event.machine));
-            }
-            FaultKind::AgentStall { .. }
-            | FaultKind::ReplyDelay { .. }
-            | FaultKind::EngineCrash { .. } => {}
-        }
-    }
-
-    let mut cmds = Vec::new();
-    engine.start_into(&mut cmds);
-    let mut stopping = schedule_faulty(&cmds, now, &mut queue, &mut reply_faults);
-    while !stopping {
-        let Some((t, sim_event)) = queue.pop() else {
-            break; // all work and all faults drained
-        };
-        now = t;
-        match sim_event {
-            SimEvent::Engine(event) => engine.handle_into(event, t, &mut cmds),
-            SimEvent::Crash(machine) => engine.inject_machine_crash_into(machine, t, &mut cmds),
-            SimEvent::Recover(machine) => {
-                engine.inject_machine_recovery_into(machine, t, &mut cmds);
-            }
-            SimEvent::StallDetected(machine) => {
-                engine.inject_agent_stall_into(machine, t, &mut cmds);
-            }
-        }
-        stopping = schedule_faulty(&cmds, now, &mut queue, &mut reply_faults) || engine.stopped();
-        if !stopping && engine.active_job_count() == 0 {
-            // Every job reached a terminal state; anything left in the
-            // queue is a fault event that can no longer affect the run.
-            break;
-        }
-    }
-    engine.into_result(now)
+/// Pops `machine`'s next pending fault if it strikes a report due at `due`,
+/// returning its latency.
+fn take_due(pending: &mut Pending, machine: MachineId, due: SimTime) -> Option<SimTime> {
+    let queue = pending.get_mut(&machine)?;
+    let &(at, latency) = queue.front()?;
+    (at <= due).then(|| {
+        queue.pop_front();
+        latency
+    })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::run_sim;
-    use hyperdrive_framework::{DefaultPolicy, FaultConfig, FaultStats, JobEnd, RetryPolicy};
+    use crate::{run_sim, Simulation};
+    use hyperdrive_framework::{
+        DefaultPolicy, ExperimentResult, ExperimentSpec, ExperimentWorkload, FaultConfig,
+        FaultPlan, JobEnd, RetryPolicy,
+    };
+    use hyperdrive_types::SimTime;
     use hyperdrive_workload::CifarWorkload;
     use proptest::prelude::*;
 
@@ -249,7 +135,7 @@ mod tests {
         );
         assert!(!plan.is_empty(), "intensity 20 must inject faults");
         let mut policy = DefaultPolicy::new();
-        let result = run_sim_with_faults(&mut policy, &ew, spec, &plan);
+        let result = Simulation::with_faults(&mut policy, &ew, spec, &plan).run();
         assert!(result.faults.interruptions > 0, "faults actually struck");
         // The run may finish before the last scheduled recoveries fire;
         // the books must still balance.
@@ -279,9 +165,9 @@ mod tests {
             &FaultConfig::with_intensity(3, SimTime::from_hours(12.0), 15.0),
         );
         let mut p1 = DefaultPolicy::new();
-        let r1 = run_sim_with_faults(&mut p1, &ew, spec, &plan);
+        let r1 = Simulation::with_faults(&mut p1, &ew, spec, &plan).run();
         let mut p2 = DefaultPolicy::new();
-        let r2 = run_sim_with_faults(&mut p2, &ew, spec, &plan);
+        let r2 = Simulation::with_faults(&mut p2, &ew, spec, &plan).run();
         assert_eq!(r1.end_time, r2.end_time);
         assert_eq!(r1.total_epochs, r2.total_epochs);
         assert_eq!(r1.faults, r2.faults);
@@ -296,7 +182,7 @@ mod tests {
         config.retry = RetryPolicy { max_retries: 0, ..RetryPolicy::default() };
         let plan = FaultPlan::generate(2, &config);
         let mut policy = DefaultPolicy::new();
-        let result = run_sim_with_faults(&mut policy, &ew, spec, &plan);
+        let result = Simulation::with_faults(&mut policy, &ew, spec, &plan).run();
         assert!(result.faults.failed_jobs > 0, "first interruption fails a job");
         assert_eq!(result.faults.failed_jobs, result.failed_jobs() as u64);
         assert_epoch_accounting(&result);
@@ -315,7 +201,7 @@ mod tests {
         let plan = FaultPlan::generate(2, &config);
         assert!(!plan.is_empty());
         let mut policy = DefaultPolicy::new();
-        let faulty = run_sim_with_faults(&mut policy, &ew, spec, &plan);
+        let faulty = Simulation::with_faults(&mut policy, &ew, spec, &plan).run();
         let mut baseline_policy = DefaultPolicy::new();
         let baseline = run_sim(&mut baseline_policy, &ew, spec);
         assert_eq!(faulty.faults.lost_epochs, 0, "delays lose nothing");
@@ -324,33 +210,26 @@ mod tests {
         assert_epoch_accounting(&faulty);
     }
 
+    #[test]
+    fn unbounded_retries_run_to_completion() {
+        // `max_retries: u32::MAX` is legal; the queue pre-size must not
+        // multiply it out (terabytes) before the first event.
+        let ew = experiment(6, 4, 4);
+        let spec = ExperimentSpec::new(2).with_stop_on_target(false).with_seed(4);
+        let mut config = FaultConfig::with_intensity(21, SimTime::from_hours(12.0), 20.0);
+        config.retry = RetryPolicy { max_retries: u32::MAX, ..RetryPolicy::default() };
+        let plan = FaultPlan::generate(2, &config);
+        assert!(!plan.is_empty());
+        let mut policy = DefaultPolicy::new();
+        let result = Simulation::with_faults(&mut policy, &ew, spec, &plan).run();
+        assert!(result.faults.interruptions > 0, "faults actually struck");
+        assert_eq!(result.failed_jobs(), 0, "no retry budget to exhaust");
+        assert!(result.outcomes.iter().all(|o| o.end == JobEnd::Completed));
+        assert_epoch_accounting(&result);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
-
-        // The zero-cost guarantee: an empty fault plan leaves the run
-        // byte-identical to the plain simulator — same event log bytes,
-        // same clock, same epoch counts, zero fault stats.
-        #[test]
-        fn empty_plan_is_byte_identical_to_plain_sim(
-            seed in 0u64..1000,
-            n_jobs in 2usize..8,
-            machines in 1usize..4,
-            epochs in 2u32..6,
-        ) {
-            let ew = experiment(n_jobs, epochs, seed);
-            let spec = ExperimentSpec::new(machines)
-                .with_stop_on_target(false)
-                .with_seed(seed);
-            let mut p_plain = DefaultPolicy::new();
-            let plain = run_sim(&mut p_plain, &ew, spec);
-            let mut p_faulty = DefaultPolicy::new();
-            let faulty = run_sim_with_faults(&mut p_faulty, &ew, spec, &FaultPlan::none());
-            prop_assert_eq!(plain.end_time, faulty.end_time);
-            prop_assert_eq!(plain.total_epochs, faulty.total_epochs);
-            prop_assert_eq!(plain.time_to_target, faulty.time_to_target);
-            prop_assert_eq!(event_csv(&plain), event_csv(&faulty));
-            prop_assert_eq!(faulty.faults, FaultStats::default());
-        }
 
         // Determinism under arbitrary generated plans: same seed, same
         // plan, same run — twice.
@@ -366,9 +245,9 @@ mod tests {
                 &FaultConfig::with_intensity(seed, SimTime::from_hours(8.0), intensity),
             );
             let mut p1 = DefaultPolicy::new();
-            let r1 = run_sim_with_faults(&mut p1, &ew, spec, &plan);
+            let r1 = Simulation::with_faults(&mut p1, &ew, spec, &plan).run();
             let mut p2 = DefaultPolicy::new();
-            let r2 = run_sim_with_faults(&mut p2, &ew, spec, &plan);
+            let r2 = Simulation::with_faults(&mut p2, &ew, spec, &plan).run();
             prop_assert_eq!(r1.end_time, r2.end_time);
             prop_assert_eq!(r1.faults, r2.faults);
             prop_assert_eq!(event_csv(&r1), event_csv(&r2));

@@ -4,10 +4,18 @@
 //! simulator that accurately emulates the execution process of HyperDrive,
 //! i.e., the order of configurations and the resource management logic",
 //! with a "Pluggable Scheduling Policy". This crate is that engine: it
-//! drives the same [`ExperimentEngine`] (and therefore the same Resource
-//! Manager / Job Manager / SAP up-calls) as the live executor, but elapses
-//! commands on a virtual clock, making runs deterministic and thousands of
-//! times faster than wall-clock execution.
+//! drives the same [`ExperimentEngine`](hyperdrive_framework::ExperimentEngine)
+//! (and therefore the same Resource Manager / Job Manager / SAP up-calls)
+//! as the live executor, but elapses commands on a virtual clock, making
+//! runs deterministic and thousands of times faster than wall-clock
+//! execution.
+//!
+//! There is one loop, [`Simulation`]: one `(time, seq)`-ordered queue of
+//! engine inputs, popped, delivered, and refilled from the commands each
+//! delivery produces. Fault injection, journaling and crash recovery are
+//! ways of *building* a `Simulation` ([`Simulation::with_faults`],
+//! [`Simulation::with_journal`], [`Simulation::resume`]); [`run_sim`] is
+//! `Simulation::new(..).run()`.
 //!
 //! Feed it synthetic workloads (`ExperimentWorkload::from_workload`) or
 //! recorded traces (`ExperimentWorkload::from_traces`) — the latter is the
@@ -35,19 +43,13 @@ mod queue;
 mod recovery;
 mod stepper;
 
-pub use faults::run_sim_with_faults;
 pub use queue::EventQueue;
-pub use recovery::{
-    kill_at_every_event, resume_sim_journaled, run_sim_journaled, run_sim_with_recovery,
-    KillAnywhereReport, SimRunOutcome,
-};
+pub use recovery::{kill_at_every_event, run_sim_with_recovery, KillAnywhereReport};
 pub use stepper::{Simulation, StepOutcome};
 
 use hyperdrive_framework::{
-    EngineEvent, ExperimentEngine, ExperimentResult, ExperimentSpec, ExperimentWorkload,
-    SchedulingPolicy,
+    ExperimentResult, ExperimentSpec, ExperimentWorkload, SchedulingPolicy,
 };
-use hyperdrive_types::SimTime;
 
 /// Runs one experiment to completion on the virtual clock.
 ///
@@ -60,35 +62,14 @@ pub fn run_sim(
     workload: &ExperimentWorkload,
     spec: ExperimentSpec,
 ) -> ExperimentResult {
-    let mut engine = ExperimentEngine::new(policy, workload, spec);
-    // Without fault injection each job holds at most one outstanding
-    // command, so at most one future event per job is ever queued (see
-    // `Simulation::new` for the full argument): this sizing means the heap
-    // never reallocates mid-run.
-    let mut queue: EventQueue<EngineEvent> = EventQueue::with_capacity(workload.len() + 1);
-    let mut now = SimTime::ZERO;
-
-    // One reusable command buffer for the whole run: together with the
-    // engine's internal reservations this makes the steady-state event
-    // loop allocation-free (pinned by the `sim_scale` bench).
-    let mut cmds = Vec::new();
-    engine.start_into(&mut cmds);
-    let mut stopping = stepper::schedule(&cmds, now, &mut queue);
-    while !stopping {
-        let Some((t, event)) = queue.pop() else {
-            break; // all jobs finished
-        };
-        now = t;
-        engine.handle_into(event, now, &mut cmds);
-        stopping = stepper::schedule(&cmds, now, &mut queue) || engine.stopped();
-    }
-    engine.into_result(now)
+    Simulation::new(policy, workload, spec).run()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hyperdrive_framework::{DefaultPolicy, JobEnd};
+    use hyperdrive_types::SimTime;
     use hyperdrive_workload::{CifarWorkload, LunarWorkload, TraceSet, Workload};
 
     fn cifar_experiment(n: usize, epochs: u32, seed: u64) -> ExperimentWorkload {

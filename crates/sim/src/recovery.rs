@@ -1,258 +1,22 @@
-//! Crash-consistent simulation: journaled runs and kill-anywhere recovery.
+//! Kill-anywhere recovery harnesses over journaled simulations.
 //!
-//! [`run_sim_journaled`] is [`run_sim_with_faults`](crate::run_sim_with_faults)
-//! with an explicit write-ahead [`Journal`] and an optional simulated
-//! process crash: once the engine has journaled `crash_after` inputs the
-//! run stops dead — no seal, no result — exactly as if the scheduler
-//! process had been killed. [`resume_sim_journaled`] is the other half:
-//! it replays the journal through a fresh engine and policy
-//! ([`ExperimentEngine::recover`]), rebuilds the future-event queue by
-//! re-scheduling every regenerated command batch (the events the dead
-//! process already consumed come back off the front in exactly the
-//! original order, and are verified against the journal), and then runs
-//! the standard loop to completion. The recovered trace is byte-identical
-//! to an uninterrupted run — [`kill_at_every_event`] proves it by
-//! crashing at *every* journal position.
-//!
-//! [`run_sim_with_recovery`] honours
-//! [`FaultKind::EngineCrash`] events in a fault plan: each one kills and
-//! recovers the in-process scheduler at its journal position, chaining
-//! through multiple crashes in one call.
+//! A simulated process kill needs no machinery of its own: build a
+//! [`Simulation`] with an explicit journal, step it until it has consumed
+//! `k` inputs ([`Simulation::run_to_input`]), and drop it — no seal, no
+//! result, exactly what a killed scheduler process leaves behind.
+//! [`Simulation::resume`] is the other half. The two harnesses here chain
+//! those calls: [`run_sim_with_recovery`] honours the
+//! [`FaultKind::EngineCrash`] events of a fault plan, and
+//! [`kill_at_every_event`] proves recovery byte-identical by crashing at
+//! *every* journal position.
 
 use hyperdrive_framework::{
-    Command, ExperimentEngine, ExperimentResult, ExperimentSpec, ExperimentWorkload, FaultKind,
-    FaultPlan, FaultStats, Journal, RecoveredJournal, ReplayInput, SchedulingPolicy,
+    run_meta, ExperimentResult, ExperimentSpec, ExperimentWorkload, FaultKind, FaultPlan,
+    FaultStats, Journal, SchedulingPolicy,
 };
-use hyperdrive_types::{Error, Result, SimTime};
+use hyperdrive_types::{Result, SimTime};
 
-use crate::faults::{schedule_faulty, ReplyFaults, SimEvent};
-use crate::queue::EventQueue;
-
-/// What a journaled simulation produced.
-#[derive(Debug)]
-pub struct SimRunOutcome {
-    /// The completed experiment — `None` if the simulated crash fired
-    /// first and the run died mid-flight.
-    pub result: Option<ExperimentResult>,
-    /// Engine inputs journaled before the run ended. This is the
-    /// coordinate space of crash positions: killing at position `k` means
-    /// dying right after the engine consumed its `k`-th input.
-    pub inputs: u64,
-}
-
-/// Worst-case future-event-queue occupancy under this plan — same bound as
-/// the plain fault executor (see `run_sim_with_faults`): one live event per
-/// job plus at most one stale token per interruption, plus the plan's own
-/// timed events.
-fn queue_capacity(workload: &ExperimentWorkload, plan: &FaultPlan) -> usize {
-    let per_job = plan.retry.max_retries as usize + 2;
-    workload.len() * per_job + plan.events.len() + 1
-}
-
-/// Schedules the plan's timed machine faults into the future-event queue.
-fn schedule_timed_faults(plan: &FaultPlan, queue: &mut EventQueue<SimEvent>) {
-    for event in &plan.events {
-        match event.kind {
-            FaultKind::MachineCrash => queue.schedule(event.at, SimEvent::Crash(event.machine)),
-            FaultKind::MachineRecover => {
-                queue.schedule(event.at, SimEvent::Recover(event.machine));
-            }
-            FaultKind::AgentStall { .. }
-            | FaultKind::ReplyDelay { .. }
-            | FaultKind::EngineCrash { .. } => {}
-        }
-    }
-}
-
-/// Runs one experiment on the virtual clock, writing every engine input to
-/// `journal`, optionally dying (without sealing) once `crash_after` inputs
-/// have been journaled.
-///
-/// With [`Journal::disabled`] and `crash_after: None` this is exactly
-/// [`run_sim_with_faults`](crate::run_sim_with_faults); with an enabled
-/// journal the trace is still byte-identical (journaling is pure output).
-pub fn run_sim_journaled(
-    policy: &mut dyn SchedulingPolicy,
-    workload: &ExperimentWorkload,
-    spec: ExperimentSpec,
-    plan: &FaultPlan,
-    journal: Journal,
-    crash_after: Option<u64>,
-) -> SimRunOutcome {
-    let mut engine = ExperimentEngine::with_journal(policy, workload, spec, plan, journal);
-    if crash_after == Some(0) {
-        return SimRunOutcome { result: None, inputs: 0 };
-    }
-    let mut queue: EventQueue<SimEvent> = EventQueue::with_capacity(queue_capacity(workload, plan));
-    let mut reply_faults = ReplyFaults::from_plan(plan);
-    let mut now = SimTime::ZERO;
-    schedule_timed_faults(plan, &mut queue);
-
-    let mut cmds: Vec<Command> = Vec::new();
-    engine.start_into(&mut cmds);
-    if crash_after.is_some_and(|k| engine.journaled_inputs() >= k) {
-        return SimRunOutcome { result: None, inputs: engine.journaled_inputs() };
-    }
-    let mut stopping = schedule_faulty(&cmds, now, &mut queue, &mut reply_faults);
-    while !stopping {
-        let Some((t, sim_event)) = queue.pop() else {
-            break;
-        };
-        now = t;
-        match sim_event {
-            SimEvent::Engine(event) => engine.handle_into(event, t, &mut cmds),
-            SimEvent::Crash(machine) => engine.inject_machine_crash_into(machine, t, &mut cmds),
-            SimEvent::Recover(machine) => {
-                engine.inject_machine_recovery_into(machine, t, &mut cmds);
-            }
-            SimEvent::StallDetected(machine) => {
-                engine.inject_agent_stall_into(machine, t, &mut cmds);
-            }
-        }
-        // A crash at input k dies before the batch is acted on; recovery
-        // regenerates and redelivers it.
-        if crash_after.is_some_and(|k| engine.journaled_inputs() >= k) {
-            return SimRunOutcome { result: None, inputs: engine.journaled_inputs() };
-        }
-        stopping = schedule_faulty(&cmds, now, &mut queue, &mut reply_faults) || engine.stopped();
-        if !stopping && engine.active_job_count() == 0 {
-            break;
-        }
-    }
-    let inputs = engine.journaled_inputs();
-    SimRunOutcome { result: Some(engine.into_result(now)), inputs }
-}
-
-/// Resumes a crashed journaled run to completion.
-///
-/// `policy` must be a *fresh* instance of the same policy the dead process
-/// ran — replay drives it through every historical up-call, rebuilding its
-/// internal state alongside the engine's.
-///
-/// # Errors
-///
-/// [`Error::JournalDiverged`] if replay regenerates different records than
-/// the journal holds, or if the rebuilt event queue disagrees with the
-/// journaled input order (wrong policy, workload, spec, or plan).
-pub fn resume_sim_journaled(
-    policy: &mut dyn SchedulingPolicy,
-    workload: &ExperimentWorkload,
-    spec: ExperimentSpec,
-    plan: &FaultPlan,
-    recovered: RecoveredJournal,
-) -> Result<ExperimentResult> {
-    let outcome = resume_sim_inner(policy, workload, spec, plan, recovered, None)?;
-    Ok(outcome.result.expect("no crash point was armed"))
-}
-
-/// [`resume_sim_journaled`] with an optional further simulated crash, so
-/// multi-crash plans can chain through recovery legs.
-fn resume_sim_inner(
-    policy: &mut dyn SchedulingPolicy,
-    workload: &ExperimentWorkload,
-    spec: ExperimentSpec,
-    plan: &FaultPlan,
-    recovered: RecoveredJournal,
-    crash_after: Option<u64>,
-) -> Result<SimRunOutcome> {
-    let (mut engine, run) = ExperimentEngine::recover(policy, workload, spec, plan, recovered)?;
-    let mut queue: EventQueue<SimEvent> = EventQueue::with_capacity(queue_capacity(workload, plan));
-    let mut reply_faults = ReplyFaults::from_plan(plan);
-    schedule_timed_faults(plan, &mut queue);
-
-    let mut cmds: Vec<Command> = Vec::new();
-    let mut stopping;
-    if run.inputs.is_empty() {
-        // Header-only journal (the process died before `start()` was
-        // recorded): this is simply a fresh journaled run.
-        engine.start_into(&mut cmds);
-        if crash_after.is_some_and(|k| engine.journaled_inputs() >= k) {
-            return Ok(SimRunOutcome { result: None, inputs: engine.journaled_inputs() });
-        }
-        stopping = schedule_faulty(&cmds, SimTime::ZERO, &mut queue, &mut reply_faults);
-    } else {
-        // Re-schedule every regenerated command batch in original order.
-        // The queue's (time, seq) ordering is deterministic, so the
-        // events the dead process already consumed come off the front as
-        // an exact prefix — pop and verify them against the journal.
-        stopping = false;
-        for (at, batch) in &run.batches {
-            stopping |= schedule_faulty(batch, *at, &mut queue, &mut reply_faults);
-        }
-        for (i, input) in run.inputs.iter().enumerate().skip(1) {
-            let Some((t, ev)) = queue.pop() else {
-                return Err(Error::JournalDiverged {
-                    record: i as u64,
-                    detail: "rebuilt event queue ran dry before the journaled inputs were consumed"
-                        .into(),
-                });
-            };
-            if !input_matches(input, t, ev) {
-                return Err(Error::JournalDiverged {
-                    record: i as u64,
-                    detail: format!(
-                        "rebuilt event queue produced {ev:?} at {t:?} where the journal \
-                         recorded {input:?}"
-                    ),
-                });
-            }
-        }
-        stopping = stopping || engine.stopped();
-        if crash_after.is_some_and(|k| engine.journaled_inputs() >= k) {
-            return Ok(SimRunOutcome { result: None, inputs: engine.journaled_inputs() });
-        }
-        // The interrupted iteration's bottom-of-loop check.
-        if !stopping && engine.active_job_count() == 0 {
-            let inputs = engine.journaled_inputs();
-            return Ok(SimRunOutcome { result: Some(engine.into_result(run.now)), inputs });
-        }
-    }
-
-    let mut now = run.now;
-    while !stopping {
-        let Some((t, sim_event)) = queue.pop() else {
-            break;
-        };
-        now = t;
-        match sim_event {
-            SimEvent::Engine(event) => engine.handle_into(event, t, &mut cmds),
-            SimEvent::Crash(machine) => engine.inject_machine_crash_into(machine, t, &mut cmds),
-            SimEvent::Recover(machine) => {
-                engine.inject_machine_recovery_into(machine, t, &mut cmds);
-            }
-            SimEvent::StallDetected(machine) => {
-                engine.inject_agent_stall_into(machine, t, &mut cmds);
-            }
-        }
-        if crash_after.is_some_and(|k| engine.journaled_inputs() >= k) {
-            return Ok(SimRunOutcome { result: None, inputs: engine.journaled_inputs() });
-        }
-        stopping = schedule_faulty(&cmds, now, &mut queue, &mut reply_faults) || engine.stopped();
-        if !stopping && engine.active_job_count() == 0 {
-            break;
-        }
-    }
-    let inputs = engine.journaled_inputs();
-    Ok(SimRunOutcome { result: Some(engine.into_result(now)), inputs })
-}
-
-/// Does a popped simulator event match the journaled input at this
-/// position?
-fn input_matches(input: &ReplayInput, t: SimTime, ev: SimEvent) -> bool {
-    match (*input, ev) {
-        (ReplayInput::Event { event, now }, SimEvent::Engine(e)) => e == event && t == now,
-        (ReplayInput::MachineCrash { machine, now }, SimEvent::Crash(m)) => {
-            m == machine && t == now
-        }
-        (ReplayInput::MachineRecovery { machine, now }, SimEvent::Recover(m)) => {
-            m == machine && t == now
-        }
-        (ReplayInput::AgentStall { machine, now }, SimEvent::StallDetected(m)) => {
-            m == machine && t == now
-        }
-        _ => false,
-    }
-}
+use crate::Simulation;
 
 /// Runs an experiment whose fault plan may contain
 /// [`FaultKind::EngineCrash`] events: the in-process scheduler is killed
@@ -265,8 +29,8 @@ fn input_matches(input: &ReplayInput, t: SimTime, ev: SimEvent) -> bool {
 ///
 /// # Errors
 ///
-/// [`Error::JournalDiverged`] if any recovery leg disagrees with the
-/// journal (non-deterministic policy).
+/// [`Error::JournalDiverged`](hyperdrive_types::Error::JournalDiverged) if
+/// any recovery leg disagrees with the journal (non-deterministic policy).
 pub fn run_sim_with_recovery<F>(
     mut make_policy: F,
     workload: &ExperimentWorkload,
@@ -283,29 +47,25 @@ where
             FaultKind::EngineCrash { at_event } => Some(at_event),
             _ => None,
         })
-        .filter(|&k| k > 0)
         .collect();
     crashes.sort_unstable();
-    crashes.dedup();
-    let mut crash_iter = crashes.into_iter();
 
     let mut policy = make_policy();
-    let meta = hyperdrive_framework::run_meta(policy.name(), workload, &spec, plan);
-    let journal = Journal::in_memory(meta);
-    let next_crash = crash_iter.next();
-    let mut outcome =
-        run_sim_journaled(policy.as_mut(), workload, spec, plan, journal.clone(), next_crash);
-    drop(policy);
-    while outcome.result.is_none() {
-        // Arm the next crash strictly past the inputs already consumed;
-        // stale positions can never fire again.
-        let reached = outcome.inputs;
-        let next_crash = crash_iter.find(|&k| k > reached);
+    let mut journal = Journal::in_memory(run_meta(policy.name(), workload, &spec, plan));
+    let mut sim = Simulation::with_journal(policy.as_mut(), workload, spec, plan, journal.clone());
+    for at_event in crashes {
+        sim.run_to_input(at_event);
+        if sim.inputs_delivered() < at_event {
+            break; // the run ended before this crash (or any later one)
+        }
+        drop(sim); // the kill: nothing sealed, no result
         let recovered = journal.reopen()?;
-        let mut policy = make_policy();
-        outcome = resume_sim_inner(policy.as_mut(), workload, spec, plan, recovered, next_crash)?;
+        // The next kill recovers from what *this* leg appends.
+        journal = recovered.journal.clone();
+        policy = make_policy();
+        sim = Simulation::resume(policy.as_mut(), workload, spec, plan, recovered)?;
     }
-    Ok(outcome.result.expect("loop exits only with a result"))
+    Ok(sim.run())
 }
 
 /// What [`kill_at_every_event`] measured.
@@ -330,8 +90,8 @@ pub struct KillAnywhereReport {
 ///
 /// # Errors
 ///
-/// Propagates journal recovery errors ([`Error::JournalDiverged`] and
-/// friends); per-position mismatches are collected in the report instead.
+/// Propagates journal reopen errors; per-position mismatches and recovery
+/// failures are collected in the report instead.
 pub fn kill_at_every_event<F>(
     mut make_policy: F,
     workload: &ExperimentWorkload,
@@ -342,36 +102,31 @@ where
     F: FnMut() -> Box<dyn SchedulingPolicy>,
 {
     let mut baseline_policy = make_policy();
-    let meta = hyperdrive_framework::run_meta(baseline_policy.name(), workload, &spec, plan);
-    let outcome = run_sim_journaled(
+    let meta = run_meta(baseline_policy.name(), workload, &spec, plan);
+    let mut sim = Simulation::with_journal(
         baseline_policy.as_mut(),
         workload,
         spec,
         plan,
         Journal::in_memory(meta),
-        None,
     );
+    while sim.step_input().is_some() {}
+    let positions = sim.inputs_delivered();
+    let baseline = signature(&sim.finish());
     drop(baseline_policy);
-    let baseline = outcome.result.expect("uninterrupted run completes");
-    let baseline_sig = signature(&baseline);
-    let positions = outcome.inputs;
 
     let mut passes = 0;
     let mut failures = Vec::new();
     for k in 1..=positions {
         let journal = Journal::in_memory(meta);
         let mut victim = make_policy();
-        let crashed =
-            run_sim_journaled(victim.as_mut(), workload, spec, plan, journal.clone(), Some(k));
+        Simulation::with_journal(victim.as_mut(), workload, spec, plan, journal.clone())
+            .run_to_input(k);
         drop(victim);
-        if crashed.result.is_some() {
-            failures.push(format!("position {k}: run completed before the crash fired"));
-            continue;
-        }
-        let recovered = journal.reopen()?;
         let mut fresh = make_policy();
-        match resume_sim_journaled(fresh.as_mut(), workload, spec, plan, recovered) {
-            Ok(result) if signature(&result) == baseline_sig => passes += 1,
+        let resumed = Simulation::resume(fresh.as_mut(), workload, spec, plan, journal.reopen()?);
+        match resumed.map(Simulation::run) {
+            Ok(result) if signature(&result) == baseline => passes += 1,
             Ok(_) => failures
                 .push(format!("position {k}: recovered trace differs from the uninterrupted run")),
             Err(e) => failures.push(format!("position {k}: recovery failed: {e}")),
@@ -390,11 +145,11 @@ fn signature(result: &ExperimentResult) -> (Vec<u8>, SimTime, u64, FaultStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_sim, run_sim_with_faults};
+
     use hyperdrive_core::{PopConfig, PopPolicy};
     use hyperdrive_curve::{PredictorConfig, SharedFitCache};
     use hyperdrive_framework::{DefaultPolicy, FaultConfig, FaultEvent};
-    use hyperdrive_types::MachineId;
+    use hyperdrive_types::{Error, MachineId};
     use hyperdrive_workload::CifarWorkload;
     use proptest::prelude::*;
 
@@ -412,24 +167,6 @@ mod tests {
             2,
             &FaultConfig::with_intensity(seed, SimTime::from_hours(8.0), intensity),
         )
-    }
-
-    #[test]
-    fn journaling_is_pure_output() {
-        // An enabled journal must not perturb the run: same trace bytes as
-        // the unjournaled simulators.
-        let ew = experiment(5, 4, 3);
-        let spec = ExperimentSpec::new(2).with_stop_on_target(false).with_seed(3);
-        let plan = FaultPlan::none();
-        let mut p_plain = DefaultPolicy::new();
-        let plain = run_sim(&mut p_plain, &ew, spec);
-        let mut p_journaled = DefaultPolicy::new();
-        let meta = hyperdrive_framework::run_meta(p_journaled.name(), &ew, &spec, &plan);
-        let outcome =
-            run_sim_journaled(&mut p_journaled, &ew, spec, &plan, Journal::in_memory(meta), None);
-        let journaled = outcome.result.unwrap();
-        assert_eq!(signature(&plain), signature(&journaled));
-        assert!(outcome.inputs > 0, "inputs were journaled");
     }
 
     #[test]
@@ -483,7 +220,7 @@ mod tests {
             });
         }
         let mut p_baseline = DefaultPolicy::new();
-        let baseline = run_sim_with_faults(&mut p_baseline, &ew, spec, &plan);
+        let baseline = Simulation::with_faults(&mut p_baseline, &ew, spec, &plan).run();
         let recovered = run_sim_with_recovery(default_policy, &ew, spec, &plan).unwrap();
         assert_eq!(signature(&baseline), signature(&recovered));
     }
@@ -494,16 +231,17 @@ mod tests {
         let spec = ExperimentSpec::new(2).with_stop_on_target(false).with_seed(5);
         let plan = FaultPlan::none();
         let mut policy = DefaultPolicy::new();
-        let meta = hyperdrive_framework::run_meta(policy.name(), &ew, &spec, &plan);
-        let journal = Journal::in_memory(meta);
-        let outcome = run_sim_journaled(&mut policy, &ew, spec, &plan, journal.clone(), Some(6));
-        assert!(outcome.result.is_none(), "crash fired");
+        let journal = Journal::in_memory(run_meta(policy.name(), &ew, &spec, &plan));
+        let mut victim = Simulation::with_journal(&mut policy, &ew, spec, &plan, journal.clone());
+        victim.run_to_input(6);
+        assert_eq!(victim.inputs_delivered(), 6, "crash fired");
+        drop(victim);
         // Resume against a different workload seed: replay regenerates
         // different records and must fail loudly, not silently corrupt.
         let wrong = experiment(4, 3, 6);
         let recovered = journal.reopen().unwrap();
         let mut fresh = DefaultPolicy::new();
-        let err = resume_sim_journaled(&mut fresh, &wrong, spec, &plan, recovered).unwrap_err();
+        let err = Simulation::resume(&mut fresh, &wrong, spec, &plan, recovered).err().unwrap();
         assert!(
             matches!(err, Error::JournalDiverged { .. }),
             "expected JournalDiverged, got {err:?}"
@@ -525,22 +263,23 @@ mod tests {
             let spec = ExperimentSpec::new(2).with_stop_on_target(false).with_seed(seed);
             let plan = fault_plan(seed ^ 0xC4A5, intensity);
             let mut p0 = DefaultPolicy::new();
-            let meta = hyperdrive_framework::run_meta(p0.name(), &ew, &spec, &plan);
-            let outcome = run_sim_journaled(
-                &mut p0, &ew, spec, &plan, Journal::in_memory(meta), None,
-            );
-            let baseline = outcome.result.unwrap();
-            let k = 1 + (frac * (outcome.inputs.saturating_sub(1)) as f64) as u64;
+            let meta = run_meta(p0.name(), &ew, &spec, &plan);
+            let mut uninterrupted =
+                Simulation::with_journal(&mut p0, &ew, spec, &plan, Journal::in_memory(meta));
+            while uninterrupted.step_input().is_some() {}
+            let inputs = uninterrupted.inputs_delivered();
+            let baseline = uninterrupted.finish();
+            let k = 1 + (frac * (inputs.saturating_sub(1)) as f64) as u64;
             let journal = Journal::in_memory(meta);
-            let mut victim = DefaultPolicy::new();
-            let crashed = run_sim_journaled(
-                &mut victim, &ew, spec, &plan, journal.clone(), Some(k),
-            );
-            prop_assert!(crashed.result.is_none());
+            let mut p1 = DefaultPolicy::new();
+            let mut victim = Simulation::with_journal(&mut p1, &ew, spec, &plan, journal.clone());
+            victim.run_to_input(k);
+            prop_assert_eq!(victim.inputs_delivered(), k);
+            drop(victim);
             let mut fresh = DefaultPolicy::new();
-            let result = resume_sim_journaled(
-                &mut fresh, &ew, spec, &plan, journal.reopen().unwrap(),
-            ).unwrap();
+            let result = Simulation::resume(&mut fresh, &ew, spec, &plan, journal.reopen().unwrap())
+                .unwrap()
+                .run();
             prop_assert_eq!(signature(&baseline), signature(&result));
         }
     }

@@ -1,43 +1,16 @@
-//! Step-by-step simulation driving.
-//!
-//! [`run_sim`](crate::run_sim) executes an experiment to completion in one
-//! call. [`Simulation`] exposes the same discrete-event loop one event at a
-//! time, so callers can inspect scheduler state between events — for
-//! debugging policies, teaching, recording custom telemetry, or embedding
-//! the simulator in an outer control loop.
-//!
-//! # Example
-//!
-//! ```
-//! use hyperdrive_framework::{DefaultPolicy, ExperimentSpec, ExperimentWorkload};
-//! use hyperdrive_sim::Simulation;
-//! use hyperdrive_workload::CifarWorkload;
-//!
-//! let workload = CifarWorkload::new().with_max_epochs(3);
-//! let experiment = ExperimentWorkload::from_workload(&workload, 4, 1);
-//! let mut policy = DefaultPolicy::new();
-//! let mut sim = Simulation::new(
-//!     &mut policy,
-//!     &experiment,
-//!     ExperimentSpec::new(2).with_stop_on_target(false),
-//! );
-//! let mut steps: u64 = 0;
-//! while sim.step().is_some() {
-//!     steps += 1;
-//! }
-//! let result = sim.finish();
-//! assert_eq!(u64::from(steps), result.total_epochs);
-//! ```
+//! The simulation loop: [`Simulation`], the crate's only pop → deliver →
+//! schedule driver (the crate docs say how everything else hangs off it).
 
 use hyperdrive_framework::{
-    Command, EngineEvent, ExperimentEngine, ExperimentResult, ExperimentSpec, ExperimentWorkload,
-    SchedulingPolicy,
+    Command, EngineEvent, EngineInput, ExperimentEngine, ExperimentResult, ExperimentSpec,
+    ExperimentWorkload, FaultKind, FaultPlan, Journal, RecoveredJournal, SchedulingPolicy,
 };
-use hyperdrive_types::SimTime;
+use hyperdrive_types::{Result, SimTime};
 
+use crate::faults::ReplyFaults;
 use crate::queue::EventQueue;
 
-/// What one [`Simulation::step`] processed.
+/// A completion report that one [`Simulation::step`] delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepOutcome {
     /// The event that was delivered to the engine.
@@ -47,51 +20,195 @@ pub struct StepOutcome {
 }
 
 /// A resumable, inspectable discrete-event simulation of one experiment.
+///
+/// It owns the engine, the [reply-fault filter](crate::faults), and one
+/// future-event queue of `(time, EngineInput)` entries: the start of the
+/// experiment, every completion report, every timed machine fault and
+/// stall detection.
+///
+/// # Example
+///
+/// ```
+/// use hyperdrive_framework::{DefaultPolicy, ExperimentSpec, ExperimentWorkload};
+/// use hyperdrive_sim::Simulation;
+/// use hyperdrive_workload::CifarWorkload;
+///
+/// let workload = CifarWorkload::new().with_max_epochs(3);
+/// let experiment = ExperimentWorkload::from_workload(&workload, 4, 1);
+/// let mut policy = DefaultPolicy::new();
+/// let mut sim = Simulation::new(
+///     &mut policy,
+///     &experiment,
+///     ExperimentSpec::new(2).with_stop_on_target(false),
+/// );
+/// let mut steps: u64 = 0;
+/// while sim.step().is_some() {
+///     steps += 1;
+/// }
+/// let result = sim.finish();
+/// assert_eq!(u64::from(steps), result.total_epochs);
+/// ```
 pub struct Simulation<'w, 'p> {
     engine: ExperimentEngine<'w, 'p>,
-    queue: EventQueue<EngineEvent>,
+    queue: EventQueue<EngineInput>,
+    reply_faults: ReplyFaults,
     now: SimTime,
     stopping: bool,
-    /// Reusable command buffer: the engine writes each event's follow-up
+    /// Inputs delivered so far. Each delivery journals exactly one input
+    /// record (write-ahead), so this is also the journal position.
+    delivered: u64,
+    /// Reusable command buffer: the engine writes each input's follow-up
     /// batch here, so the steady-state step path allocates nothing.
     cmds: Vec<Command>,
 }
 
 impl<'w, 'p> Simulation<'w, 'p> {
-    /// Sets up the simulation and schedules the initial job starts.
+    /// Sets up a fault-free simulation and schedules the initial job
+    /// starts. Journals per `HYPERDRIVE_JOURNAL`.
     pub fn new(
         policy: &'p mut dyn SchedulingPolicy,
         workload: &'w ExperimentWorkload,
         spec: ExperimentSpec,
     ) -> Self {
-        let mut engine = ExperimentEngine::new(policy, workload, spec);
-        // Worst-case heap occupancy without fault injection: each job
-        // holds at most one outstanding command (RunEpoch *or* Suspend,
-        // never both) and no token ever goes stale, so at most one future
-        // event per job is ever queued, plus nothing for Stop (it is not
-        // enqueued). One extra slot keeps a full cluster's simultaneous
-        // batch from landing exactly on capacity. Executors that inject
-        // faults must also budget for orphaned (stale-token) events — see
-        // `faults.rs`.
-        let mut queue = EventQueue::with_capacity(workload.len() + 1);
-        let now = SimTime::ZERO;
-        let mut cmds = Vec::new();
-        engine.start_into(&mut cmds);
-        let stopping = schedule(&cmds, now, &mut queue);
-        Simulation { engine, queue, now, stopping, cmds }
+        Self::with_faults(policy, workload, spec, &FaultPlan::none())
     }
 
-    /// Processes the next pending event. Returns `None` once the
-    /// experiment has stopped (goal, `Tmax`, or all work drained).
-    pub fn step(&mut self) -> Option<StepOutcome> {
+    /// Like [`new`](Self::new), injecting the faults scheduled in `plan`:
+    /// every interrupted job is rolled back to its last snapshot and
+    /// re-run (capped by the plan's retry policy), and crashed machines
+    /// rejoin the cluster at their scheduled recovery times.
+    /// [`FaultKind::EngineCrash`] events are not honoured here — see
+    /// [`run_sim_with_recovery`](crate::run_sim_with_recovery).
+    pub fn with_faults(
+        policy: &'p mut dyn SchedulingPolicy,
+        workload: &'w ExperimentWorkload,
+        spec: ExperimentSpec,
+        plan: &FaultPlan,
+    ) -> Self {
+        let engine = ExperimentEngine::with_fault_injection(policy, workload, spec, plan);
+        Self::start(engine, workload.len(), plan)
+    }
+
+    /// Like [`with_faults`](Self::with_faults), with an explicit
+    /// write-ahead [`Journal`] instead of the environment wiring.
+    /// Journaling is pure output: the trace is byte-identical with any
+    /// journal, including [`Journal::disabled`].
+    pub fn with_journal(
+        policy: &'p mut dyn SchedulingPolicy,
+        workload: &'w ExperimentWorkload,
+        spec: ExperimentSpec,
+        plan: &FaultPlan,
+        journal: Journal,
+    ) -> Self {
+        let engine = ExperimentEngine::with_journal(policy, workload, spec, plan, journal);
+        Self::start(engine, workload.len(), plan)
+    }
+
+    /// Rebuilds the simulation a dead process left behind: steps a fresh
+    /// one through the journaled prefix — the deterministic queue
+    /// regenerates the very inputs the dead process consumed, and the
+    /// journal verifies each of them, and every record they produce, byte
+    /// for byte — and hands it back ready to continue. The completed trace
+    /// is byte-identical to an uninterrupted run.
+    ///
+    /// `policy` must be a *fresh* instance of the same policy the dead
+    /// process ran: replay drives it through every historical up-call,
+    /// rebuilding its internal state alongside the engine's.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::JournalDiverged`](hyperdrive_types::Error::JournalDiverged)
+    /// if replay regenerates different inputs or records than the journal
+    /// holds (wrong policy, workload, spec, or plan).
+    pub fn resume(
+        policy: &'p mut dyn SchedulingPolicy,
+        workload: &'w ExperimentWorkload,
+        spec: ExperimentSpec,
+        plan: &FaultPlan,
+        recovered: RecoveredJournal,
+    ) -> Result<Self> {
+        let RecoveredJournal { journal, inputs, .. } = recovered;
+        let mut sim = Self::with_journal(policy, workload, spec, plan, journal.clone());
+        sim.run_to_input(inputs.len() as u64);
+        journal.finish_replay()?;
+        Ok(sim)
+    }
+
+    fn start(engine: ExperimentEngine<'w, 'p>, jobs: usize, plan: &FaultPlan) -> Self {
+        let mut queue = EventQueue::with_capacity(queue_capacity(jobs, plan));
+        queue.schedule(SimTime::ZERO, EngineInput::Start);
+        for event in &plan.events {
+            let input = match event.kind {
+                FaultKind::MachineCrash => EngineInput::MachineCrash(event.machine),
+                FaultKind::MachineRecover => EngineInput::MachineRecovery(event.machine),
+                // Stalls and delays act on reports (`ReplyFaults`); engine
+                // crashes kill the whole simulation from outside.
+                FaultKind::AgentStall { .. }
+                | FaultKind::ReplyDelay { .. }
+                | FaultKind::EngineCrash { .. } => continue,
+            };
+            queue.schedule(event.at, input);
+        }
+        let mut sim = Simulation {
+            engine,
+            queue,
+            reply_faults: ReplyFaults::from_plan(plan),
+            now: SimTime::ZERO,
+            stopping: false,
+            delivered: 0,
+            cmds: Vec::new(),
+        };
+        // `Start` was scheduled first at time zero, so this delivers it:
+        // construction includes the initial `AllocateJobs` up-call.
+        sim.step_input();
+        sim
+    }
+
+    /// Pops the next input, delivers it, and schedules the reports of the
+    /// commands it produced. Returns `None` once the experiment is over:
+    /// the engine stopped (goal or `Tmax`), every job reached a terminal
+    /// state (anything still queued is a fault or stale report that can no
+    /// longer matter), or the queue drained.
+    pub fn step_input(&mut self) -> Option<(SimTime, EngineInput)> {
         if self.stopping {
             return None;
         }
-        let (t, event) = self.queue.pop()?;
-        self.now = t;
-        self.engine.handle_into(event, t, &mut self.cmds);
-        self.stopping = schedule(&self.cmds, t, &mut self.queue) || self.engine.stopped();
-        Some(StepOutcome { event, time: t })
+        let (now, input) = self.queue.pop()?;
+        self.now = now;
+        self.delivered += 1;
+        self.engine.deliver(input, now, &mut self.cmds);
+        let mut stop = self.engine.stopped() || self.engine.active_job_count() == 0;
+        for cmd in &self.cmds {
+            let (machine, due, event) = match *cmd {
+                Command::RunEpoch { job, machine, duration, token, .. } => {
+                    (machine, now + duration, EngineEvent::EpochDone { job, token })
+                }
+                Command::Suspend { job, machine, latency, token } => {
+                    (machine, now + latency, EngineEvent::SuspendDone { job, token })
+                }
+                Command::Stop => {
+                    stop = true;
+                    continue;
+                }
+            };
+            let (at, input) = self.reply_faults.route(machine, due, event);
+            self.queue.schedule(at, input);
+        }
+        self.stopping = stop;
+        Some((now, input))
+    }
+
+    /// Processes inputs up to and including the next completion report.
+    /// In a fault-free simulation that is exactly one input; fault inputs
+    /// on the way are delivered and skipped over (use
+    /// [`step_input`](Self::step_input) to see them). Returns `None` once
+    /// the experiment is over.
+    pub fn step(&mut self) -> Option<StepOutcome> {
+        loop {
+            if let (time, EngineInput::Event(event)) = self.step_input()? {
+                return Some(StepOutcome { event, time });
+            }
+        }
     }
 
     /// Runs at most `n` steps, returning how many were processed.
@@ -100,21 +217,28 @@ impl<'w, 'p> Simulation<'w, 'p> {
     }
 
     /// Runs until the virtual clock reaches `until` (or the experiment
-    /// stops), returning the number of events processed.
+    /// stops), returning the number of inputs processed.
     pub fn run_until(&mut self, until: SimTime) -> usize {
         let mut processed = 0;
-        while !self.stopping {
-            match self.queue.peek_time() {
-                Some(t) if t <= until => {
-                    if self.step().is_none() {
-                        break;
-                    }
-                    processed += 1;
-                }
-                _ => break,
-            }
+        while self.queue.peek_time().is_some_and(|t| t <= until) && self.step_input().is_some() {
+            processed += 1;
         }
         processed
+    }
+
+    /// Runs until `position` inputs have been delivered — and therefore
+    /// journaled — or the experiment is over. Dropping the simulation at
+    /// that point instead of calling [`finish`](Self::finish) leaves the
+    /// journal unsealed, exactly as if the scheduler process had been
+    /// killed right after consuming its `position`-th input.
+    pub fn run_to_input(&mut self, position: u64) {
+        while self.delivered < position && self.step_input().is_some() {}
+    }
+
+    /// Inputs delivered so far, the initial `Start` included: the journal
+    /// position, and the coordinate of simulated crashes.
+    pub fn inputs_delivered(&self) -> u64 {
+        self.delivered
     }
 
     /// Current virtual time.
@@ -132,66 +256,51 @@ impl<'w, 'p> Simulation<'w, 'p> {
         self.stopping || self.queue.is_empty()
     }
 
-    /// Consumes the simulation and produces the experiment result.
+    /// Runs the experiment to its end and produces the result.
+    pub fn run(mut self) -> ExperimentResult {
+        while self.step_input().is_some() {}
+        self.finish()
+    }
+
+    /// Consumes the simulation and produces the experiment result, sealing
+    /// the journal.
     pub fn finish(self) -> ExperimentResult {
         self.engine.into_result(self.now)
     }
 }
 
-/// Translates engine commands into future completion events (echoing each
-/// command's token), returning whether a `Stop` was seen. Shared by
-/// [`run_sim`](crate::run_sim) and [`Simulation`].
-pub(crate) fn schedule(
-    cmds: &[Command],
-    now: SimTime,
-    queue: &mut EventQueue<EngineEvent>,
-) -> bool {
-    let mut stop = false;
-    for cmd in cmds {
-        match *cmd {
-            Command::RunEpoch { job, duration, token, .. } => {
-                queue.schedule(now + duration, EngineEvent::EpochDone { job, token });
-            }
-            Command::Suspend { job, latency, token, .. } => {
-                queue.schedule(now + latency, EngineEvent::SuspendDone { job, token });
-            }
-            Command::Stop => stop = true,
-        }
+/// Heap pre-size. The queue may grow past it; the point is that it never
+/// does in the runs whose allocation count is pinned.
+///
+/// Without faults each job holds at most one outstanding command (RunEpoch
+/// *or* Suspend, never both) and no token ever goes stale, so at most one
+/// future event per job is queued (`Start` is gone before the first of
+/// them arrives); one spare slot keeps a full cluster's simultaneous batch
+/// from landing exactly on capacity. Under faults every interruption can
+/// also orphan a stale-token event that lingers until its due time, and a
+/// job is interrupted at most `max_retries + 1` times before it fails — so
+/// up to `max_retries + 2` queued events per job — plus one slot per timed
+/// fault in the plan. `max_retries` is caller-supplied and may be
+/// `u32::MAX`, so the product saturates and is capped.
+fn queue_capacity(jobs: usize, plan: &FaultPlan) -> usize {
+    const MAX_PRESIZE: usize = 1 << 20;
+    if plan.is_empty() {
+        return jobs + 1;
     }
-    stop
+    let per_job = (plan.retry.max_retries as usize).saturating_add(2);
+    let worst_case = jobs.saturating_mul(per_job).saturating_add(plan.events.len() + 1);
+    worst_case.min(MAX_PRESIZE.max(jobs + 1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_sim;
-    use hyperdrive_framework::DefaultPolicy;
+    use hyperdrive_framework::{DefaultPolicy, RetryPolicy};
     use hyperdrive_workload::CifarWorkload;
 
     fn experiment(n: usize, epochs: u32) -> ExperimentWorkload {
         let w = CifarWorkload::new().with_max_epochs(epochs);
         ExperimentWorkload::from_workload(&w, n, 3)
-    }
-
-    #[test]
-    fn stepping_matches_run_sim_exactly() {
-        let ew = experiment(6, 5);
-        let spec = ExperimentSpec::new(2).with_stop_on_target(false).with_seed(9);
-
-        let mut p1 = DefaultPolicy::new();
-        let direct = run_sim(&mut p1, &ew, spec);
-
-        let mut p2 = DefaultPolicy::new();
-        let mut sim = Simulation::new(&mut p2, &ew, spec);
-        while sim.step().is_some() {}
-        let stepped = sim.finish();
-
-        assert_eq!(direct.end_time, stepped.end_time);
-        assert_eq!(direct.total_epochs, stepped.total_epochs);
-        for (a, b) in direct.outcomes.iter().zip(&stepped.outcomes) {
-            assert_eq!(a.epochs, b.epochs);
-            assert_eq!(a.busy_time, b.busy_time);
-        }
     }
 
     #[test]
@@ -246,5 +355,16 @@ mod tests {
         while sim.step().is_some() {}
         let result = sim.finish();
         assert!(result.reached_target());
+    }
+
+    #[test]
+    fn queue_presize_saturates_and_is_capped() {
+        let mut plan = FaultPlan::none();
+        assert_eq!(queue_capacity(10, &plan), 11, "empty plan: one event per job");
+        plan.suspend_fail_prob = 0.5;
+        assert_eq!(queue_capacity(10, &plan), 10 * 5 + 1, "default retries: max_retries + 2 each");
+        plan.retry = RetryPolicy { max_retries: u32::MAX, ..RetryPolicy::default() };
+        assert_eq!(queue_capacity(10, &plan), 1 << 20);
+        assert_eq!(queue_capacity(3 << 20, &plan), (3 << 20) + 1, "never below jobs + 1");
     }
 }

@@ -1,12 +1,16 @@
-//! Driving the discrete-event simulator one event at a time with
-//! [`hyperdrive::sim::Simulation`]: inspect the cluster between events,
-//! sample the clock on a fixed cadence, and print a coarse progress view.
+//! Driving the discrete-event simulator one input at a time with
+//! [`hyperdrive::sim::Simulation`] — the same loop `run_sim` runs to the
+//! end in one call. Here it is built with a fault plan, stepped on a fixed
+//! inspection cadence, and the fault inputs (machine crashes, recoveries,
+//! stall detections) are printed as they surface between completions.
 //!
 //! ```sh
 //! cargo run --release --example step_through
 //! ```
 
-use hyperdrive::framework::{ExperimentSpec, ExperimentWorkload};
+use hyperdrive::framework::{
+    EngineInput, ExperimentSpec, ExperimentWorkload, FaultConfig, FaultPlan,
+};
 use hyperdrive::pop::PopPolicy;
 use hyperdrive::sim::Simulation;
 use hyperdrive::workload::CifarWorkload;
@@ -16,32 +20,37 @@ fn main() {
     let workload = CifarWorkload::new();
     let experiment = ExperimentWorkload::from_workload(&workload, 30, 2);
     let spec = ExperimentSpec::new(4).with_tmax(SimTime::from_hours(24.0));
+    let plan = FaultPlan::generate(4, &FaultConfig::with_intensity(7, spec.tmax, 2.0));
 
     let mut pop = PopPolicy::new();
-    let mut sim = Simulation::new(&mut pop, &experiment, spec);
+    // `Simulation::new` is the fault-free constructor; an empty plan here
+    // would be exactly that run.
+    let mut sim = Simulation::with_faults(&mut pop, &experiment, spec, &plan);
 
-    println!("{:>10} {:>10} {:>12}", "time", "events", "pending");
+    println!("{:>10} {:>10} {:>12}", "time", "inputs", "pending");
     let mut horizon = SimTime::from_mins(15.0);
-    let mut total_events = 0usize;
     while !sim.stopped() {
-        total_events += sim.run_until(horizon);
+        while sim.now() <= horizon {
+            match sim.step_input() {
+                Some((_, EngineInput::Event(_))) => {}
+                Some((time, fault)) => println!("{:>10} {fault:?}", format!("{time}")),
+                None => break,
+            }
+        }
         println!(
             "{:>10} {:>10} {:>12}",
             format!("{}", sim.now()),
-            total_events,
+            sim.inputs_delivered(),
             sim.pending_events()
         );
-        // Advance the inspection cadence; break manually once quiet.
         horizon += SimTime::from_mins(15.0);
-        if sim.pending_events() == 0 {
-            break;
-        }
     }
     let result = sim.finish();
     println!(
-        "\nfinished: target {} | {} epochs | {} scheduler events",
+        "\nfinished: target {} | {} epochs ({} lost to faults) | {} scheduler events",
         result.time_to_target.map_or("not reached".into(), |t| format!("reached in {t}")),
         result.total_epochs,
+        result.faults.lost_epochs,
         result.events.len()
     );
 }
