@@ -14,7 +14,7 @@ use hyperdrive_bench::{print_table, quick_mode, results_dir};
 use hyperdrive_core::{PopConfig, PopPolicy};
 use hyperdrive_curve::ensemble::PosteriorEval;
 use hyperdrive_curve::fit::{build_initial_walkers, fit_all_families_with, FamilyFitBuf};
-use hyperdrive_curve::mcmc::{sample_into, McmcScratch, SamplerOptions};
+use hyperdrive_curve::mcmc::{sample_into, score_each, McmcScratch, SamplerOptions};
 use hyperdrive_curve::models::GridPoint;
 use hyperdrive_curve::nelder_mead::NmScratch;
 use hyperdrive_curve::{CurvePredictor, FitRequest, FitScratch, FitService, PredictorConfig};
@@ -140,12 +140,15 @@ fn main() {
     let fits = fit_all_families_with(&pts[..ys.len()], &ys, &mut rng, &mut nm, &mut fam);
     let init = build_initial_walkers(&fits, config.walkers, &mut rng);
     let mut eval = PosteriorEval::new(&pts, &ys, &mut means);
+    let dim = init[0].len();
     // First run sizes every buffer; the counted run must then be clean.
     let mut rng_a = StdRng::seed_from_u64(11);
-    let _ = sample_into(|t| eval.log_posterior(t), &init, opts, &mut rng_a, &mut mcmc);
+    let _ =
+        sample_into(score_each(dim, |t| eval.log_posterior(t)), &init, opts, &mut rng_a, &mut mcmc);
     let mut rng_b = StdRng::seed_from_u64(11);
     let before = alloc_events();
-    let _chain = sample_into(|t| eval.log_posterior(t), &init, opts, &mut rng_b, &mut mcmc);
+    let _chain =
+        sample_into(score_each(dim, |t| eval.log_posterior(t)), &init, opts, &mut rng_b, &mut mcmc);
     let alloc_delta = alloc_events() - before;
     let proposals = (config.steps * config.walkers) as u64;
     let allocs_per_step = alloc_delta as f64 / proposals as f64;

@@ -1,8 +1,9 @@
 //! Benchmarks the vectorized likelihood kernel (`fast_math`): cold per-fit
-//! latency of the reference path vs the batched structure-of-arrays path,
-//! heap allocations per MCMC step on the fast path, forced-scalar vs
-//! dispatched bit-identity of both the raw kernels and the full fast
-//! log-posterior, and warm+fast refit speedup through the [`FitService`].
+//! latency of the reference path vs the fused half-ensemble path, heap
+//! allocations per MCMC step on the fast path, forced-scalar vs dispatched
+//! bit-identity of both the raw kernels and the fused log-posterior
+//! (against the per-proposal reference evaluator), and warm+fast refit
+//! speedup through the [`FitService`].
 //! Emits `BENCH_fit_simd.json` into the results directory.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -16,7 +17,10 @@ use hyperdrive_curve::fit::{build_initial_walkers, fit_all_families_fast, Family
 use hyperdrive_curve::mcmc::{sample_into, McmcScratch, SamplerOptions};
 use hyperdrive_curve::nelder_mead::NmScratch;
 use hyperdrive_curve::vmath::{self, Backend};
-use hyperdrive_curve::{CurvePredictor, FitRequest, FitScratch, FitService, PredictorConfig};
+use hyperdrive_curve::{
+    CurvePredictor, FitRequest, FitScratch, FitService, FusedPosterior, FusedScratch,
+    PredictorConfig,
+};
 use hyperdrive_types::{JobId, LearningCurve, MetricKind, SimTime};
 use hyperdrive_workload::{CifarWorkload, Workload};
 use rand::rngs::StdRng;
@@ -123,8 +127,9 @@ fn main() {
         kernel_lanes += assert_bits_eq(&s, &v, "vpow");
     }
 
-    // ---- Full-posterior bit identity: forced-scalar vs dispatched
-    // evaluation of the fast log-posterior over realistic walker positions.
+    // ---- Full-posterior bit identity: the fused evaluator scoring the
+    // whole initial ensemble in one call, forced-scalar vs dispatched,
+    // against the per-proposal reference over realistic walker positions.
     let obs: Vec<(f64, f64)> =
         curves[0].points().iter().map(|p| (f64::from(p.epoch), p.value)).collect();
     let mut grid = FastGrid::new();
@@ -133,32 +138,24 @@ fn main() {
     }
     grid.push(f64::from(horizon));
     let ys: Vec<f64> = obs.iter().map(|&(_, y)| y).collect();
-    let mut means_a = vec![0.0; ys.len()];
-    let mut means_b = vec![0.0; ys.len()];
-    let mut t_a = vec![0.0; ys.len()];
-    let mut t_b = vec![0.0; ys.len()];
     let mut nm = NmScratch::default();
     let mut fam = FamilyFitBuf::default();
     let mut rng = StdRng::seed_from_u64(7);
     let fits = fit_all_families_fast(&grid, &ys, &mut rng, &mut nm, &mut fam, dispatched);
     let init = build_initial_walkers(&fits, config.walkers, &mut rng);
-    let mut posterior_evals = 0usize;
-    {
-        let mut scalar_eval =
-            PosteriorEvalFast::new(&grid, &ys, &mut means_a, &mut t_a, Backend::Scalar);
-        let mut simd_eval =
-            PosteriorEvalFast::new(&grid, &ys, &mut means_b, &mut t_b, Backend::Simd);
-        for theta in &init {
-            let lp_s = scalar_eval.log_posterior(theta);
-            let lp_v = simd_eval.log_posterior(theta);
-            assert_eq!(
-                lp_s.to_bits(),
-                lp_v.to_bits(),
-                "fast log-posterior diverged between backends: {lp_s:e} vs {lp_v:e}"
-            );
-            posterior_evals += 1;
-        }
+    let flat_init = init.concat();
+    let mut fused = FusedScratch::default();
+    let mut lps = [vec![0.0; init.len()], vec![0.0; init.len()]];
+    for (backend, out) in [Backend::Scalar, Backend::Simd].into_iter().zip(&mut lps) {
+        FusedPosterior::new(&grid, &ys, &mut fused, backend).log_posteriors(&flat_init, out);
     }
+    assert_bits_eq(&lps[0], &lps[1], "fused log-posterior between backends");
+    let mut means = vec![0.0; ys.len()];
+    let mut tbuf = vec![0.0; ys.len()];
+    let mut reference_eval =
+        PosteriorEvalFast::new(&grid, &ys, &mut means, &mut tbuf, Backend::Scalar);
+    let per_proposal: Vec<f64> = init.iter().map(|w| reference_eval.log_posterior(w)).collect();
+    let posterior_evals = assert_bits_eq(&lps[0], &per_proposal, "fused vs per-proposal");
 
     // ---- Cold per-fit latency: reference vs optimized-scalar vs fast_math,
     // interleaved per curve with the per-path total taken as the minimum
@@ -208,8 +205,6 @@ fn main() {
 
     // ---- Allocations per MCMC step on the fast path, measured around
     // sample_into with warmed buffers (exactly how fit_with drives it).
-    let mut means = vec![0.0; ys.len()];
-    let mut tbuf = vec![0.0; ys.len()];
     let mut mcmc = McmcScratch::default();
     let opts = SamplerOptions {
         steps: config.steps,
@@ -217,12 +212,13 @@ fn main() {
         thin: config.thin,
         stretch: 2.0,
     };
-    let mut eval = PosteriorEvalFast::new(&grid, &ys, &mut means, &mut tbuf, dispatched);
+    let mut eval = FusedPosterior::new(&grid, &ys, &mut fused, dispatched);
     let mut rng_a = StdRng::seed_from_u64(11);
-    let _ = sample_into(|t| eval.log_posterior(t), &init, opts, &mut rng_a, &mut mcmc);
+    let _ = sample_into(|t, lp| eval.log_posteriors(t, lp), &init, opts, &mut rng_a, &mut mcmc);
     let mut rng_b = StdRng::seed_from_u64(11);
     let before = alloc_events();
-    let _chain = sample_into(|t| eval.log_posterior(t), &init, opts, &mut rng_b, &mut mcmc);
+    let _chain =
+        sample_into(|t, lp| eval.log_posteriors(t, lp), &init, opts, &mut rng_b, &mut mcmc);
     let alloc_delta = alloc_events() - before;
     let proposals = (config.steps * config.walkers) as u64;
     let allocs_per_step = alloc_delta as f64 / proposals as f64;
@@ -239,8 +235,7 @@ fn main() {
             .map(|(j, c)| FitRequest { job: JobId::new(j as u64), curve: c.clone(), horizon })
             .collect()
     };
-    // Per-curve fast path: cross-curve batching has its own bench.
-    let fast_config = config.with_fast_math(true).with_batch_fit(false);
+    let fast_config = config.with_fast_math(true);
     let mut cold_refit_secs = f64::INFINITY;
     let mut warm_refit_secs = f64::INFINITY;
     for _ in 0..reps.min(2) {

@@ -67,27 +67,21 @@ pub struct FitCostModel {
     /// fits; the `fit_simd` bench measures the real ratio (its JSON
     /// reports the measured cold speedup). Must be positive.
     pub fast_math_speedup: f64,
-    /// Modeled throughput multiplier applied on top of
-    /// `fast_math_speedup` when the priced [`PredictorConfig`] also has
-    /// `batch_fit` enabled (cold boundary fits fused across curves in one
-    /// lockstep sweep). `1.0` prices batched fits like per-curve ones;
-    /// the `batch_fit` bench measures the real ratio. Must be positive.
+    /// Modeled throughput multiplier of the fused half-ensemble
+    /// evaluator, applied together with `fast_math_speedup` — every
+    /// fast-math fit is a fused fit. `1.0` prices it like per-proposal
+    /// scoring. Must be positive.
     pub batch_fit_speedup: f64,
 }
 
 impl FitCostModel {
     /// The per-kiloeval price adjusted for `config`'s likelihood path.
     fn kiloeval_price(&self, config: &PredictorConfig) -> f64 {
-        let mut price = self.secs_per_kiloeval;
         if config.fast_math {
-            price /= self.fast_math_speedup;
-            // Batching only applies on top of the fast-math path — the
-            // service never batches libm fits.
-            if config.batch_fit {
-                price /= self.batch_fit_speedup;
-            }
+            self.secs_per_kiloeval / self.fast_math_speedup / self.batch_fit_speedup
+        } else {
+            self.secs_per_kiloeval
         }
-        price
     }
 
     /// Modeled cost (seconds) of one fit at `config` fidelity over
@@ -899,24 +893,14 @@ mod tests {
             fast_math_speedup: 3.0,
             batch_fit_speedup: 2.0,
         };
-        let libm = PredictorConfig::test().with_fast_math(false).with_batch_fit(false);
+        let libm = PredictorConfig::test().with_fast_math(false);
         let fast = libm.with_fast_math(true);
-        let batched = fast.with_batch_fit(true);
         assert_eq!(
             model.fit_secs(&fast, 5),
-            model.fit_secs(&libm, 5) / 3.0,
-            "fast_math discount unchanged"
+            model.fit_secs(&libm, 5) / 3.0 / 2.0,
+            "every fast-math fit is a fused fit: both discounts apply together"
         );
-        assert_eq!(
-            model.fit_secs(&batched, 5),
-            model.fit_secs(&fast, 5) / 2.0,
-            "batching discounts on top of fast_math"
-        );
-        assert_eq!(
-            model.fit_secs(&libm.with_batch_fit(true), 5),
-            model.fit_secs(&libm, 5),
-            "batch_fit never prices libm fits — the service never batches them"
-        );
+        assert_eq!(model.fit_secs(&libm, 5), 2.0 * (libm.walkers * libm.steps * 5) as f64 / 1000.0);
     }
 
     #[test]

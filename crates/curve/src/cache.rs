@@ -59,7 +59,10 @@ use crate::vmath;
 
 /// Version salt folded into every fingerprint and embedded in disk-shard
 /// headers. Bump on **any** change to fit numerics or cache layout.
-pub const FINGERPRINT_VERSION: u64 = 1;
+/// Version 2: the sampler proposes and scores a half-ensemble at a time
+/// (the RNG schedule in [`crate::mcmc`]), so every posterior differs from
+/// a version-1 store's.
+pub const FINGERPRINT_VERSION: u64 = 2;
 
 /// Magic bytes opening every disk shard.
 const SHARD_MAGIC: [u8; 4] = *b"HDFC";
@@ -208,9 +211,6 @@ pub fn fit_fingerprint(
     h.write_u64(config.min_observations as u64);
     h.write_u64(u64::from(config.warm_start));
     h.write_u64(config.warm_steps as u64);
-    // `config.batch_fit` is deliberately NOT hashed: the cross-curve
-    // batched path is bitwise identical to the unbatched one, so batched
-    // and per-curve runs share each other's cached posteriors.
     h.write_u64(u64::from(config.fast_math));
     if config.fast_math {
         h.write_u64(match vmath::active_backend() {
@@ -788,18 +788,6 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_ignores_batch_fit() {
-        // Batched fits are bitwise the unbatched fits, so the flag must
-        // not partition the shared cache (cross-hits are intended).
-        let cfg = PredictorConfig::test();
-        assert_eq!(
-            fit_fingerprint(&curve(10), &cfg.with_batch_fit(false), 42, 100, None),
-            fit_fingerprint(&curve(10), &cfg.with_batch_fit(true), 42, 100, None),
-            "batch_fit must not change the fingerprint"
-        );
-    }
-
-    #[test]
     fn metric_kind_is_part_of_the_key() {
         let cfg = PredictorConfig::test();
         let mut reward = LearningCurve::new(MetricKind::Reward);
@@ -900,12 +888,15 @@ mod tests {
         assert!(c.stats().disk_skipped >= 1);
         drop(c);
 
-        // Wrong fingerprint version in the header: whole file skipped.
-        bytes[8] ^= 0xFF;
+        // A shard written under the previous fingerprint version (an
+        // older sampler schedule's posteriors), otherwise intact: the
+        // whole file is skipped, and its entry is never served.
+        bytes[8..16].copy_from_slice(&(FINGERPRINT_VERSION - 1).to_le_bytes());
         std::fs::write(&shard, &bytes).expect("rewrite shard");
-        let c = SharedFitCache::with_disk(&dir).expect("open over wrong-version shard");
+        let c = SharedFitCache::with_disk(&dir).expect("open over previous-version shard");
         assert_eq!(c.stats().disk_loaded, 0);
         assert!(c.stats().disk_skipped >= 1);
+        assert!(c.get(&fp).is_none(), "a stale-version posterior must never be served");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,5 +1,7 @@
 //! Structure-of-arrays likelihood evaluation on the [`crate::vmath`]
-//! kernels (the default `fast_math` fit path, and the posterior queries).
+//! kernels: the per-family stages the default `fast_math` fit fuses
+//! ([`crate::batch`]), the posterior queries, and the per-proposal
+//! reference posterior the fused evaluator is pinned against.
 //!
 //! The reference hot path ([`crate::ensemble::PosteriorEval`]) is already
 //! allocation-free and grid-memoized, but every likelihood call still pays
@@ -25,10 +27,14 @@
 //!   pre-pass performs the identical operations in the identical order as
 //!   the batched sweep, so reusing its result for the last observation is
 //!   bitwise-safe (mirroring the reference path's structure).
-//! - Walkers are *not* batched across a proposal round: each walker carries
-//!   its own `theta`, so cross-walker batching would have to regroup
-//!   per-family parameter loads per lane and lose the family-major hoists;
-//!   the 25–60-point grid batches already amortize kernel overhead.
+//! - Walkers *are* batched across a proposal round, one level up: the
+//!   sampler proposes a whole red–black half-ensemble before scoring it,
+//!   and [`crate::batch::FusedPosterior`] concatenates the per-(walker,
+//!   family) columns built by [`family_fill`]/[`family_mid`] here into one
+//!   signature-grouped arena, so the family-major hoists survive and a
+//!   half-sweep costs four kernel calls. [`fast_log_posterior`] is the
+//!   one-proposal form of the same arithmetic — no fit runs it; it is the
+//!   bitwise reference every fused slot is tested against.
 
 use crate::ensemble::{
     dimension, in_prior_box_fast, CEILING, FAMILY_OFFSETS, MIN_WEIGHT_SUM, MONOTONE_SLACK,
@@ -196,8 +202,8 @@ pub(crate) fn family_value_at(
 /// sequence of batched [`vln_with`]/[`vexp_with`] passes runs between its
 /// elementwise [`family_fill`], [`family_mid`], and [`family_post`] stages.
 /// Families sharing a signature can have their grid columns concatenated
-/// into one buffer and swept by *shared* kernel calls — the cross-curve
-/// batched fitter ([`crate::batch`]) exploits exactly this.
+/// into one buffer and swept by *shared* kernel calls — the fused
+/// half-ensemble evaluator ([`crate::batch`]) exploits exactly this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Sig {
     /// `fill` → `vln` (→ `post`).
@@ -384,8 +390,8 @@ pub(crate) fn family_post(family: ModelFamily, fp: &[f64], hoist: f64, out: &mut
 /// every transcendental through the slice kernels on `backend`. Per lane,
 /// bit-identical to [`family_value_at`]. Composed from the
 /// [`family_fill`]/[`family_mid`]/[`family_post`] stages per the family's
-/// [`Sig`] — the cross-curve batched fitter runs the *same* stages over
-/// concatenated multi-curve buffers, so the per-lane bits cannot diverge.
+/// [`Sig`] — the fused evaluator runs the *same* stages over concatenated
+/// multi-proposal buffers, so the per-lane bits cannot diverge.
 pub(crate) fn family_values(
     family: ModelFamily,
     fp: &[f64],
@@ -470,10 +476,12 @@ pub(crate) fn fast_weighted_means(
     }
 }
 
-/// Allocation-free SoA evaluator for the log-posterior: the `fast_math`
-/// counterpart of [`crate::ensemble::PosteriorEval`]. Same prior structure,
-/// same rejection semantics, but every transcendental is batched through
-/// [`crate::vmath`].
+/// Allocation-free SoA evaluator for the log-posterior of **one**
+/// proposal: the `fast_math` counterpart of
+/// [`crate::ensemble::PosteriorEval`] and the bitwise reference of
+/// [`crate::batch::FusedPosterior`] (which is what fits run). Same prior
+/// structure, same rejection semantics as the libm evaluator, but every
+/// transcendental is batched through [`crate::vmath`].
 #[derive(Debug)]
 pub struct PosteriorEvalFast<'a> {
     grid: &'a FastGrid,
@@ -516,9 +524,7 @@ impl<'a> PosteriorEvalFast<'a> {
     }
 }
 
-/// Free-function form of [`PosteriorEvalFast::log_posterior`], shared with
-/// the cross-curve batched fitter's per-curve phases (where constructing a
-/// borrowing evaluator per slot would fight the borrow checker).
+/// Free-function form of [`PosteriorEvalFast::log_posterior`].
 pub(crate) fn fast_log_posterior(
     grid: &FastGrid,
     ys: &[f64],
@@ -562,8 +568,8 @@ pub(crate) fn fast_log_posterior(
 
 /// The Gaussian log-likelihood tail of the fast posterior: per-observation
 /// normal terms accumulated in observation order, plus the `-ln σ` sigma
-/// prior. Shared verbatim by the unbatched and cross-curve-batched
-/// evaluators so their accumulation order cannot diverge.
+/// prior. Shared verbatim by the per-proposal reference and the fused
+/// evaluator so their accumulation order cannot diverge.
 #[inline]
 pub(crate) fn gaussian_loglik(ys: &[f64], means: &[f64], sigma: f64) -> f64 {
     let mut loglik = 0.0;

@@ -28,10 +28,9 @@
 //!   likelihood built on them (the default fit;
 //!   [`PredictorConfig`]`::with_fast_math(false)` selects the libm
 //!   oracle), which [`CurvePosterior`]'s queries sweep as well.
-//! * [`batch`] — cross-curve batched fitting: several `fast_math` fits
-//!   advance in one lockstep MCMC sweep with likelihood columns fused
-//!   across curves, bitwise-identical per curve to the unbatched path
-//!   (on by default, [`PredictorConfig`]`::batch_fit`).
+//! * [`batch`] — half-ensemble fusion: the `fast_math` fit scores every
+//!   proposal of a sampler half-sweep in one signature-grouped kernel
+//!   sweep, bitwise the per-proposal [`fastpath`] posterior.
 //!
 //! # Example
 //!
@@ -69,7 +68,7 @@ pub mod scratch;
 pub mod service;
 pub mod vmath;
 
-pub use batch::{fit_curves_batched, fit_curves_batched_with, BatchFitItem, BatchScratch};
+pub use batch::{FusedPosterior, FusedScratch};
 pub use cache::{
     cache_for_mode, cache_mode_from_env, default_disk_dir, fit_fingerprint, global_fit_cache,
     install_global_fit_cache, posterior_hash, CacheMode, CacheStatsSnapshot, CurveFingerprint,

@@ -10,6 +10,21 @@
 //! The implementation uses the standard two-half ("red-black") update: the
 //! ensemble is split in two, and each half is moved by stretching toward
 //! walkers sampled from the *other* half, which keeps the update valid.
+//!
+//! # The RNG schedule is a contract
+//!
+//! Within a half every proposal depends only on the frozen complementary
+//! half, so — like `emcee` — a half-sweep proposes and scores the whole
+//! half at once. Per half-sweep the samplers (a) draw `(j, u)` for every
+//! walker of the half in walker order and write all proposals into one
+//! flat `k × dim` buffer, (b) make **one** call to the batch evaluator
+//! `FnMut(&[f64] /* k proposals */, &mut [f64] /* k log-probabilities */)`,
+//! (c) accept or reject in walker order, drawing the accept uniform only
+//! when `lp.is_finite() && log_accept >= 0` does not already decide. Every
+//! fit in the repo (libm oracle, fast, warm, pooled) runs this one
+//! schedule; changing it changes every posterior, so it is pinned by
+//! `half_sweep_draws_every_proposal_before_any_accept_draw` below, by the
+//! golden traces, and by `FINGERPRINT_VERSION` in [`crate::cache`].
 
 use rand::Rng;
 
@@ -58,19 +73,49 @@ impl Chain {
     }
 }
 
-/// Runs the stretch-move ensemble sampler.
+/// Adapts a one-position log-probability into the batch evaluator the
+/// samplers take, scoring a half's proposals one after another (the libm
+/// oracle's evaluator; the `fast_math` path fuses them instead, see
+/// [`crate::batch`]).
+pub fn score_each<F>(dim: usize, mut log_prob: F) -> impl FnMut(&[f64], &mut [f64])
+where
+    F: FnMut(&[f64]) -> f64,
+{
+    move |thetas, out| {
+        for (theta, lp) in thetas.chunks_exact(dim).zip(out.iter_mut()) {
+            *lp = log_prob(theta);
+        }
+    }
+}
+
+/// `z ~ g(z) ∝ 1/sqrt(z)` on `[1/a, a]` from a uniform `u`.
+#[inline]
+fn stretch_factor(u: f64, a: f64) -> f64 {
+    let s = u * (a.sqrt() - 1.0 / a.sqrt()) + 1.0 / a.sqrt();
+    s * s
+}
+
+/// Runs the stretch-move ensemble sampler (the allocating reference of
+/// [`sample_into`]; same schedule, see the module docs).
 ///
-/// `init` supplies one starting position per walker; every position must
-/// have finite log-probability (the caller is responsible for initializing
-/// inside the prior support — see [`crate::fit`]).
+/// `log_probs` scores a flat batch of positions (see [`score_each`] for a
+/// one-at-a-time adapter). `init` supplies one starting position per
+/// walker; every position must have finite log-probability (the caller is
+/// responsible for initializing inside the prior support — see
+/// [`crate::fit`]).
 ///
 /// # Panics
 ///
 /// Panics if fewer than 4 walkers are supplied, walkers have inconsistent
 /// dimensions, or no initial position has finite log-probability.
-pub fn sample<F, R>(log_prob: F, init: Vec<Vec<f64>>, opts: SamplerOptions, rng: &mut R) -> Chain
+pub fn sample<F, R>(
+    mut log_probs: F,
+    init: Vec<Vec<f64>>,
+    opts: SamplerOptions,
+    rng: &mut R,
+) -> Chain
 where
-    F: Fn(&[f64]) -> f64,
+    F: FnMut(&[f64], &mut [f64]),
     R: Rng + ?Sized,
 {
     let n_walkers = init.len();
@@ -79,7 +124,8 @@ where
     assert!(init.iter().all(|w| w.len() == dim), "walkers must share dimension");
 
     let mut positions = init;
-    let mut lps: Vec<f64> = positions.iter().map(|p| log_prob(p)).collect();
+    let mut lps = vec![0.0; n_walkers];
+    log_probs(&positions.concat(), &mut lps);
     assert!(
         lps.iter().any(|lp| lp.is_finite()),
         "no initial walker position has finite log-probability"
@@ -112,24 +158,26 @@ where
         for (start, end, comp_start, comp_end) in
             [(0, half, half, n_walkers), (half, n_walkers, 0, half)]
         {
+            let mut zs = Vec::with_capacity(end - start);
+            let mut proposals = Vec::with_capacity((end - start) * dim);
             for i in start..end {
                 let j = rng.gen_range(comp_start..comp_end);
-                // z ~ g(z) ∝ 1/sqrt(z) on [1/a, a].
-                let u: f64 = rng.gen();
-                let z = {
-                    let s = u * (a.sqrt() - 1.0 / a.sqrt()) + 1.0 / a.sqrt();
-                    s * s
-                };
-                let mut proposal = vec![0.0; dim];
-                for d in 0..dim {
-                    proposal[d] = positions[j][d] + z * (positions[i][d] - positions[j][d]);
+                let z = stretch_factor(rng.gen(), a);
+                zs.push(z);
+                for (&vj, &vi) in positions[j].iter().zip(&positions[i]) {
+                    proposals.push(vj + z * (vi - vj));
                 }
-                let lp_new = log_prob(&proposal);
+            }
+            let mut lp_new = vec![0.0; end - start];
+            log_probs(&proposals, &mut lp_new);
+            for (slot, i) in (start..end).enumerate() {
                 proposed += 1;
-                let log_accept = (dim as f64 - 1.0) * z.ln() + lp_new - lps[i];
-                if lp_new.is_finite() && log_accept >= 0.0 || rng.gen::<f64>().ln() < log_accept {
-                    positions[i] = proposal;
-                    lps[i] = lp_new;
+                let log_accept = (dim as f64 - 1.0) * zs[slot].ln() + lp_new[slot] - lps[i];
+                if lp_new[slot].is_finite() && log_accept >= 0.0
+                    || rng.gen::<f64>().ln() < log_accept
+                {
+                    positions[i] = proposals[slot * dim..(slot + 1) * dim].to_vec();
+                    lps[i] = lp_new[slot];
                     accepted += 1;
                 }
             }
@@ -158,8 +206,12 @@ pub struct McmcScratch {
     positions: Vec<f64>,
     /// Current per-walker log-probabilities.
     lps: Vec<f64>,
-    /// Proposal buffer for the stretch move.
-    proposal: Vec<f64>,
+    /// One half-sweep's proposals, flattened `k × dim`.
+    proposals: Vec<f64>,
+    /// The stretch factor `z` behind each proposal of the half.
+    zs: Vec<f64>,
+    /// The half's proposal log-probabilities, as scored by the evaluator.
+    lp_new: Vec<f64>,
     /// Retained draws, flattened `n_retained × dim`.
     draws: Vec<f64>,
     /// Log-probabilities of the retained draws.
@@ -178,19 +230,6 @@ pub struct FlatChain<'a> {
 }
 
 impl<'a> FlatChain<'a> {
-    /// Builds a chain view over externally managed flat buffers. Used by
-    /// the cross-curve batched fitter ([`crate::batch`]), whose lockstep
-    /// sampler keeps per-curve walker state outside [`McmcScratch`] but
-    /// funnels results through the same posterior-collection code.
-    pub(crate) fn from_raw(
-        draws: &'a [f64],
-        log_probs: &'a [f64],
-        dim: usize,
-        acceptance_rate: f64,
-    ) -> Self {
-        FlatChain { draws, log_probs, dim, acceptance_rate }
-    }
-
     /// Number of retained draws.
     #[must_use]
     pub fn n_draws(&self) -> usize {
@@ -212,23 +251,23 @@ impl<'a> FlatChain<'a> {
 
 /// Allocation-free variant of [`sample`]: identical proposal arithmetic,
 /// identical RNG call sequence, identical accept/reject logic — bitwise
-/// the same retained draws — with walker state and retained draws living
-/// in `scratch`. The draw buffer is reserved up front from the retention
-/// schedule, so the sampling loop itself never touches the allocator.
+/// the same retained draws — with walker state, the half's proposals and
+/// the retained draws living in `scratch`. Every buffer is sized up front,
+/// so the sampling loop itself never touches the allocator.
 ///
 /// # Panics
 ///
 /// Same contract as [`sample`]: at least 4 walkers of equal dimension, at
 /// least one with finite log-probability.
 pub fn sample_into<'s, F, R>(
-    mut log_prob: F,
+    mut log_probs: F,
     init: &[Vec<f64>],
     opts: SamplerOptions,
     rng: &mut R,
     s: &'s mut McmcScratch,
 ) -> FlatChain<'s>
 where
-    F: FnMut(&[f64]) -> f64,
+    F: FnMut(&[f64], &mut [f64]),
     R: Rng + ?Sized,
 {
     let n_walkers = init.len();
@@ -238,12 +277,12 @@ where
 
     s.positions.clear();
     s.positions.reserve(n_walkers * dim);
-    s.lps.clear();
-    s.lps.reserve(n_walkers);
     for w in init {
         s.positions.extend_from_slice(w);
-        s.lps.push(log_prob(w));
     }
+    s.lps.clear();
+    s.lps.resize(n_walkers, 0.0);
+    log_probs(&s.positions, &mut s.lps);
     assert!(
         s.lps.iter().any(|lp| lp.is_finite()),
         "no initial walker position has finite log-probability"
@@ -274,35 +313,44 @@ where
     s.draws.reserve(retained_steps * n_walkers * dim);
     s.draw_lps.clear();
     s.draw_lps.reserve(retained_steps * n_walkers);
-    s.proposal.clear();
-    s.proposal.resize(dim, 0.0);
+
+    let half = n_walkers / 2;
+    let k_max = n_walkers - half;
+    s.proposals.clear();
+    s.proposals.resize(k_max * dim, 0.0);
+    s.zs.clear();
+    s.zs.resize(k_max, 0.0);
+    s.lp_new.clear();
+    s.lp_new.resize(k_max, 0.0);
 
     let mut accepted = 0usize;
     let mut proposed = 0usize;
 
-    let half = n_walkers / 2;
     for step in 0..opts.steps {
         // Update each half by stretching toward the complementary half.
         for (start, end, comp_start, comp_end) in
             [(0, half, half, n_walkers), (half, n_walkers, 0, half)]
         {
-            for i in start..end {
+            let k = end - start;
+            for (slot, i) in (start..end).enumerate() {
                 let j = rng.gen_range(comp_start..comp_end);
-                // z ~ g(z) ∝ 1/sqrt(z) on [1/a, a].
-                let u: f64 = rng.gen();
-                let z = {
-                    let s = u * (a.sqrt() - 1.0 / a.sqrt()) + 1.0 / a.sqrt();
-                    s * s
-                };
-                for d in 0..dim {
-                    let pj = s.positions[j * dim + d];
-                    s.proposal[d] = pj + z * (s.positions[i * dim + d] - pj);
+                let z = stretch_factor(rng.gen(), a);
+                s.zs[slot] = z;
+                let pj = &s.positions[j * dim..(j + 1) * dim];
+                let pi = &s.positions[i * dim..(i + 1) * dim];
+                let proposal = &mut s.proposals[slot * dim..(slot + 1) * dim];
+                for ((p, &vj), &vi) in proposal.iter_mut().zip(pj).zip(pi) {
+                    *p = vj + z * (vi - vj);
                 }
-                let lp_new = log_prob(&s.proposal);
+            }
+            log_probs(&s.proposals[..k * dim], &mut s.lp_new[..k]);
+            for (slot, i) in (start..end).enumerate() {
+                let lp_new = s.lp_new[slot];
                 proposed += 1;
-                let log_accept = (dim as f64 - 1.0) * z.ln() + lp_new - s.lps[i];
+                let log_accept = (dim as f64 - 1.0) * s.zs[slot].ln() + lp_new - s.lps[i];
                 if lp_new.is_finite() && log_accept >= 0.0 || rng.gen::<f64>().ln() < log_accept {
-                    s.positions[i * dim..(i + 1) * dim].copy_from_slice(&s.proposal);
+                    s.positions[i * dim..(i + 1) * dim]
+                        .copy_from_slice(&s.proposals[slot * dim..(slot + 1) * dim]);
                     s.lps[i] = lp_new;
                     accepted += 1;
                 }
@@ -343,7 +391,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         let init = init_walkers(&mut rng, 32, 3, 0.5);
         let chain = sample(
-            gaussian_lp,
+            score_each(3, gaussian_lp),
             init,
             SamplerOptions { steps: 600, burn_in_frac: 0.4, thin: 1, stretch: 2.0 },
             &mut rng,
@@ -371,7 +419,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let init: Vec<Vec<f64>> = (0..16).map(|i| vec![0.3 + 0.4 * (i as f64 / 15.0)]).collect();
         let chain = sample(
-            lp,
+            score_each(1, lp),
             init,
             SamplerOptions { steps: 500, burn_in_frac: 0.3, thin: 1, stretch: 2.0 },
             &mut rng,
@@ -395,7 +443,7 @@ mod tests {
         // Half the walkers start outside the support.
         let init: Vec<Vec<f64>> =
             (0..8).map(|i| if i % 2 == 0 { vec![100.0] } else { vec![0.1 * i as f64] }).collect();
-        let chain = sample(lp, init, SamplerOptions::default(), &mut rng);
+        let chain = sample(score_each(1, lp), init, SamplerOptions::default(), &mut rng);
         assert!(chain.draws.iter().all(|w| w[0].abs() < 5.0));
     }
 
@@ -403,7 +451,7 @@ mod tests {
     fn map_draw_is_best() {
         let mut rng = StdRng::seed_from_u64(21);
         let init = init_walkers(&mut rng, 16, 2, 1.0);
-        let chain = sample(gaussian_lp, init, SamplerOptions::default(), &mut rng);
+        let chain = sample(score_each(2, gaussian_lp), init, SamplerOptions::default(), &mut rng);
         let map = chain.map_draw().unwrap();
         let map_lp = gaussian_lp(map);
         assert!(chain.log_probs.iter().all(|lp| *lp <= map_lp + 1e-12));
@@ -413,7 +461,8 @@ mod tests {
     #[should_panic(expected = "at least 4 walkers")]
     fn too_few_walkers_panics() {
         let mut rng = StdRng::seed_from_u64(0);
-        let _ = sample(gaussian_lp, vec![vec![0.0]; 2], SamplerOptions::default(), &mut rng);
+        let init = vec![vec![0.0]; 2];
+        let _ = sample(score_each(1, gaussian_lp), init, SamplerOptions::default(), &mut rng);
     }
 
     #[test]
@@ -421,7 +470,7 @@ mod tests {
     fn all_dead_initialization_panics() {
         let mut rng = StdRng::seed_from_u64(0);
         let lp = |_: &[f64]| f64::NEG_INFINITY;
-        let _ = sample(lp, vec![vec![0.0]; 8], SamplerOptions::default(), &mut rng);
+        let _ = sample(score_each(1, lp), vec![vec![0.0]; 8], SamplerOptions::default(), &mut rng);
     }
 
     #[test]
@@ -431,11 +480,12 @@ mod tests {
             let opts = SamplerOptions { steps, burn_in_frac, thin, stretch: 2.0 };
             let mut rng_a = StdRng::seed_from_u64(23);
             let init = init_walkers(&mut rng_a, 16, 3, 0.5);
-            let reference = sample(gaussian_lp, init.clone(), opts, &mut rng_a);
+            let reference = sample(score_each(3, gaussian_lp), init.clone(), opts, &mut rng_a);
 
             let mut rng_b = StdRng::seed_from_u64(23);
             let init_b = init_walkers(&mut rng_b, 16, 3, 0.5);
-            let flat = sample_into(gaussian_lp, &init_b, opts, &mut rng_b, &mut scratch);
+            let flat =
+                sample_into(score_each(3, gaussian_lp), &init_b, opts, &mut rng_b, &mut scratch);
 
             assert_eq!(reference.draws.len(), flat.n_draws());
             for (i, d) in reference.draws.iter().enumerate() {
@@ -459,7 +509,13 @@ mod tests {
         let init: Vec<Vec<f64>> =
             (0..8).map(|i| if i % 2 == 0 { vec![100.0] } else { vec![0.1 * i as f64] }).collect();
         let mut scratch = McmcScratch::default();
-        let flat = sample_into(lp, &init, SamplerOptions::default(), &mut rng, &mut scratch);
+        let flat = sample_into(
+            score_each(1, lp),
+            &init,
+            SamplerOptions::default(),
+            &mut rng,
+            &mut scratch,
+        );
         for i in 0..flat.n_draws() {
             assert!(flat.draw(i)[0].abs() < 5.0);
         }
@@ -470,8 +526,64 @@ mod tests {
         let run = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
             let init = init_walkers(&mut rng, 16, 2, 0.5);
-            sample(gaussian_lp, init, SamplerOptions::default(), &mut rng).draws
+            sample(score_each(2, gaussian_lp), init, SamplerOptions::default(), &mut rng).draws
         };
         assert_eq!(run(5), run(5));
+    }
+
+    /// The schedule contract, replayed from a clone of the RNG: the
+    /// proposals a half's single evaluator call receives are exactly the
+    /// ones `(j, u)` drawn for every walker in walker order produce —
+    /// before any accept uniform of that half — and the accept uniform is
+    /// drawn only for walkers the `finite && log_accept >= 0` shortcut does
+    /// not decide. Even slots score `-inf` (uniform drawn, rejected), odd
+    /// slots score ever higher (accepted without a uniform), so a drifted
+    /// interleaving desynchronizes the replay within one half-sweep.
+    #[test]
+    fn half_sweep_draws_every_proposal_before_any_accept_draw() {
+        let (n, dim, steps) = (8, 3, 5);
+        let opts = SamplerOptions { steps, burn_in_frac: 0.0, thin: 1, stretch: 2.0 };
+        let mut rng = StdRng::seed_from_u64(31);
+        let init = init_walkers(&mut rng, n, dim, 0.5);
+
+        let mut replay = rng.clone();
+        let mut model: Vec<f64> = init.concat();
+        let mut pending: Vec<(usize, Vec<f64>)> = Vec::new();
+        let mut calls = 0usize;
+        let half = n / 2;
+        let evaluator = |thetas: &[f64], out: &mut [f64]| {
+            if calls == 0 {
+                assert_eq!(thetas, model.as_slice(), "the first call scores the whole ensemble");
+                out.fill(0.0);
+                calls += 1;
+                return;
+            }
+            // Accept phase of the previous half, in walker order.
+            for (slot, (i, proposal)) in pending.drain(..).enumerate() {
+                if slot % 2 == 0 {
+                    let _: f64 = replay.gen();
+                } else {
+                    model[i * dim..(i + 1) * dim].copy_from_slice(&proposal);
+                }
+            }
+            let (start, comp) = if calls % 2 == 1 { (0, half..n) } else { (half, 0..half) };
+            assert_eq!(out.len(), half, "one call per half");
+            for slot in 0..half {
+                let i = start + slot;
+                let j = replay.gen_range(comp.clone());
+                let z = stretch_factor(replay.gen(), 2.0);
+                let expected: Vec<f64> = (0..dim)
+                    .map(|d| model[j * dim + d] + z * (model[i * dim + d] - model[j * dim + d]))
+                    .collect();
+                assert_eq!(&thetas[slot * dim..(slot + 1) * dim], expected.as_slice());
+                out[slot] = if slot % 2 == 0 { f64::NEG_INFINITY } else { 1e6 * calls as f64 };
+                pending.push((i, expected));
+            }
+            calls += 1;
+        };
+        let mut scratch = McmcScratch::default();
+        let chain = sample_into(evaluator, &init, opts, &mut rng, &mut scratch);
+        assert_eq!(calls, 1 + 2 * steps);
+        assert_eq!(chain.acceptance_rate, 0.5);
     }
 }

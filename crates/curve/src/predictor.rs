@@ -6,17 +6,17 @@ use rand::{Rng, SeedableRng};
 
 use hyperdrive_types::{stats, Error, LearningCurve, Result};
 
+use crate::batch::FusedPosterior;
 use crate::ensemble::{dimension, log_posterior, PosteriorEval};
 use crate::ensemble::{FAMILY_OFFSETS, MIN_WEIGHT_SUM, SIGMA_BOUNDS, SIGMA_INDEX};
-use crate::fastpath::{family_hoists_fast, fast_weighted_means, FastGrid, PosteriorEvalFast};
+use crate::fastpath::{family_hoists_fast, fast_weighted_means, FastGrid};
 use crate::fit;
 use crate::fit::{
     build_initial_walkers, fit_all_families, fit_all_families_fast, fit_all_families_with,
-    fit_family_seeded, fit_family_seeded_fast, FamilyFitBuf,
+    fit_family_seeded, fit_family_seeded_fast, FamilyFit,
 };
-use crate::mcmc::{sample, sample_into, FlatChain, McmcScratch, SamplerOptions};
-use crate::models::{GridPoint, ALL_FAMILIES};
-use crate::nelder_mead::NmScratch;
+use crate::mcmc::{sample, sample_into, score_each, FlatChain, McmcScratch, SamplerOptions};
+use crate::models::{GridPoint, ModelFamily, ALL_FAMILIES};
 use crate::scratch::FitScratch;
 use crate::vmath::{self, Backend};
 
@@ -64,8 +64,8 @@ pub struct PredictorConfig {
     /// needed).
     pub warm_steps: usize,
     /// Batched-kernel fitting (default **on**): every transcendental in
-    /// the fit goes through the SIMD-dispatched [`crate::vmath`] kernels
-    /// over structure-of-arrays grid batches (see [`crate::fastpath`]).
+    /// the fit goes through the SIMD-dispatched [`crate::vmath`] kernels,
+    /// one fused sweep per sampler half-ensemble (see [`crate::batch`]).
     /// Results are deterministic across hosts, SIMD capabilities (the
     /// kernels are bit-identical scalar vs vectorized), and fit-thread
     /// counts; composes with `warm_start`. `with_fast_math(false)` selects
@@ -73,18 +73,6 @@ pub struct PredictorConfig {
     /// factoring, so not bit-comparable — which survives as the oracle
     /// the equivalence tests and the `fit_*` benches compare against.
     pub fast_math: bool,
-    /// Cross-curve batched fitting (default **on**): when a
-    /// [`crate::FitService`] boundary batch contains several cold
-    /// `fast_math` fits, their likelihood columns are evaluated in one
-    /// family-major structure-of-arrays sweep over concatenated curve
-    /// columns (see [`crate::batch`]). **Does not change numerics**: every
-    /// per-curve result is bitwise identical to the unbatched `fast_math`
-    /// fit (property-test- and golden-trace-pinned), so this flag is pure
-    /// speed — it is even excluded from the fit-cache fingerprint so
-    /// batched and unbatched runs share cache entries. A no-op unless
-    /// `fast_math` is also on; warm-started refits always take the
-    /// per-curve path.
-    pub batch_fit: bool,
 }
 
 impl PredictorConfig {
@@ -103,7 +91,6 @@ impl PredictorConfig {
             warm_start: false,
             warm_steps: 250,
             fast_math: true,
-            batch_fit: true,
         }
     }
 
@@ -157,12 +144,6 @@ impl PredictorConfig {
     /// or off.
     pub fn with_fast_math(self, fast_math: bool) -> Self {
         PredictorConfig { fast_math, ..self }
-    }
-
-    /// Returns this config with cross-curve batched fitting switched on
-    /// or off (a no-op unless `fast_math` is also enabled).
-    pub fn with_batch_fit(self, batch_fit: bool) -> Self {
-        PredictorConfig { batch_fit, ..self }
     }
 }
 
@@ -230,12 +211,13 @@ impl CurvePredictor {
     /// `scratch` buffers and optionally warm-starting from a previous
     /// posterior of the same job.
     ///
-    /// With `fast_math` on (the default) the batched-kernel SoA path runs:
-    /// deterministic across hosts, backends, and thread counts. With
-    /// `.with_fast_math(false)` and no warm start applied the result is
-    /// **bit-identical** to [`Self::fit_reference`] — that path preserves
-    /// the reference's floating-point operation order exactly, and the
-    /// crate's property tests pin the equivalence.
+    /// With `fast_math` on (the default) the sampler scores each
+    /// half-ensemble through the fused batched-kernel evaluator
+    /// ([`crate::batch`]): deterministic across hosts, backends, and
+    /// thread counts. With `.with_fast_math(false)` and no warm start
+    /// applied the result is **bit-identical** to [`Self::fit_reference`]
+    /// — that path preserves the reference's floating-point operation
+    /// order exactly, and the crate's property tests pin the equivalence.
     ///
     /// # Errors
     ///
@@ -246,6 +228,25 @@ impl CurvePredictor {
         horizon: u32,
         warm: Option<&CurvePosterior>,
         scratch: &mut FitScratch,
+    ) -> Result<CurvePosterior> {
+        self.fit_with_backend(curve, horizon, warm, scratch, vmath::active_backend())
+    }
+
+    /// [`Self::fit_with`] against an explicit kernel backend (which only
+    /// the `fast_math` path consults). Exposed so tests can pin whole fits
+    /// bitwise equal under *both* backends in one process, regardless of
+    /// what the CPU dispatch would pick.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Self::fit`].
+    pub fn fit_with_backend(
+        &self,
+        curve: &LearningCurve,
+        horizon: u32,
+        warm: Option<&CurvePosterior>,
+        scratch: &mut FitScratch,
+        backend: Backend,
     ) -> Result<CurvePosterior> {
         let n = curve.len();
         if n < self.config.min_observations {
@@ -262,22 +263,15 @@ impl CurvePredictor {
         }
 
         let obs = thinned_obs(&self.config, curve);
-        let horizon_f = f64::from(horizon);
+        let horizon_x = f64::from(horizon).max(obs.last().map_or(1.0, |&(x, _)| x));
+        let warm = warm.filter(|_| self.config.warm_start);
 
         // Memoize the epoch grid once per fit: the grid never changes
         // mid-fit, so every pure-x basis term is computed exactly once.
-        let FitScratch { pts, ys, means, nm, fam, mcmc, fast_grid, fast_t, .. } = scratch;
-        pts.clear();
+        let FitScratch { pts, ys, means, nm, fam, mcmc, fast_grid, fused } = scratch;
         ys.clear();
-        for &(x, y) in &obs {
-            pts.push(GridPoint::new(x));
-            ys.push(y);
-        }
-        let last_x = obs.last().map_or(1.0, |&(x, _)| x);
-        pts.push(GridPoint::new(horizon_f.max(last_x)));
-        means.clear();
-        means.resize(ys.len(), 0.0);
-        let n_obs = obs.len();
+        ys.extend(obs.iter().map(|&(_, y)| y));
+        let ys = &ys[..];
 
         if self.config.fast_math {
             // SoA grid for the batched kernels (vmath logs, so the whole
@@ -286,128 +280,130 @@ impl CurvePredictor {
             for &(x, _) in &obs {
                 fast_grid.push(x);
             }
-            fast_grid.push(horizon_f.max(last_x));
-            fast_t.clear();
-            fast_t.resize(n_obs, 0.0);
-            let backend = vmath::active_backend();
-
-            if self.config.warm_start {
-                if let Some(prev) = warm {
-                    if let Some(posterior) = self.warm_fit_fast(
-                        prev, last_epoch, horizon, fast_grid, ys, means, fast_t, nm, fam, mcmc,
-                        backend,
-                    ) {
-                        return Ok(posterior);
-                    }
-                }
-            }
-
-            let mut rng = StdRng::seed_from_u64(self.config.seed);
-            let fits = fit_all_families_fast(fast_grid, ys, &mut rng, nm, fam, backend);
-            let mut init = build_initial_walkers(&fits, self.config.walkers, &mut rng);
-            let mut eval = PosteriorEvalFast::new(fast_grid, ys, means, fast_t, backend);
-            if !init.iter().any(|w| eval.log_posterior(w).is_finite()) {
-                init = fit::build_default_walkers(self.config.walkers, &mut rng);
-            }
-            if !init.iter().any(|w| eval.log_posterior(w).is_finite()) {
-                return Err(Error::CurveFit("no valid initialization found".into()));
-            }
-
-            let chain = sample_into(
-                |theta| eval.log_posterior(theta),
-                &init,
-                SamplerOptions {
-                    steps: self.config.steps,
-                    burn_in_frac: self.config.burn_in_frac,
-                    thin: self.config.thin,
-                    stretch: 2.0,
+            fast_grid.push(horizon_x);
+            let grid = &*fast_grid;
+            let mut eval = FusedPosterior::new(grid, ys, fused, backend);
+            return self.fit_on(
+                |thetas, out| eval.log_posteriors(thetas, out),
+                |seed, rng| match seed {
+                    None => fit_all_families_fast(grid, ys, rng, nm, fam, backend),
+                    Some(draw) => seeded_fits(draw, |family, fp| {
+                        fit_family_seeded_fast(family, fp, grid, ys, nm, fam, backend)
+                    }),
                 },
-                &mut rng,
+                warm,
+                last_epoch,
+                horizon,
                 mcmc,
             );
-            return self.collect_posterior(&chain, last_epoch, horizon, false);
         }
 
-        if self.config.warm_start {
-            if let Some(prev) = warm {
-                if let Some(posterior) =
-                    self.warm_fit(prev, last_epoch, horizon, pts, ys, means, nm, fam, mcmc)
-                {
-                    return Ok(posterior);
-                }
+        // The libm oracle — the reference algorithm on the memoized grid,
+        // scoring a half's proposals one after another.
+        pts.clear();
+        pts.extend(obs.iter().map(|&(x, _)| GridPoint::new(x)));
+        pts.push(GridPoint::new(horizon_x));
+        means.clear();
+        means.resize(ys.len(), 0.0);
+        let obs_pts = &pts[..ys.len()];
+        let mut eval = PosteriorEval::new(pts, ys, means);
+        self.fit_on(
+            score_each(dimension(), |theta| eval.log_posterior(theta)),
+            |seed, rng| match seed {
+                None => fit_all_families_with(obs_pts, ys, rng, nm, fam),
+                Some(draw) => seeded_fits(draw, |family, fp| {
+                    fit_family_seeded(family, fp, obs_pts, ys, nm, fam)
+                }),
+            },
+            warm,
+            last_epoch,
+            horizon,
+            mcmc,
+        )
+    }
+
+    /// The one fit schedule, over whichever likelihood `log_probs` scores
+    /// (the sampler's batch-evaluator signature) and whichever per-family
+    /// least squares `family_fits` runs (cold multi-start when handed
+    /// `None`, one reduced run seeded from a previous draw otherwise):
+    /// try the warm start, else Nelder–Mead init → walkers → sampler.
+    fn fit_on(
+        &self,
+        mut log_probs: impl FnMut(&[f64], &mut [f64]),
+        mut family_fits: impl FnMut(Option<&[f64]>, &mut StdRng) -> Vec<FamilyFit>,
+        warm: Option<&CurvePosterior>,
+        last_epoch: u32,
+        horizon: u32,
+        mcmc: &mut McmcScratch,
+    ) -> Result<CurvePosterior> {
+        if let Some((init, mut rng)) =
+            warm.and_then(|prev| self.warm_walkers(prev, &mut log_probs, &mut family_fits))
+        {
+            let options = self.sampler_options(self.config.warm_steps);
+            let chain = sample_into(&mut log_probs, &init, options, &mut rng, mcmc);
+            if let Ok(posterior) =
+                collect_posterior(&self.config, &chain, last_epoch, horizon, true)
+            {
+                return Ok(posterior);
             }
         }
 
-        // Cold path — the reference algorithm on the memoized grid.
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let fits = fit_all_families_with(&pts[..n_obs], ys, &mut rng, nm, fam);
+        let fits = family_fits(None, &mut rng);
         let mut init = build_initial_walkers(&fits, self.config.walkers, &mut rng);
         // The growth/ceiling prior can reject every least-squares-derived
         // walker (e.g. a decreasing observed curve); fall back to
         // prior-safe default walkers rather than fail.
-        let mut eval = PosteriorEval::new(pts, ys, means);
-        if !init.iter().any(|w| eval.log_posterior(w).is_finite()) {
+        if !any_finite(&mut log_probs, &init) {
             init = fit::build_default_walkers(self.config.walkers, &mut rng);
         }
-        if !init.iter().any(|w| eval.log_posterior(w).is_finite()) {
+        if !any_finite(&mut log_probs, &init) {
             return Err(Error::CurveFit("no valid initialization found".into()));
         }
-
-        let chain = sample_into(
-            |theta| eval.log_posterior(theta),
-            &init,
-            SamplerOptions {
-                steps: self.config.steps,
-                burn_in_frac: self.config.burn_in_frac,
-                thin: self.config.thin,
-                stretch: 2.0,
-            },
-            &mut rng,
-            mcmc,
-        );
-        self.collect_posterior(&chain, last_epoch, horizon, false)
+        let options = self.sampler_options(self.config.steps);
+        let chain = sample_into(&mut log_probs, &init, options, &mut rng, mcmc);
+        collect_posterior(&self.config, &chain, last_epoch, horizon, false)
     }
 
-    /// Attempts a warm-started fit from `prev`; `None` falls back to the
-    /// cold path (no surviving previous draw, or the warm ensemble left
-    /// the prior support entirely).
-    #[allow(clippy::too_many_arguments)]
-    fn warm_fit(
+    fn sampler_options(&self, steps: usize) -> SamplerOptions {
+        SamplerOptions {
+            steps,
+            burn_in_frac: self.config.burn_in_frac,
+            thin: self.config.thin,
+            stretch: 2.0,
+        }
+    }
+
+    /// The warm-started ensemble seeded from `prev`, with the RNG stream
+    /// the sampler continues on; `None` falls back to the cold path (no
+    /// surviving previous draw, or the warm ensemble left the prior
+    /// support entirely).
+    fn warm_walkers(
         &self,
         prev: &CurvePosterior,
-        last_epoch: u32,
-        horizon: u32,
-        pts: &[GridPoint],
-        ys: &[f64],
-        means: &mut [f64],
-        nm: &mut NmScratch,
-        fam: &mut FamilyFitBuf,
-        mcmc: &mut McmcScratch,
-    ) -> Option<CurvePosterior> {
-        if prev.n_draws() == 0 || prev.draws[0].len() != dimension() {
+        log_probs: &mut impl FnMut(&[f64], &mut [f64]),
+        family_fits: &mut impl FnMut(Option<&[f64]>, &mut StdRng) -> Vec<FamilyFit>,
+    ) -> Option<(Vec<Vec<f64>>, StdRng)> {
+        let dim = dimension();
+        if prev.n_draws() == 0 || prev.draws.iter().any(|d| d.len() != dim) {
             return None;
         }
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let n_obs = ys.len();
-        let mut eval = PosteriorEval::new(pts, ys, means);
 
-        // Rescore the previous posterior under the new observations; the
-        // best surviving draw seeds the reduced Nelder–Mead pass.
+        // Rescore the previous posterior under the new observations (one
+        // evaluator call over all of its draws); the best surviving draw
+        // seeds the reduced Nelder–Mead pass.
+        let mut lps = vec![0.0; prev.n_draws()];
+        log_probs(&prev.draws.concat(), &mut lps);
         let mut best: Option<(usize, f64)> = None;
-        for (i, d) in prev.draws.iter().enumerate() {
-            let lp = eval.log_posterior(d);
+        for (i, &lp) in lps.iter().enumerate() {
             if lp.is_finite() && best.is_none_or(|(_, b)| lp > b) {
                 best = Some((i, lp));
             }
         }
         let (best_i, _) = best?;
 
-        let mut fits = Vec::with_capacity(ALL_FAMILIES.len());
-        for (k, &family) in ALL_FAMILIES.iter().enumerate() {
-            let off = FAMILY_OFFSETS[k];
-            let seed_params = &prev.draws[best_i][off..off + family.param_count()];
-            fits.push(fit_family_seeded(family, seed_params, &pts[..n_obs], ys, nm, fam));
-        }
+        let fits = family_fits(Some(&prev.draws[best_i]), &mut rng);
         let n_walkers = self.config.walkers;
         let mut init = build_initial_walkers(&fits, n_walkers, &mut rng);
         // Seed the back half of the ensemble directly from the previous
@@ -418,105 +414,7 @@ impl CurvePredictor {
             let src = &prev.draws[(slot * n_prev) / n_walkers];
             warm_walker_from_draw(src, walker, &mut rng);
         }
-        if !init.iter().any(|w| eval.log_posterior(w).is_finite()) {
-            return None;
-        }
-
-        let chain = sample_into(
-            |theta| eval.log_posterior(theta),
-            &init,
-            SamplerOptions {
-                steps: self.config.warm_steps,
-                burn_in_frac: self.config.burn_in_frac,
-                thin: self.config.thin,
-                stretch: 2.0,
-            },
-            &mut rng,
-            mcmc,
-        );
-        self.collect_posterior(&chain, last_epoch, horizon, true).ok()
-    }
-
-    /// [`Self::warm_fit`] on the batched-kernel fast path: identical warm
-    /// schedule (rescore → seeded family fits → half-warm ensemble), with
-    /// the likelihood and family objectives routed through
-    /// [`crate::fastpath`].
-    #[allow(clippy::too_many_arguments)]
-    fn warm_fit_fast(
-        &self,
-        prev: &CurvePosterior,
-        last_epoch: u32,
-        horizon: u32,
-        grid: &FastGrid,
-        ys: &[f64],
-        means: &mut [f64],
-        t: &mut [f64],
-        nm: &mut NmScratch,
-        fam: &mut FamilyFitBuf,
-        mcmc: &mut McmcScratch,
-        backend: Backend,
-    ) -> Option<CurvePosterior> {
-        if prev.n_draws() == 0 || prev.draws[0].len() != dimension() {
-            return None;
-        }
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut eval = PosteriorEvalFast::new(grid, ys, means, t, backend);
-
-        // Rescore the previous posterior under the new observations; the
-        // best surviving draw seeds the reduced Nelder–Mead pass.
-        let mut best: Option<(usize, f64)> = None;
-        for (i, d) in prev.draws.iter().enumerate() {
-            let lp = eval.log_posterior(d);
-            if lp.is_finite() && best.is_none_or(|(_, b)| lp > b) {
-                best = Some((i, lp));
-            }
-        }
-        let (best_i, _) = best?;
-
-        let mut fits = Vec::with_capacity(ALL_FAMILIES.len());
-        for (k, &family) in ALL_FAMILIES.iter().enumerate() {
-            let off = FAMILY_OFFSETS[k];
-            let seed_params = &prev.draws[best_i][off..off + family.param_count()];
-            fits.push(fit_family_seeded_fast(family, seed_params, grid, ys, nm, fam, backend));
-        }
-        let n_walkers = self.config.walkers;
-        let mut init = build_initial_walkers(&fits, n_walkers, &mut rng);
-        // Seed the back half of the ensemble directly from the previous
-        // posterior (strided, so the whole posterior is represented),
-        // jittered to keep walkers distinct.
-        let n_prev = prev.n_draws();
-        for (slot, walker) in init.iter_mut().enumerate().skip(n_walkers / 2) {
-            let src = &prev.draws[(slot * n_prev) / n_walkers];
-            warm_walker_from_draw(src, walker, &mut rng);
-        }
-        if !init.iter().any(|w| eval.log_posterior(w).is_finite()) {
-            return None;
-        }
-
-        let chain = sample_into(
-            |theta| eval.log_posterior(theta),
-            &init,
-            SamplerOptions {
-                steps: self.config.warm_steps,
-                burn_in_frac: self.config.burn_in_frac,
-                thin: self.config.thin,
-                stretch: 2.0,
-            },
-            &mut rng,
-            mcmc,
-        );
-        self.collect_posterior(&chain, last_epoch, horizon, true).ok()
-    }
-
-    /// Subsamples a chain's retained draws into a posterior.
-    fn collect_posterior(
-        &self,
-        chain: &FlatChain<'_>,
-        last_epoch: u32,
-        horizon: u32,
-        warm: bool,
-    ) -> Result<CurvePosterior> {
-        collect_posterior(&self.config, chain, last_epoch, horizon, warm)
+        any_finite(log_probs, &init).then_some((init, rng))
     }
 
     /// The retained pre-optimization fitting path: per-call allocations,
@@ -569,7 +467,7 @@ impl CurvePredictor {
         }
 
         let chain = sample(
-            |theta| log_posterior(theta, &obs, horizon_f),
+            score_each(dimension(), |theta| log_posterior(theta, &obs, horizon_f)),
             init,
             SamplerOptions {
                 steps: self.config.steps,
@@ -606,10 +504,8 @@ impl CurvePredictor {
 
 /// The (possibly thinned) observation list a fit conditions on: long
 /// curves are strided down to `max_obs` points (first and last always
-/// kept). Shared by [`CurvePredictor::fit_with`] and the cross-curve
-/// batched fitter ([`crate::batch`]) so both condition on literally the
-/// same observations.
-pub(crate) fn thinned_obs(config: &PredictorConfig, curve: &LearningCurve) -> Vec<(f64, f64)> {
+/// kept).
+fn thinned_obs(config: &PredictorConfig, curve: &LearningCurve) -> Vec<(f64, f64)> {
     let all_obs: Vec<(f64, f64)> =
         curve.points().iter().map(|p| (f64::from(p.epoch), p.value)).collect();
     // Thin long curves: likelihood cost is linear in observations, and a
@@ -623,11 +519,8 @@ pub(crate) fn thinned_obs(config: &PredictorConfig, curve: &LearningCurve) -> Ve
     }
 }
 
-/// Subsamples a chain's retained draws into a posterior — the single
-/// collection authority shared by [`CurvePredictor::fit_with`] and the
-/// cross-curve batched fitter ([`crate::batch`]), so both paths extract
-/// results through literally the same code.
-pub(crate) fn collect_posterior(
+/// Subsamples a chain's retained draws into a posterior.
+fn collect_posterior(
     config: &PredictorConfig,
     chain: &FlatChain<'_>,
     last_epoch: u32,
@@ -646,6 +539,32 @@ pub(crate) fn collect_posterior(
         (0..total).map(|i| chain.draw(i).to_vec()).collect()
     };
     Ok(CurvePosterior { draws, last_epoch, horizon, acceptance_rate: chain.acceptance_rate, warm })
+}
+
+/// Whether the evaluator gives any of `walkers` a finite log-probability,
+/// scoring one walker per call and stopping at the first that has.
+fn any_finite(log_probs: &mut impl FnMut(&[f64], &mut [f64]), walkers: &[Vec<f64>]) -> bool {
+    let mut lp = [0.0];
+    walkers.iter().any(|w| {
+        log_probs(w, &mut lp);
+        lp[0].is_finite()
+    })
+}
+
+/// One seeded family fit per family, in canonical order, each started
+/// from its parameter block of `draw`.
+fn seeded_fits(
+    draw: &[f64],
+    mut fit: impl FnMut(ModelFamily, &[f64]) -> FamilyFit,
+) -> Vec<FamilyFit> {
+    ALL_FAMILIES
+        .iter()
+        .enumerate()
+        .map(|(k, &family)| {
+            let off = FAMILY_OFFSETS[k];
+            fit(family, &draw[off..off + family.param_count()])
+        })
+        .collect()
 }
 
 /// Builds one warm walker from a previous posterior draw: a small jitter

@@ -2,14 +2,14 @@
 //!
 //! One [`FitScratch`] holds every buffer the optimized fitting path needs:
 //! the memoized epoch grid, the posterior mean buffer, the Nelder–Mead
-//! simplex workspace, the family-fit buffers, and the MCMC walker/draw
-//! storage. A long-lived owner (a [`crate::FitService`] worker thread, a
+//! simplex workspace, the family-fit buffers, the MCMC walker/draw
+//! storage, and the fused evaluator's lane arena. A long-lived owner (a [`crate::FitService`] worker thread, a
 //! benchmark loop) constructs one and threads it through every fit; after
 //! the first fit sizes the buffers, subsequent fits of similar shape
 //! perform **zero heap allocations per MCMC step** — the property the
 //! `fit_hotpath` bench pins with a counting allocator.
 
-use crate::batch::BatchScratch;
+use crate::batch::FusedScratch;
 use crate::fastpath::FastGrid;
 use crate::fit::FamilyFitBuf;
 use crate::mcmc::McmcScratch;
@@ -36,12 +36,9 @@ pub struct FitScratch {
     /// Structure-of-arrays epoch grid for the `fast_math` path (same
     /// points as `pts`, one column per memoized basis term).
     pub(crate) fast_grid: FastGrid,
-    /// Temp lane buffer for the batched per-family sweeps of the
-    /// `fast_math` path.
-    pub(crate) fast_t: Vec<f64>,
-    /// Slot storage and the signature-grouped lane arena for cross-curve
-    /// batched fitting (the `batch_fit` path).
-    pub(crate) batch: BatchScratch,
+    /// Slot transients and the signature-grouped lane arena of the
+    /// `fast_math` path's half-ensemble evaluator ([`crate::batch`]).
+    pub(crate) fused: FusedScratch,
 }
 
 impl FitScratch {

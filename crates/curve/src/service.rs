@@ -101,7 +101,6 @@ use parking_lot::Mutex;
 
 use hyperdrive_types::{Error, JobId, LearningCurve, Result};
 
-use crate::batch::{fit_curves_batched, BatchFitItem};
 use crate::cache::{
     fit_fingerprint, global_fit_cache, posterior_hash, CacheStatsSnapshot, CurveFingerprint,
     SharedFitCache,
@@ -227,11 +226,9 @@ pub struct FitStats {
     pub shared_hits: u64,
     /// `fit_batch` calls served.
     pub batches: u64,
-    /// Fits (subset of `fits`) executed through the cross-curve batched
-    /// path ([`crate::batch`]): cold `fast_math` fits grouped per boundary
-    /// batch when `batch_fit` is on. Counted per *item*, not per lockstep
-    /// group, so the counter is invariant under the worker count like
-    /// every other trace-visible quantity.
+    /// Fits (subset of `fits`) scored by the fused half-ensemble
+    /// evaluator ([`crate::batch`]): every fit of a `fast_math` service,
+    /// none of a libm one.
     pub batched_fits: u64,
     /// Lookups this service issued against the shared content-addressed
     /// layer (zero when no layer is attached). `shared_hits / shared_lookups`
@@ -303,7 +300,7 @@ pub struct FitPoolStats {
     pub threads: usize,
     /// Messages currently queued (sent but not yet picked up).
     pub queue_depth: u64,
-    /// Demand fits completed (batched items counted individually).
+    /// Demand fits completed.
     pub demand_completions: u64,
     /// Speculative fits completed.
     pub speculative_completions: u64,
@@ -406,15 +403,6 @@ enum WorkerMsg {
         horizon: u32,
         seed: u64,
         warm: Option<CurvePosterior>,
-        reply: Sender<(FitKey, Result<CurvePosterior>)>,
-    },
-    /// A chunk of cold `fast_math` fits evaluated in one cross-curve
-    /// lockstep sweep ([`fit_curves_batched`]); one reply per item.
-    /// `keys` and `items` are parallel.
-    FitBatch {
-        keys: Vec<FitKey>,
-        config: PredictorConfig,
-        items: Vec<BatchFitItem>,
         reply: Sender<(FitKey, Result<CurvePosterior>)>,
     },
     /// A speculative ahead-of-boundary fit: identical inputs to `Fit`
@@ -822,13 +810,6 @@ impl FitService {
         let mut hits = 0u64;
         let mut shared_hits = 0u64;
         let mut shared_lookups = 0u64;
-        // Cold fast-math fits deferred into cross-curve lockstep groups
-        // (parallel vectors). Only cold fits qualify: warm-started refits
-        // keep the per-curve path, so batching changes *where* a fit runs
-        // but never *what* it computes.
-        let batching = self.config.batch_fit && self.config.fast_math;
-        let mut batch_keys: Vec<FitKey> = Vec::new();
-        let mut batch_items: Vec<BatchFitItem> = Vec::new();
         // Speculations this batch adopts (exact fingerprint match):
         // collected after all demand fits are enqueued, handled exactly
         // like a fresh fit's reply.
@@ -923,44 +904,17 @@ impl FitService {
                             spec_mismatched += 1;
                         }
                     }
-                    if batching && warm.is_none() {
-                        batch_keys.push(key);
-                        batch_items.push(BatchFitItem {
-                            curve: req.curve.clone(),
-                            horizon: req.horizon,
-                            seed,
-                        });
-                    } else {
-                        self.pool.send(WorkerMsg::Fit {
-                            key,
-                            config: self.config,
-                            curve: req.curve.clone(),
-                            horizon: req.horizon,
-                            seed,
-                            warm,
-                            reply: reply_tx.clone(),
-                        });
-                    }
+                    self.pool.send(WorkerMsg::Fit {
+                        key,
+                        config: self.config,
+                        curve: req.curve.clone(),
+                        horizon: req.horizon,
+                        seed,
+                        warm,
+                        reply: reply_tx.clone(),
+                    });
                     enqueued += 1;
                 }
-            }
-        }
-
-        // Spread the deferred cold fits over the pool in contiguous chunks.
-        // Chunking only affects which fits share a lockstep sweep — every
-        // grouping yields bitwise-identical posteriors (`crate::batch`'s
-        // equivalence tests), so the worker count still cannot leak into
-        // results.
-        let batched_fits = batch_keys.len() as u64;
-        if !batch_keys.is_empty() {
-            let chunk = batch_keys.len().div_ceil(self.pool.threads().max(1));
-            for (keys, items) in batch_keys.chunks(chunk).zip(batch_items.chunks(chunk)) {
-                self.pool.send(WorkerMsg::FitBatch {
-                    keys: keys.to_vec(),
-                    config: self.config,
-                    items: items.to_vec(),
-                    reply: reply_tx.clone(),
-                });
             }
         }
 
@@ -1006,11 +960,14 @@ impl FitService {
         {
             let mut stats = self.shared.stats.lock();
             stats.cache_hits += hits;
-            stats.fits += (enqueued + spec_adopted) as u64;
+            let fits = (enqueued + spec_adopted) as u64;
+            stats.fits += fits;
             stats.warm_fits += warm_fits;
             stats.shared_hits += shared_hits;
             stats.batches += 1;
-            stats.batched_fits += batched_fits;
+            if self.config.fast_math {
+                stats.batched_fits += fits;
+            }
             stats.shared_lookups += shared_lookups;
             stats.shared_inserts += shared_inserts;
         }
@@ -1127,15 +1084,6 @@ fn worker_loop(rx: &Receiver<WorkerMsg>, telemetry: &PoolTelemetry) {
                 // The batch owner may have given up (dropped receiver) if a
                 // sibling fit panicked; nothing useful to do then.
                 let _ = reply.send((key, result));
-            }
-            WorkerMsg::FitBatch { keys, config, items, reply } => {
-                let t = Instant::now();
-                let results = fit_curves_batched(&config, &items, &mut scratch);
-                telemetry.busy_nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                telemetry.demand_fits.fetch_add(keys.len() as u64, Ordering::Relaxed);
-                for (key, result) in keys.into_iter().zip(results) {
-                    let _ = reply.send((key, result));
-                }
             }
             WorkerMsg::SpecFit { key, config, curve, horizon, seed, warm, cancelled, reply } => {
                 if cancelled.load(Ordering::Relaxed) {
@@ -1440,33 +1388,32 @@ mod tests {
 
     #[test]
     fn batched_service_matches_unbatched_service_bitwise() {
-        let base = PredictorConfig::test().with_batch_fit(false);
+        // A boundary's cold fits are independent `Fit` messages, so
+        // however the pool spreads them each is bitwise the fit a lone
+        // caller runs — and every fast-math fit counts as scored by the
+        // fused evaluator.
+        let config = PredictorConfig::test();
         let requests: Vec<FitRequest> = (0..6).map(|j| req(j, 8 + j as u32 % 3)).collect();
-        let reference: Vec<FitOutcome> =
-            isolated(base, 7, 1).fit_batch(&requests).into_iter().collect();
         for threads in [1, 4] {
-            let service = isolated(base.with_batch_fit(true), 7, threads);
+            let service = isolated(config, 7, threads);
             let outcomes = service.fit_batch(&requests);
             let stats = service.stats();
-            assert_eq!(stats.fits, 6);
-            assert_eq!(
-                stats.batched_fits, 6,
-                "all cold fast-math fits route through the batched path at {threads} threads"
-            );
-            for (b, u) in outcomes.iter().zip(&reference) {
+            assert_eq!((stats.fits, stats.batched_fits), (6, 6), "at {threads} threads");
+            for (o, r) in outcomes.iter().zip(&requests) {
+                let alone = sequential_fit(config, 7, r).unwrap();
                 assert_eq!(
-                    b.result.as_ref().unwrap().draws(),
-                    u.result.as_ref().unwrap().draws(),
-                    "batched fit must be bitwise the unbatched fit at {threads} threads"
+                    o.result.as_ref().unwrap().draws(),
+                    alone.draws(),
+                    "a pooled fit must be bitwise the lone fit at {threads} threads"
                 );
             }
         }
     }
 
     #[test]
-    fn batch_fit_without_fast_math_is_inert() {
+    fn libm_fits_are_not_counted_as_batched() {
         let libm = PredictorConfig::test().with_fast_math(false);
-        let service = isolated(libm.with_batch_fit(true), 7, 2);
+        let service = isolated(libm, 7, 2);
         let outcomes = service.fit_batch(&[req(0, 10), req(1, 12)]);
         let stats = service.stats();
         assert_eq!((stats.fits, stats.batched_fits), (2, 0));
@@ -1477,53 +1424,16 @@ mod tests {
     }
 
     #[test]
-    fn warm_refits_keep_the_per_curve_path() {
-        let base = PredictorConfig::test().with_warm_start(true).with_batch_fit(false);
-        let run = |config: PredictorConfig| {
-            let service = isolated(config, 19, 2);
-            let first: Vec<FitRequest> = (0..3).map(|j| req(j, 10)).collect();
-            service.fit_batch(&first);
-            let second: Vec<FitRequest> = (0..3).map(|j| req(j, 14)).collect();
-            let warm = service.fit_batch(&second);
-            (warm, service.stats())
-        };
-        let (warm_b, stats_b) = run(base.with_batch_fit(true));
-        let (warm_u, stats_u) = run(base);
-        assert_eq!(stats_b.warm_fits, 3);
-        assert_eq!(stats_b.batched_fits, 3, "only the cold first batch is batched");
-        assert_eq!(stats_u.batched_fits, 0);
-        for (b, u) in warm_b.iter().zip(&warm_u) {
-            let b = b.result.as_ref().unwrap();
-            let u = u.result.as_ref().unwrap();
-            assert!(b.warm_started() && u.warm_started());
-            assert_eq!(b.draws(), u.draws(), "warm refits are untouched by batch_fit");
-        }
-    }
-
-    #[test]
-    fn batched_and_unbatched_runs_cross_hit_the_shared_cache() {
-        // `batch_fit` is deliberately excluded from the fingerprint: a
-        // batched fit IS the unbatched fit, bit for bit, so either mode
-        // may serve the other's cached posterior.
-        let base = PredictorConfig::test().with_batch_fit(false);
-        let cache = SharedFitCache::in_memory();
-        let writer =
-            FitService::with_shared_cache(base.with_batch_fit(true), 7, 2, Some(cache.clone()));
-        let requests: Vec<FitRequest> = (0..3).map(|j| req(j, 10)).collect();
-        let cold = writer.fit_batch(&requests);
-        assert_eq!(writer.stats().batched_fits, 3);
-
-        let reader = FitService::with_shared_cache(base, 7, 2, Some(cache));
-        let replay = reader.fit_batch(&requests);
-        let stats = reader.stats();
-        assert_eq!((stats.fits, stats.shared_hits), (0, 3));
-        for (c, r) in cold.iter().zip(&replay) {
-            assert_eq!(
-                c.result.as_ref().unwrap().draws(),
-                r.result.as_ref().unwrap().draws(),
-                "unbatched replay must hit the batched run's shared entries"
-            );
-        }
+    fn warm_refits_run_the_fused_evaluator_too() {
+        let config = PredictorConfig::test().with_warm_start(true);
+        let service = isolated(config, 19, 2);
+        let first: Vec<FitRequest> = (0..3).map(|j| req(j, 10)).collect();
+        service.fit_batch(&first);
+        let second: Vec<FitRequest> = (0..3).map(|j| req(j, 14)).collect();
+        let warm = service.fit_batch(&second);
+        let stats = service.stats();
+        assert_eq!((stats.fits, stats.warm_fits, stats.batched_fits), (6, 3, 6));
+        assert!(warm.iter().all(|o| o.result.as_ref().unwrap().warm_started()));
     }
 
     #[test]

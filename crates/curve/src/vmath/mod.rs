@@ -225,7 +225,7 @@ macro_rules! unary_loops {
         unsafe fn $avx512(buf: &mut [f64]) {
             // Still the same per-lane core: 8 lanes per instruction
             // instead of 4, identical bits. Pays off on the long fused
-            // buffers of the cross-curve batched fitter.
+            // buffers of the half-ensemble evaluator.
             let mut blocks = buf.chunks_exact_mut(32);
             for block in &mut blocks {
                 for v in block.iter_mut() {

@@ -193,13 +193,17 @@ mod hot_path_equivalence {
     }
 }
 
-mod batch_equivalence {
+mod fused_evaluator {
     use super::*;
+    use hyperdrive_curve::ensemble::{dimension, FAMILY_OFFSETS, SIGMA_BOUNDS, SIGMA_INDEX};
+    use hyperdrive_curve::fastpath::{FastGrid, PosteriorEvalFast};
     use hyperdrive_curve::vmath::Backend;
     use hyperdrive_curve::{
-        derive_fit_seed, fit_curves_batched_with, BatchFitItem, FitRequest, FitScratch, FitService,
+        FitRequest, FitScratch, FitService, FusedPosterior, FusedScratch, ALL_FAMILIES,
     };
     use hyperdrive_types::JobId;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn synthetic_curve(limit: f64, rate: f64, n: u32) -> LearningCurve {
         let mut c = LearningCurve::new(MetricKind::Accuracy);
@@ -210,65 +214,120 @@ mod batch_equivalence {
         c
     }
 
+    /// A parameter vector drawn inside the prior box, then (by `kind`)
+    /// left alone, stripped of some family weights, starved of weight
+    /// mass, or pushed out of the box on one coordinate.
+    fn random_theta(rng: &mut StdRng, kind: u32) -> Vec<f64> {
+        let mut theta = vec![0.0; dimension()];
+        for w in &mut theta[..11] {
+            *w = rng.gen_range(0.0..1.0);
+        }
+        theta[SIGMA_INDEX] = rng.gen_range(SIGMA_BOUNDS.0..SIGMA_BOUNDS.1);
+        for (k, family) in ALL_FAMILIES.iter().enumerate() {
+            for (j, (lo, hi)) in family.bounds().iter().enumerate() {
+                theta[FAMILY_OFFSETS[k] + j] = rng.gen_range(*lo..*hi);
+            }
+        }
+        match kind % 4 {
+            1 => {
+                for w in &mut theta[..11] {
+                    if rng.gen_range(0..3) == 0 {
+                        *w = 0.0;
+                    }
+                }
+            }
+            2 => {
+                for w in &mut theta[..11] {
+                    *w *= 1e-5;
+                }
+            }
+            3 => {
+                let i = rng.gen_range(0..theta.len());
+                theta[i] = if rng.gen_range(0..4) == 0 { f64::NAN } else { theta[i] + 1e3 };
+            }
+            _ => {}
+        }
+        theta
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
-        /// The lockstep batched fit is bitwise identical to fitting each
-        /// item alone through the per-curve `fast_math` path, for
-        /// arbitrary curve sets (mixed shapes and lengths — and, because
-        /// every fit samples the full 11-family ensemble, mixed family
-        /// activations) under **both** the scalar and the SIMD kernel
-        /// backends explicitly.
+        /// For arbitrary curves and arbitrary mixes of proposals sharing a
+        /// sweep — in the box,
+        /// with zero-weight families, below the weight-mass floor, out of
+        /// the box, NaN — every output of the fused evaluator is bitwise
+        /// the per-proposal `fast_math` posterior, under **both** the
+        /// scalar and the SIMD kernel backends explicitly; and whole fits
+        /// through it agree bitwise between the backends.
         #[test]
         fn batched_fit_equals_per_curve_under_both_backends(
             seed in 0u64..u64::MAX,
-            shapes in proptest::collection::vec((0.3f64..0.9, 0.3f64..1.2, 6u32..12), 2..5),
+            shape in (0.3f64..0.9, 0.3f64..1.2, 4u32..31),
+            slots in 1usize..140,
         ) {
-            let config = PredictorConfig::test().with_fast_math(true);
-            let items: Vec<BatchFitItem> = shapes
-                .iter()
-                .enumerate()
-                .map(|(j, (limit, rate, n))| {
-                    let curve = synthetic_curve(*limit, *rate, *n);
-                    BatchFitItem { curve, horizon: 60, seed: derive_fit_seed(seed, j as u64, *n) }
-                })
-                .collect();
-            let mut per_curve_scratch = FitScratch::new();
-            let reference: Vec<_> = items
-                .iter()
-                .map(|it| {
-                    CurvePredictor::new(config.with_seed(it.seed))
-                        .fit_with(&it.curve, it.horizon, None, &mut per_curve_scratch)
-                        .expect("per-curve fit succeeds on clean curves")
-                })
-                .collect();
+            let (limit, rate, n) = shape;
+            let curve = synthetic_curve(limit, rate, n);
+            let mut grid = FastGrid::new();
+            let mut ys = Vec::new();
+            for p in curve.points() {
+                grid.push(f64::from(p.epoch));
+                ys.push(p.value);
+            }
+            grid.push(120.0);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let thetas: Vec<Vec<f64>> =
+                (0..slots).map(|s| random_theta(&mut rng, s as u32)).collect();
+            let flat = thetas.concat();
+            let mut finite = 0;
             for backend in [Backend::Scalar, Backend::Simd] {
-                let mut scratch = FitScratch::new();
-                let batched = fit_curves_batched_with(&config, &items, &mut scratch, backend);
-                for (r, b) in reference.iter().zip(&batched) {
-                    let b = b.as_ref().expect("batched fit succeeds on clean curves");
-                    prop_assert_eq!(r.draws(), b.draws(), "draws diverged under {:?}", backend);
+                let mut scratch = FusedScratch::default();
+                let mut fused = vec![0.0; slots];
+                FusedPosterior::new(&grid, &ys, &mut scratch, backend)
+                    .log_posteriors(&flat, &mut fused);
+                let (mut means, mut t) = (vec![0.0; ys.len()], vec![0.0; ys.len()]);
+                let mut reference = PosteriorEvalFast::new(&grid, &ys, &mut means, &mut t, backend);
+                for (s, theta) in thetas.iter().enumerate() {
+                    let want = reference.log_posterior(theta);
                     prop_assert_eq!(
-                        r.acceptance_rate().to_bits(),
-                        b.acceptance_rate().to_bits()
+                        fused[s].to_bits(),
+                        want.to_bits(),
+                        "slot {} of {} diverged under {:?}: {} vs {}",
+                        s, slots, backend, fused[s], want
                     );
-                    prop_assert_eq!(r.expected(60).to_bits(), b.expected(60).to_bits());
+                    finite += usize::from(want.is_finite());
+                    prop_assert!(s % 4 < 2 || !want.is_finite(), "slot {} must be rejected", s);
                 }
+            }
+            prop_assert!(slots < 8 || finite > 0, "no slot ever passed the gates");
+
+            if n >= 6 {
+                let predictor = CurvePredictor::new(PredictorConfig::test().with_seed(seed));
+                let mut scratch = FitScratch::new();
+                let a = predictor
+                    .fit_with_backend(&curve, 60, None, &mut scratch, Backend::Scalar)
+                    .expect("clean curves fit");
+                let b = predictor
+                    .fit_with_backend(&curve, 60, None, &mut scratch, Backend::Simd)
+                    .expect("clean curves fit");
+                prop_assert_eq!(a.draws(), b.draws(), "whole fits diverged between backends");
+                prop_assert_eq!(a.acceptance_rate().to_bits(), b.acceptance_rate().to_bits());
             }
         }
 
-        /// Through the full service — where batching actually engages —
-        /// `batch_fit` is observationally invisible: for arbitrary curve
-        /// sets, a cold batch, then a replay batch of interleaved cache
-        /// hits and fresh (warm-started) refits on extended prefixes,
-        /// produce bitwise-identical posteriors and identical `cached`
-        /// flags with batching on or off, at 1 and 4 fit threads.
+        /// Through the full service the pool width is observationally
+        /// invisible: for arbitrary curve sets, a cold batch, then a
+        /// replay batch of interleaved cache hits and fresh
+        /// (warm-started) refits on extended prefixes, produce
+        /// bitwise-identical posteriors and identical `cached` flags at 1
+        /// and 4 fit threads — and every fit, cold or warm, is counted as
+        /// scored by the fused evaluator.
         #[test]
-        fn batched_service_is_observationally_identical(
+        fn pooled_warm_replay_is_invariant_under_pool_width(
             seed in 0u64..u64::MAX,
             shapes in proptest::collection::vec((0.3f64..0.9, 0.3f64..1.2, 8u32..12), 2..5),
         ) {
-            let base = PredictorConfig::test().with_warm_start(true).with_batch_fit(false);
+            let config = PredictorConfig::test().with_warm_start(true);
             let cold: Vec<FitRequest> = shapes
                 .iter()
                 .enumerate()
@@ -291,37 +350,36 @@ mod batch_equivalence {
                     horizon: 60,
                 })
                 .collect();
-            for threads in [1usize, 4] {
-                let on = FitService::new(base.with_batch_fit(true), seed, threads);
-                let off = FitService::new(base, seed, threads);
-                for batch in [&cold, &replay] {
-                    let a = on.fit_batch(batch);
-                    let b = off.fit_batch(batch);
-                    for (x, y) in a.iter().zip(&b) {
-                        prop_assert_eq!(x.cached, y.cached);
-                        match (&x.result, &y.result) {
-                            (Ok(p), Ok(q)) => {
-                                prop_assert_eq!(p.draws(), q.draws());
-                                prop_assert_eq!(
-                                    p.acceptance_rate().to_bits(),
-                                    q.acceptance_rate().to_bits()
-                                );
-                                prop_assert_eq!(p.warm_started(), q.warm_started());
-                            }
-                            (Err(e), Err(f)) => prop_assert_eq!(e.to_string(), f.to_string()),
-                            (x, y) => prop_assert!(
-                                false,
-                                "batched ok={} but unbatched ok={}",
-                                x.is_ok(),
-                                y.is_ok()
-                            ),
+            // No shared layer: the counters below must see real fits.
+            let one = FitService::with_shared_cache(config, seed, 1, None);
+            let four = FitService::with_shared_cache(config, seed, 4, None);
+            for batch in [&cold, &replay] {
+                let a = one.fit_batch(batch);
+                let b = four.fit_batch(batch);
+                for (x, y) in a.iter().zip(&b) {
+                    prop_assert_eq!(x.cached, y.cached);
+                    match (&x.result, &y.result) {
+                        (Ok(p), Ok(q)) => {
+                            prop_assert_eq!(p.draws(), q.draws());
+                            prop_assert_eq!(
+                                p.acceptance_rate().to_bits(),
+                                q.acceptance_rate().to_bits()
+                            );
+                            prop_assert_eq!(p.warm_started(), q.warm_started());
                         }
+                        (Err(e), Err(f)) => prop_assert_eq!(e.to_string(), f.to_string()),
+                        (x, y) => prop_assert!(
+                            false,
+                            "1 thread ok={} but 4 threads ok={}",
+                            x.is_ok(),
+                            y.is_ok()
+                        ),
                     }
                 }
-                prop_assert!(
-                    on.stats().batched_fits > 0,
-                    "the batched service never exercised the lockstep path"
-                );
+            }
+            for stats in [one.stats(), four.stats()] {
+                prop_assert!(stats.warm_fits > 0, "the replay never warm-started");
+                prop_assert_eq!(stats.batched_fits, stats.fits);
             }
         }
     }

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use hyperdrive_curve::{
     fit_fingerprint, fit_prefetch_depth, fit_prefetch_forced, global_fit_cache, CurveFingerprint,
-    CurvePredictor, FitPool, PredictorConfig, SharedFitCache, SpecFitHandle,
+    CurvePredictor, FitPool, FitScratch, PredictorConfig, SharedFitCache, SpecFitHandle,
 };
 use hyperdrive_framework::{
     FitCacheSnapshot, JobDecision, JobEvent, PrefetchHint, SchedulerContext, SchedulingPolicy,
@@ -89,6 +89,8 @@ pub struct EarlyTermPolicy {
     /// In-flight speculations by job, bounded by `prefetch_depth`.
     specs: HashMap<JobId, EtSpeculation>,
     prefetch_depth: usize,
+    /// Working memory of the inline demand fits, reused across them.
+    scratch: FitScratch,
 }
 
 impl EarlyTermPolicy {
@@ -120,6 +122,7 @@ impl EarlyTermPolicy {
             pool: prefetch.then(|| FitPool::new(0)),
             specs: HashMap::new(),
             prefetch_depth: fit_prefetch_depth(),
+            scratch: FitScratch::new(),
         }
     }
 
@@ -206,7 +209,12 @@ impl EarlyTermPolicy {
                     }
                 };
                 let result = adopted.unwrap_or_else(|| {
-                    CurvePredictor::new(self.config.predictor.with_seed(seed)).fit(&curve, m)
+                    CurvePredictor::new(self.config.predictor.with_seed(seed)).fit_with(
+                        &curve,
+                        m,
+                        None,
+                        &mut self.scratch,
+                    )
                 });
                 let Ok(posterior) = result else {
                     return JobDecision::Continue; // too little history: keep training

@@ -183,19 +183,15 @@ mod tests {
 
     #[test]
     fn kill_at_every_event_with_pop_policy_and_shared_cache() {
-        // POP with warm starts, fast math, cross-curve batched fitting,
-        // and a shared fit cache — the most stateful policy configuration
-        // we have. A fresh policy per recovery plus replay must still land
-        // byte-identical.
+        // POP with warm starts, fast math, and a shared fit cache — the
+        // most stateful policy configuration we have. A fresh policy per
+        // recovery plus replay must still land byte-identical.
         let ew = experiment(4, 4, 13);
         let spec = ExperimentSpec::new(2).with_stop_on_target(false).with_seed(13);
         let plan = FaultPlan::none();
         let cache = SharedFitCache::in_memory();
         let make = move || -> Box<dyn SchedulingPolicy> {
-            let predictor = PredictorConfig::test()
-                .with_warm_start(true)
-                .with_fast_math(true)
-                .with_batch_fit(true);
+            let predictor = PredictorConfig::test().with_warm_start(true).with_fast_math(true);
             let config = PopConfig { predictor, fit_threads: 2, ..PopConfig::default() };
             Box::new(PopPolicy::with_config_and_cache(config, Some(cache.clone())))
         };

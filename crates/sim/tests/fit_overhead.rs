@@ -86,6 +86,27 @@ fn overhead_scales_with_modeled_cost() {
 }
 
 #[test]
+fn fused_speedup_discounts_every_fast_math_fit() {
+    // Every fast-math fit runs the fused half-ensemble evaluator, so
+    // `batch_fit_speedup` applies whenever `fast_math_speedup` does: the
+    // two multiply, and a discount moved from one to the other prices the
+    // same timeline.
+    let model = |fast_math_speedup, batch_fit_speedup| {
+        Some(FitCostModel {
+            secs_per_kiloeval: COST,
+            modeled_workers: 1,
+            fast_math_speedup,
+            batch_fit_speedup,
+        })
+    };
+    let plain = run(model(1.0, 1.0), 2);
+    let fused = run(model(1.0, 2.0), 2);
+    assert!(fused.0 < plain.0, "the discount must shorten the run: {} vs {}", fused.0, plain.0);
+    assert_eq!((plain.1, plain.2), (fused.1, fused.2), "only times move, not decisions");
+    assert_eq!(fused, run(model(2.0, 1.0), 2));
+}
+
+#[test]
 fn modeled_workers_never_lengthen_the_run() {
     // In steady state the cache keeps batches down to one fresh fit (only
     // the reporting job's prefix advanced), so extra modeled workers often

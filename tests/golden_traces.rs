@@ -5,10 +5,15 @@
 //! scheduling traces (every start/resume, suspend, kill, completion, plus
 //! the per-boundary classification snapshots) are compared **byte for
 //! byte** against committed golden files, at both 1 and 4 fit-service
-//! worker threads. One file per workload pins the cold trace under every
-//! fit mode — the libm oracle, `fast_math`, and the default
-//! `fast_math` + `batch_fit` — because the three agree byte for byte;
-//! warm starts change numerics on purpose and keep their own files.
+//! worker threads. One file per workload pins the cold trace under both
+//! likelihoods — the libm oracle and the default fused `fast_math` fit —
+//! because they agree byte for byte. Warm starts change numerics on
+//! purpose and are pinned as their own modes; a mode gets its own file
+//! only where its trace differs from an existing one (today: CIFAR warm,
+//! shared by libm-warm and fast-warm; every Lunar mode reproduces the cold
+//! Lunar trace). If a change ever splits modes that share a file, the
+//! regenerated file flaps between them and the next plain run fails: give
+//! the split mode its own file name then.
 //!
 //! These traces lock in the whole deterministic stack at once: curve-fit
 //! seed derivation, fit caching, batch request ordering, slot allocation,
@@ -33,8 +38,8 @@ use hyperdrive_types::SimTime;
 use hyperdrive_workload::{CifarWorkload, LunarWorkload, Workload};
 
 /// Runs one canonical experiment and renders its full decision trace.
-/// Every caller names its fit mode (warm-start, fast-math, batch-fit)
-/// explicitly, so no test silently follows `PredictorConfig`'s defaults.
+/// Every caller names its fit mode (warm-start, fast-math) explicitly, so
+/// no test silently follows `PredictorConfig`'s defaults.
 #[allow(clippy::too_many_arguments)]
 fn trace_with(
     workload: &dyn Workload,
@@ -45,21 +50,9 @@ fn trace_with(
     fit_threads: usize,
     warm_start: bool,
     fast_math: bool,
-    batch_fit: bool,
 ) -> String {
-    trace_cached(
-        workload,
-        configs,
-        seed,
-        machines,
-        tmax,
-        fit_threads,
-        warm_start,
-        fast_math,
-        batch_fit,
-        None,
-    )
-    .0
+    trace_cached(workload, configs, seed, machines, tmax, fit_threads, warm_start, fast_math, None)
+        .0
 }
 
 /// [`trace_with`] with speculative fit prefetch forced on (the engine
@@ -74,21 +67,19 @@ fn trace_prefetched(
     fit_threads: usize,
     warm_start: bool,
     fast_math: bool,
-    batch_fit: bool,
 ) -> String {
     let ew = ExperimentWorkload::from_workload(workload, configs, seed);
     let spec = ExperimentSpec::new(machines).with_stop_on_target(false).with_tmax(tmax);
     let config = PopConfig {
-        predictor: PredictorConfig::test()
-            .with_warm_start(warm_start)
-            .with_fast_math(fast_math)
-            .with_batch_fit(batch_fit),
+        predictor: PredictorConfig::test().with_warm_start(warm_start).with_fast_math(fast_math),
         fit_threads,
         seed,
         fit_prefetch: Some(true),
         ..Default::default()
     };
-    let mut pop = PopPolicy::with_config(config);
+    // No shared layer: a warmed process-global cache (the CI disk-cache
+    // pass) would answer every fit and leave nothing to speculate on.
+    let mut pop = PopPolicy::with_config_and_cache(config, None);
     let result = run_sim(&mut pop, &ew, spec);
     assert!(
         pop.spec_stats().speculated > 0,
@@ -126,8 +117,9 @@ fn trace_prefetched(
 
 /// [`trace_with`] against an explicit shared content-addressed fit cache
 /// (`None` = the default process-global resolution). Also returns the
-/// policy's `predictions_made` counter so callers can pin that caching
-/// changes *where posteriors come from*, never *how many are consumed*.
+/// finished policy, whose `predictions_made` counter lets callers pin
+/// that caching changes *where posteriors come from*, never *how many are
+/// consumed*, and whose fit counters say which evaluator ran.
 #[allow(clippy::too_many_arguments)]
 fn trace_cached(
     workload: &dyn Workload,
@@ -138,16 +130,12 @@ fn trace_cached(
     fit_threads: usize,
     warm_start: bool,
     fast_math: bool,
-    batch_fit: bool,
     cache: Option<Arc<SharedFitCache>>,
-) -> (String, u64) {
+) -> (String, PopPolicy) {
     let ew = ExperimentWorkload::from_workload(workload, configs, seed);
     let spec = ExperimentSpec::new(machines).with_stop_on_target(false).with_tmax(tmax);
     let config = PopConfig {
-        predictor: PredictorConfig::test()
-            .with_warm_start(warm_start)
-            .with_fast_math(fast_math)
-            .with_batch_fit(batch_fit),
+        predictor: PredictorConfig::test().with_warm_start(warm_start).with_fast_math(fast_math),
         fit_threads,
         seed,
         ..Default::default()
@@ -184,7 +172,7 @@ fn trace_cached(
         result.terminated_early(),
     )
     .expect("string write");
-    (out, pop.predictions_made())
+    (out, pop)
 }
 
 fn golden_path(name: &str) -> PathBuf {
@@ -223,96 +211,136 @@ fn check_golden(name: &str, build: impl Fn(usize) -> String) {
 }
 
 /// The canonical CIFAR experiment under one fit mode.
-fn cifar_golden(name: &str, warm_start: bool, fast_math: bool, batch_fit: bool) {
+fn cifar_golden(name: &str, warm_start: bool, fast_math: bool) {
     let workload = CifarWorkload::new().with_max_epochs(40);
     let tmax = SimTime::from_hours(48.0);
     check_golden(name, |threads| {
-        trace_with(&workload, 12, 7, 4, tmax, threads, warm_start, fast_math, batch_fit)
+        trace_with(&workload, 12, 7, 4, tmax, threads, warm_start, fast_math)
     });
 }
 
 /// The canonical Lunar Lander experiment under one fit mode.
-fn lunar_golden(name: &str, warm_start: bool, fast_math: bool, batch_fit: bool) {
+fn lunar_golden(name: &str, warm_start: bool, fast_math: bool) {
     let workload = LunarWorkload::new().with_max_blocks(60);
     let tmax = SimTime::from_hours(200.0);
     check_golden(name, |threads| {
-        trace_with(&workload, 10, 11, 3, tmax, threads, warm_start, fast_math, batch_fit)
+        trace_with(&workload, 10, 11, 3, tmax, threads, warm_start, fast_math)
     });
 }
 
-// One committed cold trace per workload, replayed under all three fit
-// modes × {1, 4} fit threads. The vectorized likelihood (`fast_math`)
-// evaluates the same model through batched kernels with a different
-// (deterministic) floating-point factoring, and cross-curve batching
-// (`batch_fit`) is a bitwise-invisible rearrangement of that path; neither
-// moves a byte of the scheduling trace, regardless of `HYPERDRIVE_VMATH`
-// (the backends are bit-identical). The modes stay separate `#[test]`s so
-// they run in parallel and a divergence names the mode that moved.
+// One committed cold trace per workload, replayed under both likelihoods
+// × {1, 4} fit threads. The vectorized likelihood (`fast_math`) evaluates
+// the same model through fused batched kernels with a different
+// (deterministic) floating-point factoring; it does not move a byte of
+// the scheduling trace, regardless of `HYPERDRIVE_VMATH` (the backends are
+// bit-identical). The modes stay separate `#[test]`s so they run in
+// parallel and a divergence names the mode that moved.
 
 #[test]
 fn cifar_surface_trace_is_golden() {
-    cifar_golden("cifar_trace.csv", false, false, false); // libm oracle
+    cifar_golden("cifar_trace.csv", false, false); // libm oracle
 }
 
 #[test]
 fn cifar_surface_fast_trace_is_golden() {
-    cifar_golden("cifar_trace.csv", false, true, false);
-}
-
-#[test]
-fn cifar_surface_batch_trace_is_golden() {
-    cifar_golden("cifar_trace.csv", false, true, true); // the default fit
+    cifar_golden("cifar_trace.csv", false, true);
 }
 
 #[test]
 fn lunar_surface_trace_is_golden() {
-    lunar_golden("lunar_trace.csv", false, false, false); // libm oracle
+    lunar_golden("lunar_trace.csv", false, false); // libm oracle
 }
 
 #[test]
 fn lunar_surface_fast_trace_is_golden() {
-    lunar_golden("lunar_trace.csv", false, true, false);
+    lunar_golden("lunar_trace.csv", false, true);
+}
+
+/// A boundary's fits are independent pool messages, so the *default*
+/// `PredictorConfig` — no mode named — reproduces the golden however 1 or
+/// 4 workers spread them, with every fit scored by the fused
+/// half-ensemble evaluator (`batched_fits == fits`).
+fn default_fit_golden(
+    name: &str,
+    workload: &dyn Workload,
+    configs: usize,
+    seed: u64,
+    machines: usize,
+    tmax: SimTime,
+) {
+    if std::env::var("HYPERDRIVE_UPDATE_GOLDEN").is_ok() {
+        return; // the per-mode tests own regeneration
+    }
+    let golden = read_golden(name);
+    let defaults = PredictorConfig::test();
+    for threads in [1, 4] {
+        let (trace, pop) = trace_cached(
+            workload,
+            configs,
+            seed,
+            machines,
+            tmax,
+            threads,
+            defaults.warm_start,
+            defaults.fast_math,
+            // A private cache: the counters below must see real fits even
+            // when the process-global layer is warm (the CI disk pass).
+            Some(SharedFitCache::in_memory()),
+        );
+        assert_eq!(trace, golden, "{name}: the default fit diverged at {threads} fit threads");
+        let stats = pop.fit_stats();
+        assert!(stats.fits > 0, "{name}: the run never fit a curve");
+        assert_eq!(stats.batched_fits, stats.fits, "{name}: a fit bypassed the fused evaluator");
+    }
+}
+
+#[test]
+fn cifar_surface_batch_trace_is_golden() {
+    let workload = CifarWorkload::new().with_max_epochs(40);
+    default_fit_golden("cifar_trace.csv", &workload, 12, 7, 4, SimTime::from_hours(48.0));
 }
 
 #[test]
 fn lunar_surface_batch_trace_is_golden() {
-    lunar_golden("lunar_trace.csv", false, true, true); // the default fit
+    let workload = LunarWorkload::new().with_max_blocks(60);
+    default_fit_golden("lunar_trace.csv", &workload, 10, 11, 3, SimTime::from_hours(200.0));
 }
 
 // Warm-started posteriors change the numerics on purpose (shorter,
-// seeded chains), so the warm path gets its *own* golden traces — also
+// seeded chains), so the warm path is pinned as its own mode — also
 // locked at 1 and 4 fit threads, pinning that the warm source resolution
-// never depends on worker scheduling.
+// never depends on worker scheduling. On CIFAR that moves decisions (its
+// own file); on Lunar it does not (the cold file).
 
 #[test]
 fn cifar_surface_warm_trace_is_golden() {
-    cifar_golden("cifar_warm_trace.csv", true, false, false);
+    cifar_golden("cifar_warm_trace.csv", true, false);
 }
 
 #[test]
 fn lunar_surface_warm_trace_is_golden() {
-    lunar_golden("lunar_warm_trace.csv", true, false, false);
+    lunar_golden("lunar_trace.csv", true, false);
 }
 
 // fast_math composes with warm start: warm refits rescore previous draws
 // and reseed family fits through the batched kernels. The combination is
-// its own numeric regime, so it is pinned separately too.
+// its own numeric regime, pinned separately — and reproduces the libm-warm
+// traces byte for byte.
 
 #[test]
 fn cifar_surface_fast_warm_trace_is_golden() {
-    cifar_golden("cifar_fast_warm_trace.csv", true, true, false);
+    cifar_golden("cifar_warm_trace.csv", true, true);
 }
 
 #[test]
 fn lunar_surface_fast_warm_trace_is_golden() {
-    lunar_golden("lunar_fast_warm_trace.csv", true, true, false);
+    lunar_golden("lunar_trace.csv", true, true);
 }
 
-// Replaying the libm and warm goldens with `batch_fit` on proves the flag
-// is inert there: warm-started refits and non-fast-math fits bypass the
-// lockstep path by design, so all six traces must come out byte-for-byte
-// unchanged. (The cold fast-math fits batching does capture are the
-// `_batch_trace_is_golden` tests above.)
+// The per-mode tests above pin fit-pool widths 1 and 4. A boundary's fits
+// — cold, warm, libm or fused — are all independent pool messages, so
+// every mode's golden must also survive the uneven spreads of a 2- and a
+// 3-worker pool.
 
 #[test]
 fn existing_goldens_are_untouched_by_batch_fit() {
@@ -324,26 +352,30 @@ fn existing_goldens_are_untouched_by_batch_fit() {
     let cifar_t = SimTime::from_hours(48.0);
     let lunar_t = SimTime::from_hours(200.0);
     type Case<'a> = (&'a str, &'a dyn Workload, usize, u64, usize, SimTime, bool, bool);
-    let cases: [Case; 6] = [
+    let cases: [Case; 8] = [
         ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false, false),
+        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false, true),
         ("cifar_warm_trace.csv", &cifar, 12, 7, 4, cifar_t, true, false),
-        ("cifar_fast_warm_trace.csv", &cifar, 12, 7, 4, cifar_t, true, true),
+        ("cifar_warm_trace.csv", &cifar, 12, 7, 4, cifar_t, true, true),
         ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false, false),
-        ("lunar_warm_trace.csv", &lunar, 10, 11, 3, lunar_t, true, false),
-        ("lunar_fast_warm_trace.csv", &lunar, 10, 11, 3, lunar_t, true, true),
+        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false, true),
+        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, true, false),
+        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, true, true),
     ];
     for (name, w, configs, seed, machines, tmax, warm, fast) in cases {
         let golden = read_golden(name);
-        let replay = trace_with(w, configs, seed, machines, tmax, 1, warm, fast, true);
-        assert_eq!(
-            replay, golden,
-            "{name}: batch_fit=on moved the trace (warm={warm} fast={fast})"
-        );
+        for threads in [2, 3] {
+            let replay = trace_with(w, configs, seed, machines, tmax, threads, warm, fast);
+            assert_eq!(
+                replay, golden,
+                "{name}: a {threads}-worker spread moved the trace (warm={warm} fast={fast})"
+            );
+        }
     }
 }
 
-// Speculative fit prefetch is the same kind of claim as batch_fit —
-// bitwise invisible, pure overlap — so every existing golden is replayed
+// Speculative fit prefetch claims to be bitwise invisible, pure overlap —
+// so every existing golden is replayed
 // with prefetch forced on, at BOTH 1 and 4 fit threads (overlap only pays
 // off with spare workers, and worker count must never leak into traces).
 
@@ -356,22 +388,19 @@ fn existing_goldens_are_untouched_by_fit_prefetch() {
     let lunar = LunarWorkload::new().with_max_blocks(60);
     let cifar_t = SimTime::from_hours(48.0);
     let lunar_t = SimTime::from_hours(200.0);
-    type Case<'a> = (&'a str, &'a dyn Workload, usize, u64, usize, SimTime, bool, bool, bool);
-    let cases: [Case; 8] = [
-        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false, false, false),
-        ("cifar_warm_trace.csv", &cifar, 12, 7, 4, cifar_t, true, false, false),
-        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false, true, false),
-        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false, true, true),
-        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false, false, false),
-        ("lunar_warm_trace.csv", &lunar, 10, 11, 3, lunar_t, true, false, false),
-        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false, true, false),
-        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false, true, true),
+    type Case<'a> = (&'a str, &'a dyn Workload, usize, u64, usize, SimTime, bool, bool);
+    let cases: [Case; 6] = [
+        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false, false),
+        ("cifar_warm_trace.csv", &cifar, 12, 7, 4, cifar_t, true, false),
+        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false, true),
+        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false, false),
+        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, true, false),
+        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false, true),
     ];
-    for (name, w, configs, seed, machines, tmax, warm, fast, batch) in cases {
+    for (name, w, configs, seed, machines, tmax, warm, fast) in cases {
         let golden = read_golden(name);
         for threads in [1, 4] {
-            let replay =
-                trace_prefetched(w, configs, seed, machines, tmax, threads, warm, fast, batch);
+            let replay = trace_prefetched(w, configs, seed, machines, tmax, threads, warm, fast);
             assert_eq!(
                 replay, golden,
                 "{name}: fit_prefetch=on moved the trace at {threads} fit threads"
@@ -402,11 +431,11 @@ fn golden_traces_are_invariant_under_shared_fit_cache_modes() {
         ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false, false),
         ("cifar_warm_trace.csv", &cifar, 12, 7, 4, cifar_t, true, false),
         ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false, true),
-        ("cifar_fast_warm_trace.csv", &cifar, 12, 7, 4, cifar_t, true, true),
+        ("cifar_warm_trace.csv", &cifar, 12, 7, 4, cifar_t, true, true),
         ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false, false),
-        ("lunar_warm_trace.csv", &lunar, 10, 11, 3, lunar_t, true, false),
+        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, true, false),
         ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false, true),
-        ("lunar_fast_warm_trace.csv", &lunar, 10, 11, 3, lunar_t, true, true),
+        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, true, true),
     ];
     let disk_root =
         std::env::temp_dir().join(format!("hyperdrive-golden-fitcache-{}", std::process::id()));
@@ -418,32 +447,13 @@ fn golden_traces_are_invariant_under_shared_fit_cache_modes() {
         // a warmed replay at 4 threads served from the same cache object.
         let dir = disk_root.join(format!("{name}-warm{warm}-fast{fast}"));
         let writer = SharedFitCache::with_disk(&dir).expect("open disk-backed fit cache");
-        let (cold, cold_preds) = trace_cached(
-            w,
-            configs,
-            seed,
-            machines,
-            tmax,
-            1,
-            warm,
-            fast,
-            false,
-            Some(writer.clone()),
-        );
+        let (cold, cold_pop) =
+            trace_cached(w, configs, seed, machines, tmax, 1, warm, fast, Some(writer.clone()));
         assert_eq!(cold, golden, "{name}: attaching the fit cache changed the cold trace");
+        let cold_preds = cold_pop.predictions_made();
         assert!(cold_preds > 0, "{name}: the cold run never consumed a prediction");
-        let (replay, replay_preds) = trace_cached(
-            w,
-            configs,
-            seed,
-            machines,
-            tmax,
-            4,
-            warm,
-            fast,
-            false,
-            Some(writer.clone()),
-        );
+        let (replay, replay_pop) =
+            trace_cached(w, configs, seed, machines, tmax, 4, warm, fast, Some(writer.clone()));
         assert_eq!(replay, golden, "{name}: warmed in-memory replay diverged");
         assert!(writer.stats().hits > 0, "{name}: the warmed replay never hit the cache");
         // Shared-cache hits report `cached: false` so the policy consumes
@@ -451,7 +461,8 @@ fn golden_traces_are_invariant_under_shared_fit_cache_modes() {
         // replay that consumed fewer would mean a hit short-circuited a
         // decision the scheduler was supposed to price.
         assert_eq!(
-            replay_preds, cold_preds,
+            replay_pop.predictions_made(),
+            cold_preds,
             "{name}: the warmed replay consumed a different number of predictions"
         );
 
@@ -459,22 +470,13 @@ fn golden_traces_are_invariant_under_shared_fit_cache_modes() {
         // shard files preserved, and the replay must still match.
         let reader = SharedFitCache::with_disk(&dir).expect("reopen disk-backed fit cache");
         assert!(reader.stats().disk_loaded > 0, "{name}: nothing was reloaded from disk");
-        let (from_disk, disk_preds) = trace_cached(
-            w,
-            configs,
-            seed,
-            machines,
-            tmax,
-            1,
-            warm,
-            fast,
-            false,
-            Some(reader.clone()),
-        );
+        let (from_disk, disk_pop) =
+            trace_cached(w, configs, seed, machines, tmax, 1, warm, fast, Some(reader.clone()));
         assert_eq!(from_disk, golden, "{name}: pre-populated disk replay diverged");
         assert!(reader.stats().hits > 0, "{name}: the disk replay never hit the cache");
         assert_eq!(
-            disk_preds, cold_preds,
+            disk_pop.predictions_made(),
+            cold_preds,
             "{name}: the disk replay consumed a different number of predictions"
         );
     }

@@ -2,7 +2,8 @@
 //! computes, never *what* it computes.
 //!
 //! The proptest sweeps the full configuration cube — prefetch on/off ×
-//! fit threads {1, 4} × shared cache {off, mem} × batch_fit on/off — and
+//! fit threads {1, 4} × shared cache {off, mem} × fit mode {libm cold,
+//! fast-math + warm} — and
 //! asserts every cell renders byte-identical event logs and identical
 //! posterior digests. A companion test proves the sweep is non-vacuous
 //! (speculations actually fire and get adopted), and a kill-at-every-event
@@ -23,7 +24,9 @@ struct Cell {
     prefetch: bool,
     fit_threads: usize,
     mem_cache: bool,
-    batch_fit: bool,
+    /// The fused fast-math fit with warm starts, instead of the cold libm
+    /// oracle.
+    fast_warm: bool,
 }
 
 /// Every combination the determinism contract must hold across.
@@ -32,8 +35,8 @@ fn cube() -> Vec<Cell> {
     for &prefetch in &[false, true] {
         for &fit_threads in &[1usize, 4] {
             for &mem_cache in &[false, true] {
-                for &batch_fit in &[false, true] {
-                    cells.push(Cell { prefetch, fit_threads, mem_cache, batch_fit });
+                for &fast_warm in &[false, true] {
+                    cells.push(Cell { prefetch, fit_threads, mem_cache, fast_warm });
                 }
             }
         }
@@ -47,12 +50,10 @@ fn workload(n_jobs: usize, epochs: u32, seed: u64) -> ExperimentWorkload {
 }
 
 fn policy_for(cell: Cell, seed: u64, cache: Option<std::sync::Arc<SharedFitCache>>) -> PopPolicy {
-    // batch_fit requires the fast-math likelihood; warm starts ride along
-    // so the sweep also covers the warm-refit fingerprint path.
-    let predictor = PredictorConfig::test()
-        .with_warm_start(cell.batch_fit)
-        .with_fast_math(cell.batch_fit)
-        .with_batch_fit(cell.batch_fit);
+    // Warm starts ride along with the fast-math half so the sweep also
+    // covers the warm-refit fingerprint path.
+    let predictor =
+        PredictorConfig::test().with_warm_start(cell.fast_warm).with_fast_math(cell.fast_warm);
     let config = PopConfig {
         predictor,
         boundary: Some(2),
@@ -88,25 +89,25 @@ fn run_cell(cell: Cell, n_jobs: usize, epochs: u32, seed: u64) -> (Vec<u8>, u64,
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The full cube agrees byte-for-byte: prefetch, thread count, shared
-    /// caching, and batched fitting each change only the execution
+    /// The full cube agrees byte-for-byte within each fit mode: prefetch,
+    /// thread count, and shared caching each change only the execution
     /// schedule of fits, never the rendered run.
     #[test]
     fn prefetch_cube_is_byte_identical(
         seed in 0u64..200,
         n_jobs in 3usize..6,
     ) {
-        let baseline = Cell { prefetch: false, fit_threads: 1, mem_cache: false, batch_fit: false };
+        let baseline = Cell { prefetch: false, fit_threads: 1, mem_cache: false, fast_warm: false };
         let (csv0, digest0, preds0, _) = run_cell(baseline, n_jobs, 8, seed);
         prop_assert!(preds0 > 0, "boundaries must actually fire");
-        // batch_fit changes the predictor configuration (fast-math path),
-        // so cells are compared within their batch_fit half; the prefetch /
-        // thread / cache axes must all collapse onto one trace per half.
+        // The fit mode changes the predictor configuration, so cells are
+        // compared within their half; the prefetch / thread / cache axes
+        // must all collapse onto one trace per half.
         let (csv_b, digest_b, preds_b, _) =
-            run_cell(Cell { batch_fit: true, ..baseline }, n_jobs, 8, seed);
+            run_cell(Cell { fast_warm: true, ..baseline }, n_jobs, 8, seed);
         for cell in cube() {
             let (csv, digest, preds, spec) = run_cell(cell, n_jobs, 8, seed);
-            let (want_csv, want_digest, want_preds) = if cell.batch_fit {
+            let (want_csv, want_digest, want_preds) = if cell.fast_warm {
                 (&csv_b, digest_b, preds_b)
             } else {
                 (&csv0, digest0, preds0)
@@ -127,7 +128,7 @@ proptest! {
 #[test]
 fn prefetch_cells_actually_speculate() {
     for fit_threads in [1usize, 4] {
-        let cell = Cell { prefetch: true, fit_threads, mem_cache: false, batch_fit: false };
+        let cell = Cell { prefetch: true, fit_threads, mem_cache: false, fast_warm: false };
         let (_, _, _, spec) = run_cell(cell, 5, 8, 42);
         assert!(spec.speculated > 0, "no speculation at {fit_threads} fit threads");
         assert!(spec.adopted > 0, "no adoption at {fit_threads} fit threads");
