@@ -32,6 +32,10 @@ fn main() {
         .map(|e| e.cost.snapshot_bytes as f64 / (1024.0 * 1024.0))
         .collect();
     assert!(!latencies_s.is_empty(), "POP suspends opportunistic RL jobs");
+    // What the AppStat DB had to hold at once: the largest sum, over any
+    // run, of the snapshots its jobs could still resume from.
+    let peak_bytes = runs.iter().map(|r| r.result.peak_snapshot_bytes).max().unwrap_or(0);
+    let peak_storage_mb = peak_bytes as f64 / (1024.0 * 1024.0);
 
     write_csv(
         "fig10_suspend_latency_cdf.csv",
@@ -66,6 +70,11 @@ fn main() {
             vec![
                 "snapshot size median".into(),
                 format!("{:.2} MB", stats::median(&sizes_mb).unwrap()),
+                "-".into(),
+            ],
+            vec![
+                "snapshot storage peak (one run)".into(),
+                format!("{peak_storage_mb:.2} MB"),
                 "-".into(),
             ],
         ],

@@ -7,6 +7,7 @@
 //! across machines."
 
 use crate::dense::DenseMap;
+use crate::snapshot;
 
 use hyperdrive_types::{JobId, LearningCurve, MetricKind, SimTime};
 use hyperdrive_workload::SuspendCost;
@@ -23,6 +24,15 @@ pub struct SuspendEvent {
     pub cost: SuspendCost,
 }
 
+/// A job's stored model state: the encoded training state, the epoch it was
+/// taken at (damage to `bytes` shows only at resume) and its sampled size.
+#[derive(Debug)]
+struct StoredSnapshot {
+    bytes: Vec<u8>,
+    epochs_done: u32,
+    modelled_bytes: u64,
+}
+
 /// Stores per-job performance history, model snapshots, and suspend-event
 /// telemetry.
 #[derive(Debug)]
@@ -32,9 +42,15 @@ pub struct AppStatDb {
     /// Secondary-metric history per job (§9: "additional metrics of
     /// concern", e.g. sparsity alongside perplexity).
     secondary_curves: DenseMap<LearningCurve>,
-    /// Latest stored snapshot per job (bytes are synthetic but really
-    /// allocated, so storage cost is honest).
-    snapshots: DenseMap<Vec<u8>>,
+    /// Latest stored snapshot of each job that can still resume: its
+    /// training state is really serialized; the framework/CRIU state the
+    /// synthetic jobs lack is accounted as a size, not allocated.
+    snapshots: DenseMap<StoredSnapshot>,
+    /// Buffers of released snapshots, reused by later first suspends.
+    spare_buffers: Vec<Vec<u8>>,
+    /// Sum of `modelled_bytes` over `snapshots`, and its high-water mark.
+    snapshot_bytes_held: u64,
+    snapshot_bytes_peak: u64,
     suspend_events: Vec<SuspendEvent>,
     /// Capacity hint for newly created curves (the workload's epoch cap),
     /// so per-epoch recording never reallocates in steady state.
@@ -57,6 +73,9 @@ impl AppStatDb {
             curves: DenseMap::with_capacity(jobs),
             secondary_curves: DenseMap::with_capacity(jobs),
             snapshots: DenseMap::with_capacity(jobs),
+            spare_buffers: Vec::new(),
+            snapshot_bytes_held: 0,
+            snapshot_bytes_peak: 0,
             suspend_events: Vec::new(),
             epochs_hint: max_epochs,
         }
@@ -91,15 +110,38 @@ impl AppStatDb {
         self.curves.get(job)
     }
 
-    /// Stores a model snapshot for later resume, returning the previous
-    /// snapshot's size if one existed.
-    pub fn store_snapshot(&mut self, job: JobId, state: Vec<u8>) -> Option<usize> {
-        self.snapshots.insert(job, state).map(|old| old.len())
+    /// Serializes `job`'s curve as its snapshot at `epochs_done`, standing
+    /// for `modelled` bytes, into the buffer of the snapshot it supersedes
+    /// (else a released one). Returns it for fault injection to damage.
+    pub fn store_snapshot(&mut self, job: JobId, epochs_done: u32, modelled: u64) -> &mut [u8] {
+        self.release_snapshot(job);
+        let curve = self.curves.get(job).expect("a suspending job has recorded statistics");
+        let capacity = snapshot::encoded_len(self.epochs_hint.max(curve.len()));
+        let mut bytes = self.spare_buffers.pop().unwrap_or_else(|| Vec::with_capacity(capacity));
+        snapshot::write(&mut bytes, job, epochs_done, curve.values());
+        self.snapshot_bytes_held += modelled;
+        self.snapshot_bytes_peak = self.snapshot_bytes_peak.max(self.snapshot_bytes_held);
+        let stored = StoredSnapshot { bytes, epochs_done, modelled_bytes: modelled };
+        &mut self.snapshots.or_insert_with(job, || stored).bytes
     }
 
     /// The stored snapshot for a job.
     pub fn snapshot(&self, job: JobId) -> Option<&[u8]> {
-        self.snapshots.get(job).map(Vec::as_slice)
+        self.snapshots.get(job).map(|s| s.bytes.as_slice())
+    }
+
+    /// The epochs `job`'s stored snapshot covers, if it has one.
+    pub(crate) fn snapshot_epochs(&self, job: JobId) -> Option<u32> {
+        self.snapshots.get(job).map(|s| s.epochs_done)
+    }
+
+    /// Drops `job`'s snapshot, if any (terminal state, proved corrupt, or
+    /// superseded): nothing will resume from it. Its buffer is kept for reuse.
+    pub(crate) fn release_snapshot(&mut self, job: JobId) {
+        if let Some(stored) = self.snapshots.remove(job) {
+            self.snapshot_bytes_held -= stored.modelled_bytes;
+            self.spare_buffers.push(stored.bytes);
+        }
     }
 
     /// Rolls a job's recorded history back to `keep_epoch` (crash
@@ -126,9 +168,14 @@ impl AppStatDb {
         &self.suspend_events
     }
 
-    /// Total bytes currently held in snapshot storage.
-    pub fn snapshot_storage_bytes(&self) -> usize {
-        self.snapshots.values().map(Vec::len).sum()
+    /// Modelled storage: the summed sampled sizes of the snapshots now held.
+    pub fn snapshot_storage_bytes(&self) -> u64 {
+        self.snapshot_bytes_held
+    }
+
+    /// High-water mark of [`snapshot_storage_bytes`](Self::snapshot_storage_bytes).
+    pub(crate) fn peak_snapshot_bytes(&self) -> u64 {
+        self.snapshot_bytes_peak
     }
 
     /// Best observed value across all jobs (the `globalBest` that Bandit
@@ -144,6 +191,7 @@ impl AppStatDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::JobSnapshot;
 
     fn db() -> AppStatDb {
         AppStatDb::new(MetricKind::Accuracy)
@@ -177,10 +225,47 @@ mod tests {
         let mut db = db();
         let j = JobId::new(2);
         assert!(db.snapshot(j).is_none());
-        assert!(db.store_snapshot(j, vec![1, 2, 3]).is_none());
-        assert_eq!(db.snapshot(j), Some(&[1u8, 2, 3][..]));
-        assert_eq!(db.store_snapshot(j, vec![9; 10]), Some(3));
-        assert_eq!(db.snapshot_storage_bytes(), 10);
+        db.record_stat(j, 1, SimTime::from_secs(60.0), 0.2);
+        db.store_snapshot(j, 1, 3_000);
+        let first = JobSnapshot::decode(db.snapshot(j).unwrap()).unwrap();
+        assert_eq!(first, JobSnapshot { job: j, epochs_done: 1, history: vec![0.2] });
+        // A newer snapshot supersedes the old one: state and size.
+        db.record_stat(j, 2, SimTime::from_secs(120.0), 0.4);
+        db.store_snapshot(j, 2, 1_000);
+        assert_eq!(JobSnapshot::decode(db.snapshot(j).unwrap()).unwrap().history, vec![0.2, 0.4]);
+        assert_eq!(db.snapshot_storage_bytes(), 1_000);
+        assert_eq!(db.peak_snapshot_bytes(), 3_000);
+    }
+
+    #[test]
+    fn snapshot_storage_is_accounted_and_buffers_are_recycled() {
+        let mut db = AppStatDb::with_capacity(MetricKind::Accuracy, 3, 8);
+        let [a, b, c] = [0, 1, 2].map(JobId::new);
+        for e in 1..=3 {
+            db.record_stat(a, e, SimTime::from_secs(f64::from(e)), 0.5);
+        }
+        db.record_stat(b, 1, SimTime::from_secs(1.0), 0.1);
+        db.record_stat(c, 1, SimTime::from_secs(1.0), 0.7);
+        // Modelled sizes are uncapped numbers, far beyond what is allocated.
+        db.store_snapshot(a, 3, 40 << 20);
+        db.store_snapshot(b, 1, 24 << 20);
+        assert_eq!(db.snapshot_storage_bytes(), 64 << 20);
+        let (a_buffer, b_buffer) =
+            (db.snapshot(a).unwrap().as_ptr(), db.snapshot(b).unwrap().as_ptr());
+        db.release_snapshot(a);
+        db.release_snapshot(a); // idempotent
+        assert!(db.snapshot(a).is_none());
+        assert_eq!(db.snapshot_storage_bytes(), 24 << 20);
+        // b's next suspend reuses its own buffer; the finished job's buffer
+        // serves the next first suspend, with none of its old contents.
+        db.store_snapshot(b, 1, 1 << 20);
+        db.store_snapshot(c, 1, 2 << 20);
+        assert_eq!(db.snapshot(b).unwrap().as_ptr(), b_buffer);
+        assert_eq!(db.snapshot(c).unwrap().as_ptr(), a_buffer);
+        assert!(snapshot::verify(db.snapshot(c).unwrap(), c, 1));
+        assert_eq!(db.snapshot(c).unwrap().len(), snapshot::encoded_len(1));
+        assert_eq!(db.snapshot_storage_bytes(), 3 << 20);
+        assert_eq!(db.peak_snapshot_bytes(), 64 << 20);
     }
 
     #[test]

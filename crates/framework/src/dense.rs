@@ -9,7 +9,7 @@
 //!
 //! Sparse ids still work (the slot vector grows to the highest inserted
 //! id), they just waste slots — the framework itself never produces them.
-//! The only iteration offered is [`values`](DenseMap::values), which walks
+//! The only iteration offered is [`iter`](DenseMap::iter), which walks
 //! ascending id order: deterministic by construction, unlike hash-map
 //! iteration, so it cannot leak scheduling nondeterminism.
 
@@ -63,11 +63,6 @@ impl<T> DenseMap<T> {
         self.slots.get_mut(id.raw() as usize).and_then(Option::as_mut)
     }
 
-    /// True if `id` has a value.
-    pub fn contains(&self, id: JobId) -> bool {
-        self.get(id).is_some()
-    }
-
     /// Inserts a value, returning the previous one if any.
     pub fn insert(&mut self, id: JobId, value: T) -> Option<T> {
         let idx = id.raw() as usize;
@@ -104,11 +99,6 @@ impl<T> DenseMap<T> {
         slot.as_mut().expect("slot just filled")
     }
 
-    /// All present values in ascending id order.
-    pub fn values(&self) -> impl Iterator<Item = &T> {
-        self.slots.iter().filter_map(Option::as_ref)
-    }
-
     /// All present entries in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (JobId, &T)> {
         self.slots
@@ -132,8 +122,8 @@ mod tests {
         assert_eq!(m.get(JobId::new(5)), Some(&50));
         assert_eq!(m.insert(JobId::new(5), 51), Some(50));
         assert_eq!(m.len(), 2);
-        assert!(m.contains(JobId::new(0)));
-        assert!(!m.contains(JobId::new(3)));
+        assert!(m.get(JobId::new(0)).is_some());
+        assert!(m.get(JobId::new(3)).is_none());
         assert_eq!(m.remove(JobId::new(5)), Some(51));
         assert_eq!(m.remove(JobId::new(5)), None);
         assert_eq!(m.len(), 1);
@@ -150,13 +140,13 @@ mod tests {
     }
 
     #[test]
-    fn values_walk_ascending_ids() {
+    fn iter_walks_ascending_ids() {
         let mut m: DenseMap<&str> = DenseMap::new();
         m.insert(JobId::new(4), "d");
         m.insert(JobId::new(1), "b");
         m.insert(JobId::new(9), "z");
-        let got: Vec<&str> = m.values().copied().collect();
-        assert_eq!(got, ["b", "d", "z"]);
+        let got: Vec<(u64, &str)> = m.iter().map(|(id, v)| (id.raw(), *v)).collect();
+        assert_eq!(got, [(1, "b"), (4, "d"), (9, "z")]);
         assert_eq!(m.get_mut(JobId::new(9)).map(|v| std::mem::replace(v, "y")), Some("z"));
         assert_eq!(m.get(JobId::new(9)), Some(&"y"));
     }

@@ -29,7 +29,7 @@ use crate::job_manager::{JobManager, JobState};
 use crate::journal::{self, Journal, RecoveredJournal};
 use crate::policy::{JobDecision, JobEvent, PrefetchHint, SchedulerContext, SchedulingPolicy};
 use crate::resource::ResourceManager;
-use crate::snapshot::JobSnapshot;
+use crate::snapshot;
 
 /// An instruction from the engine to the execution backend.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -180,9 +180,6 @@ struct EngineCore<'w> {
     retry: RetryPolicy,
     /// Interruptions suffered per job (counts against `retry.max_retries`).
     retries: DenseMap<u32>,
-    /// Epochs covered by each job's stored snapshot, as the engine
-    /// believes them (corruption is only discovered at resume).
-    snapshot_epochs: DenseMap<u32>,
     /// Backoff penalty to charge the next start of an interrupted job.
     restart_penalty: DenseMap<SimTime>,
     stats: FaultStats,
@@ -268,8 +265,8 @@ impl<'w> EngineCore<'w> {
     fn interrupt(&mut self, job: JobId, machine: MachineId, release: bool) {
         self.outstanding.remove(job);
         let epochs_done = self.jm.epochs_done(job).unwrap_or(0);
-        let rollback_to = self.snapshot_epochs.get(job).copied().unwrap_or(0);
-        let has_snapshot = self.snapshot_epochs.contains(job);
+        let snapshot = self.db.snapshot_epochs(job);
+        let rollback_to = snapshot.unwrap_or(0);
         let lost = epochs_done.saturating_sub(rollback_to);
         self.stats.interruptions += 1;
         self.stats.lost_epochs += u64::from(lost);
@@ -279,7 +276,7 @@ impl<'w> EngineCore<'w> {
             time: self.now,
             lost_epochs: lost,
         });
-        self.jm.interrupt_job(job, rollback_to, has_snapshot).expect("live job interrupts");
+        self.jm.interrupt_job(job, rollback_to, snapshot.is_some()).expect("live job interrupts");
         self.db.truncate_stats(job, rollback_to);
         if release {
             self.rm.release_machine(machine).expect("held machine releases");
@@ -292,6 +289,7 @@ impl<'w> EngineCore<'w> {
             self.record(SchedulerEvent::Failed { job, time: self.now });
             self.stats.failed_jobs += 1;
             self.restart_penalty.remove(job);
+            self.db.release_snapshot(job);
         } else {
             // Deterministic jitter (derived from the fault seed and job,
             // no global RNG) de-synchronizes retry stampedes after a
@@ -400,8 +398,8 @@ impl SchedulerContext for EngineCore<'_> {
         let resumed = self.jm.start_job(job, machine).expect("idle job starts");
         let mut extra = if resumed {
             // §5.1: resuming on any machine restores state from the
-            // AppStat DB. Decode and verify the stored snapshot; a
-            // snapshot that is missing, undecodable, or inconsistent with
+            // AppStat DB. Parse and verify the stored snapshot; a
+            // snapshot that is missing, malformed, or inconsistent with
             // the Job Manager (fault injection corrupts payloads in
             // place) is discovered exactly here, and the job restarts
             // from scratch rather than crashing the scheduler.
@@ -409,8 +407,7 @@ impl SchedulerContext for EngineCore<'_> {
             let valid = self
                 .db
                 .snapshot(job)
-                .and_then(|bytes| JobSnapshot::decode(bytes).ok())
-                .is_some_and(|s| s.job == job && s.epochs_done == believed_epochs);
+                .is_some_and(|bytes| snapshot::verify(bytes, job, believed_epochs));
             if valid {
                 self.rng_draws += 1;
                 self.workload.suspend.sample_resume(&mut self.rng)
@@ -420,7 +417,7 @@ impl SchedulerContext for EngineCore<'_> {
                 self.record(SchedulerEvent::SnapshotCorrupted { job, time: self.now });
                 self.jm.reset_epochs(job, 0).expect("running job resets");
                 self.db.truncate_stats(job, 0);
-                self.snapshot_epochs.remove(job);
+                self.db.release_snapshot(job);
                 SimTime::ZERO
             }
         } else {
@@ -535,7 +532,6 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
                 snapshot_corrupt_prob: plan.snapshot_corrupt_prob,
                 retry: plan.retry,
                 retries: DenseMap::new(),
-                snapshot_epochs: DenseMap::new(),
                 restart_penalty: DenseMap::new(),
                 stats: FaultStats::default(),
                 journal,
@@ -812,6 +808,7 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
             // Ran to its cap.
             self.core.jm.complete_job(job).expect("running job completes");
             self.core.rm.release_machine(machine).expect("held machine releases");
+            self.core.db.release_snapshot(job);
             self.core.record(SchedulerEvent::Completed { job, machine, time: now });
         } else {
             let decision = self.policy.on_iteration_finish(&event, &mut self.core);
@@ -843,21 +840,11 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
                         cost.latency += overhead;
                         self.core.charge(job, cost.latency);
                         self.core.db.record_suspend(SuspendEvent { job, requested_at: now, cost });
-                        // Serialize the job's real training state (§5.1),
-                        // padded toward the sampled framework/CRIU size (the
-                        // sampled size is what telemetry reports; physical
-                        // padding is capped so simulating multi-GB snapshot
-                        // models does not exhaust host memory). Resume
-                        // verifies the round trip.
-                        const PAD_CAP: u64 = 4 * 1024 * 1024;
-                        let snapshot = JobSnapshot::capture(
-                            job,
-                            epoch,
-                            self.core.db.curve_ref(job).expect("stat recorded"),
-                        );
-                        let mut bytes = snapshot.encode(cost.snapshot_bytes.min(PAD_CAP) as usize);
+                        // Serialize the job's real training state (§5.1) beside
+                        // its sampled framework/CRIU size; resume verifies it.
+                        let bytes = self.core.db.store_snapshot(job, epoch, cost.snapshot_bytes);
                         // Injected corruption: flip the magic so the damage
-                        // stays latent until a resume tries to decode it.
+                        // stays latent until a resume tries to parse it.
                         let corrupt = self.core.snapshot_corrupt_prob > 0.0 && {
                             self.core.fault_rng_draws += 1;
                             self.core.fault_rng.gen_range(0.0..1.0)
@@ -866,8 +853,6 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
                         if corrupt {
                             bytes[0] ^= 0xFF;
                         }
-                        self.core.db.store_snapshot(job, bytes);
-                        self.core.snapshot_epochs.insert(job, epoch);
                         let token = self.core.issue_token(job);
                         self.core.pending.push(Command::Suspend {
                             job,
@@ -881,6 +866,7 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
                     let held = self.core.jm.terminate_job(job).expect("running job terminates");
                     let m = held.expect("running job holds a machine");
                     self.core.rm.release_machine(m).expect("held machine releases");
+                    self.core.db.release_snapshot(job);
                     self.core.record(SchedulerEvent::Terminated { job, machine: m, time: now });
                 }
             }
@@ -946,6 +932,7 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
             milestones: core.milestones,
             events: core.log,
             total_epochs: core.total_epochs,
+            peak_snapshot_bytes: core.db.peak_snapshot_bytes(),
             faults: core.stats,
         }
     }
@@ -1480,9 +1467,192 @@ mod tests {
             !cmds.iter().any(|c| matches!(c, Command::Suspend { .. })),
             "failed suspend issues no Suspend command, got {cmds:?}"
         );
+        assert_eq!(engine.core.db.snapshot_storage_bytes(), 0, "nothing was stored");
         let result = engine.into_result(duration);
+        assert_eq!(result.peak_snapshot_bytes, 0);
+        assert!(result.suspend_events.is_empty());
         assert_eq!(result.faults.suspend_failures, 1);
         assert_eq!(result.outcomes[0].end, JobEnd::Failed, "zero retries allowed");
         assert_eq!(result.faults.lost_epochs, 1, "the completed epoch rolled back");
+    }
+
+    /// Decides by rule from the event and the number of idle jobs waiting.
+    struct Rule<F>(F);
+    impl<F: FnMut(&JobEvent, usize) -> JobDecision + Send> SchedulingPolicy for Rule<F> {
+        fn name(&self) -> &str {
+            "rule"
+        }
+        fn on_iteration_finish(
+            &mut self,
+            event: &JobEvent,
+            ctx: &mut dyn SchedulerContext,
+        ) -> JobDecision {
+            (self.0)(event, ctx.idle_job_count())
+        }
+    }
+
+    /// Completes the single in-flight command of a one-machine run.
+    fn complete_only(
+        engine: &mut ExperimentEngine<'_, '_>,
+        cmds: &[Command],
+        now: &mut SimTime,
+    ) -> Vec<Command> {
+        let event = match cmds[0] {
+            Command::RunEpoch { job, duration, token, .. } => {
+                *now += duration;
+                EngineEvent::EpochDone { job, token }
+            }
+            Command::Suspend { job, latency, token, .. } => {
+                *now += latency;
+                EngineEvent::SuspendDone { job, token }
+            }
+            Command::Stop => panic!("run already stopped"),
+        };
+        handle(engine, event, *now)
+    }
+
+    #[test]
+    fn corrupt_snapshot_is_released_when_discovered() {
+        let ew = tiny_workload(1, 5);
+        let mut policy =
+            Rule(
+                |e: &JobEvent, _| {
+                    if e.epoch == 1 {
+                        JobDecision::Suspend
+                    } else {
+                        JobDecision::Continue
+                    }
+                },
+            );
+        let spec = ExperimentSpec::new(1).with_stop_on_target(false);
+        let mut plan = FaultPlan::none();
+        plan.snapshot_corrupt_prob = 1.0;
+        let mut engine = ExperimentEngine::with_fault_injection(&mut policy, &ew, spec, &plan);
+        let job = ew.jobs[0].job;
+        let mut now = SimTime::ZERO;
+        let cmds = start(&mut engine);
+        let cmds = complete_only(&mut engine, &cmds, &mut now); // epoch 1 -> Suspend
+        assert!(matches!(cmds[0], Command::Suspend { .. }));
+        // The damage is latent: the DB holds the snapshot and accounts it.
+        let sampled = engine.core.db.suspend_events()[0].cost.snapshot_bytes;
+        assert_eq!(engine.core.db.snapshot_storage_bytes(), sampled);
+        assert!(engine.core.db.snapshot(job).is_some());
+        // SuspendDone frees the machine; the resume discovers the damage
+        // and drops the bytes along with the believed epoch.
+        let cmds = complete_only(&mut engine, &cmds, &mut now);
+        assert!(matches!(cmds[0], Command::RunEpoch { epoch: 1, .. }), "restarts from scratch");
+        assert_eq!(engine.core.stats.snapshot_corruptions, 1);
+        assert_eq!(engine.core.db.snapshot_storage_bytes(), 0);
+        assert!(engine.core.db.snapshot(job).is_none());
+        assert_eq!(engine.into_result(now).peak_snapshot_bytes, sampled);
+    }
+
+    #[test]
+    fn interrupted_job_keeps_its_snapshot_and_a_failed_one_releases_it() {
+        let ew = tiny_workload(1, 10);
+        let mut policy =
+            Rule(
+                |e: &JobEvent, _| {
+                    if e.epoch == 2 {
+                        JobDecision::Suspend
+                    } else {
+                        JobDecision::Continue
+                    }
+                },
+            );
+        let spec = ExperimentSpec::new(1).with_stop_on_target(false);
+        let mut plan = FaultPlan::none();
+        plan.retry = RetryPolicy { max_retries: 1, ..RetryPolicy::default() };
+        let mut engine = ExperimentEngine::with_fault_injection(&mut policy, &ew, spec, &plan);
+        let job = ew.jobs[0].job;
+        let mut now = SimTime::ZERO;
+        let mut cmds = start(&mut engine);
+        // Epochs 1, 2, the suspend, then the resumed epoch 3.
+        for _ in 0..4 {
+            cmds = complete_only(&mut engine, &cmds, &mut now);
+        }
+        let Command::RunEpoch { machine, epoch: 4, .. } = cmds[0] else {
+            panic!("expected epoch 4 in flight, got {cmds:?}");
+        };
+        let sampled = engine.core.db.suspend_events()[0].cost.snapshot_bytes;
+        assert_eq!(engine.core.db.snapshot_storage_bytes(), sampled, "a live job keeps it");
+        // First stall: within budget. The snapshot is exactly what the job
+        // rolls back to, so it stays, and the restart resumes from it.
+        let cmds = deliver(&mut engine, EngineInput::AgentStall(machine), now);
+        assert!(matches!(cmds[0], Command::RunEpoch { epoch: 3, .. }), "resumes at 3: {cmds:?}");
+        assert_eq!(engine.core.db.snapshot_storage_bytes(), sampled);
+        assert!(snapshot::verify(engine.core.db.snapshot(job).unwrap(), job, 2));
+        assert_eq!(engine.core.stats.snapshot_corruptions, 0);
+        // Second stall: budget exhausted, the job fails and nothing can
+        // resume from its snapshot any more.
+        deliver(&mut engine, EngineInput::AgentStall(machine), now);
+        assert_eq!(engine.core.stats.failed_jobs, 1);
+        assert_eq!(engine.core.db.snapshot_storage_bytes(), 0);
+        assert!(engine.core.db.snapshot(job).is_none());
+    }
+
+    #[test]
+    fn snapshot_storage_is_bounded_by_jobs_that_can_still_resume() {
+        // Churn: 6 jobs on 3 machines, suspended at every 2nd epoch while
+        // idle jobs wait; every job whose id is a multiple of 3 is killed
+        // at epoch 5, the rest run to their cap.
+        let ew = tiny_workload(6, 8);
+        let mut policy = Rule(|e: &JobEvent, idle: usize| {
+            if e.epoch == 5 && e.job.raw().is_multiple_of(3) {
+                JobDecision::Terminate
+            } else if e.epoch.is_multiple_of(2) && idle > 0 {
+                JobDecision::Suspend
+            } else {
+                JobDecision::Continue
+            }
+        });
+        let spec = ExperimentSpec::new(3).with_stop_on_target(false);
+        let mut engine = ExperimentEngine::new(&mut policy, &ew, spec);
+        // A minimal executor: completions fire in (time, issue) order.
+        let mut queue: Vec<(SimTime, EngineEvent)> = Vec::new();
+        let mut cmds = start(&mut engine);
+        let mut now = SimTime::ZERO;
+        loop {
+            for cmd in &cmds {
+                queue.push(match *cmd {
+                    Command::RunEpoch { job, duration, token, .. } => {
+                        (now + duration, EngineEvent::EpochDone { job, token })
+                    }
+                    Command::Suspend { job, latency, token, .. } => {
+                        (now + latency, EngineEvent::SuspendDone { job, token })
+                    }
+                    Command::Stop => panic!("nothing stops this run"),
+                });
+            }
+            let Some(next) = (0..queue.len()).min_by_key(|&i| queue[i].0) else {
+                break;
+            };
+            let (time, event) = queue.remove(next);
+            now = time;
+            cmds = handle(&mut engine, event, now);
+
+            // Held storage is exactly the latest sampled size of every job
+            // holding a snapshot, all of which can still resume.
+            let core = &engine.core;
+            let mut latest = std::collections::BTreeMap::new();
+            for e in core.db.suspend_events() {
+                latest.insert(e.job, e.cost.snapshot_bytes);
+            }
+            let live = |job: &JobId| core.jm.active_jobs().contains(job);
+            let holding: u64 =
+                latest.iter().filter(|(j, _)| core.db.snapshot(**j).is_some()).map(|e| e.1).sum();
+            let resumable: u64 = latest.iter().filter(|(j, _)| live(j)).map(|e| e.1).sum();
+            assert_eq!(core.db.snapshot_storage_bytes(), holding);
+            assert!(holding <= resumable, "a terminal job still holds a snapshot");
+            assert!(core.db.peak_snapshot_bytes() >= holding);
+        }
+        assert_eq!(engine.active_job_count(), 0, "every job reached a terminal state");
+        assert_eq!(engine.core.db.snapshot_storage_bytes(), 0);
+        let result = engine.into_result(now);
+        assert!(result.suspend_events.len() >= 6, "the run really churned");
+        assert!(result.outcomes.iter().any(|o| o.end == JobEnd::Terminated));
+        assert!(result.peak_snapshot_bytes > 0);
+        let total: u64 = result.suspend_events.iter().map(|e| e.cost.snapshot_bytes).sum();
+        assert!(result.peak_snapshot_bytes < total, "superseded snapshots are not summed");
     }
 }

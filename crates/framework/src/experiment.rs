@@ -295,6 +295,10 @@ pub struct ExperimentResult {
     /// (epochs in flight when a fault struck were never recorded and appear
     /// in neither term).
     pub total_epochs: u64,
+    /// High-water mark of modelled snapshot storage (§6.2.3, Fig. 10): the
+    /// most the AppStat DB ever held, summing the sampled size of every
+    /// snapshot a job could still resume from. Zero for suspend-free runs.
+    pub peak_snapshot_bytes: u64,
     /// Fault-injection accounting; all-zero for fault-free runs.
     pub faults: crate::fault::FaultStats,
     /// The policy's curve-fit cache counters at run end
@@ -420,6 +424,7 @@ mod tests {
             milestones: vec![],
             events: EventLog::new(),
             total_epochs: 10,
+            peak_snapshot_bytes: 0,
             faults: crate::fault::FaultStats::default(),
             fit_cache: None,
         };

@@ -3,22 +3,78 @@
 //! "Suspend and resume requires that training state is saved and
 //! synchronized with the AppStat database, which allows any machine to
 //! receive the state and resume training." The engine serializes each
-//! suspended job's training state with this codec, stores the bytes in the
-//! AppStat DB (padded to the workload's sampled snapshot size, which
-//! models the framework/CRIU state the synthetic jobs do not have), and
-//! verifies the round trip on resume — so the state path is really
-//! exercised, not mocked.
+//! suspended job's training state with this codec into the AppStat DB and
+//! parses and verifies the stored bytes on resume — so the state path is
+//! really exercised, not mocked. The framework/CRIU state the synthetic
+//! jobs lack is accounted, not materialised: the DB carries the sampled
+//! snapshot size beside the bytes as a number, its cost is paid as latency.
 //!
 //! The format is a small, versioned, hand-rolled binary layout (magic,
 //! version, job id, epoch count, performance history as f64 bits) — no
-//! serde dependency required.
+//! serde dependency required — with one writer and one parser.
 
-use hyperdrive_types::{Error, JobId, LearningCurve, Result};
+use hyperdrive_types::{Error, JobId, Result};
 
 /// Magic bytes identifying a HyperDrive snapshot.
 const MAGIC: [u8; 4] = *b"HDSS";
 /// Current codec version.
 const VERSION: u8 = 1;
+/// Bytes before the history: magic, version, job id, epoch, history length.
+const HEADER_LEN: usize = 21;
+
+/// Encoded size of a snapshot holding `epochs` history values.
+pub(crate) const fn encoded_len(epochs: usize) -> usize {
+    HEADER_LEN + epochs * 8
+}
+
+/// Replaces the contents of `out` with the encoded state, reusing its
+/// capacity (a recycled buffer keeps nothing of what it held before).
+pub(crate) fn write(
+    out: &mut Vec<u8>,
+    job: JobId,
+    epochs_done: u32,
+    history: impl ExactSizeIterator<Item = f64>,
+) {
+    out.clear();
+    out.extend_from_slice(&MAGIC);
+    out.push(VERSION);
+    out.extend_from_slice(&job.raw().to_le_bytes());
+    out.extend_from_slice(&epochs_done.to_le_bytes());
+    out.extend_from_slice(&(history.len() as u32).to_le_bytes());
+    for v in history {
+        out.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+}
+
+/// Validates magic, version, length and every history value (finite),
+/// ignoring bytes past the payload; yields the header's job id and epoch.
+fn parse(bytes: &[u8]) -> Result<(JobId, u32, impl ExactSizeIterator<Item = f64> + '_)> {
+    let err = |what: &str| Error::TraceFormat(format!("snapshot: {what}"));
+    if bytes.len() < HEADER_LEN {
+        return Err(err("truncated header"));
+    }
+    if bytes[..4] != MAGIC {
+        return Err(err("bad magic"));
+    }
+    if bytes[4] != VERSION {
+        return Err(err("unsupported version"));
+    }
+    let job = JobId::new(u64::from_le_bytes(bytes[5..13].try_into().expect("length checked")));
+    let epochs_done = u32::from_le_bytes(bytes[13..17].try_into().expect("length checked"));
+    let n = u32::from_le_bytes(bytes[17..21].try_into().expect("length checked")) as usize;
+    let payload = bytes.get(HEADER_LEN..encoded_len(n)).ok_or_else(|| err("truncated history"))?;
+    let value = |c: &[u8]| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+    if !payload.chunks_exact(8).all(|c| value(c).is_finite()) {
+        return Err(err("non-finite history value"));
+    }
+    Ok((job, epochs_done, payload.chunks_exact(8).map(value)))
+}
+
+/// True if `bytes` hold a well-formed snapshot of `job` at `epochs_done`:
+/// the resume-time check, which does not materialise the history.
+pub(crate) fn verify(bytes: &[u8], job: JobId, epochs_done: u32) -> bool {
+    parse(bytes).is_ok_and(|(j, e, _)| (j, e) == (job, epochs_done))
+}
 
 /// The training state captured when a job suspends.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,28 +88,14 @@ pub struct JobSnapshot {
 }
 
 impl JobSnapshot {
-    /// Captures a snapshot from a job's observed curve.
-    pub fn capture(job: JobId, epochs_done: u32, curve: &LearningCurve) -> Self {
-        JobSnapshot { job, epochs_done, history: curve.values().collect() }
-    }
-
     /// Serializes the snapshot. The payload is followed by zero padding up
-    /// to `min_size` bytes when the encoded form is smaller — modelling the
-    /// full framework/process state (weights, optimizer moments, CRIU
-    /// pages) that dominates real snapshot sizes.
+    /// to `min_size` bytes when the encoded form is smaller — a physical
+    /// stand-in for the framework/process state (weights, optimizer
+    /// moments, CRIU pages) whose size the engine only accounts.
     pub fn encode(&self, min_size: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(min_size.max(21 + self.history.len() * 8));
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION);
-        out.extend_from_slice(&self.job.raw().to_le_bytes());
-        out.extend_from_slice(&self.epochs_done.to_le_bytes());
-        out.extend_from_slice(&(self.history.len() as u32).to_le_bytes());
-        for v in &self.history {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        if out.len() < min_size {
-            out.resize(min_size, 0);
-        }
+        let mut out = Vec::with_capacity(min_size.max(encoded_len(self.history.len())));
+        write(&mut out, self.job, self.epochs_done, self.history.iter().copied());
+        out.resize(out.len().max(min_size), 0);
         out
     }
 
@@ -65,41 +107,15 @@ impl JobSnapshot {
     /// Returns [`Error::TraceFormat`] for truncated or corrupted bytes,
     /// wrong magic, or unsupported versions.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let err = |what: &str| Error::TraceFormat(format!("snapshot: {what}"));
-        if bytes.len() < 21 {
-            return Err(err("truncated header"));
-        }
-        if bytes[..4] != MAGIC {
-            return Err(err("bad magic"));
-        }
-        if bytes[4] != VERSION {
-            return Err(err("unsupported version"));
-        }
-        let job = JobId::new(u64::from_le_bytes(bytes[5..13].try_into().expect("length checked")));
-        let epochs_done = u32::from_le_bytes(bytes[13..17].try_into().expect("length checked"));
-        let n = u32::from_le_bytes(bytes[17..21].try_into().expect("length checked")) as usize;
-        let need = 21 + n * 8;
-        if bytes.len() < need {
-            return Err(err("truncated history"));
-        }
-        let mut history = Vec::with_capacity(n);
-        for i in 0..n {
-            let off = 21 + i * 8;
-            let bits = u64::from_le_bytes(bytes[off..off + 8].try_into().expect("length checked"));
-            let v = f64::from_bits(bits);
-            if !v.is_finite() {
-                return Err(err("non-finite history value"));
-            }
-            history.push(v);
-        }
-        Ok(JobSnapshot { job, epochs_done, history })
+        let (job, epochs_done, history) = parse(bytes)?;
+        Ok(JobSnapshot { job, epochs_done, history: history.collect() })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hyperdrive_types::{MetricKind, SimTime};
+    use hyperdrive_types::{LearningCurve, MetricKind, SimTime};
 
     fn curve(values: &[f64]) -> LearningCurve {
         let mut c = LearningCurve::new(MetricKind::Accuracy);
@@ -107,6 +123,19 @@ mod tests {
             c.push(i as u32 + 1, SimTime::from_mins(i as f64 + 1.0), *v);
         }
         c
+    }
+
+    impl JobSnapshot {
+        /// Captures an owned snapshot from a job's observed curve.
+        fn capture(job: JobId, epochs_done: u32, curve: &LearningCurve) -> Self {
+            JobSnapshot { job, epochs_done, history: curve.values().collect() }
+        }
+    }
+
+    /// What the engine's suspend path does: encode straight from the curve
+    /// into a (possibly recycled) buffer.
+    fn write_curve(out: &mut Vec<u8>, job: JobId, epochs_done: u32, curve: &LearningCurve) {
+        write(out, job, epochs_done, curve.values());
     }
 
     #[test]
@@ -128,31 +157,103 @@ mod tests {
         assert!(big.encode(10).len() > 10);
     }
 
-    #[test]
-    fn corruption_is_detected() {
-        let snap = JobSnapshot::capture(JobId::new(7), 1, &curve(&[0.3]));
-        let good = snap.encode(0);
-
-        assert!(JobSnapshot::decode(&good[..10]).is_err(), "truncated");
+    /// The malformed vectors every parser entry point must reject, built
+    /// from a good one-value snapshot of job 7 at epoch 1.
+    fn corrupted_vectors() -> Vec<(&'static str, Vec<u8>)> {
+        let good = JobSnapshot::capture(JobId::new(7), 1, &curve(&[0.3])).encode(0);
         let mut bad_magic = good.clone();
         bad_magic[0] = b'X';
-        assert!(JobSnapshot::decode(&bad_magic).is_err(), "magic");
         let mut bad_version = good.clone();
         bad_version[4] = 99;
-        assert!(JobSnapshot::decode(&bad_version).is_err(), "version");
         let mut bad_len = good.clone();
         bad_len[17] = 200; // claims 200 history entries
-        assert!(JobSnapshot::decode(&bad_len).is_err(), "length");
-        let mut bad_value = good;
+        let mut bad_value = good.clone();
         for b in &mut bad_value[21..29] {
             *b = 0xFF; // NaN bits
         }
-        assert!(JobSnapshot::decode(&bad_value).is_err(), "NaN history");
+        vec![
+            ("truncated", good[..10].to_vec()),
+            ("magic", bad_magic),
+            ("version", bad_version),
+            ("length", bad_len),
+            ("NaN history", bad_value),
+        ]
+    }
+
+    #[test]
+    fn corruption_is_detected() {
+        for (what, bytes) in corrupted_vectors() {
+            assert!(JobSnapshot::decode(&bytes).is_err(), "{what}");
+        }
+    }
+
+    #[test]
+    fn verify_rejects_what_decode_rejects_plus_wrong_identity() {
+        let (job, epoch) = (JobId::new(7), 1);
+        let good = JobSnapshot::capture(job, epoch, &curve(&[0.3])).encode(0);
+        assert!(verify(&good, job, epoch));
+        for (what, bytes) in corrupted_vectors() {
+            assert!(!verify(&bytes, job, epoch), "{what}");
+        }
+        assert!(!verify(&good, JobId::new(8), epoch), "wrong job id");
+        assert!(!verify(&good, job, epoch + 1), "wrong epoch");
+        // Bytes past the payload (padding, or anything else) are ignored.
+        let mut long = good.clone();
+        long.extend_from_slice(&[0xFF; 64]);
+        assert!(verify(&long, job, epoch));
+        assert_eq!(JobSnapshot::decode(&long).unwrap().history, vec![0.3]);
+    }
+
+    #[test]
+    fn recycled_buffer_keeps_nothing_of_its_previous_snapshot() {
+        let mut buf = Vec::new();
+        write_curve(&mut buf, JobId::new(1), 120, &curve(&[0.9; 120]));
+        let capacity = buf.capacity();
+        let short = curve(&[0.1, 0.2]);
+        write_curve(&mut buf, JobId::new(2), 2, &short);
+        assert_eq!(buf.capacity(), capacity, "the buffer is reused, not reallocated");
+        assert_eq!(buf, JobSnapshot::capture(JobId::new(2), 2, &short).encode(0));
+        assert!(verify(&buf, JobId::new(2), 2));
+        assert_eq!(JobSnapshot::decode(&buf).unwrap().history, vec![0.1, 0.2]);
     }
 
     #[test]
     fn empty_history_is_valid() {
         let snap = JobSnapshot { job: JobId::new(0), epochs_done: 0, history: Vec::new() };
         assert_eq!(JobSnapshot::decode(&snap.encode(64)).unwrap(), snap);
+    }
+
+    mod writer_equivalence {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn assert_writer_matches_owned_encode(job: u64, values: &[f64]) {
+            let (job, epochs) = (JobId::new(job), values.len() as u32);
+            let curve = curve(values);
+            // A dirty, longer buffer: the writer must not depend on it.
+            let mut buf = vec![0xAB; 4096];
+            write_curve(&mut buf, job, epochs, &curve);
+            assert_eq!(buf, JobSnapshot::capture(job, epochs, &curve).encode(0));
+            assert_eq!(buf.len(), encoded_len(values.len()));
+            assert!(verify(&buf, job, epochs));
+        }
+
+        #[test]
+        fn fixed_lengths() {
+            for n in [0usize, 1, 120] {
+                let values: Vec<f64> = (0..n).map(|i| i as f64 / 128.0).collect();
+                assert_writer_matches_owned_encode(n as u64, &values);
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn random_curves(
+                job in 0u64..u64::MAX,
+                values in proptest::collection::vec(-1.0e6f64..1.0e6, 0..200),
+            ) {
+                assert_writer_matches_owned_encode(job, &values);
+            }
+        }
     }
 }

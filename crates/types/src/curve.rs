@@ -109,7 +109,7 @@ impl LearningCurve {
     }
 
     /// The performance values, in epoch order.
-    pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
+    pub fn values(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
         self.points.iter().map(|p| p.value)
     }
 

@@ -13,6 +13,10 @@
 //! the O(log n) ResourceManager free-set, which never allocates after
 //! construction.
 //!
+//! A fourth arm drives the other half of the spine — suspend, snapshot,
+//! resume — and pins it in allocated bytes per event (see
+//! `churn_path_allocations`).
+//!
 //! This file holds exactly one `#[test]` so no sibling test can allocate
 //! concurrently and pollute the counter.
 
@@ -21,26 +25,36 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use hyperdrive_core::{PopConfig, PopPolicy};
 use hyperdrive_curve::PredictorConfig;
-use hyperdrive_framework::{DefaultPolicy, ExperimentSpec, ExperimentWorkload, SchedulingPolicy};
+use hyperdrive_framework::{
+    DefaultPolicy, EngineEvent, ExperimentSpec, ExperimentWorkload, JobDecision, JobEvent,
+    SchedulerContext, SchedulerEvent, SchedulingPolicy,
+};
 use hyperdrive_sim::Simulation;
 use hyperdrive_workload::CifarWorkload;
 
-/// Counts allocation events (alloc + realloc) process-wide.
+/// Counts allocation events (alloc + realloc) and the bytes they newly
+/// asked for (a realloc counts its growth), process-wide.
 struct CountingAlloc;
 
 static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count(new_size.saturating_sub(layout.size()));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -53,6 +67,10 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn alloc_events() -> u64 {
     ALLOC_EVENTS.load(Ordering::Relaxed)
+}
+
+fn alloc_bytes() -> u64 {
+    ALLOC_BYTES.load(Ordering::Relaxed)
 }
 
 const JOBS: usize = 8;
@@ -79,6 +97,99 @@ fn steady_state_allocs(policy: &mut dyn SchedulingPolicy) -> (u64, u64) {
         measured += 1;
     }
     (alloc_events() - before, measured)
+}
+
+/// The churn rule: suspend a job at every 5th epoch while idle jobs wait.
+struct ChurnPolicy;
+
+impl SchedulingPolicy for ChurnPolicy {
+    fn name(&self) -> &str {
+        "churn"
+    }
+    fn on_iteration_finish(
+        &mut self,
+        event: &JobEvent,
+        ctx: &mut dyn SchedulerContext,
+    ) -> JobDecision {
+        if event.epoch.is_multiple_of(5) && ctx.idle_job_count() > 0 {
+            JobDecision::Suspend
+        } else {
+            JobDecision::Continue
+        }
+    }
+}
+
+/// The suspend → snapshot → resume path, with twice as many jobs as
+/// machines so every machine is always contended. Unlike the
+/// reserve/release arms this path appends to the run's telemetry (one
+/// `SuspendEvent` and two log records per cycle), so it is pinned in
+/// allocated bytes per event rather than at zero events; the snapshot
+/// store's own claim is pinned separately: once a job owns a snapshot
+/// buffer, suspending it again and resuming it allocate nothing.
+fn churn_path_allocations() {
+    const CHURN_JOBS: usize = 2 * JOBS;
+    let w = CifarWorkload::new().with_max_epochs(EPOCHS);
+    let ew = ExperimentWorkload::from_workload(&w, CHURN_JOBS, 11);
+    let spec = ExperimentSpec::new(JOBS).with_seed(7).with_stop_on_target(false);
+    let mut policy = ChurnPolicy;
+    let mut sim = Simulation::new(&mut policy, &ew, spec);
+    // Warmup: two run-5-epochs-then-suspend cycles per job, so every job
+    // has started, created its curve and taken its first snapshot.
+    for _ in 0..12 * CHURN_JOBS {
+        sim.step().expect("workload outlasts warmup");
+    }
+    let warm_until = sim.now();
+    let mut steps = Vec::with_capacity(2 * CHURN_JOBS * EPOCHS as usize);
+    let bytes_before = alloc_bytes();
+    let mut last = alloc_events();
+    while let Some(step) = sim.step() {
+        let now = alloc_events();
+        steps.push((step, now - last));
+        last = now;
+    }
+    let bytes = alloc_bytes() - bytes_before;
+    let result = sim.finish();
+
+    let suspended_at =
+        |job, time| result.suspend_events.iter().any(|s| s.job == job && s.requested_at == time);
+    let warmed =
+        |job| result.suspend_events.iter().any(|s| s.job == job && s.requested_at <= warm_until);
+    assert!(ew.jobs.iter().all(|j| warmed(j.job)), "warmup covers every job's first suspend");
+    assert!(steps.len() > CHURN_JOBS * EPOCHS as usize / 2, "measured {} events", steps.len());
+    let per_event = bytes as f64 / steps.len() as f64;
+    assert!(per_event <= 64.0, "churn: {per_event:.1} allocated bytes/event");
+
+    // The steps that suspended a job again or resumed one. The only
+    // allocation such a step may see is a telemetry vector doubling under
+    // it, which can happen at most log2(len) times in a whole run — so all
+    // but that many must be allocation-free. (Encoding into a fresh buffer
+    // would make every one of them allocate.)
+    let resumed_at: Vec<_> = result
+        .events
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            SchedulerEvent::Started { time, resumed: true, .. } => Some(*time),
+            _ => None,
+        })
+        .collect();
+    let snapshot_steps: Vec<u64> = steps
+        .iter()
+        .filter(|(step, _)| {
+            matches!(step.event, EngineEvent::EpochDone { job, .. } if suspended_at(job, step.time))
+                || resumed_at.contains(&step.time)
+        })
+        .map(|&(_, allocs)| allocs)
+        .collect();
+    let doublings = |len: usize| (usize::BITS - len.leading_zeros()) as usize;
+    let telemetry_growth = doublings(result.suspend_events.len()) + doublings(result.events.len());
+    let allocating = snapshot_steps.iter().filter(|&&allocs| allocs > 0).count();
+    assert!(snapshot_steps.len() >= 10 * telemetry_growth, "{} steps", snapshot_steps.len());
+    assert!(
+        allocating <= telemetry_growth,
+        "churn: {allocating} of {} re-suspend/resume steps allocated",
+        snapshot_steps.len()
+    );
 }
 
 #[test]
@@ -112,4 +223,6 @@ fn steady_state_event_loop_is_allocation_free() {
             "POP ({fit_threads} fit threads): {allocs} allocs over {events} steady-state events"
         );
     }
+
+    churn_path_allocations();
 }

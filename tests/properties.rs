@@ -86,6 +86,15 @@ proptest! {
             prop_assert!(e.requested_at <= result.end_time);
             prop_assert!(e.cost.latency > SimTime::ZERO);
         }
+        // Snapshot storage holds at most one snapshot per job at a time, so
+        // its high-water mark is bounded by every job's largest one.
+        let mut largest = std::collections::BTreeMap::new();
+        for e in &result.suspend_events {
+            let size = largest.entry(e.job).or_insert(0u64);
+            *size = (*size).max(e.cost.snapshot_bytes);
+        }
+        prop_assert!(result.peak_snapshot_bytes <= largest.values().sum::<u64>());
+        prop_assert_eq!(result.peak_snapshot_bytes == 0, result.suspend_events.is_empty());
     }
 
     /// Determinism: identical seeds give bit-identical results.
@@ -119,6 +128,7 @@ proptest! {
         let full = run_sim(&mut p2, &experiment, exhaustive);
 
         prop_assert!(stopped.end_time <= full.end_time + SimTime::from_secs(1.0));
+        prop_assert_eq!(full.peak_snapshot_bytes, 0, "no suspends, no snapshot storage");
         if let (Some(t), Some(winner)) = (stopped.time_to_target, stopped.winner) {
             prop_assert!(t <= stopped.end_time);
             let best = experiment.profile(winner).best_value();
