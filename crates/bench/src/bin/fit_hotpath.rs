@@ -13,10 +13,9 @@ use std::time::Instant;
 use hyperdrive_bench::{print_table, quick_mode, results_dir};
 use hyperdrive_core::{PopConfig, PopPolicy};
 use hyperdrive_curve::ensemble::PosteriorEval;
-use hyperdrive_curve::fit::{build_initial_walkers, fit_all_families_with, FamilyFitBuf};
+use hyperdrive_curve::fit::{build_initial_walkers, fit_all_families};
 use hyperdrive_curve::mcmc::{sample_into, score_each, McmcScratch, SamplerOptions};
 use hyperdrive_curve::models::GridPoint;
-use hyperdrive_curve::nelder_mead::NmScratch;
 use hyperdrive_curve::{CurvePredictor, FitRequest, FitScratch, FitService, PredictorConfig};
 use hyperdrive_framework::testing::MockContext;
 use hyperdrive_framework::{JobEvent, SchedulingPolicy};
@@ -127,8 +126,6 @@ fn main() {
     pts.push(GridPoint::new(f64::from(horizon)));
     let ys: Vec<f64> = obs.iter().map(|&(_, y)| y).collect();
     let mut means = vec![0.0; ys.len()];
-    let mut nm = NmScratch::default();
-    let mut fam = FamilyFitBuf::default();
     let mut mcmc = McmcScratch::default();
     let opts = SamplerOptions {
         steps: config.steps,
@@ -137,7 +134,7 @@ fn main() {
         stretch: 2.0,
     };
     let mut rng = StdRng::seed_from_u64(7);
-    let fits = fit_all_families_with(&pts[..ys.len()], &ys, &mut rng, &mut nm, &mut fam);
+    let fits = fit_all_families(&obs, &mut rng);
     let init = build_initial_walkers(&fits, config.walkers, &mut rng);
     let mut eval = PosteriorEval::new(&pts, &ys, &mut means);
     let dim = init[0].len();

@@ -1,9 +1,10 @@
 //! Benchmarks the vectorized likelihood kernel (`fast_math`): cold per-fit
-//! latency of the reference path vs the fused half-ensemble path, heap
-//! allocations per MCMC step on the fast path, forced-scalar vs dispatched
-//! bit-identity of both the raw kernels and the fused log-posterior
-//! (against the per-proposal reference evaluator), and warm+fast refit
-//! speedup through the [`FitService`].
+//! latency of the reference path vs the fused-arena path, heap allocations
+//! on the fast path — per MCMC step, per lockstep Nelder–Mead init, per
+//! remaining-time estimate and single-epoch query — forced-scalar vs
+//! dispatched bit-identity of both the raw kernels and the fused
+//! log-posterior (against the per-proposal reference evaluator), and
+//! warm+fast refit speedup through the [`FitService`].
 //! Emits `BENCH_fit_simd.json` into the results directory.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -12,14 +13,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use hyperdrive_bench::{print_table, quick_mode, results_dir};
+use hyperdrive_core::estimate_remaining_time;
 use hyperdrive_curve::fastpath::{FastGrid, PosteriorEvalFast};
-use hyperdrive_curve::fit::{build_initial_walkers, fit_all_families_fast, FamilyFitBuf};
+use hyperdrive_curve::fit::{build_initial_walkers, fit_families};
 use hyperdrive_curve::mcmc::{sample_into, McmcScratch, SamplerOptions};
-use hyperdrive_curve::nelder_mead::NmScratch;
+use hyperdrive_curve::nelder_mead::{NelderMeadOptions, NmScratch};
 use hyperdrive_curve::vmath::{self, Backend};
 use hyperdrive_curve::{
-    CurvePredictor, FitRequest, FitScratch, FitService, FusedPosterior, FusedScratch,
-    PredictorConfig,
+    CurveObjective, CurvePredictor, FitRequest, FitScratch, FitService, FusedPosterior,
+    FusedScratch, PredictorConfig, ALL_FAMILIES,
 };
 use hyperdrive_types::{JobId, LearningCurve, MetricKind, SimTime};
 use hyperdrive_workload::{CifarWorkload, Workload};
@@ -139,49 +141,44 @@ fn main() {
     grid.push(f64::from(horizon));
     let ys: Vec<f64> = obs.iter().map(|&(_, y)| y).collect();
     let mut nm = NmScratch::default();
-    let mut fam = FamilyFitBuf::default();
+    let mut fused = FusedScratch::default();
     let mut rng = StdRng::seed_from_u64(7);
-    let fits = fit_all_families_fast(&grid, &ys, &mut rng, &mut nm, &mut fam, dispatched);
+    let fits = fit_families(
+        &mut FusedPosterior::new(&grid, &ys, &mut fused, dispatched),
+        None,
+        &mut rng,
+        &mut nm,
+    );
     let init = build_initial_walkers(&fits, config.walkers, &mut rng);
     let flat_init = init.concat();
-    let mut fused = FusedScratch::default();
     let mut lps = [vec![0.0; init.len()], vec![0.0; init.len()]];
     for (backend, out) in [Backend::Scalar, Backend::Simd].into_iter().zip(&mut lps) {
         FusedPosterior::new(&grid, &ys, &mut fused, backend).log_posteriors(&flat_init, out);
     }
     assert_bits_eq(&lps[0], &lps[1], "fused log-posterior between backends");
     let mut means = vec![0.0; ys.len()];
-    let mut tbuf = vec![0.0; ys.len()];
-    let mut reference_eval =
-        PosteriorEvalFast::new(&grid, &ys, &mut means, &mut tbuf, Backend::Scalar);
+    let mut reference_eval = PosteriorEvalFast::new(&grid, &ys, &mut means);
     let per_proposal: Vec<f64> = init.iter().map(|w| reference_eval.log_posterior(w)).collect();
     let posterior_evals = assert_bits_eq(&lps[0], &per_proposal, "fused vs per-proposal");
 
-    // ---- Cold per-fit latency: reference vs optimized-scalar vs fast_math,
-    // interleaved per curve with the per-path total taken as the minimum
-    // over repetitions so load drift cannot skew the ratios.
+    // ---- Cold per-fit latency: reference vs fast_math, interleaved per
+    // curve with the per-path total taken as the minimum over repetitions
+    // so load drift cannot skew the ratio.
     let reference = CurvePredictor::new(config.with_fast_math(false).with_seed(7));
     let fast = CurvePredictor::new(config.with_fast_math(true).with_seed(7));
-    let mut scratch_opt = FitScratch::new();
     let mut scratch_fast = FitScratch::new();
-    // Untimed warm-up sizes both scratches and faults code in.
-    let _ = reference.fit_with(&curves[0], horizon, None, &mut scratch_opt);
+    // Untimed warm-up sizes the scratch and faults code in.
     let _ = fast.fit_with(&curves[0], horizon, None, &mut scratch_fast);
 
     let mut ref_secs = f64::INFINITY;
-    let mut opt_secs = f64::INFINITY;
     let mut fast_secs = f64::INFINITY;
     for rep in 0..reps {
         let mut rep_ref = 0.0;
-        let mut rep_opt = 0.0;
         let mut rep_fast = 0.0;
         for c in &curves {
             let t = Instant::now();
             let _ = reference.fit_reference(c, horizon).expect("fit ok");
             rep_ref += t.elapsed().as_secs_f64();
-            let t = Instant::now();
-            let _ = reference.fit_with(c, horizon, None, &mut scratch_opt).expect("fit ok");
-            rep_opt += t.elapsed().as_secs_f64();
             let t = Instant::now();
             let a = fast.fit_with(c, horizon, None, &mut scratch_fast).expect("fit ok");
             rep_fast += t.elapsed().as_secs_f64();
@@ -194,14 +191,11 @@ fn main() {
             }
         }
         ref_secs = ref_secs.min(rep_ref);
-        opt_secs = opt_secs.min(rep_opt);
         fast_secs = fast_secs.min(rep_fast);
     }
     let ref_ms = ref_secs * 1e3 / n_curves as f64;
-    let opt_ms = opt_secs * 1e3 / n_curves as f64;
     let fast_ms = fast_secs * 1e3 / n_curves as f64;
     let fast_speedup = ref_secs / fast_secs.max(1e-12);
-    let fast_vs_opt = opt_secs / fast_secs.max(1e-12);
 
     // ---- Allocations per MCMC step on the fast path, measured around
     // sample_into with warmed buffers (exactly how fit_with drives it).
@@ -223,6 +217,55 @@ fn main() {
     let proposals = (config.steps * config.walkers) as u64;
     let allocs_per_step = alloc_delta as f64 / proposals as f64;
     assert_eq!(alloc_delta, 0, "fast MCMC inner loop allocated {alloc_delta} times");
+
+    // ---- The same for the stages either side of the sampler. The
+    // lockstep Nelder–Mead init: the fit's 33 starts (each family's default
+    // plus two random points in its box) through the driver and the
+    // arena's least-squares objective, warmed by one identical pass.
+    let starts: Vec<(usize, Vec<f64>)> = ALL_FAMILIES
+        .iter()
+        .enumerate()
+        .flat_map(|(k, family)| {
+            let random = |rng: &mut StdRng| -> Vec<f64> {
+                family.bounds().iter().map(|(lo, hi)| rng.gen_range(*lo..*hi)).collect()
+            };
+            [(k, family.default_params()), (k, random(&mut rng)), (k, random(&mut rng))]
+        })
+        .collect();
+    let mut nm_evals = 0;
+    let mut nm_alloc_delta = 0;
+    for _warm_then_counted in 0..2 {
+        let before = alloc_events();
+        nm.begin(NelderMeadOptions { max_evals: 300, ..Default::default() });
+        for (k, x0) in &starts {
+            nm.push_start(*k, x0);
+        }
+        nm.minimize_all(|families, points, out| eval.least_squares(families, points, out));
+        nm_alloc_delta = alloc_events() - before;
+        nm_evals = (0..starts.len()).map(|run| nm.evals(run)).sum::<usize>();
+    }
+    assert_eq!(nm_alloc_delta, 0, "lockstep Nelder–Mead init allocated {nm_alloc_delta} times");
+
+    // A boundary decision's queries on a fitted posterior: POP's
+    // remaining-time estimate and EarlyTerm's single-epoch probability,
+    // on this thread's reused query grid and arena.
+    let posterior = fast.fit_with(&curves[0], horizon, None, &mut scratch_fast).expect("fit ok");
+    let query = || {
+        let est = estimate_remaining_time(
+            &posterior,
+            0.77,
+            horizon - posterior.last_epoch(),
+            SimTime::from_secs(60.0),
+            SimTime::from_hours(5.0),
+        );
+        est.confidence + posterior.prob_at_least(horizon, 0.77)
+    };
+    let warm_answer = query();
+    let before = alloc_events();
+    let counted_answer = query();
+    let query_alloc_delta = alloc_events() - before;
+    assert_eq!(warm_answer.to_bits(), counted_answer.to_bits());
+    assert_eq!(query_alloc_delta, 0, "posterior queries allocated {query_alloc_delta} times");
 
     // ---- Warm + fast refit speedup through the FitService: epoch-20
     // posteriors seed the epoch-24 refits, all on the fast path. Fresh
@@ -263,11 +306,11 @@ fn main() {
             "curves",
             "backend",
             "ref_ms/fit",
-            "opt_ms/fit",
             "fast_ms/fit",
             "fast_speedup",
-            "fast_vs_opt",
             "allocs/step",
+            "allocs/nm_init",
+            "allocs/query",
             "warmfast_ms",
             "warmfast_vs_ref",
         ],
@@ -275,11 +318,11 @@ fn main() {
             n_curves.to_string(),
             format!("{dispatched:?}"),
             format!("{ref_ms:.2}"),
-            format!("{opt_ms:.2}"),
             format!("{fast_ms:.2}"),
             format!("{fast_speedup:.2}x"),
-            format!("{fast_vs_opt:.2}x"),
             format!("{allocs_per_step:.3}"),
+            nm_alloc_delta.to_string(),
+            query_alloc_delta.to_string(),
             format!("{warm_fast_ms:.2}"),
             format!("{warm_fast_vs_reference:.2}x"),
         ]],
@@ -299,13 +342,14 @@ fn main() {
   "timing": "interleaved per curve, min over {reps} repetitions",
   "dispatched_backend": "{dispatched:?}",
   "per_fit_reference_ms": {ref_ms:.4},
-  "per_fit_optimized_ms": {opt_ms:.4},
   "per_fit_fast_ms": {fast_ms:.4},
   "fast_cold_speedup_vs_reference": {fast_speedup:.3},
-  "fast_cold_speedup_vs_optimized": {fast_vs_opt:.3},
   "mcmc_proposals_measured": {proposals},
   "mcmc_alloc_events": {alloc_delta},
   "allocs_per_mcmc_step": {allocs_per_step:.6},
+  "nm_init_evals_measured": {nm_evals},
+  "nm_init_alloc_events": {nm_alloc_delta},
+  "query_alloc_events": {query_alloc_delta},
   "bit_identity_kernel_lanes": {kernel_lanes},
   "bit_identity_posterior_evals": {posterior_evals},
   "bit_identical_scalar_vs_dispatched": true,

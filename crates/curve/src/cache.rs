@@ -54,6 +54,7 @@ use parking_lot::Mutex;
 
 use hyperdrive_types::{LearningCurve, MetricKind};
 
+use crate::ensemble::dimension;
 use crate::predictor::{CurvePosterior, PredictorConfig};
 use crate::vmath;
 
@@ -71,9 +72,8 @@ const SHARD_MAGIC: [u8; 4] = *b"HDFC";
 const SHARD_FORMAT: u32 = 1;
 /// Upper bound on a single record payload; anything larger is corruption.
 const MAX_PAYLOAD: u32 = 64 << 20;
-/// Upper bounds on decoded posterior shape (sanity, not policy).
+/// Upper bound on a decoded posterior's draw count (sanity, not policy).
 const MAX_DRAWS: u32 = 1 << 20;
-const MAX_DIM: u32 = 1 << 10;
 
 // ---------------------------------------------------------------------------
 // Fingerprinting
@@ -285,22 +285,25 @@ fn decode_posterior(payload: &[u8]) -> Option<CurvePosterior> {
     if n_draws > MAX_DRAWS {
         return None;
     }
-    let mut draws = Vec::with_capacity(n_draws as usize);
+    // Each draw is framed as its own length then its values, and every
+    // query indexes a draw by family offset: anything but `dimension()`
+    // values per draw — ragged, short, long — is refused here rather than
+    // panicking a policy thread at its first query. The exact-size check
+    // comes first so a lying count cannot size the allocation.
+    let dim = dimension();
+    if payload.len() - c.pos != n_draws as usize * (4 + 8 * dim) {
+        return None;
+    }
+    let mut draws = Vec::with_capacity(n_draws as usize * dim);
     for _ in 0..n_draws {
-        let dim = c.u32()?;
-        if dim > MAX_DIM {
+        if c.u32()? as usize != dim {
             return None;
         }
-        let mut draw = Vec::with_capacity(dim as usize);
         for _ in 0..dim {
-            draw.push(f64::from_bits(c.u64()?));
+            draws.push(f64::from_bits(c.u64()?));
         }
-        draws.push(draw);
     }
-    if c.pos != payload.len() {
-        return None; // trailing garbage: framing is off
-    }
-    Some(CurvePosterior::from_parts(draws, last_epoch, horizon, acceptance_rate, warm))
+    CurvePosterior::from_parts(draws, last_epoch, horizon, acceptance_rate, warm)
 }
 
 /// Checksum covering a record's fingerprint and payload: the first lane of
@@ -602,17 +605,23 @@ fn load_shard(
             }
             let payload = c.take(len as usize)?;
             let checksum = c.u64()?;
-            if checksum != record_checksum(fp, payload) {
-                return None;
-            }
-            // A checksummed payload that still fails to decode means the
-            // writer and reader disagree on layout; treat as corrupt.
-            Some((fp, decode_posterior(payload)?))
+            (checksum == record_checksum(fp, payload)).then_some((fp, payload))
         })();
-        match record {
-            Some((fp, posterior)) => {
+        match record.map(|(fp, payload)| (fp, decode_posterior(payload))) {
+            Some((fp, Some(posterior))) => {
                 stats.disk_loaded += 1;
                 map.entry(fp).or_insert(posterior);
+            }
+            Some((_, None)) => {
+                // The framing held (the checksum matched) but the payload
+                // is not a posterior this build can query: skip the one
+                // record, which leaves its fingerprint a miss.
+                eprintln!(
+                    "fitcache: shard {path:?} holds a malformed posterior before byte {}; \
+                     skipping the record",
+                    c.pos
+                );
+                stats.disk_skipped += 1;
             }
             None => {
                 // Framing is unreliable past the first bad record
@@ -742,9 +751,8 @@ mod tests {
     }
 
     fn posterior(tag: u64) -> CurvePosterior {
-        let draws =
-            (0..4).map(|i| vec![tag as f64 + i as f64 * 0.5, 1.25, -0.75]).collect::<Vec<_>>();
-        CurvePosterior::from_parts(draws, 10, 100, 0.31, tag.is_multiple_of(2))
+        let draws = (0..4 * dimension()).map(|i| tag as f64 + i as f64 * 0.5).collect();
+        CurvePosterior::from_parts(draws, 10, 100, 0.31, tag.is_multiple_of(2)).expect("whole rows")
     }
 
     #[test]
@@ -897,6 +905,61 @@ mod tests {
         assert_eq!(c.stats().disk_loaded, 0);
         assert!(c.stats().disk_skipped >= 1);
         assert!(c.get(&fp).is_none(), "a stale-version posterior must never be served");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Hostile input: a record whose framing and checksum are valid but
+    /// whose payload holds one short draw (total length preserved by a
+    /// long one) is skipped — its fingerprint stays a miss — and the
+    /// records around it still load.
+    #[test]
+    fn a_checksummed_record_with_a_short_draw_is_skipped_never_served() {
+        let dir = std::env::temp_dir().join(format!("hdfc-ragged-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = PredictorConfig::test();
+        let fps = [7, 8, 9].map(|seed| fit_fingerprint(&curve(10), &cfg, seed, 100, None));
+        {
+            let cache = SharedFitCache::with_disk(&dir).expect("open disk cache");
+            cache.insert(fps[0], &posterior(1));
+            // The hostile record, appended the way `insert` appends: draw
+            // 0 one value short, draw 1 one value long.
+            let mut payload = Vec::new();
+            encode_posterior(&posterior(2), &mut payload);
+            let dim = dimension();
+            let first = 4 + 4 + 8 + 1 + 4; // header fields, then draw 0's length
+            let second = first + 4 + 8 * dim;
+            payload[first..first + 4].copy_from_slice(&(dim as u32 - 1).to_le_bytes());
+            payload[second - 8..second - 4].copy_from_slice(&(dim as u32 + 1).to_le_bytes());
+            assert!(decode_posterior(&payload).is_none(), "ragged draws must not decode");
+            let writer = cache.writer.as_ref().expect("disk-backed");
+            writer.lock().append(fps[1], &payload).expect("append");
+            cache.insert(fps[2], &posterior(3));
+        }
+        let reloaded = SharedFitCache::with_disk(&dir).expect("reopen disk cache");
+        assert_eq!(reloaded.stats().disk_loaded, 2, "the records around it load");
+        assert_eq!(reloaded.stats().disk_skipped, 1);
+        assert!(reloaded.get(&fps[1]).is_none(), "a malformed posterior is never served");
+        assert_eq!(reloaded.get(&fps[0]).expect("before").draws(), posterior(1).draws());
+        assert_eq!(reloaded.get(&fps[2]).expect("after").draws(), posterior(3).draws());
+
+        // Uniformly wrong-length draws (a differently-dimensioned model)
+        // and a draw count the payload cannot hold fail the same way.
+        let mut short = Vec::new();
+        encode_posterior(&posterior(4), &mut short);
+        let mut lying = short.clone();
+        lying[17..21].copy_from_slice(&MAX_DRAWS.to_le_bytes());
+        assert!(decode_posterior(&lying).is_none());
+        let three: Vec<u8> = [10u32.to_le_bytes(), 100u32.to_le_bytes()]
+            .concat()
+            .into_iter()
+            .chain(0.5f64.to_bits().to_le_bytes())
+            .chain([0u8])
+            .chain(1u32.to_le_bytes())
+            .chain(3u32.to_le_bytes())
+            .chain([1.0f64, 2.0, 3.0].iter().flat_map(|v| v.to_bits().to_le_bytes()))
+            .collect();
+        assert!(decode_posterior(&three).is_none());
+        assert!(CurvePosterior::from_parts(vec![1.0, 2.0, 3.0], 10, 100, 0.5, false).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

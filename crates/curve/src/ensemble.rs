@@ -324,6 +324,12 @@ impl<'a> PosteriorEval<'a> {
         PosteriorEval { pts, ys, means }
     }
 
+    /// The observation grid points (without the horizon point) and the
+    /// observed values.
+    pub(crate) fn observations(&self) -> (&'a [GridPoint], &'a [f64]) {
+        (&self.pts[..self.ys.len()], self.ys)
+    }
+
     /// The log-posterior of `theta` over the memoized grid. Bitwise equal
     /// to `log_posterior(theta, obs, horizon)` for the grid this evaluator
     /// was built from.

@@ -1,7 +1,7 @@
 //! Structure-of-arrays likelihood evaluation on the [`crate::vmath`]
-//! kernels: the per-family stages the default `fast_math` fit fuses
-//! ([`crate::batch`]), the posterior queries, and the per-proposal
-//! reference posterior the fused evaluator is pinned against.
+//! kernels: the per-family stages the fused arena ([`crate::batch`])
+//! sweeps for the default `fast_math` fit and the posterior queries, and
+//! the scalar per-lane / per-proposal references it is pinned against.
 //!
 //! The reference hot path ([`crate::ensemble::PosteriorEval`]) is already
 //! allocation-free and grid-memoized, but every likelihood call still pays
@@ -23,25 +23,25 @@
 //!   kernels that produce identical bit patterns on every host and backend,
 //!   so fast-path results are reproducible across machines, thread counts
 //!   (the `FitService` guarantees), and SIMD capabilities.
-//! - The scalar single-point evaluator used for the two-point prior
-//!   pre-pass performs the identical operations in the identical order as
-//!   the batched sweep, so reusing its result for the last observation is
-//!   bitwise-safe (mirroring the reference path's structure).
-//! - Walkers *are* batched across a proposal round, one level up: the
-//!   sampler proposes a whole red–black half-ensemble before scoring it,
-//!   and [`crate::batch::FusedPosterior`] concatenates the per-(walker,
-//!   family) columns built by [`family_fill`]/[`family_mid`] here into one
-//!   signature-grouped arena, so the family-major hoists survive and a
-//!   half-sweep costs four kernel calls. [`fast_log_posterior`] is the
-//!   one-proposal form of the same arithmetic — no fit runs it; it is the
-//!   bitwise reference every fused slot is tested against.
+//! - The scalar single-point evaluator ([`family_value_at`]) performs the
+//!   identical operations in the identical order as a lane of the batched
+//!   stages ([`family_fill`] → kernel → [`family_mid`] → kernel → post),
+//!   and the vmath kernels are bitwise scalar ≡ vector per lane — so it is
+//!   the per-lane reference of everything the arena computes.
+//! - Batching happens one level up: [`crate::batch`] concatenates the
+//!   per-(slot, family) columns built by the stages here into one
+//!   signature-grouped arena, so a sampler half-sweep, a Nelder–Mead round
+//!   or a chunk of queried draws costs four kernel calls.
+//!   [`PosteriorEvalFast`] is the one-proposal, all-scalar form of the
+//!   same arithmetic — no fit runs it; it is the bitwise reference every
+//!   fused posterior slot is tested against.
 
 use crate::ensemble::{
     dimension, in_prior_box_fast, CEILING, FAMILY_OFFSETS, MIN_WEIGHT_SUM, MONOTONE_SLACK,
     SIGMA_INDEX,
 };
 use crate::models::{ModelFamily, ALL_FAMILIES};
-use crate::vmath::{exp_s, ln_s, pow_s, vexp_with, vln_with, Backend};
+use crate::vmath::{exp_s, ln_s, pow_s};
 
 /// `ln(2π)`, hardcoded so the Gaussian normalization constant does not
 /// depend on the host libm.
@@ -68,17 +68,6 @@ impl FastGrid {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty grid with room for `n` points.
-    #[must_use]
-    pub fn with_capacity(n: usize) -> Self {
-        FastGrid {
-            xs: Vec::with_capacity(n),
-            ln_xs: Vec::with_capacity(n),
-            ln_x1s: Vec::with_capacity(n),
-            ln_x2s: Vec::with_capacity(n),
-        }
     }
 
     /// Removes all points, retaining capacity.
@@ -116,7 +105,7 @@ impl FastGrid {
 /// Weibull/MMF, `κ^η` for Hill3, `0.0` otherwise. All through vmath
 /// scalar kernels.
 #[inline]
-pub(crate) fn fast_hoist(family: ModelFamily, fp: &[f64]) -> f64 {
+pub fn fast_hoist(family: ModelFamily, fp: &[f64]) -> f64 {
     match family {
         ModelFamily::LogPower => fp[1],
         ModelFamily::Weibull | ModelFamily::Mmf => ln_s(fp[2]),
@@ -125,24 +114,13 @@ pub(crate) fn fast_hoist(family: ModelFamily, fp: &[f64]) -> f64 {
     }
 }
 
-/// Fills `hoists[k]` for every family with positive weight (slots of
-/// inactive families are left untouched, exactly like the reference path).
+/// Evaluates `family` at grid point `i` with the vmath scalar kernels:
+/// `fp` is the family's parameter block and `hoist` its [`fast_hoist`].
+/// The per-lane definition of the fast factoring — the fused arena
+/// ([`crate::batch`]) performs the identical operations in the identical
+/// order for that lane, batched.
 #[inline]
-pub(crate) fn family_hoists_fast(theta: &[f64], hoists: &mut [f64; 11]) {
-    let w = &theta[..11];
-    for (k, &family) in ALL_FAMILIES.iter().enumerate() {
-        if w[k] > 0.0 {
-            let off = FAMILY_OFFSETS[k];
-            hoists[k] = fast_hoist(family, &theta[off..off + family.param_count()]);
-        }
-    }
-}
-
-/// Evaluates `family` at grid point `i` with the vmath scalar kernels,
-/// performing the identical operations in the identical order as
-/// [`family_values`] does for that lane.
-#[inline]
-pub(crate) fn family_value_at(
+pub fn family_value_at(
     family: ModelFamily,
     fp: &[f64],
     hoist: f64,
@@ -198,109 +176,75 @@ pub(crate) fn family_value_at(
     }
 }
 
-/// The transcendental-kernel signature of a family's fast factoring: which
-/// sequence of batched [`vln_with`]/[`vexp_with`] passes runs between its
-/// elementwise [`family_fill`], [`family_mid`], and [`family_post`] stages.
-/// Families sharing a signature can have their grid columns concatenated
-/// into one buffer and swept by *shared* kernel calls — the fused
-/// half-ensemble evaluator ([`crate::batch`]) exploits exactly this.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum Sig {
-    /// `fill` → `vln` (→ `post`).
-    Ln,
-    /// `fill` → `vln` → `mid` → `vexp` (→ `post`).
-    LnExp,
-    /// `fill` → `vexp` → `mid` → `vexp` (→ `post`).
-    ExpExp,
-    /// `fill` → `vexp` (→ `post`).
-    Exp,
-    /// `fill` only (no transcendental pass).
-    None,
-}
-
-/// The kernel signature of `family` (see [`Sig`]).
-#[inline]
-pub(crate) fn family_sig(family: ModelFamily) -> Sig {
-    match family {
-        ModelFamily::LogLogLinear => Sig::Ln,
-        ModelFamily::Pow4 => Sig::LnExp,
-        ModelFamily::Weibull | ModelFamily::Janoschek | ModelFamily::Exp4 => Sig::ExpExp,
-        ModelFamily::Pow3 | ModelFamily::LogPower | ModelFamily::Mmf => Sig::Exp,
-        ModelFamily::VaporPressure | ModelFamily::Hill3 => Sig::Exp,
-        ModelFamily::Ilog2 => Sig::None,
-    }
-}
-
-/// Stage 1 of the fast factoring: the elementwise pre-kernel fill. Writes
-/// `out[j]` from grid point `lo + j` for `j in 0..out.len()`.
+/// Stage 1 of the fast factoring: the elementwise pre-kernel fill of the
+/// first `out.len()` grid points.
 #[inline(always)]
 pub(crate) fn family_fill(
     family: ModelFamily,
     fp: &[f64],
     hoist: f64,
     grid: &FastGrid,
-    lo: usize,
     out: &mut [f64],
 ) {
-    let hi = lo + out.len();
+    let n = out.len();
     match family {
         ModelFamily::Pow3 => {
             let alpha = fp[2];
-            for (v, lx) in out.iter_mut().zip(&grid.ln_xs[lo..hi]) {
+            for (v, lx) in out.iter_mut().zip(&grid.ln_xs[..n]) {
                 *v = -alpha * lx;
             }
         }
         ModelFamily::Pow4 => {
             let (a, b) = (fp[1], fp[2]);
-            for (v, x) in out.iter_mut().zip(&grid.xs[lo..hi]) {
+            for (v, x) in out.iter_mut().zip(&grid.xs[..n]) {
                 *v = a * x + b;
             }
         }
         ModelFamily::LogLogLinear => {
             let (a, b) = (fp[0], fp[1]);
-            for (v, lx1) in out.iter_mut().zip(&grid.ln_x1s[lo..hi]) {
+            for (v, lx1) in out.iter_mut().zip(&grid.ln_x1s[..n]) {
                 *v = a * lx1 + b;
             }
         }
         ModelFamily::LogPower => {
             let c = fp[2];
-            for (v, lx) in out.iter_mut().zip(&grid.ln_xs[lo..hi]) {
+            for (v, lx) in out.iter_mut().zip(&grid.ln_xs[..n]) {
                 *v = c * (lx - hoist);
             }
         }
         ModelFamily::Weibull | ModelFamily::Mmf => {
             let delta = fp[3];
-            for (v, lx) in out.iter_mut().zip(&grid.ln_xs[lo..hi]) {
+            for (v, lx) in out.iter_mut().zip(&grid.ln_xs[..n]) {
                 *v = delta * (hoist + lx);
             }
         }
         ModelFamily::Janoschek => {
             let delta = fp[3];
-            for (v, lx) in out.iter_mut().zip(&grid.ln_xs[lo..hi]) {
+            for (v, lx) in out.iter_mut().zip(&grid.ln_xs[..n]) {
                 *v = delta * lx;
             }
         }
         ModelFamily::Exp4 => {
             let alpha = fp[2];
-            for (v, lx) in out.iter_mut().zip(&grid.ln_xs[lo..hi]) {
+            for (v, lx) in out.iter_mut().zip(&grid.ln_xs[..n]) {
                 *v = alpha * lx;
             }
         }
         ModelFamily::Ilog2 => {
             let (c, a) = (fp[0], fp[1]);
-            for (v, lx2) in out.iter_mut().zip(&grid.ln_x2s[lo..hi]) {
+            for (v, lx2) in out.iter_mut().zip(&grid.ln_x2s[..n]) {
                 *v = c - a / lx2;
             }
         }
         ModelFamily::VaporPressure => {
             let (a, b, c) = (fp[0], fp[1], fp[2]);
-            for ((v, x), lx) in out.iter_mut().zip(&grid.xs[lo..hi]).zip(&grid.ln_xs[lo..hi]) {
+            for ((v, x), lx) in out.iter_mut().zip(&grid.xs[..n]).zip(&grid.ln_xs[..n]) {
                 *v = a + b / x + c * lx;
             }
         }
         ModelFamily::Hill3 => {
             let eta = fp[1];
-            for (v, lx) in out.iter_mut().zip(&grid.ln_xs[lo..hi]) {
+            for (v, lx) in out.iter_mut().zip(&grid.ln_xs[..n]) {
                 *v = eta * lx;
             }
         }
@@ -308,8 +252,8 @@ pub(crate) fn family_fill(
 }
 
 /// Stage 2 of the fast factoring: the elementwise transform between the
-/// two kernel passes of [`Sig::LnExp`]/[`Sig::ExpExp`] families. A no-op
-/// for every other signature.
+/// two kernel passes of the families that have two (`ln` then `exp`, or
+/// `exp` twice). A no-op for every other family.
 #[inline(always)]
 pub(crate) fn family_mid(family: ModelFamily, fp: &[f64], out: &mut [f64]) {
     match family {
@@ -340,89 +284,8 @@ pub(crate) fn family_mid(family: ModelFamily, fp: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Stage 3 of the fast factoring: the elementwise post-kernel transform.
-/// Identity for [`ModelFamily::LogLogLinear`], [`ModelFamily::Ilog2`], and
-/// [`ModelFamily::VaporPressure`].
-#[inline]
-pub(crate) fn family_post(family: ModelFamily, fp: &[f64], hoist: f64, out: &mut [f64]) {
-    match family {
-        ModelFamily::Pow3 => {
-            let (c, a) = (fp[0], fp[1]);
-            for v in out.iter_mut() {
-                *v = c - a * *v;
-            }
-        }
-        ModelFamily::Pow4 | ModelFamily::Exp4 => {
-            let c = fp[0];
-            for v in out.iter_mut() {
-                *v = c - *v;
-            }
-        }
-        ModelFamily::LogPower => {
-            let a = fp[0];
-            for v in out.iter_mut() {
-                *v = a / (1.0 + *v);
-            }
-        }
-        ModelFamily::Weibull | ModelFamily::Janoschek => {
-            let (alpha, beta) = (fp[0], fp[1]);
-            for v in out.iter_mut() {
-                *v = alpha - (alpha - beta) * *v;
-            }
-        }
-        ModelFamily::Mmf => {
-            let (alpha, beta) = (fp[0], fp[1]);
-            for v in out.iter_mut() {
-                *v = alpha - (alpha - beta) / (1.0 + *v);
-            }
-        }
-        ModelFamily::Hill3 => {
-            let ymax = fp[0];
-            for v in out.iter_mut() {
-                *v = ymax * *v / (hoist + *v);
-            }
-        }
-        ModelFamily::LogLogLinear | ModelFamily::Ilog2 | ModelFamily::VaporPressure => {}
-    }
-}
-
-/// Evaluates `family` at the first `m` grid points into `t[..m]`, batching
-/// every transcendental through the slice kernels on `backend`. Per lane,
-/// bit-identical to [`family_value_at`]. Composed from the
-/// [`family_fill`]/[`family_mid`]/[`family_post`] stages per the family's
-/// [`Sig`] — the fused evaluator runs the *same* stages over concatenated
-/// multi-proposal buffers, so the per-lane bits cannot diverge.
-pub(crate) fn family_values(
-    family: ModelFamily,
-    fp: &[f64],
-    hoist: f64,
-    grid: &FastGrid,
-    m: usize,
-    t: &mut [f64],
-    backend: Backend,
-) {
-    let t = &mut t[..m];
-    family_fill(family, fp, hoist, grid, 0, t);
-    match family_sig(family) {
-        Sig::None => {}
-        Sig::Ln => vln_with(backend, t),
-        Sig::LnExp => {
-            vln_with(backend, t);
-            family_mid(family, fp, t);
-            vexp_with(backend, t);
-        }
-        Sig::Exp => vexp_with(backend, t),
-        Sig::ExpExp => {
-            vexp_with(backend, t);
-            family_mid(family, fp, t);
-            vexp_with(backend, t);
-        }
-    }
-    family_post(family, fp, hoist, t);
-}
-
 /// The weighted-combination mean at grid point `i` through the scalar fast
-/// kernels (same accumulation order as the batched sweep).
+/// kernels (same accumulation order as the arena's reductions).
 #[inline]
 fn fast_mean_at(theta: &[f64], grid: &FastGrid, i: usize, hoists: &[f64; 11], wsum: f64) -> f64 {
     let w = &theta[..11];
@@ -439,131 +302,69 @@ fn fast_mean_at(theta: &[f64], grid: &FastGrid, i: usize, hoists: &[f64; 11], ws
     acc / wsum
 }
 
-/// Accumulates the weighted means over the first `m` grid points into
-/// `out[..m]`, family-major with batched kernels. Per point, bitwise equal
-/// to [`fast_mean_at`]. Shared by the likelihood and by the posterior-query
-/// sweep ([`crate::CurvePosterior::prob_at_least_many`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fast_weighted_means(
-    theta: &[f64],
-    grid: &FastGrid,
-    m: usize,
-    out: &mut [f64],
-    t: &mut [f64],
-    hoists: &[f64; 11],
-    wsum: f64,
-    backend: Backend,
-) {
-    let w = &theta[..11];
-    let out = &mut out[..m];
-    for o in out.iter_mut() {
-        *o = 0.0;
-    }
-    for (k, &family) in ALL_FAMILIES.iter().enumerate() {
-        let wk = w[k];
-        if wk <= 0.0 {
-            continue;
-        }
-        let off = FAMILY_OFFSETS[k];
-        let fp = &theta[off..off + family.param_count()];
-        family_values(family, fp, hoists[k], grid, m, t, backend);
-        for (o, v) in out.iter_mut().zip(&t[..m]) {
-            *o += wk * *v;
-        }
-    }
-    for o in out.iter_mut() {
-        *o /= wsum;
-    }
-}
-
-/// Allocation-free SoA evaluator for the log-posterior of **one**
+/// Allocation-free scalar evaluator for the log-posterior of **one**
 /// proposal: the `fast_math` counterpart of
 /// [`crate::ensemble::PosteriorEval`] and the bitwise reference of
 /// [`crate::batch::FusedPosterior`] (which is what fits run). Same prior
 /// structure, same rejection semantics as the libm evaluator, but every
-/// transcendental is batched through [`crate::vmath`].
+/// transcendental goes through the [`crate::vmath`] scalar kernels.
 #[derive(Debug)]
 pub struct PosteriorEvalFast<'a> {
     grid: &'a FastGrid,
     ys: &'a [f64],
     means: &'a mut [f64],
-    t: &'a mut [f64],
-    backend: Backend,
 }
 
 impl<'a> PosteriorEvalFast<'a> {
     /// Wraps a memoized SoA grid. `grid` must hold one point per
     /// observation followed by the horizon point `max(horizon, last_x)`;
-    /// `ys` the observed values; `means` and `t` scratch slices of at
-    /// least `ys.len()` elements.
+    /// `ys` the observed values; `means` a scratch slice of at least
+    /// `ys.len()` elements.
     ///
     /// # Panics
     ///
     /// Panics if the lengths are inconsistent or there are no observations.
-    pub fn new(
-        grid: &'a FastGrid,
-        ys: &'a [f64],
-        means: &'a mut [f64],
-        t: &'a mut [f64],
-        backend: Backend,
-    ) -> Self {
+    pub fn new(grid: &'a FastGrid, ys: &'a [f64], means: &'a mut [f64]) -> Self {
         assert!(!ys.is_empty(), "need at least one observation");
         assert_eq!(grid.len(), ys.len() + 1, "grid must be observations + horizon");
         assert!(means.len() >= ys.len(), "mean buffer must cover observations");
-        assert!(t.len() >= ys.len(), "temp buffer must cover observations");
-        PosteriorEvalFast { grid, ys, means, t, backend }
+        PosteriorEvalFast { grid, ys, means }
     }
 
     /// The log-posterior of `theta` over the memoized grid: the same prior
     /// support and Gaussian likelihood as the reference
-    /// [`crate::ensemble::log_posterior`], evaluated through the batched
+    /// [`crate::ensemble::log_posterior`], evaluated through the vmath
     /// kernels. Deterministic across hosts and backends, but *not* bitwise
     /// equal to the reference (see the module docs).
     pub fn log_posterior(&mut self, theta: &[f64]) -> f64 {
-        fast_log_posterior(self.grid, self.ys, self.means, self.t, self.backend, theta)
-    }
-}
+        debug_assert_eq!(theta.len(), dimension());
+        if !in_prior_box_fast(theta) {
+            return f64::NEG_INFINITY;
+        }
+        let n = self.ys.len();
+        let wsum: f64 = theta[..11].iter().sum();
+        if wsum < MIN_WEIGHT_SUM {
+            return f64::NEG_INFINITY;
+        }
+        let hoists: [f64; 11] = std::array::from_fn(|k| {
+            let off = FAMILY_OFFSETS[k];
+            fast_hoist(ALL_FAMILIES[k], &theta[off..off + ALL_FAMILIES[k].param_count()])
+        });
 
-/// Free-function form of [`PosteriorEvalFast::log_posterior`].
-pub(crate) fn fast_log_posterior(
-    grid: &FastGrid,
-    ys: &[f64],
-    means: &mut [f64],
-    t: &mut [f64],
-    backend: Backend,
-    theta: &[f64],
-) -> f64 {
-    debug_assert_eq!(theta.len(), dimension());
-    if !in_prior_box_fast(theta) {
-        return f64::NEG_INFINITY;
+        // Prior structure: reject decreasing or above-ceiling extrapolations.
+        let mean_horizon = fast_mean_at(theta, self.grid, n, &hoists, wsum);
+        for (i, m) in self.means[..n].iter_mut().enumerate() {
+            *m = fast_mean_at(theta, self.grid, i, &hoists, wsum);
+        }
+        let mean_last = self.means[n - 1];
+        if !mean_last.is_finite() || !mean_horizon.is_finite() {
+            return f64::NEG_INFINITY;
+        }
+        if mean_horizon < mean_last - MONOTONE_SLACK || mean_horizon > CEILING {
+            return f64::NEG_INFINITY;
+        }
+        gaussian_loglik(self.ys, &self.means[..n], theta[SIGMA_INDEX])
     }
-    let sigma = theta[SIGMA_INDEX];
-    let n = ys.len();
-    let wsum: f64 = theta[..11].iter().sum();
-    if wsum < MIN_WEIGHT_SUM {
-        return f64::NEG_INFINITY;
-    }
-    let mut hoists = [0.0f64; 11];
-    family_hoists_fast(theta, &mut hoists);
-
-    // Prior structure first (cheap scalar 2-point pass): reject
-    // decreasing or above-ceiling extrapolations before paying for the
-    // full batched grid.
-    let mean_last = fast_mean_at(theta, grid, n - 1, &hoists, wsum);
-    let mean_horizon = fast_mean_at(theta, grid, n, &hoists, wsum);
-    if !mean_last.is_finite() || !mean_horizon.is_finite() {
-        return f64::NEG_INFINITY;
-    }
-    if mean_horizon < mean_last - MONOTONE_SLACK || mean_horizon > CEILING {
-        return f64::NEG_INFINITY;
-    }
-
-    fast_weighted_means(theta, grid, n - 1, means, t, &hoists, wsum, backend);
-    // The scalar pre-pass ran the identical operation sequence for the
-    // last observation — reuse it.
-    means[n - 1] = mean_last;
-
-    gaussian_loglik(ys, &means[..n], sigma)
 }
 
 /// The Gaussian log-likelihood tail of the fast posterior: per-observation
@@ -624,8 +425,7 @@ mod tests {
             (1..=20).map(|x| (x as f64, 0.8 - 0.7 * (x as f64).powf(-1.0))).collect();
         let (grid, ys) = grid_from(&obs, 100.0);
         let mut means = vec![0.0; ys.len()];
-        let mut t = vec![0.0; ys.len()];
-        let mut eval = PosteriorEvalFast::new(&grid, &ys, &mut means, &mut t, Backend::Scalar);
+        let mut eval = PosteriorEvalFast::new(&grid, &ys, &mut means);
 
         let theta = default_theta();
         let fast = eval.log_posterior(&theta);
@@ -653,44 +453,5 @@ mod tests {
             assert!((grid.ln_x1s[i] - gp.ln_x1).abs() <= 1e-13 * (1.0 + gp.ln_x1.abs()));
             assert!((grid.ln_x2s[i] - gp.ln_x2).abs() <= 1e-13 * (1.0 + gp.ln_x2.abs()));
         }
-    }
-
-    #[test]
-    fn batched_values_match_scalar_values_bitwise() {
-        let (grid, _ys) = grid_from(&(1..=30).map(|x| (x as f64, 0.5)).collect::<Vec<_>>(), 500.0);
-        let m = grid.len();
-        let mut t = vec![0.0; m];
-        for backend in [Backend::Scalar, Backend::Simd] {
-            for family in ALL_FAMILIES {
-                let fp = family.default_params();
-                let hoist = fast_hoist(family, &fp);
-                family_values(family, &fp, hoist, &grid, m, &mut t, backend);
-                for (i, lane) in t.iter().enumerate() {
-                    let scalar = family_value_at(family, &fp, hoist, &grid, i);
-                    assert_eq!(
-                        scalar.to_bits(),
-                        lane.to_bits(),
-                        "{} lane {i} backend {backend:?}",
-                        family.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fast_eval_is_backend_invariant() {
-        let obs: Vec<(f64, f64)> =
-            (1..=25).map(|x| (x as f64, 0.7 - 0.6 * (x as f64).powf(-0.7))).collect();
-        let (grid, ys) = grid_from(&obs, 200.0);
-        let theta = default_theta();
-        let mut lp = [0.0f64; 2];
-        for (slot, backend) in [Backend::Scalar, Backend::Simd].into_iter().enumerate() {
-            let mut means = vec![0.0; ys.len()];
-            let mut t = vec![0.0; ys.len()];
-            let mut eval = PosteriorEvalFast::new(&grid, &ys, &mut means, &mut t, backend);
-            lp[slot] = eval.log_posterior(&theta);
-        }
-        assert_eq!(lp[0].to_bits(), lp[1].to_bits());
     }
 }

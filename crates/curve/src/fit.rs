@@ -5,15 +5,18 @@
 //! box). Walkers are then initialized around the fitted parameters with
 //! weights biased toward families that fit well. Starting the ensemble near
 //! the posterior mode is what makes the reduced §5.2 sample counts viable.
+//!
+//! Every fit runs [`fit_families`]: all starts of all families advance in
+//! lockstep ([`NmScratch`]) and each round is one batch call on a
+//! [`CurveObjective`]. [`fit_family`] / [`fit_all_families`] are the libm
+//! oracle — one `minimize` per start, one point at a time — kept as the
+//! executable definition the lockstep init is tested against.
 
 use rand::Rng;
 
-use crate::ensemble::{dimension, SIGMA_BOUNDS, SIGMA_INDEX};
-use crate::fastpath::{family_value_at, family_values, fast_hoist, FastGrid};
+use crate::ensemble::{dimension, PosteriorEval, FAMILY_OFFSETS, SIGMA_BOUNDS, SIGMA_INDEX};
 use crate::models::{GridPoint, ModelFamily, ALL_FAMILIES};
-use crate::vmath::Backend;
-
-use crate::nelder_mead::{minimize, minimize_into, NelderMeadOptions, NmScratch};
+use crate::nelder_mead::{minimize, NelderMeadOptions, NmScratch, MAX_DIM};
 
 /// Result of fitting a single family.
 #[derive(Debug, Clone)]
@@ -28,7 +31,7 @@ pub struct FamilyFit {
 
 /// Clamps `params` inside `family`'s prior box (with a hair of margin so
 /// clamped values are strictly inside).
-fn clamp_into_box(family: ModelFamily, params: &mut [f64]) {
+pub(crate) fn clamp_into_box(family: ModelFamily, params: &mut [f64]) {
     for (p, (lo, hi)) in params.iter_mut().zip(family.bounds()) {
         let width = hi - lo;
         let margin = width * 1e-6;
@@ -109,42 +112,15 @@ pub fn fit_all_families<R: Rng + ?Sized>(obs: &[(f64, f64)], rng: &mut R) -> Vec
     ALL_FAMILIES.iter().map(|&f| fit_family(f, obs, rng)).collect()
 }
 
-/// Reusable buffers for the allocation-free family-fit path.
-#[derive(Debug, Default)]
-pub struct FamilyFitBuf {
-    /// Clamped-parameter buffer for the penalized objective (the per-call
-    /// `Vec` allocation of the reference objective, hoisted out).
-    clamped: Vec<f64>,
-    /// The two random multi-start points, drawn up front in the same RNG
-    /// order as the reference path.
-    rand_starts: Vec<f64>,
-    /// Candidate returned by one Nelder–Mead run.
-    cand: Vec<f64>,
-    /// Best candidate across starts.
-    best: Vec<f64>,
-    /// Lane buffer for the batched `fast_math` objective.
-    t: Vec<f64>,
-}
-
-/// The penalized least-squares objective of [`fit_family`], evaluated over
-/// a memoized grid with a reusable clamp buffer. Bitwise-identical values:
-/// same penalty arithmetic, same clamping, same residual accumulation
-/// order; the only differences are where the clamped copy lives and the
-/// per-call hoisting of the family's parameter-only term.
+/// The quadratic penalty of `params` outside `family`'s prior box, which
+/// keeps the simplex pointed home; `None` when a parameter is not finite
+/// (the objective is then `+inf`).
 #[inline]
-fn family_objective(
-    family: ModelFamily,
-    pts: &[GridPoint],
-    ys: &[f64],
-    params: &[f64],
-    clamped: &mut Vec<f64>,
-) -> f64 {
-    let bounds = family.bounds();
-    // Quadratic penalty outside the box keeps the simplex pointed home.
+pub(crate) fn box_penalty(family: ModelFamily, params: &[f64]) -> Option<f64> {
     let mut penalty = 0.0;
-    for (p, (lo, hi)) in params.iter().zip(bounds) {
+    for (p, (lo, hi)) in params.iter().zip(family.bounds()) {
         if !p.is_finite() {
-            return f64::INFINITY;
+            return None;
         }
         if *p < *lo {
             penalty += (lo - p) * (lo - p) * 100.0;
@@ -152,8 +128,73 @@ fn family_objective(
             penalty += (p - hi) * (p - hi) * 100.0;
         }
     }
-    clamped.clear();
-    clamped.extend_from_slice(params);
+    Some(penalty)
+}
+
+/// What one fit asks of a curve's likelihood: the log-posterior the
+/// sampler scores, and the penalized least squares (with its residual MSE)
+/// the Nelder–Mead initialization minimizes — each a *batch* evaluation, so
+/// an implementation is free to score a whole round together. Two exist:
+/// the `fast_math` arena ([`crate::FusedPosterior`], what fits run) and the
+/// libm oracle ([`PosteriorEval`], one point after another).
+pub trait CurveObjective {
+    /// Writes the log-posterior of each `dimension()`-long row of `thetas`
+    /// to the matching element of `out` (the batch-evaluator signature
+    /// [`crate::mcmc::sample_into`] takes).
+    fn log_posteriors(&mut self, thetas: &[f64], out: &mut [f64]);
+
+    /// Writes the penalized least-squares objective of each posted point
+    /// to the matching element of `out` (the round signature
+    /// [`NmScratch::minimize_all`] takes): point `i` is family
+    /// `ALL_FAMILIES[families[i]]` at the first `param_count()` values of
+    /// row `i` of `points` ([`MAX_DIM`] values per row).
+    fn least_squares(&mut self, families: &[usize], points: &[f64], out: &mut [f64]);
+
+    /// Residual MSE of in-box `params` over the observations.
+    fn mse(&self, family: ModelFamily, params: &[f64]) -> f64;
+}
+
+/// The libm oracle: the arithmetic of [`fit_family`]'s objective and of
+/// [`crate::ensemble::log_posterior`] over the memoized grid, one point
+/// after another. Bitwise-identical values: same penalty arithmetic, same
+/// clamping, same residual accumulation order; the only differences are
+/// where the clamped copy lives and the per-call hoisting of the family's
+/// parameter-only term.
+impl CurveObjective for PosteriorEval<'_> {
+    fn log_posteriors(&mut self, thetas: &[f64], out: &mut [f64]) {
+        for (theta, lp) in thetas.chunks_exact(dimension()).zip(out.iter_mut()) {
+            *lp = self.log_posterior(theta);
+        }
+    }
+
+    fn least_squares(&mut self, families: &[usize], points: &[f64], out: &mut [f64]) {
+        let (pts, ys) = self.observations();
+        for ((&k, point), o) in families.iter().zip(points.chunks_exact(MAX_DIM)).zip(out) {
+            let family = ALL_FAMILIES[k];
+            *o = family_objective(family, pts, ys, &point[..family.param_count()]);
+        }
+    }
+
+    fn mse(&self, family: ModelFamily, params: &[f64]) -> f64 {
+        let (pts, ys) = self.observations();
+        let hoist = family.hoist(params);
+        let mut sse = 0.0;
+        for (pt, y) in pts.iter().zip(ys) {
+            let m = family.eval_pt(*pt, params, hoist);
+            sse += (y - m) * (y - m);
+        }
+        sse / ys.len().max(1) as f64
+    }
+}
+
+/// The penalized least-squares objective of [`fit_family`], evaluated over
+/// a memoized grid.
+#[inline]
+fn family_objective(family: ModelFamily, pts: &[GridPoint], ys: &[f64], params: &[f64]) -> f64 {
+    let Some(penalty) = box_penalty(family, params) else { return f64::INFINITY };
+    let mut clamped = [0.0; MAX_DIM];
+    let clamped = &mut clamped[..params.len()];
+    clamped.copy_from_slice(params);
     clamp_into_box(family, clamped);
     let hoist = family.hoist(clamped);
     let mut sse = 0.0;
@@ -167,280 +208,90 @@ fn family_objective(
     sse / ys.len().max(1) as f64 + penalty
 }
 
-/// Allocation-free variant of [`fit_family`]: same multi-start schedule,
-/// same RNG call order, same Nelder–Mead trajectory (via
-/// [`minimize_into`]) — bitwise-identical fitted parameters — with all
-/// intermediate state in `nm`/`buf`. `pts`/`ys` are the memoized
-/// observation grid.
-pub fn fit_family_with<R: Rng + ?Sized>(
-    family: ModelFamily,
-    pts: &[GridPoint],
-    ys: &[f64],
+/// Fits all 11 families by lockstep Nelder–Mead ([`NmScratch`]): every
+/// start of every family is drawn up front, and each round of the
+/// simplex runs is one `objective.least_squares` call.
+///
+/// Cold (`seed` is `None`) this is [`fit_all_families`]' schedule — per
+/// family the default start plus two random points in the box, drawn in
+/// the same RNG order (the runs themselves consume none), 300 evaluations
+/// each, the first-best of the three kept — so with the libm objective the
+/// fits are bitwise the oracle's. Warm, each family runs once, with a
+/// reduced budget, from its parameter block of the previous posterior's
+/// draw `seed` clamped into the box, and consumes no RNG at all.
+pub fn fit_families<R: Rng + ?Sized>(
+    objective: &mut impl CurveObjective,
+    seed: Option<&[f64]>,
     rng: &mut R,
     nm: &mut NmScratch,
-    buf: &mut FamilyFitBuf,
-) -> FamilyFit {
-    let bounds = family.bounds();
-    let pc = family.param_count();
-
-    // Multi-start: the default start plus a couple of random points in the
-    // box, drawn before any minimization exactly like the reference.
-    let default_start = family.default_params();
-    buf.rand_starts.clear();
-    for _ in 0..2 {
-        for (lo, hi) in bounds {
-            buf.rand_starts.push(rng.gen_range(*lo..*hi));
-        }
-    }
-
-    let mut best_f = f64::INFINITY;
-    let mut have_best = false;
-    for s in 0..3 {
-        let fx = {
-            let start: &[f64] =
-                if s == 0 { &default_start } else { &buf.rand_starts[(s - 1) * pc..s * pc] };
-            let clamped = &mut buf.clamped;
-            minimize_into(
-                |p| family_objective(family, pts, ys, p, clamped),
-                start,
-                NelderMeadOptions { max_evals: 300, ..Default::default() },
-                nm,
-                &mut buf.cand,
-            )
-        };
-        if !have_best || fx < best_f {
-            best_f = fx;
-            have_best = true;
-            std::mem::swap(&mut buf.best, &mut buf.cand);
-        }
-    }
-    clamp_into_box(family, &mut buf.best);
-    let hoist = family.hoist(&buf.best);
-    let mse = {
-        let mut sse = 0.0;
-        for (pt, y) in pts.iter().zip(ys) {
-            let m = family.eval_pt(*pt, &buf.best, hoist);
-            sse += (y - m) * (y - m);
-        }
-        sse / ys.len().max(1) as f64
-    };
-    FamilyFit { family, params: buf.best.clone(), mse }
-}
-
-/// Allocation-free [`fit_all_families`]: one [`fit_family_with`] per
-/// family, in canonical order.
-pub fn fit_all_families_with<R: Rng + ?Sized>(
-    pts: &[GridPoint],
-    ys: &[f64],
-    rng: &mut R,
-    nm: &mut NmScratch,
-    buf: &mut FamilyFitBuf,
 ) -> Vec<FamilyFit> {
-    ALL_FAMILIES.iter().map(|&f| fit_family_with(f, pts, ys, rng, nm, buf)).collect()
-}
-
-/// Warm-seeded single-start family fit: one reduced-budget Nelder–Mead run
-/// starting from `seed_params` (a previous posterior's family block,
-/// clamped into the box). Consumes no RNG — the warm path's determinism
-/// depends only on the seed draw and the fit's own seeded RNG stream.
-pub fn fit_family_seeded(
-    family: ModelFamily,
-    seed_params: &[f64],
-    pts: &[GridPoint],
-    ys: &[f64],
-    nm: &mut NmScratch,
-    buf: &mut FamilyFitBuf,
-) -> FamilyFit {
-    buf.best.clear();
-    buf.best.extend_from_slice(seed_params);
-    clamp_into_box(family, &mut buf.best);
-    let start = std::mem::take(&mut buf.best);
-    let fx = {
-        let clamped = &mut buf.clamped;
-        minimize_into(
-            |p| family_objective(family, pts, ys, p, clamped),
-            &start,
-            NelderMeadOptions { max_evals: 120, ..Default::default() },
-            nm,
-            &mut buf.cand,
-        )
+    let families: [usize; 11] = std::array::from_fn(|k| k);
+    let winners: Vec<Vec<f64>> = if let Some(draw) = seed {
+        let mut starts = [0.0; 11 * MAX_DIM];
+        let block = |k: usize| k * MAX_DIM..k * MAX_DIM + ALL_FAMILIES[k].param_count();
+        nm.begin(NelderMeadOptions { max_evals: 120, ..Default::default() });
+        for (k, &family) in ALL_FAMILIES.iter().enumerate() {
+            let seed = &draw[FAMILY_OFFSETS[k]..][..family.param_count()];
+            starts[block(k)].copy_from_slice(seed);
+            clamp_into_box(family, &mut starts[block(k)]);
+            nm.push_start(k, &starts[block(k)]);
+        }
+        nm.minimize_all(|families, points, out| objective.least_squares(families, points, out));
+        // Keep the seed itself if the reduced run somehow did worse (it
+        // can, when the budget runs out mid-shrink on a pathological
+        // objective).
+        let mut seed_f = [0.0; 11];
+        objective.least_squares(&families, &starts, &mut seed_f);
+        families
+            .iter()
+            .map(|&k| {
+                let (x, fx) = nm.best(k);
+                if fx <= seed_f[k] {
+                    x.to_vec()
+                } else {
+                    starts[block(k)].to_vec()
+                }
+            })
+            .collect()
+    } else {
+        // Multi-start: the default start plus a couple of random points in
+        // the box. Curve-family objectives are cheap, so a few restarts
+        // are free.
+        nm.begin(NelderMeadOptions { max_evals: 300, ..Default::default() });
+        let mut start = [0.0; MAX_DIM];
+        for (k, &family) in ALL_FAMILIES.iter().enumerate() {
+            nm.push_start(k, &family.default_params());
+            for _ in 0..2 {
+                let bounds = family.bounds();
+                for (s, (lo, hi)) in start.iter_mut().zip(bounds) {
+                    *s = rng.gen_range(*lo..*hi);
+                }
+                nm.push_start(k, &start[..bounds.len()]);
+            }
+        }
+        nm.minimize_all(|families, points, out| objective.least_squares(families, points, out));
+        families
+            .iter()
+            .map(|&k| {
+                let mut best = 3 * k;
+                for run in 3 * k + 1..3 * k + 3 {
+                    if nm.best(run).1 < nm.best(best).1 {
+                        best = run;
+                    }
+                }
+                nm.best(best).0.to_vec()
+            })
+            .collect()
     };
-    buf.best = start;
-    // Keep the seed itself if the reduced run somehow did worse (it can,
-    // when the budget runs out mid-shrink on a pathological objective).
-    let seed_f = family_objective(family, pts, ys, &buf.best, &mut buf.clamped);
-    if fx <= seed_f {
-        std::mem::swap(&mut buf.best, &mut buf.cand);
-    }
-    clamp_into_box(family, &mut buf.best);
-    let hoist = family.hoist(&buf.best);
-    let mse = {
-        let mut sse = 0.0;
-        for (pt, y) in pts.iter().zip(ys) {
-            let m = family.eval_pt(*pt, &buf.best, hoist);
-            sse += (y - m) * (y - m);
-        }
-        sse / ys.len().max(1) as f64
-    };
-    FamilyFit { family, params: buf.best.clone(), mse }
-}
-
-/// The penalized least-squares objective on the structure-of-arrays fast
-/// path: same penalty arithmetic and clamping as [`fit_family_with`]'s
-/// objective, but the family is evaluated over all observation lanes per
-/// call through the batched [`crate::vmath`] kernels. Not bitwise equal to
-/// the libm objective (different factoring, see `fastpath`), but
-/// deterministic across hosts and backends.
-#[inline]
-fn family_objective_fast(
-    family: ModelFamily,
-    grid: &FastGrid,
-    ys: &[f64],
-    params: &[f64],
-    clamped: &mut Vec<f64>,
-    t: &mut Vec<f64>,
-    backend: Backend,
-) -> f64 {
-    let bounds = family.bounds();
-    let mut penalty = 0.0;
-    for (p, (lo, hi)) in params.iter().zip(bounds) {
-        if !p.is_finite() {
-            return f64::INFINITY;
-        }
-        if *p < *lo {
-            penalty += (lo - p) * (lo - p) * 100.0;
-        } else if *p > *hi {
-            penalty += (p - hi) * (p - hi) * 100.0;
-        }
-    }
-    clamped.clear();
-    clamped.extend_from_slice(params);
-    clamp_into_box(family, clamped);
-    let hoist = fast_hoist(family, clamped);
-    let m = ys.len();
-    t.resize(m.max(t.len()), 0.0);
-    family_values(family, clamped, hoist, grid, m, t, backend);
-    let mut sse = 0.0;
-    for (v, y) in t[..m].iter().zip(ys) {
-        if !v.is_finite() {
-            return f64::INFINITY;
-        }
-        sse += (y - v) * (y - v);
-    }
-    sse / m.max(1) as f64 + penalty
-}
-
-/// Residual MSE of `params` over the observation lanes of `grid`, through
-/// the scalar fast kernels.
-fn fast_mse(family: ModelFamily, params: &[f64], grid: &FastGrid, ys: &[f64]) -> f64 {
-    let hoist = fast_hoist(family, params);
-    let mut sse = 0.0;
-    for (i, y) in ys.iter().enumerate() {
-        let m = family_value_at(family, params, hoist, grid, i);
-        sse += (y - m) * (y - m);
-    }
-    sse / ys.len().max(1) as f64
-}
-
-/// [`fit_family_with`] on the fast objective: same multi-start schedule and
-/// RNG call order, same Nelder–Mead budget, batched likelihood.
-pub fn fit_family_fast<R: Rng + ?Sized>(
-    family: ModelFamily,
-    grid: &FastGrid,
-    ys: &[f64],
-    rng: &mut R,
-    nm: &mut NmScratch,
-    buf: &mut FamilyFitBuf,
-    backend: Backend,
-) -> FamilyFit {
-    let bounds = family.bounds();
-    let pc = family.param_count();
-
-    let default_start = family.default_params();
-    buf.rand_starts.clear();
-    for _ in 0..2 {
-        for (lo, hi) in bounds {
-            buf.rand_starts.push(rng.gen_range(*lo..*hi));
-        }
-    }
-
-    let mut best_f = f64::INFINITY;
-    let mut have_best = false;
-    for s in 0..3 {
-        let fx = {
-            let start: &[f64] =
-                if s == 0 { &default_start } else { &buf.rand_starts[(s - 1) * pc..s * pc] };
-            let clamped = &mut buf.clamped;
-            let t = &mut buf.t;
-            minimize_into(
-                |p| family_objective_fast(family, grid, ys, p, clamped, t, backend),
-                start,
-                NelderMeadOptions { max_evals: 300, ..Default::default() },
-                nm,
-                &mut buf.cand,
-            )
-        };
-        if !have_best || fx < best_f {
-            best_f = fx;
-            have_best = true;
-            std::mem::swap(&mut buf.best, &mut buf.cand);
-        }
-    }
-    clamp_into_box(family, &mut buf.best);
-    let mse = fast_mse(family, &buf.best, grid, ys);
-    FamilyFit { family, params: buf.best.clone(), mse }
-}
-
-/// [`fit_all_families_with`] on the fast objective, in canonical order.
-pub fn fit_all_families_fast<R: Rng + ?Sized>(
-    grid: &FastGrid,
-    ys: &[f64],
-    rng: &mut R,
-    nm: &mut NmScratch,
-    buf: &mut FamilyFitBuf,
-    backend: Backend,
-) -> Vec<FamilyFit> {
-    ALL_FAMILIES.iter().map(|&f| fit_family_fast(f, grid, ys, rng, nm, buf, backend)).collect()
-}
-
-/// [`fit_family_seeded`] on the fast objective: one reduced-budget run from
-/// the warm seed, no RNG consumed.
-pub fn fit_family_seeded_fast(
-    family: ModelFamily,
-    seed_params: &[f64],
-    grid: &FastGrid,
-    ys: &[f64],
-    nm: &mut NmScratch,
-    buf: &mut FamilyFitBuf,
-    backend: Backend,
-) -> FamilyFit {
-    buf.best.clear();
-    buf.best.extend_from_slice(seed_params);
-    clamp_into_box(family, &mut buf.best);
-    let start = std::mem::take(&mut buf.best);
-    let fx = {
-        let clamped = &mut buf.clamped;
-        let t = &mut buf.t;
-        minimize_into(
-            |p| family_objective_fast(family, grid, ys, p, clamped, t, backend),
-            &start,
-            NelderMeadOptions { max_evals: 120, ..Default::default() },
-            nm,
-            &mut buf.cand,
-        )
-    };
-    buf.best = start;
-    let seed_f = {
-        let clamped = &mut buf.clamped;
-        let t = &mut buf.t;
-        family_objective_fast(family, grid, ys, &buf.best, clamped, t, backend)
-    };
-    if fx <= seed_f {
-        std::mem::swap(&mut buf.best, &mut buf.cand);
-    }
-    clamp_into_box(family, &mut buf.best);
-    let mse = fast_mse(family, &buf.best, grid, ys);
-    FamilyFit { family, params: buf.best.clone(), mse }
+    winners
+        .into_iter()
+        .zip(ALL_FAMILIES)
+        .map(|(mut params, family)| {
+            clamp_into_box(family, &mut params);
+            let mse = objective.mse(family, &params);
+            FamilyFit { family, params, mse }
+        })
+        .collect()
 }
 
 /// Builds `n_walkers` initial positions for the ensemble sampler from the

@@ -9,7 +9,8 @@
 //!   Weibull, Janoschek, …).
 //! * [`ensemble`] — the weighted-combination model with Gaussian noise and
 //!   its log-posterior (growth + ceiling priors).
-//! * [`fit`] — per-family Nelder–Mead least-squares initialization.
+//! * [`fit`] — per-family least-squares initialization, every start of
+//!   every family advanced in lockstep by [`nelder_mead`]'s driver.
 //! * [`mcmc`] — the affine-invariant ensemble sampler (Goodman–Weare
 //!   stretch move), the same sampler family as `emcee` used by the
 //!   reference implementation.
@@ -28,9 +29,10 @@
 //!   likelihood built on them (the default fit;
 //!   [`PredictorConfig`]`::with_fast_math(false)` selects the libm
 //!   oracle), which [`CurvePosterior`]'s queries sweep as well.
-//! * [`batch`] — half-ensemble fusion: the `fast_math` fit scores every
-//!   proposal of a sampler half-sweep in one signature-grouped kernel
-//!   sweep, bitwise the per-proposal [`fastpath`] posterior.
+//! * [`batch`] — the fused arena: a sampler half-sweep's proposals, a
+//!   Nelder–Mead round's points or a chunk of queried draws, evaluated in
+//!   one signature-grouped kernel sweep, bitwise the scalar [`fastpath`]
+//!   definitions.
 //!
 //! # Example
 //!
@@ -74,8 +76,9 @@ pub use cache::{
     install_global_fit_cache, posterior_hash, CacheMode, CacheStatsSnapshot, CurveFingerprint,
     SharedCacheStats, SharedFitCache, FINGERPRINT_VERSION,
 };
+pub use fit::CurveObjective;
 pub use models::{GridPoint, ModelFamily, ALL_FAMILIES};
-pub use predictor::{CurvePosterior, CurvePredictor, PredictorConfig, QUERY_LANES};
+pub use predictor::{CurvePosterior, CurvePredictor, Draws, PredictorConfig, QUERY_LANES};
 pub use scratch::FitScratch;
 pub use service::{
     derive_fit_seed, fit_prefetch_depth, fit_prefetch_forced, resolve_fit_threads, sequential_fit,

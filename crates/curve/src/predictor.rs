@@ -1,22 +1,22 @@
 //! The public prediction API: fit a posterior over future performance from
 //! a partial learning curve.
 
+use std::cell::RefCell;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use hyperdrive_types::{stats, Error, LearningCurve, Result};
 
-use crate::batch::FusedPosterior;
+use crate::batch::{self, FusedPosterior, FusedScratch};
 use crate::ensemble::{dimension, log_posterior, PosteriorEval};
-use crate::ensemble::{FAMILY_OFFSETS, MIN_WEIGHT_SUM, SIGMA_BOUNDS, SIGMA_INDEX};
-use crate::fastpath::{family_hoists_fast, fast_weighted_means, FastGrid};
+use crate::ensemble::{FAMILY_OFFSETS, SIGMA_BOUNDS, SIGMA_INDEX};
+use crate::fastpath::FastGrid;
 use crate::fit;
-use crate::fit::{
-    build_initial_walkers, fit_all_families, fit_all_families_fast, fit_all_families_with,
-    fit_family_seeded, fit_family_seeded_fast, FamilyFit,
-};
+use crate::fit::{build_initial_walkers, fit_all_families, fit_families, CurveObjective};
 use crate::mcmc::{sample, sample_into, score_each, FlatChain, McmcScratch, SamplerOptions};
-use crate::models::{GridPoint, ModelFamily, ALL_FAMILIES};
+use crate::models::{GridPoint, ALL_FAMILIES};
+use crate::nelder_mead::NmScratch;
 use crate::scratch::FitScratch;
 use crate::vmath::{self, Backend};
 
@@ -248,6 +248,88 @@ impl CurvePredictor {
         scratch: &mut FitScratch,
         backend: Backend,
     ) -> Result<CurvePosterior> {
+        let (last_epoch, obs) = self.fit_inputs(curve, horizon)?;
+        let horizon_x = f64::from(horizon).max(obs.last().map_or(1.0, |&(x, _)| x));
+        let warm = warm.filter(|_| self.config.warm_start);
+
+        // Memoize the epoch grid once per fit: the grid never changes
+        // mid-fit, so every pure-x basis term is computed exactly once.
+        let FitScratch { pts, ys, means, nm, mcmc, fast_grid, fused } = scratch;
+        ys.clear();
+        ys.extend(obs.iter().map(|&(_, y)| y));
+        let ys = &ys[..];
+
+        if self.config.fast_math {
+            // SoA grid for the batched kernels (vmath logs, so the whole
+            // fast path is host-independent end to end).
+            fast_grid.clear();
+            for &(x, _) in &obs {
+                fast_grid.push(x);
+            }
+            fast_grid.push(horizon_x);
+            let mut objective = FusedPosterior::new(fast_grid, ys, fused, backend);
+            return self.fit_on(&mut objective, warm, last_epoch, horizon, nm, mcmc);
+        }
+
+        // The libm oracle — the reference algorithm on the memoized grid,
+        // scoring a round's points one after another.
+        pts.clear();
+        pts.extend(obs.iter().map(|&(x, _)| GridPoint::new(x)));
+        pts.push(GridPoint::new(horizon_x));
+        means.clear();
+        means.resize(ys.len(), 0.0);
+        let mut objective = PosteriorEval::new(pts, ys, means);
+        self.fit_on(&mut objective, warm, last_epoch, horizon, nm, mcmc)
+    }
+
+    /// The one fit schedule, over whichever batch objective scores the
+    /// sampler's proposals and the Nelder–Mead rounds: try the warm start,
+    /// else lockstep least-squares init → walkers → sampler.
+    fn fit_on(
+        &self,
+        objective: &mut impl CurveObjective,
+        warm: Option<&CurvePosterior>,
+        last_epoch: u32,
+        horizon: u32,
+        nm: &mut NmScratch,
+        mcmc: &mut McmcScratch,
+    ) -> Result<CurvePosterior> {
+        if let Some((init, mut rng)) = warm.and_then(|prev| self.warm_walkers(prev, objective, nm))
+        {
+            let options = self.sampler_options(self.config.warm_steps);
+            let log_probs = |thetas: &[f64], out: &mut [f64]| objective.log_posteriors(thetas, out);
+            let chain = sample_into(log_probs, &init, options, &mut rng, mcmc);
+            if let Ok(posterior) =
+                collect_posterior(&self.config, &chain, last_epoch, horizon, true)
+            {
+                return Ok(posterior);
+            }
+        }
+
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let fits = fit_families(objective, None, &mut rng, nm);
+        let mut init = build_initial_walkers(&fits, self.config.walkers, &mut rng);
+        // The growth/ceiling prior can reject every least-squares-derived
+        // walker (e.g. a decreasing observed curve); fall back to
+        // prior-safe default walkers rather than fail.
+        if !any_finite(objective, &init) {
+            init = fit::build_default_walkers(self.config.walkers, &mut rng);
+        }
+        if !any_finite(objective, &init) {
+            return Err(Error::CurveFit("no valid initialization found".into()));
+        }
+        let options = self.sampler_options(self.config.steps);
+        let log_probs = |thetas: &[f64], out: &mut [f64]| objective.log_posteriors(thetas, out);
+        let chain = sample_into(log_probs, &init, options, &mut rng, mcmc);
+        collect_posterior(&self.config, &chain, last_epoch, horizon, false)
+    }
+
+    /// Checks the fit contract and returns the last observed epoch with the
+    /// observation list the fit conditions on: long curves are strided
+    /// down to `max_obs` points (first and last always kept) — likelihood
+    /// cost is linear in observations, and a strided subsample preserves
+    /// the trajectory shape.
+    fn fit_inputs(&self, curve: &LearningCurve, horizon: u32) -> Result<(u32, Vec<(f64, f64)>)> {
         let n = curve.len();
         if n < self.config.min_observations {
             return Err(Error::CurveFit(format!(
@@ -261,108 +343,15 @@ impl CurvePredictor {
                 "horizon {horizon} must exceed last observed epoch {last_epoch}"
             )));
         }
-
-        let obs = thinned_obs(&self.config, curve);
-        let horizon_x = f64::from(horizon).max(obs.last().map_or(1.0, |&(x, _)| x));
-        let warm = warm.filter(|_| self.config.warm_start);
-
-        // Memoize the epoch grid once per fit: the grid never changes
-        // mid-fit, so every pure-x basis term is computed exactly once.
-        let FitScratch { pts, ys, means, nm, fam, mcmc, fast_grid, fused } = scratch;
-        ys.clear();
-        ys.extend(obs.iter().map(|&(_, y)| y));
-        let ys = &ys[..];
-
-        if self.config.fast_math {
-            // SoA grid for the batched kernels (vmath logs, so the whole
-            // fast path is host-independent end to end).
-            fast_grid.clear();
-            for &(x, _) in &obs {
-                fast_grid.push(x);
-            }
-            fast_grid.push(horizon_x);
-            let grid = &*fast_grid;
-            let mut eval = FusedPosterior::new(grid, ys, fused, backend);
-            return self.fit_on(
-                |thetas, out| eval.log_posteriors(thetas, out),
-                |seed, rng| match seed {
-                    None => fit_all_families_fast(grid, ys, rng, nm, fam, backend),
-                    Some(draw) => seeded_fits(draw, |family, fp| {
-                        fit_family_seeded_fast(family, fp, grid, ys, nm, fam, backend)
-                    }),
-                },
-                warm,
-                last_epoch,
-                horizon,
-                mcmc,
-            );
-        }
-
-        // The libm oracle — the reference algorithm on the memoized grid,
-        // scoring a half's proposals one after another.
-        pts.clear();
-        pts.extend(obs.iter().map(|&(x, _)| GridPoint::new(x)));
-        pts.push(GridPoint::new(horizon_x));
-        means.clear();
-        means.resize(ys.len(), 0.0);
-        let obs_pts = &pts[..ys.len()];
-        let mut eval = PosteriorEval::new(pts, ys, means);
-        self.fit_on(
-            score_each(dimension(), |theta| eval.log_posterior(theta)),
-            |seed, rng| match seed {
-                None => fit_all_families_with(obs_pts, ys, rng, nm, fam),
-                Some(draw) => seeded_fits(draw, |family, fp| {
-                    fit_family_seeded(family, fp, obs_pts, ys, nm, fam)
-                }),
-            },
-            warm,
-            last_epoch,
-            horizon,
-            mcmc,
-        )
-    }
-
-    /// The one fit schedule, over whichever likelihood `log_probs` scores
-    /// (the sampler's batch-evaluator signature) and whichever per-family
-    /// least squares `family_fits` runs (cold multi-start when handed
-    /// `None`, one reduced run seeded from a previous draw otherwise):
-    /// try the warm start, else Nelder–Mead init → walkers → sampler.
-    fn fit_on(
-        &self,
-        mut log_probs: impl FnMut(&[f64], &mut [f64]),
-        mut family_fits: impl FnMut(Option<&[f64]>, &mut StdRng) -> Vec<FamilyFit>,
-        warm: Option<&CurvePosterior>,
-        last_epoch: u32,
-        horizon: u32,
-        mcmc: &mut McmcScratch,
-    ) -> Result<CurvePosterior> {
-        if let Some((init, mut rng)) =
-            warm.and_then(|prev| self.warm_walkers(prev, &mut log_probs, &mut family_fits))
-        {
-            let options = self.sampler_options(self.config.warm_steps);
-            let chain = sample_into(&mut log_probs, &init, options, &mut rng, mcmc);
-            if let Ok(posterior) =
-                collect_posterior(&self.config, &chain, last_epoch, horizon, true)
-            {
-                return Ok(posterior);
-            }
-        }
-
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let fits = family_fits(None, &mut rng);
-        let mut init = build_initial_walkers(&fits, self.config.walkers, &mut rng);
-        // The growth/ceiling prior can reject every least-squares-derived
-        // walker (e.g. a decreasing observed curve); fall back to
-        // prior-safe default walkers rather than fail.
-        if !any_finite(&mut log_probs, &init) {
-            init = fit::build_default_walkers(self.config.walkers, &mut rng);
-        }
-        if !any_finite(&mut log_probs, &init) {
-            return Err(Error::CurveFit("no valid initialization found".into()));
-        }
-        let options = self.sampler_options(self.config.steps);
-        let chain = sample_into(&mut log_probs, &init, options, &mut rng, mcmc);
-        collect_posterior(&self.config, &chain, last_epoch, horizon, false)
+        let obs = |i: usize| (f64::from(curve.points()[i].epoch), curve.points()[i].value);
+        let keep = self.config.max_obs.max(2);
+        let thinned = if n > keep {
+            let stride = (n - 1) as f64 / (keep - 1) as f64;
+            (0..keep).map(|i| obs((i as f64 * stride).round() as usize)).collect()
+        } else {
+            (0..n).map(obs).collect()
+        };
+        Ok((last_epoch, thinned))
     }
 
     fn sampler_options(&self, steps: usize) -> SamplerOptions {
@@ -381,20 +370,16 @@ impl CurvePredictor {
     fn warm_walkers(
         &self,
         prev: &CurvePosterior,
-        log_probs: &mut impl FnMut(&[f64], &mut [f64]),
-        family_fits: &mut impl FnMut(Option<&[f64]>, &mut StdRng) -> Vec<FamilyFit>,
+        objective: &mut impl CurveObjective,
+        nm: &mut NmScratch,
     ) -> Option<(Vec<Vec<f64>>, StdRng)> {
-        let dim = dimension();
-        if prev.n_draws() == 0 || prev.draws.iter().any(|d| d.len() != dim) {
-            return None;
-        }
         let mut rng = StdRng::seed_from_u64(self.config.seed);
 
         // Rescore the previous posterior under the new observations (one
         // evaluator call over all of its draws); the best surviving draw
         // seeds the reduced Nelder–Mead pass.
         let mut lps = vec![0.0; prev.n_draws()];
-        log_probs(&prev.draws.concat(), &mut lps);
+        objective.log_posteriors(&prev.draws, &mut lps);
         let mut best: Option<(usize, f64)> = None;
         for (i, &lp) in lps.iter().enumerate() {
             if lp.is_finite() && best.is_none_or(|(_, b)| lp > b) {
@@ -403,7 +388,7 @@ impl CurvePredictor {
         }
         let (best_i, _) = best?;
 
-        let fits = family_fits(Some(&prev.draws[best_i]), &mut rng);
+        let fits = fit_families(objective, Some(&prev.draws()[best_i]), &mut rng, nm);
         let n_walkers = self.config.walkers;
         let mut init = build_initial_walkers(&fits, n_walkers, &mut rng);
         // Seed the back half of the ensemble directly from the previous
@@ -411,10 +396,10 @@ impl CurvePredictor {
         // jittered to keep walkers distinct.
         let n_prev = prev.n_draws();
         for (slot, walker) in init.iter_mut().enumerate().skip(n_walkers / 2) {
-            let src = &prev.draws[(slot * n_prev) / n_walkers];
+            let src = &prev.draws()[(slot * n_prev) / n_walkers];
             warm_walker_from_draw(src, walker, &mut rng);
         }
-        any_finite(log_probs, &init).then_some((init, rng))
+        any_finite(objective, &init).then_some((init, rng))
     }
 
     /// The retained pre-optimization fitting path: per-call allocations,
@@ -426,31 +411,7 @@ impl CurvePredictor {
     ///
     /// Same contract as [`Self::fit`].
     pub fn fit_reference(&self, curve: &LearningCurve, horizon: u32) -> Result<CurvePosterior> {
-        let n = curve.len();
-        if n < self.config.min_observations {
-            return Err(Error::CurveFit(format!(
-                "need at least {} observations, got {n}",
-                self.config.min_observations
-            )));
-        }
-        let last_epoch = curve.last_epoch().expect("non-empty curve");
-        if horizon <= last_epoch {
-            return Err(Error::CurveFit(format!(
-                "horizon {horizon} must exceed last observed epoch {last_epoch}"
-            )));
-        }
-
-        let all_obs: Vec<(f64, f64)> =
-            curve.points().iter().map(|p| (f64::from(p.epoch), p.value)).collect();
-        // Thin long curves: likelihood cost is linear in observations, and
-        // a strided subsample preserves the trajectory shape.
-        let obs: Vec<(f64, f64)> = if all_obs.len() > self.config.max_obs.max(2) {
-            let keep = self.config.max_obs.max(2);
-            let stride = (all_obs.len() - 1) as f64 / (keep - 1) as f64;
-            (0..keep).map(|i| all_obs[(i as f64 * stride).round() as usize]).collect()
-        } else {
-            all_obs
-        };
+        let (last_epoch, obs) = self.fit_inputs(curve, horizon)?;
         let horizon_f = f64::from(horizon);
 
         let mut rng = StdRng::seed_from_u64(self.config.seed);
@@ -469,12 +430,7 @@ impl CurvePredictor {
         let chain = sample(
             score_each(dimension(), |theta| log_posterior(theta, &obs, horizon_f)),
             init,
-            SamplerOptions {
-                steps: self.config.steps,
-                burn_in_frac: self.config.burn_in_frac,
-                thin: self.config.thin,
-                stretch: 2.0,
-            },
+            self.sampler_options(self.config.steps),
             &mut rng,
         );
 
@@ -486,10 +442,10 @@ impl CurvePredictor {
         let draws = if chain.draws.len() > self.config.max_draws {
             let stride = chain.draws.len() as f64 / self.config.max_draws as f64;
             (0..self.config.max_draws)
-                .map(|i| chain.draws[(i as f64 * stride) as usize].clone())
+                .flat_map(|i| chain.draws[(i as f64 * stride) as usize].iter().copied())
                 .collect()
         } else {
-            chain.draws
+            chain.draws.concat()
         };
 
         Ok(CurvePosterior {
@@ -499,23 +455,6 @@ impl CurvePredictor {
             acceptance_rate: chain.acceptance_rate,
             warm: false,
         })
-    }
-}
-
-/// The (possibly thinned) observation list a fit conditions on: long
-/// curves are strided down to `max_obs` points (first and last always
-/// kept).
-fn thinned_obs(config: &PredictorConfig, curve: &LearningCurve) -> Vec<(f64, f64)> {
-    let all_obs: Vec<(f64, f64)> =
-        curve.points().iter().map(|p| (f64::from(p.epoch), p.value)).collect();
-    // Thin long curves: likelihood cost is linear in observations, and a
-    // strided subsample preserves the trajectory shape.
-    if all_obs.len() > config.max_obs.max(2) {
-        let keep = config.max_obs.max(2);
-        let stride = (all_obs.len() - 1) as f64 / (keep - 1) as f64;
-        (0..keep).map(|i| all_obs[(i as f64 * stride).round() as usize]).collect()
-    } else {
-        all_obs
     }
 }
 
@@ -531,40 +470,25 @@ fn collect_posterior(
     if total == 0 {
         return Err(Error::CurveFit("sampler produced no draws".into()));
     }
-    // Uniform subsample down to max_draws to keep queries cheap.
-    let draws: Vec<Vec<f64>> = if total > config.max_draws {
-        let stride = total as f64 / config.max_draws as f64;
-        (0..config.max_draws).map(|i| chain.draw((i as f64 * stride) as usize).to_vec()).collect()
-    } else {
-        (0..total).map(|i| chain.draw(i).to_vec()).collect()
-    };
+    // Uniform subsample down to max_draws to keep queries cheap (the
+    // stride is exactly 1 when nothing is dropped).
+    let kept = total.min(config.max_draws);
+    let stride = total as f64 / kept as f64;
+    let mut draws = Vec::with_capacity(kept * dimension());
+    for i in 0..kept {
+        draws.extend_from_slice(chain.draw((i as f64 * stride) as usize));
+    }
     Ok(CurvePosterior { draws, last_epoch, horizon, acceptance_rate: chain.acceptance_rate, warm })
 }
 
-/// Whether the evaluator gives any of `walkers` a finite log-probability,
+/// Whether the objective gives any of `walkers` a finite log-probability,
 /// scoring one walker per call and stopping at the first that has.
-fn any_finite(log_probs: &mut impl FnMut(&[f64], &mut [f64]), walkers: &[Vec<f64>]) -> bool {
+fn any_finite(objective: &mut impl CurveObjective, walkers: &[Vec<f64>]) -> bool {
     let mut lp = [0.0];
     walkers.iter().any(|w| {
-        log_probs(w, &mut lp);
+        objective.log_posteriors(w, &mut lp);
         lp[0].is_finite()
     })
-}
-
-/// One seeded family fit per family, in canonical order, each started
-/// from its parameter block of `draw`.
-fn seeded_fits(
-    draw: &[f64],
-    mut fit: impl FnMut(ModelFamily, &[f64]) -> FamilyFit,
-) -> Vec<FamilyFit> {
-    ALL_FAMILIES
-        .iter()
-        .enumerate()
-        .map(|(k, &family)| {
-            let off = FAMILY_OFFSETS[k];
-            fit(family, &draw[off..off + family.param_count()])
-        })
-        .collect()
 }
 
 /// Builds one warm walker from a previous posterior draw: a small jitter
@@ -597,10 +521,55 @@ impl Default for CurvePredictor {
     }
 }
 
+/// A posterior's retained draws: a row-major matrix with one
+/// `dimension()`-long parameter vector per row — the layout the query
+/// arena ([`crate::batch`]) sweeps as stored. Iterates and indexes as rows;
+/// compares like the slice it views.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Draws<'a>(&'a [f64]);
+
+impl<'a> Draws<'a> {
+    /// Number of draws (rows).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.0.len() / dimension()
+    }
+
+    /// True when there are no draws.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The rows, in draw order.
+    pub fn iter(&self) -> std::slice::ChunksExact<'a, f64> {
+        self.0.chunks_exact(dimension())
+    }
+}
+
+impl std::ops::Index<usize> for Draws<'_> {
+    type Output = [f64];
+
+    fn index(&self, i: usize) -> &[f64] {
+        let dim = dimension();
+        &self.0[i * dim..(i + 1) * dim]
+    }
+}
+
+impl<'a> IntoIterator for Draws<'a> {
+    type Item = &'a [f64];
+    type IntoIter = std::slice::ChunksExact<'a, f64>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// Posterior over future performance given an observed curve prefix.
 #[derive(Debug, Clone)]
 pub struct CurvePosterior {
-    draws: Vec<Vec<f64>>,
+    /// Row-major draw matrix, `dimension()` values per draw.
+    draws: Vec<f64>,
     last_epoch: u32,
     horizon: u32,
     acceptance_rate: f64,
@@ -609,24 +578,32 @@ pub struct CurvePosterior {
 
 impl CurvePosterior {
     /// Reassembles a posterior from its stored parts — the decode half of
-    /// the disk fit cache (`crate::cache`). The parts must have come from
-    /// a fitted posterior's accessors; nothing here re-derives or
-    /// validates numerics, which is exactly what makes a decoded entry
-    /// bitwise-identical to the fit that produced it.
+    /// the disk fit cache (`crate::cache`). `draws` is the row-major draw
+    /// matrix; `None` unless it is whole `dimension()`-long rows (every
+    /// query indexes a row by family offset). Beyond that shape check the
+    /// parts must have come from a fitted posterior's accessors; nothing
+    /// here re-derives or validates numerics, which is exactly what makes
+    /// a decoded entry bitwise-identical to the fit that produced it.
     #[must_use]
     pub fn from_parts(
-        draws: Vec<Vec<f64>>,
+        draws: Vec<f64>,
         last_epoch: u32,
         horizon: u32,
         acceptance_rate: f64,
         warm: bool,
-    ) -> Self {
-        CurvePosterior { draws, last_epoch, horizon, acceptance_rate, warm }
+    ) -> Option<Self> {
+        draws.len().is_multiple_of(dimension()).then_some(CurvePosterior {
+            draws,
+            last_epoch,
+            horizon,
+            acceptance_rate,
+            warm,
+        })
     }
 
     /// Number of retained posterior draws.
     pub fn n_draws(&self) -> usize {
-        self.draws.len()
+        self.draws().len()
     }
 
     /// Whether this posterior was produced by a warm-started fit (seeded
@@ -638,8 +615,8 @@ impl CurvePosterior {
     /// The retained posterior parameter draws. Exposed so equivalence
     /// tests can assert *byte*-identity between fitting paths, not just
     /// agreement of summary statistics.
-    pub fn draws(&self) -> &[Vec<f64>] {
-        &self.draws
+    pub fn draws(&self) -> Draws<'_> {
+        Draws(&self.draws)
     }
 
     /// The last observed epoch the posterior conditions on.
@@ -758,40 +735,29 @@ impl CurvePosterior {
         moments.get(0)
     }
 
-    /// The per-draw sweep under every posterior query: evaluates each
-    /// draw's weighted-combination mean curve at all `epochs` (at most
-    /// [`QUERY_LANES`]) and hands `(sigma, means)` to `visit`, in draw
-    /// order. A draw whose weight sum is degenerate is skipped whole; a
-    /// lane where an active family diverged arrives non-finite, for the
-    /// visitor to skip — the two cases where
-    /// [`crate::ensemble::ParamView::mean`] is NaN.
-    fn sweep_draw_means(
-        &self,
-        backend: Backend,
-        epochs: &[u32],
-        mut visit: impl FnMut(f64, &[f64]),
-    ) {
+    /// The per-draw sweep under every posterior query: each draw's
+    /// weighted-combination mean curve at all `epochs` (at most
+    /// [`QUERY_LANES`]), handed to `visit` as `(sigma, means)` in draw
+    /// order — [`batch::sweep_draw_means`] over this thread's reused query
+    /// grid and arena, so a warmed-up query allocates nothing.
+    fn sweep_draw_means(&self, backend: Backend, epochs: &[u32], visit: impl FnMut(f64, &[f64])) {
         let n = epochs.len();
         assert!(n <= QUERY_LANES, "query sweep holds {QUERY_LANES} lanes, got {n}");
-        let mut grid = FastGrid::with_capacity(n);
-        for &e in epochs {
-            grid.push(f64::from(e));
-        }
-        let mut means = [0.0f64; QUERY_LANES];
-        let mut t = [0.0f64; QUERY_LANES];
-        let mut hoists = [0.0f64; 11];
-        let dim = dimension();
-        for theta in &self.draws {
-            assert_eq!(theta.len(), dim, "parameter vector has wrong length");
-            let wsum: f64 = theta[..11].iter().sum();
-            if wsum < MIN_WEIGHT_SUM || wsum.is_nan() {
-                continue;
+        QUERY_SCRATCH.with_borrow_mut(|(grid, fused)| {
+            grid.clear();
+            for &e in epochs {
+                grid.push(f64::from(e));
             }
-            family_hoists_fast(theta, &mut hoists);
-            fast_weighted_means(theta, &grid, n, &mut means, &mut t, &hoists, wsum, backend);
-            visit(theta[SIGMA_INDEX], &means[..n]);
-        }
+            batch::sweep_draw_means(grid, &self.draws, fused, backend, visit);
+        });
     }
+}
+
+thread_local! {
+    /// The query grid and arena a thread's posterior queries reuse. (The
+    /// query signatures take `&self` on posteriors shared across threads,
+    /// so the storage cannot live in the posterior or be passed in.)
+    static QUERY_SCRATCH: RefCell<(FastGrid, FusedScratch)> = RefCell::default();
 }
 
 /// Lanes (query epochs) one posterior-query sweep evaluates at a time;
@@ -811,7 +777,9 @@ struct Exceedance {
     /// `exp(−u²)` per lane, batched through `vmath`.
     e: [f64; QUERY_LANES],
     total: [f64; QUERY_LANES],
-    count: [u32; QUERY_LANES],
+    /// Draws counted per lane (a whole number, kept as `f64` so the
+    /// accumulation loop is one lane type).
+    count: [f64; QUERY_LANES],
 }
 
 impl Exceedance {
@@ -821,12 +789,14 @@ impl Exceedance {
             u: [0.0; QUERY_LANES],
             e: [0.0; QUERY_LANES],
             total: [0.0; QUERY_LANES],
-            count: [0; QUERY_LANES],
+            count: [0.0; QUERY_LANES],
         }
     }
 
     /// Adds one draw's `Φ((m − target)/σ)` to every lane whose mean is
-    /// finite.
+    /// finite. `#[inline(always)]` so the lane loops compile inside the
+    /// query sweep's SIMD tier.
+    #[inline(always)]
     fn add(&mut self, backend: Backend, sigma: f64, means: &[f64]) {
         let n = means.len();
         for ((u, e), m) in self.u.iter_mut().zip(self.e.iter_mut()).zip(means) {
@@ -839,19 +809,22 @@ impl Exceedance {
             *e = -*u * *u;
         }
         vmath::vexp_with(backend, &mut self.e[..n]);
-        for (lane, m) in means.iter().enumerate() {
-            if m.is_finite() {
-                self.total[lane] += 0.5 * (1.0 + stats::erf_with_exp(self.u[lane], self.e[lane]));
-                self.count[lane] += 1;
-            }
+        // Branch-free so it vectorizes: a non-finite lane computes a
+        // (NaN) term like any other and the select drops it.
+        let lanes = self.total.iter_mut().zip(self.count.iter_mut()).zip(&self.u).zip(&self.e);
+        for ((((total, count), &u), &e), m) in lanes.zip(means) {
+            let p = 0.5 * (1.0 + stats::erf_with_exp(u, e));
+            let finite = m.is_finite();
+            *total = if finite { *total + p } else { *total };
+            *count += if finite { 1.0 } else { 0.0 };
         }
     }
 
     fn prob(&self, lane: usize) -> f64 {
-        if self.count[lane] == 0 {
+        if self.count[lane] == 0.0 {
             0.0
         } else {
-            self.total[lane] / f64::from(self.count[lane])
+            self.total[lane] / self.count[lane]
         }
     }
 }
@@ -869,6 +842,7 @@ impl Moments {
         Moments { count: [0.0; QUERY_LANES], mean: [0.0; QUERY_LANES], m2: [0.0; QUERY_LANES] }
     }
 
+    #[inline(always)]
     fn add(&mut self, means: &[f64]) {
         for (lane, &m) in means.iter().enumerate() {
             if m.is_finite() {

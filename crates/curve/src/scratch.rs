@@ -1,17 +1,17 @@
 //! Reusable per-fit working memory.
 //!
 //! One [`FitScratch`] holds every buffer the optimized fitting path needs:
-//! the memoized epoch grid, the posterior mean buffer, the Nelder–Mead
-//! simplex workspace, the family-fit buffers, the MCMC walker/draw
-//! storage, and the fused evaluator's lane arena. A long-lived owner (a [`crate::FitService`] worker thread, a
-//! benchmark loop) constructs one and threads it through every fit; after
-//! the first fit sizes the buffers, subsequent fits of similar shape
-//! perform **zero heap allocations per MCMC step** — the property the
-//! `fit_hotpath` bench pins with a counting allocator.
+//! the memoized epoch grid, the posterior mean buffer, the lockstep
+//! Nelder–Mead runs, the MCMC walker/draw storage, and the fused
+//! evaluator's lane arena. A long-lived owner (a [`crate::FitService`]
+//! worker thread, a benchmark loop) constructs one and threads it through
+//! every fit; after the first fit sizes the buffers, subsequent fits of
+//! similar shape perform **zero heap allocations per MCMC step and per
+//! Nelder–Mead round** — the property the `fit_simd` and `fit_hotpath`
+//! benches pin with a counting allocator.
 
 use crate::batch::FusedScratch;
 use crate::fastpath::FastGrid;
-use crate::fit::FamilyFitBuf;
 use crate::mcmc::McmcScratch;
 use crate::models::GridPoint;
 use crate::nelder_mead::NmScratch;
@@ -27,17 +27,15 @@ pub struct FitScratch {
     pub(crate) ys: Vec<f64>,
     /// Posterior mean buffer, one slot per observation.
     pub(crate) means: Vec<f64>,
-    /// Nelder–Mead simplex workspace.
+    /// The lockstep Nelder–Mead runs of the least-squares init.
     pub(crate) nm: NmScratch,
-    /// Family least-squares buffers.
-    pub(crate) fam: FamilyFitBuf,
     /// Ensemble-sampler walker and draw storage.
     pub(crate) mcmc: McmcScratch,
     /// Structure-of-arrays epoch grid for the `fast_math` path (same
     /// points as `pts`, one column per memoized basis term).
     pub(crate) fast_grid: FastGrid,
     /// Slot transients and the signature-grouped lane arena of the
-    /// `fast_math` path's half-ensemble evaluator ([`crate::batch`]).
+    /// `fast_math` path's batch objective ([`crate::batch`]).
     pub(crate) fused: FusedScratch,
 }
 

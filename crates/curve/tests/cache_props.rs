@@ -12,6 +12,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
+use hyperdrive_curve::ensemble::dimension;
 use hyperdrive_curve::{
     fit_fingerprint, CurveFingerprint, CurvePosterior, PredictorConfig, SharedFitCache,
 };
@@ -39,19 +40,18 @@ fn synthetic_curve(limit: f64, rate: f64, n: u32) -> LearningCurve {
 
 /// Writes `n` distinct posteriors through a disk-backed cache and returns
 /// the directory plus the ground truth (fingerprint → draws bits).
-fn populate(dir: &Path, n: usize) -> HashMap<CurveFingerprint, Vec<Vec<f64>>> {
+fn populate(dir: &Path, n: usize) -> HashMap<CurveFingerprint, CurvePosterior> {
     let cache = SharedFitCache::with_disk(dir).expect("open disk cache");
     let config = PredictorConfig::test();
     let mut truth = HashMap::new();
     for i in 0..n {
         let seed = 1000 + i as u64;
-        let draws: Vec<Vec<f64>> =
-            (0..3).map(|d| vec![i as f64 + d as f64 * 0.25, -1.5, 0.125 * d as f64]).collect();
-        let posterior =
-            CurvePosterior::from_parts(draws.clone(), 10 + i as u32, 100, 0.37, i % 2 == 0);
+        let draws = (0..3 * dimension()).map(|d| i as f64 + d as f64 * 0.25).collect();
+        let posterior = CurvePosterior::from_parts(draws, 10 + i as u32, 100, 0.37, i % 2 == 0)
+            .expect("whole rows");
         let fp = fit_fingerprint(&synthetic_curve(0.7, 0.8, 10), &config, seed, 100, None);
         cache.insert(fp, &posterior);
-        truth.insert(fp, draws);
+        truth.insert(fp, posterior);
     }
     truth
 }
@@ -60,15 +60,15 @@ fn populate(dir: &Path, n: usize) -> HashMap<CurveFingerprint, Vec<Vec<f64>>> {
 /// invariant: every served entry is bitwise its ground-truth original.
 fn assert_survivors_are_genuine(
     dir: &Path,
-    truth: &HashMap<CurveFingerprint, Vec<Vec<f64>>>,
+    truth: &HashMap<CurveFingerprint, CurvePosterior>,
 ) -> Result<u64, TestCaseError> {
     let reloaded = SharedFitCache::with_disk(dir).expect("reopen never errors on bad data");
     let mut served = 0;
-    for (fp, draws) in truth {
+    for (fp, written) in truth {
         if let Some(p) = reloaded.get(fp) {
             prop_assert_eq!(
                 p.draws(),
-                &draws[..],
+                written.draws(),
                 "a served posterior must be bitwise what was written"
             );
             served += 1;

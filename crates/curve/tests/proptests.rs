@@ -199,7 +199,8 @@ mod fused_evaluator {
     use hyperdrive_curve::fastpath::{FastGrid, PosteriorEvalFast};
     use hyperdrive_curve::vmath::Backend;
     use hyperdrive_curve::{
-        FitRequest, FitScratch, FitService, FusedPosterior, FusedScratch, ALL_FAMILIES,
+        CurveObjective, FitRequest, FitScratch, FitService, FusedPosterior, FusedScratch,
+        ALL_FAMILIES,
     };
     use hyperdrive_types::JobId;
     use rand::rngs::StdRng;
@@ -285,8 +286,8 @@ mod fused_evaluator {
                 let mut fused = vec![0.0; slots];
                 FusedPosterior::new(&grid, &ys, &mut scratch, backend)
                     .log_posteriors(&flat, &mut fused);
-                let (mut means, mut t) = (vec![0.0; ys.len()], vec![0.0; ys.len()]);
-                let mut reference = PosteriorEvalFast::new(&grid, &ys, &mut means, &mut t, backend);
+                let mut means = vec![0.0; ys.len()];
+                let mut reference = PosteriorEvalFast::new(&grid, &ys, &mut means);
                 for (s, theta) in thetas.iter().enumerate() {
                     let want = reference.log_posterior(theta);
                     prop_assert_eq!(

@@ -7,9 +7,6 @@
 
 use proptest::prelude::*;
 
-use hyperdrive_curve::ensemble::{dimension, SIGMA_BOUNDS};
-use hyperdrive_curve::fastpath::{FastGrid, PosteriorEvalFast};
-use hyperdrive_curve::models::ALL_FAMILIES;
 use hyperdrive_curve::vmath::{self, Backend};
 use hyperdrive_curve::{
     sequential_fit, CurvePredictor, FitRequest, FitScratch, FitService, PredictorConfig,
@@ -22,23 +19,6 @@ fn rel_err(got: f64, want: f64) -> f64 {
     } else {
         ((got - want) / want).abs()
     }
-}
-
-/// One parameter vector inside every family's prior box (same construction
-/// as the ensemble proptests).
-fn theta_in_box() -> impl Strategy<Value = Vec<f64>> {
-    let mut parts: Vec<BoxedStrategy<f64>> = Vec::with_capacity(dimension());
-    for _ in 0..11 {
-        parts.push((0.001f64..=1.0).boxed());
-    }
-    parts.push((SIGMA_BOUNDS.0..=SIGMA_BOUNDS.1).boxed());
-    for family in ALL_FAMILIES {
-        for (lo, hi) in family.bounds() {
-            let w = hi - lo;
-            parts.push((lo + w * 1e-9..=hi - w * 1e-9).boxed());
-        }
-    }
-    parts
 }
 
 fn synthetic_curve(limit: f64, rate: f64, n: u32) -> LearningCurve {
@@ -125,36 +105,6 @@ proptest! {
                     vals[i]
                 );
             }
-        }
-    }
-
-    /// The full fast log-posterior is backend-invariant bit for bit over
-    /// arbitrary in-box parameter vectors and observation sets.
-    #[test]
-    fn fast_posterior_is_backend_invariant(
-        thetas in proptest::collection::vec(theta_in_box(), 1..4),
-        values in proptest::collection::vec(0.0f64..=1.0, 2..20),
-        horizon in 1.0f64..500.0,
-    ) {
-        let n = values.len();
-        let mut grid = FastGrid::new();
-        for i in 0..n {
-            grid.push(i as f64 + 1.0);
-        }
-        grid.push(horizon.max(n as f64));
-        let mut means_s = vec![0.0; n];
-        let mut t_s = vec![0.0; n];
-        let mut means_v = vec![0.0; n];
-        let mut t_v = vec![0.0; n];
-        let mut scalar =
-            PosteriorEvalFast::new(&grid, &values, &mut means_s, &mut t_s, Backend::Scalar);
-        let mut simd =
-            PosteriorEvalFast::new(&grid, &values, &mut means_v, &mut t_v, Backend::Simd);
-        for theta in &thetas {
-            let a = scalar.log_posterior(theta);
-            let b = simd.log_posterior(theta);
-            prop_assert!(!a.is_nan(), "fast log-posterior NaN");
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "backends diverged: {} vs {}", a, b);
         }
     }
 }

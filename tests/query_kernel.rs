@@ -15,7 +15,7 @@ use rand::SeedableRng;
 
 use hyperdrive::curve::ensemble::{dimension, ParamView, FAMILY_OFFSETS};
 use hyperdrive::curve::vmath::Backend;
-use hyperdrive::curve::{CurvePosterior, CurvePredictor, PredictorConfig, QUERY_LANES};
+use hyperdrive::curve::{CurvePosterior, CurvePredictor, Draws, PredictorConfig, QUERY_LANES};
 use hyperdrive::pop::{estimate_remaining_time, ErtEstimate};
 use hyperdrive::types::stats;
 use hyperdrive::workload::{CifarWorkload, LunarWorkload, Workload};
@@ -45,7 +45,7 @@ fn lunar_posterior(seed: u64, prefix: u32) -> CurvePosterior {
 
 /// Eq. 1 by its definition: libm mean curve and libm normal CDF, one
 /// epoch and one draw at a time, skipping draws whose mean is not finite.
-fn oracle_prob_at_least(draws: &[Vec<f64>], epoch: u32, target: f64) -> f64 {
+fn oracle_prob_at_least(draws: Draws<'_>, epoch: u32, target: f64) -> f64 {
     let x = f64::from(epoch);
     let (mut total, mut count) = (0.0, 0usize);
     for theta in draws {
@@ -232,17 +232,18 @@ fn queries_longer_than_one_sweep_are_chunked_lane_exactly() {
 
 /// Rebuilds `posterior` with `extra` draws interleaved among its own.
 fn with_extra_draws(posterior: &CurvePosterior, extra: &[Vec<f64>]) -> CurvePosterior {
-    let mut draws = posterior.draws().to_vec();
+    let mut draws: Vec<&[f64]> = posterior.draws().iter().collect();
     for (i, d) in extra.iter().enumerate() {
-        draws.insert((i * 37) % draws.len(), d.clone());
+        draws.insert((i * 37) % draws.len(), d);
     }
     CurvePosterior::from_parts(
-        draws,
+        draws.concat(),
         posterior.last_epoch(),
         posterior.horizon(),
         posterior.acceptance_rate(),
         false,
     )
+    .expect("whole rows")
 }
 
 /// A draw with a degenerate weight sum, or whose active family diverges
@@ -251,7 +252,7 @@ fn with_extra_draws(posterior: &CurvePosterior, extra: &[Vec<f64>]) -> CurvePost
 #[test]
 fn degenerate_draws_are_excluded_from_numerator_and_count() {
     let posterior = cifar_posterior(9, 14);
-    let template = posterior.draws()[0].clone();
+    let template = posterior.draws()[0].to_vec();
     assert_eq!(template.len(), dimension());
 
     let mut zero_weights = template.clone();
@@ -276,7 +277,7 @@ fn degenerate_draws_are_excluded_from_numerator_and_count() {
         assert_eq!(c.to_bits(), d.to_bits(), "lane {lane}: an excluded draw leaked in");
     }
 
-    let hopeless = CurvePosterior::from_parts(vec![diverging], 10, 100, 0.5, false);
+    let hopeless = CurvePosterior::from_parts(diverging, 10, 100, 0.5, false).expect("one row");
     assert_eq!(query(&hopeless, &[20, 50], 0.6), vec![0.0, 0.0], "no usable draw → 0");
 }
 
@@ -286,7 +287,7 @@ fn degenerate_draws_are_excluded_from_numerator_and_count() {
 #[test]
 fn a_draw_diverging_at_some_epochs_is_skipped_per_lane() {
     let posterior = cifar_posterior(11, 14);
-    let mut partial = posterior.draws()[1].clone();
+    let mut partial = posterior.draws()[1].to_vec();
     partial[1] = 0.4; // pow4 weight
     let off = FAMILY_OFFSETS[1];
     partial[off + 1] = 1.0; // a
