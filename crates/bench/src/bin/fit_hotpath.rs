@@ -140,12 +140,13 @@ fn main() {
     let dim = init[0].len();
     // First run sizes every buffer; the counted run must then be clean.
     let mut rng_a = StdRng::seed_from_u64(11);
-    let _ =
-        sample_into(score_each(dim, |t| eval.log_posterior(t)), &init, opts, &mut rng_a, &mut mcmc);
+    let keep = config.max_draws;
+    let score = score_each(dim, |t| eval.log_posterior(t));
+    let _ = sample_into(score, &init, opts, keep, &mut rng_a, &mut mcmc, |_| {});
     let mut rng_b = StdRng::seed_from_u64(11);
     let before = alloc_events();
-    let _chain =
-        sample_into(score_each(dim, |t| eval.log_posterior(t)), &init, opts, &mut rng_b, &mut mcmc);
+    let score = score_each(dim, |t| eval.log_posterior(t));
+    let _chain = sample_into(score, &init, opts, keep, &mut rng_b, &mut mcmc, |_| {});
     let alloc_delta = alloc_events() - before;
     let proposals = (config.steps * config.walkers) as u64;
     let allocs_per_step = alloc_delta as f64 / proposals as f64;
@@ -159,7 +160,12 @@ fn main() {
     let batch = |cs: &[LearningCurve]| -> Vec<FitRequest> {
         cs.iter()
             .enumerate()
-            .map(|(j, c)| FitRequest { job: JobId::new(j as u64), curve: c.clone(), horizon })
+            .map(|(j, c)| FitRequest {
+                job: JobId::new(j as u64),
+                curve: c.clone(),
+                horizon,
+                query: None,
+            })
             .collect()
     };
     let mut cold_refit_secs = f64::INFINITY;

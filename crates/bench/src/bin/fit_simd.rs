@@ -1,7 +1,8 @@
 //! Benchmarks the vectorized likelihood kernel (`fast_math`): cold per-fit
 //! latency of the reference path vs the fused-arena path, heap allocations
 //! on the fast path — per MCMC step, per lockstep Nelder–Mead init, per
-//! remaining-time estimate and single-epoch query — forced-scalar vs
+//! remaining-time estimate and single-epoch query, per streamed chunk of a
+//! fit that carries its query — forced-scalar vs
 //! dispatched bit-identity of both the raw kernels and the fused
 //! log-posterior (against the per-proposal reference evaluator), and
 //! warm+fast refit speedup through the [`FitService`].
@@ -13,15 +14,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use hyperdrive_bench::{print_table, quick_mode, results_dir};
-use hyperdrive_core::estimate_remaining_time;
+use hyperdrive_core::{ert_query, estimate_remaining_time};
+use hyperdrive_curve::batch::MAX_SLOTS;
 use hyperdrive_curve::fastpath::{FastGrid, PosteriorEvalFast};
 use hyperdrive_curve::fit::{build_initial_walkers, fit_families};
 use hyperdrive_curve::mcmc::{sample_into, McmcScratch, SamplerOptions};
 use hyperdrive_curve::nelder_mead::{NelderMeadOptions, NmScratch};
 use hyperdrive_curve::vmath::{self, Backend};
 use hyperdrive_curve::{
-    CurveObjective, CurvePredictor, FitRequest, FitScratch, FitService, FusedPosterior,
-    FusedScratch, PredictorConfig, ALL_FAMILIES,
+    CurveObjective, CurvePredictor, ExceedanceQuery, FitRequest, FitScratch, FitService,
+    FusedPosterior, FusedScratch, PredictorConfig, ALL_FAMILIES,
 };
 use hyperdrive_types::{JobId, LearningCurve, MetricKind, SimTime};
 use hyperdrive_workload::{CifarWorkload, Workload};
@@ -208,11 +210,13 @@ fn main() {
     };
     let mut eval = FusedPosterior::new(&grid, &ys, &mut fused, dispatched);
     let mut rng_a = StdRng::seed_from_u64(11);
-    let _ = sample_into(|t, lp| eval.log_posteriors(t, lp), &init, opts, &mut rng_a, &mut mcmc);
+    let keep = config.max_draws;
+    let score = |t: &[f64], lp: &mut [f64]| eval.log_posteriors(t, lp);
+    let _ = sample_into(score, &init, opts, keep, &mut rng_a, &mut mcmc, |_| {});
     let mut rng_b = StdRng::seed_from_u64(11);
     let before = alloc_events();
-    let _chain =
-        sample_into(|t, lp| eval.log_posteriors(t, lp), &init, opts, &mut rng_b, &mut mcmc);
+    let score = |t: &[f64], lp: &mut [f64]| eval.log_posteriors(t, lp);
+    let _chain = sample_into(score, &init, opts, keep, &mut rng_b, &mut mcmc, |_| {});
     let alloc_delta = alloc_events() - before;
     let proposals = (config.steps * config.walkers) as u64;
     let allocs_per_step = alloc_delta as f64 / proposals as f64;
@@ -267,6 +271,47 @@ fn main() {
     assert_eq!(warm_answer.to_bits(), counted_answer.to_bits());
     assert_eq!(query_alloc_delta, 0, "posterior queries allocated {query_alloc_delta} times");
 
+    // ---- A streamed fit through the service: the worker hands each run
+    // of 64 kept rows to the `fit_batch` waiting for it in a row buffer
+    // the pool recycles, so a longer stream allocates nothing more. Two
+    // services differing only in how many chunks a fit streams (one, six)
+    // each warm up on three batches — the worker's scratch, this thread's
+    // query arena, the pool's spare buffers — and the fourth is counted.
+    let streamed_allocs = |max_draws: usize, query: Option<ExceedanceQuery>| -> u64 {
+        let service = FitService::with_shared_cache(
+            PredictorConfig { max_draws, ..config.with_fast_math(true) },
+            7,
+            1,
+            None,
+        );
+        let mut counted = 0;
+        for (j, c) in curves.iter().take(4).enumerate() {
+            let request =
+                FitRequest { job: JobId::new(j as u64), curve: c.clone(), horizon, query };
+            let before = alloc_events();
+            let outcome = service.fit_batch(&[request]).remove(0);
+            counted = alloc_events() - before;
+            assert_eq!(outcome.exceedance.is_some(), query.is_some());
+            assert_eq!(outcome.result.expect("fit ok").n_draws(), max_draws);
+        }
+        assert_eq!(service.stats().streamed_fits, if query.is_some() { 4 } else { 0 });
+        counted
+    };
+    let ert_grid = ert_query(20, horizon - 20, 0.77);
+    let (one_chunk, six_chunks) = (MAX_SLOTS + 1, 6 * MAX_SLOTS + 1);
+    let streamed_one = streamed_allocs(one_chunk, Some(ert_grid));
+    let streamed_six = streamed_allocs(six_chunks, Some(ert_grid));
+    let plain_six = streamed_allocs(six_chunks, None);
+    assert_eq!(
+        streamed_six, streamed_one,
+        "five more streamed chunks allocated {streamed_six} vs {streamed_one} times"
+    );
+    let chunk_alloc_delta = streamed_six - streamed_one;
+    // What carrying the query costs a whole batch over a query-less one:
+    // the accumulator's map entry and the answer vector.
+    let streamed_over_plain = streamed_six.saturating_sub(plain_six);
+    assert!(streamed_over_plain <= 4, "a streamed batch allocated {streamed_over_plain} more");
+
     // ---- Warm + fast refit speedup through the FitService: epoch-20
     // posteriors seed the epoch-24 refits, all on the fast path. Fresh
     // service pairs per repetition (the fit cache would otherwise answer
@@ -275,7 +320,12 @@ fn main() {
     let batch = |cs: &[LearningCurve]| -> Vec<FitRequest> {
         cs.iter()
             .enumerate()
-            .map(|(j, c)| FitRequest { job: JobId::new(j as u64), curve: c.clone(), horizon })
+            .map(|(j, c)| FitRequest {
+                job: JobId::new(j as u64),
+                curve: c.clone(),
+                horizon,
+                query: None,
+            })
             .collect()
     };
     let fast_config = config.with_fast_math(true);
@@ -311,6 +361,7 @@ fn main() {
             "allocs/step",
             "allocs/nm_init",
             "allocs/query",
+            "allocs/chunk",
             "warmfast_ms",
             "warmfast_vs_ref",
         ],
@@ -323,6 +374,7 @@ fn main() {
             format!("{allocs_per_step:.3}"),
             nm_alloc_delta.to_string(),
             query_alloc_delta.to_string(),
+            chunk_alloc_delta.to_string(),
             format!("{warm_fast_ms:.2}"),
             format!("{warm_fast_vs_reference:.2}x"),
         ]],
@@ -350,6 +402,9 @@ fn main() {
   "nm_init_evals_measured": {nm_evals},
   "nm_init_alloc_events": {nm_alloc_delta},
   "query_alloc_events": {query_alloc_delta},
+  "streamed_chunk_alloc_events": {chunk_alloc_delta},
+  "streamed_batch_alloc_events": {streamed_six},
+  "plain_batch_alloc_events": {plain_six},
   "bit_identity_kernel_lanes": {kernel_lanes},
   "bit_identity_posterior_evals": {posterior_evals},
   "bit_identical_scalar_vs_dispatched": true,

@@ -8,10 +8,12 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use hyperdrive_bench::{print_table, quick_mode, results_dir};
-use hyperdrive_curve::{FitRequest, FitService, PredictorConfig};
+use hyperdrive_curve::{ExceedanceQuery, FitRequest, FitService, PredictorConfig};
 use hyperdrive_types::{JobId, LearningCurve, MetricKind, SimTime};
 
-/// A spread of saturating curves with varied ceilings, rates, and lengths.
+/// A spread of saturating curves with varied ceilings, rates, and lengths,
+/// each asked a query the way POP asks its remaining-time grid, so the
+/// pools stream their draws to the waiting caller.
 fn synthetic_requests(n: usize) -> Vec<FitRequest> {
     (0..n)
         .map(|j| {
@@ -23,7 +25,8 @@ fn synthetic_requests(n: usize) -> Vec<FitRequest> {
                 let x = f64::from(e);
                 curve.push(e, SimTime::from_secs(60.0 * x), limit - (limit - 0.08) * x.powf(-rate));
             }
-            FitRequest { job: JobId::new(j as u64), curve, horizon: 120 }
+            let query = Some(ExceedanceQuery::new(&[40, 80, 120], 0.6));
+            FitRequest { job: JobId::new(j as u64), curve, horizon: 120, query }
         })
         .collect()
 }
@@ -51,6 +54,15 @@ fn main() {
     for (a, b) in serial_out.iter().zip(&pool_out) {
         let (a, b) = (a.result.as_ref().expect("fit ok"), b.result.as_ref().expect("fit ok"));
         assert_eq!(a.draws(), b.draws(), "pool width changed a posterior");
+    }
+    // ... nor into the streamed answers, which are the finished
+    // posterior's own.
+    for ((a, b), r) in serial_out.iter().zip(&pool_out).zip(&requests) {
+        let query = r.query.as_ref().expect("every request asks");
+        let asked = query.answer(a.result.as_ref().expect("fit ok"));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a.exceedance.as_ref().expect("answered")), bits(&asked));
+        assert_eq!(bits(b.exceedance.as_ref().expect("answered")), bits(&asked));
     }
 
     let t = Instant::now();

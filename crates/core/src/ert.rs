@@ -16,7 +16,7 @@
 //! further for p_m and set ERT_i = Tmax − Tpass since the search algorithm
 //! will not run further"), which is why the confidence sum may be below 1.
 
-use hyperdrive_curve::{CurvePosterior, QUERY_LANES};
+use hyperdrive_curve::{CurvePosterior, ExceedanceQuery, QUERY_LANES};
 use hyperdrive_types::SimTime;
 
 /// The output of one expected-remaining-time estimation.
@@ -44,6 +44,10 @@ pub struct ErtEstimate {
 /// * `epoch_duration` — the measured mean epoch duration `Epoch_i`.
 /// * `remaining_budget` — `Tmax − Tpass`.
 ///
+/// [`ert_query`], one sweep of the posterior's draws, [`ert_from_exceedance`];
+/// a caller whose fit answers the query while it samples
+/// (`FitRequest::query`) calls the two halves itself.
+///
 /// # Panics
 ///
 /// Panics if `epoch_duration` is not positive.
@@ -54,17 +58,23 @@ pub fn estimate_remaining_time(
     epoch_duration: SimTime,
     remaining_budget: SimTime,
 ) -> ErtEstimate {
-    assert!(
-        epoch_duration > SimTime::ZERO,
-        "epoch duration must be positive, got {epoch_duration}"
-    );
-    // Posterior queries cost O(draws × families) per epoch; querying every
-    // single future epoch would dominate POP's per-boundary cost. A
-    // strided grid of 48–95 query epochs (`M / step` for `step = M / 48`,
-    // rounded up) with bucket-midpoint mass assignment approximates Eq. 2
-    // to well under an epoch of error, and fits one sweep of the query
-    // kernel.
-    let now_epoch = posterior.last_epoch();
+    let query = ert_query(posterior.last_epoch(), max_future_epochs, target);
+    let mut cdfs = [0.0f64; QUERY_LANES];
+    let cdfs = &mut cdfs[..query.epochs().len()];
+    posterior.prob_at_least_many(query.epochs(), target, cdfs);
+    ert_from_exceedance(&query, posterior.last_epoch(), cdfs, epoch_duration, remaining_budget)
+}
+
+/// The posterior query behind one estimate: which future epochs of a job
+/// now at `now_epoch` to ask `P(y ≥ target)` at.
+///
+/// Posterior queries cost O(draws × families) per epoch; querying every
+/// single future epoch would dominate POP's per-boundary cost. A strided
+/// grid of 48–95 query epochs (`M / step` for `step = M / 48`, rounded up)
+/// with bucket-midpoint mass assignment approximates Eq. 2 to well under
+/// an epoch of error, and fits one sweep of the query kernel.
+#[must_use]
+pub fn ert_query(now_epoch: u32, max_future_epochs: u32, target: f64) -> ExceedanceQuery {
     let step = (max_future_epochs / 48).max(1);
     let mut epochs = [0u32; QUERY_LANES];
     let mut lanes = 0;
@@ -75,15 +85,29 @@ pub fn estimate_remaining_time(
         epochs[lanes] = now_epoch + m;
         lanes += 1;
     }
-    let mut cdfs = [0.0f64; QUERY_LANES];
-    posterior.prob_at_least_many(&epochs[..lanes], target, &mut cdfs[..lanes]);
+    ExceedanceQuery::new(&epochs[..lanes], target)
+}
 
+/// The estimate from the answer to [`ert_query`]: `exceedance[i]` is
+/// `P(y ≥ target)` at the query's `i`-th epoch, `now_epoch` the epoch the
+/// query was built at. Panics if `epoch_duration` is not positive.
+pub fn ert_from_exceedance(
+    query: &ExceedanceQuery,
+    now_epoch: u32,
+    exceedance: &[f64],
+    epoch_duration: SimTime,
+    remaining_budget: SimTime,
+) -> ErtEstimate {
+    assert!(
+        epoch_duration > SimTime::ZERO,
+        "epoch duration must be positive, got {epoch_duration}"
+    );
     let mut prev_cdf: f64 = 0.0;
     let mut expected_epochs = 0.0;
     let mut confidence = 0.0;
     let mut truncated = false;
     let mut prev_m: u32 = 0;
-    for (&epoch, &cdf) in epochs[..lanes].iter().zip(&cdfs[..lanes]) {
+    for (&epoch, &cdf) in query.epochs().iter().zip(exceedance) {
         let m = epoch - now_epoch;
         let cdf = cdf.clamp(0.0, 1.0);
         // First-passage mass landing in (prev_m, m]. The posterior is not

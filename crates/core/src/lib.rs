@@ -40,7 +40,7 @@ pub mod ert;
 pub mod pop;
 
 pub use allocation::{allocate_slots, AllocationPoint, SlotAllocation};
-pub use ert::{estimate_remaining_time, ErtEstimate};
+pub use ert::{ert_from_exceedance, ert_query, estimate_remaining_time, ErtEstimate};
 pub use pop::{AllocationSnapshot, FitCostModel, JobAssessment, KillRule, PopConfig, PopPolicy};
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ use hyperdrive_framework::{
 use hyperdrive_types::{JobId, LearningCurve, SimTime};
 
 use crate::allocation::{allocate_slots, AllocationPoint};
-use crate::ert::estimate_remaining_time;
+use crate::ert::{ert_from_exceedance, ert_query};
 
 /// How POP applies the §2.1 early-kill domain knowledge.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -388,7 +388,7 @@ impl PopPolicy {
         struct Meta {
             job: JobId,
             fit_epoch: u32,
-            max_future: u32,
+            now_epoch: u32,
             epoch_duration: SimTime,
         }
         let mut requests: Vec<FitRequest> = Vec::new();
@@ -417,8 +417,18 @@ impl PopPolicy {
             if max_future < 1 {
                 continue;
             }
-            requests.push(FitRequest { job, curve: prefix, horizon: fit_epoch + max_future });
-            meta.push(Meta { job, fit_epoch, max_future, epoch_duration });
+            // The request carries the remaining-time query, so the estimate
+            // accumulates while the fit is still sampling. Future epochs
+            // count from the posterior's anchor, the prefix's last epoch.
+            let now_epoch = prefix.last_epoch().unwrap_or(fit_epoch);
+            let query = ert_query(now_epoch, max_future, target);
+            requests.push(FitRequest {
+                job,
+                curve: prefix,
+                horizon: fit_epoch + max_future,
+                query: Some(query),
+            });
+            meta.push(Meta { job, fit_epoch, now_epoch, epoch_duration });
         }
         if requests.is_empty() {
             return;
@@ -445,15 +455,10 @@ impl PopPolicy {
             self.pending_overhead += SimTime::from_secs(model.makespan_secs(&costs));
         }
 
-        for (m, outcome) in meta.iter().zip(&outcomes) {
-            if let Ok(posterior) = &outcome.result {
-                let est = estimate_remaining_time(
-                    posterior,
-                    target,
-                    m.max_future,
-                    m.epoch_duration,
-                    budget,
-                );
+        for ((m, request), outcome) in meta.iter().zip(&requests).zip(&outcomes) {
+            if let (Some(query), Some(exceedance)) = (&request.query, &outcome.exceedance) {
+                let est =
+                    ert_from_exceedance(query, m.now_epoch, exceedance, m.epoch_duration, budget);
                 self.assessments.insert(
                     m.job,
                     JobAssessment { confidence: est.confidence, ert: est.ert, epoch: m.fit_epoch },

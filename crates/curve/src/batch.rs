@@ -88,8 +88,9 @@ const NO_SEG: usize = usize::MAX;
 /// a whole previous posterior, a query over every draw) run in chunks of
 /// this many, which bounds the arena at `MAX_SLOTS × 11 × lanes` whatever
 /// the caller passes. Sized to hold a default half-ensemble (50 walkers)
-/// in one sweep.
-const MAX_SLOTS: usize = 64;
+/// in one sweep. A fit streams its kept draws in runs of this many
+/// ([`crate::mcmc::sample_into`]).
+pub const MAX_SLOTS: usize = 64;
 
 /// One arena segment: a family's parameter block (an offset into the
 /// sweep's parameter matrix) and its parameter-only hoisted term. Its

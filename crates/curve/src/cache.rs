@@ -55,7 +55,7 @@ use parking_lot::Mutex;
 use hyperdrive_types::{LearningCurve, MetricKind};
 
 use crate::ensemble::dimension;
-use crate::predictor::{CurvePosterior, PredictorConfig};
+use crate::predictor::{CurvePosterior, ExceedanceQuery, PredictorConfig};
 use crate::vmath;
 
 /// Version salt folded into every fingerprint and embedded in disk-shard
@@ -413,13 +413,25 @@ impl ShardWriter {
     }
 }
 
+/// Answered queries kept per cached posterior: a study asks one query of a
+/// fit (its remaining-time grid) and a duplicate study the same one, so a
+/// handful covers re-submissions while bounding what a long-lived process
+/// keeps beside each posterior.
+const MEMO_PER_ENTRY: usize = 4;
+
+/// One cached posterior with its answered queries, each beside the query
+/// that asked. The answers are memory-only: a pure function of (posterior,
+/// query), an answer is recomputed — bitwise the same — whenever it is not
+/// here.
+type Entry = (CurvePosterior, Vec<(ExceedanceQuery, Vec<f64>)>);
+
 /// A process-wide content-addressed posterior cache, optionally persisted
 /// to an append-only disk shard per process. Shared across every replicate
 /// the bench harness runs (`Arc`-cloned into each `par_map` worker) and —
 /// via the disk store — across sequential figure bins and repeated
 /// `run_all_figures.sh` invocations.
 pub struct SharedFitCache {
-    map: Mutex<HashMap<CurveFingerprint, CurvePosterior>>,
+    map: Mutex<HashMap<CurveFingerprint, Entry>>,
     stats: Mutex<SharedCacheStats>,
     writer: Option<Mutex<ShardWriter>>,
 }
@@ -490,7 +502,22 @@ impl SharedFitCache {
     /// Looks up a fingerprint, counting a hit or miss.
     #[must_use]
     pub fn get(&self, fp: &CurveFingerprint) -> Option<CurvePosterior> {
-        let found = self.map.lock().get(fp).cloned();
+        self.get_answered(fp, None).map(|(posterior, _)| posterior)
+    }
+
+    /// [`Self::get`], with the memoized answer to `query` if the study that
+    /// fitted the posterior recorded one ([`Self::insert_answered`]): the
+    /// bits that computation produced, which are the bits recomputing would.
+    #[must_use]
+    pub fn get_answered(
+        &self,
+        fp: &CurveFingerprint,
+        query: Option<&ExceedanceQuery>,
+    ) -> Option<(CurvePosterior, Option<Vec<f64>>)> {
+        let found = self.map.lock().get(fp).map(|(posterior, answers)| {
+            let answer = answers.iter().find(|(asked, _)| Some(asked) == query);
+            (posterior.clone(), answer.map(|(_, a)| a.clone()))
+        });
         let mut stats = self.stats.lock();
         if found.is_some() {
             stats.hits += 1;
@@ -509,7 +536,7 @@ impl SharedFitCache {
     /// pinned by tests and must stay invariant under prefetch.
     #[must_use]
     pub fn peek(&self, fp: &CurveFingerprint) -> Option<CurvePosterior> {
-        self.map.lock().get(fp).cloned()
+        self.map.lock().get(fp).map(|(posterior, _)| posterior.clone())
     }
 
     /// Inserts a freshly computed posterior (first writer wins; equal
@@ -518,12 +545,31 @@ impl SharedFitCache {
     /// shard when one is attached; a failed append degrades to
     /// memory-only with a warning.
     pub fn insert(&self, fp: CurveFingerprint, posterior: &CurvePosterior) {
+        self.insert_answered(fp, posterior, None);
+    }
+
+    /// [`Self::insert`], keeping `answered` — a query and the answer the
+    /// inserting study computed from `posterior` — beside it: first answer
+    /// per query wins, at most `MEMO_PER_ENTRY` per posterior, and nothing
+    /// of it reaches the disk shard.
+    pub fn insert_answered(
+        &self,
+        fp: CurveFingerprint,
+        posterior: &CurvePosterior,
+        answered: Option<(&ExceedanceQuery, &[f64])>,
+    ) {
         {
             let mut map = self.map.lock();
-            if map.contains_key(&fp) {
+            let fresh = !map.contains_key(&fp);
+            let (_, answers) = map.entry(fp).or_insert_with(|| (posterior.clone(), Vec::new()));
+            if let Some((query, answer)) = answered {
+                if answers.len() < MEMO_PER_ENTRY && answers.iter().all(|(q, _)| q != query) {
+                    answers.push((*query, answer.to_vec()));
+                }
+            }
+            if !fresh {
                 return;
             }
-            map.insert(fp, posterior.clone());
         }
         self.stats.lock().inserts += 1;
         if let Some(writer) = &self.writer {
@@ -576,7 +622,7 @@ impl SharedFitCache {
 /// checksummed over fingerprint *and* payload.
 fn load_shard(
     path: &Path,
-    map: &mut HashMap<CurveFingerprint, CurvePosterior>,
+    map: &mut HashMap<CurveFingerprint, Entry>,
     stats: &mut SharedCacheStats,
 ) {
     let bytes = match std::fs::read(path) {
@@ -610,7 +656,7 @@ fn load_shard(
         match record.map(|(fp, payload)| (fp, decode_posterior(payload))) {
             Some((fp, Some(posterior))) => {
                 stats.disk_loaded += 1;
-                map.entry(fp).or_insert(posterior);
+                map.entry(fp).or_insert((posterior, Vec::new()));
             }
             Some((_, None)) => {
                 // The framing held (the checksum matched) but the payload

@@ -78,7 +78,10 @@ pub use cache::{
 };
 pub use fit::CurveObjective;
 pub use models::{GridPoint, ModelFamily, ALL_FAMILIES};
-pub use predictor::{CurvePosterior, CurvePredictor, Draws, PredictorConfig, QUERY_LANES};
+pub use predictor::{
+    CurvePosterior, CurvePredictor, Draws, Exceedance, ExceedanceQuery, PredictorConfig,
+    QUERY_LANES,
+};
 pub use scratch::FitScratch;
 pub use service::{
     derive_fit_seed, fit_prefetch_depth, fit_prefetch_forced, resolve_fit_threads, sequential_fit,

@@ -28,6 +28,8 @@
 
 use rand::Rng;
 
+use crate::batch::MAX_SLOTS;
+
 /// Options for an ensemble-sampler run.
 #[derive(Debug, Clone, Copy)]
 pub struct SamplerOptions {
@@ -199,7 +201,7 @@ where
 
 /// Reusable buffers for [`sample_into`]. Sized on first use and reused
 /// across fits, so steady-state sampling performs zero heap allocations —
-/// including for the retained draws, which live flattened in `draws`.
+/// including for the kept draws, which live flattened in `draws`.
 #[derive(Debug, Default)]
 pub struct McmcScratch {
     /// Current walker positions, flattened `n_walkers × dim`.
@@ -212,63 +214,48 @@ pub struct McmcScratch {
     zs: Vec<f64>,
     /// The half's proposal log-probabilities, as scored by the evaluator.
     lp_new: Vec<f64>,
-    /// Retained draws, flattened `n_retained × dim`.
+    /// Kept draws, flattened `n_kept × dim`: at most `max_draws` rows.
     draws: Vec<f64>,
-    /// Log-probabilities of the retained draws.
-    draw_lps: Vec<f64>,
 }
 
-/// A borrowed view over a chain whose draws live flattened in a
-/// [`McmcScratch`]; the zero-copy counterpart of [`Chain`].
-#[derive(Debug)]
-pub struct FlatChain<'a> {
-    draws: &'a [f64],
-    log_probs: &'a [f64],
-    dim: usize,
-    /// Fraction of proposed moves accepted.
-    pub acceptance_rate: f64,
-}
-
-impl<'a> FlatChain<'a> {
-    /// Number of retained draws.
+impl McmcScratch {
+    /// The draws the last [`sample_into`] run kept, row-major in draw order.
     #[must_use]
-    pub fn n_draws(&self) -> usize {
-        self.draws.len() / self.dim
-    }
-
-    /// The `i`-th retained draw.
-    #[must_use]
-    pub fn draw(&self, i: usize) -> &[f64] {
-        &self.draws[i * self.dim..(i + 1) * self.dim]
-    }
-
-    /// Log-probabilities of the retained draws.
-    #[must_use]
-    pub fn log_probs(&self) -> &[f64] {
-        self.log_probs
+    pub fn kept(&self) -> &[f64] {
+        &self.draws
     }
 }
 
 /// Allocation-free variant of [`sample`]: identical proposal arithmetic,
-/// identical RNG call sequence, identical accept/reject logic — bitwise
-/// the same retained draws — with walker state, the half's proposals and
-/// the retained draws living in `scratch`. Every buffer is sized up front,
-/// so the sampling loop itself never touches the allocator.
+/// RNG call sequence and accept/reject logic, with walker state, the half's
+/// proposals and the kept draws living in `scratch`, every buffer sized up
+/// front. Returns the acceptance rate; the draws are [`McmcScratch::kept`].
+///
+/// Of the `total` rows [`sample`] retains, this keeps only the uniform
+/// subsample a posterior answers queries from — row `⌊i · total / kept⌋`
+/// for `i < kept = min(total, max_draws)`, a schedule known before the
+/// first step — bitwise the rows of [`sample`] at those indices. `on_chunk`
+/// receives each completed run of [`MAX_SLOTS`] kept rows (one arena sweep
+/// of the query kernel) in draw order, as soon as the step that made them
+/// final has finished; a trailing partial run is only in `kept`.
 ///
 /// # Panics
 ///
 /// Same contract as [`sample`]: at least 4 walkers of equal dimension, at
 /// least one with finite log-probability.
-pub fn sample_into<'s, F, R>(
+pub fn sample_into<F, R, C>(
     mut log_probs: F,
     init: &[Vec<f64>],
     opts: SamplerOptions,
+    max_draws: usize,
     rng: &mut R,
-    s: &'s mut McmcScratch,
-) -> FlatChain<'s>
+    s: &mut McmcScratch,
+    mut on_chunk: C,
+) -> f64
 where
     F: FnMut(&[f64], &mut [f64]),
     R: Rng + ?Sized,
+    C: FnMut(&[f64]),
 {
     let n_walkers = init.len();
     assert!(n_walkers >= 4, "need at least 4 walkers, got {n_walkers}");
@@ -306,13 +293,18 @@ where
     let a = opts.stretch.max(1.0 + 1e-6);
 
     // Exact retention schedule: one snapshot per post-burn-in step that
-    // lands on the thinning stride.
+    // lands on the thinning stride, subsampled at a stride that is exactly
+    // 1 when nothing is dropped.
     let retained_steps =
         if opts.steps > burn_in { (opts.steps - burn_in).div_ceil(thin) } else { 0 };
+    let total = retained_steps * n_walkers;
+    let kept = total.min(max_draws);
+    let stride = total as f64 / kept as f64;
     s.draws.clear();
-    s.draws.reserve(retained_steps * n_walkers * dim);
-    s.draw_lps.clear();
-    s.draw_lps.reserve(retained_steps * n_walkers);
+    s.draws.reserve(kept * dim);
+    // Rows kept so far, rows already handed to `on_chunk`, and the index
+    // among retained rows of the snapshot being taken.
+    let (mut n_kept, mut flushed, mut snapshot_row) = (0usize, 0usize, 0usize);
 
     let half = n_walkers / 2;
     let k_max = n_walkers - half;
@@ -357,16 +349,28 @@ where
             }
         }
         if step >= burn_in && (step - burn_in).is_multiple_of(thin) {
-            s.draws.extend_from_slice(&s.positions);
-            s.draw_lps.extend_from_slice(&s.lps);
+            // Of this snapshot's rows, keep the ones the subsample names.
+            while n_kept < kept {
+                let row = (n_kept as f64 * stride) as usize;
+                if row >= snapshot_row + n_walkers {
+                    break;
+                }
+                let w = row - snapshot_row;
+                s.draws.extend_from_slice(&s.positions[w * dim..(w + 1) * dim]);
+                n_kept += 1;
+            }
+            snapshot_row += n_walkers;
+            while n_kept - flushed >= MAX_SLOTS {
+                on_chunk(&s.draws[flushed * dim..(flushed + MAX_SLOTS) * dim]);
+                flushed += MAX_SLOTS;
+            }
         }
     }
 
-    FlatChain {
-        draws: &s.draws,
-        log_probs: &s.draw_lps,
-        dim,
-        acceptance_rate: if proposed == 0 { 0.0 } else { accepted as f64 / proposed as f64 },
+    if proposed == 0 {
+        0.0
+    } else {
+        accepted as f64 / proposed as f64
     }
 }
 
@@ -473,26 +477,54 @@ mod tests {
         let _ = sample(score_each(1, lp), vec![vec![0.0]; 8], SamplerOptions::default(), &mut rng);
     }
 
+    /// The kept rows are bitwise the rows of [`sample`] the uniform
+    /// subsample names — retain everything, then take row `⌊i · stride⌋` —
+    /// and the chunks handed out are the whole `MAX_SLOTS`-row runs of them,
+    /// in order. Covers zero retained steps, one kept row, both sides of
+    /// the chunk seam, and `max_draws` above the retained total (stride 1).
     #[test]
-    fn sample_into_is_bitwise_identical_to_sample() {
+    fn sample_into_keeps_exactly_the_subsample_of_sample() {
         let mut scratch = McmcScratch::default();
-        for (steps, burn_in_frac, thin) in [(40, 0.3, 2), (24, 0.5, 1), (7, 0.9, 3)] {
+        for (steps, burn_in_frac, thin, max_draws) in [
+            (40, 0.3, 2, 100),
+            (24, 0.5, 1, 63),
+            (24, 0.5, 1, 64),
+            (24, 0.5, 1, 65),
+            (24, 0.5, 1, 129),
+            (7, 0.9, 3, 1),
+            (7, 0.9, 3, 1000),
+            (5, 1.0, 1, 10),
+        ] {
             let opts = SamplerOptions { steps, burn_in_frac, thin, stretch: 2.0 };
             let mut rng_a = StdRng::seed_from_u64(23);
             let init = init_walkers(&mut rng_a, 16, 3, 0.5);
             let reference = sample(score_each(3, gaussian_lp), init.clone(), opts, &mut rng_a);
+            let total = reference.draws.len();
+            let kept = total.min(max_draws);
+            let stride = total as f64 / kept as f64;
+            let expected: Vec<f64> = (0..kept)
+                .flat_map(|i| reference.draws[(i as f64 * stride) as usize].iter().copied())
+                .collect();
 
             let mut rng_b = StdRng::seed_from_u64(23);
             let init_b = init_walkers(&mut rng_b, 16, 3, 0.5);
-            let flat =
-                sample_into(score_each(3, gaussian_lp), &init_b, opts, &mut rng_b, &mut scratch);
+            let mut streamed = Vec::new();
+            let acceptance = sample_into(
+                score_each(3, gaussian_lp),
+                &init_b,
+                opts,
+                max_draws,
+                &mut rng_b,
+                &mut scratch,
+                |rows| {
+                    assert_eq!(rows.len(), MAX_SLOTS * 3, "chunks are whole runs");
+                    streamed.extend_from_slice(rows);
+                },
+            );
 
-            assert_eq!(reference.draws.len(), flat.n_draws());
-            for (i, d) in reference.draws.iter().enumerate() {
-                assert_eq!(d.as_slice(), flat.draw(i), "draw {i} diverged");
-            }
-            assert_eq!(reference.log_probs, flat.log_probs());
-            assert_eq!(reference.acceptance_rate.to_bits(), flat.acceptance_rate.to_bits());
+            assert_eq!(scratch.kept(), expected.as_slice(), "kept rows diverged");
+            assert_eq!(streamed.as_slice(), &expected[..kept / MAX_SLOTS * MAX_SLOTS * 3]);
+            assert_eq!(reference.acceptance_rate.to_bits(), acceptance.to_bits());
         }
     }
 
@@ -509,16 +541,10 @@ mod tests {
         let init: Vec<Vec<f64>> =
             (0..8).map(|i| if i % 2 == 0 { vec![100.0] } else { vec![0.1 * i as f64] }).collect();
         let mut scratch = McmcScratch::default();
-        let flat = sample_into(
-            score_each(1, lp),
-            &init,
-            SamplerOptions::default(),
-            &mut rng,
-            &mut scratch,
-        );
-        for i in 0..flat.n_draws() {
-            assert!(flat.draw(i)[0].abs() < 5.0);
-        }
+        let opts = SamplerOptions::default();
+        sample_into(score_each(1, lp), &init, opts, usize::MAX, &mut rng, &mut scratch, |_| {});
+        assert!(!scratch.kept().is_empty());
+        assert!(scratch.kept().iter().all(|x| x.abs() < 5.0));
     }
 
     #[test]
@@ -582,8 +608,8 @@ mod tests {
             calls += 1;
         };
         let mut scratch = McmcScratch::default();
-        let chain = sample_into(evaluator, &init, opts, &mut rng, &mut scratch);
+        let acceptance = sample_into(evaluator, &init, opts, 0, &mut rng, &mut scratch, |_| {});
         assert_eq!(calls, 1 + 2 * steps);
-        assert_eq!(chain.acceptance_rate, 0.5);
+        assert_eq!(acceptance, 0.5);
     }
 }

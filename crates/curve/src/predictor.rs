@@ -14,7 +14,7 @@ use crate::ensemble::{FAMILY_OFFSETS, SIGMA_BOUNDS, SIGMA_INDEX};
 use crate::fastpath::FastGrid;
 use crate::fit;
 use crate::fit::{build_initial_walkers, fit_all_families, fit_families, CurveObjective};
-use crate::mcmc::{sample, sample_into, score_each, FlatChain, McmcScratch, SamplerOptions};
+use crate::mcmc::{sample, sample_into, score_each, McmcScratch, SamplerOptions};
 use crate::models::{GridPoint, ALL_FAMILIES};
 use crate::nelder_mead::NmScratch;
 use crate::scratch::FitScratch;
@@ -248,6 +248,25 @@ impl CurvePredictor {
         scratch: &mut FitScratch,
         backend: Backend,
     ) -> Result<CurvePosterior> {
+        self.fit_streamed(curve, horizon, warm, scratch, backend, |_| {})
+    }
+
+    /// The fit under every entry point, handing the posterior's draws to
+    /// `on_rows` while the sampler is still running: each completed run of
+    /// [`batch::MAX_SLOTS`] rows, in draw order, as soon as it is final
+    /// ([`crate::mcmc::sample_into`]). The rows are a prefix of the
+    /// returned posterior's draws — whoever absorbs them into an
+    /// [`Exceedance`] finishes on the posterior itself — and an attempt
+    /// that then fails has handed out nothing.
+    pub(crate) fn fit_streamed(
+        &self,
+        curve: &LearningCurve,
+        horizon: u32,
+        warm: Option<&CurvePosterior>,
+        scratch: &mut FitScratch,
+        backend: Backend,
+        mut on_rows: impl FnMut(&[f64]),
+    ) -> Result<CurvePosterior> {
         let (last_epoch, obs) = self.fit_inputs(curve, horizon)?;
         let horizon_x = f64::from(horizon).max(obs.last().map_or(1.0, |&(x, _)| x));
         let warm = warm.filter(|_| self.config.warm_start);
@@ -259,7 +278,7 @@ impl CurvePredictor {
         ys.extend(obs.iter().map(|&(_, y)| y));
         let ys = &ys[..];
 
-        if self.config.fast_math {
+        let (acceptance_rate, warm) = if self.config.fast_math {
             // SoA grid for the batched kernels (vmath logs, so the whole
             // fast path is host-independent end to end).
             fast_grid.clear();
@@ -268,41 +287,56 @@ impl CurvePredictor {
             }
             fast_grid.push(horizon_x);
             let mut objective = FusedPosterior::new(fast_grid, ys, fused, backend);
-            return self.fit_on(&mut objective, warm, last_epoch, horizon, nm, mcmc);
+            self.fit_on(&mut objective, warm, nm, mcmc, &mut on_rows)?
+        } else {
+            // The libm oracle — the reference algorithm on the memoized
+            // grid, scoring a round's points one after another.
+            pts.clear();
+            pts.extend(obs.iter().map(|&(x, _)| GridPoint::new(x)));
+            pts.push(GridPoint::new(horizon_x));
+            means.clear();
+            means.resize(ys.len(), 0.0);
+            let mut objective = PosteriorEval::new(pts, ys, means);
+            self.fit_on(&mut objective, warm, nm, mcmc, &mut on_rows)?
+        };
+        // The sampler's row sink already took the `max_draws` subsample
+        // that keeps queries cheap.
+        if mcmc.kept().is_empty() {
+            return Err(Error::CurveFit("sampler produced no draws".into()));
         }
-
-        // The libm oracle — the reference algorithm on the memoized grid,
-        // scoring a round's points one after another.
-        pts.clear();
-        pts.extend(obs.iter().map(|&(x, _)| GridPoint::new(x)));
-        pts.push(GridPoint::new(horizon_x));
-        means.clear();
-        means.resize(ys.len(), 0.0);
-        let mut objective = PosteriorEval::new(pts, ys, means);
-        self.fit_on(&mut objective, warm, last_epoch, horizon, nm, mcmc)
+        Ok(CurvePosterior {
+            draws: mcmc.kept().to_vec(),
+            last_epoch,
+            horizon,
+            acceptance_rate,
+            warm,
+        })
     }
 
     /// The one fit schedule, over whichever batch objective scores the
     /// sampler's proposals and the Nelder–Mead rounds: try the warm start,
-    /// else lockstep least-squares init → walkers → sampler.
+    /// else lockstep least-squares init → walkers → sampler. Leaves the
+    /// kept draws in `mcmc` and returns `(acceptance rate, warm-started)`.
     fn fit_on(
         &self,
         objective: &mut impl CurveObjective,
         warm: Option<&CurvePosterior>,
-        last_epoch: u32,
-        horizon: u32,
         nm: &mut NmScratch,
         mcmc: &mut McmcScratch,
-    ) -> Result<CurvePosterior> {
+        on_rows: &mut impl FnMut(&[f64]),
+    ) -> Result<(f64, bool)> {
+        let max_draws = self.config.max_draws;
         if let Some((init, mut rng)) = warm.and_then(|prev| self.warm_walkers(prev, objective, nm))
         {
             let options = self.sampler_options(self.config.warm_steps);
             let log_probs = |thetas: &[f64], out: &mut [f64]| objective.log_posteriors(thetas, out);
-            let chain = sample_into(log_probs, &init, options, &mut rng, mcmc);
-            if let Ok(posterior) =
-                collect_posterior(&self.config, &chain, last_epoch, horizon, true)
-            {
-                return Ok(posterior);
+            let accepted =
+                sample_into(log_probs, &init, options, max_draws, &mut rng, mcmc, &mut *on_rows);
+            // A warm chain that kept nothing handed nothing to `on_rows`
+            // either, so falling back to the cold schedule streams from a
+            // clean start.
+            if !mcmc.kept().is_empty() {
+                return Ok((accepted, true));
             }
         }
 
@@ -320,8 +354,7 @@ impl CurvePredictor {
         }
         let options = self.sampler_options(self.config.steps);
         let log_probs = |thetas: &[f64], out: &mut [f64]| objective.log_posteriors(thetas, out);
-        let chain = sample_into(log_probs, &init, options, &mut rng, mcmc);
-        collect_posterior(&self.config, &chain, last_epoch, horizon, false)
+        Ok((sample_into(log_probs, &init, options, max_draws, &mut rng, mcmc, on_rows), false))
     }
 
     /// Checks the fit contract and returns the last observed epoch with the
@@ -456,29 +489,6 @@ impl CurvePredictor {
             warm: false,
         })
     }
-}
-
-/// Subsamples a chain's retained draws into a posterior.
-fn collect_posterior(
-    config: &PredictorConfig,
-    chain: &FlatChain<'_>,
-    last_epoch: u32,
-    horizon: u32,
-    warm: bool,
-) -> Result<CurvePosterior> {
-    let total = chain.n_draws();
-    if total == 0 {
-        return Err(Error::CurveFit("sampler produced no draws".into()));
-    }
-    // Uniform subsample down to max_draws to keep queries cheap (the
-    // stride is exactly 1 when nothing is dropped).
-    let kept = total.min(config.max_draws);
-    let stride = total as f64 / kept as f64;
-    let mut draws = Vec::with_capacity(kept * dimension());
-    for i in 0..kept {
-        draws.extend_from_slice(chain.draw((i as f64 * stride) as usize));
-    }
-    Ok(CurvePosterior { draws, last_epoch, horizon, acceptance_rate: chain.acceptance_rate, warm })
 }
 
 /// Whether the objective gives any of `walkers` a finite log-probability,
@@ -688,11 +698,9 @@ impl CurvePosterior {
     ) {
         assert_eq!(epochs.len(), out.len(), "one output slot per query epoch");
         for (epochs, out) in epochs.chunks(QUERY_LANES).zip(out.chunks_mut(QUERY_LANES)) {
-            let mut mass = Exceedance::new(target);
-            self.sweep_draw_means(backend, epochs, |sigma, means| mass.add(backend, sigma, means));
-            for (lane, o) in out.iter_mut().enumerate() {
-                *o = mass.prob(lane);
-            }
+            let mut mass = ExceedanceQuery::new(epochs, target).begin_on(backend);
+            mass.absorb_rest(self);
+            mass.finish(out);
         }
     }
 
@@ -707,10 +715,10 @@ impl CurvePosterior {
         assert_eq!(epochs.len(), out.len(), "one output slot per query epoch");
         let backend = vmath::active_backend();
         for (epochs, out) in epochs.chunks(QUERY_LANES).zip(out.chunks_mut(QUERY_LANES)) {
-            let mut mass = Exceedance::new(target);
+            let mut mass = ExceedanceQuery::new(epochs, target).begin_on(backend);
             let mut moments = Moments::new();
-            self.sweep_draw_means(backend, epochs, |sigma, means| {
-                mass.add(backend, sigma, means);
+            sweep_draw_means(backend, epochs, &self.draws, |sigma, means| {
+                mass.add(sigma, means);
                 moments.add(means);
             });
             for (lane, o) in out.iter_mut().enumerate() {
@@ -731,26 +739,33 @@ impl CurvePosterior {
     /// `(expected, prediction_std)` at one epoch.
     fn moments_at(&self, epoch: u32) -> (f64, f64) {
         let mut moments = Moments::new();
-        self.sweep_draw_means(vmath::active_backend(), &[epoch], |_, means| moments.add(means));
+        sweep_draw_means(vmath::active_backend(), &[epoch], &self.draws, |_, means| {
+            moments.add(means);
+        });
         moments.get(0)
     }
+}
 
-    /// The per-draw sweep under every posterior query: each draw's
-    /// weighted-combination mean curve at all `epochs` (at most
-    /// [`QUERY_LANES`]), handed to `visit` as `(sigma, means)` in draw
-    /// order — [`batch::sweep_draw_means`] over this thread's reused query
-    /// grid and arena, so a warmed-up query allocates nothing.
-    fn sweep_draw_means(&self, backend: Backend, epochs: &[u32], visit: impl FnMut(f64, &[f64])) {
-        let n = epochs.len();
-        assert!(n <= QUERY_LANES, "query sweep holds {QUERY_LANES} lanes, got {n}");
-        QUERY_SCRATCH.with_borrow_mut(|(grid, fused)| {
-            grid.clear();
-            for &e in epochs {
-                grid.push(f64::from(e));
-            }
-            batch::sweep_draw_means(grid, &self.draws, fused, backend, visit);
-        });
-    }
+/// The per-draw sweep under every posterior query: the weighted-combination
+/// mean curve of each `dimension()`-long row of `draws` at all `epochs` (at
+/// most [`QUERY_LANES`]), handed to `visit` as `(sigma, means)` in draw
+/// order — [`batch::sweep_draw_means`] over this thread's reused query grid
+/// and arena, so a warmed-up query allocates nothing.
+fn sweep_draw_means(
+    backend: Backend,
+    epochs: &[u32],
+    draws: &[f64],
+    visit: impl FnMut(f64, &[f64]),
+) {
+    let n = epochs.len();
+    assert!(n <= QUERY_LANES, "query sweep holds {QUERY_LANES} lanes, got {n}");
+    QUERY_SCRATCH.with_borrow_mut(|(grid, fused)| {
+        grid.clear();
+        for &e in epochs {
+            grid.push(f64::from(e));
+        }
+        batch::sweep_draw_means(grid, draws, fused, backend, visit);
+    });
 }
 
 thread_local! {
@@ -769,9 +784,80 @@ pub const QUERY_LANES: usize = 96;
 /// `|u|` beyond which [`stats::erf_with_exp`] returns exactly ±1.
 const ERF_SATURATION: f64 = 6.0;
 
-/// Per-lane accumulator of Eq. 1's exceedance probability across draws.
-struct Exceedance {
+/// The question a fit's caller will ask of its posterior:
+/// `P(y(epoch) ≥ target | y(1:n))` (Eq. 1) at each of up to
+/// [`QUERY_LANES`] epochs. A [`crate::FitRequest`] can carry one, and the
+/// shared fit cache memoizes answers under it: equal queries of equal
+/// posteriors have bitwise equal answers (a NaN target equals nothing, so
+/// it is only ever recomputed).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExceedanceQuery {
+    epochs: [u32; QUERY_LANES],
+    lanes: usize,
     target: f64,
+}
+
+impl ExceedanceQuery {
+    /// The query for `epochs` (at most [`QUERY_LANES`], else it panics)
+    /// against `target`.
+    #[must_use]
+    pub fn new(epochs: &[u32], target: f64) -> Self {
+        let lanes = epochs.len();
+        assert!(lanes <= QUERY_LANES, "a query holds {QUERY_LANES} lanes, got {lanes}");
+        let mut padded = [0; QUERY_LANES];
+        padded[..lanes].copy_from_slice(epochs);
+        ExceedanceQuery { epochs: padded, lanes, target }
+    }
+
+    /// The query epochs, one per lane.
+    #[must_use]
+    pub fn epochs(&self) -> &[u32] {
+        &self.epochs[..self.lanes]
+    }
+
+    /// The target performance.
+    #[must_use]
+    pub fn target(&self) -> f64 {
+        self.target
+    }
+
+    /// An empty accumulator for this query.
+    #[must_use]
+    pub fn begin(&self) -> Exceedance {
+        self.begin_on(vmath::active_backend())
+    }
+    fn begin_on(&self, backend: Backend) -> Exceedance {
+        Exceedance {
+            query: *self,
+            backend,
+            rows: 0,
+            u: [0.0; QUERY_LANES],
+            e: [0.0; QUERY_LANES],
+            total: [0.0; QUERY_LANES],
+            count: [0.0; QUERY_LANES],
+        }
+    }
+
+    /// The per-lane probabilities over all of `posterior`'s draws.
+    #[must_use]
+    pub fn answer(&self, posterior: &CurvePosterior) -> Vec<f64> {
+        let mut out = vec![0.0; self.lanes];
+        posterior.prob_at_least_many(self.epochs(), self.target, &mut out);
+        out
+    }
+}
+
+/// The one accumulator of Eq. 1's exceedance probability: per lane of an
+/// [`ExceedanceQuery`], `Φ((m − target)/σ)` summed over draws in the order
+/// absorbed. In runs, as a fit streams them, or all at once are the same
+/// additions in the same order, so bitwise the same result; every posterior
+/// query (`prob_at_least*`, `summary_*`) is the absorb-everything case.
+#[derive(Debug)]
+pub struct Exceedance {
+    query: ExceedanceQuery,
+    backend: Backend,
+    /// Draws absorbed so far.
+    rows: usize,
     /// `(m − target) / σ / √2` per lane, the `erf` argument.
     u: [f64; QUERY_LANES],
     /// `exp(−u²)` per lane, batched through `vmath`.
@@ -783,13 +869,26 @@ struct Exceedance {
 }
 
 impl Exceedance {
-    fn new(target: f64) -> Self {
-        Exceedance {
-            target,
-            u: [0.0; QUERY_LANES],
-            e: [0.0; QUERY_LANES],
-            total: [0.0; QUERY_LANES],
-            count: [0.0; QUERY_LANES],
+    /// Absorbs the next draws, `dimension()` values per row, in draw
+    /// order: one query-arena sweep per [`batch::MAX_SLOTS`] rows.
+    pub fn absorb(&mut self, rows: &[f64]) {
+        let (query, backend) = (self.query, self.backend);
+        sweep_draw_means(backend, query.epochs(), rows, |sigma, means| self.add(sigma, means));
+        self.rows += rows.len() / dimension();
+    }
+
+    /// Absorbs the draws of `posterior` not yet seen: all of them, or the
+    /// tail when the fit that produced it streamed the leading rows.
+    pub fn absorb_rest(&mut self, posterior: &CurvePosterior) {
+        self.absorb(&posterior.draws[self.rows * dimension()..]);
+    }
+
+    /// Writes each lane's probability to `out`, one slot per query epoch
+    /// (0 where no absorbed draw had a finite mean).
+    pub fn finish(&self, out: &mut [f64]) {
+        assert_eq!(out.len(), self.query.lanes, "one output slot per query epoch");
+        for (lane, o) in out.iter_mut().enumerate() {
+            *o = self.prob(lane);
         }
     }
 
@@ -797,18 +896,18 @@ impl Exceedance {
     /// finite. `#[inline(always)]` so the lane loops compile inside the
     /// query sweep's SIMD tier.
     #[inline(always)]
-    fn add(&mut self, backend: Backend, sigma: f64, means: &[f64]) {
+    fn add(&mut self, sigma: f64, means: &[f64]) {
         let n = means.len();
         for ((u, e), m) in self.u.iter_mut().zip(self.e.iter_mut()).zip(means) {
             // Past |u| = 6 the A&S `erf` is exactly ±1 in f64 (its tail
             // term is under half an ulp of 1), so saturating there changes
             // no result — and keeps `exp(−u²)` clear of the 1e-308 floor
             // where every product with it would take a denormal assist.
-            *u = ((m - self.target) / sigma / std::f64::consts::SQRT_2)
+            *u = ((m - self.query.target) / sigma / std::f64::consts::SQRT_2)
                 .clamp(-ERF_SATURATION, ERF_SATURATION);
             *e = -*u * *u;
         }
-        vmath::vexp_with(backend, &mut self.e[..n]);
+        vmath::vexp_with(self.backend, &mut self.e[..n]);
         // Branch-free so it vectorizes: a non-finite lane computes a
         // (NaN) term like any other and the select drops it.
         let lanes = self.total.iter_mut().zip(self.count.iter_mut()).zip(&self.u).zip(&self.e);

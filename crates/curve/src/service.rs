@@ -74,6 +74,18 @@
 //! state beyond reusable scratch buffers — so a study's outcomes are
 //! byte-identical whether its service owns the pool or shares it.
 //!
+//! # Answering the caller's query while the fit samples
+//!
+//! A [`FitRequest`] may carry the [`ExceedanceQuery`] its caller will ask
+//! of the posterior (POP's remaining-time grid). The worker sends each 64
+//! kept draws down the batch's reply channel as soon as they are final and
+//! `fit_batch` — blocked waiting anyway — absorbs them into an
+//! [`Exceedance`], finishing on the rows that come with the posterior. Per
+//! key, rows arrive in draw order, so [`FitOutcome::exceedance`] is bitwise
+//! the finished posterior's own answer; requests resolved any other way
+//! ask the finished posterior. A query never changes what is fitted,
+//! cached, fingerprinted or counted.
+//!
 //! # Speculative ahead-of-boundary prefetch
 //!
 //! The scheduler only *consumes* posteriors at evaluation boundaries, so
@@ -92,7 +104,8 @@
 //! demand fits by more than `depth` queued entries on the shared FIFO.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -105,7 +118,9 @@ use crate::cache::{
     fit_fingerprint, global_fit_cache, posterior_hash, CacheStatsSnapshot, CurveFingerprint,
     SharedFitCache,
 };
-use crate::predictor::{CurvePosterior, CurvePredictor, PredictorConfig};
+use crate::predictor::{
+    CurvePosterior, CurvePredictor, Exceedance, ExceedanceQuery, PredictorConfig,
+};
 use crate::scratch::FitScratch;
 
 /// Key identifying one fit: the job and the last observed epoch the fit
@@ -197,6 +212,9 @@ pub struct FitRequest {
     pub curve: LearningCurve,
     /// Extrapolation horizon (must exceed the last observed epoch).
     pub horizon: u32,
+    /// What the caller will ask of the posterior, if it already knows:
+    /// answered while the fit samples, into [`FitOutcome::exceedance`].
+    pub query: Option<ExceedanceQuery>,
 }
 
 /// The outcome of one request within a batch.
@@ -206,6 +224,9 @@ pub struct FitOutcome {
     pub result: Result<CurvePosterior>,
     /// True if the result came from the fit cache rather than a fresh fit.
     pub cached: bool,
+    /// The answer to the request's `query` — bitwise `prob_at_least_many`
+    /// on `result`'s posterior. `Some` iff a query was asked of an `Ok`.
+    pub exceedance: Option<Vec<f64>>,
 }
 
 /// Cumulative service counters.
@@ -238,6 +259,17 @@ pub struct FitStats {
     /// Successful posteriors this service published to the shared layer
     /// (fit errors are never published).
     pub shared_inserts: u64,
+    /// Fits (subset of `fits`) that streamed their kept draws to the
+    /// waiting `fit_batch` because the request carried a query.
+    pub streamed_fits: u64,
+    /// Nanoseconds of query work `fit_batch` began while a demand fit of
+    /// its batch was still running on a worker: hidden inside the wait.
+    pub query_overlap_nanos: u64,
+    /// Nanoseconds of query work begun with no such fit left running: the
+    /// part of the estimate still on the critical path.
+    pub query_tail_nanos: u64,
+    /// Queries answered from the shared layer's memo beside a shared hit.
+    pub memo_hits: u64,
 }
 
 impl FitStats {
@@ -392,6 +424,17 @@ impl PoolTelemetry {
     }
 }
 
+/// What a demand fit sends the `fit_batch` waiting for it. One worker runs
+/// a key's whole fit and a channel keeps each sender's order, so per key
+/// the messages arrive as sent: rows in draw order, then the result.
+enum FitReply {
+    /// The fit's next [`crate::batch::MAX_SLOTS`] kept draws, in a buffer
+    /// that returns to the pool's spare list once absorbed.
+    Rows(FitKey, Vec<f64>),
+    /// The result; an `Ok` posterior begins with every row sent before.
+    Done(FitKey, Result<CurvePosterior>),
+}
+
 enum WorkerMsg {
     Fit {
         key: FitKey,
@@ -403,7 +446,11 @@ enum WorkerMsg {
         horizon: u32,
         seed: u64,
         warm: Option<CurvePosterior>,
-        reply: Sender<(FitKey, Result<CurvePosterior>)>,
+        /// Whether the batch absorbs kept rows while the fit runs.
+        stream: bool,
+        /// The batch's count of demand fits that have stopped running.
+        finished: Arc<AtomicUsize>,
+        reply: Sender<FitReply>,
     },
     /// A speculative ahead-of-boundary fit: identical inputs to `Fit`
     /// (seed and warm source resolved at enqueue), plus a cancellation
@@ -432,6 +479,9 @@ pub struct FitPool {
     tx: Sender<WorkerMsg>,
     workers: Vec<std::thread::JoinHandle<()>>,
     telemetry: Arc<PoolTelemetry>,
+    /// Buffers of absorbed [`FitReply::Rows`] for workers to refill: a
+    /// warmed-up pool streams without allocating.
+    spare_chunks: Arc<Mutex<Vec<Vec<f64>>>>,
     started: Instant,
 }
 
@@ -449,15 +499,17 @@ impl FitPool {
     pub fn new(threads: usize) -> Arc<Self> {
         let threads = resolve_fit_threads(threads);
         let telemetry = Arc::new(PoolTelemetry::default());
+        let spare_chunks = Arc::new(Mutex::new(Vec::new()));
         let (tx, rx): (Sender<WorkerMsg>, Receiver<WorkerMsg>) = unbounded();
         let workers = (0..threads)
             .map(|_| {
                 let rx = rx.clone();
                 let telemetry = Arc::clone(&telemetry);
-                std::thread::spawn(move || worker_loop(&rx, &telemetry))
+                let spare_chunks = Arc::clone(&spare_chunks);
+                std::thread::spawn(move || worker_loop(&rx, &telemetry, &spare_chunks))
             })
             .collect();
-        Arc::new(FitPool { tx, workers, telemetry, started: Instant::now() })
+        Arc::new(FitPool { tx, workers, telemetry, spare_chunks, started: Instant::now() })
     }
 
     /// Number of worker threads.
@@ -487,7 +539,9 @@ impl FitPool {
 
     fn send(&self, msg: WorkerMsg) {
         self.telemetry.queued.fetch_add(1, Ordering::Relaxed);
-        self.tx.send(msg).expect("pool workers alive");
+        // Workers contain a panicking fit and return only on `Shutdown`,
+        // which `Drop` alone sends.
+        self.tx.send(msg).expect("workers outlive the pool handle");
     }
 
     /// Launches a one-off **speculative** fit with an explicit seed and
@@ -783,10 +837,13 @@ impl FitService {
 
     /// Fits every request in `requests`, returning outcomes in request
     /// order. Cached prefixes are answered without refitting; the rest run
-    /// concurrently on the pool, and the call blocks until all complete.
+    /// concurrently on the pool, and the call blocks until all complete —
+    /// answering each request's `query`, while it waits, from the kept
+    /// draws its fit streams back.
     ///
     /// Duplicate `(job, last epoch)` keys within one batch are fitted once
-    /// and share the result.
+    /// and share the result. A fit that panics, or whose worker vanishes,
+    /// is an [`Error::CurveFit`] outcome for its key, never a block.
     pub fn fit_batch(&self, requests: &[FitRequest]) -> Vec<FitOutcome> {
         let stall_timer = Instant::now();
         // Snapshot once: when no speculation is in flight the whole
@@ -805,36 +862,41 @@ impl FitService {
         // same-batch visibility (warm sources!) matches a cold run, where
         // results only land in the collection loop.
         let mut shared_found: HashMap<FitKey, CurvePosterior> = HashMap::new();
+        // The accumulator of each in-flight key whose first request asks a
+        // query: the fit's rows as they arrive, the rest with the result.
+        let mut streams: HashMap<FitKey, Exceedance> = HashMap::new();
         let (reply_tx, reply_rx) = unbounded();
+        let finished = Arc::new(AtomicUsize::new(0));
         let mut enqueued = 0usize;
         let mut hits = 0u64;
         let mut shared_hits = 0u64;
         let mut shared_lookups = 0u64;
+        let mut streamed_fits = 0u64;
+        let mut memo_hits = 0u64;
         // Speculations this batch adopts (exact fingerprint match):
         // collected after all demand fits are enqueued, handled exactly
         // like a fresh fit's reply.
         let mut adopted_specs: Vec<(FitKey, Speculation)> = Vec::new();
         let mut spec_mismatched = 0u64;
 
+        let resolved = |result, cached, exceedance| FitOutcome { result, cached, exceedance };
         for (i, req) in requests.iter().enumerate() {
             let Some(last_epoch) = req.curve.last_epoch() else {
-                out[i] = Some(FitOutcome {
-                    result: Err(Error::CurveFit("cannot fit an empty curve".into())),
-                    cached: false,
-                });
+                let empty = Error::CurveFit("cannot fit an empty curve".into());
+                out[i] = Some(resolved(Err(empty), false, None));
                 continue;
             };
             let key = (req.job, last_epoch);
             if let Some(hit) = self.shared.cache.lock().get(&key) {
                 hits += 1;
-                out[i] = Some(FitOutcome { result: hit.clone(), cached: true });
+                out[i] = Some(resolved(hit.clone(), true, None));
                 continue;
             }
             if let Some(p) = shared_found.get(&key) {
                 // A sibling request already resolved this key from the
                 // shared layer; share that resolution exactly like
                 // `waiting` duplicates share one fit.
-                out[i] = Some(FitOutcome { result: Ok(p.clone()), cached: false });
+                out[i] = Some(resolved(Ok(p.clone()), false, None));
                 continue;
             }
             match waiting.entry(key) {
@@ -866,12 +928,14 @@ impl FitService {
                     if let Some(layer) = &self.shared_layer {
                         let fp = fp.expect("fingerprint computed when a layer is attached");
                         shared_lookups += 1;
-                        if let Some(p) = layer.get(&fp) {
+                        if let Some((p, answer)) = layer.get_answered(&fp, req.query.as_ref()) {
                             // Bitwise the posterior this fit would have
-                            // produced; reported as `cached: false` so the
-                            // outcome is indistinguishable from running it.
+                            // produced (and the answer asking it would);
+                            // reported as `cached: false` so the outcome is
+                            // indistinguishable from running it.
                             shared_hits += 1;
-                            out[i] = Some(FitOutcome { result: Ok(p.clone()), cached: false });
+                            memo_hits += u64::from(answer.is_some());
+                            out[i] = Some(resolved(Ok(p.clone()), false, answer));
                             shared_found.insert(key, p);
                             if spec_active {
                                 // A sibling study published this fit since
@@ -887,6 +951,9 @@ impl FitService {
                         enqueued_fp.insert(key, fp);
                     }
                     e.insert(vec![i]);
+                    if let Some(query) = &req.query {
+                        streams.insert(key, query.begin());
+                    }
                     if spec_active {
                         if let Some(spec) = self.shared.speculations.lock().remove(&key) {
                             let fp = fp.expect("fingerprint computed while speculating");
@@ -911,12 +978,18 @@ impl FitService {
                         horizon: req.horizon,
                         seed,
                         warm,
+                        stream: req.query.is_some(),
+                        finished: Arc::clone(&finished),
                         reply: reply_tx.clone(),
                     });
                     enqueued += 1;
+                    streamed_fits += u64::from(req.query.is_some());
                 }
             }
         }
+        // Only workers hold senders now: should they vanish, `recv` below
+        // disconnects instead of blocking.
+        drop(reply_tx);
 
         // Shared-layer hits become visible to *future* batches only, just
         // like fresh fits.
@@ -930,30 +1003,78 @@ impl FitService {
         let mut warm_fits = 0u64;
         let mut shared_inserts = 0u64;
         let spec_adopted = adopted_specs.len();
+        // Nanoseconds of query work by whether a demand fit was still
+        // running when it began: [critical path, hidden behind the fit].
+        let mut query_nanos = [0u64; 2];
+        let mut timed = |work: &mut dyn FnMut()| {
+            let hidden = finished.load(Ordering::Acquire) < enqueued;
+            let t = Instant::now();
+            work();
+            query_nanos[usize::from(hidden)] += t.elapsed().as_nanos() as u64;
+        };
+        let vanished = || Error::CurveFit("fit worker vanished before replying".into());
         // Adopted speculations resolve exactly like fresh replies: same
         // warm accounting, same shared-layer publication, same per-run
         // cache insertion, same `cached: false` outcome — a caller (or a
         // trace byte-compare) cannot tell a collected speculation from
-        // the demand fit it replaced.
-        let adopted_results = adopted_specs.into_iter().map(|(key, spec)| {
-            let (k, result) = spec.reply.recv().expect("speculative fit worker alive");
-            debug_assert_eq!(k, key);
-            (key, result)
-        });
-        let demand_results = (0..enqueued).map(|_| reply_rx.recv().expect("workers alive"));
-        for (key, result) in adopted_results.chain(demand_results) {
+        // the demand fit it replaced. Every waiting key is one or the other.
+        let mut adopted = adopted_specs.into_iter();
+        while !waiting.is_empty() {
+            let (key, result) = if let Some((key, spec)) = adopted.next() {
+                (key, spec.reply.recv().map_or_else(|_| Err(vanished()), |(_, result)| result))
+            } else {
+                match reply_rx.recv() {
+                    Ok(FitReply::Rows(key, rows)) => {
+                        let mass = streams.get_mut(&key).expect("only asked fits stream");
+                        timed(&mut || mass.absorb(&rows));
+                        self.pool.spare_chunks.lock().push(rows);
+                        continue;
+                    }
+                    Ok(FitReply::Done(key, result)) => (key, result),
+                    // The adopted keys resolved first, so what still waits
+                    // is the demand fits whose producers are gone.
+                    Err(_) => (*waiting.keys().next().expect("non-empty"), Err(vanished())),
+                }
+            };
+            let indices = waiting.remove(&key).expect("one reply per waiting key");
             if result.as_ref().map(CurvePosterior::warm_started).unwrap_or(false) {
                 warm_fits += 1;
             }
+            // The first request's answer: what was streamed plus the rows
+            // that only come with the posterior, kept beside the posterior
+            // in the shared layer. An error drops whatever was absorbed.
+            let first = requests[indices[0]].query.as_ref();
+            let answer = match (streams.remove(&key), first, &result) {
+                (Some(mut mass), Some(query), Ok(p)) => {
+                    let mut answer = vec![0.0; query.epochs().len()];
+                    timed(&mut || {
+                        mass.absorb_rest(p);
+                        mass.finish(&mut answer);
+                    });
+                    Some(answer)
+                }
+                _ => None,
+            };
             if let (Some(layer), Some(fp), Ok(p)) =
                 (self.shared_layer.as_ref(), enqueued_fp.get(&key), &result)
             {
-                layer.insert(*fp, p);
+                layer.insert_answered(*fp, p, first.zip(answer.as_deref()));
                 shared_inserts += 1;
             }
             self.shared.cache.lock().insert(key, result.clone());
-            for &i in &waiting[&key] {
-                out[i] = Some(FitOutcome { result: result.clone(), cached: false });
+            for &i in &indices {
+                let shared =
+                    answer.as_ref().filter(|_| requests[i].query.as_ref() == first).cloned();
+                out[i] = Some(resolved(result.clone(), false, shared));
+            }
+        }
+
+        // Whoever still lacks its answer — a cache hit, a second query on
+        // one key — asks the finished posterior.
+        for (req, outcome) in requests.iter().zip(&mut out) {
+            let outcome = outcome.as_mut().expect("every request answered");
+            if let (Some(query), Ok(p), None) = (&req.query, &outcome.result, &outcome.exceedance) {
+                timed(&mut || outcome.exceedance = Some(query.answer(p)));
             }
         }
 
@@ -970,6 +1091,10 @@ impl FitService {
             }
             stats.shared_lookups += shared_lookups;
             stats.shared_inserts += shared_inserts;
+            stats.streamed_fits += streamed_fits;
+            stats.query_tail_nanos += query_nanos[0];
+            stats.query_overlap_nanos += query_nanos[1];
+            stats.memo_hits += memo_hits;
         }
         if spec_adopted > 0 || spec_mismatched > 0 {
             let mut spec = self.shared.spec_stats.lock();
@@ -1065,7 +1190,38 @@ impl Drop for FitService {
     }
 }
 
-fn worker_loop(rx: &Receiver<WorkerMsg>, telemetry: &PoolTelemetry) {
+/// One fit on a worker thread. A panic inside it becomes its request's
+/// [`Error::CurveFit`] and the worker keeps serving, on a fresh scratch.
+fn contained_fit(
+    scratch: &mut FitScratch,
+    config: PredictorConfig,
+    seed: u64,
+    curve: &LearningCurve,
+    horizon: u32,
+    warm: Option<&CurvePosterior>,
+    on_rows: impl FnMut(&[f64]),
+) -> Result<CurvePosterior> {
+    let predictor = CurvePredictor::new(config.with_seed(seed));
+    let backend = crate::vmath::active_backend();
+    let fit = AssertUnwindSafe(|| {
+        predictor.fit_streamed(curve, horizon, warm, scratch, backend, on_rows)
+    });
+    catch_unwind(fit).unwrap_or_else(|panic| {
+        *scratch = FitScratch::default();
+        let what = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("no message");
+        Err(Error::CurveFit(format!("fit panicked: {what}")))
+    })
+}
+
+fn worker_loop(
+    rx: &Receiver<WorkerMsg>,
+    telemetry: &PoolTelemetry,
+    spare_chunks: &Mutex<Vec<Vec<f64>>>,
+) {
     // One scratch per worker thread, reused across every fit this worker
     // performs: after the first fit sizes the buffers, the MCMC inner loop
     // runs allocation-free.
@@ -1075,15 +1231,24 @@ fn worker_loop(rx: &Receiver<WorkerMsg>, telemetry: &PoolTelemetry) {
             telemetry.queued.fetch_sub(1, Ordering::Relaxed);
         }
         match msg {
-            WorkerMsg::Fit { key, config, curve, horizon, seed, warm, reply } => {
+            WorkerMsg::Fit { key, config, curve, horizon, seed, warm, stream, finished, reply } => {
                 let t = Instant::now();
-                let predictor = CurvePredictor::new(config.with_seed(seed));
-                let result = predictor.fit_with(&curve, horizon, warm.as_ref(), &mut scratch);
+                let warm = warm.as_ref();
+                let result =
+                    contained_fit(&mut scratch, config, seed, &curve, horizon, warm, |rows| {
+                        if stream {
+                            let mut chunk = spare_chunks.lock().pop().unwrap_or_default();
+                            chunk.clear();
+                            chunk.extend_from_slice(rows);
+                            let _ = reply.send(FitReply::Rows(key, chunk));
+                        }
+                    });
                 telemetry.busy_nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 telemetry.demand_fits.fetch_add(1, Ordering::Relaxed);
-                // The batch owner may have given up (dropped receiver) if a
-                // sibling fit panicked; nothing useful to do then.
-                let _ = reply.send((key, result));
+                finished.fetch_add(1, Ordering::Release);
+                // The batch owner can only be gone if it panicked itself;
+                // nothing useful to do then.
+                let _ = reply.send(FitReply::Done(key, result));
             }
             WorkerMsg::SpecFit { key, config, curve, horizon, seed, warm, cancelled, reply } => {
                 if cancelled.load(Ordering::Relaxed) {
@@ -1091,8 +1256,9 @@ fn worker_loop(rx: &Receiver<WorkerMsg>, telemetry: &PoolTelemetry) {
                     continue;
                 }
                 let t = Instant::now();
-                let predictor = CurvePredictor::new(config.with_seed(seed));
-                let result = predictor.fit_with(&curve, horizon, warm.as_ref(), &mut scratch);
+                let warm = warm.as_ref();
+                let result =
+                    contained_fit(&mut scratch, config, seed, &curve, horizon, warm, |_| {});
                 telemetry.busy_nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 telemetry.spec_fits.fetch_add(1, Ordering::Relaxed);
                 let _ = reply.send((key, result));
@@ -1126,6 +1292,7 @@ pub fn sequential_fit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::MAX_SLOTS;
     use hyperdrive_types::{MetricKind, SimTime};
 
     fn curve(n: u32) -> LearningCurve {
@@ -1138,7 +1305,7 @@ mod tests {
     }
 
     fn req(job: u64, n: u32) -> FitRequest {
-        FitRequest { job: JobId::new(job), curve: curve(n), horizon: 100 }
+        FitRequest { job: JobId::new(job), curve: curve(n), horizon: 100, query: None }
     }
 
     /// A service guaranteed to have **no** shared layer, whatever
@@ -1229,6 +1396,7 @@ mod tests {
             job: JobId::new(9),
             curve: LearningCurve::new(MetricKind::Accuracy),
             horizon: 100,
+            query: None,
         };
         let outcomes = service.fit_batch(&[empty, req(1, 10)]);
         assert!(outcomes[0].result.is_err());
@@ -1381,7 +1549,7 @@ mod tests {
         let config = PredictorConfig::test();
         let cache = SharedFitCache::in_memory();
         let service = FitService::with_shared_cache(config, 1, 2, Some(cache.clone()));
-        let short = FitRequest { job: JobId::new(0), curve: curve(1), horizon: 100 };
+        let short = FitRequest { job: JobId::new(0), curve: curve(1), horizon: 100, query: None };
         assert!(service.fit_batch(&[short])[0].result.is_err());
         assert!(cache.is_empty(), "errors recompute; only posteriors are shared");
     }
@@ -1439,11 +1607,53 @@ mod tests {
     #[test]
     fn batched_errors_surface_per_item() {
         let service = isolated(PredictorConfig::test(), 7, 2);
-        let short = FitRequest { job: JobId::new(8), curve: curve(1), horizon: 100 };
+        let short = FitRequest { job: JobId::new(8), curve: curve(1), horizon: 100, query: None };
         let outcomes = service.fit_batch(&[req(0, 10), short, req(1, 12)]);
         assert!(outcomes[0].result.is_ok());
         assert!(outcomes[1].result.is_err(), "short curve errors inside the batch");
         assert!(outcomes[2].result.is_ok());
+    }
+
+    /// One reply channel carrying a fit that panics (two walkers cannot
+    /// run a stretch move) and a healthy one — what a batch would see if
+    /// one of its requests hit a bug: both keys are answered, the first
+    /// with a typed error, and the sole worker lives to run the second.
+    #[test]
+    fn a_panicking_and_a_healthy_fit_on_one_channel_are_both_answered() {
+        let pool = FitPool::new(1);
+        let (reply_tx, reply_rx) = unbounded();
+        let finished = Arc::new(AtomicUsize::new(0));
+        let broken = PredictorConfig { walkers: 2, ..PredictorConfig::test() };
+        for (job, config) in [(0, broken), (1, PredictorConfig::test())] {
+            pool.send(WorkerMsg::Fit {
+                key: (JobId::new(job), 12),
+                config,
+                curve: curve(12),
+                horizon: 100,
+                seed: 3,
+                warm: None,
+                stream: true,
+                finished: Arc::clone(&finished),
+                reply: reply_tx.clone(),
+            });
+        }
+        drop(reply_tx);
+        let mut done = Vec::new();
+        let mut rows = [0usize; 2];
+        // The watchdog: a lost reply fails here instead of hanging.
+        while let Ok(msg) = reply_rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            match msg {
+                FitReply::Rows((job, _), chunk) => rows[job.raw() as usize] += chunk.len(),
+                FitReply::Done((job, _), result) => done.push((job.raw(), result)),
+            }
+        }
+        assert_eq!(done.len(), 2, "both keys answered before the senders dropped");
+        assert_eq!(finished.load(Ordering::Acquire), 2, "a contained panic still finishes");
+        assert!(matches!(&done[0], (0, Err(Error::CurveFit(why))) if why.contains("fit panicked")));
+        let healthy = done[1].1.as_ref().expect("the worker survived to fit the second request");
+        assert_eq!(rows[0], 0, "a fit that never sampled streamed nothing");
+        let dim = crate::ensemble::dimension();
+        assert_eq!(rows[1], healthy.n_draws() / MAX_SLOTS * MAX_SLOTS * dim);
     }
 
     #[test]

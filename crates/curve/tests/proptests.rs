@@ -336,6 +336,7 @@ mod fused_evaluator {
                     job: JobId::new(j as u64),
                     curve: synthetic_curve(*limit, *rate, n - 2),
                     horizon: 60,
+                    query: None,
                 })
                 .collect();
             // Replay: even-indexed jobs resubmit their unchanged prefix
@@ -349,6 +350,7 @@ mod fused_evaluator {
                     job: JobId::new(j as u64),
                     curve: synthetic_curve(*limit, *rate, if j % 2 == 0 { n - 2 } else { *n }),
                     horizon: 60,
+                    query: None,
                 })
                 .collect();
             // No shared layer: the counters below must see real fits.
@@ -421,6 +423,7 @@ mod service_equivalence {
                     job: JobId::new(j as u64),
                     curve: synthetic_curve(*limit, *rate, *n),
                     horizon: 60,
+                    query: None,
                 })
                 .collect();
             for threads in [1usize, 4] {
@@ -463,6 +466,7 @@ mod service_equivalence {
                 job: JobId::new(0),
                 curve: synthetic_curve(limit, rate, n),
                 horizon: 60,
+                query: None,
             };
             let service = FitService::new(config, seed, 2);
             let cold = service.fit_batch(std::slice::from_ref(&request));
@@ -495,6 +499,7 @@ mod service_equivalence {
                     job: JobId::new(j as u64),
                     curve: synthetic_curve(*limit, *rate, *n),
                     horizon: 60,
+                    query: None,
                 })
                 .collect();
             let cache = hyperdrive_curve::SharedFitCache::in_memory();

@@ -160,6 +160,7 @@ proptest! {
                 job: JobId::new(j as u64),
                 curve: synthetic_curve(*limit, *rate, *n),
                 horizon: 60,
+                query: None,
             })
             .collect();
         for threads in [1usize, 4] {
