@@ -8,7 +8,8 @@
 //! 6.7× speedup.
 
 use hyperdrive_bench::{
-    print_table, quick_mode, run_comparison, summarize, write_csv, ComparisonSettings, PolicyKind,
+    print_table, quick_mode, record_claims, run_comparison, summarize, write_csv, Claim,
+    ComparisonSettings, PolicyKind,
 };
 use hyperdrive_workload::CifarWorkload;
 
@@ -66,27 +67,39 @@ fn main() {
         &rows,
     );
 
+    // Mean time-to-target of each baseline over POP's; NaN (a regressed
+    // claim) when either side never reached the target.
     let mean_of =
         |p: PolicyKind| summaries.iter().find(|s| s.policy == p).and_then(|s| s.mean_hours());
-    if let (Some(pop), Some(bandit), Some(et), Some(default)) = (
-        mean_of(PolicyKind::Pop),
-        mean_of(PolicyKind::Bandit),
-        mean_of(PolicyKind::EarlyTerm),
-        mean_of(PolicyKind::Default),
-    ) {
-        print_table(
-            "Speedups (mean time ratios)",
-            &["comparison", "measured", "paper"],
-            &[
-                vec!["POP vs Bandit".into(), format!("{:.2}x", bandit / pop), "1.6x".into()],
-                vec!["POP vs EarlyTerm".into(), format!("{:.2}x", et / pop), "2.1x".into()],
-                vec![
-                    "POP vs Default (random search)".into(),
-                    format!("{:.2}x", default / pop),
-                    "up to 6.7x".into(),
-                ],
+    let speedup = |baseline: PolicyKind| {
+        mean_of(baseline).zip(mean_of(PolicyKind::Pop)).map_or(f64::NAN, |(b, pop)| b / pop)
+    };
+    let (bandit, et, default) =
+        (speedup(PolicyKind::Bandit), speedup(PolicyKind::EarlyTerm), speedup(PolicyKind::Default));
+    print_table(
+        "Speedups (mean time ratios)",
+        &["comparison", "measured", "paper"],
+        &[
+            vec!["POP vs Bandit".into(), format!("{bandit:.2}x"), "1.6x".into()],
+            vec!["POP vs EarlyTerm".into(), format!("{et:.2}x"), "2.1x".into()],
+            vec![
+                "POP vs Default (random search)".into(),
+                format!("{default:.2}x"),
+                "up to 6.7x".into(),
             ],
-        );
-    }
+        ],
+    );
+    record_claims(
+        "fig07_time_to_target_cifar",
+        &[
+            Claim::at_least("fig7.pop_vs_bandit", 1.6, bandit, 0.25).or_known_deviation(
+                1.14,
+                "EXPERIMENTS.md Known deviations 1: our Bandit inherits POP's b = 10 boundary",
+            ),
+            Claim::at_least("fig7.pop_vs_earlyterm", 2.1, et, 0.25),
+            // The paper's figure is its best case ("up to"), ours a mean.
+            Claim::at_least("fig7.pop_vs_default", 6.7, default, 0.35),
+        ],
+    );
     hyperdrive_bench::report_fit_cache("fig07_time_to_target_cifar");
 }

@@ -6,14 +6,18 @@
 //! smaller than Bandit's and 3.5× smaller than EarlyTerm's.
 
 use hyperdrive_bench::{
-    print_table, quick_mode, run_comparison, summarize, write_csv, ComparisonSettings, PolicyKind,
+    print_table, quick_mode, record_claims, run_comparison, summarize, write_csv, Claim,
+    ComparisonSettings, PolicyKind, PolicySummary,
 };
 use hyperdrive_workload::LunarWorkload;
 
 fn main() {
     hyperdrive_bench::init_fit_cache();
-    // Config seed 9: three solvers, all beyond the initial 15-machine batch
-    // (positions 33, 38, 78) — the regime where scheduling matters.
+    // Config seed 9 was picked for three solvers beyond the initial
+    // 15-machine batch — the regime where scheduling matters. Under the
+    // vendored `rand` stand-in it draws solvers at positions 3, 21, 54 and
+    // 66, the first inside that batch, and the claims below read Regressed;
+    // re-seeding is ROADMAP item 2's.
     let mut settings = ComparisonSettings::lunar_paper(9);
     if quick_mode() {
         settings = settings.quick();
@@ -61,42 +65,41 @@ fn main() {
     );
 
     let find = |p: PolicyKind| summaries.iter().find(|s| s.policy == p);
-    if let (Some(pop), Some(bandit), Some(et)) =
-        (find(PolicyKind::Pop), find(PolicyKind::Bandit), find(PolicyKind::EarlyTerm))
-    {
-        if let (Some(pm), Some(bm), Some(em)) =
-            (pop.median_hours(), bandit.median_hours(), et.median_hours())
-        {
-            let spread = |s: &hyperdrive_bench::PolicySummary| {
-                s.box_plot.as_ref().map(|b| b.range()).unwrap_or(f64::NAN)
-            };
-            print_table(
-                "Ratios",
-                &["comparison", "measured", "paper"],
-                &[
-                    vec![
-                        "POP median speedup vs Bandit".into(),
-                        format!("{:.2}x", bm / pm),
-                        "2.07x".into(),
-                    ],
-                    vec![
-                        "POP median speedup vs EarlyTerm".into(),
-                        format!("{:.2}x", em / pm),
-                        "1.26x".into(),
-                    ],
-                    vec![
-                        "Bandit/POP min-max variation".into(),
-                        format!("{:.1}x", spread(bandit) / spread(pop)),
-                        "9.7x".into(),
-                    ],
-                    vec![
-                        "EarlyTerm/POP min-max variation".into(),
-                        format!("{:.1}x", spread(et) / spread(pop)),
-                        "3.5x".into(),
-                    ],
-                ],
-            );
-        }
-    }
+    // A baseline's median time-to-target, or its min–max spread, over
+    // POP's; NaN (a regressed claim) when either side is missing.
+    let over_pop = |baseline: PolicyKind, of: &dyn Fn(&PolicySummary) -> Option<f64>| {
+        let value = |p: PolicyKind| find(p).and_then(of);
+        value(baseline).zip(value(PolicyKind::Pop)).map_or(f64::NAN, |(b, pop)| b / pop)
+    };
+    let median = |s: &PolicySummary| s.median_hours();
+    let spread = |s: &PolicySummary| s.box_plot.as_ref().map(|b| b.range());
+    let (bandit, et) =
+        (over_pop(PolicyKind::Bandit, &median), over_pop(PolicyKind::EarlyTerm, &median));
+    print_table(
+        "Ratios",
+        &["comparison", "measured", "paper"],
+        &[
+            vec!["POP median speedup vs Bandit".into(), format!("{bandit:.2}x"), "2.07x".into()],
+            vec!["POP median speedup vs EarlyTerm".into(), format!("{et:.2}x"), "1.26x".into()],
+            vec![
+                "Bandit/POP min-max variation".into(),
+                format!("{:.1}x", over_pop(PolicyKind::Bandit, &spread)),
+                "9.7x".into(),
+            ],
+            vec![
+                "EarlyTerm/POP min-max variation".into(),
+                format!("{:.1}x", over_pop(PolicyKind::EarlyTerm, &spread)),
+                "3.5x".into(),
+            ],
+        ],
+    );
+    // Fig. 9 has no Default arm; the paper states these two medians.
+    record_claims(
+        "fig09_time_to_target_lunar",
+        &[
+            Claim::at_least("fig9.pop_vs_bandit", 2.07, bandit, 0.25),
+            Claim::at_least("fig9.pop_vs_earlyterm", 1.26, et, 0.25),
+        ],
+    );
     hyperdrive_bench::report_fit_cache("fig09_time_to_target_lunar");
 }

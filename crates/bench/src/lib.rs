@@ -12,6 +12,8 @@
 //!   tables.
 //! * [`cache`] — the process-wide shared fit cache every bin installs
 //!   and reports, plus the on-disk workload trace cache.
+//! * [`scorecard`] — the paper's numbers beside ours, one [`Claim`] each,
+//!   collected into `results/SCORECARD.json`.
 //!
 //! Set `HYPERDRIVE_QUICK=1` to shrink all experiment binaries to smoke
 //! scale; set `HYPERDRIVE_RESULTS=<dir>` to redirect CSV output; set
@@ -25,6 +27,7 @@ pub mod cache;
 pub mod harness;
 pub mod par;
 pub mod report;
+pub mod scorecard;
 
 pub use cache::{
     cached_traces, fit_cache_json, fit_pool_json, init_fit_cache, record_pool_stats,
@@ -36,3 +39,4 @@ pub use harness::{
 };
 pub use par::par_map;
 pub use report::{hours, mins, print_table, quick_mode, results_dir, write_csv};
+pub use scorecard::{record_claims, Claim, ClaimStatus};

@@ -869,6 +869,11 @@ mod tests {
             model.fit_secs(&config, config.max_obs + 50),
             "observations beyond max_obs are subsampled, not paid for"
         );
+        // The price is per likelihood evaluation, so a preset that halves
+        // its steps halves its virtual-time overhead with no constant of
+        // its own to recalibrate.
+        let doubled = PredictorConfig { steps: 2 * config.steps, ..config };
+        assert_eq!(model.fit_secs(&doubled, 10), 2.0 * model.fit_secs(&config, 10));
     }
 
     #[test]

@@ -101,16 +101,21 @@ impl PredictorConfig {
         PredictorConfig { steps: 2500, warm_steps: 900, ..Self::paper() }
     }
 
-    /// Reduced-fidelity preset for experiment sweeps: same walker count
-    /// (the ensemble needs ≥ 2× dimension walkers to mix), far fewer steps.
-    /// Initialization via per-family least squares keeps this accurate
-    /// enough for scheduling decisions.
+    /// The scheduling default (`PopConfig`, `EarlyTermConfig`, the server,
+    /// the figure bins): 100 walkers × 30 steps, of which the last 18 sweeps
+    /// yield 200 kept draws. Same walker count as [`Self::paper`] (the
+    /// ensemble needs ≥ 2× dimension walkers to mix); initialization via
+    /// per-family least squares carries the accuracy. The point is read off
+    /// the committed fidelity frontier, `results/FRONTIER.json` (bench bin
+    /// `fit_frontier`): against the 60-step / 400-draw default it replaced,
+    /// it moves confidences and POP decisions less than re-seeding that
+    /// default does, for half the sampling.
     pub fn fast() -> Self {
         PredictorConfig {
-            steps: 60,
+            steps: 30,
             burn_in_frac: 0.4,
             thin: 1,
-            max_draws: 400,
+            max_draws: 200,
             max_obs: 30,
             warm_steps: 30,
             ..Self::paper()
@@ -437,8 +442,7 @@ impl CurvePredictor {
 
     /// The retained pre-optimization fitting path: per-call allocations,
     /// no grid memoization, no warm starting. Kept as the executable
-    /// bit-identity reference for [`Self::fit_with`] (property-test-pinned)
-    /// and as the cold baseline of the `fit_hotpath` bench.
+    /// bit-identity reference for [`Self::fit_with`] (property-test-pinned).
     ///
     /// # Errors
     ///

@@ -7,8 +7,8 @@
 //! worker thread, a benchmark loop) constructs one and threads it through
 //! every fit; after the first fit sizes the buffers, subsequent fits of
 //! similar shape perform **zero heap allocations per MCMC step and per
-//! Nelder–Mead round** — the property the `fit_simd` and `fit_hotpath`
-//! benches pin with a counting allocator.
+//! Nelder–Mead round** — the property the `fit_simd` bench pins with a
+//! counting allocator.
 
 use crate::batch::FusedScratch;
 use crate::fastpath::FastGrid;

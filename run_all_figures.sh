@@ -14,7 +14,10 @@
 #          figure).
 #
 # The workspace is built once up front; the figure bins then run from the
-# prebuilt binaries in parallel. The script fails fast: the first failing
+# prebuilt binaries in parallel, and the fidelity-frontier bench
+# (fit_frontier, which times fits) runs alone after them. Bins that carry
+# a number the paper states record it as a claim; fit_frontier, running
+# last, leaves every bin's claims collected in results/SCORECARD.json. The script fails fast: the first failing
 # bin aborts the run and its name is printed. The opt-in system benches
 # (-s/-S/-P) run as dedicated serial stages after the figure pool — they
 # measure wall-clock contention effects, so they must not share the
@@ -55,7 +58,7 @@ fig12a_sim_validation fig06_job_durations tab01_suspend_overhead \
 fig09_time_to_target_lunar fig07_time_to_target_cifar \
 fig12b_capacity_sweep fig12c_order_sensitivity \
 tab02_lstm_frontier ablation_pop gantt_export scale_imagenet"
-BINS="$RUN_BINS"
+BINS="$RUN_BINS fit_frontier"
 if [ "$SERVER_BENCH" = 1 ]; then
   BINS="$BINS server_bench"
 fi
@@ -91,6 +94,12 @@ echo $RUN_BINS | tr ' ' '\n' | xargs -P "$JOBS" -I {} sh -c '
 echo "=== fig12b_capacity_sweep (reinforcement learning, section 7.3) ==="
 if ! "$BIN_DIR/fig12b_capacity_sweep" --domain rl > results/logs/fig12b_capacity_sweep_rl.log 2>&1; then
   echo "FAILED: fig12b_capacity_sweep --domain rl (see results/logs/fig12b_capacity_sweep_rl.log)" >&2
+  exit 1
+fi
+
+echo "=== fit_frontier (fidelity frontier, section 5.2; collects results/SCORECARD.json) ==="
+if ! "$BIN_DIR/fit_frontier" > results/logs/fit_frontier.log 2>&1; then
+  echo "FAILED: fit_frontier (see results/logs/fit_frontier.log)" >&2
   exit 1
 fi
 

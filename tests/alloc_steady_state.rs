@@ -76,6 +76,34 @@ fn alloc_bytes() -> u64 {
 const JOBS: usize = 8;
 const EPOCHS: u32 = 50;
 
+/// Blocks until every other thread of this process is asleep in the
+/// kernel. A fit-pool worker allocates while it starts up and inside its
+/// first blocking `recv` (the channel's per-thread context), and on a busy
+/// host it can be scheduled that late that those allocations land inside
+/// a measured stretch of the process-wide counter. A thread that was
+/// created but has not run yet is runnable (`R`), never sleeping (`S`);
+/// once all are `S` the workers are parked on their queue and stay there,
+/// because the measured stretch sends them nothing. Off Linux there is no
+/// `/proc` to ask and this returns at once.
+fn wait_until_other_threads_are_parked() {
+    let Ok(me) = std::fs::read_link("/proc/thread-self") else { return };
+    let me = me.file_name().expect("/proc/thread-self names a task").to_owned();
+    let all_parked = || {
+        std::fs::read_dir("/proc/self/task").expect("a process lists its tasks").all(|task| {
+            let task = task.expect("task entry readable");
+            // A task can exit between the listing and the read.
+            let Ok(stat) = std::fs::read_to_string(task.path().join("stat")) else { return true };
+            // `pid (comm) state ...`: the state follows the last `)`.
+            task.file_name() == me || stat.rsplit(')').next().is_some_and(|s| s.starts_with(" S"))
+        })
+    };
+    // Two sightings in a row: a thread caught asleep on a lock another
+    // thread held for an instant is runnable again by the second.
+    while !(all_parked() && all_parked()) {
+        std::thread::yield_now();
+    }
+}
+
 /// Drives one full-cluster run (jobs == machines, so every job starts at
 /// t=0 and steady state begins after the first wave of epoch completions)
 /// and returns `(alloc_events, events_measured)` over the post-warmup
@@ -91,6 +119,7 @@ fn steady_state_allocs(policy: &mut dyn SchedulingPolicy) -> (u64, u64) {
     for _ in 0..2 * JOBS {
         sim.step().expect("workload outlasts warmup");
     }
+    wait_until_other_threads_are_parked();
     let before = alloc_events();
     let mut measured = 0u64;
     while sim.step().is_some() {
