@@ -10,26 +10,72 @@
 //! winner-training-bound, so (like Fig. 12c) each variant runs over many
 //! random configuration orders on a small cluster: classification quality
 //! shows up in the median and the unlucky tail.
+//!
+//! The variants replay the same traces and agree on most decisions, so most
+//! of their fits are the same fits: the bin builds one [`SharedFitCache`]
+//! and hands it to every policy (a hit is bitwise the fit it replaces, so
+//! the tables do not depend on it).
 
-use hyperdrive_bench::{
-    cached_traces, init_fit_cache, par_map, print_table, quick_mode, report_fit_cache, write_csv,
-};
+use std::sync::Arc;
+
+use hyperdrive_bench::{par_map, print_table, quick_mode, write_csv};
 use hyperdrive_core::{KillRule, PopConfig, PopPolicy};
-use hyperdrive_curve::PredictorConfig;
+use hyperdrive_curve::{PredictorConfig, SharedFitCache};
 use hyperdrive_framework::{ExperimentSpec, ExperimentWorkload};
 use hyperdrive_sim::run_sim;
 use hyperdrive_types::{stats, SimTime};
-use hyperdrive_workload::{CifarWorkload, Workload};
+use hyperdrive_workload::{CifarWorkload, TraceSet, Workload};
+
+/// Runs every variant over every configuration order (`experiments[order]`)
+/// on 5 machines and returns `(time to target in hours, epochs executed)`
+/// per run, variant-major. The grid is parallel; results return in task
+/// order.
+fn sweep(
+    variants: &[(&str, PopConfig)],
+    experiments: &[ExperimentWorkload],
+    cache: Option<&Arc<SharedFitCache>>,
+) -> Vec<(Option<f64>, f64)> {
+    let tasks: Vec<(usize, usize)> = (0..variants.len())
+        .flat_map(|v| (0..experiments.len()).map(move |order| (v, order)))
+        .collect();
+    par_map(&tasks, |&(v, order)| {
+        let seed = order as u64;
+        let spec = ExperimentSpec::new(5).with_tmax(SimTime::from_hours(48.0)).with_seed(seed);
+        let mut policy =
+            PopPolicy::with_config_and_cache(PopConfig { seed, ..variants[v].1 }, cache.cloned());
+        let result = run_sim(&mut policy, &experiments[order], spec);
+        (result.time_to_target.map(|t| t.as_hours()), result.total_epochs as f64)
+    })
+}
+
+/// One experiment per configuration order: `traces` permuted by the order's
+/// index.
+fn permuted_experiments(
+    workload: &CifarWorkload,
+    traces: &TraceSet,
+    n_orders: usize,
+) -> Vec<ExperimentWorkload> {
+    (0..n_orders as u64)
+        .map(|order| {
+            ExperimentWorkload::from_traces(
+                &traces.permuted(order),
+                workload.domain_knowledge(),
+                workload.eval_boundary(),
+                workload.default_target(),
+                workload.suspend_model(),
+            )
+        })
+        .collect()
+}
 
 fn main() {
-    init_fit_cache();
     let (n_configs, n_orders, fidelity) = if quick_mode() {
         (30, 4, PredictorConfig::test())
     } else {
         (100, 12, PredictorConfig::fast())
     };
     let workload = CifarWorkload::new();
-    let traces = cached_traces(&workload, n_configs, 7);
+    let traces = TraceSet::generate(&workload, n_configs, 7);
 
     let variants: Vec<(&str, PopConfig)> = vec![
         ("POP (full)", PopConfig { predictor: fidelity, ..Default::default() }),
@@ -62,29 +108,9 @@ fn main() {
 
     // The permuted experiments are shared read-only across every variant;
     // build each once instead of once per variant.
-    let experiments: Vec<ExperimentWorkload> = (0..n_orders as u64)
-        .map(|order| {
-            let permuted = traces.permuted(order);
-            ExperimentWorkload::from_traces(
-                &permuted,
-                workload.domain_knowledge(),
-                workload.eval_boundary(),
-                workload.default_target(),
-                workload.suspend_model(),
-            )
-        })
-        .collect();
-    // Parallel grid over variant × order; results return in task order, so
-    // the per-variant accumulation below is identical to the old loop.
-    let tasks: Vec<(usize, u64)> = (0..variants.len())
-        .flat_map(|v| (0..n_orders as u64).map(move |order| (v, order)))
-        .collect();
-    let outcomes = par_map(&tasks, |&(v, order)| {
-        let spec = ExperimentSpec::new(5).with_tmax(SimTime::from_hours(48.0)).with_seed(order);
-        let mut policy = PopPolicy::with_config(PopConfig { seed: order, ..variants[v].1 });
-        let result = run_sim(&mut policy, &experiments[order as usize], spec);
-        (result.time_to_target.map(|t| t.as_hours()), result.total_epochs as f64)
-    });
+    let experiments = permuted_experiments(&workload, &traces, n_orders);
+    let cache = SharedFitCache::in_memory();
+    let outcomes = sweep(&variants, &experiments, Some(&cache));
 
     let mut rows = Vec::new();
     let mut csv_rows = Vec::new();
@@ -136,7 +162,7 @@ fn main() {
     // early-termination components do fire. POP's round-robin only
     // revisits a job once the queue wraps around, so this part uses fewer
     // configurations and a budget spanning many rounds.
-    let waste_traces = cached_traces(&workload, if quick_mode() { 20 } else { 40 }, 7);
+    let waste_traces = TraceSet::generate(&workload, if quick_mode() { 20 } else { 40 }, 7);
     let experiment = ExperimentWorkload::from_traces(
         &waste_traces,
         workload.domain_knowledge(),
@@ -172,7 +198,8 @@ fn main() {
         ),
     ];
     let waste_rows = par_map(&waste_variants, |(name, config)| {
-        let mut policy = PopPolicy::with_config(PopConfig { seed: 1, ..*config });
+        let mut policy =
+            PopPolicy::with_config_and_cache(PopConfig { seed: 1, ..*config }, Some(cache.clone()));
         let result = run_sim(&mut policy, &experiment, spec);
         let wasted: u64 = result
             .outcomes
@@ -194,5 +221,52 @@ fn main() {
     );
     println!("\nexpected: removing the kill threshold and the p < 0.05 prune inflates the");
     println!("epochs burned on configurations that never escape random accuracy");
-    report_fit_cache("ablation_pop");
+    let shared = cache.snapshot();
+    println!(
+        "\nshared fits: {} lookups, {} hits ({:.1}%)",
+        shared.lookups,
+        shared.shared_hits,
+        100.0 * shared.hit_rate()
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The shared cache is pure speed: the sweep's outcomes are the same
+    /// with it and without it, and the variants do share fits.
+    #[test]
+    fn sweep_outcomes_do_not_depend_on_the_shared_cache() {
+        let fidelity = PredictorConfig::test();
+        let workload = CifarWorkload::new();
+        let traces = TraceSet::generate(&workload, 12, 7);
+        let experiments = permuted_experiments(&workload, &traces, 2);
+        let variants = [
+            ("POP (full)", PopConfig { predictor: fidelity, ..Default::default() }),
+            (
+                "static p*=0.5",
+                PopConfig {
+                    predictor: fidelity,
+                    static_threshold: Some(0.5),
+                    ..Default::default()
+                },
+            ),
+            (
+                "no confidence prune",
+                PopConfig {
+                    predictor: fidelity,
+                    lower_bound_confidence: 0.0,
+                    ..Default::default()
+                },
+            ),
+        ];
+        let alone = sweep(&variants, &experiments, None);
+        let cache = SharedFitCache::in_memory();
+        let shared = sweep(&variants, &experiments, Some(&cache));
+        assert_eq!(alone, shared);
+        assert!(alone.iter().any(|(time, _)| time.is_some()), "no run reached the target");
+        let stats = cache.snapshot();
+        assert!(stats.shared_hits > 0, "the variants shared no fit: {stats:?}");
+    }
 }

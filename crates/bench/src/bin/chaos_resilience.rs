@@ -68,7 +68,6 @@ fn check_run(result: &ExperimentResult, ran_to_completion: bool, label: &str) {
 }
 
 fn main() {
-    hyperdrive_bench::init_fit_cache();
     let s = scale();
     let intensities: [(f64, &str); 3] = [(0.0, "none"), (2.0, "low"), (10.0, "high")];
     let horizon = SimTime::from_hours(24.0);
@@ -318,11 +317,10 @@ fn main() {
     write!(
         f,
         "{{\n  \"bench\": \"chaos_resilience\",\n  \"repeats\": {},\n  \
-         \"cells\": [\n    {}\n  ],\n  \"engine_crash\": [\n    {}\n  ],\n  {}\n}}\n",
+         \"cells\": [\n    {}\n  ],\n  \"engine_crash\": [\n    {}\n  ]\n}}\n",
         s.repeats,
         json_cells.join(",\n    "),
         engine_crash_cells.join(",\n    "),
-        hyperdrive_bench::fit_cache_json(),
     )
     .expect("json write");
     println!("wrote {}", path.display());
@@ -342,5 +340,4 @@ fn main() {
         &table_rows,
     );
     println!("\nAll runs terminated cleanly; rate-0 runs matched fault-free execution exactly.");
-    hyperdrive_bench::report_fit_cache("chaos_resilience");
 }

@@ -11,7 +11,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    hyperdrive_bench::init_fit_cache();
     let n_configs = if quick_mode() { 10 } else { 50 };
     let workload = CifarWorkload::new();
     let mut rng = StdRng::seed_from_u64(1);
@@ -63,5 +62,4 @@ fn main() {
         ],
     );
     println!("\nseries written to {}", path.display());
-    hyperdrive_bench::report_fit_cache("fig01_cifar_curves");
 }

@@ -22,7 +22,6 @@ fn curve_prefix(profile: &JobProfile, upto: u32) -> hyperdrive_types::LearningCu
 }
 
 fn main() {
-    hyperdrive_bench::init_fit_cache();
     let n_configs = if quick_mode() { 30 } else { 90 };
     let workload = CifarWorkload::new();
     let mut rng = StdRng::seed_from_u64(22);
@@ -135,5 +134,4 @@ fn main() {
             ],
         ],
     );
-    hyperdrive_bench::report_fit_cache("fig02_distribution_overtake");
 }

@@ -24,7 +24,6 @@ fn curve_prefix(profile: &JobProfile, upto: u32) -> LearningCurve {
 }
 
 fn main() {
-    hyperdrive_bench::init_fit_cache();
     let workload = CifarWorkload::new();
     let mut rng = StdRng::seed_from_u64(33);
 
@@ -95,5 +94,4 @@ fn main() {
         avg_std(30)
     );
     println!("series written to {}", path.display());
-    hyperdrive_bench::report_fit_cache("fig03_prediction_over_time");
 }

@@ -17,7 +17,6 @@ use hyperdrive_types::SimTime;
 use hyperdrive_workload::CifarWorkload;
 
 fn main() {
-    hyperdrive_bench::init_fit_cache();
     let static_threshold: Option<f64> = {
         let args: Vec<String> = std::env::args().collect();
         args.iter()
@@ -137,5 +136,4 @@ fn main() {
             vec!["allocation decisions recorded".into(), timeline.len().to_string(), "-".into()],
         ],
     );
-    hyperdrive_bench::report_fit_cache("fig04_slot_allocation");
 }

@@ -12,7 +12,6 @@ use hyperdrive_types::stats;
 use hyperdrive_workload::CifarWorkload;
 
 fn main() {
-    hyperdrive_bench::init_fit_cache();
     let mut settings = ComparisonSettings::cifar_paper(7);
     settings.repeats = if quick_mode() { 1 } else { 3 };
     if quick_mode() {
@@ -52,5 +51,4 @@ fn main() {
         &table_rows,
     );
     println!("\npaper: POP spends >=30min on ~5% of jobs, Bandit/EarlyTerm on ~15%");
-    hyperdrive_bench::report_fit_cache("fig06_job_durations");
 }

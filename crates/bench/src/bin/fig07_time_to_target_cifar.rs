@@ -14,7 +14,6 @@ use hyperdrive_bench::{
 use hyperdrive_workload::CifarWorkload;
 
 fn main() {
-    hyperdrive_bench::init_fit_cache();
     let mut settings = ComparisonSettings::cifar_paper(7);
     if quick_mode() {
         settings = settings.quick();
@@ -101,5 +100,4 @@ fn main() {
             Claim::at_least("fig7.pop_vs_default", 6.7, default, 0.35),
         ],
     );
-    hyperdrive_bench::report_fit_cache("fig07_time_to_target_cifar");
 }

@@ -12,7 +12,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    hyperdrive_bench::init_fit_cache();
     let n_plot = 15;
     let n_stats = if quick_mode() { 40 } else { 200 };
     let workload = LunarWorkload::new();
@@ -81,5 +80,4 @@ fn main() {
             ],
         ],
     );
-    hyperdrive_bench::report_fit_cache("fig08_lunar_curves");
 }

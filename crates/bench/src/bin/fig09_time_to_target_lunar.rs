@@ -12,7 +12,6 @@ use hyperdrive_bench::{
 use hyperdrive_workload::LunarWorkload;
 
 fn main() {
-    hyperdrive_bench::init_fit_cache();
     // Config seed 9 was picked for three solvers beyond the initial
     // 15-machine batch — the regime where scheduling matters. Under the
     // vendored `rand` stand-in it draws solvers at positions 3, 21, 54 and
@@ -101,5 +100,4 @@ fn main() {
             Claim::at_least("fig9.pop_vs_earlyterm", 1.26, et, 0.25),
         ],
     );
-    hyperdrive_bench::report_fit_cache("fig09_time_to_target_lunar");
 }

@@ -12,7 +12,6 @@ use hyperdrive_types::stats;
 use hyperdrive_workload::LunarWorkload;
 
 fn main() {
-    hyperdrive_bench::init_fit_cache();
     let mut settings = ComparisonSettings::lunar_paper(5);
     settings.repeats = if quick_mode() { 1 } else { 3 };
     if quick_mode() {
@@ -79,5 +78,4 @@ fn main() {
             ],
         ],
     );
-    hyperdrive_bench::report_fit_cache("fig10_criu_overhead");
 }

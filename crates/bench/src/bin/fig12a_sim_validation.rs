@@ -13,7 +13,6 @@ use hyperdrive_types::SimTime;
 use hyperdrive_workload::LunarWorkload;
 
 fn main() {
-    hyperdrive_bench::init_fit_cache();
     // The paper repeats each live experiment 5 times (§6.1) and compares
     // means; simulation error is "well below the error bar of live system
     // results".
@@ -78,5 +77,4 @@ fn main() {
         &rows,
     );
     println!("\nmax simulation error: {:.1}% (paper: max 13%)", max_error * 100.0);
-    hyperdrive_bench::report_fit_cache("fig12a_sim_validation");
 }

@@ -11,18 +11,14 @@
 //! Paper observations: time-to-target improves with more machines for all
 //! policies; POP always wins, with a growing margin at larger capacities.
 
-use hyperdrive_bench::{
-    cached_traces, init_fit_cache, par_map, print_table, quick_mode, report_fit_cache, write_csv,
-    PolicyKind,
-};
+use hyperdrive_bench::{par_map, print_table, quick_mode, write_csv, PolicyKind};
 use hyperdrive_curve::PredictorConfig;
 use hyperdrive_framework::{ExperimentSpec, ExperimentWorkload};
 use hyperdrive_sim::run_sim;
 use hyperdrive_types::SimTime;
-use hyperdrive_workload::{CifarWorkload, LunarWorkload, Workload};
+use hyperdrive_workload::{CifarWorkload, LunarWorkload, TraceSet, Workload};
 
 fn main() {
-    init_fit_cache();
     let rl = std::env::args().any(|a| a == "--domain") && std::env::args().any(|a| a == "rl");
     let extended = std::env::args().any(|a| a == "--extended");
     let n_configs = if quick_mode() { 30 } else { 100 };
@@ -32,7 +28,7 @@ fn main() {
     // replayed under every policy and capacity.
     let workload: Box<dyn Workload> =
         if rl { Box::new(LunarWorkload::new()) } else { Box::new(CifarWorkload::new()) };
-    let traces = cached_traces(workload.as_ref(), n_configs, 7);
+    let traces = TraceSet::generate(workload.as_ref(), n_configs, 7);
     let experiment = ExperimentWorkload::from_traces(
         &traces,
         workload.domain_knowledge(),
@@ -95,5 +91,4 @@ fn main() {
         &rows,
     );
     println!("\npaper: all policies improve with machines; POP always fastest, margin grows");
-    report_fit_cache(if rl { "fig12b_capacity_sweep_rl" } else { "fig12b_capacity_sweep" });
 }

@@ -8,18 +8,14 @@
 //! order-sensitive — max completion-time difference 4.05 h vs Bandit
 //! 8.33 h, EarlyTerm 8.50 h, and Default a staggering 25.74 h.
 
-use hyperdrive_bench::{
-    cached_traces, init_fit_cache, par_map, print_table, quick_mode, report_fit_cache, write_csv,
-    PolicyKind,
-};
+use hyperdrive_bench::{par_map, print_table, quick_mode, write_csv, PolicyKind};
 use hyperdrive_curve::PredictorConfig;
 use hyperdrive_framework::{ExperimentSpec, ExperimentWorkload};
 use hyperdrive_sim::run_sim;
 use hyperdrive_types::{stats, SimTime};
-use hyperdrive_workload::{CifarWorkload, LunarWorkload, Workload};
+use hyperdrive_workload::{CifarWorkload, LunarWorkload, TraceSet, Workload};
 
 fn main() {
-    init_fit_cache();
     let rl = std::env::args().any(|a| a == "--domain") && std::env::args().any(|a| a == "rl");
     let (n_configs, n_orders, fidelity) = if quick_mode() {
         (30, 5, PredictorConfig::test())
@@ -29,7 +25,7 @@ fn main() {
 
     let workload: Box<dyn Workload> =
         if rl { Box::new(LunarWorkload::new()) } else { Box::new(CifarWorkload::new()) };
-    let traces = cached_traces(workload.as_ref(), n_configs, 7);
+    let traces = TraceSet::generate(workload.as_ref(), n_configs, 7);
 
     let policies = PolicyKind::headline();
     let spec = ExperimentSpec::new(5).with_tmax(SimTime::from_hours(48.0)).with_seed(3);
@@ -99,5 +95,4 @@ fn main() {
     println!(
         "\npaper spreads: POP 4.05h, Bandit 8.33h, EarlyTerm 8.50h, Default 25.74h — POP least order-sensitive"
     );
-    report_fit_cache(if rl { "fig12c_order_sensitivity_rl" } else { "fig12c_order_sensitivity" });
 }

@@ -56,7 +56,6 @@ fn run_case(prefetch: bool, fit_threads: usize, n_configs: usize, epochs: u32) -
     let r = run_sim(&mut pop, &ew, spec);
     let wall_secs = t.elapsed().as_secs_f64();
     let pool = pop.pool_stats();
-    hyperdrive_bench::record_pool_stats(&pool);
     let mut event_log = Vec::new();
     r.events.write_csv(&mut event_log).expect("event log serializes");
     Case {
@@ -215,14 +214,10 @@ fn main() {
   "stall_reduction_asserted": {gated},
   "suite_wall_secs": {suite_secs:.3},
   "event_logs_byte_identical": {logs_ok},
-  "determinism_mismatch": {determinism_mismatch},
-  {fit_cache_fragment},
-  {fit_pool_fragment}
+  "determinism_mismatch": {determinism_mismatch}
 }}
 "#,
         logs_ok = !determinism_mismatch,
-        fit_cache_fragment = hyperdrive_bench::fit_cache_json(),
-        fit_pool_fragment = hyperdrive_bench::fit_pool_json(),
     )
     .expect("json write");
     println!("wrote {}", path.display());

@@ -412,11 +412,9 @@ fn main() {
   "cold_fast_refit_batch_s": {cold_refit_secs:.4},
   "per_fit_warm_fast_ms": {warm_fast_ms:.4},
   "warm_fast_speedup": {warm_fast_speedup:.3},
-  "warm_fast_vs_reference_speedup": {warm_fast_vs_reference:.3},
-  {fit_cache_fragment}
+  "warm_fast_vs_reference_speedup": {warm_fast_vs_reference:.3}
 }}
-"#,
-        fit_cache_fragment = hyperdrive_bench::fit_cache_json(),
+"#
     )
     .expect("json write");
     println!("wrote {}", path.display());

@@ -10,7 +10,6 @@ use hyperdrive_types::SimTime;
 use hyperdrive_workload::CifarWorkload;
 
 fn main() {
-    hyperdrive_bench::init_fit_cache();
     let n_configs = if quick_mode() { 20 } else { 60 };
     let machines = 4;
     let workload = CifarWorkload::new();
@@ -66,5 +65,4 @@ fn main() {
         &["policy", "time-to-target", "gantt segments", "events", "mean utilization"],
         &rows,
     );
-    hyperdrive_bench::report_fit_cache("gantt_export");
 }

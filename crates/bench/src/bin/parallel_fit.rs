@@ -95,11 +95,10 @@ fn main() {
          \"pool_secs\": {pool_secs:.6},\n  \"speedup\": {speedup:.3},\n  \
          \"warm_secs\": {warm_secs:.6},\n  \"fits\": {},\n  \
          \"cache_hits\": {},\n  \"cache_hit_rate\": {:.4},\n  \
-         \"deterministic\": true,\n  {}\n}}\n",
+         \"deterministic\": true\n}}\n",
         stats.fits,
         stats.cache_hits,
         stats.hit_rate(),
-        hyperdrive_bench::fit_cache_json(),
     )
     .expect("json write");
     println!("wrote {}", path.display());

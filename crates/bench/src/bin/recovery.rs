@@ -57,7 +57,6 @@ fn min_of(samples: &[f64]) -> f64 {
 type PolicyFactory = Box<dyn FnMut() -> Box<dyn SchedulingPolicy>>;
 
 fn main() {
-    hyperdrive_bench::init_fit_cache();
     let s = scale();
     let workload = CifarWorkload::new();
     let seed = 7u64;
@@ -231,11 +230,8 @@ fn main() {
          \"journal_bytes\": {journal_bytes}, \"plain_secs\": {plain_best:.6}, \
          \"journaled_secs\": {journaled_best:.6}, \"overhead_pct\": {overhead_pct:.3}, \
          \"budget_pct\": 5.0}},\n  \"recovery_latency\": [{latency_json}],\n  \
-         \"kill_anywhere\": [{kill_json}],\n  {}\n}}\n",
-        s.n_configs,
-        s.machines,
-        s.repeats,
-        hyperdrive_bench::fit_cache_json(),
+         \"kill_anywhere\": [{kill_json}]\n}}\n",
+        s.n_configs, s.machines, s.repeats,
     )
     .expect("json write");
     let _ = std::fs::remove_file(&wal_path);

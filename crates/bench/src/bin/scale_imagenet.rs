@@ -11,7 +11,6 @@ use hyperdrive_types::SimTime;
 use hyperdrive_workload::ImagenetWorkload;
 
 fn main() {
-    hyperdrive_bench::init_fit_cache();
     // 62 machines is the paper's Project-Adam cluster; with ~5% of random
     // configurations reaching the target, a 62-machine first batch almost
     // always contains a winner and every policy is winner-training-bound.
@@ -71,5 +70,4 @@ fn main() {
     );
     println!("\npaper §1: at this scale exhaustive search is simply not practical —");
     println!("the machine-days column is the bill each policy runs up before finding the target");
-    hyperdrive_bench::report_fit_cache("scale_imagenet");
 }

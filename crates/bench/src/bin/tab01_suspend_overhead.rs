@@ -10,7 +10,6 @@ use hyperdrive_types::stats;
 use hyperdrive_workload::CifarWorkload;
 
 fn main() {
-    hyperdrive_bench::init_fit_cache();
     let mut settings = ComparisonSettings::cifar_paper(7);
     settings.repeats = if quick_mode() { 1 } else { 5 };
     if quick_mode() {
@@ -68,5 +67,4 @@ fn main() {
         "\ntotal suspend latency {total_suspend_hours:.4} h over {total_busy_hours:.1} h of training ({:.4}%) — paper: negligible",
         100.0 * total_suspend_hours / total_busy_hours
     );
-    hyperdrive_bench::report_fit_cache("tab01_suspend_overhead");
 }

@@ -22,7 +22,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    hyperdrive_bench::init_fit_cache();
     let workload = LstmWorkload::new();
 
     // Part 1: λ frontier on a healthy base configuration.
@@ -121,5 +120,4 @@ fn main() {
     println!(
         "\nglobal termination criterion cut exploration time by {speedup:.1}x (paper: \"significantly reduced training times\")"
     );
-    hyperdrive_bench::report_fit_cache("tab02_lstm_frontier");
 }

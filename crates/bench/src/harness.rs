@@ -28,7 +28,7 @@ pub enum PolicyKind {
     Hyperband,
 }
 
-/// Fit-pool width used for every POP instance built by the harness.
+/// Fit-pool width of every POP instance the harness builds.
 ///
 /// [`run_comparison`] already parallelizes across replicates with one
 /// worker per hardware thread. A `PopConfig` default of `fit_threads: 0`
@@ -37,37 +37,7 @@ pub enum PolicyKind {
 /// slows the sweep down. Each simulation is deterministic regardless of
 /// pool width, so the harness caps per-replicate pools at one thread and
 /// keeps the parallelism at the replicate level where it scales cleanly.
-/// Override with `HYPERDRIVE_BENCH_FIT_THREADS` to study other splits.
-pub fn harness_fit_threads() -> usize {
-    std::env::var("HYPERDRIVE_BENCH_FIT_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
-}
-
-/// Records the harness fit-pool decision once per process so bench runs
-/// are auditable: writes `BENCH_harness.json` into the results directory.
-fn record_fit_thread_choice(threads: usize, workers: usize) {
-    use std::io::Write as _;
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let from_env = std::env::var_os("HYPERDRIVE_BENCH_FIT_THREADS").is_some();
-        let path = crate::results_dir().join("BENCH_harness.json");
-        if let Ok(mut f) = std::fs::File::create(path) {
-            let _ = write!(
-                f,
-                "{{\n  \"per_replicate_fit_threads\": {threads},\n  \
-                 \"source\": \"{}\",\n  \"replicate_workers\": {workers},\n  {}\n}}\n",
-                if from_env { "HYPERDRIVE_BENCH_FIT_THREADS" } else { "default" },
-                // Written before the first comparison runs: counters are
-                // ~zero here, the useful datum is the resolved mode.
-                crate::cache::fit_cache_json(),
-            );
-        }
-    });
-}
+const HARNESS_FIT_THREADS: usize = 1;
 
 impl PolicyKind {
     /// Display label.
@@ -99,7 +69,7 @@ impl PolicyKind {
             PolicyKind::Pop => Box::new(PopPolicy::with_config(PopConfig {
                 predictor: fidelity,
                 seed,
-                fit_threads: harness_fit_threads(),
+                fit_threads: HARNESS_FIT_THREADS,
                 ..Default::default()
             })),
             PolicyKind::Bandit => Box::new(BanditPolicy::new()),
@@ -243,13 +213,6 @@ pub fn run_comparison(
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(4)
         .min(n_tasks.max(1));
-    // Every replicate's policies resolve the process-global shared fit
-    // cache at construction; install it (first-wins, and before anything
-    // reads — and thereby locks — the global) so the whole repeats ×
-    // policies grid shares one content-addressed layer even if the
-    // calling bin forgot to.
-    crate::cache::init_fit_cache();
-    record_fit_thread_choice(harness_fit_threads(), workers);
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -263,22 +226,8 @@ pub fn run_comparison(
                 let spec = ExperimentSpec::new(settings.machines)
                     .with_tmax(settings.tmax)
                     .with_seed(noise_seed);
-                // POP built concretely so its fit-pool telemetry folds into
-                // the process aggregate every BENCH_*.json reports.
-                let result = if policy_kind == PolicyKind::Pop {
-                    let mut pop = PopPolicy::with_config(PopConfig {
-                        predictor: settings.fidelity,
-                        seed: noise_seed,
-                        fit_threads: harness_fit_threads(),
-                        ..Default::default()
-                    });
-                    let result = run_sim(&mut pop, experiment, spec);
-                    crate::cache::record_pool_stats(&pop.pool_stats());
-                    result
-                } else {
-                    let mut policy = policy_kind.build(settings.fidelity, noise_seed);
-                    run_sim(policy.as_mut(), experiment, spec)
-                };
+                let mut policy = policy_kind.build(settings.fidelity, noise_seed);
+                let result = run_sim(policy.as_mut(), experiment, spec);
                 results.lock().expect("no panics hold the lock")[i] =
                     Some(ComparisonRun { policy: policy_kind, repeat, result });
             });

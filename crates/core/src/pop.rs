@@ -241,7 +241,8 @@ impl PopPolicy {
         Self::with_config(PopConfig::default())
     }
 
-    /// Creates POP with explicit configuration.
+    /// Creates POP with explicit configuration; its fits are shared with
+    /// no other policy.
     ///
     /// # Panics
     ///
@@ -251,11 +252,10 @@ impl PopPolicy {
         Self::with_service(config, service)
     }
 
-    /// [`PopPolicy::with_config`] with an explicit shared
-    /// content-addressed fit cache (`None` = never share fits across
-    /// runs, whatever the environment says). `PopConfig` stays `Copy`, so
-    /// the handle is a separate argument rather than a field; the default
-    /// constructor resolves the process-global cache instead.
+    /// [`PopPolicy::with_config`] with a shared content-addressed fit
+    /// cache: every policy handed the same cache reuses the others' fits
+    /// (`None` = never share fits across runs). `PopConfig` stays `Copy`,
+    /// so the handle is a separate argument rather than a field.
     ///
     /// # Panics
     ///

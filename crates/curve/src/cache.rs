@@ -1,14 +1,17 @@
-//! Content-addressed cross-run fit cache.
+//! Content-addressed fit cache.
 //!
 //! The per-run [`FitService`](crate::FitService) cache is keyed by
-//! `(JobId, epochs observed)` and dies with its run, yet the figure suite
-//! deliberately re-runs the *same* deterministic workload traces under
-//! different policies, cluster capacities, and arrival orders — so the
-//! identical Domhan-style ensemble fit for a given curve prefix is
-//! recomputed hundreds of times across bins. This module adds the second,
-//! structural layer: a [`CurveFingerprint`] that names a fit by *what is
-//! being computed* rather than where, and a process-wide (optionally
-//! disk-backed) [`SharedFitCache`] mapping fingerprints to posteriors.
+//! `(JobId, epochs observed)` and dies with its run, yet a server's tenants
+//! re-submit the same study and a variant sweep re-runs the *same*
+//! deterministic workload traces under different policy settings — so the
+//! identical Domhan-style ensemble fit for a given curve prefix would be
+//! recomputed once per run. This module adds the second, structural layer:
+//! a [`CurveFingerprint`] that names a fit by *what is being computed*
+//! rather than where, and an in-memory [`SharedFitCache`] mapping
+//! fingerprints to posteriors. A cache is a value its owner builds and
+//! hands to every service that should share it
+//! ([`FitService::with_shared_cache`](crate::FitService::with_shared_cache));
+//! nothing finds one ambiently and nothing of it outlives the process.
 //!
 //! # Why a hit is bitwise-identical by construction
 //!
@@ -23,57 +26,23 @@
 //! additionally fold in the active [`vmath`] backend discriminant: the
 //! backends are bit-identical by construction (proptest-pinned), but the
 //! key stays conservative so a hit can never even in principle cross
-//! kernel implementations.
-//!
-//! # Invalidation
-//!
-//! [`FINGERPRINT_VERSION`] salts every fingerprint and is embedded in the
-//! disk-shard header. Any change to fit numerics (`PredictorConfig`
-//! semantics, vmath kernels, MCMC/Nelder–Mead code) or to the on-disk
-//! layout must bump it; old entries then simply never match (memory) or
-//! whole shards are skipped with a warning (disk). See DESIGN.md §10.
-//!
-//! # Disk store
-//!
-//! `HYPERDRIVE_FIT_CACHE=disk` persists entries under
-//! `results/fitcache/` (override the directory with
-//! `HYPERDRIVE_FIT_CACHE_DIR`, or relocate `results` itself with
-//! `HYPERDRIVE_RESULTS`). Each process appends to its own
-//! `shard-<pid>.bin` — concurrent figure bins never share a file handle —
-//! with a versioned header and per-record checksums. Corrupt, truncated,
-//! or wrong-version data is detected and skipped with a warning: the
-//! cache can serve a *missing* posterior (forcing a recompute) but never a
-//! wrong one.
+//! kernel implementations. Entries live and die with one build of one
+//! process, so no version salt is needed: a change to fit numerics cannot
+//! meet a posterior computed before it.
 
 use std::collections::HashMap;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use hyperdrive_types::{LearningCurve, MetricKind};
 
-use crate::ensemble::dimension;
 use crate::predictor::{CurvePosterior, ExceedanceQuery, PredictorConfig};
 use crate::vmath;
 
-/// Version salt folded into every fingerprint and embedded in disk-shard
-/// headers. Bump on **any** change to fit numerics or cache layout.
-/// Version 2: the sampler proposes and scores a half-ensemble at a time
-/// (the RNG schedule in [`crate::mcmc`]), so every posterior differs from
-/// a version-1 store's.
-pub const FINGERPRINT_VERSION: u64 = 2;
-
-/// Magic bytes opening every disk shard.
-const SHARD_MAGIC: [u8; 4] = *b"HDFC";
-/// On-disk layout version (independent of [`FINGERPRINT_VERSION`] so a
-/// pure layout change can also invalidate).
-const SHARD_FORMAT: u32 = 1;
-/// Upper bound on a single record payload; anything larger is corruption.
-const MAX_PAYLOAD: u32 = 64 << 20;
-/// Upper bound on a decoded posterior's draw count (sanity, not policy).
-const MAX_DRAWS: u32 = 1 << 20;
+/// Domain salts keeping the two hashes this module computes apart.
+const FIT_SALT: u64 = 0x8536_42F5_4679_1D4B;
+const POSTERIOR_SALT: u64 = 0xA076_1D64_78BD_642F;
 
 // ---------------------------------------------------------------------------
 // Fingerprinting
@@ -86,20 +55,6 @@ const MAX_DRAWS: u32 = 1 << 20;
 /// negligible (~2⁻⁶⁴ at a billion distinct fits).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CurveFingerprint([u64; 2]);
-
-impl CurveFingerprint {
-    /// The two 64-bit lanes (serialization order).
-    #[must_use]
-    pub fn lanes(&self) -> [u64; 2] {
-        self.0
-    }
-
-    /// Rebuilds a fingerprint from its lanes (deserialization).
-    #[must_use]
-    pub fn from_lanes(lanes: [u64; 2]) -> Self {
-        CurveFingerprint(lanes)
-    }
-}
 
 impl std::fmt::Debug for CurveFingerprint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -146,8 +101,7 @@ impl Fp128 {
     }
 }
 
-/// Stable discriminant for the metric kind (enum order is not load-bearing
-/// for the on-disk format, these codes are).
+/// Discriminant for the metric kind.
 fn metric_kind_code(kind: MetricKind) -> u64 {
     match kind {
         MetricKind::Accuracy => 0,
@@ -162,7 +116,7 @@ fn metric_kind_code(kind: MetricKind) -> u64 {
 /// fingerprint only when their seeds are byte-identical.
 #[must_use]
 pub fn posterior_hash(p: &CurvePosterior) -> u64 {
-    let mut h = Fp128::new(FINGERPRINT_VERSION ^ 0xA076_1D64_78BD_642F);
+    let mut h = Fp128::new(POSTERIOR_SALT);
     h.write_u64(u64::from(p.last_epoch()));
     h.write_u64(u64::from(p.horizon()));
     h.write_f64(p.acceptance_rate());
@@ -195,7 +149,7 @@ pub fn fit_fingerprint(
     horizon: u32,
     warm: Option<&CurvePosterior>,
 ) -> CurveFingerprint {
-    let mut h = Fp128::new(FINGERPRINT_VERSION);
+    let mut h = Fp128::new(FIT_SALT);
     h.write_u64(metric_kind_code(curve.kind()));
     h.write_u64(curve.len() as u64);
     for p in curve.points() {
@@ -229,146 +183,17 @@ pub fn fit_fingerprint(
     }
     h.finish()
 }
-
-// ---------------------------------------------------------------------------
-// Posterior codec (disk payloads)
-// ---------------------------------------------------------------------------
-
-fn encode_posterior(p: &CurvePosterior, out: &mut Vec<u8>) {
-    out.extend_from_slice(&p.last_epoch().to_le_bytes());
-    out.extend_from_slice(&p.horizon().to_le_bytes());
-    out.extend_from_slice(&p.acceptance_rate().to_bits().to_le_bytes());
-    out.push(u8::from(p.warm_started()));
-    out.extend_from_slice(&(p.draws().len() as u32).to_le_bytes());
-    for draw in p.draws() {
-        out.extend_from_slice(&(draw.len() as u32).to_le_bytes());
-        for &v in draw {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-    }
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let s = self.bytes.get(self.pos..end)?;
-        self.pos = end;
-        Some(s)
-    }
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-}
-
-fn decode_posterior(payload: &[u8]) -> Option<CurvePosterior> {
-    let mut c = Cursor { bytes: payload, pos: 0 };
-    let last_epoch = c.u32()?;
-    let horizon = c.u32()?;
-    let acceptance_rate = f64::from_bits(c.u64()?);
-    let warm = match c.u8()? {
-        0 => false,
-        1 => true,
-        _ => return None,
-    };
-    let n_draws = c.u32()?;
-    if n_draws > MAX_DRAWS {
-        return None;
-    }
-    // Each draw is framed as its own length then its values, and every
-    // query indexes a draw by family offset: anything but `dimension()`
-    // values per draw — ragged, short, long — is refused here rather than
-    // panicking a policy thread at its first query. The exact-size check
-    // comes first so a lying count cannot size the allocation.
-    let dim = dimension();
-    if payload.len() - c.pos != n_draws as usize * (4 + 8 * dim) {
-        return None;
-    }
-    let mut draws = Vec::with_capacity(n_draws as usize * dim);
-    for _ in 0..n_draws {
-        if c.u32()? as usize != dim {
-            return None;
-        }
-        for _ in 0..dim {
-            draws.push(f64::from_bits(c.u64()?));
-        }
-    }
-    CurvePosterior::from_parts(draws, last_epoch, horizon, acceptance_rate, warm)
-}
-
-/// Checksum covering a record's fingerprint and payload: the first lane of
-/// the two-lane hash over the lanes, the length, and the payload bytes in
-/// LE `u64` chunks (final chunk zero-padded).
-fn record_checksum(fp: CurveFingerprint, payload: &[u8]) -> u64 {
-    let mut h = Fp128::new(FINGERPRINT_VERSION ^ 0x8536_42F5_4679_1D4B);
-    h.write_u64(fp.0[0]);
-    h.write_u64(fp.0[1]);
-    h.write_u64(payload.len() as u64);
-    for chunk in payload.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        h.write_u64(u64::from_le_bytes(word));
-    }
-    h.finish().0[0]
-}
-
 // ---------------------------------------------------------------------------
 // Shared cache
 // ---------------------------------------------------------------------------
 
-/// Cumulative counters for one [`SharedFitCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SharedCacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that found nothing (the caller then fits cold).
-    pub misses: u64,
-    /// Posteriors inserted by this process (each also appended to the
-    /// disk shard when one is attached).
-    pub inserts: u64,
-    /// Entries loaded from disk shards at construction.
-    pub disk_loaded: u64,
-    /// Corrupt / truncated / wrong-version disk items skipped (with a
-    /// warning) at construction.
-    pub disk_skipped: u64,
-}
-
-impl SharedCacheStats {
-    /// Total lookups served.
-    #[must_use]
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Fraction of lookups answered from the cache (0 when idle).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.lookups();
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A cheap, uniform view of content-addressed cache activity — the three
 /// numbers a server or bench bin needs to report a dedup rate without
-/// poking cache internals. Produced per **process** by
+/// poking cache internals. Produced per **cache** by
 /// [`SharedFitCache::snapshot`] and per **study** by
 /// `FitService::shared_snapshot` (the same shape, scoped to one service's
 /// traffic), so the two compose: summing every study's snapshot recovers
-/// the process totals.
+/// the cache's totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStatsSnapshot {
     /// Shared-layer lookups issued.
@@ -393,26 +218,6 @@ impl CacheStatsSnapshot {
     }
 }
 
-struct ShardWriter {
-    file: std::fs::File,
-    path: PathBuf,
-}
-
-impl ShardWriter {
-    fn append(&mut self, fp: CurveFingerprint, payload: &[u8]) -> std::io::Result<()> {
-        let mut rec = Vec::with_capacity(28 + payload.len() + 8);
-        rec.extend_from_slice(&fp.0[0].to_le_bytes());
-        rec.extend_from_slice(&fp.0[1].to_le_bytes());
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(payload);
-        rec.extend_from_slice(&record_checksum(fp, payload).to_le_bytes());
-        // One write + flush per record: a crash mid-record truncates at
-        // most the tail, which the loader detects and skips.
-        self.file.write_all(&rec)?;
-        self.file.flush()
-    }
-}
-
 /// Answered queries kept per cached posterior: a study asks one query of a
 /// fit (its remaining-time grid) and a duplicate study the same one, so a
 /// handful covers re-submissions while bounding what a long-lived process
@@ -420,83 +225,35 @@ impl ShardWriter {
 const MEMO_PER_ENTRY: usize = 4;
 
 /// One cached posterior with its answered queries, each beside the query
-/// that asked. The answers are memory-only: a pure function of (posterior,
-/// query), an answer is recomputed — bitwise the same — whenever it is not
-/// here.
+/// that asked. An answer is a pure function of (posterior, query), so it is
+/// recomputed — bitwise the same — whenever it is not here.
 type Entry = (CurvePosterior, Vec<(ExceedanceQuery, Vec<f64>)>);
 
-/// A process-wide content-addressed posterior cache, optionally persisted
-/// to an append-only disk shard per process. Shared across every replicate
-/// the bench harness runs (`Arc`-cloned into each `par_map` worker) and —
-/// via the disk store — across sequential figure bins and repeated
-/// `run_all_figures.sh` invocations.
+/// An in-memory content-addressed posterior cache, shared by `Arc` among
+/// every fit service its owner hands it to: the studies of one server, or
+/// the variants of one sweep.
 pub struct SharedFitCache {
     map: Mutex<HashMap<CurveFingerprint, Entry>>,
-    stats: Mutex<SharedCacheStats>,
-    writer: Option<Mutex<ShardWriter>>,
+    stats: Mutex<CacheStatsSnapshot>,
 }
 
 impl std::fmt::Debug for SharedFitCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedFitCache")
             .field("entries", &self.len())
-            .field("disk", &self.writer.as_ref().map(|w| w.lock().path.clone()))
-            .field("stats", &self.stats())
+            .field("stats", &self.snapshot())
             .finish()
     }
 }
 
 impl SharedFitCache {
-    /// A purely in-memory cache.
+    /// An empty cache.
     #[must_use]
     pub fn in_memory() -> Arc<Self> {
         Arc::new(SharedFitCache {
             map: Mutex::new(HashMap::new()),
-            stats: Mutex::new(SharedCacheStats::default()),
-            writer: None,
+            stats: Mutex::new(CacheStatsSnapshot::default()),
         })
-    }
-
-    /// A disk-backed cache rooted at `dir`: loads every readable entry
-    /// from existing shards (corruption skipped with a warning), then
-    /// appends this process's inserts to its own `shard-<pid>.bin`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if the directory cannot be created or the
-    /// shard file cannot be opened; *reading* existing shards never
-    /// errors (bad data degrades to a smaller cache).
-    pub fn with_disk(dir: &Path) -> std::io::Result<Arc<Self>> {
-        std::fs::create_dir_all(dir)?;
-        let mut map = HashMap::new();
-        let mut stats = SharedCacheStats::default();
-        let mut shards: Vec<PathBuf> = std::fs::read_dir(dir)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("shard-") && n.ends_with(".bin"))
-            })
-            .collect();
-        shards.sort(); // deterministic first-wins dedupe across shards
-        for shard in &shards {
-            load_shard(shard, &mut map, &mut stats);
-        }
-        let path = dir.join(format!("shard-{}.bin", std::process::id()));
-        let mut file = std::fs::OpenOptions::new().create(true).append(true).open(&path)?;
-        if file.metadata()?.len() == 0 {
-            let mut header = Vec::with_capacity(16);
-            header.extend_from_slice(&SHARD_MAGIC);
-            header.extend_from_slice(&SHARD_FORMAT.to_le_bytes());
-            header.extend_from_slice(&FINGERPRINT_VERSION.to_le_bytes());
-            file.write_all(&header)?;
-            file.flush()?;
-        }
-        Ok(Arc::new(SharedFitCache {
-            map: Mutex::new(map),
-            stats: Mutex::new(stats),
-            writer: Some(Mutex::new(ShardWriter { file, path })),
-        }))
     }
 
     /// Looks up a fingerprint, counting a hit or miss.
@@ -519,11 +276,8 @@ impl SharedFitCache {
             (posterior.clone(), answer.map(|(_, a)| a.clone()))
         });
         let mut stats = self.stats.lock();
-        if found.is_some() {
-            stats.hits += 1;
-        } else {
-            stats.misses += 1;
-        }
+        stats.lookups += 1;
+        stats.shared_hits += u64::from(found.is_some());
         found
     }
 
@@ -541,59 +295,39 @@ impl SharedFitCache {
 
     /// Inserts a freshly computed posterior (first writer wins; equal
     /// fingerprints carry bitwise-equal posteriors, so a racing duplicate
-    /// insert is idempotent and simply skipped). Appends to the disk
-    /// shard when one is attached; a failed append degrades to
-    /// memory-only with a warning.
+    /// insert is idempotent and simply skipped).
     pub fn insert(&self, fp: CurveFingerprint, posterior: &CurvePosterior) {
         self.insert_answered(fp, posterior, None);
     }
 
     /// [`Self::insert`], keeping `answered` — a query and the answer the
     /// inserting study computed from `posterior` — beside it: first answer
-    /// per query wins, at most `MEMO_PER_ENTRY` per posterior, and nothing
-    /// of it reaches the disk shard.
+    /// per query wins, at most `MEMO_PER_ENTRY` per posterior.
     pub fn insert_answered(
         &self,
         fp: CurveFingerprint,
         posterior: &CurvePosterior,
         answered: Option<(&ExceedanceQuery, &[f64])>,
     ) {
-        {
-            let mut map = self.map.lock();
-            let fresh = !map.contains_key(&fp);
-            let (_, answers) = map.entry(fp).or_insert_with(|| (posterior.clone(), Vec::new()));
-            if let Some((query, answer)) = answered {
-                if answers.len() < MEMO_PER_ENTRY && answers.iter().all(|(q, _)| q != query) {
-                    answers.push((*query, answer.to_vec()));
-                }
-            }
-            if !fresh {
-                return;
+        let mut map = self.map.lock();
+        let fresh = !map.contains_key(&fp);
+        let (_, answers) = map.entry(fp).or_insert_with(|| (posterior.clone(), Vec::new()));
+        if let Some((query, answer)) = answered {
+            if answers.len() < MEMO_PER_ENTRY && answers.iter().all(|(q, _)| q != query) {
+                answers.push((*query, answer.to_vec()));
             }
         }
-        self.stats.lock().inserts += 1;
-        if let Some(writer) = &self.writer {
-            let mut payload = Vec::new();
-            encode_posterior(posterior, &mut payload);
-            let mut w = writer.lock();
-            if let Err(e) = w.append(fp, &payload) {
-                eprintln!("fitcache: append to {:?} failed ({e}); entry stays memory-only", w.path);
-            }
+        drop(map);
+        if fresh {
+            self.stats.lock().inserts += 1;
         }
     }
 
-    /// True when inserts are persisted to a disk shard.
-    #[must_use]
-    pub fn is_disk_backed(&self) -> bool {
-        self.writer.is_some()
-    }
-
-    /// The process-wide cache activity as a [`CacheStatsSnapshot`]
-    /// (lookups, hits, inserts — everything a dedup-rate report needs).
+    /// This cache's cumulative activity (lookups, hits, inserts —
+    /// everything a dedup-rate report needs).
     #[must_use]
     pub fn snapshot(&self) -> CacheStatsSnapshot {
-        let s = self.stats();
-        CacheStatsSnapshot { lookups: s.lookups(), shared_hits: s.hits, inserts: s.inserts }
+        *self.stats.lock()
     }
 
     /// Number of cached posteriors.
@@ -607,184 +341,12 @@ impl SharedFitCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Cumulative counters.
-    #[must_use]
-    pub fn stats(&self) -> SharedCacheStats {
-        *self.stats.lock()
-    }
-}
-
-/// Loads one shard into `map`, skipping unreadable data with a warning.
-/// First writer wins on duplicate fingerprints (entries are bitwise
-/// interchangeable anyway). Never panics and never yields a posterior
-/// whose bytes were not exactly what some process wrote: every record is
-/// checksummed over fingerprint *and* payload.
-fn load_shard(
-    path: &Path,
-    map: &mut HashMap<CurveFingerprint, Entry>,
-    stats: &mut SharedCacheStats,
-) {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("fitcache: cannot read shard {path:?} ({e}); skipping");
-            stats.disk_skipped += 1;
-            return;
-        }
-    };
-    let mut c = Cursor { bytes: &bytes, pos: 0 };
-    let ok_header = c.take(4).map(|m| m == SHARD_MAGIC).unwrap_or(false)
-        && c.u32() == Some(SHARD_FORMAT)
-        && c.u64() == Some(FINGERPRINT_VERSION);
-    if !ok_header {
-        eprintln!("fitcache: shard {path:?} has a missing or wrong-version header; skipping file");
-        stats.disk_skipped += 1;
-        return;
-    }
-    while c.pos < bytes.len() {
-        let record = (|| {
-            let fp = CurveFingerprint([c.u64()?, c.u64()?]);
-            let len = c.u32()?;
-            if len > MAX_PAYLOAD {
-                return None;
-            }
-            let payload = c.take(len as usize)?;
-            let checksum = c.u64()?;
-            (checksum == record_checksum(fp, payload)).then_some((fp, payload))
-        })();
-        match record.map(|(fp, payload)| (fp, decode_posterior(payload))) {
-            Some((fp, Some(posterior))) => {
-                stats.disk_loaded += 1;
-                map.entry(fp).or_insert((posterior, Vec::new()));
-            }
-            Some((_, None)) => {
-                // The framing held (the checksum matched) but the payload
-                // is not a posterior this build can query: skip the one
-                // record, which leaves its fingerprint a miss.
-                eprintln!(
-                    "fitcache: shard {path:?} holds a malformed posterior before byte {}; \
-                     skipping the record",
-                    c.pos
-                );
-                stats.disk_skipped += 1;
-            }
-            None => {
-                // Framing is unreliable past the first bad record
-                // (truncation, bit flip, partial write): stop here.
-                eprintln!(
-                    "fitcache: shard {path:?} is corrupt or truncated at byte {}; \
-                     skipping the rest of the file",
-                    c.pos
-                );
-                stats.disk_skipped += 1;
-                return;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Mode selection & the process-global cache
-// ---------------------------------------------------------------------------
-
-/// Which shared-cache layer a process runs with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheMode {
-    /// No shared layer: every run fits its own curves (the per-run
-    /// `FitService` cache still applies).
-    Off,
-    /// Process-wide in-memory cache shared across runs and replicates.
-    Mem,
-    /// [`CacheMode::Mem`] plus the append-only disk store, shared across
-    /// processes and invocations.
-    Disk,
-}
-
-impl CacheMode {
-    /// Short lowercase name (matches the `HYPERDRIVE_FIT_CACHE` values).
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            CacheMode::Off => "off",
-            CacheMode::Mem => "mem",
-            CacheMode::Disk => "disk",
-        }
-    }
-}
-
-/// Parses `HYPERDRIVE_FIT_CACHE`. Unset ⇒ `None` (caller picks its
-/// default: `Off` for libraries/tests, `Mem` for the bench harness).
-/// Unrecognized values warn and fall back to `Off` — never panic in a
-/// figure bin over a typo.
-#[must_use]
-pub fn cache_mode_from_env() -> Option<CacheMode> {
-    let raw = std::env::var("HYPERDRIVE_FIT_CACHE").ok()?;
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "off" | "none" | "0" | "" => Some(CacheMode::Off),
-        "mem" | "memory" => Some(CacheMode::Mem),
-        "disk" => Some(CacheMode::Disk),
-        other => {
-            eprintln!("fitcache: unrecognized HYPERDRIVE_FIT_CACHE={other:?}; treating as off");
-            Some(CacheMode::Off)
-        }
-    }
-}
-
-/// The disk-store directory: `HYPERDRIVE_FIT_CACHE_DIR`, else
-/// `fitcache/` under the results root (`HYPERDRIVE_RESULTS` or
-/// `./results`).
-#[must_use]
-pub fn default_disk_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("HYPERDRIVE_FIT_CACHE_DIR") {
-        return PathBuf::from(dir);
-    }
-    let results = std::env::var("HYPERDRIVE_RESULTS").unwrap_or_else(|_| "results".into());
-    Path::new(&results).join("fitcache")
-}
-
-/// Builds the cache for a mode. A disk store that cannot be opened warns
-/// and degrades to in-memory rather than failing the run.
-#[must_use]
-pub fn cache_for_mode(mode: CacheMode) -> Option<Arc<SharedFitCache>> {
-    match mode {
-        CacheMode::Off => None,
-        CacheMode::Mem => Some(SharedFitCache::in_memory()),
-        CacheMode::Disk => match SharedFitCache::with_disk(&default_disk_dir()) {
-            Ok(cache) => Some(cache),
-            Err(e) => {
-                eprintln!(
-                    "fitcache: disk store at {:?} unavailable ({e}); using in-memory cache",
-                    default_disk_dir()
-                );
-                Some(SharedFitCache::in_memory())
-            }
-        },
-    }
-}
-
-static GLOBAL: OnceLock<Option<Arc<SharedFitCache>>> = OnceLock::new();
-
-/// Installs the process-global shared cache consulted by
-/// `FitService::new`. Returns `false` if the global was already resolved
-/// (first resolution wins — by an earlier install or by the first
-/// service construction reading the environment).
-pub fn install_global_fit_cache(cache: Option<Arc<SharedFitCache>>) -> bool {
-    GLOBAL.set(cache).is_ok()
-}
-
-/// The process-global shared cache, resolving it on first use from
-/// `HYPERDRIVE_FIT_CACHE` (default **off**: plain library users and unit
-/// tests see unchanged behaviour; the bench harness installs a `Mem`
-/// default explicitly before any service exists).
-#[must_use]
-pub fn global_fit_cache() -> Option<Arc<SharedFitCache>> {
-    GLOBAL.get_or_init(|| cache_for_mode(cache_mode_from_env().unwrap_or(CacheMode::Off))).clone()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ensemble::dimension;
     use hyperdrive_types::SimTime;
 
     fn curve(n: u32) -> LearningCurve {
@@ -855,21 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn posterior_codec_roundtrips_bitwise() {
-        for tag in 0..3 {
-            let p = posterior(tag);
-            let mut payload = Vec::new();
-            encode_posterior(&p, &mut payload);
-            let d = decode_posterior(&payload).expect("decodes");
-            assert_eq!(d.draws(), p.draws());
-            assert_eq!(d.last_epoch(), p.last_epoch());
-            assert_eq!(d.horizon(), p.horizon());
-            assert_eq!(d.acceptance_rate().to_bits(), p.acceptance_rate().to_bits());
-            assert_eq!(d.warm_started(), p.warm_started());
-        }
-    }
-
-    #[test]
     fn memory_cache_counts_hits_and_misses() {
         let cache = SharedFitCache::in_memory();
         let fp = fit_fingerprint(&curve(10), &PredictorConfig::test(), 1, 100, None);
@@ -877,8 +424,8 @@ mod tests {
         cache.insert(fp, &posterior(3));
         let hit = cache.get(&fp).expect("cached");
         assert_eq!(hit.draws(), posterior(3).draws());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.inserts), (1, 1, 1));
+        let stats = cache.snapshot();
+        assert_eq!((stats.lookups, stats.shared_hits, stats.inserts), (2, 1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
@@ -890,131 +437,7 @@ mod tests {
         cache.insert(fp, &posterior(3));
         let hit = cache.peek(&fp).expect("cached");
         assert_eq!(hit.draws(), posterior(3).draws());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 0), "peek must not count as a lookup");
-        assert_eq!(cache.snapshot().lookups, 0);
-    }
-
-    #[test]
-    fn disk_cache_roundtrips_across_instances() {
-        let dir = std::env::temp_dir().join(format!("hdfc-rt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let fp = fit_fingerprint(&curve(10), &PredictorConfig::test(), 7, 100, None);
-        {
-            let cache = SharedFitCache::with_disk(&dir).expect("open disk cache");
-            cache.insert(fp, &posterior(5));
-        }
-        let reloaded = SharedFitCache::with_disk(&dir).expect("reopen disk cache");
-        assert_eq!(reloaded.stats().disk_loaded, 1);
-        assert_eq!(reloaded.stats().disk_skipped, 0);
-        let hit = reloaded.get(&fp).expect("persisted entry");
-        assert_eq!(hit.draws(), posterior(5).draws());
-        assert_eq!(hit.acceptance_rate().to_bits(), posterior(5).acceptance_rate().to_bits());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_and_wrong_version_shards_are_skipped_not_trusted() {
-        let dir = std::env::temp_dir().join(format!("hdfc-corrupt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let fp = fit_fingerprint(&curve(10), &PredictorConfig::test(), 9, 100, None);
-        {
-            let cache = SharedFitCache::with_disk(&dir).expect("open disk cache");
-            cache.insert(fp, &posterior(6));
-        }
-        let shard = dir.join(format!("shard-{}.bin", std::process::id()));
-        let mut bytes = std::fs::read(&shard).expect("shard exists");
-
-        // Bit-flip inside the payload: record checksum must catch it.
-        let mut flipped = bytes.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x40;
-        std::fs::write(&shard, &flipped).expect("rewrite shard");
-        let c = SharedFitCache::with_disk(&dir).expect("open over corrupt shard");
-        assert_eq!(c.stats().disk_loaded, 0, "corrupt record must not load");
-        assert!(c.stats().disk_skipped >= 1);
-        drop(c);
-
-        // Truncation mid-record: detected, skipped, no panic.
-        std::fs::write(&shard, &bytes[..bytes.len() - 5]).expect("truncate shard");
-        let c = SharedFitCache::with_disk(&dir).expect("open over truncated shard");
-        assert_eq!(c.stats().disk_loaded, 0);
-        assert!(c.stats().disk_skipped >= 1);
-        drop(c);
-
-        // A shard written under the previous fingerprint version (an
-        // older sampler schedule's posteriors), otherwise intact: the
-        // whole file is skipped, and its entry is never served.
-        bytes[8..16].copy_from_slice(&(FINGERPRINT_VERSION - 1).to_le_bytes());
-        std::fs::write(&shard, &bytes).expect("rewrite shard");
-        let c = SharedFitCache::with_disk(&dir).expect("open over previous-version shard");
-        assert_eq!(c.stats().disk_loaded, 0);
-        assert!(c.stats().disk_skipped >= 1);
-        assert!(c.get(&fp).is_none(), "a stale-version posterior must never be served");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Hostile input: a record whose framing and checksum are valid but
-    /// whose payload holds one short draw (total length preserved by a
-    /// long one) is skipped — its fingerprint stays a miss — and the
-    /// records around it still load.
-    #[test]
-    fn a_checksummed_record_with_a_short_draw_is_skipped_never_served() {
-        let dir = std::env::temp_dir().join(format!("hdfc-ragged-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = PredictorConfig::test();
-        let fps = [7, 8, 9].map(|seed| fit_fingerprint(&curve(10), &cfg, seed, 100, None));
-        {
-            let cache = SharedFitCache::with_disk(&dir).expect("open disk cache");
-            cache.insert(fps[0], &posterior(1));
-            // The hostile record, appended the way `insert` appends: draw
-            // 0 one value short, draw 1 one value long.
-            let mut payload = Vec::new();
-            encode_posterior(&posterior(2), &mut payload);
-            let dim = dimension();
-            let first = 4 + 4 + 8 + 1 + 4; // header fields, then draw 0's length
-            let second = first + 4 + 8 * dim;
-            payload[first..first + 4].copy_from_slice(&(dim as u32 - 1).to_le_bytes());
-            payload[second - 8..second - 4].copy_from_slice(&(dim as u32 + 1).to_le_bytes());
-            assert!(decode_posterior(&payload).is_none(), "ragged draws must not decode");
-            let writer = cache.writer.as_ref().expect("disk-backed");
-            writer.lock().append(fps[1], &payload).expect("append");
-            cache.insert(fps[2], &posterior(3));
-        }
-        let reloaded = SharedFitCache::with_disk(&dir).expect("reopen disk cache");
-        assert_eq!(reloaded.stats().disk_loaded, 2, "the records around it load");
-        assert_eq!(reloaded.stats().disk_skipped, 1);
-        assert!(reloaded.get(&fps[1]).is_none(), "a malformed posterior is never served");
-        assert_eq!(reloaded.get(&fps[0]).expect("before").draws(), posterior(1).draws());
-        assert_eq!(reloaded.get(&fps[2]).expect("after").draws(), posterior(3).draws());
-
-        // Uniformly wrong-length draws (a differently-dimensioned model)
-        // and a draw count the payload cannot hold fail the same way.
-        let mut short = Vec::new();
-        encode_posterior(&posterior(4), &mut short);
-        let mut lying = short.clone();
-        lying[17..21].copy_from_slice(&MAX_DRAWS.to_le_bytes());
-        assert!(decode_posterior(&lying).is_none());
-        let three: Vec<u8> = [10u32.to_le_bytes(), 100u32.to_le_bytes()]
-            .concat()
-            .into_iter()
-            .chain(0.5f64.to_bits().to_le_bytes())
-            .chain([0u8])
-            .chain(1u32.to_le_bytes())
-            .chain(3u32.to_le_bytes())
-            .chain([1.0f64, 2.0, 3.0].iter().flat_map(|v| v.to_bits().to_le_bytes()))
-            .collect();
-        assert!(decode_posterior(&three).is_none());
-        assert!(CurvePosterior::from_parts(vec![1.0, 2.0, 3.0], 10, 100, 0.5, false).is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cache_mode_names_roundtrip() {
-        assert_eq!(CacheMode::Off.name(), "off");
-        assert_eq!(CacheMode::Mem.name(), "mem");
-        assert_eq!(CacheMode::Disk.name(), "disk");
-        assert!(cache_for_mode(CacheMode::Off).is_none());
-        assert!(cache_for_mode(CacheMode::Mem).is_some());
+        let stats = cache.snapshot();
+        assert_eq!((stats.lookups, stats.shared_hits), (0, 0), "peek must not count as a lookup");
     }
 }

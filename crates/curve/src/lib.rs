@@ -24,6 +24,9 @@
 //!   optimizations as a reusable component) and opt-in warm-started
 //!   refits; many services can share one [`FitPool`] of worker threads
 //!   (the multi-tenant server's process-global pool).
+//! * [`cache`] — [`SharedFitCache`], the in-memory content-addressed
+//!   layer above the per-run memo: a value its owner builds and passes to
+//!   every service that should share fits, keyed by [`CurveFingerprint`].
 //! * [`vmath`] — batched `exp`/`ln`/`pow` kernels with bit-identical
 //!   SIMD/scalar paths, and [`fastpath`] — the structure-of-arrays
 //!   likelihood built on them (the default fit;
@@ -72,9 +75,7 @@ pub mod vmath;
 
 pub use batch::{FusedPosterior, FusedScratch};
 pub use cache::{
-    cache_for_mode, cache_mode_from_env, default_disk_dir, fit_fingerprint, global_fit_cache,
-    install_global_fit_cache, posterior_hash, CacheMode, CacheStatsSnapshot, CurveFingerprint,
-    SharedCacheStats, SharedFitCache, FINGERPRINT_VERSION,
+    fit_fingerprint, posterior_hash, CacheStatsSnapshot, CurveFingerprint, SharedFitCache,
 };
 pub use fit::CurveObjective;
 pub use models::{GridPoint, ModelFamily, ALL_FAMILIES};

@@ -23,8 +23,8 @@
 //! when `lp.is_finite() && log_accept >= 0` does not already decide. Every
 //! fit in the repo (libm oracle, fast, warm, pooled) runs this one
 //! schedule; changing it changes every posterior, so it is pinned by
-//! `half_sweep_draws_every_proposal_before_any_accept_draw` below, by the
-//! golden traces, and by `FINGERPRINT_VERSION` in [`crate::cache`].
+//! `half_sweep_draws_every_proposal_before_any_accept_draw` below and by
+//! the golden traces.
 
 use rand::Rng;
 

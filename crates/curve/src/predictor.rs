@@ -591,13 +591,12 @@ pub struct CurvePosterior {
 }
 
 impl CurvePosterior {
-    /// Reassembles a posterior from its stored parts — the decode half of
-    /// the disk fit cache (`crate::cache`). `draws` is the row-major draw
+    /// Reassembles a posterior from its parts (the query-kernel suites
+    /// build hand-made posteriors this way). `draws` is the row-major draw
     /// matrix; `None` unless it is whole `dimension()`-long rows (every
-    /// query indexes a row by family offset). Beyond that shape check the
-    /// parts must have come from a fitted posterior's accessors; nothing
-    /// here re-derives or validates numerics, which is exactly what makes
-    /// a decoded entry bitwise-identical to the fit that produced it.
+    /// query indexes a row by family offset). Nothing here re-derives or
+    /// validates numerics: a posterior rebuilt from a fitted one's
+    /// accessors answers every query bitwise as the original does.
     #[must_use]
     pub fn from_parts(
         draws: Vec<f64>,

@@ -45,7 +45,7 @@
 //!
 //! # The shared content-addressed layer
 //!
-//! Above the per-run `(job, epochs)` cache sits an optional process-wide
+//! Above the per-run `(job, epochs)` cache sits an optional
 //! [`SharedFitCache`] keyed by [`CurveFingerprint`] (see [`crate::cache`]):
 //! when a request misses the per-run cache, its structural fingerprint —
 //! curve prefix, full fidelity, derived seed, horizon, warm-source hash —
@@ -55,10 +55,10 @@
 //! scan, exactly like a fresh fit: callers (including the `FitCostModel`
 //! virtual pricing in `hyperdrive-core`, which prices only `!cached`
 //! outcomes) cannot distinguish a shared hit from the fit it replaced,
-//! which keeps scheduling traces byte-identical with the layer off, in memory,
-//! or on disk. The layer is resolved from [`global_fit_cache`] by
-//! [`FitService::new`] (default off) or injected explicitly via
-//! [`FitService::with_shared_cache`].
+//! which keeps scheduling traces byte-identical with or without the layer.
+//! A service shares exactly the cache its constructor is handed
+//! ([`FitService::with_shared_cache`], [`FitService::with_pool`]);
+//! [`FitService::new`] shares nothing.
 //!
 //! # Sharing one worker pool across services
 //!
@@ -115,8 +115,7 @@ use parking_lot::Mutex;
 use hyperdrive_types::{Error, JobId, LearningCurve, Result};
 
 use crate::cache::{
-    fit_fingerprint, global_fit_cache, posterior_hash, CacheStatsSnapshot, CurveFingerprint,
-    SharedFitCache,
+    fit_fingerprint, posterior_hash, CacheStatsSnapshot, CurveFingerprint, SharedFitCache,
 };
 use crate::predictor::{
     CurvePosterior, CurvePredictor, Exceedance, ExceedanceQuery, PredictorConfig,
@@ -672,17 +671,14 @@ impl FitService {
     /// Starts a service with `threads` workers (`0` = environment /
     /// hardware default, see [`resolve_fit_threads`]) using `config`
     /// fidelity. `experiment_seed` is the root of every per-fit seed.
-    /// Consults the process-global shared cache ([`global_fit_cache`]),
-    /// which is off unless installed or enabled via
-    /// `HYPERDRIVE_FIT_CACHE`.
+    /// The service shares its fits with no other.
     pub fn new(config: PredictorConfig, experiment_seed: u64, threads: usize) -> Self {
-        Self::with_shared_cache(config, experiment_seed, threads, global_fit_cache())
+        Self::with_shared_cache(config, experiment_seed, threads, None)
     }
 
-    /// [`FitService::new`] with an explicit shared content-addressed
-    /// layer (`None` = this service never shares fits across runs).
-    /// Tests asserting exact fit counts use `None` for isolation; the
-    /// bench harness passes one cache to every replicate.
+    /// [`FitService::new`] with a shared content-addressed layer: every
+    /// service handed the same cache reuses the others' fits (`None` =
+    /// this service never shares fits across runs).
     pub fn with_shared_cache(
         config: PredictorConfig,
         experiment_seed: u64,
@@ -1123,7 +1119,7 @@ impl FitService {
     /// This service's (per-study) view of the shared content-addressed
     /// layer as a cheap [`CacheStatsSnapshot`]: lookups it issued, hits it
     /// received, posteriors it published. All zero when no layer is
-    /// attached. The process-wide counterpart is
+    /// attached. The whole cache's counterpart is
     /// [`SharedFitCache::snapshot`].
     pub fn shared_snapshot(&self) -> CacheStatsSnapshot {
         let s = self.stats();
@@ -1308,14 +1304,6 @@ mod tests {
         FitRequest { job: JobId::new(job), curve: curve(n), horizon: 100, query: None }
     }
 
-    /// A service guaranteed to have **no** shared layer, whatever
-    /// `HYPERDRIVE_FIT_CACHE` says: tests asserting exact fit counts must
-    /// not be perturbed by a warmed process-global cache (the CI disk-
-    /// cache pass runs this suite against one).
-    fn isolated(config: PredictorConfig, seed: u64, threads: usize) -> FitService {
-        FitService::with_shared_cache(config, seed, threads, None)
-    }
-
     #[test]
     fn batch_results_match_sequential_reference_bitwise() {
         let config = PredictorConfig::test();
@@ -1339,7 +1327,7 @@ mod tests {
 
     #[test]
     fn cache_answers_repeat_batches_without_refitting() {
-        let service = isolated(PredictorConfig::test(), 3, 2);
+        let service = FitService::new(PredictorConfig::test(), 3, 2);
         let requests = vec![req(0, 10), req(1, 12)];
         let cold = service.fit_batch(&requests);
         let warm = service.fit_batch(&requests);
@@ -1361,7 +1349,7 @@ mod tests {
 
     #[test]
     fn duplicate_keys_in_one_batch_fit_once() {
-        let service = isolated(PredictorConfig::test(), 11, 3);
+        let service = FitService::new(PredictorConfig::test(), 11, 3);
         let requests = vec![req(5, 10), req(5, 10), req(5, 10)];
         let outcomes = service.fit_batch(&requests);
         assert_eq!(service.stats().fits, 1, "one fit shared by all duplicates");
@@ -1422,7 +1410,7 @@ mod tests {
     #[test]
     fn warm_start_uses_previous_epoch_posterior() {
         let config = PredictorConfig::test().with_warm_start(true);
-        let service = isolated(config, 13, 2);
+        let service = FitService::new(config, 13, 2);
         let cold = service.fit_batch(&[req(0, 10)]);
         assert!(!cold[0].result.as_ref().unwrap().warm_started(), "no prior epoch to warm from");
         let warm = service.fit_batch(&[req(0, 14)]);
@@ -1469,7 +1457,7 @@ mod tests {
 
     #[test]
     fn large_batches_complete_on_small_pools() {
-        let service = isolated(PredictorConfig::test(), 5, 2);
+        let service = FitService::new(PredictorConfig::test(), 5, 2);
         let requests: Vec<FitRequest> = (0..16).map(|j| req(j, 10)).collect();
         let outcomes = service.fit_batch(&requests);
         assert_eq!(outcomes.len(), 16);
@@ -1528,7 +1516,7 @@ mod tests {
         for o in &outcomes[1..] {
             assert_eq!(o.result.as_ref().unwrap().draws(), first.draws());
         }
-        assert_eq!(cache.stats().hits, 1, "one lookup served all three duplicates");
+        assert_eq!(cache.snapshot().shared_hits, 1, "one lookup served all three duplicates");
     }
 
     #[test]
@@ -1563,7 +1551,7 @@ mod tests {
         let config = PredictorConfig::test();
         let requests: Vec<FitRequest> = (0..6).map(|j| req(j, 8 + j as u32 % 3)).collect();
         for threads in [1, 4] {
-            let service = isolated(config, 7, threads);
+            let service = FitService::new(config, 7, threads);
             let outcomes = service.fit_batch(&requests);
             let stats = service.stats();
             assert_eq!((stats.fits, stats.batched_fits), (6, 6), "at {threads} threads");
@@ -1581,7 +1569,7 @@ mod tests {
     #[test]
     fn libm_fits_are_not_counted_as_batched() {
         let libm = PredictorConfig::test().with_fast_math(false);
-        let service = isolated(libm, 7, 2);
+        let service = FitService::new(libm, 7, 2);
         let outcomes = service.fit_batch(&[req(0, 10), req(1, 12)]);
         let stats = service.stats();
         assert_eq!((stats.fits, stats.batched_fits), (2, 0));
@@ -1594,7 +1582,7 @@ mod tests {
     #[test]
     fn warm_refits_run_the_fused_evaluator_too() {
         let config = PredictorConfig::test().with_warm_start(true);
-        let service = isolated(config, 19, 2);
+        let service = FitService::new(config, 19, 2);
         let first: Vec<FitRequest> = (0..3).map(|j| req(j, 10)).collect();
         service.fit_batch(&first);
         let second: Vec<FitRequest> = (0..3).map(|j| req(j, 14)).collect();
@@ -1606,7 +1594,7 @@ mod tests {
 
     #[test]
     fn batched_errors_surface_per_item() {
-        let service = isolated(PredictorConfig::test(), 7, 2);
+        let service = FitService::new(PredictorConfig::test(), 7, 2);
         let short = FitRequest { job: JobId::new(8), curve: curve(1), horizon: 100, query: None };
         let outcomes = service.fit_batch(&[req(0, 10), short, req(1, 12)]);
         assert!(outcomes[0].result.is_ok());
@@ -1670,8 +1658,8 @@ mod tests {
         let requests: Vec<FitRequest> = (0..4).map(|j| req(j, 10 + j as u32)).collect();
         let out_a = a.fit_batch(&requests);
         let out_b = b.fit_batch(&requests);
-        let own_a = isolated(cold, 7, 2).fit_batch(&requests);
-        let own_b = isolated(fast, 21, 2).fit_batch(&requests);
+        let own_a = FitService::new(cold, 7, 2).fit_batch(&requests);
+        let own_b = FitService::new(fast, 21, 2).fit_batch(&requests);
         for ((shared, own), r) in out_a.iter().zip(&own_a).zip(&requests) {
             assert_eq!(
                 shared.result.as_ref().unwrap().draws(),
@@ -1719,7 +1707,7 @@ mod tests {
         assert_eq!((rs.lookups, rs.shared_hits, rs.inserts), (3, 2, 1));
         assert!((rs.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
 
-        // The per-study snapshots sum to the process-wide snapshot.
+        // The per-study snapshots sum to the cache's own snapshot.
         let total = cache.snapshot();
         assert_eq!(total.lookups, ws.lookups + rs.lookups);
         assert_eq!(total.shared_hits, ws.shared_hits + rs.shared_hits);
@@ -1728,7 +1716,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_all_zero_without_a_shared_layer() {
-        let service = isolated(PredictorConfig::test(), 3, 1);
+        let service = FitService::new(PredictorConfig::test(), 3, 1);
         service.fit_batch(&[req(0, 10)]);
         assert_eq!(service.shared_snapshot(), CacheStatsSnapshot::default());
     }
@@ -1737,13 +1725,13 @@ mod tests {
     fn posterior_digest_pins_run_equivalence() {
         let config = PredictorConfig::test();
         let digest = |threads: usize, seed: u64| {
-            let service = isolated(config, seed, threads);
+            let service = FitService::new(config, seed, threads);
             service.fit_batch(&(0..3).map(|j| req(j, 10)).collect::<Vec<_>>());
             service.posterior_digest()
         };
         assert_eq!(digest(1, 7), digest(4, 7), "digest must be worker-count invariant");
         assert_ne!(digest(1, 7), digest(1, 8), "different seeds fit different posteriors");
-        let empty = isolated(config, 7, 1);
+        let empty = FitService::new(config, 7, 1);
         assert_ne!(digest(1, 7), empty.posterior_digest());
     }
 
@@ -1751,7 +1739,7 @@ mod tests {
     fn adopted_speculations_are_bitwise_the_demand_fits() {
         let config = PredictorConfig::test();
         for threads in [1, 4] {
-            let service = isolated(config, 7, threads).with_prefetch_depth(32);
+            let service = FitService::new(config, 7, threads).with_prefetch_depth(32);
             let requests: Vec<FitRequest> = (0..4).map(|j| req(j, 10 + j as u32)).collect();
             for r in &requests {
                 assert!(service.prefetch_fit(r.job, &r.curve, r.horizon));
@@ -1776,7 +1764,7 @@ mod tests {
 
     #[test]
     fn prefetch_dedups_cached_inflight_and_bounded_work() {
-        let service = isolated(PredictorConfig::test(), 7, 2).with_prefetch_depth(2);
+        let service = FitService::new(PredictorConfig::test(), 7, 2).with_prefetch_depth(2);
         let r0 = req(0, 10);
         let r1 = req(1, 10);
         let r2 = req(2, 10);
@@ -1803,7 +1791,7 @@ mod tests {
     #[test]
     fn mismatched_speculation_is_cancelled_and_refit_on_demand() {
         let config = PredictorConfig::test();
-        let service = isolated(config, 7, 2).with_prefetch_depth(8);
+        let service = FitService::new(config, 7, 2).with_prefetch_depth(8);
         let r = req(3, 12);
         assert!(service.prefetch_fit(r.job, &r.curve, 60), "speculate at a stale horizon");
         let demand = FitRequest { horizon: 100, ..r.clone() };
@@ -1820,7 +1808,7 @@ mod tests {
 
     #[test]
     fn forget_cancels_that_jobs_speculations() {
-        let service = isolated(PredictorConfig::test(), 7, 2).with_prefetch_depth(8);
+        let service = FitService::new(PredictorConfig::test(), 7, 2).with_prefetch_depth(8);
         let r0 = req(0, 10);
         let r1 = req(1, 10);
         assert!(service.prefetch_fit(r0.job, &r0.curve, r0.horizon));
@@ -1840,7 +1828,7 @@ mod tests {
         let cache = SharedFitCache::in_memory();
         let writer = FitService::with_shared_cache(config, 7, 2, Some(cache.clone()));
         writer.fit_batch(&[req(0, 10)]);
-        let counted_before = cache.stats();
+        let counted_before = cache.snapshot();
 
         let reader =
             FitService::with_shared_cache(config, 7, 2, Some(cache.clone())).with_prefetch_depth(8);
@@ -1849,22 +1837,21 @@ mod tests {
             !reader.prefetch_fit(r.job, &r.curve, r.horizon),
             "a shared-layer hit must not be re-speculated"
         );
-        let counted_after = cache.stats();
+        let counted_after = cache.snapshot();
         assert_eq!(
-            (counted_before.hits, counted_before.misses),
-            (counted_after.hits, counted_after.misses),
+            counted_before, counted_after,
             "speculative probes must be invisible to counted dedup accounting"
         );
         // The boundary still takes its counted shared hit as usual.
         let replay = reader.fit_batch(&[r]);
         assert!(!replay[0].cached);
         assert_eq!(reader.stats().shared_hits, 1);
-        assert_eq!(cache.stats().hits, counted_after.hits + 1);
+        assert_eq!(cache.snapshot().shared_hits, counted_after.shared_hits + 1);
     }
 
     #[test]
     fn pool_stats_report_demand_and_speculative_completions() {
-        let service = isolated(PredictorConfig::test(), 7, 2).with_prefetch_depth(8);
+        let service = FitService::new(PredictorConfig::test(), 7, 2).with_prefetch_depth(8);
         let r0 = req(0, 10);
         let r1 = req(1, 10);
         assert!(service.prefetch_fit(r0.job, &r0.curve, r0.horizon));

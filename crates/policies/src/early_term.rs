@@ -21,8 +21,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use hyperdrive_curve::{
-    fit_fingerprint, fit_prefetch_depth, fit_prefetch_forced, global_fit_cache, CurveFingerprint,
-    CurvePredictor, FitPool, FitScratch, PredictorConfig, SharedFitCache, SpecFitHandle,
+    fit_fingerprint, fit_prefetch_depth, fit_prefetch_forced, CurveFingerprint, CurvePredictor,
+    FitPool, FitScratch, PredictorConfig, SharedFitCache, SpecFitHandle,
 };
 use hyperdrive_framework::{
     FitCacheSnapshot, JobDecision, JobEvent, PrefetchHint, SchedulerContext, SchedulingPolicy,
@@ -100,15 +100,15 @@ impl EarlyTermPolicy {
         Self::with_config(EarlyTermConfig::default())
     }
 
-    /// Creates the policy with explicit configuration, consulting the
-    /// process-global shared fit cache (off unless installed or enabled
-    /// via `HYPERDRIVE_FIT_CACHE`).
+    /// Creates the policy with explicit configuration; every prediction
+    /// fits cold.
     pub fn with_config(config: EarlyTermConfig) -> Self {
-        Self::with_config_and_cache(config, global_fit_cache())
+        Self::with_config_and_cache(config, None)
     }
 
-    /// [`EarlyTermPolicy::with_config`] with an explicit shared fit cache
-    /// (`None` = every prediction fits cold).
+    /// [`EarlyTermPolicy::with_config`] with a shared fit cache: policies
+    /// handed the same cache reuse each other's fits (`None` = every
+    /// prediction fits cold).
     pub fn with_config_and_cache(
         config: EarlyTermConfig,
         cache: Option<Arc<SharedFitCache>>,

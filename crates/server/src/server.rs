@@ -1,7 +1,7 @@
 //! The admission front door: quotas, bounded shard queues, backpressure.
 //!
-//! A [`Server`] owns a pool of shard workers, one process-global
-//! [`FitPool`], and (optionally) one process-global [`SharedFitCache`].
+//! A [`Server`] owns a pool of shard workers, one [`FitPool`] for all of
+//! them, and (optionally) one [`SharedFitCache`] it hands to every study.
 //! Tenants submit [`StudySpec`]s; admission checks the tenant's in-flight
 //! quota, picks a shard by hashing the study id, and tries a non-blocking
 //! push into that shard's bounded queue. A full queue or an exhausted

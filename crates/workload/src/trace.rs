@@ -76,41 +76,6 @@ impl TraceSet {
         TraceSet { workload_name: workload.name().to_string(), traces }
     }
 
-    /// [`TraceSet::generate`] backed by an on-disk cache directory: the
-    /// set for a given `(workload, n_configs, base_seed)` is generated at
-    /// most once and later callers — including concurrently running
-    /// figure bins — re-read it. The CSV codec round-trips floats
-    /// bitwise, so a cached replay is indistinguishable from
-    /// regeneration. Writers use a unique temp file plus rename, so
-    /// readers never observe a torn file; any unreadable or wrong-shape
-    /// cache entry is silently regenerated and overwritten. Returns the
-    /// set and whether it was served from the cache.
-    pub fn generate_cached(
-        workload: &dyn Workload,
-        n_configs: usize,
-        base_seed: u64,
-        dir: impl AsRef<Path>,
-    ) -> (Self, bool) {
-        let dir = dir.as_ref();
-        let file = format!("trace-{}-{base_seed}-{n_configs}.csv", workload.name());
-        let path = dir.join(&file);
-        if let Ok(set) = Self::read_from_path(&path) {
-            if set.workload_name == workload.name() && set.len() == n_configs {
-                return (set, true);
-            }
-        }
-        let set = Self::generate(workload, n_configs, base_seed);
-        // Best effort: a read-only results directory must not fail the
-        // experiment, only the reuse.
-        if std::fs::create_dir_all(dir).is_ok() {
-            let tmp = dir.join(format!("{file}.tmp.{}", std::process::id()));
-            if set.write_to_path(&tmp).is_ok() && std::fs::rename(&tmp, &path).is_err() {
-                let _ = std::fs::remove_file(&tmp);
-            }
-        }
-        (set, false)
-    }
-
     /// Number of traced configurations.
     pub fn len(&self) -> usize {
         self.traces.len()
@@ -288,36 +253,6 @@ mod tests {
         set.write(&mut buf).unwrap();
         let parsed = TraceSet::read(buf.as_slice()).unwrap();
         assert_eq!(parsed, set);
-    }
-
-    #[test]
-    fn generate_cached_reuses_and_heals() {
-        let workload = CifarWorkload::new().with_max_epochs(5);
-        let dir =
-            std::env::temp_dir().join(format!("hyperdrive-tracecache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let (cold, hit) = TraceSet::generate_cached(&workload, 4, 11, &dir);
-        assert!(!hit, "an empty cache directory cannot hit");
-        let (warm, hit) = TraceSet::generate_cached(&workload, 4, 11, &dir);
-        assert!(hit, "the second call must be served from disk");
-        assert_eq!(warm, cold, "a cached set must be bitwise the generated one");
-
-        // A different shape is a different entry, not a collision.
-        let (other, hit) = TraceSet::generate_cached(&workload, 3, 11, &dir);
-        assert!(!hit);
-        assert_eq!(other.len(), 3);
-
-        // Corruption heals: a damaged entry is regenerated and rewritten.
-        let path = dir.join("trace-cifar10-11-4.csv");
-        std::fs::write(&path, "config,epoch,duration_secs,value\n0,1,garbage,0.5\n").unwrap();
-        let (healed, hit) = TraceSet::generate_cached(&workload, 4, 11, &dir);
-        assert!(!hit, "a corrupt entry must regenerate, not serve");
-        assert_eq!(healed, cold);
-        let (rewarm, hit) = TraceSet::generate_cached(&workload, 4, 11, &dir);
-        assert!(hit, "healing must rewrite the cache entry");
-        assert_eq!(rewarm, cold);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -77,9 +77,7 @@ fn trace_prefetched(
         fit_prefetch: Some(true),
         ..Default::default()
     };
-    // No shared layer: a warmed process-global cache (the CI disk-cache
-    // pass) would answer every fit and leave nothing to speculate on.
-    let mut pop = PopPolicy::with_config_and_cache(config, None);
+    let mut pop = PopPolicy::with_config(config);
     let result = run_sim(&mut pop, &ew, spec);
     assert!(
         pop.spec_stats().speculated > 0,
@@ -115,8 +113,8 @@ fn trace_prefetched(
     out
 }
 
-/// [`trace_with`] against an explicit shared content-addressed fit cache
-/// (`None` = the default process-global resolution). Also returns the
+/// [`trace_with`] against a shared content-addressed fit cache (`None` =
+/// the policy shares nothing). Also returns the
 /// finished policy, whose `predictions_made` counter lets callers pin
 /// that caching changes *where posteriors come from*, never *how many are
 /// consumed*, and whose fit counters say which evaluator ran.
@@ -283,9 +281,7 @@ fn default_fit_golden(
             threads,
             defaults.warm_start,
             defaults.fast_math,
-            // A private cache: the counters below must see real fits even
-            // when the process-global layer is warm (the CI disk pass).
-            Some(SharedFitCache::in_memory()),
+            None,
         );
         assert_eq!(trace, golden, "{name}: the default fit diverged at {threads} fit threads");
         let stats = pop.fit_stats();
@@ -411,9 +407,9 @@ fn existing_goldens_are_untouched_by_fit_prefetch() {
 
 // The shared content-addressed fit cache must be *pure speed*: every one
 // of the eight (workload, fit mode) cases has to match its golden whether fits
-// run cold (the tests above), replay from a warmed in-memory cache, or
-// replay from a pre-populated disk store — at 1 and 4 fit threads. This
-// is the end-to-end pin on the fingerprint closure: if the key missed
+// run cold (the tests above), run cold with a cache attached, or replay
+// from the cache that run warmed — at 1 and 4 fit threads. This is the
+// end-to-end pin on the fingerprint closure: if the key missed
 // anything the scheduler can see, a stale posterior would move a decision
 // and diff against the committed golden here.
 
@@ -437,25 +433,21 @@ fn golden_traces_are_invariant_under_shared_fit_cache_modes() {
         ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false, true),
         ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, true, true),
     ];
-    let disk_root =
-        std::env::temp_dir().join(format!("hyperdrive-golden-fitcache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&disk_root);
     for (name, w, configs, seed, machines, tmax, warm, fast) in cases {
         let golden = read_golden(name);
 
-        // Cold run populating a fresh disk-backed cache at 1 thread, then
-        // a warmed replay at 4 threads served from the same cache object.
-        let dir = disk_root.join(format!("{name}-warm{warm}-fast{fast}"));
-        let writer = SharedFitCache::with_disk(&dir).expect("open disk-backed fit cache");
+        // Cold run populating a fresh cache at 1 thread, then a warmed
+        // replay at 4 threads served from the same cache.
+        let cache = SharedFitCache::in_memory();
         let (cold, cold_pop) =
-            trace_cached(w, configs, seed, machines, tmax, 1, warm, fast, Some(writer.clone()));
+            trace_cached(w, configs, seed, machines, tmax, 1, warm, fast, Some(cache.clone()));
         assert_eq!(cold, golden, "{name}: attaching the fit cache changed the cold trace");
         let cold_preds = cold_pop.predictions_made();
         assert!(cold_preds > 0, "{name}: the cold run never consumed a prediction");
         let (replay, replay_pop) =
-            trace_cached(w, configs, seed, machines, tmax, 4, warm, fast, Some(writer.clone()));
-        assert_eq!(replay, golden, "{name}: warmed in-memory replay diverged");
-        assert!(writer.stats().hits > 0, "{name}: the warmed replay never hit the cache");
+            trace_cached(w, configs, seed, machines, tmax, 4, warm, fast, Some(cache.clone()));
+        assert_eq!(replay, golden, "{name}: warmed replay diverged");
+        assert!(cache.snapshot().shared_hits > 0, "{name}: the warmed replay never hit the cache");
         // Shared-cache hits report `cached: false` so the policy consumes
         // exactly as many predictions as the cold run it replays — a
         // replay that consumed fewer would mean a hit short-circuited a
@@ -465,20 +457,5 @@ fn golden_traces_are_invariant_under_shared_fit_cache_modes() {
             cold_preds,
             "{name}: the warmed replay consumed a different number of predictions"
         );
-
-        // Fresh process-like reload: a new cache object sees only what the
-        // shard files preserved, and the replay must still match.
-        let reader = SharedFitCache::with_disk(&dir).expect("reopen disk-backed fit cache");
-        assert!(reader.stats().disk_loaded > 0, "{name}: nothing was reloaded from disk");
-        let (from_disk, disk_pop) =
-            trace_cached(w, configs, seed, machines, tmax, 1, warm, fast, Some(reader.clone()));
-        assert_eq!(from_disk, golden, "{name}: pre-populated disk replay diverged");
-        assert!(reader.stats().hits > 0, "{name}: the disk replay never hit the cache");
-        assert_eq!(
-            disk_pop.predictions_made(),
-            cold_preds,
-            "{name}: the disk replay consumed a different number of predictions"
-        );
     }
-    let _ = std::fs::remove_dir_all(&disk_root);
 }

@@ -112,6 +112,27 @@ proptest! {
         prop_assert_eq!(r1.suspend_events.len(), r2.suspend_events.len());
     }
 
+    /// Growing the cluster past the job count changes nothing: with jobs ≤
+    /// machines under `DefaultPolicy` every job starts at once on the
+    /// lowest-numbered idle machine, so a fixed-seed trace is the same
+    /// bytes at 32 and at 2 048 machines.
+    #[test]
+    fn default_trace_is_invariant_under_spare_machines(n_jobs in 1usize..=32, seed in 0u64..500) {
+        let workload = CifarWorkload::new().with_max_epochs(12);
+        let experiment = ExperimentWorkload::from_workload(&workload, n_jobs, seed);
+        let [small, large] = [32, 2048].map(|machines| {
+            let spec = ExperimentSpec::new(machines)
+                .with_tmax(SimTime::from_hours(1.0e6))
+                .with_stop_on_target(false)
+                .with_seed(seed);
+            let result = run_sim(&mut DefaultPolicy::new(), &experiment, spec);
+            let mut log = Vec::new();
+            result.events.write_csv(&mut log).expect("event log serializes");
+            (log, result.total_epochs, result.end_time, result.time_to_target)
+        });
+        prop_assert_eq!(small, large);
+    }
+
     /// Stop-on-target halts no later than run-to-completion, and the
     /// winner really met the target.
     #[test]
