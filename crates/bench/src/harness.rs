@@ -173,6 +173,11 @@ impl ComparisonSettings {
     }
 }
 
+/// The training-noise seed of one repeat of a comparison.
+fn noise_seed(config_seed: u64, repeat: usize) -> u64 {
+    config_seed.wrapping_add(1_000 * (repeat as u64 + 1))
+}
+
 /// Runs `repeats` simulated experiments per policy, keeping the
 /// configuration set fixed and varying training noise per repeat (§6.1's
 /// non-determinism protocol).
@@ -191,7 +196,7 @@ pub fn run_comparison(
     // Pre-build the per-repeat experiments once; they are shared read-only.
     let experiments: Vec<(u64, ExperimentWorkload)> = (0..settings.repeats)
         .map(|repeat| {
-            let noise_seed = settings.config_seed.wrapping_add(1_000 * (repeat as u64 + 1));
+            let noise_seed = noise_seed(settings.config_seed, repeat);
             let experiment = ExperimentWorkload::from_workload_with_noise(
                 workload,
                 settings.n_configs,
@@ -298,6 +303,41 @@ mod tests {
         assert_eq!(summaries.len(), 2);
         for s in &summaries {
             assert_eq!(s.times_hours.len() + s.failures, settings.repeats);
+        }
+    }
+
+    /// The time-to-target figures compare schedulers, so their config seed
+    /// (0 for fig06 / fig07 / tab01 on CIFAR-10 and for fig09 on
+    /// LunarLander) must not hand every policy a winner in its first batch,
+    /// where run-to-completion is optimal: in every repeat the first
+    /// configuration that reaches the target sits beyond the machines.
+    #[test]
+    fn figure_seeds_put_the_first_winner_beyond_the_initial_batch() {
+        use hyperdrive_workload::LunarWorkload;
+        let cases: [(&dyn Workload, ComparisonSettings); 2] = [
+            (&CifarWorkload::new(), ComparisonSettings::cifar_paper(0)),
+            (&LunarWorkload::new(), ComparisonSettings::lunar_paper(0)),
+        ];
+        for (workload, s) in cases {
+            for repeat in 0..s.repeats {
+                let experiment = ExperimentWorkload::from_workload_with_noise(
+                    workload,
+                    s.n_configs,
+                    s.config_seed,
+                    noise_seed(s.config_seed, repeat),
+                );
+                let first = experiment
+                    .jobs
+                    .iter()
+                    .position(|j| j.profile.best_value() >= experiment.target)
+                    .expect("some configuration reaches the target");
+                assert!(
+                    first >= s.machines,
+                    "{} repeat {repeat}: first winner at position {first} of the initial {}",
+                    workload.name(),
+                    s.machines
+                );
+            }
         }
     }
 
