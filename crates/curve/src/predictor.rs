@@ -1074,4 +1074,12 @@ mod tests {
         let ar = posterior.acceptance_rate();
         assert!(ar > 0.01 && ar < 0.99, "acceptance {ar}");
     }
+
+    #[test]
+    fn from_parts_takes_whole_rows_only() {
+        let row = vec![0.5; dimension()];
+        assert!(CurvePosterior::from_parts(row.repeat(2), 10, 100, 0.5, false).is_some());
+        let ragged = row[1..].to_vec();
+        assert!(CurvePosterior::from_parts(ragged, 10, 100, 0.5, false).is_none());
+    }
 }
