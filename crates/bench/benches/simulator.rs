@@ -32,6 +32,10 @@ fn bench_replay_throughput(c: &mut Criterion) {
 fn bench_event_queue(c: &mut Criterion) {
     use hyperdrive_sim::EventQueue;
     use hyperdrive_types::SimTime;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    // Fill from empty, growth reallocations included, then drain.
     c.bench_function("event_queue_10k", |b| {
         b.iter(|| {
             let mut q = EventQueue::new();
@@ -47,6 +51,30 @@ fn bench_event_queue(c: &mut Criterion) {
             count
         });
     });
+
+    // The shape the simulator runs: a pre-sized queue at a steady depth of
+    // one pending event per running job, each pop followed by the schedule
+    // of that job's next report an epoch later.
+    const CYCLES: u64 = 100_000;
+    let mut group = c.benchmark_group("event_queue_cycle");
+    group.throughput(Throughput::Elements(CYCLES));
+    for pending in [1_000usize, 10_000] {
+        let mut rng = StdRng::seed_from_u64(pending as u64);
+        let mut q: EventQueue<u64> = EventQueue::with_capacity(pending + 1);
+        for i in 0..pending {
+            q.schedule(SimTime::from_secs(rng.gen_range(0.0..60.0)), i as u64);
+        }
+        group.bench_function(BenchmarkId::from_parameter(pending), |b| {
+            b.iter(|| {
+                for _ in 0..CYCLES {
+                    let (at, event) = q.pop().expect("the queue stays full");
+                    q.schedule(at + SimTime::from_secs(rng.gen_range(30.0..90.0)), event);
+                }
+                q.len()
+            });
+        });
+    }
+    group.finish();
 }
 
 criterion_group!(benches, bench_replay_throughput, bench_event_queue);
