@@ -77,5 +77,34 @@ fn bench_event_queue(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_replay_throughput, bench_event_queue);
+/// Steady-state `Simulation::step` under `DefaultPolicy` (zero fits) with
+/// twice as many jobs as machines: the queue, the engine and the managers
+/// alone, every step landing on a different job's state — so the growth of
+/// the per-step cost with the machine count is the cache footprint of that
+/// state.
+fn bench_engine_step(c: &mut Criterion) {
+    use hyperdrive_sim::Simulation;
+
+    let mut group = c.benchmark_group("engine_step");
+    group.sample_size(20);
+    for machines in [1_000usize, 10_000] {
+        let workload = CifarWorkload::new().with_max_epochs(120);
+        let experiment = ExperimentWorkload::from_workload(&workload, 2 * machines, 1);
+        let spec = ExperimentSpec::new(machines).with_stop_on_target(false);
+        let mut policy = DefaultPolicy::new();
+        let mut sim = Simulation::new(&mut policy, &experiment, spec);
+        // Warm up with one report per machine. The run is 2 x 120 steps
+        // per machine; the samples take 20 x 10 of them, so they span the
+        // first wave of jobs completing and the second starting.
+        assert_eq!(sim.step_n(machines), machines);
+        let steps = 10 * machines;
+        group.throughput(Throughput::Elements(steps as u64));
+        group.bench_function(BenchmarkId::from_parameter(machines), |b| {
+            b.iter(|| assert_eq!(sim.step_n(steps), steps, "the run outlasts the samples"));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_replay_throughput, bench_event_queue, bench_engine_step);
 criterion_main!(benches);

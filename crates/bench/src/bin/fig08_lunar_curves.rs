@@ -39,17 +39,17 @@ fn main() {
     for i in 0..n_stats {
         let p = workload.profile(&workload.space().sample(&mut rng), 2_000 + i as u64);
         let tail: Vec<f64> =
-            p.values()[p.values().len() - 10..].iter().map(|v| norm.denormalize(*v)).collect();
+            p.values().skip(p.values().len() - 10).map(|v| norm.denormalize(v)).collect();
         let tail_mean = hyperdrive_types::stats::mean(&tail).unwrap();
         if tail_mean <= -85.0 {
             non_learning += 1;
         }
         for v in p.values() {
-            let r = norm.denormalize(*v);
+            let r = norm.denormalize(v);
             min_reward = min_reward.min(r);
             max_reward = max_reward.max(r);
         }
-        if p.values().iter().any(|v| norm.denormalize(*v) >= 200.0) {
+        if p.values().any(|v| norm.denormalize(v) >= 200.0) {
             reached_solved += 1;
         }
     }

@@ -17,6 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use hyperdrive_types::{DomainKnowledge, JobId, LearningCurve, MachineId, Result, SimTime};
+use hyperdrive_workload::EpochRow;
 
 use crate::appstat::{AppStatDb, SuspendEvent};
 use crate::dense::DenseMap;
@@ -151,6 +152,12 @@ pub struct RecoveredRun {
 /// for policy up-calls.
 struct EngineCore<'w> {
     workload: &'w ExperimentWorkload,
+    /// Each job's ground-truth rows, indexed by raw job id: the per-epoch
+    /// path reads them without going through `workload.jobs[job]`.
+    rows: Vec<&'w [EpochRow]>,
+    /// Whether any profile carries a secondary metric; when none does the
+    /// per-epoch path never touches the profile struct.
+    has_secondary: bool,
     spec: ExperimentSpec,
     rm: ResourceManager,
     jm: JobManager,
@@ -163,14 +170,11 @@ struct EngineCore<'w> {
     winner: Option<JobId>,
     current_target: f64,
     milestones: Vec<TargetMilestone>,
-    busy_time: Vec<f64>,
     total_epochs: u64,
     log: EventLog,
-    /// Next issue token; strictly monotonic, never reused.
+    /// Next issue token; strictly monotonic, never reused. The Job
+    /// Manager holds each job's in-flight one.
     next_token: u64,
-    /// Token of each job's in-flight command. A completion whose token is
-    /// not here is stale (superseded by a fault) and is dropped.
-    outstanding: DenseMap<u64>,
     /// RNG stream for probabilistic faults. Never touched while both
     /// probabilities are zero, so fault-free runs stay byte-identical to
     /// runs without the fault subsystem.
@@ -208,8 +212,8 @@ struct EngineCore<'w> {
 }
 
 impl<'w> EngineCore<'w> {
-    fn profile_of(&self, job: JobId) -> &hyperdrive_workload::JobProfile {
-        self.workload.profile(job)
+    fn rows_of(&self, job: JobId) -> &'w [EpochRow] {
+        self.rows[job.raw() as usize]
     }
 
     /// Records a scheduler event in the log *and* the journal (as a
@@ -220,24 +224,22 @@ impl<'w> EngineCore<'w> {
         self.log.record(event);
     }
 
-    fn charge(&mut self, job: JobId, time: SimTime) {
-        self.busy_time[job.raw() as usize] += time.as_secs();
-    }
-
-    fn issue_token(&mut self, job: JobId) -> u64 {
+    /// Charges `job` the `busy` time of the command being issued for it
+    /// and returns the token its completion must echo.
+    fn issue_token(&mut self, job: JobId, busy: SimTime) -> u64 {
         let token = self.next_token;
         self.next_token += 1;
-        self.outstanding.insert(job, token);
+        self.jm.issue(job, token, busy).expect("job registered");
         token
     }
 
-    /// Issues the next epoch of `job` on `machine`, including `extra`
-    /// latency (resume cost and/or retry backoff).
-    fn issue_epoch(&mut self, job: JobId, machine: MachineId, extra: SimTime) {
-        let next_epoch = self.jm.epochs_done(job).expect("job registered") + 1;
-        let duration = self.profile_of(job).epoch_duration(next_epoch) + extra;
-        self.charge(job, duration);
-        let token = self.issue_token(job);
+    /// Issues epoch `epochs_done + 1` of `job` on `machine`, including
+    /// `extra` latency (resume cost and/or retry backoff).
+    fn issue_epoch(&mut self, job: JobId, machine: MachineId, epochs_done: u32, extra: SimTime) {
+        let next_epoch = epochs_done + 1;
+        let rows = self.rows_of(job);
+        let duration = rows[epochs_done as usize].duration + extra;
+        let token = self.issue_token(job, duration);
         self.pending.push(Command::RunEpoch { job, machine, epoch: next_epoch, duration, token });
         // Speculative prefetch hook: the epoch just issued will surface at
         // a decision boundary, so tell the policy *now* — its fit overlaps
@@ -248,9 +250,8 @@ impl<'w> EngineCore<'w> {
         // observation the boundary fit would use. Epochs at `max_epochs`
         // complete the job instead of reaching `on_iteration_finish`.
         if let Some(b) = self.prefetch_boundary {
-            let profile = self.profile_of(job);
-            if next_epoch.is_multiple_of(b) && next_epoch < profile.max_epochs() {
-                let value = profile.value_at(next_epoch);
+            if next_epoch.is_multiple_of(b) && (next_epoch as usize) < rows.len() {
+                let value = rows[epochs_done as usize].value;
                 self.prefetch_hints.push((job, next_epoch, self.now + duration, value));
             }
         }
@@ -263,7 +264,6 @@ impl<'w> EngineCore<'w> {
     /// pool (stall / failed suspend); a crashed machine is already dead
     /// and must not be released.
     fn interrupt(&mut self, job: JobId, machine: MachineId, release: bool) {
-        self.outstanding.remove(job);
         let epochs_done = self.jm.epochs_done(job).unwrap_or(0);
         let snapshot = self.db.snapshot_epochs(job);
         let rollback_to = snapshot.unwrap_or(0);
@@ -396,6 +396,7 @@ impl SchedulerContext for EngineCore<'_> {
         let job = self.jm.peek_idle_job()?;
         let machine = self.rm.reserve_idle_machine()?;
         let resumed = self.jm.start_job(job, machine).expect("idle job starts");
+        let mut epochs_done = self.jm.epochs_done(job).expect("job registered");
         let mut extra = if resumed {
             // §5.1: resuming on any machine restores state from the
             // AppStat DB. Parse and verify the stored snapshot; a
@@ -403,18 +404,18 @@ impl SchedulerContext for EngineCore<'_> {
             // the Job Manager (fault injection corrupts payloads in
             // place) is discovered exactly here, and the job restarts
             // from scratch rather than crashing the scheduler.
-            let believed_epochs = self.jm.epochs_done(job).expect("job registered");
             let valid = self
                 .db
                 .snapshot(job)
-                .is_some_and(|bytes| snapshot::verify(bytes, job, believed_epochs));
+                .is_some_and(|bytes| snapshot::verify(bytes, job, epochs_done));
             if valid {
                 self.rng_draws += 1;
                 self.workload.suspend.sample_resume(&mut self.rng)
             } else {
                 self.stats.snapshot_corruptions += 1;
-                self.stats.lost_epochs += u64::from(believed_epochs);
+                self.stats.lost_epochs += u64::from(epochs_done);
                 self.record(SchedulerEvent::SnapshotCorrupted { job, time: self.now });
+                epochs_done = 0;
                 self.jm.reset_epochs(job, 0).expect("running job resets");
                 self.db.truncate_stats(job, 0);
                 self.db.release_snapshot(job);
@@ -427,7 +428,7 @@ impl SchedulerContext for EngineCore<'_> {
             extra += penalty;
         }
         self.record(SchedulerEvent::Started { job, machine, time: self.now, resumed });
-        self.issue_epoch(job, machine, extra);
+        self.issue_epoch(job, machine, epochs_done, extra);
         Some(job)
     }
 
@@ -494,6 +495,10 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
             jm.add_job(job.job);
         }
         let n_jobs = workload.jobs.len();
+        // Job ids are positions in `workload.jobs` (the builders number
+        // them densely from zero), which is what `rows` is indexed by.
+        let rows = workload.jobs.iter().map(|j| j.profile.rows()).collect();
+        let has_secondary = workload.jobs.iter().any(|j| j.profile.secondary_values().is_some());
         // Steady-state zero-alloc sizing: one command batch can start at
         // most min(jobs, machines) jobs, plus one Suspend and one Stop.
         let batch_cap = n_jobs.min(spec.machines) + 2;
@@ -503,6 +508,8 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
         ExperimentEngine {
             core: EngineCore {
                 workload,
+                rows,
+                has_secondary,
                 spec,
                 rm: ResourceManager::new(spec.machines).expect("non-empty cluster"),
                 jm,
@@ -519,14 +526,12 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
                 winner: None,
                 current_target: workload.target,
                 milestones: Vec::new(),
-                busy_time: vec![0.0; n_jobs],
                 total_epochs: 0,
                 // Suspend-free runs log ~2 events per job (Started +
                 // Completed/Terminated); 4× covers fault churn without
                 // mid-run growth in the common case.
                 log: EventLog::with_capacity(4 * n_jobs),
                 next_token: 0,
-                outstanding: DenseMap::with_capacity(n_jobs),
                 fault_rng: StdRng::seed_from_u64(plan.seed ^ 0xFA11),
                 suspend_fail_prob: plan.suspend_fail_prob,
                 snapshot_corrupt_prob: plan.snapshot_corrupt_prob,
@@ -626,15 +631,14 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
     /// Drains the pending command batch into `out` (cleared first) and
     /// journals its digest plus an RNG checkpoint. Every delivery ends
     /// here, so each input record is followed by its transitions and
-    /// exactly one commands/checkpoint pair. `Command` is
-    /// `Copy`, so the drain is a memcpy — no allocation once `out` has
-    /// warmed up to the largest batch.
+    /// exactly one commands/checkpoint pair. The drain swaps the two
+    /// buffers, so nothing is copied and — executors passing the same
+    /// `out` every call — both keep their warmed-up capacity.
     fn finish_turn_into(&mut self, out: &mut Vec<Command>) {
         self.core.journal.commands(&self.core.pending);
         self.core.journal.rng_checkpoint(self.core.rng_draws, self.core.fault_rng_draws);
         out.clear();
-        out.extend_from_slice(&self.core.pending);
-        self.core.pending.clear();
+        std::mem::swap(out, &mut self.core.pending);
         self.drain_prefetch_hints();
     }
 
@@ -675,10 +679,9 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
                 (job, token)
             }
         };
-        if self.core.outstanding.get(job) != Some(&token) {
+        if !self.core.jm.redeem(job, token) {
             return; // stale: a fault superseded this command
         }
-        self.core.outstanding.remove(job);
         self.core.now = self.core.now.max(now);
         match event {
             EngineEvent::EpochDone { job, .. } => self.on_epoch_done(job),
@@ -747,10 +750,15 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
     }
 
     fn on_epoch_done(&mut self, job: JobId) {
-        let epoch = self.core.jm.record_epoch(job).expect("epoch on running job");
+        let (epoch, machine) = self.core.jm.record_epoch(job).expect("epoch on running job");
         self.core.total_epochs += 1;
-        let value = self.core.profile_of(job).value_at(epoch);
-        let secondary = self.core.profile_of(job).secondary_at(epoch);
+        let rows = self.core.rows_of(job);
+        let value = rows[(epoch - 1) as usize].value;
+        let secondary = if self.core.has_secondary {
+            self.core.workload.profile(job).secondary_at(epoch)
+        } else {
+            None
+        };
         let now = self.core.now;
         self.core.db.record_stat(job, epoch, now, value);
         if let Some(sv) = secondary {
@@ -796,15 +804,7 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
         let event = JobEvent { job, epoch, value, now };
         self.policy.application_stat(&event, &mut self.core);
 
-        let machine = self
-            .core
-            .jm
-            .state(job)
-            .expect("job registered")
-            .machine()
-            .expect("running job has a machine");
-
-        if epoch >= self.core.profile_of(job).max_epochs() {
+        if epoch as usize >= rows.len() {
             // Ran to its cap.
             self.core.jm.complete_job(job).expect("running job completes");
             self.core.rm.release_machine(machine).expect("held machine releases");
@@ -819,7 +819,7 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
             let overhead = self.policy.take_decision_overhead();
             match decision {
                 JobDecision::Continue => {
-                    self.core.issue_epoch(job, machine, overhead);
+                    self.core.issue_epoch(job, machine, epoch, overhead);
                 }
                 JobDecision::Suspend => {
                     // Injected suspend failure: the snapshot capture dies
@@ -838,7 +838,6 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
                         let mut cost =
                             self.core.workload.suspend.sample_suspend(&mut self.core.rng);
                         cost.latency += overhead;
-                        self.core.charge(job, cost.latency);
                         self.core.db.record_suspend(SuspendEvent { job, requested_at: now, cost });
                         // Serialize the job's real training state (§5.1) beside
                         // its sampled framework/CRIU size; resume verifies it.
@@ -853,7 +852,7 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
                         if corrupt {
                             bytes[0] ^= 0xFF;
                         }
-                        let token = self.core.issue_token(job);
+                        let token = self.core.issue_token(job, cost.latency);
                         self.core.pending.push(Command::Suspend {
                             job,
                             machine,
@@ -915,7 +914,7 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
                 JobOutcome {
                     job: j.job,
                     epochs: core.jm.epochs_done(j.job).unwrap_or(0),
-                    busy_time: SimTime::from_secs(core.busy_time[j.job.raw() as usize]),
+                    busy_time: core.jm.busy_time(j.job).expect("job registered"),
                     best_value: core.db.curve_ref(j.job).and_then(|c| c.best()).unwrap_or(f64::NAN),
                     end,
                 }

@@ -10,7 +10,7 @@
 use std::cell::OnceCell;
 use std::collections::BTreeSet;
 
-use hyperdrive_types::{Error, JobId, MachineId, Result};
+use hyperdrive_types::{Error, JobId, MachineId, Result, SimTime};
 
 use crate::dense::DenseMap;
 
@@ -42,9 +42,18 @@ impl JobState {
     }
 }
 
+/// Everything the scheduler tracks per job, in one cache line: a
+/// completion report reads the token, the state and the epoch count, and
+/// the command issued next writes the token and the busy time back.
 #[derive(Debug, Clone)]
+#[repr(align(64))]
 struct JobEntry {
     state: JobState,
+    /// Token of the job's in-flight command, if any. A completion whose
+    /// token is not this one is stale (superseded by a fault).
+    token: Option<u64>,
+    /// Seconds of machine time charged to the job so far.
+    busy_secs: f64,
     /// Priority label; idle ordering is (priority desc, arrival asc).
     priority: f64,
     /// Monotonic arrival counter for FIFO tie-breaking, refreshed whenever
@@ -55,6 +64,9 @@ struct JobEntry {
     /// Whether the job has run before (a start after this is a resume).
     started_before: bool,
 }
+
+// A slot of the job map is exactly the line its entry is aligned to.
+const _: () = assert!(std::mem::size_of::<Option<JobEntry>>() == 64);
 
 /// Idle-queue ordering key: priority descending, then FIFO arrival, then
 /// id — the same total order the listing slice exposes. Priorities are
@@ -129,6 +141,8 @@ impl JobManager {
             job,
             JobEntry {
                 state: JobState::Idle,
+                token: None,
+                busy_secs: 0.0,
                 priority: 0.0,
                 arrival,
                 epochs_done: 0,
@@ -217,22 +231,58 @@ impl JobManager {
         Ok(self.entry(job)?.epochs_done)
     }
 
-    /// Records completion of one more epoch.
+    /// Records completion of one more epoch. Returns the new epoch count
+    /// and the machine the job runs on.
     ///
     /// # Errors
     ///
     /// Returns [`Error::UnknownJob`] or [`Error::InvalidJobState`] if the
     /// job is not running.
-    pub fn record_epoch(&mut self, job: JobId) -> Result<u32> {
+    pub fn record_epoch(&mut self, job: JobId) -> Result<(u32, MachineId)> {
         let e = self.entry_mut(job)?;
-        if !matches!(e.state, JobState::Running(_)) {
+        let JobState::Running(machine) = e.state else {
             return Err(Error::InvalidJobState {
                 job: job.raw(),
                 detail: "epoch recorded while not running".into(),
             });
-        }
+        };
         e.epochs_done += 1;
-        Ok(e.epochs_done)
+        Ok((e.epochs_done, machine))
+    }
+
+    /// Records a command issued for `job`: the `token` its completion must
+    /// echo, and the `busy` time the command occupies the job's machine.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::UnknownJob`] for unregistered ids.
+    pub fn issue(&mut self, job: JobId, token: u64, busy: SimTime) -> Result<()> {
+        let e = self.entry_mut(job)?;
+        e.token = Some(token);
+        e.busy_secs += busy.as_secs();
+        Ok(())
+    }
+
+    /// Redeems a completion report carrying `token`. A stale report —
+    /// token absent or different — returns `false` with state untouched;
+    /// otherwise the job no longer has a command in flight.
+    pub fn redeem(&mut self, job: JobId, token: u64) -> bool {
+        match self.jobs.get_mut(job) {
+            Some(e) if e.token == Some(token) => {
+                e.token = None;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Machine time charged to the job so far.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::UnknownJob`] for unregistered ids.
+    pub fn busy_time(&self, job: JobId) -> Result<SimTime> {
+        Ok(SimTime::from_secs(self.entry(job)?.busy_secs))
     }
 
     /// The highest-priority idle job (`getIdleJob`), without removing it.
@@ -400,9 +450,10 @@ impl JobManager {
     }
 
     /// Interrupts a job whose machine crashed, agent stalled, or suspend
-    /// failed: the job rolls back to `epochs` completed epochs (its last
-    /// snapshot, or zero) and re-enters the idle queue with a fresh FIFO
-    /// position. `has_snapshot` controls whether the next start counts as
+    /// failed: its in-flight command is invalidated, and the job rolls
+    /// back to `epochs` completed epochs (its last snapshot, or zero) and
+    /// re-enters the idle queue with a fresh FIFO position.
+    /// `has_snapshot` controls whether the next start counts as
     /// a resume (snapshot restore) or a fresh start. Returns the machine
     /// the job held.
     ///
@@ -422,6 +473,7 @@ impl JobManager {
             JobState::Running(m) | JobState::Suspending(m) => {
                 let was_running = matches!(e.state, JobState::Running(_));
                 e.state = JobState::Idle;
+                e.token = None;
                 e.arrival = arrival;
                 e.epochs_done = epochs;
                 e.started_before = has_snapshot;
@@ -738,6 +790,27 @@ mod tests {
         jm.finish_suspend(JobId::new(5)).unwrap();
         assert_indexes_consistent(&jm);
         assert_eq!(jm.peek_idle_job(), Some(JobId::new(5)), "highest priority leads the queue");
+    }
+
+    #[test]
+    fn a_token_is_redeemed_once_and_an_interrupt_voids_it() {
+        let mut jm = jm_with(1);
+        let j = JobId::new(0);
+        let m = MachineId::new(2);
+        assert!(!jm.redeem(j, 0), "nothing in flight yet");
+        assert!(!jm.redeem(JobId::new(9), 0), "unknown job");
+        jm.start_job(j, m).unwrap();
+        jm.issue(j, 7, SimTime::from_secs(60.0)).unwrap();
+        assert!(!jm.redeem(j, 6), "a different token is stale");
+        assert!(jm.redeem(j, 7));
+        assert!(!jm.redeem(j, 7), "the same report twice");
+        assert_eq!(jm.record_epoch(j).unwrap(), (1, m));
+        jm.issue(j, 8, SimTime::from_secs(1.5)).unwrap();
+        jm.interrupt_job(j, 0, false).unwrap();
+        assert!(!jm.redeem(j, 8), "the interrupt superseded it");
+        // Charged time is kept: the machine was occupied either way.
+        assert_eq!(jm.busy_time(j).unwrap(), SimTime::from_secs(61.5));
+        assert!(jm.issue(JobId::new(9), 0, SimTime::ZERO).is_err());
     }
 
     #[test]

@@ -519,7 +519,7 @@ mod tests {
     fn virtual_time_tracks_epoch_durations() {
         let w = CifarWorkload::new().with_max_epochs(2);
         let ew = crate::experiment::ExperimentWorkload::from_workload(&w, 1, 5);
-        let expected: f64 = ew.jobs[0].profile.epoch_durations().iter().map(|d| d.as_secs()).sum();
+        let expected: f64 = ew.jobs[0].profile.epoch_durations().map(|d| d.as_secs()).sum();
         let mut policy = DefaultPolicy::new();
         let spec = ExperimentSpec::new(1).with_stop_on_target(false);
         let result = run_live(&mut policy, &ew, spec, 60_000.0);

@@ -26,8 +26,14 @@
 //! node halve the depth of a binary heap. The keys and the payloads live in
 //! two parallel arrays, so the four sibling keys a sift-down scans are 64
 //! contiguous bytes whatever the payload's size, and a payload is touched
-//! only when its entry moves. Sifts move entries into a *hole* and write the
-//! travelling entry once, where it lands, instead of swapping per level.
+//! only when its entry moves. Contiguous is not aligned, though: the
+//! children of node `p` start at index `4p + 1` of a `Vec<u128>` that is
+//! only 16-byte aligned, so on every level the four keys straddle two
+//! cache lines (they would share one only if the allocation happened to
+//! sit 48 bytes past a line boundary). Shifting the layout so sibling
+//! groups start on a line is an unmeasured lead, not built. Sifts move
+//! entries into a *hole* and write the travelling entry once, where it
+//! lands, instead of swapping per level.
 //!
 //! # The vacant root
 //!
@@ -45,7 +51,8 @@
 use hyperdrive_types::SimTime;
 
 /// Children per node. Four halves tree depth vs a binary heap, and four
-/// sibling keys are one 64-byte scan.
+/// sibling keys are 64 contiguous bytes (across two cache lines — see the
+/// module docs).
 const ARITY: usize = 4;
 
 /// A time-ordered queue of future events.

@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 
 use hyperdrive_types::{stats, Configuration, DomainKnowledge, HyperParamSpace, SimTime};
 
-use crate::profile::JobProfile;
+use crate::profile::{EpochRow, JobProfile};
 use crate::spaces::cifar10_space;
 use crate::suspend::SuspendModel;
 use crate::Workload;
@@ -203,11 +203,10 @@ impl Workload for CifarWorkload {
         let noise_std = 0.008;
         let rho = 0.5;
         let mut noise = 0.0;
-        let mut durations = Vec::with_capacity(self.max_epochs as usize);
-        let mut values = Vec::with_capacity(self.max_epochs as usize);
+        let mut rows = Vec::with_capacity(self.max_epochs as usize);
         for e in 1..=self.max_epochs {
             let jitter = noise_rng.gen_range(0.97..1.03);
-            durations.push(SimTime::from_secs(base_duration * jitter));
+            let duration = SimTime::from_secs(base_duration * jitter);
             let mean = if learner {
                 let x = f64::from(e);
                 y0 + (final_acc - y0) * (1.0 - (-(x / tau).powf(beta)).exp())
@@ -215,9 +214,9 @@ impl Workload for CifarWorkload {
                 final_acc
             };
             noise = rho * noise + stats::sample_normal(&mut noise_rng, 0.0, noise_std);
-            values.push((mean + noise).clamp(0.01, 0.95));
+            rows.push(EpochRow { duration, value: (mean + noise).clamp(0.01, 0.95) });
         }
-        JobProfile::new(durations, values)
+        JobProfile::from_rows(rows)
     }
 }
 
@@ -278,8 +277,7 @@ mod tests {
         let c = w.space().sample(&mut rng);
         let a = w.profile(&c, 1);
         let b = w.profile(&c, 2);
-        let max_dev =
-            a.values().iter().zip(b.values()).map(|(x, y)| (x - y).abs()).fold(0.0f64, f64::max);
+        let max_dev = a.values().zip(b.values()).map(|(x, y)| (x - y).abs()).fold(0.0f64, f64::max);
         assert!(max_dev > 0.0, "seeds must differ");
         assert!(max_dev < 0.08, "noise too large: {max_dev}");
     }
@@ -290,7 +288,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let c = w.space().sample(&mut rng);
         let p = w.profile(&c, 9);
-        let durs: Vec<f64> = p.epoch_durations().iter().map(|d| d.as_secs()).collect();
+        let durs: Vec<f64> = p.epoch_durations().map(|d| d.as_secs()).collect();
         let m = stats::mean(&durs).unwrap();
         let s = stats::std_dev(&durs).unwrap();
         assert!(s / m < 0.05, "per-config epoch jitter too large: {}", s / m);

@@ -16,7 +16,7 @@ use hyperdrive_types::{
     MetricNormalizer, SimTime,
 };
 
-use crate::profile::JobProfile;
+use crate::profile::{EpochRow, JobProfile};
 use crate::suspend::SuspendModel;
 use crate::Workload;
 
@@ -192,11 +192,10 @@ impl Workload for ImagenetWorkload {
             (y0 + rng.gen_range(0.0..0.003), 1.0, 1.0)
         };
 
-        let mut durations = Vec::with_capacity(self.max_epochs as usize);
-        let mut values = Vec::with_capacity(self.max_epochs as usize);
+        let mut rows = Vec::with_capacity(self.max_epochs as usize);
         let mut noise = 0.0;
         for e in 1..=self.max_epochs {
-            durations.push(SimTime::from_hours(base_hours * noise_rng.gen_range(0.97..1.03)));
+            let duration = SimTime::from_hours(base_hours * noise_rng.gen_range(0.97..1.03));
             let mean = if learner {
                 let x = f64::from(e);
                 y0 + (final_acc - y0) * (1.0 - (-(x / tau).powf(beta)).exp())
@@ -204,9 +203,9 @@ impl Workload for ImagenetWorkload {
                 final_acc
             };
             noise = 0.5 * noise + stats::sample_normal(&mut noise_rng, 0.0, 0.004);
-            values.push((mean + noise).clamp(0.0, 0.6));
+            rows.push(EpochRow { duration, value: (mean + noise).clamp(0.0, 0.6) });
         }
-        JobProfile::new(durations, values)
+        JobProfile::from_rows(rows)
     }
 }
 

@@ -41,7 +41,7 @@ pub use cifar::CifarWorkload;
 pub use imagenet::{imagenet_space, ImagenetWorkload};
 pub use lstm::{lstm_space, LstmWorkload, PPL_RANGE};
 pub use lunar::{LunarBehavior, LunarWorkload};
-pub use profile::JobProfile;
+pub use profile::{EpochRow, JobProfile};
 pub use spaces::{cifar10_space, lunar_lander_space};
 pub use suspend::{SuspendCost, SuspendModel};
 pub use trace::{JobTrace, TraceSet};

@@ -29,7 +29,7 @@ use hyperdrive_types::{
     MetricNormalizer, SimTime,
 };
 
-use crate::profile::JobProfile;
+use crate::profile::{EpochRow, JobProfile};
 use crate::suspend::SuspendModel;
 use crate::Workload;
 
@@ -213,8 +213,7 @@ impl Workload for LstmWorkload {
         let tau = (8.0 + 20.0 * (1.0 - q)).clamp(6.0, 40.0);
         let sparsity_tau = tau * 1.4;
 
-        let mut durations = Vec::with_capacity(self.max_epochs as usize);
-        let mut values = Vec::with_capacity(self.max_epochs as usize);
+        let mut rows = Vec::with_capacity(self.max_epochs as usize);
         let mut sparsities = Vec::with_capacity(self.max_epochs as usize);
         let mut noise = 0.0;
         for e in 1..=self.max_epochs {
@@ -224,16 +223,15 @@ impl Workload for LstmWorkload {
             // Sparse groups shrink compute: up to ~35% per-epoch saving at
             // full sparsity.
             let speedup = 1.0 - 0.35 * sparsity;
-            durations.push(SimTime::from_secs(
-                base_duration * speedup * noise_rng.gen_range(0.97..1.03),
-            ));
+            let duration =
+                SimTime::from_secs(base_duration * speedup * noise_rng.gen_range(0.97..1.03));
             noise = 0.5 * noise + stats::sample_normal(&mut noise_rng, 0.0, 3.0);
             let ppl = (start_ppl + (final_ppl - start_ppl) * progress + noise)
                 .clamp(PPL_RANGE.0, PPL_RANGE.1);
-            values.push(Self::normalize_perplexity(ppl));
+            rows.push(EpochRow { duration, value: Self::normalize_perplexity(ppl) });
             sparsities.push(sparsity.clamp(0.0, 1.0));
         }
-        JobProfile::new(durations, values).with_secondary(sparsities)
+        JobProfile::from_rows(rows).with_secondary(sparsities)
     }
 }
 

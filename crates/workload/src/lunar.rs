@@ -26,7 +26,7 @@ use hyperdrive_types::{
     stats, Configuration, DomainKnowledge, HyperParamSpace, SimTime, SolvedCondition,
 };
 
-use crate::profile::JobProfile;
+use crate::profile::{EpochRow, JobProfile};
 use crate::spaces::lunar_lander_space;
 use crate::suspend::SuspendModel;
 use crate::Workload;
@@ -230,10 +230,9 @@ impl Workload for LunarWorkload {
         let noise_raw = 10.0; // episode-level variance averaged over a block
         let rho = 0.45;
         let mut noise = 0.0;
-        let mut durations = Vec::with_capacity(self.max_blocks as usize);
-        let mut values = Vec::with_capacity(self.max_blocks as usize);
+        let mut rows = Vec::with_capacity(self.max_blocks as usize);
         for b in 1..=self.max_blocks {
-            durations.push(SimTime::from_secs(base_duration * noise_rng.gen_range(0.95..1.05)));
+            let duration = SimTime::from_secs(base_duration * noise_rng.gen_range(0.95..1.05));
             let x = f64::from(b);
             let mean_raw = if b >= crash_block {
                 // Post-crash: pinned at the crash reward.
@@ -253,9 +252,9 @@ impl Workload for LunarWorkload {
             };
             noise = rho * noise + stats::sample_normal(&mut noise_rng, 0.0, noise_raw);
             let raw = (mean_raw + noise).clamp(-500.0, 300.0);
-            values.push(norm.normalize(raw));
+            rows.push(EpochRow { duration, value: norm.normalize(raw) });
         }
-        JobProfile::new(durations, values)
+        JobProfile::from_rows(rows)
     }
 }
 
@@ -307,7 +306,7 @@ mod tests {
         for i in 0..200 {
             let c = w.space().sample(&mut rng);
             let p = w.profile(&c, 50 + i);
-            if p.values().iter().any(|v| *v >= solved.target) {
+            if p.values().any(|v| v >= solved.target) {
                 any = true;
                 break;
             }
@@ -328,8 +327,8 @@ mod tests {
                 // After the collapse, the trailing quarter of the curve must
                 // hover near the crash reward.
                 let tail_start = (p.max_epochs() * 3 / 4) as usize;
-                let tail = &p.values()[tail_start..];
-                let m = stats::mean(tail).unwrap();
+                let tail: Vec<f64> = p.values().skip(tail_start).collect();
+                let m = stats::mean(&tail).unwrap();
                 // Only jobs that actually crashed within the horizon count.
                 if tail.iter().all(|v| (*v - crash_norm).abs() < 0.08) {
                     checked += 1;
@@ -350,7 +349,7 @@ mod tests {
         for i in 0..50 {
             let c = w.space().sample(&mut rng);
             let p = w.profile(&c, i);
-            assert!(p.values().iter().all(|v| (0.0..=1.0).contains(v)));
+            assert!(p.values().all(|v| (0.0..=1.0).contains(&v)));
         }
     }
 
@@ -367,7 +366,7 @@ mod tests {
         fn trailing(&self, n: usize) -> f64 {
             let vals = self.values();
             let start = vals.len().saturating_sub(n);
-            stats::mean(&vals[start..]).unwrap()
+            stats::mean(&vals.skip(start).collect::<Vec<_>>()).unwrap()
         }
     }
 }

@@ -9,11 +9,22 @@
 
 use hyperdrive_types::SimTime;
 
+/// One epoch of ground truth: how long it occupies a machine and the
+/// normalized performance measured at its end.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EpochRow {
+    /// Duration of the epoch.
+    pub duration: SimTime,
+    /// Normalized performance at the end of the epoch.
+    pub value: f64,
+}
+
 /// The complete (hidden) execution profile of one training job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobProfile {
-    epoch_durations: Vec<SimTime>,
-    values: Vec<f64>,
+    /// One row per epoch, in one allocation: a completed epoch `e` reads
+    /// its value and the duration of epoch `e + 1`, which are adjacent.
+    rows: Vec<EpochRow>,
     /// Optional secondary metric (e.g. model sparsity for the §9 LSTM
     /// group-lasso scenario), one value per epoch.
     secondary: Option<Vec<f64>>,
@@ -33,14 +44,26 @@ impl JobProfile {
             values.len(),
             "durations and values must have equal length"
         );
-        assert!(!values.is_empty(), "profile must contain at least one epoch");
-        for d in &epoch_durations {
+        let rows = epoch_durations.into_iter().zip(values);
+        Self::from_rows(rows.map(|(duration, value)| EpochRow { duration, value }).collect())
+    }
+
+    /// Creates a profile from rows written in epoch order (what the
+    /// generators do, so no pair of vectors is built and zipped).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is empty or contains non-finite/negative durations
+    /// or non-finite values.
+    pub fn from_rows(rows: Vec<EpochRow>) -> Self {
+        assert!(!rows.is_empty(), "profile must contain at least one epoch");
+        for d in rows.iter().map(|r| r.duration) {
             assert!(d.as_secs().is_finite() && d.as_secs() > 0.0, "bad epoch duration {d}");
         }
-        for v in &values {
+        for v in rows.iter().map(|r| r.value) {
             assert!(v.is_finite(), "bad profile value {v}");
         }
-        JobProfile { epoch_durations, values, secondary: None }
+        JobProfile { rows, secondary: None }
     }
 
     /// Attaches a secondary metric series (§9's "additional metrics of
@@ -51,7 +74,7 @@ impl JobProfile {
     /// Panics if the series length differs from the epoch count or any
     /// value is non-finite.
     pub fn with_secondary(mut self, secondary: Vec<f64>) -> Self {
-        assert_eq!(secondary.len(), self.values.len(), "secondary series must cover every epoch");
+        assert_eq!(secondary.len(), self.rows.len(), "secondary series must cover every epoch");
         assert!(secondary.iter().all(|v| v.is_finite()), "bad secondary value");
         self.secondary = Some(secondary);
         self
@@ -71,7 +94,7 @@ impl JobProfile {
 
     /// Total number of epochs this job would train for if never terminated.
     pub fn max_epochs(&self) -> u32 {
-        self.values.len() as u32
+        self.rows.len() as u32
     }
 
     /// Duration of the 1-based `epoch`.
@@ -81,7 +104,7 @@ impl JobProfile {
     /// Panics if `epoch` is 0 or exceeds [`JobProfile::max_epochs`].
     pub fn epoch_duration(&self, epoch: u32) -> SimTime {
         assert!(epoch >= 1 && epoch <= self.max_epochs(), "epoch {epoch} out of range");
-        self.epoch_durations[(epoch - 1) as usize]
+        self.rows[(epoch - 1) as usize].duration
     }
 
     /// Normalized performance at the end of the 1-based `epoch`.
@@ -91,43 +114,47 @@ impl JobProfile {
     /// Panics if `epoch` is 0 or exceeds [`JobProfile::max_epochs`].
     pub fn value_at(&self, epoch: u32) -> f64 {
         assert!(epoch >= 1 && epoch <= self.max_epochs(), "epoch {epoch} out of range");
-        self.values[(epoch - 1) as usize]
+        self.rows[(epoch - 1) as usize].value
+    }
+
+    /// The per-epoch rows, epoch 1 first.
+    pub fn rows(&self) -> &[EpochRow] {
+        &self.rows
     }
 
     /// All per-epoch values.
-    pub fn values(&self) -> &[f64] {
-        &self.values
+    pub fn values(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        self.rows.iter().map(|r| r.value)
     }
 
     /// All per-epoch durations.
-    pub fn epoch_durations(&self) -> &[SimTime] {
-        &self.epoch_durations
+    pub fn epoch_durations(&self) -> impl ExactSizeIterator<Item = SimTime> + '_ {
+        self.rows.iter().map(|r| r.duration)
     }
 
     /// Performance after the final epoch.
     pub fn final_value(&self) -> f64 {
-        *self.values.last().expect("profile is non-empty")
+        self.rows.last().expect("profile is non-empty").value
     }
 
     /// Best performance over the whole profile.
     pub fn best_value(&self) -> f64 {
-        self.values.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+        self.values().fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// First 1-based epoch at which performance reaches `target`, if any.
     pub fn first_epoch_reaching(&self, target: f64) -> Option<u32> {
-        self.values.iter().position(|v| *v >= target).map(|i| i as u32 + 1)
+        self.values().position(|v| v >= target).map(|i| i as u32 + 1)
     }
 
     /// Mean epoch duration across the profile.
     pub fn mean_epoch_duration(&self) -> SimTime {
-        let total: f64 = self.epoch_durations.iter().map(|d| d.as_secs()).sum();
-        SimTime::from_secs(total / self.epoch_durations.len() as f64)
+        SimTime::from_secs(self.total_duration().as_secs() / self.rows.len() as f64)
     }
 
     /// Total training time if run to completion.
     pub fn total_duration(&self) -> SimTime {
-        SimTime::from_secs(self.epoch_durations.iter().map(|d| d.as_secs()).sum())
+        SimTime::from_secs(self.epoch_durations().map(|d| d.as_secs()).sum())
     }
 }
 

@@ -16,7 +16,7 @@ use rand::SeedableRng;
 
 use hyperdrive_types::{Error, Result, SimTime};
 
-use crate::profile::JobProfile;
+use crate::profile::{EpochRow, JobProfile};
 use crate::Workload;
 
 /// The recorded execution of one configuration: per-epoch durations
@@ -34,9 +34,14 @@ pub struct JobTrace {
 impl JobTrace {
     /// Converts the trace into a replayable [`JobProfile`].
     pub fn to_profile(&self) -> JobProfile {
-        JobProfile::new(
-            self.epoch_durations.iter().map(|d| SimTime::from_secs(*d)).collect(),
-            self.values.clone(),
+        assert_eq!(
+            self.epoch_durations.len(),
+            self.values.len(),
+            "durations and values must have equal length"
+        );
+        let rows = self.epoch_durations.iter().zip(&self.values);
+        JobProfile::from_rows(
+            rows.map(|(&d, &value)| EpochRow { duration: SimTime::from_secs(d), value }).collect(),
         )
     }
 
@@ -44,8 +49,8 @@ impl JobTrace {
     pub fn from_profile(config_index: u32, profile: &JobProfile) -> Self {
         JobTrace {
             config_index,
-            epoch_durations: profile.epoch_durations().iter().map(|d| d.as_secs()).collect(),
-            values: profile.values().to_vec(),
+            epoch_durations: profile.epoch_durations().map(|d| d.as_secs()).collect(),
+            values: profile.values().collect(),
         }
     }
 }

@@ -122,7 +122,7 @@ fn reinforcement_learning_end_to_end() {
     let profile = experiment.profile(winner);
     let solved = workload.domain_knowledge().solved.expect("lunar defines solved");
     assert!(
-        profile.values().iter().any(|v| *v >= solved.target),
+        profile.values().any(|v| v >= solved.target),
         "winner's profile reaches the solved value"
     );
 }
