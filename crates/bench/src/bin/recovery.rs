@@ -12,8 +12,8 @@ use hyperdrive_bench::{print_table, quick_mode, results_dir};
 use hyperdrive_core::{PopConfig, PopPolicy};
 use hyperdrive_curve::PredictorConfig;
 use hyperdrive_framework::{
-    run_meta, DefaultPolicy, ExperimentEngine, ExperimentResult, ExperimentSpec,
-    ExperimentWorkload, FaultConfig, FaultPlan, Journal, SchedulingPolicy,
+    run_meta, DefaultPolicy, ExperimentResult, ExperimentSpec, ExperimentWorkload, FaultConfig,
+    FaultPlan, Journal, SchedulingPolicy,
 };
 use hyperdrive_sim::{kill_at_every_event, Simulation};
 use hyperdrive_types::SimTime;
@@ -110,8 +110,9 @@ fn main() {
     );
 
     // --- Recovery latency vs journal length -----------------------------
-    // Crash the journaled run at a ladder of positions and time the full
-    // recovery path: reopen (decode + verify frames) plus engine replay.
+    // Crash the journaled run at a ladder of positions and time the path a
+    // user runs: reopen (decode + verify frames), then `Simulation::resume`
+    // regenerating the prefix and verifying it against the journal.
     let mut latency_rows: Vec<(u64, f64)> = Vec::new();
     for frac in [0.1, 0.25, 0.5, 0.75, 1.0] {
         let k = ((inputs as f64 * frac) as u64).max(1);
@@ -127,10 +128,10 @@ fn main() {
         let mut fresh = pop_policy(1, seed);
         let t = Instant::now();
         let recovered = journal.reopen().expect("journal reopens");
-        let (_engine, run) = ExperimentEngine::recover(fresh.as_mut(), &ew, spec, &plan, recovered)
+        let resumed = Simulation::resume(fresh.as_mut(), &ew, spec, &plan, recovered)
             .expect("replay verifies");
         let secs = t.elapsed().as_secs_f64();
-        assert_eq!(run.replayed as u64, k, "recovery replayed the journaled prefix");
+        assert_eq!(resumed.inputs_delivered(), k, "recovery replayed the journaled prefix");
         latency_rows.push((k, secs));
     }
 

@@ -31,7 +31,9 @@ pub struct Claim {
     pub paper_value: f64,
     /// The value this run measured.
     pub ours: f64,
-    /// Share of the reference value `ours` may fall short by.
+    /// Share of the reference value `ours` may miss it by: fall short of
+    /// an [`at_least`](Claim::at_least) claim, exceed an
+    /// [`at_most`](Claim::at_most) one.
     pub tolerance: f64,
     /// The verdict.
     pub status: ClaimStatus,
@@ -50,8 +52,22 @@ impl Claim {
         Claim { id: id.to_string(), paper_value, ours, tolerance, status }
     }
 
-    /// Downgrades a shortfall to a known deviation while `ours` holds the
-    /// level EXPERIMENTS.md `documented` (to the same tolerance). A claim
+    /// The lower-is-better twin of [`at_least`](Self::at_least) (an error
+    /// bound): reproduced when `ours` is at most
+    /// `paper_value × (1 + tolerance)`, regressed otherwise.
+    #[must_use]
+    pub fn at_most(id: &str, paper_value: f64, ours: f64, tolerance: f64) -> Self {
+        let status = if ours <= paper_value * (1.0 + tolerance) {
+            ClaimStatus::Reproduced
+        } else {
+            ClaimStatus::Regressed
+        };
+        Claim { id: id.to_string(), paper_value, ours, tolerance, status }
+    }
+
+    /// Downgrades a shortfall of an [`at_least`](Self::at_least) claim to a
+    /// known deviation while `ours` holds the level EXPERIMENTS.md
+    /// `documented` (to the same tolerance). A claim
     /// that is reproduced stays reproduced; one that fell below the
     /// documented level stays regressed.
     #[must_use]
@@ -185,6 +201,23 @@ mod tests {
 
         assert_eq!(c.clone().requiring(true).status, ClaimStatus::Reproduced);
         assert_eq!(c.requiring(false).status, ClaimStatus::Regressed);
+    }
+
+    #[test]
+    fn an_at_most_claim_holds_up_to_its_bound() {
+        let c = Claim::at_most("fig12a.max_sim_error", 0.13, 0.006, 0.0);
+        assert_eq!(c.status, ClaimStatus::Reproduced);
+        assert_eq!(Claim::at_most("x", 0.13, 0.13, 0.0).status, ClaimStatus::Reproduced);
+        assert_eq!(Claim::at_most("x", 0.13, 0.131, 0.0).status, ClaimStatus::Regressed);
+        // The tolerance widens the bound upwards.
+        assert_eq!(Claim::at_most("x", 0.10, 0.12, 0.25).status, ClaimStatus::Reproduced);
+        assert_eq!(Claim::at_most("x", 0.13, f64::NAN, 0.0).status, ClaimStatus::Regressed);
+        assert_eq!(
+            c.json("fig12a_sim_validation"),
+            "{\"id\": \"fig12a.max_sim_error\", \"bin\": \"fig12a_sim_validation\", \
+             \"paper_value\": 0.1300, \"ours\": 0.0060, \"tolerance\": 0.0000, \
+             \"status\": \"Reproduced\"}"
+        );
     }
 
     #[test]

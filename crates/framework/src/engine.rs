@@ -2,7 +2,8 @@
 //!
 //! Both execution backends — the §7 discrete-event simulator
 //! (`hyperdrive-sim`) and the thread-based live executor
-//! ([`crate::live`]) — drive the same [`ExperimentEngine`]. The engine owns
+//! ([`crate::live`]) — drive the same [`ExperimentEngine`] through the same
+//! loop ([`Driver`](crate::Driver)). The engine owns
 //! the Resource Manager, Job Manager, and AppStat DB, fires the SAP
 //! up-calls, and translates policy decisions into abstract [`Command`]s
 //! ("run epoch e of job j on machine m for duration d"). Executors differ
@@ -16,7 +17,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use hyperdrive_types::{DomainKnowledge, JobId, LearningCurve, MachineId, Result, SimTime};
+use hyperdrive_types::{DomainKnowledge, JobId, LearningCurve, MachineId, SimTime};
 use hyperdrive_workload::EpochRow;
 
 use crate::appstat::{AppStatDb, SuspendEvent};
@@ -27,7 +28,7 @@ use crate::experiment::{
 };
 use crate::fault::{FaultPlan, FaultStats, RetryPolicy};
 use crate::job_manager::{JobManager, JobState};
-use crate::journal::{self, Journal, RecoveredJournal};
+use crate::journal::{self, Journal};
 use crate::policy::{JobDecision, JobEvent, PrefetchHint, SchedulerContext, SchedulingPolicy};
 use crate::resource::ResourceManager;
 use crate::snapshot;
@@ -68,12 +69,17 @@ pub enum Command {
 }
 
 impl Command {
-    /// The issue token carried by work commands (`None` for [`Stop`]).
-    ///
-    /// [`Stop`]: Command::Stop
-    pub fn token(&self) -> Option<u64> {
-        match self {
-            Command::RunEpoch { token, .. } | Command::Suspend { token, .. } => Some(*token),
+    /// For a work command issued at `now`: its machine, when its report is
+    /// due, and that report (`None` for [`Command::Stop`]).
+    #[inline]
+    pub fn report(&self, now: SimTime) -> Option<(MachineId, SimTime, EngineEvent)> {
+        match *self {
+            Command::RunEpoch { job, machine, duration, token, .. } => {
+                Some((machine, now + duration, EngineEvent::EpochDone { job, token }))
+            }
+            Command::Suspend { job, machine, latency, token } => {
+                Some((machine, now + latency, EngineEvent::SuspendDone { job, token }))
+            }
             Command::Stop => None,
         }
     }
@@ -132,20 +138,6 @@ pub enum EngineInput {
     /// machine — which survives, only its agent was restarted — returns
     /// to the pool. A stall on a machine hosting nothing is a no-op.
     AgentStall(MachineId),
-}
-
-/// What [`ExperimentEngine::recover`] replayed out of a journal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveredRun {
-    /// Number of journaled inputs replayed.
-    pub replayed: usize,
-    /// Executor time of the last replayed input (zero if none).
-    pub now: SimTime,
-    /// True if the run had already stopped (goal reached or `Tmax`).
-    pub stopped: bool,
-    /// True if the journal was sealed (the original run ended or drained
-    /// on SIGTERM before the crash).
-    pub sealed: bool,
 }
 
 /// Executor-independent experiment state; implements [`SchedulerContext`]
@@ -556,54 +548,11 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
         }
     }
 
-    /// Recovers an engine from a journal written by an identical run: the
-    /// journaled inputs are delivered to a fresh engine (regenerating and
-    /// verifying every record byte-for-byte), after which the engine — and
-    /// the journal, back in append mode — continue exactly where the
-    /// crashed process stopped. The caller must pass the *same* policy
-    /// construction, workload, spec, and plan as the original run.
-    ///
-    /// This is the recovery path for executors that cannot regenerate
-    /// their own inputs (the live executor: wall-clock arrival order is
-    /// gone); the simulator re-derives them from its deterministic queue
-    /// instead and only checks them against the journal.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::JournalDiverged`] if replay regenerates different records
-    /// than the journal holds (non-deterministic policy, changed binary,
-    /// or wrong run parameters).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload has no jobs or the spec has no machines.
-    pub fn recover(
-        policy: &'p mut dyn SchedulingPolicy,
-        workload: &'w ExperimentWorkload,
-        spec: ExperimentSpec,
-        plan: &FaultPlan,
-        recovered: RecoveredJournal,
-    ) -> Result<(Self, RecoveredRun)> {
-        let RecoveredJournal { journal, inputs, sealed } = recovered;
-        let mut engine = Self::with_journal(policy, workload, spec, plan, journal);
-        let mut cmds = Vec::new();
-        for &(now, input) in &inputs {
-            engine.deliver(input, now, &mut cmds);
-        }
-        engine.core.journal.finish_replay()?;
-        let run = RecoveredRun {
-            replayed: inputs.len(),
-            now: inputs.last().map_or(SimTime::ZERO, |&(now, _)| now),
-            stopped: engine.core.stopped,
-            sealed,
-        };
-        Ok((engine, run))
-    }
-
     /// Delivers one input at executor time `now` and writes the follow-up
     /// command batch into `out` (cleared first) — the engine's only entry
-    /// point. Executors pass the same buffer to every call so the
-    /// steady-state event path allocates nothing.
+    /// point, called by the one loop ([`Driver`](crate::Driver)) with the
+    /// same buffer every time, so the steady-state event path allocates
+    /// nothing.
     ///
     /// The input is journaled before any state changes (write-ahead),
     /// including no-op deliveries (after the run stopped, stale tokens,
@@ -885,13 +834,6 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
     #[inline]
     pub fn stopped(&self) -> bool {
         self.core.stopped
-    }
-
-    /// Seals the journal as *incomplete*: the run is being interrupted on
-    /// purpose (the live executor's SIGTERM drain). Idempotent;
-    /// [`into_result`](Self::into_result) re-seals completed runs.
-    pub fn seal_journal(&mut self) {
-        self.core.journal.seal(self.core.now, false);
     }
 
     /// Finalizes the run into a result at time `end_time`.
@@ -1265,46 +1207,6 @@ mod tests {
         assert_eq!(result.faults.agent_stalls, 1);
         assert_eq!(result.faults.interruptions, 1);
         assert_eq!(result.faults.lost_epochs, 0, "no epoch had completed, so none were lost");
-    }
-
-    #[test]
-    fn recover_replays_the_journaled_inputs_and_continues() {
-        let ew = tiny_workload(2, 4);
-        let spec = ExperimentSpec::new(1).with_stop_on_target(false);
-        let plan = FaultPlan::none();
-        let mut policy = DefaultPolicy::new();
-        let journal = Journal::in_memory(journal::run_meta(policy.name(), &ew, &spec, &plan));
-        let mut engine =
-            ExperimentEngine::with_journal(&mut policy, &ew, spec, &plan, journal.clone());
-        let cmds = start(&mut engine);
-        let Command::RunEpoch { job, machine, duration, token, .. } = cmds[0] else {
-            panic!("expected RunEpoch");
-        };
-        deliver(&mut engine, EngineInput::AgentStall(machine), SimTime::from_secs(1.0));
-        handle(&mut engine, EngineEvent::EpochDone { job, token }, duration);
-        drop(engine); // killed: unsealed, three inputs journaled
-
-        let mut fresh = DefaultPolicy::new();
-        let recovered = journal.reopen().unwrap();
-        assert_eq!(recovered.inputs.len(), 3);
-        let (mut engine, run) =
-            ExperimentEngine::recover(&mut fresh, &ew, spec, &plan, recovered).unwrap();
-        assert_eq!(run, RecoveredRun { replayed: 3, now: duration, stopped: false, sealed: false });
-        // The recovered engine carries on where the dead one stopped: the
-        // stalled job was re-issued under a new token, which still lands.
-        assert_eq!(engine.active_job_count(), 2);
-        let crash = deliver(&mut engine, EngineInput::MachineCrash(machine), duration);
-        assert!(crash.is_empty(), "the only machine is dead, nothing can start");
-        drop(engine);
-
-        // A different spec regenerates different records: typed divergence.
-        let mut other = DefaultPolicy::new();
-        let wrong = ExperimentSpec::new(2).with_stop_on_target(false);
-        let err =
-            ExperimentEngine::recover(&mut other, &ew, wrong, &plan, journal.reopen().unwrap())
-                .err()
-                .expect("replay under the wrong spec diverges");
-        assert!(matches!(err, hyperdrive_types::Error::JournalDiverged { .. }), "got {err:?}");
     }
 
     #[test]

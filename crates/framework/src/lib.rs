@@ -19,12 +19,15 @@
 //!   `Tmax`) and results.
 //! * [`engine`] — the executor-independent experiment engine that turns
 //!   policy decisions into abstract commands.
+//! * [`driver`] — the one event loop, `next input → deliver → route
+//!   commands`, generic over where inputs come from.
 //! * [`live`] — the live executor: node-agent threads exchanging messages
 //!   with the scheduler over channels, in scaled wall-clock time.
 //!
 //! The discrete-event executor lives in the `hyperdrive-sim` crate; both
-//! executors drive the same [`engine::ExperimentEngine`], so any SAP runs
-//! unchanged on either (the paper's live-vs-simulator validation, Fig 12a).
+//! executors are an input source for the same [`Driver`] over the same
+//! [`engine::ExperimentEngine`], so any SAP runs unchanged on either (the
+//! paper's live-vs-simulator validation, Fig 12a).
 //!
 //! # Example
 //!
@@ -47,6 +50,7 @@
 
 pub mod appstat;
 mod dense;
+pub mod driver;
 pub mod engine;
 pub mod events;
 pub mod experiment;
@@ -60,7 +64,8 @@ pub mod resource;
 pub mod snapshot;
 
 pub use appstat::{AppStatDb, SuspendEvent};
-pub use engine::{Command, EngineEvent, EngineInput, ExperimentEngine, RecoveredRun};
+pub use driver::{Driver, InputSource};
+pub use engine::{Command, EngineEvent, EngineInput, ExperimentEngine};
 pub use events::{EventLog, GanttSegment, SchedulerEvent};
 pub use experiment::{
     ExperimentJob, ExperimentResult, ExperimentSpec, ExperimentWorkload, JobEnd, JobOutcome,
@@ -70,9 +75,7 @@ pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultPlan, FaultStats, Retry
 pub use generator::{AdaptiveGenerator, GridGenerator, HyperparameterGenerator, RandomGenerator};
 pub use job_manager::{JobManager, JobState};
 pub use journal::{run_meta, Journal, RecoveredJournal};
-pub use live::{
-    install_sigterm_handler, run_live, run_live_journaled, run_live_with_faults, LiveFaultPlan,
-};
+pub use live::{install_sigterm_handler, run_live, LiveFaultPlan, LiveRun};
 pub use policy::{
     testing, DefaultPolicy, FitCacheSnapshot, JobDecision, JobEvent, PrefetchHint,
     SchedulerContext, SchedulingPolicy,

@@ -4,15 +4,15 @@
 //! Agent daemon: it receives job-execution requests from the scheduler,
 //! performs the work (here: sleeping the scaled epoch duration in place of
 //! GPU training), and reports application statistics back over a channel
-//! (standing in for GRPC). The scheduler thread multiplexes agent reports
-//! into the shared [`ExperimentEngine`].
+//! (standing in for GRPC). [`LiveSource`] owns the agents and is the
+//! wall-clock input source of the one loop; [`LiveRun`] is that loop.
 //!
-//! The scheduler guards every outstanding request with a heartbeat
-//! watchdog: if an agent's report does not arrive within its deadline plus
+//! The source guards every outstanding request with a heartbeat watchdog:
+//! if an agent's report does not arrive within its deadline plus
 //! [`LiveFaultPlan::watchdog_grace`], the agent is declared stalled, a
 //! fresh agent thread replaces it, and the engine rolls the hosted job
 //! back to its last snapshot ([`EngineInput::AgentStall`]).
-//! [`run_live_with_faults`] exercises that path deliberately by wedging
+//! [`LiveRun::with_faults`] exercises that path deliberately by wedging
 //! chosen requests.
 //!
 //! Unlike the discrete-event simulator, this executor exhibits genuine
@@ -20,19 +20,20 @@
 //! which is precisely what the Fig. 12a simulator-validation experiment
 //! compares against.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{unbounded, Receiver, Sender};
 
-use hyperdrive_types::{JobId, MachineId, SimTime};
+use hyperdrive_types::{MachineId, Result, SimTime};
 
+use crate::driver::{Driver, InputSource};
 use crate::engine::{Command, EngineEvent, EngineInput, ExperimentEngine};
 use crate::experiment::{ExperimentResult, ExperimentSpec, ExperimentWorkload};
 use crate::fault::FaultPlan;
-use crate::journal::Journal;
+use crate::journal::{run_meta, Journal, RecoveredJournal};
 use crate::policy::SchedulingPolicy;
 
 /// Set by the process-wide SIGTERM handler installed with
@@ -45,11 +46,10 @@ extern "C" fn on_sigterm(_signum: i32) {
 }
 
 /// Installs a process-wide SIGTERM handler that asks every in-flight live
-/// run to shut down gracefully: the scheduler loop notices within ~250 ms,
-/// seals its write-ahead journal (marking the run interrupted, not
-/// complete), broadcasts shutdown to the node agents, and drains their
-/// threads before returning a partial result. A later process can resume
-/// from the sealed journal.
+/// run to shut down gracefully: the run notices within ~250 ms, seals its
+/// write-ahead journal (marking the run interrupted, not complete), and
+/// returns a partial result once its node-agent threads have drained. A
+/// later process can resume from the sealed journal ([`LiveRun::resume`]).
 ///
 /// Idempotent; a no-op on non-Unix targets.
 pub fn install_sigterm_handler() {
@@ -81,11 +81,10 @@ pub struct LiveFaultPlan {
     /// watchdog declares the agent stalled. Must comfortably exceed
     /// ordinary sleep overshoot at the chosen time scale.
     pub watchdog_grace: Duration,
-    /// Per-run graceful-shutdown flag: when it flips to `true` the
-    /// scheduler loop seals the journal, drains the agents, and returns a
-    /// partial result — the in-process analogue of SIGTERM (which sets a
-    /// process-wide flag every run also polls; see
-    /// [`install_sigterm_handler`]).
+    /// Per-run graceful-shutdown flag: when it flips to `true` the run
+    /// seals its journal, drains the agents, and returns a partial result
+    /// — the in-process analogue of SIGTERM (which sets a process-wide
+    /// flag every run also polls; see [`install_sigterm_handler`]).
     pub shutdown: Option<Arc<AtomicBool>>,
 }
 
@@ -99,106 +98,292 @@ impl Default for LiveFaultPlan {
     }
 }
 
-/// A request from the scheduler to a node agent. Work completes at an
-/// absolute wall-clock deadline computed from the triggering event's
-/// virtual time plus the work's virtual duration — so scheduler stalls
-/// (e.g. curve-model fits) do not serialize with training, mirroring the
-/// paper's §5.2 "overlap training and prediction" design. A dispatch that
-/// arrives after its deadline completes immediately: that residue is the
-/// genuine contention the live executor measures.
+/// A request to a node agent: report `event` once the wall clock reaches
+/// `deadline` — the triggering input's virtual time plus the work's
+/// duration, so scheduler stalls (curve-model fits) overlap training as in
+/// the paper's §5.2 — unless `wedge`d. Work that reaches its agent late
+/// completes at once: that residue is genuine contention.
 #[derive(Debug, Clone, Copy)]
-enum AgentRequest {
-    /// Train one epoch until `deadline`, then report (unless wedged).
-    RunEpoch { job: JobId, deadline: Instant, token: u64, wedge: bool },
-    /// Capture job state until `deadline`, then report (unless wedged).
-    Suspend { job: JobId, deadline: Instant, token: u64, wedge: bool },
-    /// Exit the agent loop.
-    Shutdown,
-}
-
-/// A report from a node agent to the scheduler, stamped at completion.
-#[derive(Debug, Clone, Copy)]
-struct AgentReply {
-    machine: usize,
+struct Work {
     event: EngineEvent,
-    completed_at: Instant,
+    deadline: Instant,
+    wedge: bool,
 }
 
-/// Scheduler-side bookkeeping shared by dispatch and the watchdog.
-struct LiveState {
-    agent_txs: Vec<Sender<AgentRequest>>,
-    /// Per machine: the token and wall deadline of its outstanding
-    /// request. At most one request is in flight per machine.
-    inflight: HashMap<usize, (u64, Instant)>,
-    /// Requests sent per machine so far (drives wedge matching).
-    sent: Vec<u32>,
-    wedges: Vec<(u64, u32)>,
-    /// Machines whose request channel failed mid-send; the caller repairs
-    /// them exactly like watchdog-detected stalls.
-    dead_sends: Vec<usize>,
-    started: Instant,
-    time_scale: f64,
-}
+/// A report from a node agent: the event, and when the work completed.
+type Report = (EngineEvent, Instant);
 
-impl LiveState {
-    fn wall_deadline(&self, virtual_time: SimTime) -> Instant {
-        self.started + Duration::from_secs_f64(virtual_time.as_secs() / self.time_scale)
-    }
-
-    fn virtual_time(&self, wall: Instant) -> SimTime {
-        SimTime::from_secs(wall.duration_since(self.started).as_secs_f64() * self.time_scale)
-    }
-
-    fn is_wedged(&self, machine: usize, nth: u32) -> bool {
-        self.wedges.iter().any(|&(m, n)| m == machine as u64 && n == nth)
-    }
-
-    /// Dispatches follow-up commands for an event that completed at
-    /// virtual time `base`: each command's work finishes `duration` after
-    /// the event that caused it, regardless of how long the scheduler
-    /// spent deciding. Returns whether a `Stop` was seen; send failures
-    /// land in `dead_sends` instead of panicking. Borrows the batch so the
-    /// scheduler loop can reuse one command buffer for the whole run.
-    fn dispatch(&mut self, cmds: &[Command], base: SimTime) -> bool {
-        let mut stop = false;
-        for cmd in cmds {
-            let (machine, request, token, deadline) = match *cmd {
-                Command::RunEpoch { job, machine, duration, token, .. } => {
-                    let m = machine.raw() as usize;
-                    self.sent[m] += 1;
-                    let deadline = self.wall_deadline(base + duration);
-                    let wedge = self.is_wedged(m, self.sent[m]);
-                    (m, AgentRequest::RunEpoch { job, deadline, token, wedge }, token, deadline)
-                }
-                Command::Suspend { job, machine, latency, token } => {
-                    let m = machine.raw() as usize;
-                    self.sent[m] += 1;
-                    let deadline = self.wall_deadline(base + latency);
-                    let wedge = self.is_wedged(m, self.sent[m]);
-                    (m, AgentRequest::Suspend { job, deadline, token, wedge }, token, deadline)
-                }
-                Command::Stop => {
-                    stop = true;
-                    continue;
-                }
-            };
-            if self.agent_txs[machine].send(request).is_ok() {
-                self.inflight.insert(machine, (token, deadline));
-            } else {
-                self.dead_sends.push(machine);
+/// Starts a node-agent thread, which works through its requests until
+/// their channel closes, and returns that channel.
+fn spawn_agent(reports: Sender<Report>, threads: &mut Vec<JoinHandle<()>>) -> Sender<Work> {
+    let (requests, rx) = unbounded::<Work>();
+    threads.push(std::thread::spawn(move || {
+        while let Ok(work) = rx.recv() {
+            std::thread::sleep(work.deadline.saturating_duration_since(Instant::now()));
+            // A wedged request never reports: the watchdog has to notice.
+            if !work.wedge && reports.send((work.event, Instant::now())).is_err() {
+                return; // the scheduler is gone
             }
         }
-        stop
+    }));
+    requests
+}
+
+/// The wall-clock input source: one node agent per machine, the
+/// per-machine in-flight table and its watchdog, and the stamping of
+/// reports in virtual time. Dropping it closes every agent's request
+/// channel and joins every agent thread.
+pub struct LiveSource {
+    agents: Vec<Sender<Work>>,
+    /// Every agent thread spawned, replaced ones included.
+    threads: Vec<JoinHandle<()>>,
+    reports_tx: Sender<Report>,
+    reports: Receiver<Report>,
+    /// Per machine: its one outstanding request, and whether it was sent.
+    inflight: Vec<Option<(Work, bool)>>,
+    /// Requests issued per machine so far (drives wedge matching).
+    issued: Vec<u32>,
+    plan: LiveFaultPlan,
+    /// Sealed as incomplete when a shutdown is requested.
+    journal: Journal,
+    /// A resumed run's journaled inputs, handed out before any report.
+    replay: std::vec::IntoIter<(SimTime, EngineInput)>,
+    /// The wall-clock instant of virtual time `origin`: zero, or where a
+    /// resumed run's journal ends.
+    started: Instant,
+    origin: SimTime,
+    time_scale: f64,
+    /// Time of the last input handed out: reports arrive out of
+    /// completion order, and none is stamped earlier.
+    last: SimTime,
+}
+
+impl LiveSource {
+    fn new(
+        machines: usize,
+        time_scale: f64,
+        plan: &LiveFaultPlan,
+        journal: Journal,
+        replay: Vec<(SimTime, EngineInput)>,
+    ) -> Self {
+        assert!(time_scale > 0.0 && time_scale.is_finite(), "time_scale must be positive");
+        let (reports_tx, reports) = unbounded();
+        let mut threads = Vec::new();
+        let agents = (0..machines).map(|_| spawn_agent(reports_tx.clone(), &mut threads)).collect();
+        let origin = replay.last().map_or(SimTime::ZERO, |&(t, _)| t);
+        let mut replay = replay.into_iter();
+        replay.next(); // `Start`, which the driver delivers itself
+        LiveSource {
+            agents,
+            threads,
+            reports_tx,
+            reports,
+            inflight: vec![None; machines],
+            issued: vec![0; machines],
+            plan: plan.clone(),
+            journal,
+            replay,
+            started: Instant::now(),
+            origin,
+            time_scale,
+            last: origin,
+        }
+    }
+
+    fn deadline(&self, at: SimTime) -> Instant {
+        self.started
+            + Duration::from_secs_f64(at.saturating_sub(self.origin).as_secs() / self.time_scale)
+    }
+
+    fn stamp(&mut self, wall: Instant) -> SimTime {
+        let elapsed = wall.saturating_duration_since(self.started).as_secs_f64();
+        self.last = self.last.max(self.origin + SimTime::from_secs(elapsed * self.time_scale));
+        self.last
+    }
+
+    /// Clears the request `event` reports on. A stale report — from an
+    /// agent replaced after a stall — matches none; the engine drops it by
+    /// token.
+    fn complete(&mut self, event: EngineEvent) {
+        let slot = self.inflight.iter_mut().find(|f| f.is_some_and(|(w, _)| w.event == event));
+        if let Some(slot) = slot {
+            *slot = None;
+        }
+    }
+
+    /// Declares `machine`'s agent stalled: its work is lost and a fresh
+    /// agent replaces it. Closing the old agent's channel lets it exit if
+    /// it ever wakes.
+    fn stall(&mut self, machine: usize, wall: Instant) -> (SimTime, EngineInput) {
+        self.inflight[machine] = None;
+        self.agents[machine] = spawn_agent(self.reports_tx.clone(), &mut self.threads);
+        (self.stamp(wall), EngineInput::AgentStall(MachineId::new(machine as u64)))
     }
 }
 
-/// Runs one experiment on the live (threaded) executor.
-///
-/// `time_scale` is virtual seconds per wall-clock second: with
-/// `time_scale = 600.0`, a 60-second training epoch occupies its node-agent
-/// thread for 100 ms of real time. Experiment timestamps are measured from
-/// the wall clock and converted back to virtual time, so all reported
-/// durations are comparable with simulator output.
+impl InputSource for LiveSource {
+    fn next_input(&mut self) -> Option<(SimTime, EngineInput)> {
+        // A resumed run first hands back its journal's inputs, which a wall
+        // clock cannot regenerate; `route` meanwhile records the work they
+        // issue without sending it.
+        if let Some((now, input)) = self.replay.next() {
+            match input {
+                EngineInput::Event(event) => self.complete(event),
+                // Checked: a journal of another spec may name any machine.
+                EngineInput::AgentStall(m) => {
+                    if let Some(slot) = self.inflight.get_mut(m.raw() as usize) {
+                        *slot = None;
+                    }
+                }
+                _ => {}
+            }
+            self.last = now;
+            return Some((now, input));
+        }
+        // Send what the last input issued (after a replay: everything still
+        // in flight, to fresh agents).
+        for machine in 0..self.inflight.len() {
+            let Some((work, false)) = self.inflight[machine] else { continue };
+            self.inflight[machine] = Some((work, true));
+            if self.agents[machine].send(work).is_err() {
+                // The agent died: restart it and treat the work as stalled.
+                return Some(self.stall(machine, Instant::now()));
+            }
+        }
+        loop {
+            let shutdown = self.plan.shutdown.as_ref().is_some_and(|f| f.load(Ordering::Relaxed));
+            if shutdown || SIGTERM_RECEIVED.load(Ordering::Relaxed) {
+                // Sealed before the agents drain: the result is partial, and
+                // the journal is what a later process resumes from.
+                self.journal.seal(self.last, false);
+                return None;
+            }
+            // The watchdog runs before every receive, so a backlog of
+            // reports cannot postpone a stall detection. Nothing in
+            // flight: nothing more can arrive.
+            let wall = Instant::now();
+            let (due, machine) = self
+                .inflight
+                .iter()
+                .enumerate()
+                .filter_map(|(m, f)| Some((f.as_ref()?.0.deadline + self.plan.watchdog_grace, m)))
+                .min()?;
+            if due <= wall {
+                return Some(self.stall(machine, wall));
+            }
+            // Capped so a shutdown request is noticed promptly.
+            let wait = (due - wall).min(Duration::from_millis(250));
+            if let Ok((event, completed_at)) = self.reports.recv_timeout(wait) {
+                self.complete(event);
+                // Stamped when the agent completed the work, not when the
+                // scheduler got around to its report.
+                return Some((self.stamp(completed_at), EngineInput::Event(event)));
+            }
+        }
+    }
+
+    fn route(&mut self, now: SimTime, cmds: &[Command]) {
+        for (machine, due, event) in cmds.iter().filter_map(|c| c.report(now)) {
+            let m = machine.raw() as usize;
+            self.issued[m] += 1;
+            let wedge = self.plan.wedge_requests.contains(&(machine.raw(), self.issued[m]));
+            self.inflight[m] = Some((Work { event, deadline: self.deadline(due), wedge }, false));
+        }
+    }
+}
+
+impl Drop for LiveSource {
+    fn drop(&mut self) {
+        // Every request channel closes first; each agent then finishes the
+        // sleep it is in and exits.
+        self.agents.clear();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// One experiment on the live executor: the one loop ([`Driver`]) over a
+/// [`LiveSource`], built like the simulator's `Simulation`. Dropping it
+/// unfinished (a kill) leaves its journal unsealed for
+/// [`resume`](LiveRun::resume). `time_scale` is virtual seconds per
+/// wall-clock second (at 600 a 60 s epoch sleeps 100 ms); reported times
+/// are virtual, comparable with simulator output. Suspend failures and
+/// snapshot corruption are simulator-only ([`FaultPlan::none`]). Every
+/// constructor panics unless `time_scale` is positive and the spec has
+/// machines.
+pub type LiveRun<'w, 'p> = Driver<'w, 'p, LiveSource>;
+
+impl<'w, 'p> LiveRun<'w, 'p> {
+    /// Starts a fault-free live run. Journals per `HYPERDRIVE_JOURNAL`.
+    pub fn new(
+        policy: &'p mut dyn SchedulingPolicy,
+        workload: &'w ExperimentWorkload,
+        spec: ExperimentSpec,
+        time_scale: f64,
+    ) -> Self {
+        Self::with_faults(policy, workload, spec, time_scale, &LiveFaultPlan::default())
+    }
+
+    /// Like [`new`](Self::new), wedging the requests `plan` names: the
+    /// watchdog restarts each agent `watchdog_grace` past its deadline, and
+    /// the interrupted job reruns from its last snapshot.
+    pub fn with_faults(
+        policy: &'p mut dyn SchedulingPolicy,
+        workload: &'w ExperimentWorkload,
+        spec: ExperimentSpec,
+        time_scale: f64,
+        plan: &LiveFaultPlan,
+    ) -> Self {
+        let journal =
+            Journal::from_env(run_meta(policy.name(), workload, &spec, &FaultPlan::none()));
+        Self::with_journal(policy, workload, spec, time_scale, plan, journal)
+    }
+
+    /// Like [`with_faults`](Self::with_faults), with an explicit
+    /// write-ahead [`Journal`] instead of the environment wiring.
+    pub fn with_journal(
+        policy: &'p mut dyn SchedulingPolicy,
+        workload: &'w ExperimentWorkload,
+        spec: ExperimentSpec,
+        time_scale: f64,
+        plan: &LiveFaultPlan,
+        journal: Journal,
+    ) -> Self {
+        let none = FaultPlan::none();
+        let engine = ExperimentEngine::with_journal(policy, workload, spec, &none, journal.clone());
+        Driver::start(engine, LiveSource::new(spec.machines, time_scale, plan, journal, Vec::new()))
+    }
+
+    /// Rebuilds the live run a killed or drained process left behind: a
+    /// fresh engine (and *fresh* `policy`) steps through the journaled
+    /// inputs, which the journal verifies, then whatever was in flight goes
+    /// to fresh agents on a clock carrying on from the last input. The
+    /// result is a valid continuation; live runs are not deterministic.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::JournalDiverged`](hyperdrive_types::Error::JournalDiverged)
+    /// if replay regenerates different records than the journal holds.
+    pub fn resume(
+        policy: &'p mut dyn SchedulingPolicy,
+        workload: &'w ExperimentWorkload,
+        spec: ExperimentSpec,
+        time_scale: f64,
+        plan: &LiveFaultPlan,
+        recovered: RecoveredJournal,
+    ) -> Result<Self> {
+        let RecoveredJournal { journal, inputs, .. } = recovered;
+        let replayed = inputs.len() as u64;
+        let none = FaultPlan::none();
+        let engine = ExperimentEngine::with_journal(policy, workload, spec, &none, journal.clone());
+        let source = LiveSource::new(spec.machines, time_scale, plan, journal.clone(), inputs);
+        Driver::start(engine, source).replay(&journal, replayed)
+    }
+}
+
+/// Runs one experiment on the live executor: `LiveRun::new(..).run()`,
+/// the twin of the simulator's `run_sim`.
 ///
 /// # Panics
 ///
@@ -209,230 +394,7 @@ pub fn run_live(
     spec: ExperimentSpec,
     time_scale: f64,
 ) -> ExperimentResult {
-    run_live_with_faults(policy, workload, spec, time_scale, &LiveFaultPlan::default())
-}
-
-/// Runs one experiment on the live executor while wedging the requests
-/// named in `plan` (see [`LiveFaultPlan`]).
-///
-/// The watchdog detects each wedged request `watchdog_grace` past its
-/// deadline, restarts the machine's node agent, and reschedules the
-/// interrupted job from its last snapshot. Stale reports from replaced
-/// agents are dropped by token. Engine-side probabilistic faults (suspend
-/// failure, snapshot corruption) are off in live mode: the engine is
-/// built with [`FaultPlan::none`] (default retry policy), and the live plan
-/// covers only agent-level faults. Use the simulator for the rest.
-///
-/// # Panics
-///
-/// Panics if `time_scale` is not positive or the spec has no machines.
-pub fn run_live_with_faults(
-    policy: &mut dyn SchedulingPolicy,
-    workload: &ExperimentWorkload,
-    spec: ExperimentSpec,
-    time_scale: f64,
-    plan: &LiveFaultPlan,
-) -> ExperimentResult {
-    run_live_inner(policy, workload, spec, time_scale, plan, None)
-}
-
-/// [`run_live_with_faults`] with an explicit write-ahead [`Journal`]
-/// instead of the `HYPERDRIVE_JOURNAL` environment wiring. On SIGTERM (or
-/// the plan's shutdown flag) the journal is sealed before the node agents
-/// drain, so a later process can recover the run.
-///
-/// # Panics
-///
-/// Panics if `time_scale` is not positive or the spec has no machines.
-pub fn run_live_journaled(
-    policy: &mut dyn SchedulingPolicy,
-    workload: &ExperimentWorkload,
-    spec: ExperimentSpec,
-    time_scale: f64,
-    plan: &LiveFaultPlan,
-    journal: Journal,
-) -> ExperimentResult {
-    run_live_inner(policy, workload, spec, time_scale, plan, Some(journal))
-}
-
-fn run_live_inner(
-    policy: &mut dyn SchedulingPolicy,
-    workload: &ExperimentWorkload,
-    spec: ExperimentSpec,
-    time_scale: f64,
-    plan: &LiveFaultPlan,
-    journal: Option<Journal>,
-) -> ExperimentResult {
-    assert!(time_scale > 0.0 && time_scale.is_finite(), "time_scale must be positive");
-    let machines = spec.machines;
-    assert!(machines > 0, "need at least one machine");
-    let grace = plan.watchdog_grace;
-
-    let (reply_tx, reply_rx): (Sender<AgentReply>, Receiver<AgentReply>) = unbounded();
-
-    std::thread::scope(|scope| {
-        let mut state = LiveState {
-            agent_txs: Vec::with_capacity(machines),
-            inflight: HashMap::new(),
-            sent: vec![0; machines],
-            wedges: plan.wedge_requests.clone(),
-            dead_sends: Vec::new(),
-            started: Instant::now(),
-            time_scale,
-        };
-        for machine in 0..machines {
-            state.agent_txs.push(spawn_agent(scope, machine, reply_tx.clone()));
-        }
-
-        let mut engine = match journal {
-            Some(j) => {
-                ExperimentEngine::with_journal(policy, workload, spec, &FaultPlan::none(), j)
-            }
-            None => {
-                ExperimentEngine::with_fault_injection(policy, workload, spec, &FaultPlan::none())
-            }
-        };
-        let mut last_now = SimTime::ZERO;
-        let shutdown_requested = || {
-            SIGTERM_RECEIVED.load(Ordering::Relaxed)
-                || plan.shutdown.as_ref().is_some_and(|f| f.load(Ordering::Relaxed))
-        };
-        let mut interrupted = false;
-
-        // One reusable command buffer for the whole run — the engine
-        // writes each event's follow-up batch in place, mirroring the
-        // simulator's allocation-free steady-state loop.
-        let mut cmds: Vec<Command> = Vec::new();
-        engine.deliver(EngineInput::Start, SimTime::ZERO, &mut cmds);
-        let mut stopping = state.dispatch(&cmds, SimTime::ZERO);
-        while !state.inflight.is_empty() && !stopping {
-            if shutdown_requested() {
-                interrupted = true;
-                break;
-            }
-            // Repair machines whose channel died mid-dispatch: restart the
-            // agent and treat the undeliverable work as a stall.
-            while let Some(machine) = state.dead_sends.pop() {
-                state.agent_txs[machine] = spawn_agent(scope, machine, reply_tx.clone());
-                let now = state.virtual_time(Instant::now());
-                last_now = last_now.max(now);
-                let stall = EngineInput::AgentStall(MachineId::new(machine as u64));
-                engine.deliver(stall, now, &mut cmds);
-                stopping = state.dispatch(&cmds, now) || stopping || engine.stopped();
-            }
-            if state.inflight.is_empty() || stopping {
-                break;
-            }
-
-            let next_watchdog = state
-                .inflight
-                .values()
-                .map(|&(_, deadline)| deadline + grace)
-                .min()
-                .expect("inflight is non-empty");
-            // Cap the wait so a shutdown request is noticed promptly even
-            // with far-off watchdog deadlines.
-            let wait = next_watchdog
-                .saturating_duration_since(Instant::now())
-                .min(Duration::from_millis(250));
-            match reply_rx.recv_timeout(wait) {
-                Ok(reply) => {
-                    // Events are stamped when the agent completed the
-                    // work, not when the scheduler got around to
-                    // processing the report.
-                    let now = state.virtual_time(reply.completed_at);
-                    last_now = last_now.max(now);
-                    let token = match reply.event {
-                        EngineEvent::EpochDone { token, .. }
-                        | EngineEvent::SuspendDone { token, .. } => token,
-                    };
-                    if state.inflight.get(&reply.machine).map(|&(t, _)| t) == Some(token) {
-                        state.inflight.remove(&reply.machine);
-                    }
-                    // Stale reports (from agents replaced after a stall)
-                    // are dropped inside the engine by token mismatch.
-                    engine.deliver(EngineInput::Event(reply.event), now, &mut cmds);
-                    stopping = state.dispatch(&cmds, now) || engine.stopped();
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    let wall_now = Instant::now();
-                    let overdue: Vec<usize> = state
-                        .inflight
-                        .iter()
-                        .filter(|&(_, &(_, deadline))| deadline + grace <= wall_now)
-                        .map(|(&machine, _)| machine)
-                        .collect();
-                    for machine in overdue {
-                        state.inflight.remove(&machine);
-                        // The old agent may be wedged forever; dropping
-                        // its sender lets it exit if it ever wakes.
-                        state.agent_txs[machine] = spawn_agent(scope, machine, reply_tx.clone());
-                        let now = state.virtual_time(wall_now);
-                        last_now = last_now.max(now);
-                        let stall = EngineInput::AgentStall(MachineId::new(machine as u64));
-                        engine.deliver(stall, now, &mut cmds);
-                        stopping = state.dispatch(&cmds, now) || stopping || engine.stopped();
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => break, // all agents gone
-            }
-        }
-
-        if interrupted {
-            // Seal first — the journal must hit disk before we start
-            // tearing the process down — then drain the agents. The
-            // result below is partial; the sealed (incomplete) journal is
-            // what a successor process recovers from.
-            engine.seal_journal();
-        }
-        for tx in &state.agent_txs {
-            // Agents may have exited already if their channel dropped.
-            let _ = tx.send(AgentRequest::Shutdown);
-        }
-        engine.into_result(last_now)
-    })
-}
-
-/// Starts a node-agent thread for `machine`, returning its request channel.
-fn spawn_agent<'scope>(
-    scope: &'scope std::thread::Scope<'scope, '_>,
-    machine: usize,
-    reply_tx: Sender<AgentReply>,
-) -> Sender<AgentRequest> {
-    let (tx, rx): (Sender<AgentRequest>, Receiver<AgentRequest>) = unbounded();
-    scope.spawn(move || node_agent_loop(machine, rx, reply_tx));
-    tx
-}
-
-fn node_agent_loop(machine: usize, rx: Receiver<AgentRequest>, reply_tx: Sender<AgentReply>) {
-    let run = |deadline: Instant, event: EngineEvent, wedge: bool| -> bool {
-        let now = Instant::now();
-        if deadline > now {
-            std::thread::sleep(deadline - now);
-        }
-        if wedge {
-            // The injected fault: work "completes" but the report is never
-            // sent — the scheduler's watchdog has to notice.
-            return true;
-        }
-        // A dispatch that arrived past its deadline completes now: the
-        // overshoot is real scheduler-induced contention.
-        reply_tx.send(AgentReply { machine, event, completed_at: Instant::now() }).is_ok()
-    };
-    while let Ok(req) = rx.recv() {
-        let alive = match req {
-            AgentRequest::RunEpoch { job, deadline, token, wedge } => {
-                run(deadline, EngineEvent::EpochDone { job, token }, wedge)
-            }
-            AgentRequest::Suspend { job, deadline, token, wedge } => {
-                run(deadline, EngineEvent::SuspendDone { job, token }, wedge)
-            }
-            AgentRequest::Shutdown => return,
-        };
-        if !alive {
-            return; // scheduler gone
-        }
-    }
+    LiveRun::new(policy, workload, spec, time_scale).run()
 }
 
 #[cfg(test)]
@@ -541,7 +503,7 @@ mod tests {
             watchdog_grace: Duration::from_millis(100),
             ..LiveFaultPlan::default()
         };
-        let result = run_live_with_faults(&mut policy, &ew, spec, 60_000.0, &plan);
+        let result = LiveRun::with_faults(&mut policy, &ew, spec, 60_000.0, &plan).run();
         assert_eq!(result.faults.agent_stalls, 1, "the wedge was detected");
         assert!(
             result.outcomes.iter().all(|o| o.end == crate::experiment::JobEnd::Completed),
@@ -555,41 +517,6 @@ mod tests {
             surviving + result.faults.lost_epochs,
             "lost-epoch accounting holds"
         );
-    }
-
-    #[test]
-    fn shutdown_flag_seals_journal_and_stops_early() {
-        // The in-process analogue of SIGTERM: flip the plan's shutdown
-        // flag mid-run and check the loop seals the journal, drains the
-        // agents, and returns a partial result.
-        let w = CifarWorkload::new().with_max_epochs(60);
-        let ew = crate::experiment::ExperimentWorkload::from_workload(&w, 4, 5);
-        let spec = ExperimentSpec::new(2).with_stop_on_target(false);
-        let mut policy = DefaultPolicy::new();
-        let meta = crate::journal::run_meta(policy.name(), &ew, &spec, &FaultPlan::none());
-        let journal = Journal::in_memory(meta);
-        let flag = Arc::new(AtomicBool::new(false));
-        let plan = LiveFaultPlan { shutdown: Some(flag.clone()), ..LiveFaultPlan::default() };
-        let stopper = std::thread::spawn({
-            let flag = flag.clone();
-            move || {
-                std::thread::sleep(Duration::from_millis(40));
-                flag.store(true, Ordering::SeqCst);
-            }
-        });
-        // 60s epochs at 60000x -> ~1ms each; 240 epochs across 2 machines
-        // is ~120 ms of work, so the 40 ms shutdown lands mid-run.
-        let result = run_live_journaled(&mut policy, &ew, spec, 60_000.0, &plan, journal.clone());
-        stopper.join().unwrap();
-        assert!(journal.is_sealed(), "shutdown sealed the journal");
-        assert!(
-            result.total_epochs < 4 * 60,
-            "run ended early ({} epochs), not exhaustively",
-            result.total_epochs
-        );
-        let recovered = journal.reopen().unwrap();
-        assert!(recovered.sealed, "recovery sees the run was cleanly interrupted");
-        assert!(!recovered.inputs.is_empty(), "journal holds the consumed inputs");
     }
 
     #[test]
@@ -637,7 +564,7 @@ mod tests {
             watchdog_grace: Duration::from_millis(100),
             ..LiveFaultPlan::default()
         };
-        let result = run_live_with_faults(&mut policy, &ew, spec, 60_000.0, &plan);
+        let result = LiveRun::with_faults(&mut policy, &ew, spec, 60_000.0, &plan).run();
         assert_eq!(result.faults.agent_stalls, 1);
         assert_eq!(
             result.faults.lost_epochs, 0,

@@ -1,14 +1,38 @@
-//! The simulation loop: [`Simulation`], the crate's only pop → deliver →
-//! schedule driver (the crate docs say how everything else hangs off it).
+//! [`Simulation`]: the one loop ([`Driver`]) over the virtual-time source
+//! (the crate docs say how everything else hangs off it).
 
 use hyperdrive_framework::{
-    Command, EngineEvent, EngineInput, ExperimentEngine, ExperimentResult, ExperimentSpec,
-    ExperimentWorkload, FaultKind, FaultPlan, Journal, RecoveredJournal, SchedulingPolicy,
+    Command, Driver, EngineEvent, EngineInput, ExperimentEngine, ExperimentResult, ExperimentSpec,
+    ExperimentWorkload, FaultKind, FaultPlan, InputSource, Journal, RecoveredJournal,
+    SchedulingPolicy,
 };
 use hyperdrive_types::{Result, SimTime};
 
 use crate::faults::ReplyFaults;
 use crate::queue::EventQueue;
+
+/// The virtual-time [`InputSource`]: one `(time, EngineInput)` queue of
+/// reports, timed faults and stall detections, filled through the
+/// [reply-fault filter](crate::faults).
+struct SimSource {
+    queue: EventQueue<EngineInput>,
+    reply_faults: ReplyFaults,
+}
+
+impl InputSource for SimSource {
+    #[inline]
+    fn next_input(&mut self) -> Option<(SimTime, EngineInput)> {
+        self.queue.pop()
+    }
+
+    #[inline]
+    fn route(&mut self, now: SimTime, cmds: &[Command]) {
+        for (machine, due, event) in cmds.iter().filter_map(|c| c.report(now)) {
+            let (at, input) = self.reply_faults.route(machine, due, event);
+            self.queue.schedule(at, input);
+        }
+    }
+}
 
 /// A completion report that one [`Simulation::step`] delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,12 +43,8 @@ pub struct StepOutcome {
     pub time: SimTime,
 }
 
-/// A resumable, inspectable discrete-event simulation of one experiment.
-///
-/// It owns the engine, the [reply-fault filter](crate::faults), and one
-/// future-event queue of `(time, EngineInput)` entries: the start of the
-/// experiment, every completion report, every timed machine fault and
-/// stall detection.
+/// A resumable, inspectable discrete-event simulation of one experiment:
+/// the one loop ([`Driver`]) over the virtual-time source.
 ///
 /// # Example
 ///
@@ -49,17 +69,7 @@ pub struct StepOutcome {
 /// assert_eq!(u64::from(steps), result.total_epochs);
 /// ```
 pub struct Simulation<'w, 'p> {
-    engine: ExperimentEngine<'w, 'p>,
-    queue: EventQueue<EngineInput>,
-    reply_faults: ReplyFaults,
-    now: SimTime,
-    stopping: bool,
-    /// Inputs delivered so far. Each delivery journals exactly one input
-    /// record (write-ahead), so this is also the journal position.
-    delivered: u64,
-    /// Reusable command buffer: the engine writes each input's follow-up
-    /// batch here, so the steady-state step path allocates nothing.
-    cmds: Vec<Command>,
+    driver: Driver<'w, 'p, SimSource>,
 }
 
 impl<'w, 'p> Simulation<'w, 'p> {
@@ -128,15 +138,14 @@ impl<'w, 'p> Simulation<'w, 'p> {
         recovered: RecoveredJournal,
     ) -> Result<Self> {
         let RecoveredJournal { journal, inputs, .. } = recovered;
-        let mut sim = Self::with_journal(policy, workload, spec, plan, journal.clone());
-        sim.run_to_input(inputs.len() as u64);
-        journal.finish_replay()?;
-        Ok(sim)
+        let sim = Self::with_journal(policy, workload, spec, plan, journal.clone());
+        Ok(Simulation { driver: sim.driver.replay(&journal, inputs.len() as u64)? })
     }
 
+    /// Schedules the plan's timed machine faults and delivers `Start`:
+    /// construction includes the initial `AllocateJobs` up-call.
     fn start(engine: ExperimentEngine<'w, 'p>, jobs: usize, plan: &FaultPlan) -> Self {
         let mut queue = EventQueue::with_capacity(queue_capacity(jobs, plan));
-        queue.schedule(SimTime::ZERO, EngineInput::Start);
         for event in &plan.events {
             let input = match event.kind {
                 FaultKind::MachineCrash => EngineInput::MachineCrash(event.machine),
@@ -149,53 +158,14 @@ impl<'w, 'p> Simulation<'w, 'p> {
             };
             queue.schedule(event.at, input);
         }
-        let mut sim = Simulation {
-            engine,
-            queue,
-            reply_faults: ReplyFaults::from_plan(plan),
-            now: SimTime::ZERO,
-            stopping: false,
-            delivered: 0,
-            cmds: Vec::new(),
-        };
-        // `Start` was scheduled first at time zero, so this delivers it:
-        // construction includes the initial `AllocateJobs` up-call.
-        sim.step_input();
-        sim
+        let source = SimSource { queue, reply_faults: ReplyFaults::from_plan(plan) };
+        Simulation { driver: Driver::start(engine, source) }
     }
 
     /// Pops the next input, delivers it, and schedules the reports of the
-    /// commands it produced. Returns `None` once the experiment is over:
-    /// the engine stopped (goal or `Tmax`), every job reached a terminal
-    /// state (anything still queued is a fault or stale report that can no
-    /// longer matter), or the queue drained.
+    /// commands it produced ([`Driver::step_input`]).
     pub fn step_input(&mut self) -> Option<(SimTime, EngineInput)> {
-        if self.stopping {
-            return None;
-        }
-        let (now, input) = self.queue.pop()?;
-        self.now = now;
-        self.delivered += 1;
-        self.engine.deliver(input, now, &mut self.cmds);
-        let mut stop = self.engine.stopped() || self.engine.active_job_count() == 0;
-        for cmd in &self.cmds {
-            let (machine, due, event) = match *cmd {
-                Command::RunEpoch { job, machine, duration, token, .. } => {
-                    (machine, now + duration, EngineEvent::EpochDone { job, token })
-                }
-                Command::Suspend { job, machine, latency, token } => {
-                    (machine, now + latency, EngineEvent::SuspendDone { job, token })
-                }
-                Command::Stop => {
-                    stop = true;
-                    continue;
-                }
-            };
-            let (at, input) = self.reply_faults.route(machine, due, event);
-            self.queue.schedule(at, input);
-        }
-        self.stopping = stop;
-        Some((now, input))
+        self.driver.step_input()
     }
 
     /// Processes inputs up to and including the next completion report.
@@ -220,52 +190,47 @@ impl<'w, 'p> Simulation<'w, 'p> {
     /// stops), returning the number of inputs processed.
     pub fn run_until(&mut self, until: SimTime) -> usize {
         let mut processed = 0;
-        while self.queue.peek_time().is_some_and(|t| t <= until) && self.step_input().is_some() {
+        while self.driver.source().queue.peek_time().is_some_and(|t| t <= until)
+            && self.step_input().is_some()
+        {
             processed += 1;
         }
         processed
     }
 
-    /// Runs until `position` inputs have been delivered — and therefore
-    /// journaled — or the experiment is over. Dropping the simulation at
-    /// that point instead of calling [`finish`](Self::finish) leaves the
-    /// journal unsealed, exactly as if the scheduler process had been
-    /// killed right after consuming its `position`-th input.
+    /// [`Driver::run_to_input`]: the coordinate of a simulated kill.
     pub fn run_to_input(&mut self, position: u64) {
-        while self.delivered < position && self.step_input().is_some() {}
+        self.driver.run_to_input(position);
     }
 
-    /// Inputs delivered so far, the initial `Start` included: the journal
-    /// position, and the coordinate of simulated crashes.
+    /// [`Driver::inputs_delivered`]: the journal position.
     pub fn inputs_delivered(&self) -> u64 {
-        self.delivered
+        self.driver.inputs_delivered()
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.driver.now()
     }
 
     /// Number of events waiting in the future-event queue.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.driver.source().queue.len()
     }
 
     /// True once the experiment has stopped.
     pub fn stopped(&self) -> bool {
-        self.stopping || self.queue.is_empty()
+        self.driver.stopping() || self.driver.source().queue.is_empty()
     }
 
     /// Runs the experiment to its end and produces the result.
-    pub fn run(mut self) -> ExperimentResult {
-        while self.step_input().is_some() {}
-        self.finish()
+    pub fn run(self) -> ExperimentResult {
+        self.driver.run()
     }
 
-    /// Consumes the simulation and produces the experiment result, sealing
-    /// the journal.
+    /// Produces the experiment result, sealing the journal.
     pub fn finish(self) -> ExperimentResult {
-        self.engine.into_result(self.now)
+        self.driver.finish()
     }
 }
 
@@ -274,8 +239,7 @@ impl<'w, 'p> Simulation<'w, 'p> {
 ///
 /// Without faults each job holds at most one outstanding command (RunEpoch
 /// *or* Suspend, never both) and no token ever goes stale, so at most one
-/// future event per job is queued (`Start` is gone before the first of
-/// them arrives); one spare slot keeps a full cluster's simultaneous batch
+/// future event per job is queued; one spare slot keeps a full cluster's simultaneous batch
 /// from landing exactly on capacity. Under faults every interruption can
 /// also orphan a stale-token event that lingers until its due time, and a
 /// job is interrupted at most `max_retries + 1` times before it fails — so

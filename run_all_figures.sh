@@ -15,9 +15,10 @@
 # last, leaves every bin's claims collected in results/SCORECARD.json. The
 # script fails fast: the first failing bin aborts the run and its name is
 # printed. fig12a_sim_validation runs beside the pool and is timed on its
-# own: its live executor sleeps in real time, so it alone outlasts the other
-# 16 bins together many times over. Each stage's wall-clock is printed as
-# it ends. The opt-in fit_prefetch bench runs as a dedicated
+# own: its live executor sleeps in real time (every live leg at once, on a
+# thread each), so it still outlasts the other 16 bins together, but by
+# less than fit_frontier takes after it. Each stage's wall-clock is printed
+# as it ends. The opt-in fit_prefetch bench runs as a dedicated
 # serial stage after the figure pool — it measures wall-clock contention
 # effects, so it must not share the machine with the figure bins, and
 # running it directly (rather than inside the xargs pool) propagates its
@@ -62,7 +63,8 @@ now() { t=$(date +%s.%N); case "$t" in *N) date +%s ;; *) echo "$t" ;; esac; }
 since() { awk -v a="$1" -v b="$(now)" 'BEGIN { printf "%.1f s", b - a }'; }
 
 # fig12a sleeps through its live runs: start it first, beside the pool,
-# and collect it after.
+# and collect it after. It exits non-zero when its simulation error
+# exceeds the paper's 13 %.
 echo "=== fig12a_sim_validation (live executor, real time; collected below) ==="
 T_FIG12A=$(now)
 "$BIN_DIR/fig12a_sim_validation" > results/logs/fig12a_sim_validation.log 2>&1 &
