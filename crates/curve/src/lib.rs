@@ -23,7 +23,8 @@
 //!   pool with per-`(config, epochs)` memoization (§5.2's systems
 //!   optimizations as a reusable component) and opt-in warm-started
 //!   refits; many services can share one [`FitPool`] of worker threads
-//!   (the multi-tenant server's process-global pool).
+//!   (the multi-tenant server's process-global pool). It is the one fit
+//!   path: POP and EarlyTerm both fit through it.
 //! * [`cache`] — [`SharedFitCache`], the in-memory content-addressed
 //!   layer above the per-run memo: a value its owner builds and passes to
 //!   every service that should share fits, keyed by [`CurveFingerprint`].
@@ -86,6 +87,6 @@ pub use predictor::{
 pub use scratch::FitScratch;
 pub use service::{
     derive_fit_seed, fit_prefetch_depth, fit_prefetch_forced, resolve_fit_threads, sequential_fit,
-    FitKey, FitOutcome, FitPool, FitPoolStats, FitRequest, FitService, FitStats, SpecFitHandle,
-    SpecStats, DEFAULT_PREFETCH_DEPTH,
+    FitKey, FitOutcome, FitPool, FitPoolStats, FitRequest, FitService, FitStats, SpecStats,
+    DEFAULT_PREFETCH_DEPTH,
 };

@@ -9,6 +9,11 @@
 //! are memoized per `(config, epochs observed)` so an unchanged curve is
 //! never re-fit.
 //!
+//! It is the repo's one boundary-fit path. POP sends a batch per boundary;
+//! EarlyTerm sends one request with its single-epoch query and then
+//! [`forget`](FitService::forget)s the job, so every fit either policy
+//! makes is seeded, shared, streamed and counted ([`FitStats`]) here.
+//!
 //! # Determinism
 //!
 //! Every fit's RNG seed is derived from
@@ -470,10 +475,11 @@ enum WorkerMsg {
 
 /// A fixed-size pool of fit worker threads, separable from any one
 /// [`FitService`] so many services (e.g. concurrent studies in a
-/// multi-tenant server) can share one set of threads. Each request
-/// carries its service's [`PredictorConfig`] and derived seed, and
-/// workers hold no cross-request state beyond reusable scratch buffers,
-/// so sharing the pool cannot perturb any service's results.
+/// multi-tenant server) can share one set of threads. Work reaches it only
+/// through a service, which resolves each request's [`PredictorConfig`],
+/// derived seed and warm source; workers hold no cross-request state
+/// beyond reusable scratch buffers, so sharing the pool cannot perturb any
+/// service's results.
 pub struct FitPool {
     tx: Sender<WorkerMsg>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -541,66 +547,6 @@ impl FitPool {
         // Workers contain a panicking fit and return only on `Shutdown`,
         // which `Drop` alone sends.
         self.tx.send(msg).expect("workers outlive the pool handle");
-    }
-
-    /// Launches a one-off **speculative** fit with an explicit seed and
-    /// returns a handle to collect (or cancel) it. This is the prefetch
-    /// entry point for policies that fit outside a [`FitService`]
-    /// (EarlyTerm derives its per-(job, epoch) seeds with its own
-    /// formula); service-managed speculation goes through
-    /// [`FitService::prefetch_fit`] instead, which also dedups against
-    /// caches and in-flight work.
-    #[must_use]
-    pub fn speculate(
-        &self,
-        key: FitKey,
-        config: PredictorConfig,
-        curve: LearningCurve,
-        horizon: u32,
-        seed: u64,
-    ) -> SpecFitHandle {
-        let cancelled = Arc::new(AtomicBool::new(false));
-        let (reply_tx, reply_rx) = unbounded();
-        self.send(WorkerMsg::SpecFit {
-            key,
-            config,
-            curve,
-            horizon,
-            seed,
-            warm: None,
-            cancelled: Arc::clone(&cancelled),
-            reply: reply_tx,
-        });
-        SpecFitHandle { key, cancelled, reply: reply_rx }
-    }
-}
-
-/// Handle to a one-off speculative fit launched with
-/// [`FitPool::speculate`]: collect the result with [`wait`](Self::wait)
-/// or abandon it with [`cancel`](Self::cancel). Dropping the handle
-/// without either lets the fit run to completion and discards it.
-#[derive(Debug)]
-pub struct SpecFitHandle {
-    key: FitKey,
-    cancelled: Arc<AtomicBool>,
-    reply: Receiver<(FitKey, Result<CurvePosterior>)>,
-}
-
-impl SpecFitHandle {
-    /// Marks the fit as not wanted: a worker that has not started it yet
-    /// skips the compute entirely (counted `speculative_skipped`).
-    pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// Blocks until the fit finishes and returns its result; `None` if it
-    /// was cancelled before compute started (the worker dropped the
-    /// reply), in which case the caller fits on demand.
-    #[must_use]
-    pub fn wait(self) -> Option<Result<CurvePosterior>> {
-        let (key, result) = self.reply.recv().ok()?;
-        debug_assert_eq!(key, self.key);
-        Some(result)
     }
 }
 

@@ -28,7 +28,7 @@ use crate::experiment::{
 };
 use crate::fault::{FaultPlan, FaultStats, RetryPolicy};
 use crate::job_manager::{JobManager, JobState};
-use crate::journal::{self, Journal};
+use crate::journal::Journal;
 use crate::policy::{JobDecision, JobEvent, PrefetchHint, SchedulerContext, SchedulingPolicy};
 use crate::resource::ResourceManager;
 use crate::snapshot;
@@ -465,14 +465,12 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
         spec: ExperimentSpec,
         plan: &FaultPlan,
     ) -> Self {
-        let journal = Journal::from_env(journal::run_meta(policy.name(), workload, &spec, plan));
-        Self::with_journal(policy, workload, spec, plan, journal)
+        Self::with_journal(policy, workload, spec, plan, Journal::disabled())
     }
 
-    /// Like [`with_fault_injection`](Self::with_fault_injection), but with
-    /// an explicit write-ahead [`Journal`] instead of the
-    /// `HYPERDRIVE_JOURNAL` environment wiring. Pass
-    /// [`Journal::disabled`] to journal nothing.
+    /// Like [`with_fault_injection`](Self::with_fault_injection), but
+    /// recording every input to the write-ahead `journal` (the only way an
+    /// engine journals; [`Journal::disabled`] records nothing).
     pub fn with_journal(
         policy: &'p mut dyn SchedulingPolicy,
         workload: &'w ExperimentWorkload,

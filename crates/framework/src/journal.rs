@@ -45,15 +45,17 @@
 //! surfaces as [`Error::JournalCorrupt`]. A header torn below 16 bytes
 //! means nothing was durable: recovery starts a fresh journal.
 //!
-//! Journaling is pure output: with the journal enabled the engine behaves
-//! byte-identically to a journal-off run (enforced by CI, which runs the
-//! whole golden-trace suite under `HYPERDRIVE_JOURNAL=on`).
+//! A run journals only when its constructor is handed a journal
+//! (`Simulation::with_journal`, `LiveRun::with_journal`, or `resume`;
+//! `hyperdrive run --journal <path>` from the command line). Journaling is
+//! pure output: with the journal enabled the engine behaves
+//! byte-identically to a journal-off run (`tests/golden_traces.rs` pins
+//! every golden through a journaled run and a resume).
 
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -378,32 +380,6 @@ impl Journal {
                 }),
             })),
         })
-    }
-
-    /// Attaches a journal according to `HYPERDRIVE_JOURNAL` /
-    /// `HYPERDRIVE_JOURNAL_DIR` (default: off; default dir
-    /// `$HYPERDRIVE_RESULTS/journal` or `results/journal`). A directory or
-    /// file that cannot be created disables journaling with a warning
-    /// rather than failing the run; use [`Journal::create`] directly for a
-    /// typed error.
-    pub fn from_env(meta: u64) -> Journal {
-        let enabled = std::env::var("HYPERDRIVE_JOURNAL").is_ok_and(|v| {
-            let v = v.trim().to_ascii_lowercase();
-            !(v.is_empty() || v == "0" || v == "off" || v == "false")
-        });
-        if !enabled {
-            return Journal::disabled();
-        }
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let path = journal_dir().join(format!("run-{}-{n}.wal", std::process::id()));
-        match Journal::create(&path, meta) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("hyperdrive: journal disabled: {e}");
-                Journal::disabled()
-            }
-        }
     }
 
     /// Opens an existing journal for recovery: validates the header
@@ -745,18 +721,6 @@ impl Journal {
         }
         st.records += 1;
     }
-}
-
-/// Journal directory: `HYPERDRIVE_JOURNAL_DIR`, else
-/// `$HYPERDRIVE_RESULTS/journal`, else `results/journal`.
-fn journal_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("HYPERDRIVE_JOURNAL_DIR") {
-        if !dir.is_empty() {
-            return PathBuf::from(dir);
-        }
-    }
-    let base = std::env::var("HYPERDRIVE_RESULTS").unwrap_or_else(|_| "results".into());
-    PathBuf::from(base).join("journal")
 }
 
 /// Splits `bytes` (a full journal file) into frames. Returns the frames
@@ -1112,20 +1076,6 @@ mod tests {
         assert_ne!(command_digest(&[a, b]), command_digest(&[b, a]));
         assert_ne!(command_digest(&[a]), command_digest(&[a, Command::Stop]));
         assert_eq!(command_digest(&[a, b]), command_digest(&[a, b]));
-    }
-
-    #[test]
-    fn from_env_defaults_to_disabled() {
-        // The test environment does not set HYPERDRIVE_JOURNAL for this
-        // process's unit tests unless CI's journal pass is active; either
-        // way the call must not fail.
-        let j = Journal::from_env(0);
-        if std::env::var("HYPERDRIVE_JOURNAL").map_or(true, |v| {
-            let v = v.trim().to_ascii_lowercase();
-            v.is_empty() || v == "0" || v == "off" || v == "false"
-        }) {
-            assert!(!j.is_enabled());
-        }
     }
 
     mod properties {

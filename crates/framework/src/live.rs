@@ -33,7 +33,7 @@ use crate::driver::{Driver, InputSource};
 use crate::engine::{Command, EngineEvent, EngineInput, ExperimentEngine};
 use crate::experiment::{ExperimentResult, ExperimentSpec, ExperimentWorkload};
 use crate::fault::FaultPlan;
-use crate::journal::{run_meta, Journal, RecoveredJournal};
+use crate::journal::{Journal, RecoveredJournal};
 use crate::policy::SchedulingPolicy;
 
 /// Set by the process-wide SIGTERM handler installed with
@@ -315,7 +315,7 @@ impl Drop for LiveSource {
 pub type LiveRun<'w, 'p> = Driver<'w, 'p, LiveSource>;
 
 impl<'w, 'p> LiveRun<'w, 'p> {
-    /// Starts a fault-free live run. Journals per `HYPERDRIVE_JOURNAL`.
+    /// Starts a fault-free live run that journals nothing.
     pub fn new(
         policy: &'p mut dyn SchedulingPolicy,
         workload: &'w ExperimentWorkload,
@@ -335,13 +335,11 @@ impl<'w, 'p> LiveRun<'w, 'p> {
         time_scale: f64,
         plan: &LiveFaultPlan,
     ) -> Self {
-        let journal =
-            Journal::from_env(run_meta(policy.name(), workload, &spec, &FaultPlan::none()));
-        Self::with_journal(policy, workload, spec, time_scale, plan, journal)
+        Self::with_journal(policy, workload, spec, time_scale, plan, Journal::disabled())
     }
 
-    /// Like [`with_faults`](Self::with_faults), with an explicit
-    /// write-ahead [`Journal`] instead of the environment wiring.
+    /// Like [`with_faults`](Self::with_faults), recording every input to
+    /// the write-ahead `journal` for [`resume`](Self::resume).
     pub fn with_journal(
         policy: &'p mut dyn SchedulingPolicy,
         workload: &'w ExperimentWorkload,

@@ -74,7 +74,7 @@ pub struct Simulation<'w, 'p> {
 
 impl<'w, 'p> Simulation<'w, 'p> {
     /// Sets up a fault-free simulation and schedules the initial job
-    /// starts. Journals per `HYPERDRIVE_JOURNAL`.
+    /// starts. Journals nothing.
     pub fn new(
         policy: &'p mut dyn SchedulingPolicy,
         workload: &'w ExperimentWorkload,
@@ -99,8 +99,8 @@ impl<'w, 'p> Simulation<'w, 'p> {
         Self::start(engine, workload.len(), plan)
     }
 
-    /// Like [`with_faults`](Self::with_faults), with an explicit
-    /// write-ahead [`Journal`] instead of the environment wiring.
+    /// Like [`with_faults`](Self::with_faults), recording every input to
+    /// the write-ahead `journal` for [`resume`](Self::resume).
     /// Journaling is pure output: the trace is byte-identical with any
     /// journal, including [`Journal::disabled`].
     pub fn with_journal(

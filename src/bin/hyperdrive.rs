@@ -4,20 +4,23 @@
 //! ```text
 //! hyperdrive run    --workload cifar10 --policy pop --machines 4 --configs 100
 //! hyperdrive run    --workload lunarlander --policy bandit --live --scale 600
+//! hyperdrive run    --workload cifar10 --policy pop --journal run.wal
 //! hyperdrive trace  --workload cifar10 --configs 100 --out traces.csv
 //! hyperdrive replay --file traces.csv --workload cifar10 --policy pop --machines 5
 //! ```
 
+use std::path::Path;
 use std::process::ExitCode;
 
 use hyperdrive::curve::PredictorConfig;
 use hyperdrive::framework::{
-    install_sigterm_handler, run_live, DefaultPolicy, ExperimentResult, ExperimentSpec,
-    ExperimentWorkload, SchedulingPolicy,
+    install_sigterm_handler, run_meta, DefaultPolicy, ExperimentResult, ExperimentSpec,
+    ExperimentWorkload, FaultPlan, Journal, LiveFaultPlan, LiveRun, RecoveredJournal,
+    SchedulingPolicy,
 };
 use hyperdrive::policies::{BanditPolicy, EarlyTermConfig, EarlyTermPolicy, HyperbandPolicy};
 use hyperdrive::pop::{PopConfig, PopPolicy};
-use hyperdrive::sim::run_sim;
+use hyperdrive::sim::{run_sim, Simulation};
 use hyperdrive::workload::{
     CifarWorkload, ImagenetWorkload, LstmWorkload, LunarWorkload, TraceSet, Workload,
 };
@@ -43,6 +46,8 @@ OPTIONS (run / replay):
   --live                                  threaded executor instead of simulator
   --scale <X>                             live time scale   [600]
   --run-all                               do not stop at the target
+  --journal <FILE>                        (run) write-ahead journal: created if
+                                          absent, else the run resumes from it
 
 OPTIONS (trace):
   --out  <FILE>                           output path       [traces.csv]
@@ -142,6 +147,25 @@ fn report(result: &ExperimentResult, experiment: &ExperimentWorkload) {
     println!("suspensions:       {}", result.suspend_events.len());
 }
 
+/// What `--journal <path>` opened: a fresh journal (disabled without the
+/// flag), or an existing one to resume from.
+enum RunJournal {
+    Fresh(Journal),
+    Resume(RecoveredJournal),
+}
+
+fn open_journal(path: Option<&str>, meta: u64) -> Result<RunJournal, String> {
+    let Some(path) = path.map(Path::new) else {
+        return Ok(RunJournal::Fresh(Journal::disabled()));
+    };
+    let opened = if path.exists() {
+        Journal::recover(path, meta).map(RunJournal::Resume)
+    } else {
+        Journal::create(path, meta).map(RunJournal::Fresh)
+    };
+    opened.map_err(|e| format!("--journal {}: {e}", path.display()))
+}
+
 fn cmd_run(args: &Args) -> Result<(), String> {
     let workload = make_workload(args.get("--workload").unwrap_or("cifar10"))?;
     let seed: u64 = args.parse_num("--seed", 42)?;
@@ -170,6 +194,9 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     }
 
     let mut policy = make_policy(args.get("--policy").unwrap_or("pop"), seed)?;
+    let none = FaultPlan::none();
+    let meta = run_meta(policy.name(), &experiment, &spec, &none);
+    let journal = open_journal(args.get("--journal"), meta)?;
     println!(
         "running {} x{} on {} machines ({})…",
         workload.name(),
@@ -177,15 +204,32 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         machines,
         if args.has("--live") { "live executor" } else { "simulator" }
     );
+    let policy = policy.as_mut();
+    let resumed = |e: hyperdrive::Error| format!("--journal: cannot resume: {e}");
     let result = if args.has("--live") {
         let scale: f64 = args.parse_num("--scale", 600.0)?;
+        let plan = LiveFaultPlan::default();
         // SIGTERM requests a graceful stop: the run loop drains the node
-        // agents and seals the write-ahead journal (if enabled) so the
-        // run can be recovered instead of replayed-and-diverged.
+        // agents and seals the journal (if any), so a second run with the
+        // same `--journal` resumes it.
         install_sigterm_handler();
-        run_live(policy.as_mut(), &experiment, spec, scale)
+        match journal {
+            RunJournal::Fresh(j) => {
+                LiveRun::with_journal(policy, &experiment, spec, scale, &plan, j).run()
+            }
+            RunJournal::Resume(r) => {
+                LiveRun::resume(policy, &experiment, spec, scale, &plan, r).map_err(resumed)?.run()
+            }
+        }
     } else {
-        run_sim(policy.as_mut(), &experiment, spec)
+        match journal {
+            RunJournal::Fresh(j) => {
+                Simulation::with_journal(policy, &experiment, spec, &none, j).run()
+            }
+            RunJournal::Resume(r) => {
+                Simulation::resume(policy, &experiment, spec, &none, r).map_err(resumed)?.run()
+            }
+        }
     };
     report(&result, &experiment);
     Ok(())

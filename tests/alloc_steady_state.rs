@@ -223,11 +223,6 @@ fn churn_path_allocations() {
 
 #[test]
 fn steady_state_event_loop_is_allocation_free() {
-    // Journaling is pure output but not free: CI runs the suite with
-    // HYPERDRIVE_JOURNAL=on, and journal appends allocate. This pin is
-    // about the engine loop itself, so measure without a journal.
-    std::env::remove_var("HYPERDRIVE_JOURNAL");
-
     // The default FIFO policy: the bare engine + stepper path.
     let mut default_policy = DefaultPolicy::new();
     let (allocs, events) = steady_state_allocs(&mut default_policy);

@@ -32,8 +32,11 @@ use std::sync::Arc;
 
 use hyperdrive_core::{PopConfig, PopPolicy};
 use hyperdrive_curve::{PredictorConfig, SharedFitCache};
-use hyperdrive_framework::{ExperimentSpec, ExperimentWorkload};
-use hyperdrive_sim::run_sim;
+use hyperdrive_framework::{
+    run_meta, ExperimentResult, ExperimentSpec, ExperimentWorkload, FaultPlan, Journal,
+    SchedulingPolicy,
+};
+use hyperdrive_sim::{run_sim, Simulation};
 use hyperdrive_types::SimTime;
 use hyperdrive_workload::{CifarWorkload, LunarWorkload, Workload};
 
@@ -83,7 +86,12 @@ fn trace_prefetched(
         pop.spec_stats().speculated > 0,
         "prefetch never engaged — the equivalence assertion would be vacuous"
     );
+    render(&result, &pop)
+}
 
+/// A run's full decision trace: the event log, POP's per-boundary
+/// classification snapshots, and the run's end.
+fn render(result: &ExperimentResult, pop: &PopPolicy) -> String {
     let mut csv = Vec::new();
     result.events.write_csv(&mut csv).expect("event log serializes");
     let mut out = String::from_utf8(csv).expect("csv is utf-8");
@@ -143,34 +151,7 @@ fn trace_cached(
         None => PopPolicy::with_config(config),
     };
     let result = run_sim(&mut pop, &ew, spec);
-
-    let mut csv = Vec::new();
-    result.events.write_csv(&mut csv).expect("event log serializes");
-    let mut out = String::from_utf8(csv).expect("csv is utf-8");
-    out.push_str("decision,now_s,active,promising,running,promising_running,p_star,slots\n");
-    for s in pop.timeline() {
-        writeln!(
-            out,
-            "decision,{:.3},{},{},{},{},{:.6},{}",
-            s.now.as_secs(),
-            s.active_jobs,
-            s.promising_jobs,
-            s.running_jobs,
-            s.promising_running,
-            s.p_threshold,
-            s.promising_slots,
-        )
-        .expect("string write");
-    }
-    writeln!(
-        out,
-        "end,{:.3},total_epochs={},terminated_early={}",
-        result.end_time.as_secs(),
-        result.total_epochs,
-        result.terminated_early(),
-    )
-    .expect("string write");
-    (out, pop)
+    (render(&result, &pop), pop)
 }
 
 fn golden_path(name: &str) -> PathBuf {
@@ -458,4 +439,91 @@ fn golden_traces_are_invariant_under_shared_fit_cache_modes() {
             "{name}: the warmed replay consumed a different number of predictions"
         );
     }
+}
+
+// Journaling is pure output: a journaled run renders its golden byte for
+// byte, and so does a run killed halfway through its inputs and resumed
+// from the journal on a fresh policy — at 1 and 4 fit threads.
+
+#[test]
+fn journaling_is_pure_output() {
+    if std::env::var("HYPERDRIVE_UPDATE_GOLDEN").is_ok() {
+        return; // the per-trace tests above own regeneration
+    }
+    let cifar = CifarWorkload::new().with_max_epochs(40);
+    let lunar = LunarWorkload::new().with_max_blocks(60);
+    let cifar_t = SimTime::from_hours(48.0);
+    let lunar_t = SimTime::from_hours(200.0);
+    type Case<'a> = (&'a str, &'a dyn Workload, usize, u64, usize, SimTime, bool);
+    let cases: [Case; 3] = [
+        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false),
+        ("cifar_warm_trace.csv", &cifar, 12, 7, 4, cifar_t, true),
+        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false),
+    ];
+    let plan = FaultPlan::none();
+    for (name, w, configs, seed, machines, tmax, warm) in cases {
+        let golden = read_golden(name);
+        let ew = ExperimentWorkload::from_workload(w, configs, seed);
+        let spec = ExperimentSpec::new(machines).with_stop_on_target(false).with_tmax(tmax);
+        for threads in [1, 4] {
+            let pop = || {
+                let predictor = PredictorConfig::test().with_warm_start(warm);
+                PopPolicy::with_config(PopConfig {
+                    predictor,
+                    fit_threads: threads,
+                    seed,
+                    ..Default::default()
+                })
+            };
+            let mut whole = pop();
+            let meta = run_meta(whole.name(), &ew, &spec, &plan);
+            let journal = Journal::in_memory(meta);
+            let result =
+                Simulation::with_journal(&mut whole, &ew, spec, &plan, journal.clone()).run();
+            assert_eq!(render(&result, &whole), golden, "{name}: journaled at {threads} threads");
+            assert!(journal.is_sealed(), "{name}: the finished run sealed its journal");
+
+            let half = journal.inputs_appended() / 2;
+            let mut victim = pop();
+            let journal = Journal::in_memory(meta);
+            let mut killed =
+                Simulation::with_journal(&mut victim, &ew, spec, &plan, journal.clone());
+            killed.run_to_input(half);
+            drop(killed);
+            let recovered = journal.reopen().expect("an in-memory journal reopens");
+            assert_eq!(recovered.inputs.len() as u64, half);
+            let mut fresh = pop();
+            let result = Simulation::resume(&mut fresh, &ew, spec, &plan, recovered)
+                .expect("the prefix replays")
+                .run();
+            assert_eq!(render(&result, &fresh), golden, "{name}: resumed at {threads} threads");
+        }
+    }
+}
+
+/// The command line journals as a path: a second `run --journal` on a
+/// sealed journal resumes it to the same report, and a journal written
+/// under another seed is refused.
+#[test]
+fn cli_run_resumes_its_journal_and_refuses_another_runs() {
+    let path = std::env::temp_dir().join(format!("hyperdrive-cli-{}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let run = |seed: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_hyperdrive"))
+            .args(["run", "--policy", "bandit", "--configs", "12", "--machines", "3"])
+            .args(["--seed", seed, "--journal"])
+            .arg(&path)
+            .output()
+            .expect("the hyperdrive binary runs")
+    };
+    let first = run("42");
+    assert!(first.status.success(), "{}", String::from_utf8_lossy(&first.stderr));
+    assert!(path.exists(), "--journal created the file");
+    let second = run("42");
+    assert!(second.status.success(), "{}", String::from_utf8_lossy(&second.stderr));
+    assert_eq!(String::from_utf8_lossy(&second.stdout), String::from_utf8_lossy(&first.stdout));
+    let other = run("43");
+    assert!(!other.status.success(), "a journal of another run must be refused");
+    assert!(String::from_utf8_lossy(&other.stderr).contains("--journal"));
+    let _ = std::fs::remove_file(&path);
 }
