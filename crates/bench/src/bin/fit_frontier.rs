@@ -169,7 +169,7 @@ fn read(
     let mut cdfs = [0.0f64; QUERY_LANES];
     let cdfs = &mut cdfs[..query.epochs().len()];
     let t = Instant::now();
-    let posterior = predictor.fit_with(&prefix.curve, horizon, None, scratch).ok()?;
+    let posterior = predictor.fit_with(&prefix.curve, horizon, scratch).ok()?;
     posterior.prob_at_least_many(query.epochs(), prefix.target, cdfs);
     let millis = t.elapsed().as_secs_f64() * 1e3;
     let estimate =

@@ -2,10 +2,9 @@
 //! latency of the reference path vs the fused-arena path, heap allocations
 //! on the fast path — per MCMC step, per lockstep Nelder–Mead init, per
 //! remaining-time estimate and single-epoch query, per streamed chunk of a
-//! fit that carries its query — forced-scalar vs
-//! dispatched bit-identity of both the raw kernels and the fused
-//! log-posterior (against the per-proposal reference evaluator), and
-//! warm+fast refit speedup through the [`FitService`].
+//! fit that carries its query — and forced-scalar vs dispatched
+//! bit-identity of both the raw kernels and the fused log-posterior
+//! (against the per-proposal reference evaluator).
 //! Emits `BENCH_fit_simd.json` into the results directory.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -147,7 +146,6 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(7);
     let fits = fit_families(
         &mut FusedPosterior::new(&grid, &ys, &mut fused, dispatched),
-        None,
         &mut rng,
         &mut nm,
     );
@@ -170,7 +168,7 @@ fn main() {
     let fast = CurvePredictor::new(config.with_fast_math(true).with_seed(7));
     let mut scratch_fast = FitScratch::new();
     // Untimed warm-up sizes the scratch and faults code in.
-    let _ = fast.fit_with(&curves[0], horizon, None, &mut scratch_fast);
+    let _ = fast.fit_with(&curves[0], horizon, &mut scratch_fast);
 
     let mut ref_secs = f64::INFINITY;
     let mut fast_secs = f64::INFINITY;
@@ -182,13 +180,13 @@ fn main() {
             let _ = reference.fit_reference(c, horizon).expect("fit ok");
             rep_ref += t.elapsed().as_secs_f64();
             let t = Instant::now();
-            let a = fast.fit_with(c, horizon, None, &mut scratch_fast).expect("fit ok");
+            let a = fast.fit_with(c, horizon, &mut scratch_fast).expect("fit ok");
             rep_fast += t.elapsed().as_secs_f64();
             if rep == 0 {
                 // Determinism (not reference-equality): a second fast fit
                 // must reproduce the first draw-for-draw.
                 let mut check = FitScratch::new();
-                let b = fast.fit_with(c, horizon, None, &mut check).expect("fit ok");
+                let b = fast.fit_with(c, horizon, &mut check).expect("fit ok");
                 assert_eq!(a.draws(), b.draws(), "fast path is nondeterministic");
             }
         }
@@ -253,7 +251,7 @@ fn main() {
     // A boundary decision's queries on a fitted posterior: POP's
     // remaining-time estimate and EarlyTerm's single-epoch probability,
     // on this thread's reused query grid and arena.
-    let posterior = fast.fit_with(&curves[0], horizon, None, &mut scratch_fast).expect("fit ok");
+    let posterior = fast.fit_with(&curves[0], horizon, &mut scratch_fast).expect("fit ok");
     let query = || {
         let est = estimate_remaining_time(
             &posterior,
@@ -312,44 +310,6 @@ fn main() {
     let streamed_over_plain = streamed_six.saturating_sub(plain_six);
     assert!(streamed_over_plain <= 4, "a streamed batch allocated {streamed_over_plain} more");
 
-    // ---- Warm + fast refit speedup through the FitService: epoch-20
-    // posteriors seed the epoch-24 refits, all on the fast path. Fresh
-    // service pairs per repetition (the fit cache would otherwise answer
-    // the second rep), minimum over repetitions.
-    let grown = cifar_curves(n_curves, 24);
-    let batch = |cs: &[LearningCurve]| -> Vec<FitRequest> {
-        cs.iter()
-            .enumerate()
-            .map(|(j, c)| FitRequest {
-                job: JobId::new(j as u64),
-                curve: c.clone(),
-                horizon,
-                query: None,
-            })
-            .collect()
-    };
-    let fast_config = config.with_fast_math(true);
-    let mut cold_refit_secs = f64::INFINITY;
-    let mut warm_refit_secs = f64::INFINITY;
-    for _ in 0..reps.min(2) {
-        let cold_service = FitService::new(fast_config, 7, 1);
-        cold_service.fit_batch(&batch(&curves));
-        let t = Instant::now();
-        cold_service.fit_batch(&batch(&grown));
-        cold_refit_secs = cold_refit_secs.min(t.elapsed().as_secs_f64());
-
-        let warm_service = FitService::new(fast_config.with_warm_start(true), 7, 1);
-        warm_service.fit_batch(&batch(&curves));
-        let t = Instant::now();
-        warm_service.fit_batch(&batch(&grown));
-        warm_refit_secs = warm_refit_secs.min(t.elapsed().as_secs_f64());
-        let warm_stats = warm_service.stats();
-        assert_eq!(warm_stats.warm_fits, n_curves as u64, "every refit should warm-start");
-    }
-    let warm_fast_ms = warm_refit_secs * 1e3 / n_curves as f64;
-    let warm_fast_speedup = cold_refit_secs / warm_refit_secs.max(1e-12);
-    let warm_fast_vs_reference = ref_ms / warm_fast_ms.max(1e-12);
-
     print_table(
         "vectorized likelihood kernel",
         &[
@@ -362,8 +322,6 @@ fn main() {
             "allocs/nm_init",
             "allocs/query",
             "allocs/chunk",
-            "warmfast_ms",
-            "warmfast_vs_ref",
         ],
         &[vec![
             n_curves.to_string(),
@@ -375,8 +333,6 @@ fn main() {
             nm_alloc_delta.to_string(),
             query_alloc_delta.to_string(),
             chunk_alloc_delta.to_string(),
-            format!("{warm_fast_ms:.2}"),
-            format!("{warm_fast_vs_reference:.2}x"),
         ]],
     );
     println!(
@@ -407,12 +363,7 @@ fn main() {
   "plain_batch_alloc_events": {plain_six},
   "bit_identity_kernel_lanes": {kernel_lanes},
   "bit_identity_posterior_evals": {posterior_evals},
-  "bit_identical_scalar_vs_dispatched": true,
-  "warm_fast_refit_batch_s": {warm_refit_secs:.4},
-  "cold_fast_refit_batch_s": {cold_refit_secs:.4},
-  "per_fit_warm_fast_ms": {warm_fast_ms:.4},
-  "warm_fast_speedup": {warm_fast_speedup:.3},
-  "warm_fast_vs_reference_speedup": {warm_fast_vs_reference:.3}
+  "bit_identical_scalar_vs_dispatched": true
 }}
 "#
     )

@@ -92,15 +92,6 @@ impl FitCostModel {
         evals as f64 / 1000.0 * self.kiloeval_price(config)
     }
 
-    /// Modeled cost (seconds) of one **warm-started** fit: same
-    /// per-kiloeval price, but the sampler runs the shorter `warm_steps`
-    /// schedule, so warm refits are proportionally cheaper.
-    #[must_use]
-    pub fn warm_fit_secs(&self, config: &PredictorConfig, n_obs: usize) -> f64 {
-        let evals = config.walkers * config.warm_steps * n_obs.clamp(1, config.max_obs);
-        evals as f64 / 1000.0 * self.kiloeval_price(config)
-    }
-
     /// Makespan of scheduling `costs` (in request order) onto the modeled
     /// workers: each fit goes to the least-loaded worker, and the batch
     /// takes as long as the busiest worker. With one modeled worker this
@@ -443,14 +434,7 @@ impl PopPolicy {
                 .iter()
                 .zip(&outcomes)
                 .filter(|(_, o)| !o.cached)
-                .map(|(r, o)| {
-                    let warm = o.result.as_ref().map(|p| p.warm_started()).unwrap_or(false);
-                    if warm {
-                        model.warm_fit_secs(&self.config.predictor, r.curve.len())
-                    } else {
-                        model.fit_secs(&self.config.predictor, r.curve.len())
-                    }
-                })
+                .map(|(r, _)| model.fit_secs(&self.config.predictor, r.curve.len()))
                 .collect();
             self.pending_overhead += SimTime::from_secs(model.makespan_secs(&costs));
         }
@@ -874,25 +858,6 @@ mod tests {
         // its own to recalibrate.
         let doubled = PredictorConfig { steps: 2 * config.steps, ..config };
         assert_eq!(model.fit_secs(&doubled, 10), 2.0 * model.fit_secs(&config, 10));
-    }
-
-    #[test]
-    fn warm_fits_are_priced_by_their_shorter_schedule() {
-        let model = FitCostModel {
-            secs_per_kiloeval: 2.0,
-            modeled_workers: 1,
-            fast_math_speedup: 1.0,
-            batch_fit_speedup: 1.0,
-        };
-        let config = PredictorConfig::test();
-        let cold = model.fit_secs(&config, 5);
-        let warm = model.warm_fit_secs(&config, 5);
-        assert!(warm < cold, "warm refits run fewer steps and must cost less");
-        assert_eq!(
-            warm / cold,
-            config.warm_steps as f64 / config.steps as f64,
-            "cost scales with the step schedule"
-        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   tail gate and the Gaussian likelihood. The sampler
 //!   ([`crate::mcmc`]) proposes a whole half-ensemble before it scores
 //!   any of it, so a half-sweep is one call; the same call scores the
-//!   initial ensemble and the warm path's rescoring.
+//!   initial ensemble.
 //! - **Least squares** ([`CurveObjective::least_squares`]): a slot is one
 //!   point posted by the lockstep Nelder–Mead driver
 //!   ([`crate::nelder_mead::NmScratch`]) — one family, one parameter
@@ -84,12 +84,11 @@ const HILL3_K: usize = 10;
 /// Sentinel for "family inactive" in a slot's segment table.
 const NO_SEG: usize = usize::MAX;
 
-/// Slots scored per arena sweep; longer batches (the warm path rescoring
-/// a whole previous posterior, a query over every draw) run in chunks of
-/// this many, which bounds the arena at `MAX_SLOTS × 11 × lanes` whatever
-/// the caller passes. Sized to hold a default half-ensemble (50 walkers)
-/// in one sweep. A fit streams its kept draws in runs of this many
-/// ([`crate::mcmc::sample_into`]).
+/// Slots scored per arena sweep; longer batches (a query over every draw)
+/// run in chunks of this many, which bounds the arena at
+/// `MAX_SLOTS × 11 × lanes` whatever the caller passes. Sized to hold a
+/// default half-ensemble (50 walkers) in one sweep. A fit streams its kept
+/// draws in runs of this many ([`crate::mcmc::sample_into`]).
 pub const MAX_SLOTS: usize = 64;
 
 /// One arena segment: a family's parameter block (an offset into the

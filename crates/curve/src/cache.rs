@@ -15,14 +15,14 @@
 //!
 //! # Why a hit is bitwise-identical by construction
 //!
-//! A fit is a pure function of exactly five things: the observed
+//! A fit is a pure function of exactly four things: the observed
 //! `(epoch, value)` prefix (fit ignores wall-clock point times), the full
-//! predictor fidelity, the derived per-fit RNG seed, the extrapolation
-//! horizon (the evaluation grid includes the horizon point), and — for
-//! warm starts — the warm-source posterior. [`fit_fingerprint`] hashes
-//! precisely that closure, so two requests with equal fingerprints would
-//! execute byte-for-byte the same computation; returning the memoized
-//! posterior is indistinguishable from re-running it. `fast_math` fits
+//! predictor fidelity, the derived per-fit RNG seed, and the extrapolation
+//! horizon (the evaluation grid includes the horizon point).
+//! [`fit_fingerprint`] hashes precisely that closure, so two requests with
+//! equal fingerprints would execute byte-for-byte the same computation;
+//! returning the memoized posterior is indistinguishable from re-running
+//! it. `fast_math` fits
 //! additionally fold in the active [`vmath`] backend discriminant: the
 //! backends are bit-identical by construction (proptest-pinned), but the
 //! key stays conservative so a hit can never even in principle cross
@@ -110,17 +110,15 @@ fn metric_kind_code(kind: MetricKind) -> u64 {
     }
 }
 
-/// Content hash of a posterior, used to fold a warm-start *source* into
-/// the fingerprint of the fit it seeds. Covers every field a warm start
-/// reads (draws bit patterns included), so two warm fits share a
-/// fingerprint only when their seeds are byte-identical.
+/// Content hash of a posterior: every field, the draws' bit patterns
+/// included. `FitService::posterior_digest` folds it over a run's memoized
+/// posteriors.
 #[must_use]
 pub fn posterior_hash(p: &CurvePosterior) -> u64 {
     let mut h = Fp128::new(POSTERIOR_SALT);
     h.write_u64(u64::from(p.last_epoch()));
     h.write_u64(u64::from(p.horizon()));
     h.write_f64(p.acceptance_rate());
-    h.write_u64(u64::from(p.warm_started()));
     h.write_u64(p.draws().len() as u64);
     for draw in p.draws() {
         h.write_u64(draw.len() as u64);
@@ -139,16 +137,33 @@ pub fn posterior_hash(p: &CurvePosterior) -> u64 {
 /// `config` fidelity **except** `config.seed` (superseded by `fit_seed`,
 /// the derived per-fit seed actually installed before fitting), the
 /// extrapolation `horizon` (the evaluation grid includes the horizon
-/// point), the active vmath backend when `fast_math` routes through it,
-/// and the content hash of the warm-start source, if any.
+/// point), and the active vmath backend when `fast_math` routes through
+/// it. `config` is destructured field by field, so a field added to
+/// [`PredictorConfig`] does not compile here until it is hashed or skipped
+/// on purpose.
+///
+/// The fifth parameter is ignored: every fit runs cold, and in-tree
+/// callers pass `None`. It stays only because the repository benchmark
+/// calls this function with five arguments (ROADMAP 1(a) removes it).
 #[must_use]
 pub fn fit_fingerprint(
     curve: &LearningCurve,
     config: &PredictorConfig,
     fit_seed: u64,
     horizon: u32,
-    warm: Option<&CurvePosterior>,
+    _warm: Option<&CurvePosterior>,
 ) -> CurveFingerprint {
+    let PredictorConfig {
+        walkers,
+        steps,
+        burn_in_frac,
+        thin,
+        max_draws,
+        max_obs,
+        seed: _,
+        min_observations,
+        fast_math,
+    } = *config;
     let mut h = Fp128::new(FIT_SALT);
     h.write_u64(metric_kind_code(curve.kind()));
     h.write_u64(curve.len() as u64);
@@ -156,17 +171,15 @@ pub fn fit_fingerprint(
         h.write_u64(u64::from(p.epoch));
         h.write_f64(p.value);
     }
-    h.write_u64(config.walkers as u64);
-    h.write_u64(config.steps as u64);
-    h.write_f64(config.burn_in_frac);
-    h.write_u64(config.thin as u64);
-    h.write_u64(config.max_draws as u64);
-    h.write_u64(config.max_obs as u64);
-    h.write_u64(config.min_observations as u64);
-    h.write_u64(u64::from(config.warm_start));
-    h.write_u64(config.warm_steps as u64);
-    h.write_u64(u64::from(config.fast_math));
-    if config.fast_math {
+    h.write_u64(walkers as u64);
+    h.write_u64(steps as u64);
+    h.write_f64(burn_in_frac);
+    h.write_u64(thin as u64);
+    h.write_u64(max_draws as u64);
+    h.write_u64(max_obs as u64);
+    h.write_u64(min_observations as u64);
+    h.write_u64(u64::from(fast_math));
+    if fast_math {
         h.write_u64(match vmath::active_backend() {
             vmath::Backend::Scalar => 1,
             vmath::Backend::Simd => 2,
@@ -174,13 +187,6 @@ pub fn fit_fingerprint(
     }
     h.write_u64(fit_seed);
     h.write_u64(u64::from(horizon));
-    match warm {
-        None => h.write_u64(0),
-        Some(w) => {
-            h.write_u64(1);
-            h.write_u64(posterior_hash(w));
-        }
-    }
     h.finish()
 }
 // ---------------------------------------------------------------------------
@@ -360,7 +366,7 @@ mod tests {
 
     fn posterior(tag: u64) -> CurvePosterior {
         let draws = (0..4 * dimension()).map(|i| tag as f64 + i as f64 * 0.5).collect();
-        CurvePosterior::from_parts(draws, 10, 100, 0.31, tag.is_multiple_of(2)).expect("whole rows")
+        CurvePosterior::from_parts(draws, 10, 100, 0.31).expect("whole rows")
     }
 
     #[test]
@@ -371,17 +377,6 @@ mod tests {
         assert_ne!(base, fit_fingerprint(&curve(11), &cfg, 42, 100, None), "longer prefix");
         assert_ne!(base, fit_fingerprint(&curve(10), &cfg, 43, 100, None), "different seed");
         assert_ne!(base, fit_fingerprint(&curve(10), &cfg, 42, 101, None), "different horizon");
-        let mut other_cfg = cfg;
-        other_cfg.walkers += 1;
-        assert_ne!(base, fit_fingerprint(&curve(10), &other_cfg, 42, 100, None), "config");
-        let warm = posterior(1);
-        let warmed = fit_fingerprint(&curve(10), &cfg, 42, 100, Some(&warm));
-        assert_ne!(base, warmed, "warm source must change the key");
-        assert_ne!(
-            warmed,
-            fit_fingerprint(&curve(10), &cfg, 42, 100, Some(&posterior(2))),
-            "different warm sources must not collide"
-        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use rand::Rng;
 
-use crate::ensemble::{dimension, PosteriorEval, FAMILY_OFFSETS, SIGMA_BOUNDS, SIGMA_INDEX};
+use crate::ensemble::{dimension, PosteriorEval, SIGMA_BOUNDS, SIGMA_INDEX};
 use crate::models::{GridPoint, ModelFamily, ALL_FAMILIES};
 use crate::nelder_mead::{minimize, NelderMeadOptions, NmScratch, MAX_DIM};
 
@@ -212,81 +212,42 @@ fn family_objective(family: ModelFamily, pts: &[GridPoint], ys: &[f64], params: 
 /// start of every family is drawn up front, and each round of the
 /// simplex runs is one `objective.least_squares` call.
 ///
-/// Cold (`seed` is `None`) this is [`fit_all_families`]' schedule — per
-/// family the default start plus two random points in the box, drawn in
-/// the same RNG order (the runs themselves consume none), 300 evaluations
-/// each, the first-best of the three kept — so with the libm objective the
-/// fits are bitwise the oracle's. Warm, each family runs once, with a
-/// reduced budget, from its parameter block of the previous posterior's
-/// draw `seed` clamped into the box, and consumes no RNG at all.
+/// This is [`fit_all_families`]' schedule — per family the default start
+/// plus two random points in the box, drawn in the same RNG order (the
+/// runs themselves consume none), 300 evaluations each, the first-best of
+/// the three kept — so with the libm objective the fits are bitwise the
+/// oracle's.
 pub fn fit_families<R: Rng + ?Sized>(
     objective: &mut impl CurveObjective,
-    seed: Option<&[f64]>,
     rng: &mut R,
     nm: &mut NmScratch,
 ) -> Vec<FamilyFit> {
-    let families: [usize; 11] = std::array::from_fn(|k| k);
-    let winners: Vec<Vec<f64>> = if let Some(draw) = seed {
-        let mut starts = [0.0; 11 * MAX_DIM];
-        let block = |k: usize| k * MAX_DIM..k * MAX_DIM + ALL_FAMILIES[k].param_count();
-        nm.begin(NelderMeadOptions { max_evals: 120, ..Default::default() });
-        for (k, &family) in ALL_FAMILIES.iter().enumerate() {
-            let seed = &draw[FAMILY_OFFSETS[k]..][..family.param_count()];
-            starts[block(k)].copy_from_slice(seed);
-            clamp_into_box(family, &mut starts[block(k)]);
-            nm.push_start(k, &starts[block(k)]);
-        }
-        nm.minimize_all(|families, points, out| objective.least_squares(families, points, out));
-        // Keep the seed itself if the reduced run somehow did worse (it
-        // can, when the budget runs out mid-shrink on a pathological
-        // objective).
-        let mut seed_f = [0.0; 11];
-        objective.least_squares(&families, &starts, &mut seed_f);
-        families
-            .iter()
-            .map(|&k| {
-                let (x, fx) = nm.best(k);
-                if fx <= seed_f[k] {
-                    x.to_vec()
-                } else {
-                    starts[block(k)].to_vec()
-                }
-            })
-            .collect()
-    } else {
-        // Multi-start: the default start plus a couple of random points in
-        // the box. Curve-family objectives are cheap, so a few restarts
-        // are free.
-        nm.begin(NelderMeadOptions { max_evals: 300, ..Default::default() });
-        let mut start = [0.0; MAX_DIM];
-        for (k, &family) in ALL_FAMILIES.iter().enumerate() {
-            nm.push_start(k, &family.default_params());
-            for _ in 0..2 {
-                let bounds = family.bounds();
-                for (s, (lo, hi)) in start.iter_mut().zip(bounds) {
-                    *s = rng.gen_range(*lo..*hi);
-                }
-                nm.push_start(k, &start[..bounds.len()]);
+    // Multi-start: the default start plus a couple of random points in the
+    // box. Curve-family objectives are cheap, so a few restarts are free.
+    nm.begin(NelderMeadOptions { max_evals: 300, ..Default::default() });
+    let mut start = [0.0; MAX_DIM];
+    for (k, &family) in ALL_FAMILIES.iter().enumerate() {
+        nm.push_start(k, &family.default_params());
+        for _ in 0..2 {
+            let bounds = family.bounds();
+            for (s, (lo, hi)) in start.iter_mut().zip(bounds) {
+                *s = rng.gen_range(*lo..*hi);
             }
+            nm.push_start(k, &start[..bounds.len()]);
         }
-        nm.minimize_all(|families, points, out| objective.least_squares(families, points, out));
-        families
-            .iter()
-            .map(|&k| {
-                let mut best = 3 * k;
-                for run in 3 * k + 1..3 * k + 3 {
-                    if nm.best(run).1 < nm.best(best).1 {
-                        best = run;
-                    }
+    }
+    nm.minimize_all(|families, points, out| objective.least_squares(families, points, out));
+    ALL_FAMILIES
+        .iter()
+        .enumerate()
+        .map(|(k, &family)| {
+            let mut best = 3 * k;
+            for run in 3 * k + 1..3 * k + 3 {
+                if nm.best(run).1 < nm.best(best).1 {
+                    best = run;
                 }
-                nm.best(best).0.to_vec()
-            })
-            .collect()
-    };
-    winners
-        .into_iter()
-        .zip(ALL_FAMILIES)
-        .map(|(mut params, family)| {
+            }
+            let mut params = nm.best(best).0.to_vec();
             clamp_into_box(family, &mut params);
             let mse = objective.mse(family, &params);
             FamilyFit { family, params, mse }

@@ -21,9 +21,9 @@
 //!   that makes the optimized fitting path allocation-free per MCMC step.
 //! * [`service`] — [`FitService`], the deterministic parallel fitting
 //!   pool with per-`(config, epochs)` memoization (§5.2's systems
-//!   optimizations as a reusable component) and opt-in warm-started
-//!   refits; many services can share one [`FitPool`] of worker threads
-//!   (the multi-tenant server's process-global pool). It is the one fit
+//!   optimizations as a reusable component); many services can share one
+//!   [`FitPool`] of worker threads (the multi-tenant server's
+//!   process-global pool). It is the one fit
 //!   path: POP and EarlyTerm both fit through it.
 //! * [`cache`] — [`SharedFitCache`], the in-memory content-addressed
 //!   layer above the per-run memo: a value its owner builds and passes to

@@ -21,7 +21,7 @@
 //! `FnMut(&[f64] /* k proposals */, &mut [f64] /* k log-probabilities */)`,
 //! (c) accept or reject in walker order, drawing the accept uniform only
 //! when `lp.is_finite() && log_accept >= 0` does not already decide. Every
-//! fit in the repo (libm oracle, fast, warm, pooled) runs this one
+//! fit in the repo (libm oracle, fast, pooled) runs this one
 //! schedule; changing it changes every posterior, so it is pinned by
 //! `half_sweep_draws_every_proposal_before_any_accept_draw` below and by
 //! the golden traces.

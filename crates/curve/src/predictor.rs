@@ -4,18 +4,17 @@
 use std::cell::RefCell;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use hyperdrive_types::{stats, Error, LearningCurve, Result};
 
 use crate::batch::{self, FusedPosterior, FusedScratch};
 use crate::ensemble::{dimension, log_posterior, PosteriorEval};
-use crate::ensemble::{FAMILY_OFFSETS, SIGMA_BOUNDS, SIGMA_INDEX};
 use crate::fastpath::FastGrid;
 use crate::fit;
 use crate::fit::{build_initial_walkers, fit_all_families, fit_families, CurveObjective};
 use crate::mcmc::{sample, sample_into, score_each, McmcScratch, SamplerOptions};
-use crate::models::{GridPoint, ALL_FAMILIES};
+use crate::models::GridPoint;
 use crate::nelder_mead::NmScratch;
 use crate::scratch::FitScratch;
 use crate::vmath::{self, Backend};
@@ -49,29 +48,15 @@ pub struct PredictorConfig {
     pub seed: u64,
     /// Minimum number of observations required before fitting.
     pub min_observations: usize,
-    /// Opt-in warm starting: when a previous-epoch posterior for the same
-    /// job is available (see [`crate::FitService`]), seed the MCMC
-    /// ensemble and the Nelder–Mead starts from it and run the reduced
-    /// `warm_steps` schedule instead of `steps`. **Changes numerics** —
-    /// warm-started posteriors are not bit-comparable to cold fits — so it
-    /// ships default-off and carries its own golden traces. Determinism is
-    /// unaffected: a warm fit depends only on the seed, the curve, and the
-    /// warm-source posterior (itself deterministic), never on thread
-    /// count or timing.
-    pub warm_start: bool,
-    /// Steps per walker when a warm start is applied (burn-in mostly
-    /// re-localizes an already-converged ensemble, so far fewer steps are
-    /// needed).
-    pub warm_steps: usize,
     /// Batched-kernel fitting (default **on**): every transcendental in
     /// the fit goes through the SIMD-dispatched [`crate::vmath`] kernels,
     /// one fused sweep per sampler half-ensemble (see [`crate::batch`]).
     /// Results are deterministic across hosts, SIMD capabilities (the
     /// kernels are bit-identical scalar vs vectorized), and fit-thread
-    /// counts; composes with `warm_start`. `with_fast_math(false)` selects
-    /// the libm path instead — same model, different floating-point
-    /// factoring, so not bit-comparable — which survives as the oracle
-    /// the equivalence tests and the `fit_*` benches compare against.
+    /// counts. `with_fast_math(false)` selects the libm path instead —
+    /// same model, different floating-point factoring, so not
+    /// bit-comparable — which survives as the oracle the equivalence tests
+    /// and the `fit_*` benches compare against.
     pub fast_math: bool,
 }
 
@@ -88,8 +73,6 @@ impl PredictorConfig {
             max_obs: 60,
             seed: 0,
             min_observations: 4,
-            warm_start: false,
-            warm_steps: 250,
             fast_math: true,
         }
     }
@@ -98,7 +81,7 @@ impl PredictorConfig {
     /// = 250k samples. Used by the `curve_prediction` bench to reproduce the
     /// §5.2 ">2× faster" claim.
     pub fn reference() -> Self {
-        PredictorConfig { steps: 2500, warm_steps: 900, ..Self::paper() }
+        PredictorConfig { steps: 2500, ..Self::paper() }
     }
 
     /// The scheduling default (`PopConfig`, `EarlyTermConfig`, the server,
@@ -117,7 +100,6 @@ impl PredictorConfig {
             thin: 1,
             max_draws: 200,
             max_obs: 30,
-            warm_steps: 30,
             ..Self::paper()
         }
     }
@@ -130,7 +112,6 @@ impl PredictorConfig {
             thin: 1,
             max_draws: 200,
             max_obs: 25,
-            warm_steps: 12,
             ..Self::paper()
         }
     }
@@ -138,11 +119,6 @@ impl PredictorConfig {
     /// Returns this config with a different seed.
     pub fn with_seed(self, seed: u64) -> Self {
         PredictorConfig { seed, ..self }
-    }
-
-    /// Returns this config with warm starting switched on or off.
-    pub fn with_warm_start(self, warm_start: bool) -> Self {
-        PredictorConfig { warm_start, ..self }
     }
 
     /// Returns this config with the batched-kernel fast path switched on
@@ -198,7 +174,7 @@ impl CurvePredictor {
     /// Fits the posterior to `curve`, extrapolating up to epoch `horizon`.
     ///
     /// Convenience wrapper over [`Self::fit_with`] with a fresh
-    /// [`FitScratch`] and no warm source; long-lived callers (the
+    /// [`FitScratch`]; long-lived callers (the
     /// [`crate::FitService`] workers) hold a scratch across fits to make
     /// the inner loop allocation-free.
     ///
@@ -209,20 +185,19 @@ impl CurvePredictor {
     /// observed epoch.
     pub fn fit(&self, curve: &LearningCurve, horizon: u32) -> Result<CurvePosterior> {
         let mut scratch = FitScratch::default();
-        self.fit_with(curve, horizon, None, &mut scratch)
+        self.fit_with(curve, horizon, &mut scratch)
     }
 
     /// Fits the posterior through the optimized hot path, reusing
-    /// `scratch` buffers and optionally warm-starting from a previous
-    /// posterior of the same job.
+    /// `scratch` buffers.
     ///
     /// With `fast_math` on (the default) the sampler scores each
     /// half-ensemble through the fused batched-kernel evaluator
     /// ([`crate::batch`]): deterministic across hosts, backends, and
-    /// thread counts. With `.with_fast_math(false)` and no warm start
-    /// applied the result is **bit-identical** to [`Self::fit_reference`]
-    /// — that path preserves the reference's floating-point operation
-    /// order exactly, and the crate's property tests pin the equivalence.
+    /// thread counts. With `.with_fast_math(false)` the result is
+    /// **bit-identical** to [`Self::fit_reference`] — that path preserves
+    /// the reference's floating-point operation order exactly, and the
+    /// crate's property tests pin the equivalence.
     ///
     /// # Errors
     ///
@@ -231,10 +206,9 @@ impl CurvePredictor {
         &self,
         curve: &LearningCurve,
         horizon: u32,
-        warm: Option<&CurvePosterior>,
         scratch: &mut FitScratch,
     ) -> Result<CurvePosterior> {
-        self.fit_with_backend(curve, horizon, warm, scratch, vmath::active_backend())
+        self.fit_with_backend(curve, horizon, scratch, vmath::active_backend())
     }
 
     /// [`Self::fit_with`] against an explicit kernel backend (which only
@@ -249,11 +223,10 @@ impl CurvePredictor {
         &self,
         curve: &LearningCurve,
         horizon: u32,
-        warm: Option<&CurvePosterior>,
         scratch: &mut FitScratch,
         backend: Backend,
     ) -> Result<CurvePosterior> {
-        self.fit_streamed(curve, horizon, warm, scratch, backend, |_| {})
+        self.fit_streamed(curve, horizon, scratch, backend, |_| {})
     }
 
     /// The fit under every entry point, handing the posterior's draws to
@@ -267,14 +240,12 @@ impl CurvePredictor {
         &self,
         curve: &LearningCurve,
         horizon: u32,
-        warm: Option<&CurvePosterior>,
         scratch: &mut FitScratch,
         backend: Backend,
         mut on_rows: impl FnMut(&[f64]),
     ) -> Result<CurvePosterior> {
         let (last_epoch, obs) = self.fit_inputs(curve, horizon)?;
         let horizon_x = f64::from(horizon).max(obs.last().map_or(1.0, |&(x, _)| x));
-        let warm = warm.filter(|_| self.config.warm_start);
 
         // Memoize the epoch grid once per fit: the grid never changes
         // mid-fit, so every pure-x basis term is computed exactly once.
@@ -283,7 +254,7 @@ impl CurvePredictor {
         ys.extend(obs.iter().map(|&(_, y)| y));
         let ys = &ys[..];
 
-        let (acceptance_rate, warm) = if self.config.fast_math {
+        let acceptance_rate = if self.config.fast_math {
             // SoA grid for the batched kernels (vmath logs, so the whole
             // fast path is host-independent end to end).
             fast_grid.clear();
@@ -292,7 +263,7 @@ impl CurvePredictor {
             }
             fast_grid.push(horizon_x);
             let mut objective = FusedPosterior::new(fast_grid, ys, fused, backend);
-            self.fit_on(&mut objective, warm, nm, mcmc, &mut on_rows)?
+            self.fit_on(&mut objective, nm, mcmc, &mut on_rows)?
         } else {
             // The libm oracle — the reference algorithm on the memoized
             // grid, scoring a round's points one after another.
@@ -302,51 +273,29 @@ impl CurvePredictor {
             means.clear();
             means.resize(ys.len(), 0.0);
             let mut objective = PosteriorEval::new(pts, ys, means);
-            self.fit_on(&mut objective, warm, nm, mcmc, &mut on_rows)?
+            self.fit_on(&mut objective, nm, mcmc, &mut on_rows)?
         };
         // The sampler's row sink already took the `max_draws` subsample
         // that keeps queries cheap.
         if mcmc.kept().is_empty() {
             return Err(Error::CurveFit("sampler produced no draws".into()));
         }
-        Ok(CurvePosterior {
-            draws: mcmc.kept().to_vec(),
-            last_epoch,
-            horizon,
-            acceptance_rate,
-            warm,
-        })
+        Ok(CurvePosterior { draws: mcmc.kept().to_vec(), last_epoch, horizon, acceptance_rate })
     }
 
     /// The one fit schedule, over whichever batch objective scores the
-    /// sampler's proposals and the Nelder–Mead rounds: try the warm start,
-    /// else lockstep least-squares init → walkers → sampler. Leaves the
-    /// kept draws in `mcmc` and returns `(acceptance rate, warm-started)`.
+    /// sampler's proposals and the Nelder–Mead rounds: lockstep
+    /// least-squares init → walkers → sampler. Leaves the kept draws in
+    /// `mcmc` and returns the acceptance rate.
     fn fit_on(
         &self,
         objective: &mut impl CurveObjective,
-        warm: Option<&CurvePosterior>,
         nm: &mut NmScratch,
         mcmc: &mut McmcScratch,
         on_rows: &mut impl FnMut(&[f64]),
-    ) -> Result<(f64, bool)> {
-        let max_draws = self.config.max_draws;
-        if let Some((init, mut rng)) = warm.and_then(|prev| self.warm_walkers(prev, objective, nm))
-        {
-            let options = self.sampler_options(self.config.warm_steps);
-            let log_probs = |thetas: &[f64], out: &mut [f64]| objective.log_posteriors(thetas, out);
-            let accepted =
-                sample_into(log_probs, &init, options, max_draws, &mut rng, mcmc, &mut *on_rows);
-            // A warm chain that kept nothing handed nothing to `on_rows`
-            // either, so falling back to the cold schedule streams from a
-            // clean start.
-            if !mcmc.kept().is_empty() {
-                return Ok((accepted, true));
-            }
-        }
-
+    ) -> Result<f64> {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let fits = fit_families(objective, None, &mut rng, nm);
+        let fits = fit_families(objective, &mut rng, nm);
         let mut init = build_initial_walkers(&fits, self.config.walkers, &mut rng);
         // The growth/ceiling prior can reject every least-squares-derived
         // walker (e.g. a decreasing observed curve); fall back to
@@ -357,9 +306,9 @@ impl CurvePredictor {
         if !any_finite(objective, &init) {
             return Err(Error::CurveFit("no valid initialization found".into()));
         }
-        let options = self.sampler_options(self.config.steps);
         let log_probs = |thetas: &[f64], out: &mut [f64]| objective.log_posteriors(thetas, out);
-        Ok((sample_into(log_probs, &init, options, max_draws, &mut rng, mcmc, on_rows), false))
+        let (options, max_draws) = (self.sampler_options(), self.config.max_draws);
+        Ok(sample_into(log_probs, &init, options, max_draws, &mut rng, mcmc, on_rows))
     }
 
     /// Checks the fit contract and returns the last observed epoch with the
@@ -392,57 +341,18 @@ impl CurvePredictor {
         Ok((last_epoch, thinned))
     }
 
-    fn sampler_options(&self, steps: usize) -> SamplerOptions {
+    fn sampler_options(&self) -> SamplerOptions {
         SamplerOptions {
-            steps,
+            steps: self.config.steps,
             burn_in_frac: self.config.burn_in_frac,
             thin: self.config.thin,
             stretch: 2.0,
         }
     }
 
-    /// The warm-started ensemble seeded from `prev`, with the RNG stream
-    /// the sampler continues on; `None` falls back to the cold path (no
-    /// surviving previous draw, or the warm ensemble left the prior
-    /// support entirely).
-    fn warm_walkers(
-        &self,
-        prev: &CurvePosterior,
-        objective: &mut impl CurveObjective,
-        nm: &mut NmScratch,
-    ) -> Option<(Vec<Vec<f64>>, StdRng)> {
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-
-        // Rescore the previous posterior under the new observations (one
-        // evaluator call over all of its draws); the best surviving draw
-        // seeds the reduced Nelder–Mead pass.
-        let mut lps = vec![0.0; prev.n_draws()];
-        objective.log_posteriors(&prev.draws, &mut lps);
-        let mut best: Option<(usize, f64)> = None;
-        for (i, &lp) in lps.iter().enumerate() {
-            if lp.is_finite() && best.is_none_or(|(_, b)| lp > b) {
-                best = Some((i, lp));
-            }
-        }
-        let (best_i, _) = best?;
-
-        let fits = fit_families(objective, Some(&prev.draws()[best_i]), &mut rng, nm);
-        let n_walkers = self.config.walkers;
-        let mut init = build_initial_walkers(&fits, n_walkers, &mut rng);
-        // Seed the back half of the ensemble directly from the previous
-        // posterior (strided, so the whole posterior is represented),
-        // jittered to keep walkers distinct.
-        let n_prev = prev.n_draws();
-        for (slot, walker) in init.iter_mut().enumerate().skip(n_walkers / 2) {
-            let src = &prev.draws()[(slot * n_prev) / n_walkers];
-            warm_walker_from_draw(src, walker, &mut rng);
-        }
-        any_finite(objective, &init).then_some((init, rng))
-    }
-
     /// The retained pre-optimization fitting path: per-call allocations,
-    /// no grid memoization, no warm starting. Kept as the executable
-    /// bit-identity reference for [`Self::fit_with`] (property-test-pinned).
+    /// no grid memoization. Kept as the executable bit-identity reference
+    /// for [`Self::fit_with`] (property-test-pinned).
     ///
     /// # Errors
     ///
@@ -467,7 +377,7 @@ impl CurvePredictor {
         let chain = sample(
             score_each(dimension(), |theta| log_posterior(theta, &obs, horizon_f)),
             init,
-            self.sampler_options(self.config.steps),
+            self.sampler_options(),
             &mut rng,
         );
 
@@ -485,13 +395,7 @@ impl CurvePredictor {
             chain.draws.concat()
         };
 
-        Ok(CurvePosterior {
-            draws,
-            last_epoch,
-            horizon,
-            acceptance_rate: chain.acceptance_rate,
-            warm: false,
-        })
+        Ok(CurvePosterior { draws, last_epoch, horizon, acceptance_rate: chain.acceptance_rate })
     }
 }
 
@@ -503,30 +407,6 @@ fn any_finite(objective: &mut impl CurveObjective, walkers: &[Vec<f64>]) -> bool
         objective.log_posteriors(w, &mut lp);
         lp[0].is_finite()
     })
-}
-
-/// Builds one warm walker from a previous posterior draw: a small jitter
-/// per coordinate, clamped strictly inside the prior box (asymptotes held
-/// below the ceiling, like cold initialization does).
-fn warm_walker_from_draw<R: Rng + ?Sized>(src: &[f64], dst: &mut [f64], rng: &mut R) {
-    for k in 0..11 {
-        dst[k] = (src[k] + rng.gen_range(-0.01..0.01)).clamp(1e-3, 1.0);
-    }
-    dst[SIGMA_INDEX] = (src[SIGMA_INDEX] + rng.gen_range(-0.005..0.005))
-        .clamp(SIGMA_BOUNDS.0 * 1.01, SIGMA_BOUNDS.1 * 0.99);
-    for (k, family) in ALL_FAMILIES.iter().enumerate() {
-        let off = FAMILY_OFFSETS[k];
-        let asymptote = family.asymptote_param_index();
-        for (j, (lo, hi)) in family.bounds().iter().enumerate() {
-            let width = hi - lo;
-            let jittered = src[off + j] + rng.gen_range(-0.005..0.005) * width;
-            let mut v = jittered.clamp(lo + width * 1e-6, hi - width * 1e-6);
-            if asymptote == Some(j) {
-                v = v.min(0.985);
-            }
-            dst[off + j] = v;
-        }
-    }
 }
 
 impl Default for CurvePredictor {
@@ -587,7 +467,6 @@ pub struct CurvePosterior {
     last_epoch: u32,
     horizon: u32,
     acceptance_rate: f64,
-    warm: bool,
 }
 
 impl CurvePosterior {
@@ -603,26 +482,18 @@ impl CurvePosterior {
         last_epoch: u32,
         horizon: u32,
         acceptance_rate: f64,
-        warm: bool,
     ) -> Option<Self> {
         draws.len().is_multiple_of(dimension()).then_some(CurvePosterior {
             draws,
             last_epoch,
             horizon,
             acceptance_rate,
-            warm,
         })
     }
 
     /// Number of retained posterior draws.
     pub fn n_draws(&self) -> usize {
         self.draws().len()
-    }
-
-    /// Whether this posterior was produced by a warm-started fit (seeded
-    /// from a previous-epoch posterior of the same job).
-    pub fn warm_started(&self) -> bool {
-        self.warm
     }
 
     /// The retained posterior parameter draws. Exposed so equivalence
@@ -1078,8 +949,8 @@ mod tests {
     #[test]
     fn from_parts_takes_whole_rows_only() {
         let row = vec![0.5; dimension()];
-        assert!(CurvePosterior::from_parts(row.repeat(2), 10, 100, 0.5, false).is_some());
+        assert!(CurvePosterior::from_parts(row.repeat(2), 10, 100, 0.5).is_some());
         let ragged = row[1..].to_vec();
-        assert!(CurvePosterior::from_parts(ragged, 10, 100, 0.5, false).is_none());
+        assert!(CurvePosterior::from_parts(ragged, 10, 100, 0.5).is_none());
     }
 }

@@ -36,25 +36,13 @@
 //! that want a different horizon for the same prefix must
 //! [`forget`](FitService::forget) the job first.
 //!
-//! # Warm starting
-//!
-//! When the predictor config enables `warm_start`, each uncached request is
-//! paired with the cached posterior for the *same job at the greatest
-//! earlier epoch* (if any) at enqueue time, and the worker seeds its
-//! chains from it ([`CurvePredictor::fit_with`]). Determinism is
-//! preserved: the cache is only written in the collection loop, after all
-//! of a batch's requests are enqueued, so the warm source for a request
-//! depends only on *prior batches* — never on sibling requests racing
-//! within the same batch or on the worker count. [`sequential_fit`] stays
-//! cold on purpose: it is the reference definition of an unassisted fit.
-//!
 //! # The shared content-addressed layer
 //!
 //! Above the per-run `(job, epochs)` cache sits an optional
 //! [`SharedFitCache`] keyed by [`CurveFingerprint`] (see [`crate::cache`]):
 //! when a request misses the per-run cache, its structural fingerprint —
-//! curve prefix, full fidelity, derived seed, horizon, warm-source hash —
-//! is looked up there before any worker fits. A shared hit is bitwise the
+//! curve prefix, full fidelity, derived seed, horizon — is looked up
+//! there before any worker fits. A shared hit is bitwise the
 //! posterior a cold fit would have produced, so it is reported with
 //! `cached: false` and folded into the per-run cache *after* the enqueue
 //! scan, exactly like a fresh fit: callers (including the `FitCostModel`
@@ -97,12 +85,12 @@
 //! without prefetch every fit is a synchronous burst at the boundary
 //! while the pool idles in between. [`FitService::prefetch_fit`] lets the
 //! engine enqueue the fit for an epoch *the moment the epoch is issued*:
-//! the seed, warm source, and [`CurveFingerprint`] are resolved at
-//! enqueue time — exactly the resolution `fit_batch` would perform at
-//! the boundary — and the result is parked on a private channel, **not**
-//! in any cache. At the boundary, `fit_batch` adopts a speculation only
-//! on an exact fingerprint match (anything else is counted waste and
-//! refit on demand), so prefetch changes *when* a fit computes, never
+//! the seed and [`CurveFingerprint`] are resolved at enqueue time —
+//! exactly the resolution `fit_batch` would perform at the boundary — and
+//! the result is parked on a private channel, **not** in any cache. At
+//! the boundary, `fit_batch` adopts a speculation only on an exact
+//! fingerprint match (anything else is counted waste and refit on
+//! demand), so prefetch changes *when* a fit computes, never
 //! *what* it computes. Speculation depth is bounded
 //! ([`fit_prefetch_depth`]) and a speculation is cancelled when its job
 //! is [`forget`](FitService::forget)-ten, so prefetch can never starve
@@ -240,8 +228,8 @@ pub struct FitStats {
     pub cache_hits: u64,
     /// Fresh ensemble fits executed by the pool.
     pub fits: u64,
-    /// Fits (subset of `fits`) that were warm-started from a cached
-    /// previous-epoch posterior of the same job.
+    /// Always 0: every fit runs cold. Kept only because the repository
+    /// benchmark reads it; removed with ROADMAP 1(a).
     pub warm_fits: u64,
     /// Requests answered from the shared content-addressed layer instead
     /// of executing a fit (counted once per distinct key per batch, like
@@ -302,7 +290,7 @@ pub struct SpecStats {
     /// collection.
     pub cancelled: u64,
     /// Speculations whose fingerprint no longer matched at collection
-    /// time (warm source or horizon drifted); refit on demand.
+    /// time (horizon or curve drifted); refit on demand.
     pub mismatched: u64,
 }
 
@@ -449,7 +437,6 @@ enum WorkerMsg {
         curve: LearningCurve,
         horizon: u32,
         seed: u64,
-        warm: Option<CurvePosterior>,
         /// Whether the batch absorbs kept rows while the fit runs.
         stream: bool,
         /// The batch's count of demand fits that have stopped running.
@@ -457,8 +444,8 @@ enum WorkerMsg {
         reply: Sender<FitReply>,
     },
     /// A speculative ahead-of-boundary fit: identical inputs to `Fit`
-    /// (seed and warm source resolved at enqueue), plus a cancellation
-    /// flag checked before compute starts. The worker drops the reply
+    /// (seed resolved at enqueue), plus a cancellation flag checked before
+    /// compute starts. The worker drops the reply
     /// silently when cancelled — the receiver side was already discarded.
     SpecFit {
         key: FitKey,
@@ -466,7 +453,6 @@ enum WorkerMsg {
         curve: LearningCurve,
         horizon: u32,
         seed: u64,
-        warm: Option<CurvePosterior>,
         cancelled: Arc<AtomicBool>,
         reply: Sender<(FitKey, Result<CurvePosterior>)>,
     },
@@ -476,10 +462,10 @@ enum WorkerMsg {
 /// A fixed-size pool of fit worker threads, separable from any one
 /// [`FitService`] so many services (e.g. concurrent studies in a
 /// multi-tenant server) can share one set of threads. Work reaches it only
-/// through a service, which resolves each request's [`PredictorConfig`],
-/// derived seed and warm source; workers hold no cross-request state
-/// beyond reusable scratch buffers, so sharing the pool cannot perturb any
-/// service's results.
+/// through a service, which resolves each request's [`PredictorConfig`]
+/// and derived seed; workers hold no cross-request state beyond reusable
+/// scratch buffers, so sharing the pool cannot perturb any service's
+/// results.
 pub struct FitPool {
     tx: Sender<WorkerMsg>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -561,24 +547,10 @@ impl Drop for FitPool {
     }
 }
 
-/// The warm source for a fit of `job` at `epoch`: the cached successful
-/// posterior for the same job with the greatest earlier epoch, if any.
-fn warm_source(
-    cache: &HashMap<FitKey, Result<CurvePosterior>>,
-    job: JobId,
-    epoch: u32,
-) -> Option<CurvePosterior> {
-    cache
-        .iter()
-        .filter(|((j, e), r)| *j == job && *e < epoch && r.is_ok())
-        .max_by_key(|((_, e), _)| *e)
-        .and_then(|(_, r)| r.as_ref().ok().cloned())
-}
-
 /// One in-flight speculative fit. The result arrives on `reply`; nothing
 /// lands in any cache until (and unless) a boundary adopts it, which
-/// keeps warm-source resolution, `posterior_digest`, and per-run cache
-/// evolution byte-identical to a prefetch-off run.
+/// keeps `posterior_digest` and per-run cache evolution byte-identical to
+/// a prefetch-off run.
 struct Speculation {
     fingerprint: CurveFingerprint,
     cancelled: Arc<AtomicBool>,
@@ -691,11 +663,10 @@ impl FitService {
     /// instead of computing it at the boundary. Returns `true` when a
     /// speculation was actually enqueued.
     ///
-    /// Seed, warm source, and [`CurveFingerprint`] are resolved here, at
-    /// enqueue time, exactly as `fit_batch` would resolve them; the
-    /// boundary adopts the speculation only if its own resolution matches
-    /// bit for bit, so a speculation can never change what a fit
-    /// computes. Dedups against the per-run cache, in-flight speculations
+    /// Seed and [`CurveFingerprint`] are resolved here, at enqueue time,
+    /// exactly as `fit_batch` would resolve them; the boundary adopts the
+    /// speculation only if its own resolution matches bit for bit, so a
+    /// speculation can never change what a fit computes. Dedups against the per-run cache, in-flight speculations
     /// for the same key, and the shared content-addressed layer (via the
     /// stats-free [`SharedFitCache::peek`], so counted dedup accounting
     /// stays invariant under prefetch). Skipped when the in-flight bound
@@ -712,12 +683,7 @@ impl FitService {
             return false;
         }
         let seed = derive_fit_seed(self.experiment_seed, job.raw(), last_epoch);
-        let warm = if self.config.warm_start {
-            warm_source(&self.shared.cache.lock(), job, last_epoch)
-        } else {
-            None
-        };
-        let fp = fit_fingerprint(curve, &self.config, seed, horizon, warm.as_ref());
+        let fp = fit_fingerprint(curve, &self.config, seed, horizon, None);
         if let Some(layer) = &self.shared_layer {
             if layer.peek(&fp).is_some() {
                 // The boundary will take a counted shared hit; computing
@@ -731,9 +697,9 @@ impl FitService {
             match specs.get(&key) {
                 Some(existing) if existing.fingerprint == fp => return false,
                 Some(_) => {
-                    // Same key, different resolution (warm source or
-                    // horizon drifted since enqueue): the old speculation
-                    // can never be adopted — cancel and replace it.
+                    // Same key, different resolution (horizon drifted
+                    // since enqueue): the old speculation can never be
+                    // adopted — cancel and replace it.
                     superseded = specs.remove(&key);
                 }
                 None if specs.len() >= self.prefetch_depth => return false,
@@ -747,7 +713,6 @@ impl FitService {
                 curve: curve.clone(),
                 horizon,
                 seed,
-                warm,
                 cancelled: Arc::clone(&cancelled),
                 reply: reply_tx,
             });
@@ -800,9 +765,10 @@ impl FitService {
         // publish the fresh posterior to the shared layer.
         let mut enqueued_fp: HashMap<FitKey, CurveFingerprint> = HashMap::new();
         // Keys this batch resolved from the shared layer. Their per-run
-        // cache insertion is deferred until after the enqueue scan so
-        // same-batch visibility (warm sources!) matches a cold run, where
-        // results only land in the collection loop.
+        // cache insertion is deferred until after the enqueue scan, where a
+        // fresh fit's result lands too, so a later duplicate in the batch
+        // shares the resolution (`cached: false`) just as a `waiting`
+        // duplicate shares a fit.
         let mut shared_found: HashMap<FitKey, CurvePosterior> = HashMap::new();
         // The accumulator of each in-flight key whose first request asks a
         // query: the fit's rows as they arrive, the rest with the result.
@@ -845,28 +811,12 @@ impl FitService {
                 std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().push(i),
                 std::collections::hash_map::Entry::Vacant(e) => {
                     let seed = derive_fit_seed(self.experiment_seed, req.job.raw(), last_epoch);
-                    // Resolved before any of this batch's results land in
-                    // the cache, so the warm source is a stable snapshot of
-                    // prior batches — independent of worker scheduling.
-                    let warm = if self.config.warm_start {
-                        warm_source(&self.shared.cache.lock(), req.job, last_epoch)
-                    } else {
-                        None
-                    };
                     // The fingerprint is needed by the shared layer and by
                     // speculation adoption; skip hashing when neither is
                     // in play.
-                    let fp = if self.shared_layer.is_some() || spec_active {
-                        Some(fit_fingerprint(
-                            &req.curve,
-                            &self.config,
-                            seed,
-                            req.horizon,
-                            warm.as_ref(),
-                        ))
-                    } else {
-                        None
-                    };
+                    let fp = (self.shared_layer.is_some() || spec_active).then(|| {
+                        fit_fingerprint(&req.curve, &self.config, seed, req.horizon, None)
+                    });
                     if let Some(layer) = &self.shared_layer {
                         let fp = fp.expect("fingerprint computed when a layer is attached");
                         shared_lookups += 1;
@@ -906,9 +856,9 @@ impl FitService {
                                 adopted_specs.push((key, spec));
                                 continue;
                             }
-                            // Resolution drifted since enqueue (warm source
-                            // or horizon changed): the speculation must not
-                            // be used. Cancel it and fit on demand.
+                            // Resolution drifted since enqueue (horizon
+                            // changed): the speculation must not be used.
+                            // Cancel it and fit on demand.
                             spec.cancelled.store(true, Ordering::Relaxed);
                             spec_mismatched += 1;
                         }
@@ -919,7 +869,6 @@ impl FitService {
                         curve: req.curve.clone(),
                         horizon: req.horizon,
                         seed,
-                        warm,
                         stream: req.query.is_some(),
                         finished: Arc::clone(&finished),
                         reply: reply_tx.clone(),
@@ -942,7 +891,6 @@ impl FitService {
             }
         }
 
-        let mut warm_fits = 0u64;
         let mut shared_inserts = 0u64;
         let spec_adopted = adopted_specs.len();
         // Nanoseconds of query work by whether a demand fit was still
@@ -956,10 +904,10 @@ impl FitService {
         };
         let vanished = || Error::CurveFit("fit worker vanished before replying".into());
         // Adopted speculations resolve exactly like fresh replies: same
-        // warm accounting, same shared-layer publication, same per-run
-        // cache insertion, same `cached: false` outcome — a caller (or a
-        // trace byte-compare) cannot tell a collected speculation from
-        // the demand fit it replaced. Every waiting key is one or the other.
+        // shared-layer publication, same per-run cache insertion, same
+        // `cached: false` outcome — a caller (or a trace byte-compare)
+        // cannot tell a collected speculation from the demand fit it
+        // replaced. Every waiting key is one or the other.
         let mut adopted = adopted_specs.into_iter();
         while !waiting.is_empty() {
             let (key, result) = if let Some((key, spec)) = adopted.next() {
@@ -979,9 +927,6 @@ impl FitService {
                 }
             };
             let indices = waiting.remove(&key).expect("one reply per waiting key");
-            if result.as_ref().map(CurvePosterior::warm_started).unwrap_or(false) {
-                warm_fits += 1;
-            }
             // The first request's answer: what was streamed plus the rows
             // that only come with the posterior, kept beside the posterior
             // in the shared layer. An error drops whatever was absorbed.
@@ -1025,7 +970,6 @@ impl FitService {
             stats.cache_hits += hits;
             let fits = (enqueued + spec_adopted) as u64;
             stats.fits += fits;
-            stats.warm_fits += warm_fits;
             stats.shared_hits += shared_hits;
             stats.batches += 1;
             if self.config.fast_math {
@@ -1140,14 +1084,12 @@ fn contained_fit(
     seed: u64,
     curve: &LearningCurve,
     horizon: u32,
-    warm: Option<&CurvePosterior>,
     on_rows: impl FnMut(&[f64]),
 ) -> Result<CurvePosterior> {
     let predictor = CurvePredictor::new(config.with_seed(seed));
     let backend = crate::vmath::active_backend();
-    let fit = AssertUnwindSafe(|| {
-        predictor.fit_streamed(curve, horizon, warm, scratch, backend, on_rows)
-    });
+    let fit =
+        AssertUnwindSafe(|| predictor.fit_streamed(curve, horizon, scratch, backend, on_rows));
     catch_unwind(fit).unwrap_or_else(|panic| {
         *scratch = FitScratch::default();
         let what = panic
@@ -1173,18 +1115,16 @@ fn worker_loop(
             telemetry.queued.fetch_sub(1, Ordering::Relaxed);
         }
         match msg {
-            WorkerMsg::Fit { key, config, curve, horizon, seed, warm, stream, finished, reply } => {
+            WorkerMsg::Fit { key, config, curve, horizon, seed, stream, finished, reply } => {
                 let t = Instant::now();
-                let warm = warm.as_ref();
-                let result =
-                    contained_fit(&mut scratch, config, seed, &curve, horizon, warm, |rows| {
-                        if stream {
-                            let mut chunk = spare_chunks.lock().pop().unwrap_or_default();
-                            chunk.clear();
-                            chunk.extend_from_slice(rows);
-                            let _ = reply.send(FitReply::Rows(key, chunk));
-                        }
-                    });
+                let result = contained_fit(&mut scratch, config, seed, &curve, horizon, |rows| {
+                    if stream {
+                        let mut chunk = spare_chunks.lock().pop().unwrap_or_default();
+                        chunk.clear();
+                        chunk.extend_from_slice(rows);
+                        let _ = reply.send(FitReply::Rows(key, chunk));
+                    }
+                });
                 telemetry.busy_nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 telemetry.demand_fits.fetch_add(1, Ordering::Relaxed);
                 finished.fetch_add(1, Ordering::Release);
@@ -1192,15 +1132,13 @@ fn worker_loop(
                 // nothing useful to do then.
                 let _ = reply.send(FitReply::Done(key, result));
             }
-            WorkerMsg::SpecFit { key, config, curve, horizon, seed, warm, cancelled, reply } => {
+            WorkerMsg::SpecFit { key, config, curve, horizon, seed, cancelled, reply } => {
                 if cancelled.load(Ordering::Relaxed) {
                     telemetry.spec_skipped.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
                 let t = Instant::now();
-                let warm = warm.as_ref();
-                let result =
-                    contained_fit(&mut scratch, config, seed, &curve, horizon, warm, |_| {});
+                let result = contained_fit(&mut scratch, config, seed, &curve, horizon, |_| {});
                 telemetry.busy_nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 telemetry.spec_fits.fetch_add(1, Ordering::Relaxed);
                 let _ = reply.send((key, result));
@@ -1210,9 +1148,8 @@ fn worker_loop(
     }
 }
 
-/// The single-threaded reference definition of one **cold** fit: what any
-/// [`FitService`] worker must reproduce bit-for-bit for the same request
-/// when no warm source applies (always, with `warm_start` disabled).
+/// The single-threaded reference definition of one fit: what any
+/// [`FitService`] worker must reproduce bit-for-bit for the same request.
 ///
 /// # Errors
 ///
@@ -1276,10 +1213,10 @@ mod tests {
         let service = FitService::new(PredictorConfig::test(), 3, 2);
         let requests = vec![req(0, 10), req(1, 12)];
         let cold = service.fit_batch(&requests);
-        let warm = service.fit_batch(&requests);
+        let repeat = service.fit_batch(&requests);
         assert!(cold.iter().all(|o| !o.cached));
-        assert!(warm.iter().all(|o| o.cached));
-        for (c, w) in cold.iter().zip(&warm) {
+        assert!(repeat.iter().all(|o| o.cached));
+        for (c, w) in cold.iter().zip(&repeat) {
             assert_eq!(
                 c.result.as_ref().unwrap().draws(),
                 w.result.as_ref().unwrap().draws(),
@@ -1351,54 +1288,6 @@ mod tests {
     fn explicit_thread_request_beats_environment() {
         assert_eq!(resolve_fit_threads(3), 3);
         assert!(resolve_fit_threads(0) >= 1);
-    }
-
-    #[test]
-    fn warm_start_uses_previous_epoch_posterior() {
-        let config = PredictorConfig::test().with_warm_start(true);
-        let service = FitService::new(config, 13, 2);
-        let cold = service.fit_batch(&[req(0, 10)]);
-        assert!(!cold[0].result.as_ref().unwrap().warm_started(), "no prior epoch to warm from");
-        let warm = service.fit_batch(&[req(0, 14)]);
-        assert!(warm[0].result.as_ref().unwrap().warm_started());
-        let stats = service.stats();
-        assert_eq!(stats.fits, 2);
-        assert_eq!(stats.warm_fits, 1);
-    }
-
-    #[test]
-    fn warm_start_results_are_thread_count_invariant() {
-        let config = PredictorConfig::test().with_warm_start(true);
-        let run = |threads: usize| {
-            let service = FitService::new(config, 21, threads);
-            // Two epochs of growth for several jobs: the second batch
-            // warm-starts every job from the first batch's posterior.
-            let first: Vec<FitRequest> = (0..4).map(|j| req(j, 10)).collect();
-            service.fit_batch(&first);
-            let second: Vec<FitRequest> = (0..4).map(|j| req(j, 14)).collect();
-            service.fit_batch(&second)
-        };
-        let one = run(1);
-        let four = run(4);
-        for (a, b) in one.iter().zip(&four) {
-            let a = a.result.as_ref().unwrap();
-            let b = b.result.as_ref().unwrap();
-            assert!(a.warm_started() && b.warm_started());
-            assert_eq!(a.draws(), b.draws(), "warm fits must not depend on thread count");
-        }
-    }
-
-    #[test]
-    fn warm_source_within_a_batch_is_invisible() {
-        // Both epochs of the same job submitted in ONE batch: the later
-        // epoch must NOT see the earlier one (cache writes happen after
-        // enqueue), so both fits are cold regardless of completion order.
-        let config = PredictorConfig::test().with_warm_start(true);
-        let service = FitService::new(config, 17, 4);
-        let outcomes = service.fit_batch(&[req(0, 10), req(0, 14)]);
-        for o in &outcomes {
-            assert!(!o.result.as_ref().unwrap().warm_started());
-        }
     }
 
     #[test]
@@ -1526,19 +1415,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_refits_run_the_fused_evaluator_too() {
-        let config = PredictorConfig::test().with_warm_start(true);
-        let service = FitService::new(config, 19, 2);
-        let first: Vec<FitRequest> = (0..3).map(|j| req(j, 10)).collect();
-        service.fit_batch(&first);
-        let second: Vec<FitRequest> = (0..3).map(|j| req(j, 14)).collect();
-        let warm = service.fit_batch(&second);
-        let stats = service.stats();
-        assert_eq!((stats.fits, stats.warm_fits, stats.batched_fits), (6, 3, 6));
-        assert!(warm.iter().all(|o| o.result.as_ref().unwrap().warm_started()));
-    }
-
-    #[test]
     fn batched_errors_surface_per_item() {
         let service = FitService::new(PredictorConfig::test(), 7, 2);
         let short = FitRequest { job: JobId::new(8), curve: curve(1), horizon: 100, query: None };
@@ -1565,7 +1441,6 @@ mod tests {
                 curve: curve(12),
                 horizon: 100,
                 seed: 3,
-                warm: None,
                 stream: true,
                 finished: Arc::clone(&finished),
                 reply: reply_tx.clone(),
@@ -1812,32 +1687,5 @@ mod tests {
         assert!(pool.busy_secs > 0.0);
         assert!(pool.uptime_secs > 0.0);
         assert!((0.0..=1.0).contains(&pool.idle_fraction()));
-    }
-
-    #[test]
-    fn warm_fits_key_on_their_warm_source() {
-        let config = PredictorConfig::test().with_warm_start(true);
-        let cache = SharedFitCache::in_memory();
-        let writer = FitService::with_shared_cache(config, 13, 2, Some(cache.clone()));
-        writer.fit_batch(&[req(0, 10)]);
-        let warm = writer.fit_batch(&[req(0, 14)]);
-        assert!(warm[0].result.as_ref().unwrap().warm_started());
-        assert_eq!(cache.len(), 2, "cold and warm fits both published");
-
-        // Replaying the same two batches resolves the cold fit first, so
-        // the warm fingerprint (which folds in the warm-source posterior
-        // hash) recomputes identically and hits.
-        let reader = FitService::with_shared_cache(config, 13, 2, Some(cache.clone()));
-        let r1 = reader.fit_batch(&[req(0, 10)]);
-        let r2 = reader.fit_batch(&[req(0, 14)]);
-        let stats = reader.stats();
-        assert_eq!((stats.fits, stats.shared_hits), (0, 2));
-        let original_cold = writer.cached(JobId::new(0), 10).unwrap().unwrap();
-        assert_eq!(r1[0].result.as_ref().unwrap().draws(), original_cold.draws());
-        assert_eq!(
-            r2[0].result.as_ref().unwrap().draws(),
-            warm[0].result.as_ref().unwrap().draws(),
-            "replayed warm fit must be bitwise the original warm fit"
-        );
     }
 }

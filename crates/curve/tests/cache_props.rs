@@ -27,7 +27,7 @@ fn fingerprint(seed: u64) -> CurveFingerprint {
 
 fn posterior(tag: usize) -> CurvePosterior {
     let draws = (0..3 * dimension()).map(|d| tag as f64 + d as f64 * 0.25).collect();
-    CurvePosterior::from_parts(draws, 10, 100, 0.37, tag.is_multiple_of(2)).expect("whole rows")
+    CurvePosterior::from_parts(draws, 10, 100, 0.37).expect("whole rows")
 }
 
 proptest! {

@@ -172,13 +172,12 @@ mod hot_path_equivalence {
                         .with_seed(seed.wrapping_add(i as u64)),
                 );
                 let reference = predictor.fit_reference(&curve, 100);
-                let optimized = predictor.fit_with(&curve, 100, None, &mut scratch);
+                let optimized = predictor.fit_with(&curve, 100, &mut scratch);
                 match (&optimized, &reference) {
                     (Ok(o), Ok(r)) => {
                         prop_assert_eq!(o.draws(), r.draws());
                         prop_assert_eq!(o.acceptance_rate().to_bits(), r.acceptance_rate().to_bits());
                         prop_assert_eq!(o.expected(100).to_bits(), r.expected(100).to_bits());
-                        prop_assert!(!o.warm_started());
                     }
                     (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
                     (a, b) => prop_assert!(
@@ -199,10 +198,8 @@ mod fused_evaluator {
     use hyperdrive_curve::fastpath::{FastGrid, PosteriorEvalFast};
     use hyperdrive_curve::vmath::Backend;
     use hyperdrive_curve::{
-        CurveObjective, FitRequest, FitScratch, FitService, FusedPosterior, FusedScratch,
-        ALL_FAMILIES,
+        CurveObjective, FitScratch, FusedPosterior, FusedScratch, ALL_FAMILIES,
     };
-    use hyperdrive_types::JobId;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -306,85 +303,16 @@ mod fused_evaluator {
                 let predictor = CurvePredictor::new(PredictorConfig::test().with_seed(seed));
                 let mut scratch = FitScratch::new();
                 let a = predictor
-                    .fit_with_backend(&curve, 60, None, &mut scratch, Backend::Scalar)
+                    .fit_with_backend(&curve, 60, &mut scratch, Backend::Scalar)
                     .expect("clean curves fit");
                 let b = predictor
-                    .fit_with_backend(&curve, 60, None, &mut scratch, Backend::Simd)
+                    .fit_with_backend(&curve, 60, &mut scratch, Backend::Simd)
                     .expect("clean curves fit");
                 prop_assert_eq!(a.draws(), b.draws(), "whole fits diverged between backends");
                 prop_assert_eq!(a.acceptance_rate().to_bits(), b.acceptance_rate().to_bits());
             }
         }
 
-        /// Through the full service the pool width is observationally
-        /// invisible: for arbitrary curve sets, a cold batch, then a
-        /// replay batch of interleaved cache hits and fresh
-        /// (warm-started) refits on extended prefixes, produce
-        /// bitwise-identical posteriors and identical `cached` flags at 1
-        /// and 4 fit threads — and every fit, cold or warm, is counted as
-        /// scored by the fused evaluator.
-        #[test]
-        fn pooled_warm_replay_is_invariant_under_pool_width(
-            seed in 0u64..u64::MAX,
-            shapes in proptest::collection::vec((0.3f64..0.9, 0.3f64..1.2, 8u32..12), 2..5),
-        ) {
-            let config = PredictorConfig::test().with_warm_start(true);
-            let cold: Vec<FitRequest> = shapes
-                .iter()
-                .enumerate()
-                .map(|(j, (limit, rate, n))| FitRequest {
-                    job: JobId::new(j as u64),
-                    curve: synthetic_curve(*limit, *rate, n - 2),
-                    horizon: 60,
-                    query: None,
-                })
-                .collect();
-            // Replay: even-indexed jobs resubmit their unchanged prefix
-            // (cache hits), odd-indexed jobs extend it by two epochs
-            // (fresh fits, warm-started from the cold batch) — the mixed
-            // batch shape the scheduler produces at a POP boundary.
-            let replay: Vec<FitRequest> = shapes
-                .iter()
-                .enumerate()
-                .map(|(j, (limit, rate, n))| FitRequest {
-                    job: JobId::new(j as u64),
-                    curve: synthetic_curve(*limit, *rate, if j % 2 == 0 { n - 2 } else { *n }),
-                    horizon: 60,
-                    query: None,
-                })
-                .collect();
-            // No shared layer: the counters below must see real fits.
-            let one = FitService::with_shared_cache(config, seed, 1, None);
-            let four = FitService::with_shared_cache(config, seed, 4, None);
-            for batch in [&cold, &replay] {
-                let a = one.fit_batch(batch);
-                let b = four.fit_batch(batch);
-                for (x, y) in a.iter().zip(&b) {
-                    prop_assert_eq!(x.cached, y.cached);
-                    match (&x.result, &y.result) {
-                        (Ok(p), Ok(q)) => {
-                            prop_assert_eq!(p.draws(), q.draws());
-                            prop_assert_eq!(
-                                p.acceptance_rate().to_bits(),
-                                q.acceptance_rate().to_bits()
-                            );
-                            prop_assert_eq!(p.warm_started(), q.warm_started());
-                        }
-                        (Err(e), Err(f)) => prop_assert_eq!(e.to_string(), f.to_string()),
-                        (x, y) => prop_assert!(
-                            false,
-                            "1 thread ok={} but 4 threads ok={}",
-                            x.is_ok(),
-                            y.is_ok()
-                        ),
-                    }
-                }
-            }
-            for stats in [one.stats(), four.stats()] {
-                prop_assert!(stats.warm_fits > 0, "the replay never warm-started");
-                prop_assert_eq!(stats.batched_fits, stats.fits);
-            }
-        }
     }
 }
 

@@ -128,8 +128,8 @@ proptest! {
             CurvePredictor::new(PredictorConfig::test().with_fast_math(true).with_seed(seed));
         let mut s1 = FitScratch::new();
         let mut s2 = FitScratch::new();
-        let a = fast.fit_with(&curve, 100, None, &mut s1);
-        let b = fast.fit_with(&curve, 100, None, &mut s2);
+        let a = fast.fit_with(&curve, 100, &mut s1);
+        let b = fast.fit_with(&curve, 100, &mut s2);
         match (&a, &b) {
             (Ok(a), Ok(b)) => {
                 prop_assert_eq!(a.draws(), b.draws());

@@ -766,17 +766,19 @@ fn parse_frames(bytes: &[u8]) -> Result<(Vec<Vec<u8>>, bool, u64)> {
 }
 
 /// Decodes the input records out of a frame sequence (verification
-/// records are skipped — replay regenerates and checks them).
+/// records are skipped — replay regenerates and checks them). An
+/// undecodable input is reported at its byte offset in the file the frames
+/// form behind the header.
 fn decode_inputs(frames: &[Vec<u8>]) -> Result<Vec<(SimTime, EngineInput)>> {
     let mut inputs = Vec::new();
-    for (i, frame) in frames.iter().enumerate() {
+    let mut offset = HEADER_LEN as u64;
+    for frame in frames {
         let kind = frame[0];
-        if !is_input_kind(kind) {
-            continue;
+        if is_input_kind(kind) {
+            let body = &frame[5..frame.len() - 8];
+            inputs.push(decode_input(kind, body).ok_or(Error::JournalCorrupt { offset })?);
         }
-        let body = &frame[5..frame.len() - 8];
-        let input = decode_input(kind, body).ok_or(Error::JournalCorrupt { offset: i as u64 })?;
-        inputs.push(input);
+        offset += frame.len() as u64;
     }
     Ok(inputs)
 }

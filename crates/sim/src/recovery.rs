@@ -146,8 +146,6 @@ fn signature(result: &ExperimentResult) -> (Vec<u8>, SimTime, u64, FaultStats) {
 mod tests {
     use super::*;
 
-    use hyperdrive_core::{PopConfig, PopPolicy};
-    use hyperdrive_curve::{PredictorConfig, SharedFitCache};
     use hyperdrive_framework::{DefaultPolicy, FaultConfig, FaultEvent};
     use hyperdrive_types::{Error, MachineId};
     use hyperdrive_workload::CifarWorkload;
@@ -176,26 +174,6 @@ mod tests {
         let plan = fault_plan(11, 12.0);
         assert!(!plan.is_empty(), "plan must inject faults");
         let report = kill_at_every_event(default_policy, &ew, spec, &plan).unwrap();
-        assert!(report.positions > 0);
-        assert_eq!(report.failures, Vec::<String>::new());
-        assert_eq!(report.passes, report.positions);
-    }
-
-    #[test]
-    fn kill_at_every_event_with_pop_policy_and_shared_cache() {
-        // POP with warm starts, fast math, and a shared fit cache — the
-        // most stateful policy configuration we have. A fresh policy per
-        // recovery plus replay must still land byte-identical.
-        let ew = experiment(4, 4, 13);
-        let spec = ExperimentSpec::new(2).with_stop_on_target(false).with_seed(13);
-        let plan = FaultPlan::none();
-        let cache = SharedFitCache::in_memory();
-        let make = move || -> Box<dyn SchedulingPolicy> {
-            let predictor = PredictorConfig::test().with_warm_start(true).with_fast_math(true);
-            let config = PopConfig { predictor, fit_threads: 2, ..PopConfig::default() };
-            Box::new(PopPolicy::with_config_and_cache(config, Some(cache.clone())))
-        };
-        let report = kill_at_every_event(make, &ew, spec, &plan).unwrap();
         assert!(report.positions > 0);
         assert_eq!(report.failures, Vec::<String>::new());
         assert_eq!(report.passes, report.positions);

@@ -56,7 +56,7 @@ fn posterior(n: usize, seed: u64) -> CurvePosterior {
         }
         flat.extend(theta);
     }
-    CurvePosterior::from_parts(flat, 10, 300, 0.4, false).expect("whole rows")
+    CurvePosterior::from_parts(flat, 10, 300, 0.4).expect("whole rows")
 }
 
 /// Each draw's `(sigma, mean curve)` by the scalar definition, degenerate
@@ -190,7 +190,7 @@ fn degenerate_draws_change_no_lane() {
     dirty.insert(64, thin.clone());
     dirty.insert(10, nan_weight.clone());
     let build = |draws: &[Vec<f64>]| {
-        CurvePosterior::from_parts(draws.concat(), 10, 300, 0.4, false).expect("whole rows")
+        CurvePosterior::from_parts(draws.concat(), 10, 300, 0.4).expect("whole rows")
     };
     let (clean, dirty, hopeless) = (build(&clean), build(&dirty), build(&[thin, nan_weight]));
     let epochs: Vec<u32> = (1..=QUERY_LANES as u32 + 5).collect();

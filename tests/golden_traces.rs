@@ -5,13 +5,9 @@
 //! scheduling traces (every start/resume, suspend, kill, completion, plus
 //! the per-boundary classification snapshots) are compared **byte for
 //! byte** against committed golden files, at both 1 and 4 fit-service
-//! worker threads. One file per workload pins the cold trace under both
+//! worker threads. One file per workload pins the trace under both
 //! likelihoods — the libm oracle and the default fused `fast_math` fit —
-//! because they agree byte for byte. Warm starts change numerics on
-//! purpose and are pinned as their own modes; a mode gets its own file
-//! only where its trace differs from an existing one (today: CIFAR warm,
-//! shared by libm-warm and fast-warm; every Lunar mode reproduces the cold
-//! Lunar trace). If a change ever splits modes that share a file, the
+//! because they agree byte for byte. If a change ever splits the two, the
 //! regenerated file flaps between them and the next plain run fails: give
 //! the split mode its own file name then.
 //!
@@ -41,9 +37,8 @@ use hyperdrive_types::SimTime;
 use hyperdrive_workload::{CifarWorkload, LunarWorkload, Workload};
 
 /// Runs one canonical experiment and renders its full decision trace.
-/// Every caller names its fit mode (warm-start, fast-math) explicitly, so
-/// no test silently follows `PredictorConfig`'s defaults.
-#[allow(clippy::too_many_arguments)]
+/// Every caller names its likelihood (`fast_math`) explicitly, so no test
+/// silently follows `PredictorConfig`'s defaults.
 fn trace_with(
     workload: &dyn Workload,
     configs: usize,
@@ -51,16 +46,13 @@ fn trace_with(
     machines: usize,
     tmax: SimTime,
     fit_threads: usize,
-    warm_start: bool,
     fast_math: bool,
 ) -> String {
-    trace_cached(workload, configs, seed, machines, tmax, fit_threads, warm_start, fast_math, None)
-        .0
+    trace_cached(workload, configs, seed, machines, tmax, fit_threads, fast_math, None).0
 }
 
 /// [`trace_with`] with speculative fit prefetch forced on (the engine
 /// hints boundary epochs at issue time and the policy fits them ahead).
-#[allow(clippy::too_many_arguments)]
 fn trace_prefetched(
     workload: &dyn Workload,
     configs: usize,
@@ -68,13 +60,12 @@ fn trace_prefetched(
     machines: usize,
     tmax: SimTime,
     fit_threads: usize,
-    warm_start: bool,
     fast_math: bool,
 ) -> String {
     let ew = ExperimentWorkload::from_workload(workload, configs, seed);
     let spec = ExperimentSpec::new(machines).with_stop_on_target(false).with_tmax(tmax);
     let config = PopConfig {
-        predictor: PredictorConfig::test().with_warm_start(warm_start).with_fast_math(fast_math),
+        predictor: PredictorConfig::test().with_fast_math(fast_math),
         fit_threads,
         seed,
         fit_prefetch: Some(true),
@@ -134,14 +125,13 @@ fn trace_cached(
     machines: usize,
     tmax: SimTime,
     fit_threads: usize,
-    warm_start: bool,
     fast_math: bool,
     cache: Option<Arc<SharedFitCache>>,
 ) -> (String, PopPolicy) {
     let ew = ExperimentWorkload::from_workload(workload, configs, seed);
     let spec = ExperimentSpec::new(machines).with_stop_on_target(false).with_tmax(tmax);
     let config = PopConfig {
-        predictor: PredictorConfig::test().with_warm_start(warm_start).with_fast_math(fast_math),
+        predictor: PredictorConfig::test().with_fast_math(fast_math),
         fit_threads,
         seed,
         ..Default::default()
@@ -190,24 +180,20 @@ fn check_golden(name: &str, build: impl Fn(usize) -> String) {
 }
 
 /// The canonical CIFAR experiment under one fit mode.
-fn cifar_golden(name: &str, warm_start: bool, fast_math: bool) {
+fn cifar_golden(name: &str, fast_math: bool) {
     let workload = CifarWorkload::new().with_max_epochs(40);
     let tmax = SimTime::from_hours(48.0);
-    check_golden(name, |threads| {
-        trace_with(&workload, 12, 7, 4, tmax, threads, warm_start, fast_math)
-    });
+    check_golden(name, |threads| trace_with(&workload, 12, 7, 4, tmax, threads, fast_math));
 }
 
 /// The canonical Lunar Lander experiment under one fit mode.
-fn lunar_golden(name: &str, warm_start: bool, fast_math: bool) {
+fn lunar_golden(name: &str, fast_math: bool) {
     let workload = LunarWorkload::new().with_max_blocks(60);
     let tmax = SimTime::from_hours(200.0);
-    check_golden(name, |threads| {
-        trace_with(&workload, 10, 11, 3, tmax, threads, warm_start, fast_math)
-    });
+    check_golden(name, |threads| trace_with(&workload, 10, 11, 3, tmax, threads, fast_math));
 }
 
-// One committed cold trace per workload, replayed under both likelihoods
+// One committed trace per workload, replayed under both likelihoods
 // × {1, 4} fit threads. The vectorized likelihood (`fast_math`) evaluates
 // the same model through fused batched kernels with a different
 // (deterministic) floating-point factoring; it does not move a byte of
@@ -217,22 +203,22 @@ fn lunar_golden(name: &str, warm_start: bool, fast_math: bool) {
 
 #[test]
 fn cifar_surface_trace_is_golden() {
-    cifar_golden("cifar_trace.csv", false, false); // libm oracle
+    cifar_golden("cifar_trace.csv", false); // libm oracle
 }
 
 #[test]
 fn cifar_surface_fast_trace_is_golden() {
-    cifar_golden("cifar_trace.csv", false, true);
+    cifar_golden("cifar_trace.csv", true);
 }
 
 #[test]
 fn lunar_surface_trace_is_golden() {
-    lunar_golden("lunar_trace.csv", false, false); // libm oracle
+    lunar_golden("lunar_trace.csv", false); // libm oracle
 }
 
 #[test]
 fn lunar_surface_fast_trace_is_golden() {
-    lunar_golden("lunar_trace.csv", false, true);
+    lunar_golden("lunar_trace.csv", true);
 }
 
 /// A boundary's fits are independent pool messages, so the *default*
@@ -260,7 +246,6 @@ fn default_fit_golden(
             machines,
             tmax,
             threads,
-            defaults.warm_start,
             defaults.fast_math,
             None,
         );
@@ -283,41 +268,9 @@ fn lunar_surface_batch_trace_is_golden() {
     default_fit_golden("lunar_trace.csv", &workload, 10, 11, 3, SimTime::from_hours(200.0));
 }
 
-// Warm-started posteriors change the numerics on purpose (shorter,
-// seeded chains), so the warm path is pinned as its own mode — also
-// locked at 1 and 4 fit threads, pinning that the warm source resolution
-// never depends on worker scheduling. On CIFAR that moves decisions (its
-// own file); on Lunar it does not (the cold file).
-
-#[test]
-fn cifar_surface_warm_trace_is_golden() {
-    cifar_golden("cifar_warm_trace.csv", true, false);
-}
-
-#[test]
-fn lunar_surface_warm_trace_is_golden() {
-    lunar_golden("lunar_trace.csv", true, false);
-}
-
-// fast_math composes with warm start: warm refits rescore previous draws
-// and reseed family fits through the batched kernels. The combination is
-// its own numeric regime, pinned separately — and reproduces the libm-warm
-// traces byte for byte.
-
-#[test]
-fn cifar_surface_fast_warm_trace_is_golden() {
-    cifar_golden("cifar_warm_trace.csv", true, true);
-}
-
-#[test]
-fn lunar_surface_fast_warm_trace_is_golden() {
-    lunar_golden("lunar_trace.csv", true, true);
-}
-
 // The per-mode tests above pin fit-pool widths 1 and 4. A boundary's fits
-// — cold, warm, libm or fused — are all independent pool messages, so
-// every mode's golden must also survive the uneven spreads of a 2- and a
-// 3-worker pool.
+// — libm or fused — are all independent pool messages, so every mode's
+// golden must also survive the uneven spreads of a 2- and a 3-worker pool.
 
 #[test]
 fn existing_goldens_are_untouched_by_batch_fit() {
@@ -328,24 +281,20 @@ fn existing_goldens_are_untouched_by_batch_fit() {
     let lunar = LunarWorkload::new().with_max_blocks(60);
     let cifar_t = SimTime::from_hours(48.0);
     let lunar_t = SimTime::from_hours(200.0);
-    type Case<'a> = (&'a str, &'a dyn Workload, usize, u64, usize, SimTime, bool, bool);
-    let cases: [Case; 8] = [
-        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false, false),
-        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false, true),
-        ("cifar_warm_trace.csv", &cifar, 12, 7, 4, cifar_t, true, false),
-        ("cifar_warm_trace.csv", &cifar, 12, 7, 4, cifar_t, true, true),
-        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false, false),
-        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false, true),
-        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, true, false),
-        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, true, true),
+    type Case<'a> = (&'a str, &'a dyn Workload, usize, u64, usize, SimTime, bool);
+    let cases: [Case; 4] = [
+        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false),
+        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, true),
+        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false),
+        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, true),
     ];
-    for (name, w, configs, seed, machines, tmax, warm, fast) in cases {
+    for (name, w, configs, seed, machines, tmax, fast) in cases {
         let golden = read_golden(name);
         for threads in [2, 3] {
-            let replay = trace_with(w, configs, seed, machines, tmax, threads, warm, fast);
+            let replay = trace_with(w, configs, seed, machines, tmax, threads, fast);
             assert_eq!(
                 replay, golden,
-                "{name}: a {threads}-worker spread moved the trace (warm={warm} fast={fast})"
+                "{name}: a {threads}-worker spread moved the trace (fast={fast})"
             );
         }
     }
@@ -365,19 +314,17 @@ fn existing_goldens_are_untouched_by_fit_prefetch() {
     let lunar = LunarWorkload::new().with_max_blocks(60);
     let cifar_t = SimTime::from_hours(48.0);
     let lunar_t = SimTime::from_hours(200.0);
-    type Case<'a> = (&'a str, &'a dyn Workload, usize, u64, usize, SimTime, bool, bool);
-    let cases: [Case; 6] = [
-        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false, false),
-        ("cifar_warm_trace.csv", &cifar, 12, 7, 4, cifar_t, true, false),
-        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false, true),
-        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false, false),
-        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, true, false),
-        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false, true),
+    type Case<'a> = (&'a str, &'a dyn Workload, usize, u64, usize, SimTime, bool);
+    let cases: [Case; 4] = [
+        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false),
+        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, true),
+        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false),
+        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, true),
     ];
-    for (name, w, configs, seed, machines, tmax, warm, fast) in cases {
+    for (name, w, configs, seed, machines, tmax, fast) in cases {
         let golden = read_golden(name);
         for threads in [1, 4] {
-            let replay = trace_prefetched(w, configs, seed, machines, tmax, threads, warm, fast);
+            let replay = trace_prefetched(w, configs, seed, machines, tmax, threads, fast);
             assert_eq!(
                 replay, golden,
                 "{name}: fit_prefetch=on moved the trace at {threads} fit threads"
@@ -387,7 +334,7 @@ fn existing_goldens_are_untouched_by_fit_prefetch() {
 }
 
 // The shared content-addressed fit cache must be *pure speed*: every one
-// of the eight (workload, fit mode) cases has to match its golden whether fits
+// of the four (workload, likelihood) cases has to match its golden whether fits
 // run cold (the tests above), run cold with a cache attached, or replay
 // from the cache that run warmed — at 1 and 4 fit threads. This is the
 // end-to-end pin on the fingerprint closure: if the key missed
@@ -403,30 +350,26 @@ fn golden_traces_are_invariant_under_shared_fit_cache_modes() {
     let lunar = LunarWorkload::new().with_max_blocks(60);
     let cifar_t = SimTime::from_hours(48.0);
     let lunar_t = SimTime::from_hours(200.0);
-    type Case<'a> = (&'a str, &'a dyn Workload, usize, u64, usize, SimTime, bool, bool);
-    let cases: [Case; 8] = [
-        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false, false),
-        ("cifar_warm_trace.csv", &cifar, 12, 7, 4, cifar_t, true, false),
-        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false, true),
-        ("cifar_warm_trace.csv", &cifar, 12, 7, 4, cifar_t, true, true),
-        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false, false),
-        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, true, false),
-        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false, true),
-        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, true, true),
+    type Case<'a> = (&'a str, &'a dyn Workload, usize, u64, usize, SimTime, bool);
+    let cases: [Case; 4] = [
+        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false),
+        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, true),
+        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false),
+        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, true),
     ];
-    for (name, w, configs, seed, machines, tmax, warm, fast) in cases {
+    for (name, w, configs, seed, machines, tmax, fast) in cases {
         let golden = read_golden(name);
 
         // Cold run populating a fresh cache at 1 thread, then a warmed
         // replay at 4 threads served from the same cache.
         let cache = SharedFitCache::in_memory();
         let (cold, cold_pop) =
-            trace_cached(w, configs, seed, machines, tmax, 1, warm, fast, Some(cache.clone()));
+            trace_cached(w, configs, seed, machines, tmax, 1, fast, Some(cache.clone()));
         assert_eq!(cold, golden, "{name}: attaching the fit cache changed the cold trace");
         let cold_preds = cold_pop.predictions_made();
         assert!(cold_preds > 0, "{name}: the cold run never consumed a prediction");
         let (replay, replay_pop) =
-            trace_cached(w, configs, seed, machines, tmax, 4, warm, fast, Some(cache.clone()));
+            trace_cached(w, configs, seed, machines, tmax, 4, fast, Some(cache.clone()));
         assert_eq!(replay, golden, "{name}: warmed replay diverged");
         assert!(cache.snapshot().shared_hits > 0, "{name}: the warmed replay never hit the cache");
         // Shared-cache hits report `cached: false` so the policy consumes
@@ -454,22 +397,20 @@ fn journaling_is_pure_output() {
     let lunar = LunarWorkload::new().with_max_blocks(60);
     let cifar_t = SimTime::from_hours(48.0);
     let lunar_t = SimTime::from_hours(200.0);
-    type Case<'a> = (&'a str, &'a dyn Workload, usize, u64, usize, SimTime, bool);
-    let cases: [Case; 3] = [
-        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false),
-        ("cifar_warm_trace.csv", &cifar, 12, 7, 4, cifar_t, true),
-        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false),
+    type Case<'a> = (&'a str, &'a dyn Workload, usize, u64, usize, SimTime);
+    let cases: [Case; 2] = [
+        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t),
+        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t),
     ];
     let plan = FaultPlan::none();
-    for (name, w, configs, seed, machines, tmax, warm) in cases {
+    for (name, w, configs, seed, machines, tmax) in cases {
         let golden = read_golden(name);
         let ew = ExperimentWorkload::from_workload(w, configs, seed);
         let spec = ExperimentSpec::new(machines).with_stop_on_target(false).with_tmax(tmax);
         for threads in [1, 4] {
             let pop = || {
-                let predictor = PredictorConfig::test().with_warm_start(warm);
                 PopPolicy::with_config(PopConfig {
-                    predictor,
+                    predictor: PredictorConfig::test(),
                     fit_threads: threads,
                     seed,
                     ..Default::default()

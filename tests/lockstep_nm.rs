@@ -202,7 +202,7 @@ fn lockstep_family_init_reproduces_the_oracle_fits() {
 
         let mut rng_a = StdRng::seed_from_u64(40 + c);
         let mut rng_b = rng_a.clone();
-        let lockstep = fit_families(&mut libm, None, &mut rng_a, &mut nm);
+        let lockstep = fit_families(&mut libm, &mut rng_a, &mut nm);
         let oracle = fit_all_families(&obs, &mut rng_b);
         assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "the two inits drew differently");
         for (l, o) in lockstep.iter().zip(&oracle) {

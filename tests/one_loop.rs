@@ -2,15 +2,18 @@
 //! fault-built, journaled [`Simulation`] input by input is the one-call
 //! unjournaled run, fault inputs are visible as steps, lost work is
 //! accounted for, and a kill at any journal position recovers
-//! byte-identically.
+//! byte-identically — under faults with `DefaultPolicy`, and with POP on a
+//! shared fit cache.
 
 use std::collections::VecDeque;
 
+use hyperdrive::curve::{PredictorConfig, SharedFitCache};
 use hyperdrive::framework::{
     run_meta, Command, DefaultPolicy, Driver, EngineEvent, EngineInput, ExperimentEngine,
     ExperimentResult, ExperimentSpec, ExperimentWorkload, FaultConfig, FaultPlan, FaultStats,
     InputSource, JobEnd, Journal, SchedulingPolicy,
 };
+use hyperdrive::pop::{PopConfig, PopPolicy};
 use hyperdrive::sim::{kill_at_every_event, Simulation};
 use hyperdrive::workload::CifarWorkload;
 use hyperdrive::{Error, SimTime};
@@ -86,6 +89,29 @@ fn kill_at_every_event_under_faults_with_default_policy() {
     let spec = ExperimentSpec::new(2).with_stop_on_target(false).with_seed(7);
     let plan = fault_plan(2, 11, 12.0);
     let make = || -> Box<dyn SchedulingPolicy> { Box::new(DefaultPolicy::new()) };
+    let report = kill_at_every_event(make, &ew, spec, &plan).unwrap();
+    assert!(report.positions > 0);
+    assert_eq!(report.failures, Vec::<String>::new());
+    assert_eq!(report.passes, report.positions);
+}
+
+#[test]
+fn kill_at_every_event_with_pop_policy_and_shared_cache() {
+    // POP on two fit threads with a shared fit cache: the most stateful
+    // policy configuration there is. A fresh policy per recovery plus
+    // replay must still land byte-identical.
+    let ew = experiment(4, 4, 13);
+    let spec = ExperimentSpec::new(2).with_stop_on_target(false).with_seed(13);
+    let plan = FaultPlan::none();
+    let cache = SharedFitCache::in_memory();
+    let make = move || -> Box<dyn SchedulingPolicy> {
+        let config = PopConfig {
+            predictor: PredictorConfig::test(),
+            fit_threads: 2,
+            ..PopConfig::default()
+        };
+        Box::new(PopPolicy::with_config_and_cache(config, Some(cache.clone())))
+    };
     let report = kill_at_every_event(make, &ew, spec, &plan).unwrap();
     assert!(report.positions > 0);
     assert_eq!(report.failures, Vec::<String>::new());

@@ -241,7 +241,6 @@ fn with_extra_draws(posterior: &CurvePosterior, extra: &[Vec<f64>]) -> CurvePost
         posterior.last_epoch(),
         posterior.horizon(),
         posterior.acceptance_rate(),
-        false,
     )
     .expect("whole rows")
 }
@@ -277,7 +276,7 @@ fn degenerate_draws_are_excluded_from_numerator_and_count() {
         assert_eq!(c.to_bits(), d.to_bits(), "lane {lane}: an excluded draw leaked in");
     }
 
-    let hopeless = CurvePosterior::from_parts(diverging, 10, 100, 0.5, false).expect("one row");
+    let hopeless = CurvePosterior::from_parts(diverging, 10, 100, 0.5).expect("one row");
     assert_eq!(query(&hopeless, &[20, 50], 0.6), vec![0.0, 0.0], "no usable draw → 0");
 }
 

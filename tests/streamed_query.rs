@@ -209,32 +209,6 @@ fn row_sink_keeps_what_retain_all_then_subsample_kept() {
     }
 }
 
-/// A warm attempt that keeps nothing falls back to the cold schedule
-/// inside one request; the answer is the cold posterior's, with nothing
-/// left over from the abandoned attempt.
-#[test]
-fn warm_attempt_falling_back_to_cold_streams_from_a_clean_start() {
-    let warm_config =
-        PredictorConfig { warm_steps: 0, ..PredictorConfig::test().with_warm_start(true) };
-    let service = FitService::with_shared_cache(warm_config, 9, 2, None);
-    let (curve, target) = workload_curve(&CifarWorkload::new(), 4, 16);
-    let early =
-        FitRequest { job: JobId::new(0), curve: curve.prefix(10), horizon: 90, query: None };
-    assert!(service.fit_batch(&[early])[0].result.is_ok());
-    let grown = FitRequest {
-        job: JobId::new(0),
-        curve,
-        horizon: 90,
-        query: Some(ert_query(16, 74, target)),
-    };
-    let outcomes = service.fit_batch(std::slice::from_ref(&grown));
-    let posterior = outcomes[0].result.as_ref().expect("the cold schedule fits");
-    assert!(!posterior.warm_started(), "a zero-step warm chain keeps nothing");
-    // The cold schedule ignores `warm_start`, so the plain config is its
-    // reference.
-    check_outcome(PredictorConfig::test(), 9, &grown, &outcomes[0]);
-}
-
 #[test]
 fn shared_memo_returns_the_first_studys_answer_and_misses_on_any_other_query() {
     let config = PredictorConfig::test();
