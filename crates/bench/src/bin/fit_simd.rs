@@ -1,6 +1,6 @@
-//! Benchmarks the vectorized likelihood kernel (`fast_math`): cold per-fit
-//! latency of the reference path vs the fused-arena path, heap allocations
-//! on the fast path — per MCMC step, per lockstep Nelder–Mead init, per
+//! Benchmarks the vectorized likelihood kernel every fit runs: cold per-fit
+//! latency of the fused-arena path, heap allocations on it — per MCMC
+//! step, per lockstep Nelder–Mead init, per
 //! remaining-time estimate and single-epoch query, per streamed chunk of a
 //! fit that carries its query — and forced-scalar vs dispatched
 //! bit-identity of both the raw kernels and the fused log-posterior
@@ -161,41 +161,31 @@ fn main() {
     let per_proposal: Vec<f64> = init.iter().map(|w| reference_eval.log_posterior(w)).collect();
     let posterior_evals = assert_bits_eq(&lps[0], &per_proposal, "fused vs per-proposal");
 
-    // ---- Cold per-fit latency: reference vs fast_math, interleaved per
-    // curve with the per-path total taken as the minimum over repetitions
-    // so load drift cannot skew the ratio.
-    let reference = CurvePredictor::new(config.with_fast_math(false).with_seed(7));
-    let fast = CurvePredictor::new(config.with_fast_math(true).with_seed(7));
+    // ---- Cold per-fit latency, the total taken as the minimum over
+    // repetitions so load drift cannot skew it.
+    let fast = CurvePredictor::new(config.with_seed(7));
     let mut scratch_fast = FitScratch::new();
     // Untimed warm-up sizes the scratch and faults code in.
     let _ = fast.fit_with(&curves[0], horizon, &mut scratch_fast);
 
-    let mut ref_secs = f64::INFINITY;
     let mut fast_secs = f64::INFINITY;
     for rep in 0..reps {
-        let mut rep_ref = 0.0;
         let mut rep_fast = 0.0;
         for c in &curves {
-            let t = Instant::now();
-            let _ = reference.fit_reference(c, horizon).expect("fit ok");
-            rep_ref += t.elapsed().as_secs_f64();
             let t = Instant::now();
             let a = fast.fit_with(c, horizon, &mut scratch_fast).expect("fit ok");
             rep_fast += t.elapsed().as_secs_f64();
             if rep == 0 {
-                // Determinism (not reference-equality): a second fast fit
-                // must reproduce the first draw-for-draw.
+                // Determinism: a second fit must reproduce the first
+                // draw-for-draw.
                 let mut check = FitScratch::new();
                 let b = fast.fit_with(c, horizon, &mut check).expect("fit ok");
                 assert_eq!(a.draws(), b.draws(), "fast path is nondeterministic");
             }
         }
-        ref_secs = ref_secs.min(rep_ref);
         fast_secs = fast_secs.min(rep_fast);
     }
-    let ref_ms = ref_secs * 1e3 / n_curves as f64;
     let fast_ms = fast_secs * 1e3 / n_curves as f64;
-    let fast_speedup = ref_secs / fast_secs.max(1e-12);
 
     // ---- Allocations per MCMC step on the fast path, measured around
     // sample_into with warmed buffers (exactly how fit_with drives it).
@@ -276,12 +266,8 @@ fn main() {
     // each warm up on three batches — the worker's scratch, this thread's
     // query arena, the pool's spare buffers — and the fourth is counted.
     let streamed_allocs = |max_draws: usize, query: Option<ExceedanceQuery>| -> u64 {
-        let service = FitService::with_shared_cache(
-            PredictorConfig { max_draws, ..config.with_fast_math(true) },
-            7,
-            1,
-            None,
-        );
+        let service =
+            FitService::with_shared_cache(PredictorConfig { max_draws, ..config }, 7, 1, None);
         let mut counted = 0;
         for (j, c) in curves.iter().take(4).enumerate() {
             let request =
@@ -315,9 +301,7 @@ fn main() {
         &[
             "curves",
             "backend",
-            "ref_ms/fit",
             "fast_ms/fit",
-            "fast_speedup",
             "allocs/step",
             "allocs/nm_init",
             "allocs/query",
@@ -326,9 +310,7 @@ fn main() {
         &[vec![
             n_curves.to_string(),
             format!("{dispatched:?}"),
-            format!("{ref_ms:.2}"),
             format!("{fast_ms:.2}"),
-            format!("{fast_speedup:.2}x"),
             format!("{allocs_per_step:.3}"),
             nm_alloc_delta.to_string(),
             query_alloc_delta.to_string(),
@@ -347,11 +329,9 @@ fn main() {
         r#"{{
   "curves": {n_curves},
   "quick": {quick},
-  "timing": "interleaved per curve, min over {reps} repetitions",
+  "timing": "min over {reps} repetitions",
   "dispatched_backend": "{dispatched:?}",
-  "per_fit_reference_ms": {ref_ms:.4},
   "per_fit_fast_ms": {fast_ms:.4},
-  "fast_cold_speedup_vs_reference": {fast_speedup:.3},
   "mcmc_proposals_measured": {proposals},
   "mcmc_alloc_events": {alloc_delta},
   "allocs_per_mcmc_step": {allocs_per_step:.6},

@@ -61,35 +61,26 @@ pub struct FitCostModel {
     pub secs_per_kiloeval: f64,
     /// Virtual worker count the batch is scheduled onto.
     pub modeled_workers: usize,
-    /// Modeled throughput multiplier applied when the priced
-    /// [`PredictorConfig`] has `fast_math` enabled (the batched-kernel
-    /// likelihood path). `1.0` prices fast-math fits the same as libm
-    /// fits; the `fit_simd` bench measures the real ratio (its JSON
-    /// reports the measured cold speedup). Must be positive.
+    /// Modeled throughput multiplier of the batched-kernel likelihood,
+    /// dividing every fit's price (every fit runs it). `1.0` prices a fit
+    /// at `secs_per_kiloeval` as written. Must be positive.
     pub fast_math_speedup: f64,
     /// Modeled throughput multiplier of the fused half-ensemble
-    /// evaluator, applied together with `fast_math_speedup` — every
-    /// fast-math fit is a fused fit. `1.0` prices it like per-proposal
-    /// scoring. Must be positive.
+    /// evaluator, dividing every fit's price together with
+    /// `fast_math_speedup` (every fit is a fused fit). `1.0` prices it like
+    /// per-proposal scoring. Must be positive.
     pub batch_fit_speedup: f64,
 }
 
 impl FitCostModel {
-    /// The per-kiloeval price adjusted for `config`'s likelihood path.
-    fn kiloeval_price(&self, config: &PredictorConfig) -> f64 {
-        if config.fast_math {
-            self.secs_per_kiloeval / self.fast_math_speedup / self.batch_fit_speedup
-        } else {
-            self.secs_per_kiloeval
-        }
-    }
-
     /// Modeled cost (seconds) of one fit at `config` fidelity over
     /// `n_obs` observations.
     #[must_use]
     pub fn fit_secs(&self, config: &PredictorConfig, n_obs: usize) -> f64 {
         let evals = config.walkers * config.steps * n_obs.clamp(1, config.max_obs);
-        evals as f64 / 1000.0 * self.kiloeval_price(config)
+        let kiloeval_secs =
+            self.secs_per_kiloeval / self.fast_math_speedup / self.batch_fit_speedup;
+        evals as f64 / 1000.0 * kiloeval_secs
     }
 
     /// Makespan of scheduling `costs` (in request order) onto the modeled
@@ -861,21 +852,23 @@ mod tests {
     }
 
     #[test]
-    fn batch_fit_speedup_discounts_only_fast_math_fits() {
-        let model = FitCostModel {
+    fn both_speedups_divide_every_fit_price() {
+        let config = PredictorConfig::test();
+        let model = |fast_math_speedup, batch_fit_speedup| FitCostModel {
             secs_per_kiloeval: 2.0,
             modeled_workers: 1,
-            fast_math_speedup: 3.0,
-            batch_fit_speedup: 2.0,
+            fast_math_speedup,
+            batch_fit_speedup,
         };
-        let libm = PredictorConfig::test().with_fast_math(false);
-        let fast = libm.with_fast_math(true);
+        let kiloevals = (config.walkers * config.steps * 5) as f64 / 1000.0;
+        assert_eq!(model(1.0, 1.0).fit_secs(&config, 5), kiloevals * 2.0);
+        assert_eq!(model(3.0, 1.0).fit_secs(&config, 5), kiloevals * (2.0 / 3.0));
+        assert_eq!(model(1.0, 4.0).fit_secs(&config, 5), kiloevals * 0.5);
         assert_eq!(
-            model.fit_secs(&fast, 5),
-            model.fit_secs(&libm, 5) / 3.0 / 2.0,
-            "every fast-math fit is a fused fit: both discounts apply together"
+            model(3.0, 2.0).fit_secs(&config, 5),
+            kiloevals * (2.0 / 3.0 / 2.0),
+            "both divisors price every fit, together"
         );
-        assert_eq!(model.fit_secs(&libm, 5), 2.0 * (libm.walkers * libm.steps * 5) as f64 / 1000.0);
     }
 
     #[test]

@@ -357,7 +357,7 @@ pub struct FusedScratch {
     clamped: Vec<f64>,
 }
 
-/// The `fast_math` batch evaluator of one curve, as a [`CurveObjective`]:
+/// The batch evaluator of one curve every fit runs, as a [`CurveObjective`]:
 /// the log-posterior of `k` parameter vectors, or the penalized
 /// least-squares objective of `k` (family, parameters) points, per call
 /// (see the module docs).

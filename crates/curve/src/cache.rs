@@ -22,11 +22,10 @@
 //! [`fit_fingerprint`] hashes precisely that closure, so two requests with
 //! equal fingerprints would execute byte-for-byte the same computation;
 //! returning the memoized posterior is indistinguishable from re-running
-//! it. `fast_math` fits
-//! additionally fold in the active [`vmath`] backend discriminant: the
-//! backends are bit-identical by construction (proptest-pinned), but the
-//! key stays conservative so a hit can never even in principle cross
-//! kernel implementations. Entries live and die with one build of one
+//! it. The key additionally folds in the active [`vmath`] backend
+//! discriminant: the backends are bit-identical by construction
+//! (proptest-pinned), but the key stays conservative so a hit can never
+//! even in principle cross kernel implementations. Entries live and die with one build of one
 //! process, so no version salt is needed: a change to fit numerics cannot
 //! meet a posterior computed before it.
 
@@ -131,16 +130,16 @@ pub fn posterior_hash(p: &CurvePosterior) -> u64 {
 
 /// Computes the structural fingerprint of one fit.
 ///
-/// Inputs are exactly the closure of [`CurvePredictor::fit_with`]
-/// (`crate::CurvePredictor`): the `(epoch, value)` prefix (point *times*
-/// are deliberately excluded — the likelihood never reads them), the full
-/// `config` fidelity **except** `config.seed` (superseded by `fit_seed`,
-/// the derived per-fit seed actually installed before fitting), the
-/// extrapolation `horizon` (the evaluation grid includes the horizon
-/// point), and the active vmath backend when `fast_math` routes through
-/// it. `config` is destructured field by field, so a field added to
-/// [`PredictorConfig`] does not compile here until it is hashed or skipped
-/// on purpose.
+/// Inputs are exactly the closure of
+/// [`CurvePredictor::fit_with`](crate::CurvePredictor::fit_with): the
+/// `(epoch, value)` prefix (point *times* are deliberately excluded — the
+/// likelihood never reads them), the full `config` fidelity **except**
+/// `config.seed` (superseded by `fit_seed`, the derived per-fit seed
+/// actually installed before fitting), the extrapolation `horizon` (the
+/// evaluation grid includes the horizon point), and the active vmath
+/// backend every fit routes through. `config` is destructured field by
+/// field, so a field added to [`PredictorConfig`] does not compile here
+/// until it is hashed or skipped on purpose.
 ///
 /// The fifth parameter is ignored: every fit runs cold, and in-tree
 /// callers pass `None`. It stays only because the repository benchmark
@@ -162,7 +161,6 @@ pub fn fit_fingerprint(
         max_obs,
         seed: _,
         min_observations,
-        fast_math,
     } = *config;
     let mut h = Fp128::new(FIT_SALT);
     h.write_u64(metric_kind_code(curve.kind()));
@@ -178,13 +176,10 @@ pub fn fit_fingerprint(
     h.write_u64(max_draws as u64);
     h.write_u64(max_obs as u64);
     h.write_u64(min_observations as u64);
-    h.write_u64(u64::from(fast_math));
-    if fast_math {
-        h.write_u64(match vmath::active_backend() {
-            vmath::Backend::Scalar => 1,
-            vmath::Backend::Simd => 2,
-        });
-    }
+    h.write_u64(match vmath::active_backend() {
+        vmath::Backend::Scalar => 1,
+        vmath::Backend::Simd => 2,
+    });
     h.write_u64(fit_seed);
     h.write_u64(u64::from(horizon));
     h.finish()

@@ -16,7 +16,7 @@
 //! the mean at the last observation), and normalized performance cannot
 //! exceed 1 at the horizon.
 
-use crate::models::{total_family_params, GridPoint, ALL_FAMILIES};
+use crate::models::{total_family_params, ALL_FAMILIES};
 
 /// Index of the noise parameter sigma in the flattened parameter vector.
 pub const SIGMA_INDEX: usize = 11;
@@ -213,168 +213,6 @@ pub(crate) fn in_prior_box_fast(theta: &[f64]) -> bool {
     ok && !(theta[..11].iter().sum::<f64>() < MIN_WEIGHT_SUM)
 }
 
-/// Computes each active family's parameter-only hoisted term (see
-/// [`ModelFamily::hoist`]) once per likelihood call. Slots of families
-/// with non-positive weight are left untouched — the mean accumulators
-/// below skip those families before reading the slot.
-#[inline]
-fn family_hoists(theta: &[f64], hoists: &mut [f64; 11]) {
-    let w = &theta[..11];
-    for (k, &family) in ALL_FAMILIES.iter().enumerate() {
-        if w[k] > 0.0 {
-            let off = FAMILY_OFFSETS[k];
-            hoists[k] = family.hoist(&theta[off..off + family.param_count()]);
-        }
-    }
-}
-
-/// The weighted-combination mean at a single memoized grid point, with the
-/// per-family hoists precomputed by [`family_hoists`] and the weight sum
-/// precomputed by the caller.
-///
-/// Performs the *same* floating-point operations in the *same* order as
-/// [`ParamView::mean`]: the accumulator starts at zero, gains
-/// `w_k * f_k(x)` in ascending `k` (skipping non-positive weights), and is
-/// divided by the weight sum last — so finite results are bitwise
-/// identical. Where the reference returns NaN (an active family went
-/// non-finite), this accumulates ±inf/NaN instead; both collapse to
-/// `-inf` in [`PosteriorEval::log_posterior`], so the posterior value is
-/// unaffected.
-#[inline]
-fn mean_at(theta: &[f64], pt: GridPoint, hoists: &[f64; 11], wsum: f64) -> f64 {
-    let w = &theta[..11];
-    let mut acc = 0.0;
-    for (k, &family) in ALL_FAMILIES.iter().enumerate() {
-        let wk = w[k];
-        if wk <= 0.0 {
-            continue;
-        }
-        let off = FAMILY_OFFSETS[k];
-        let fp = &theta[off..off + family.param_count()];
-        acc += wk * family.eval_pt(pt, fp, hoists[k]);
-    }
-    acc / wsum
-}
-
-/// Accumulates the weighted-combination mean at every point of `pts` into
-/// `out`, family-major: each family's parameters and hoisted term are
-/// resolved once and then swept across the grid. Per point, bitwise
-/// identical to [`mean_at`] (identical operations in identical order, only
-/// regrouped by family instead of by point).
-#[inline]
-fn weighted_means(
-    theta: &[f64],
-    pts: &[GridPoint],
-    out: &mut [f64],
-    hoists: &[f64; 11],
-    wsum: f64,
-) {
-    let w = &theta[..11];
-    for o in out.iter_mut() {
-        *o = 0.0;
-    }
-    for (k, &family) in ALL_FAMILIES.iter().enumerate() {
-        let wk = w[k];
-        if wk <= 0.0 {
-            continue;
-        }
-        let off = FAMILY_OFFSETS[k];
-        let fp = &theta[off..off + family.param_count()];
-        let hoist = hoists[k];
-        for (pt, o) in pts.iter().zip(out.iter_mut()) {
-            *o += wk * family.eval_pt(*pt, fp, hoist);
-        }
-    }
-    for o in out.iter_mut() {
-        *o /= wsum;
-    }
-}
-
-/// Allocation-free, grid-memoized evaluator for [`log_posterior`].
-///
-/// Construct one per fit over the fixed observation grid plus the horizon;
-/// every subsequent [`Self::log_posterior`] call is then free of heap
-/// allocation and of recomputed pure-`x` transcendentals, and returns a
-/// value bitwise-identical to the retained reference function (the crate's
-/// property tests pin this equivalence).
-#[derive(Debug)]
-pub struct PosteriorEval<'a> {
-    /// Observation grid points followed by one horizon point.
-    pts: &'a [GridPoint],
-    /// Observed values, parallel to `pts[..pts.len() - 1]`.
-    ys: &'a [f64],
-    /// Reusable mean buffer, one slot per observation.
-    means: &'a mut [f64],
-}
-
-impl<'a> PosteriorEval<'a> {
-    /// Wraps a memoized grid. `pts` must hold one [`GridPoint`] per
-    /// observation followed by the horizon point `max(horizon, last_x)`;
-    /// `ys` the observed values; `means` a scratch slice of the same
-    /// length as `ys`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths are inconsistent or there are no
-    /// observations.
-    pub fn new(pts: &'a [GridPoint], ys: &'a [f64], means: &'a mut [f64]) -> Self {
-        assert!(!ys.is_empty(), "need at least one observation");
-        assert_eq!(pts.len(), ys.len() + 1, "grid must be observations + horizon");
-        assert_eq!(means.len(), ys.len(), "mean buffer must match observations");
-        PosteriorEval { pts, ys, means }
-    }
-
-    /// The observation grid points (without the horizon point) and the
-    /// observed values.
-    pub(crate) fn observations(&self) -> (&'a [GridPoint], &'a [f64]) {
-        (&self.pts[..self.ys.len()], self.ys)
-    }
-
-    /// The log-posterior of `theta` over the memoized grid. Bitwise equal
-    /// to `log_posterior(theta, obs, horizon)` for the grid this evaluator
-    /// was built from.
-    pub fn log_posterior(&mut self, theta: &[f64]) -> f64 {
-        if !in_prior_box_fast(theta) {
-            return f64::NEG_INFINITY;
-        }
-        let sigma = theta[SIGMA_INDEX];
-        let n = self.ys.len();
-        let wsum: f64 = theta[..11].iter().sum();
-        let mut hoists = [0.0f64; 11];
-        family_hoists(theta, &mut hoists);
-
-        // Prior structure first (cheap 2-point pass): reject decreasing or
-        // above-ceiling extrapolations before paying for the full grid.
-        let mean_last = mean_at(theta, self.pts[n - 1], &hoists, wsum);
-        let mean_horizon = mean_at(theta, self.pts[n], &hoists, wsum);
-        if !mean_last.is_finite() || !mean_horizon.is_finite() {
-            return f64::NEG_INFINITY;
-        }
-        if mean_horizon < mean_last - MONOTONE_SLACK || mean_horizon > CEILING {
-            return f64::NEG_INFINITY;
-        }
-
-        weighted_means(theta, &self.pts[..n - 1], &mut self.means[..n - 1], &hoists, wsum);
-        // The last observation's mean was already computed by the 2-point
-        // pass above — the identical operation sequence, so reuse it.
-        self.means[n - 1] = mean_last;
-
-        let mut loglik = 0.0;
-        let sln = sigma.ln();
-        let inv2s2 = 1.0 / (2.0 * sigma * sigma);
-        let norm = -sln - 0.5 * (2.0 * std::f64::consts::PI).ln();
-        for (y, m) in self.ys.iter().zip(self.means.iter()) {
-            if !m.is_finite() {
-                return f64::NEG_INFINITY;
-            }
-            let r = y - m;
-            loglik += norm - r * r * inv2s2;
-        }
-        loglik -= sln;
-        loglik
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,40 +281,6 @@ mod tests {
             offset += f.param_count();
         }
         assert_eq!(offset, dimension());
-    }
-
-    /// Builds a memoized evaluator over `obs`+`horizon` and checks bitwise
-    /// agreement with the reference `log_posterior`.
-    fn assert_eval_matches_reference(theta: &[f64], obs: &[(f64, f64)], horizon: f64) {
-        let last_x = obs.last().map_or(1.0, |&(x, _)| x);
-        let mut pts: Vec<GridPoint> = obs.iter().map(|&(x, _)| GridPoint::new(x)).collect();
-        pts.push(GridPoint::new(horizon.max(last_x)));
-        let ys: Vec<f64> = obs.iter().map(|&(_, y)| y).collect();
-        let mut means = vec![0.0; ys.len()];
-        let mut eval = PosteriorEval::new(&pts, &ys, &mut means);
-        let fast = eval.log_posterior(theta);
-        let reference = log_posterior(theta, obs, horizon);
-        assert_eq!(fast.to_bits(), reference.to_bits(), "lp diverged: {fast} vs {reference}");
-    }
-
-    #[test]
-    fn memoized_posterior_matches_reference_bitwise() {
-        let obs: Vec<(f64, f64)> =
-            (1..=20).map(|x| (x as f64, 0.8 - 0.7 * (x as f64).powf(-1.0))).collect();
-        // Good fit, bad fit, boundary weights, out-of-box, above-ceiling.
-        assert_eval_matches_reference(&pow3_only(0.8, 0.7, 1.0, 0.05), &obs, 100.0);
-        assert_eval_matches_reference(&pow3_only(0.3, 0.2, 0.5, 0.05), &obs, 100.0);
-        assert_eval_matches_reference(&default_theta(), &obs, 100.0);
-        let mut zero_w = default_theta();
-        zero_w[2] = 0.0;
-        assert_eval_matches_reference(&zero_w, &obs, 100.0);
-        let mut out_of_box = default_theta();
-        out_of_box[SIGMA_INDEX] = 10.0;
-        assert_eval_matches_reference(&out_of_box, &obs, 100.0);
-        let mut ceiling = pow3_only(1.25, 0.01, 1.0, 0.05);
-        ceiling[12] = 1.25;
-        assert_eval_matches_reference(&ceiling, &obs, 10_000.0);
-        assert_eval_matches_reference(&pow3_only(0.8, 0.7, 1.0, 0.05), &obs[..1], 5.0);
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //! lockstep ([`NmScratch`]) and each round is one batch call on a
 //! [`CurveObjective`]. [`fit_family`] / [`fit_all_families`] are the libm
 //! oracle — one `minimize` per start, one point at a time — kept as the
-//! executable definition the lockstep init is tested against.
+//! executable definition the lockstep init is tested against (over a
+//! test-local libm objective built from [`ModelFamily::eval`]).
 
 use rand::Rng;
 
-use crate::ensemble::{dimension, PosteriorEval, SIGMA_BOUNDS, SIGMA_INDEX};
-use crate::models::{GridPoint, ModelFamily, ALL_FAMILIES};
+use crate::ensemble::{dimension, SIGMA_BOUNDS, SIGMA_INDEX};
+use crate::models::{ModelFamily, ALL_FAMILIES};
 use crate::nelder_mead::{minimize, NelderMeadOptions, NmScratch, MAX_DIM};
 
 /// Result of fitting a single family.
@@ -134,9 +135,10 @@ pub(crate) fn box_penalty(family: ModelFamily, params: &[f64]) -> Option<f64> {
 /// What one fit asks of a curve's likelihood: the log-posterior the
 /// sampler scores, and the penalized least squares (with its residual MSE)
 /// the Nelder–Mead initialization minimizes — each a *batch* evaluation, so
-/// an implementation is free to score a whole round together. Two exist:
-/// the `fast_math` arena ([`crate::FusedPosterior`], what fits run) and the
-/// libm oracle ([`PosteriorEval`], one point after another).
+/// an implementation is free to score a whole round together. Fits run the
+/// fused arena ([`crate::FusedPosterior`]); tests substitute their own
+/// objective through this trait (a libm one, to hold [`fit_families`] to
+/// [`fit_all_families`]).
 pub trait CurveObjective {
     /// Writes the log-posterior of each `dimension()`-long row of `thetas`
     /// to the matching element of `out` (the batch-evaluator signature
@@ -154,60 +156,6 @@ pub trait CurveObjective {
     fn mse(&self, family: ModelFamily, params: &[f64]) -> f64;
 }
 
-/// The libm oracle: the arithmetic of [`fit_family`]'s objective and of
-/// [`crate::ensemble::log_posterior`] over the memoized grid, one point
-/// after another. Bitwise-identical values: same penalty arithmetic, same
-/// clamping, same residual accumulation order; the only differences are
-/// where the clamped copy lives and the per-call hoisting of the family's
-/// parameter-only term.
-impl CurveObjective for PosteriorEval<'_> {
-    fn log_posteriors(&mut self, thetas: &[f64], out: &mut [f64]) {
-        for (theta, lp) in thetas.chunks_exact(dimension()).zip(out.iter_mut()) {
-            *lp = self.log_posterior(theta);
-        }
-    }
-
-    fn least_squares(&mut self, families: &[usize], points: &[f64], out: &mut [f64]) {
-        let (pts, ys) = self.observations();
-        for ((&k, point), o) in families.iter().zip(points.chunks_exact(MAX_DIM)).zip(out) {
-            let family = ALL_FAMILIES[k];
-            *o = family_objective(family, pts, ys, &point[..family.param_count()]);
-        }
-    }
-
-    fn mse(&self, family: ModelFamily, params: &[f64]) -> f64 {
-        let (pts, ys) = self.observations();
-        let hoist = family.hoist(params);
-        let mut sse = 0.0;
-        for (pt, y) in pts.iter().zip(ys) {
-            let m = family.eval_pt(*pt, params, hoist);
-            sse += (y - m) * (y - m);
-        }
-        sse / ys.len().max(1) as f64
-    }
-}
-
-/// The penalized least-squares objective of [`fit_family`], evaluated over
-/// a memoized grid.
-#[inline]
-fn family_objective(family: ModelFamily, pts: &[GridPoint], ys: &[f64], params: &[f64]) -> f64 {
-    let Some(penalty) = box_penalty(family, params) else { return f64::INFINITY };
-    let mut clamped = [0.0; MAX_DIM];
-    let clamped = &mut clamped[..params.len()];
-    clamped.copy_from_slice(params);
-    clamp_into_box(family, clamped);
-    let hoist = family.hoist(clamped);
-    let mut sse = 0.0;
-    for (pt, y) in pts.iter().zip(ys) {
-        let m = family.eval_pt(*pt, clamped, hoist);
-        if !m.is_finite() {
-            return f64::INFINITY;
-        }
-        sse += (y - m) * (y - m);
-    }
-    sse / ys.len().max(1) as f64 + penalty
-}
-
 /// Fits all 11 families by lockstep Nelder–Mead ([`NmScratch`]): every
 /// start of every family is drawn up front, and each round of the
 /// simplex runs is one `objective.least_squares` call.
@@ -215,8 +163,8 @@ fn family_objective(family: ModelFamily, pts: &[GridPoint], ys: &[f64], params: 
 /// This is [`fit_all_families`]' schedule — per family the default start
 /// plus two random points in the box, drawn in the same RNG order (the
 /// runs themselves consume none), 300 evaluations each, the first-best of
-/// the three kept — so with the libm objective the fits are bitwise the
-/// oracle's.
+/// the three kept — so over an objective with [`fit_family`]'s arithmetic
+/// the fits are bitwise the oracle's.
 pub fn fit_families<R: Rng + ?Sized>(
     objective: &mut impl CurveObjective,
     rng: &mut R,

@@ -18,7 +18,7 @@
 //!   [`CurvePosterior`] that answers `P(y(m) ≥ y | y(1:n))`, expected
 //!   performance, and prediction spread.
 //! * [`scratch`] — [`FitScratch`], the reusable per-fit working memory
-//!   that makes the optimized fitting path allocation-free per MCMC step.
+//!   that makes fitting allocation-free per MCMC step.
 //! * [`service`] — [`FitService`], the deterministic parallel fitting
 //!   pool with per-`(config, epochs)` memoization (§5.2's systems
 //!   optimizations as a reusable component); many services can share one
@@ -30,9 +30,9 @@
 //!   every service that should share fits, keyed by [`CurveFingerprint`].
 //! * [`vmath`] — batched `exp`/`ln`/`pow` kernels with bit-identical
 //!   SIMD/scalar paths, and [`fastpath`] — the structure-of-arrays
-//!   likelihood built on them (the default fit;
-//!   [`PredictorConfig`]`::with_fast_math(false)` selects the libm
-//!   oracle), which [`CurvePosterior`]'s queries sweep as well.
+//!   likelihood built on them (the one likelihood every fit runs; the
+//!   libm [`ensemble::log_posterior`] is the definition tests hold it
+//!   to), which [`CurvePosterior`]'s queries sweep as well.
 //! * [`batch`] — the fused arena: a sampler half-sweep's proposals, a
 //!   Nelder–Mead round's points or a chunk of queried draws, evaluated in
 //!   one signature-grouped kernel sweep, bitwise the scalar [`fastpath`]
@@ -79,7 +79,7 @@ pub use cache::{
     fit_fingerprint, posterior_hash, CacheStatsSnapshot, CurveFingerprint, SharedFitCache,
 };
 pub use fit::CurveObjective;
-pub use models::{GridPoint, ModelFamily, ALL_FAMILIES};
+pub use models::{ModelFamily, ALL_FAMILIES};
 pub use predictor::{
     CurvePosterior, CurvePredictor, Draws, Exceedance, ExceedanceQuery, PredictorConfig,
     QUERY_LANES,

@@ -21,8 +21,9 @@
 //! `FnMut(&[f64] /* k proposals */, &mut [f64] /* k log-probabilities */)`,
 //! (c) accept or reject in walker order, drawing the accept uniform only
 //! when `lp.is_finite() && log_accept >= 0` does not already decide. Every
-//! fit in the repo (libm oracle, fast, pooled) runs this one
-//! schedule; changing it changes every posterior, so it is pinned by
+//! fit in the repo (sequential or pooled) runs this one schedule through
+//! [`sample_into`], and the reference [`sample`] runs it too; changing it
+//! changes every posterior, so it is pinned by
 //! `half_sweep_draws_every_proposal_before_any_accept_draw` below and by
 //! the golden traces.
 
@@ -76,8 +77,8 @@ impl Chain {
 }
 
 /// Adapts a one-position log-probability into the batch evaluator the
-/// samplers take, scoring a half's proposals one after another (the libm
-/// oracle's evaluator; the `fast_math` path fuses them instead, see
+/// samplers take, scoring a half's proposals one after another (what the
+/// tests drive [`sample`] with; fits fuse a half's proposals instead, see
 /// [`crate::batch`]).
 pub fn score_each<F>(dim: usize, mut log_prob: F) -> impl FnMut(&[f64], &mut [f64])
 where

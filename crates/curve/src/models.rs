@@ -7,35 +7,6 @@
 //! are chosen so that curves stay in a sane range for metrics normalized to
 //! `[0, 1]`; the MCMC prior rejects parameter vectors outside the boxes.
 
-/// One epoch-grid point with its pure-`x` transcendental terms memoized.
-///
-/// The MCMC likelihood evaluates every family at the same fixed epoch grid
-/// thousands of times per fit; the grid never changes mid-fit, so terms
-/// that depend on `x` alone — `ln x` (vapor pressure), `ln(x+1)`
-/// (log-log linear), `ln(x+2)` (inverse log) — are computed once here.
-/// Because the memoized value is the *same operation on the same input*,
-/// [`ModelFamily::eval_pt`] stays bitwise-identical to
-/// [`ModelFamily::eval`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GridPoint {
-    /// The 1-based epoch index.
-    pub x: f64,
-    /// `x.ln()`.
-    pub ln_x: f64,
-    /// `(x + 1.0).ln()`.
-    pub ln_x1: f64,
-    /// `(x + 2.0).ln()`.
-    pub ln_x2: f64,
-}
-
-impl GridPoint {
-    /// Memoizes the grid-dependent basis terms for epoch `x`.
-    #[must_use]
-    pub fn new(x: f64) -> Self {
-        GridPoint { x, ln_x: x.ln(), ln_x1: (x + 1.0).ln(), ln_x2: (x + 2.0).ln() }
-    }
-}
-
 /// One of the 11 parametric curve families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelFamily {
@@ -214,77 +185,6 @@ impl ModelFamily {
         }
     }
 
-    /// The parameter-only subexpression of this family that is constant
-    /// across grid points within one likelihood call: `e^b` for log power
-    /// and `kappa^eta` for Hill3 (`0.0` for every other family). Hoisting
-    /// it is bitwise-safe: the hot path feeds the identical value back
-    /// into the identical remaining operations via [`Self::eval_pt`].
-    #[inline]
-    #[must_use]
-    pub fn hoist(self, params: &[f64]) -> f64 {
-        match self {
-            ModelFamily::LogPower => params[1].exp(),
-            ModelFamily::Hill3 => params[2].powf(params[1]),
-            _ => 0.0,
-        }
-    }
-
-    /// Evaluates the family at a memoized grid point. Bitwise-identical to
-    /// [`Self::eval`] at `pt.x` — same operations, same operand values,
-    /// same order — but skips the arity assert, reuses `pt`'s memoized
-    /// logs, and reuses the caller-hoisted term from [`Self::hoist`].
-    #[inline]
-    #[must_use]
-    pub fn eval_pt(self, pt: GridPoint, params: &[f64], hoist: f64) -> f64 {
-        match self {
-            ModelFamily::Pow3 => {
-                let (c, a, alpha) = (params[0], params[1], params[2]);
-                c - a * pt.x.powf(-alpha)
-            }
-            ModelFamily::Pow4 => {
-                let (c, a, b, alpha) = (params[0], params[1], params[2], params[3]);
-                c - (a * pt.x + b).powf(-alpha)
-            }
-            ModelFamily::LogLogLinear => {
-                let (a, b) = (params[0], params[1]);
-                (a * pt.ln_x1 + b).ln()
-            }
-            ModelFamily::LogPower => {
-                let (a, c) = (params[0], params[2]);
-                a / (1.0 + (pt.x / hoist).powf(c))
-            }
-            ModelFamily::Weibull => {
-                let (alpha, beta, kappa, delta) = (params[0], params[1], params[2], params[3]);
-                alpha - (alpha - beta) * (-((kappa * pt.x).powf(delta))).exp()
-            }
-            ModelFamily::Mmf => {
-                let (alpha, beta, kappa, delta) = (params[0], params[1], params[2], params[3]);
-                alpha - (alpha - beta) / (1.0 + (kappa * pt.x).powf(delta))
-            }
-            ModelFamily::Janoschek => {
-                let (alpha, beta, kappa, delta) = (params[0], params[1], params[2], params[3]);
-                alpha - (alpha - beta) * (-(kappa * pt.x.powf(delta))).exp()
-            }
-            ModelFamily::Exp4 => {
-                let (c, a, alpha, b) = (params[0], params[1], params[2], params[3]);
-                c - (-a * pt.x.powf(alpha) + b).exp()
-            }
-            ModelFamily::Ilog2 => {
-                let (c, a) = (params[0], params[1]);
-                c - a / pt.ln_x2
-            }
-            ModelFamily::VaporPressure => {
-                let (a, b, c) = (params[0], params[1], params[2]);
-                (a + b / pt.x + c * pt.ln_x).exp()
-            }
-            ModelFamily::Hill3 => {
-                let (ymax, eta) = (params[0], params[1]);
-                let xe = pt.x.powf(eta);
-                ymax * xe / (hoist + xe)
-            }
-        }
-    }
-
     /// Index of this family's asymptote parameter (the value the curve
     /// approaches as `x → ∞`), if it has a simple one. Initialization
     /// clamps these below 1.0 so least-squares fits to near-ceiling curves
@@ -377,26 +277,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 11);
-    }
-
-    #[test]
-    fn eval_pt_is_bitwise_identical_to_eval() {
-        // The memoized grid-point path must agree to the last bit — the
-        // whole hot-path optimization rests on this identity.
-        for f in ALL_FAMILIES {
-            for params in [f.default_params()] {
-                for x in [1.0, 2.0, 3.5, 10.0, 47.0, 200.0, 1000.0] {
-                    let pt = GridPoint::new(x);
-                    let hoist = f.hoist(&params);
-                    assert_eq!(
-                        f.eval(x, &params).to_bits(),
-                        f.eval_pt(pt, &params, hoist).to_bits(),
-                        "{} diverged at x={x}",
-                        f.name()
-                    );
-                }
-            }
-        }
     }
 
     #[test]

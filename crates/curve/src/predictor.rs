@@ -9,12 +9,11 @@ use rand::SeedableRng;
 use hyperdrive_types::{stats, Error, LearningCurve, Result};
 
 use crate::batch::{self, FusedPosterior, FusedScratch};
-use crate::ensemble::{dimension, log_posterior, PosteriorEval};
+use crate::ensemble::dimension;
 use crate::fastpath::FastGrid;
 use crate::fit;
-use crate::fit::{build_initial_walkers, fit_all_families, fit_families, CurveObjective};
-use crate::mcmc::{sample, sample_into, score_each, McmcScratch, SamplerOptions};
-use crate::models::GridPoint;
+use crate::fit::{build_initial_walkers, fit_families, CurveObjective};
+use crate::mcmc::{sample_into, McmcScratch, SamplerOptions};
 use crate::nelder_mead::NmScratch;
 use crate::scratch::FitScratch;
 use crate::vmath::{self, Backend};
@@ -27,6 +26,12 @@ use crate::vmath::{self, Backend};
 /// "without significant degradation". [`PredictorConfig::fast`] and
 /// [`PredictorConfig::test`] trade further fidelity for speed and are used
 /// by the experiment harness and unit tests respectively.
+///
+/// Every fit evaluates the likelihood through the SIMD-dispatched
+/// [`crate::vmath`] kernels, one fused sweep per sampler half-ensemble
+/// ([`crate::batch`]). Results are deterministic across hosts, SIMD
+/// capabilities (the kernels are bit-identical scalar vs vectorized) and
+/// fit-thread counts.
 #[derive(Debug, Clone, Copy)]
 pub struct PredictorConfig {
     /// Number of ensemble walkers (`nwalkers`).
@@ -48,16 +53,6 @@ pub struct PredictorConfig {
     pub seed: u64,
     /// Minimum number of observations required before fitting.
     pub min_observations: usize,
-    /// Batched-kernel fitting (default **on**): every transcendental in
-    /// the fit goes through the SIMD-dispatched [`crate::vmath`] kernels,
-    /// one fused sweep per sampler half-ensemble (see [`crate::batch`]).
-    /// Results are deterministic across hosts, SIMD capabilities (the
-    /// kernels are bit-identical scalar vs vectorized), and fit-thread
-    /// counts. `with_fast_math(false)` selects the libm path instead —
-    /// same model, different floating-point factoring, so not
-    /// bit-comparable — which survives as the oracle the equivalence tests
-    /// and the `fit_*` benches compare against.
-    pub fast_math: bool,
 }
 
 impl PredictorConfig {
@@ -73,7 +68,6 @@ impl PredictorConfig {
             max_obs: 60,
             seed: 0,
             min_observations: 4,
-            fast_math: true,
         }
     }
 
@@ -119,12 +113,6 @@ impl PredictorConfig {
     /// Returns this config with a different seed.
     pub fn with_seed(self, seed: u64) -> Self {
         PredictorConfig { seed, ..self }
-    }
-
-    /// Returns this config with the batched-kernel fast path switched on
-    /// or off.
-    pub fn with_fast_math(self, fast_math: bool) -> Self {
-        PredictorConfig { fast_math, ..self }
     }
 }
 
@@ -188,16 +176,10 @@ impl CurvePredictor {
         self.fit_with(curve, horizon, &mut scratch)
     }
 
-    /// Fits the posterior through the optimized hot path, reusing
-    /// `scratch` buffers.
-    ///
-    /// With `fast_math` on (the default) the sampler scores each
-    /// half-ensemble through the fused batched-kernel evaluator
+    /// Fits the posterior reusing `scratch` buffers. The sampler scores
+    /// each half-ensemble through the fused batched-kernel evaluator
     /// ([`crate::batch`]): deterministic across hosts, backends, and
-    /// thread counts. With `.with_fast_math(false)` the result is
-    /// **bit-identical** to [`Self::fit_reference`] — that path preserves
-    /// the reference's floating-point operation order exactly, and the
-    /// crate's property tests pin the equivalence.
+    /// thread counts.
     ///
     /// # Errors
     ///
@@ -211,8 +193,7 @@ impl CurvePredictor {
         self.fit_with_backend(curve, horizon, scratch, vmath::active_backend())
     }
 
-    /// [`Self::fit_with`] against an explicit kernel backend (which only
-    /// the `fast_math` path consults). Exposed so tests can pin whole fits
+    /// [`Self::fit_with`] against an explicit kernel backend. Exposed so tests can pin whole fits
     /// bitwise equal under *both* backends in one process, regardless of
     /// what the CPU dispatch would pick.
     ///
@@ -247,34 +228,19 @@ impl CurvePredictor {
         let (last_epoch, obs) = self.fit_inputs(curve, horizon)?;
         let horizon_x = f64::from(horizon).max(obs.last().map_or(1.0, |&(x, _)| x));
 
-        // Memoize the epoch grid once per fit: the grid never changes
-        // mid-fit, so every pure-x basis term is computed exactly once.
-        let FitScratch { pts, ys, means, nm, mcmc, fast_grid, fused } = scratch;
+        // The SoA epoch grid, memoized once per fit: the grid never changes
+        // mid-fit, so every pure-x basis term is computed exactly once
+        // (through vmath's logs, so the fit is host-independent end to end).
+        let FitScratch { ys, nm, mcmc, fast_grid, fused } = scratch;
         ys.clear();
         ys.extend(obs.iter().map(|&(_, y)| y));
-        let ys = &ys[..];
-
-        let acceptance_rate = if self.config.fast_math {
-            // SoA grid for the batched kernels (vmath logs, so the whole
-            // fast path is host-independent end to end).
-            fast_grid.clear();
-            for &(x, _) in &obs {
-                fast_grid.push(x);
-            }
-            fast_grid.push(horizon_x);
-            let mut objective = FusedPosterior::new(fast_grid, ys, fused, backend);
-            self.fit_on(&mut objective, nm, mcmc, &mut on_rows)?
-        } else {
-            // The libm oracle — the reference algorithm on the memoized
-            // grid, scoring a round's points one after another.
-            pts.clear();
-            pts.extend(obs.iter().map(|&(x, _)| GridPoint::new(x)));
-            pts.push(GridPoint::new(horizon_x));
-            means.clear();
-            means.resize(ys.len(), 0.0);
-            let mut objective = PosteriorEval::new(pts, ys, means);
-            self.fit_on(&mut objective, nm, mcmc, &mut on_rows)?
-        };
+        fast_grid.clear();
+        for &(x, _) in &obs {
+            fast_grid.push(x);
+        }
+        fast_grid.push(horizon_x);
+        let mut objective = FusedPosterior::new(fast_grid, ys, fused, backend);
+        let acceptance_rate = self.fit_on(&mut objective, nm, mcmc, &mut on_rows)?;
         // The sampler's row sink already took the `max_draws` subsample
         // that keeps queries cheap.
         if mcmc.kept().is_empty() {
@@ -283,7 +249,7 @@ impl CurvePredictor {
         Ok(CurvePosterior { draws: mcmc.kept().to_vec(), last_epoch, horizon, acceptance_rate })
     }
 
-    /// The one fit schedule, over whichever batch objective scores the
+    /// The one fit schedule, over the batch objective that scores the
     /// sampler's proposals and the Nelder–Mead rounds: lockstep
     /// least-squares init → walkers → sampler. Leaves the kept draws in
     /// `mcmc` and returns the acceptance rate.
@@ -348,54 +314,6 @@ impl CurvePredictor {
             thin: self.config.thin,
             stretch: 2.0,
         }
-    }
-
-    /// The retained pre-optimization fitting path: per-call allocations,
-    /// no grid memoization. Kept as the executable bit-identity reference
-    /// for [`Self::fit_with`] (property-test-pinned).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::fit`].
-    pub fn fit_reference(&self, curve: &LearningCurve, horizon: u32) -> Result<CurvePosterior> {
-        let (last_epoch, obs) = self.fit_inputs(curve, horizon)?;
-        let horizon_f = f64::from(horizon);
-
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let fits = fit_all_families(&obs, &mut rng);
-        let mut init = build_initial_walkers(&fits, self.config.walkers, &mut rng);
-        // The growth/ceiling prior can reject every least-squares-derived
-        // walker (e.g. a decreasing observed curve); fall back to
-        // prior-safe default walkers rather than fail.
-        if !init.iter().any(|w| log_posterior(w, &obs, horizon_f).is_finite()) {
-            init = fit::build_default_walkers(self.config.walkers, &mut rng);
-        }
-        if !init.iter().any(|w| log_posterior(w, &obs, horizon_f).is_finite()) {
-            return Err(Error::CurveFit("no valid initialization found".into()));
-        }
-
-        let chain = sample(
-            score_each(dimension(), |theta| log_posterior(theta, &obs, horizon_f)),
-            init,
-            self.sampler_options(),
-            &mut rng,
-        );
-
-        if chain.draws.is_empty() {
-            return Err(Error::CurveFit("sampler produced no draws".into()));
-        }
-
-        // Uniform subsample down to max_draws to keep queries cheap.
-        let draws = if chain.draws.len() > self.config.max_draws {
-            let stride = chain.draws.len() as f64 / self.config.max_draws as f64;
-            (0..self.config.max_draws)
-                .flat_map(|i| chain.draws[(i as f64 * stride) as usize].iter().copied())
-                .collect()
-        } else {
-            chain.draws.concat()
-        };
-
-        Ok(CurvePosterior { draws, last_epoch, horizon, acceptance_rate: chain.acceptance_rate })
     }
 }
 

@@ -239,9 +239,9 @@ pub struct FitStats {
     pub shared_hits: u64,
     /// `fit_batch` calls served.
     pub batches: u64,
-    /// Fits (subset of `fits`) scored by the fused half-ensemble
-    /// evaluator ([`crate::batch`]): every fit of a `fast_math` service,
-    /// none of a libm one.
+    /// Always equal to `fits`: every fit is scored by the fused
+    /// half-ensemble evaluator ([`crate::batch`]). Kept only because the
+    /// repository benchmark reads it; removed with ROADMAP 1(a).
     pub batched_fits: u64,
     /// Lookups this service issued against the shared content-addressed
     /// layer (zero when no layer is attached). `shared_hits / shared_lookups`
@@ -972,9 +972,7 @@ impl FitService {
             stats.fits += fits;
             stats.shared_hits += shared_hits;
             stats.batches += 1;
-            if self.config.fast_math {
-                stats.batched_fits += fits;
-            }
+            stats.batched_fits += fits;
             stats.shared_lookups += shared_lookups;
             stats.shared_inserts += shared_inserts;
             stats.streamed_fits += streamed_fits;
@@ -1381,8 +1379,8 @@ mod tests {
     fn batched_service_matches_unbatched_service_bitwise() {
         // A boundary's cold fits are independent `Fit` messages, so
         // however the pool spreads them each is bitwise the fit a lone
-        // caller runs — and every fast-math fit counts as scored by the
-        // fused evaluator.
+        // caller runs — and every fit counts as scored by the fused
+        // evaluator.
         let config = PredictorConfig::test();
         let requests: Vec<FitRequest> = (0..6).map(|j| req(j, 8 + j as u32 % 3)).collect();
         for threads in [1, 4] {
@@ -1398,19 +1396,6 @@ mod tests {
                     "a pooled fit must be bitwise the lone fit at {threads} threads"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn libm_fits_are_not_counted_as_batched() {
-        let libm = PredictorConfig::test().with_fast_math(false);
-        let service = FitService::new(libm, 7, 2);
-        let outcomes = service.fit_batch(&[req(0, 10), req(1, 12)]);
-        let stats = service.stats();
-        assert_eq!((stats.fits, stats.batched_fits), (2, 0));
-        for (o, r) in outcomes.iter().zip([req(0, 10), req(1, 12)]) {
-            let reference = sequential_fit(*service.config(), 7, &r).unwrap();
-            assert_eq!(o.result.as_ref().unwrap().draws(), reference.draws());
         }
     }
 
@@ -1468,19 +1453,19 @@ mod tests {
     #[test]
     fn services_sharing_one_pool_match_pool_owning_services_bitwise() {
         // Two services with different seeds and a heterogeneous config mix
-        // share one 2-thread pool; each must reproduce exactly what its
-        // own-pool twin computes, because every request carries its own
-        // config and derived seed.
+        // (different sampler lengths) share one 2-thread pool; each must
+        // reproduce exactly what its own-pool twin computes, because every
+        // request carries its own config and derived seed.
         let pool = FitPool::new(2);
-        let cold = PredictorConfig::test().with_fast_math(false);
-        let fast = PredictorConfig::test();
-        let a = FitService::with_pool(cold, 7, Arc::clone(&pool), None);
-        let b = FitService::with_pool(fast, 21, Arc::clone(&pool), None);
+        let long = PredictorConfig { steps: 30, ..PredictorConfig::test() };
+        let short = PredictorConfig::test();
+        let a = FitService::with_pool(long, 7, Arc::clone(&pool), None);
+        let b = FitService::with_pool(short, 21, Arc::clone(&pool), None);
         let requests: Vec<FitRequest> = (0..4).map(|j| req(j, 10 + j as u32)).collect();
         let out_a = a.fit_batch(&requests);
         let out_b = b.fit_batch(&requests);
-        let own_a = FitService::new(cold, 7, 2).fit_batch(&requests);
-        let own_b = FitService::new(fast, 21, 2).fit_batch(&requests);
+        let own_a = FitService::new(long, 7, 2).fit_batch(&requests);
+        let own_b = FitService::new(short, 21, 2).fit_batch(&requests);
         for ((shared, own), r) in out_a.iter().zip(&own_a).zip(&requests) {
             assert_eq!(
                 shared.result.as_ref().unwrap().draws(),

@@ -103,219 +103,6 @@ fn sigma_index_is_consistent() {
     assert_eq!(dimension(), 48);
 }
 
-mod hot_path_equivalence {
-    use super::*;
-    use hyperdrive_curve::ensemble::PosteriorEval;
-    use hyperdrive_curve::models::GridPoint;
-    use hyperdrive_curve::FitScratch;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// The scratch-buffer likelihood path ([`PosteriorEval`], with
-        /// memoized grid transcendentals and hoisted parameter terms) is
-        /// bit-identical to the reference [`ensemble::log_posterior`] for
-        /// arbitrary parameter vectors, observation sets, and horizons —
-        /// including reused-buffer evaluation, which is how the MCMC loop
-        /// drives it.
-        #[test]
-        fn scratch_likelihood_is_bitwise_identical_to_reference(
-            thetas in proptest::collection::vec(theta_in_box(), 1..4),
-            values in proptest::collection::vec(0.0f64..=1.0, 2..20),
-            horizon in 1.0f64..500.0,
-        ) {
-            let obs: Vec<(f64, f64)> =
-                values.iter().enumerate().map(|(i, v)| (i as f64 + 1.0, *v)).collect();
-            let last_x = obs.last().unwrap().0;
-            let mut pts: Vec<GridPoint> = obs.iter().map(|&(x, _)| GridPoint::new(x)).collect();
-            pts.push(GridPoint::new(horizon.max(last_x)));
-            let ys: Vec<f64> = obs.iter().map(|&(_, y)| y).collect();
-            let mut means = vec![0.0; ys.len()];
-            let mut eval = PosteriorEval::new(&pts, &ys, &mut means);
-            for theta in &thetas {
-                let reference = ensemble::log_posterior(theta, &obs, horizon.max(last_x));
-                let optimized = eval.log_posterior(theta);
-                prop_assert_eq!(
-                    optimized.to_bits(),
-                    reference.to_bits(),
-                    "optimized {} != reference {}",
-                    optimized,
-                    reference
-                );
-            }
-        }
-
-        /// The optimized libm fit (`with_fast_math(false)`: scratch buffers,
-        /// memoized grid, in-place Nelder–Mead and sampler) returns
-        /// **bit-identical** posteriors to the retained reference path for
-        /// arbitrary curve shapes and seeds — including back-to-back fits
-        /// through one reused scratch.
-        #[test]
-        fn optimized_fit_is_bitwise_identical_to_reference(
-            seed in 0u64..u64::MAX,
-            shapes in proptest::collection::vec((0.2f64..0.9, 0.3f64..1.2, 6u32..14), 1..3),
-        ) {
-            let mut scratch = FitScratch::new();
-            for (i, (limit, rate, n)) in shapes.iter().enumerate() {
-                let mut curve = LearningCurve::new(MetricKind::Accuracy);
-                for e in 1..=*n {
-                    let x = f64::from(e);
-                    curve.push(
-                        e,
-                        SimTime::from_secs(60.0 * x),
-                        limit - (limit - 0.1) * x.powf(-rate),
-                    );
-                }
-                let predictor = CurvePredictor::new(
-                    PredictorConfig::test()
-                        .with_fast_math(false)
-                        .with_seed(seed.wrapping_add(i as u64)),
-                );
-                let reference = predictor.fit_reference(&curve, 100);
-                let optimized = predictor.fit_with(&curve, 100, &mut scratch);
-                match (&optimized, &reference) {
-                    (Ok(o), Ok(r)) => {
-                        prop_assert_eq!(o.draws(), r.draws());
-                        prop_assert_eq!(o.acceptance_rate().to_bits(), r.acceptance_rate().to_bits());
-                        prop_assert_eq!(o.expected(100).to_bits(), r.expected(100).to_bits());
-                    }
-                    (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
-                    (a, b) => prop_assert!(
-                        false,
-                        "optimized ok={} but reference ok={}",
-                        a.is_ok(),
-                        b.is_ok()
-                    ),
-                }
-            }
-        }
-    }
-}
-
-mod fused_evaluator {
-    use super::*;
-    use hyperdrive_curve::ensemble::{dimension, FAMILY_OFFSETS, SIGMA_BOUNDS, SIGMA_INDEX};
-    use hyperdrive_curve::fastpath::{FastGrid, PosteriorEvalFast};
-    use hyperdrive_curve::vmath::Backend;
-    use hyperdrive_curve::{
-        CurveObjective, FitScratch, FusedPosterior, FusedScratch, ALL_FAMILIES,
-    };
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn synthetic_curve(limit: f64, rate: f64, n: u32) -> LearningCurve {
-        let mut c = LearningCurve::new(MetricKind::Accuracy);
-        for e in 1..=n {
-            let x = f64::from(e);
-            c.push(e, SimTime::from_secs(60.0 * x), limit - (limit - 0.05) * x.powf(-rate));
-        }
-        c
-    }
-
-    /// A parameter vector drawn inside the prior box, then (by `kind`)
-    /// left alone, stripped of some family weights, starved of weight
-    /// mass, or pushed out of the box on one coordinate.
-    fn random_theta(rng: &mut StdRng, kind: u32) -> Vec<f64> {
-        let mut theta = vec![0.0; dimension()];
-        for w in &mut theta[..11] {
-            *w = rng.gen_range(0.0..1.0);
-        }
-        theta[SIGMA_INDEX] = rng.gen_range(SIGMA_BOUNDS.0..SIGMA_BOUNDS.1);
-        for (k, family) in ALL_FAMILIES.iter().enumerate() {
-            for (j, (lo, hi)) in family.bounds().iter().enumerate() {
-                theta[FAMILY_OFFSETS[k] + j] = rng.gen_range(*lo..*hi);
-            }
-        }
-        match kind % 4 {
-            1 => {
-                for w in &mut theta[..11] {
-                    if rng.gen_range(0..3) == 0 {
-                        *w = 0.0;
-                    }
-                }
-            }
-            2 => {
-                for w in &mut theta[..11] {
-                    *w *= 1e-5;
-                }
-            }
-            3 => {
-                let i = rng.gen_range(0..theta.len());
-                theta[i] = if rng.gen_range(0..4) == 0 { f64::NAN } else { theta[i] + 1e3 };
-            }
-            _ => {}
-        }
-        theta
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
-
-        /// For arbitrary curves and arbitrary mixes of proposals sharing a
-        /// sweep — in the box,
-        /// with zero-weight families, below the weight-mass floor, out of
-        /// the box, NaN — every output of the fused evaluator is bitwise
-        /// the per-proposal `fast_math` posterior, under **both** the
-        /// scalar and the SIMD kernel backends explicitly; and whole fits
-        /// through it agree bitwise between the backends.
-        #[test]
-        fn batched_fit_equals_per_curve_under_both_backends(
-            seed in 0u64..u64::MAX,
-            shape in (0.3f64..0.9, 0.3f64..1.2, 4u32..31),
-            slots in 1usize..140,
-        ) {
-            let (limit, rate, n) = shape;
-            let curve = synthetic_curve(limit, rate, n);
-            let mut grid = FastGrid::new();
-            let mut ys = Vec::new();
-            for p in curve.points() {
-                grid.push(f64::from(p.epoch));
-                ys.push(p.value);
-            }
-            grid.push(120.0);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let thetas: Vec<Vec<f64>> =
-                (0..slots).map(|s| random_theta(&mut rng, s as u32)).collect();
-            let flat = thetas.concat();
-            let mut finite = 0;
-            for backend in [Backend::Scalar, Backend::Simd] {
-                let mut scratch = FusedScratch::default();
-                let mut fused = vec![0.0; slots];
-                FusedPosterior::new(&grid, &ys, &mut scratch, backend)
-                    .log_posteriors(&flat, &mut fused);
-                let mut means = vec![0.0; ys.len()];
-                let mut reference = PosteriorEvalFast::new(&grid, &ys, &mut means);
-                for (s, theta) in thetas.iter().enumerate() {
-                    let want = reference.log_posterior(theta);
-                    prop_assert_eq!(
-                        fused[s].to_bits(),
-                        want.to_bits(),
-                        "slot {} of {} diverged under {:?}: {} vs {}",
-                        s, slots, backend, fused[s], want
-                    );
-                    finite += usize::from(want.is_finite());
-                    prop_assert!(s % 4 < 2 || !want.is_finite(), "slot {} must be rejected", s);
-                }
-            }
-            prop_assert!(slots < 8 || finite > 0, "no slot ever passed the gates");
-
-            if n >= 6 {
-                let predictor = CurvePredictor::new(PredictorConfig::test().with_seed(seed));
-                let mut scratch = FitScratch::new();
-                let a = predictor
-                    .fit_with_backend(&curve, 60, &mut scratch, Backend::Scalar)
-                    .expect("clean curves fit");
-                let b = predictor
-                    .fit_with_backend(&curve, 60, &mut scratch, Backend::Simd)
-                    .expect("clean curves fit");
-                prop_assert_eq!(a.draws(), b.draws(), "whole fits diverged between backends");
-                prop_assert_eq!(a.acceptance_rate().to_bits(), b.acceptance_rate().to_bits());
-            }
-        }
-
-    }
-}
-
 mod service_equivalence {
     use super::*;
     use hyperdrive_curve::{sequential_fit, FitRequest, FitService};

@@ -2,8 +2,8 @@
 //! batched transcendental kernels against libm over the predictor's
 //! operand ranges, bit-identity of the forced-scalar and dispatched
 //! backends on arbitrary bit patterns, and end-to-end determinism of the
-//! `fast_math` fitting path (fresh-scratch refits and the pooled service
-//! at several worker counts).
+//! fit built on them (fresh-scratch refits and the pooled service at
+//! several worker counts).
 
 use proptest::prelude::*;
 
@@ -124,8 +124,7 @@ proptest! {
         n in 6u32..14,
     ) {
         let curve = synthetic_curve(limit, rate, n);
-        let fast =
-            CurvePredictor::new(PredictorConfig::test().with_fast_math(true).with_seed(seed));
+        let fast = CurvePredictor::new(PredictorConfig::test().with_seed(seed));
         let mut s1 = FitScratch::new();
         let mut s2 = FitScratch::new();
         let a = fast.fit_with(&curve, 100, &mut s1);
@@ -145,14 +144,14 @@ proptest! {
     }
 
     /// The pooled service on the fast path is observationally equal to the
-    /// sequential fast fit at 1 and 4 workers: fast_math cannot leak
-    /// worker scheduling into results.
+    /// sequential fast fit at 1 and 4 workers: the batched kernels cannot
+    /// leak worker scheduling into results.
     #[test]
     fn fast_service_is_thread_invariant(
         seed in 0u64..u64::MAX,
         shapes in proptest::collection::vec((0.3f64..0.9, 0.3f64..1.2, 6u32..12), 1..5),
     ) {
-        let config = PredictorConfig::test().with_fast_math(true);
+        let config = PredictorConfig::test();
         let requests: Vec<FitRequest> = shapes
             .iter()
             .enumerate()

@@ -16,12 +16,12 @@
 //! The engine queries the RM on every event (`idle_count` for the
 //! `AllocateJobs` up-call, `reserve_idle_machine` per start attempt), so
 //! per-call linear scans would make the whole event loop O(machines). The
-//! RM keeps a hierarchical-bitset free-set ([`IdleSet`]) over idle machine
+//! RM keeps a hierarchical-bitset free-set (`IdleSet`) over idle machine
 //! ids plus cached allocated/dead counters: reservation is min-extract over
 //! the bitset — O(log₆₄ n) worst case — and every counter is O(1). No
 //! allocation after construction.
 //!
-//! Determinism argument: [`IdleSet::min`] returns the smallest set id, and
+//! Determinism argument: `IdleSet::min` returns the smallest set id, and
 //! the set contains exactly the ids with `!allocated && !dead` — the
 //! machine a linear scan for the first idle slot finds. A proptest pins the
 //! RM op-for-op against that scan (the `ReferenceRm` oracle of the root

@@ -86,11 +86,11 @@ fn overhead_scales_with_modeled_cost() {
 }
 
 #[test]
-fn fused_speedup_discounts_every_fast_math_fit() {
-    // Every fast-math fit runs the fused half-ensemble evaluator, so
-    // `batch_fit_speedup` applies whenever `fast_math_speedup` does: the
-    // two multiply, and a discount moved from one to the other prices the
-    // same timeline.
+fn fused_speedup_discounts_every_fit() {
+    // Every fit runs the fused half-ensemble evaluator on the batched
+    // kernels, so `batch_fit_speedup` and `fast_math_speedup` both divide
+    // every fit's price: the two multiply, and a discount moved from one
+    // to the other prices the same timeline.
     let model = |fast_math_speedup, batch_fit_speedup| {
         Some(FitCostModel {
             secs_per_kiloeval: COST,

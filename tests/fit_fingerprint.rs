@@ -24,7 +24,6 @@ fn every_config_field_but_the_seed_changes_the_key() {
         max_obs,
         seed,
         min_observations,
-        fast_math,
     } = base;
     let perturbed = [
         ("walkers", PredictorConfig { walkers: walkers + 1, ..base }),
@@ -34,7 +33,6 @@ fn every_config_field_but_the_seed_changes_the_key() {
         ("max_draws", PredictorConfig { max_draws: max_draws + 1, ..base }),
         ("max_obs", PredictorConfig { max_obs: max_obs + 1, ..base }),
         ("min_observations", PredictorConfig { min_observations: min_observations + 1, ..base }),
-        ("fast_math", PredictorConfig { fast_math: !fast_math, ..base }),
     ];
     let key = |config: &PredictorConfig| fit_fingerprint(&curve, config, 42, 100, None);
     for (field, config) in &perturbed {

@@ -4,12 +4,10 @@
 //! reward surface — run under POP in the simulator, and their complete
 //! scheduling traces (every start/resume, suspend, kill, completion, plus
 //! the per-boundary classification snapshots) are compared **byte for
-//! byte** against committed golden files, at both 1 and 4 fit-service
-//! worker threads. One file per workload pins the trace under both
-//! likelihoods — the libm oracle and the default fused `fast_math` fit —
-//! because they agree byte for byte. If a change ever splits the two, the
-//! regenerated file flaps between them and the next plain run fails: give
-//! the split mode its own file name then.
+//! byte** against committed golden files, at 1 to 4 fit-service worker
+//! threads. Every fit runs the one fused batched-kernel likelihood; the
+//! root `likelihood_oracle` test holds it to the model's libm definition,
+//! so no second likelihood replays the goldens.
 //!
 //! These traces lock in the whole deterministic stack at once: curve-fit
 //! seed derivation, fit caching, batch request ordering, slot allocation,
@@ -37,8 +35,6 @@ use hyperdrive_types::SimTime;
 use hyperdrive_workload::{CifarWorkload, LunarWorkload, Workload};
 
 /// Runs one canonical experiment and renders its full decision trace.
-/// Every caller names its likelihood (`fast_math`) explicitly, so no test
-/// silently follows `PredictorConfig`'s defaults.
 fn trace_with(
     workload: &dyn Workload,
     configs: usize,
@@ -46,9 +42,8 @@ fn trace_with(
     machines: usize,
     tmax: SimTime,
     fit_threads: usize,
-    fast_math: bool,
 ) -> String {
-    trace_cached(workload, configs, seed, machines, tmax, fit_threads, fast_math, None).0
+    trace_cached(workload, configs, seed, machines, tmax, fit_threads, None).0
 }
 
 /// [`trace_with`] with speculative fit prefetch forced on (the engine
@@ -60,12 +55,11 @@ fn trace_prefetched(
     machines: usize,
     tmax: SimTime,
     fit_threads: usize,
-    fast_math: bool,
 ) -> String {
     let ew = ExperimentWorkload::from_workload(workload, configs, seed);
     let spec = ExperimentSpec::new(machines).with_stop_on_target(false).with_tmax(tmax);
     let config = PopConfig {
-        predictor: PredictorConfig::test().with_fast_math(fast_math),
+        predictor: PredictorConfig::test(),
         fit_threads,
         seed,
         fit_prefetch: Some(true),
@@ -117,7 +111,6 @@ fn render(result: &ExperimentResult, pop: &PopPolicy) -> String {
 /// finished policy, whose `predictions_made` counter lets callers pin
 /// that caching changes *where posteriors come from*, never *how many are
 /// consumed*, and whose fit counters say which evaluator ran.
-#[allow(clippy::too_many_arguments)]
 fn trace_cached(
     workload: &dyn Workload,
     configs: usize,
@@ -125,17 +118,12 @@ fn trace_cached(
     machines: usize,
     tmax: SimTime,
     fit_threads: usize,
-    fast_math: bool,
     cache: Option<Arc<SharedFitCache>>,
 ) -> (String, PopPolicy) {
     let ew = ExperimentWorkload::from_workload(workload, configs, seed);
     let spec = ExperimentSpec::new(machines).with_stop_on_target(false).with_tmax(tmax);
-    let config = PopConfig {
-        predictor: PredictorConfig::test().with_fast_math(fast_math),
-        fit_threads,
-        seed,
-        ..Default::default()
-    };
+    let config =
+        PopConfig { predictor: PredictorConfig::test(), fit_threads, seed, ..Default::default() };
     let mut pop = match cache {
         Some(c) => PopPolicy::with_config_and_cache(config, Some(c)),
         None => PopPolicy::with_config(config),
@@ -159,9 +147,7 @@ fn read_golden(name: &str) -> String {
 }
 
 /// Asserts thread-count invariance, then compares against the committed
-/// golden file (or rewrites it under `HYPERDRIVE_UPDATE_GOLDEN=1`; the
-/// modes sharing a file all write it — they must agree, and the next
-/// plain run fails if they did not).
+/// golden file (or rewrites it under `HYPERDRIVE_UPDATE_GOLDEN=1`).
 fn check_golden(name: &str, build: impl Fn(usize) -> String) {
     let single = build(1);
     let quad = build(4);
@@ -179,52 +165,38 @@ fn check_golden(name: &str, build: impl Fn(usize) -> String) {
     );
 }
 
-/// The canonical CIFAR experiment under one fit mode.
-fn cifar_golden(name: &str, fast_math: bool) {
+/// The canonical CIFAR experiment.
+fn cifar_golden(name: &str) {
     let workload = CifarWorkload::new().with_max_epochs(40);
     let tmax = SimTime::from_hours(48.0);
-    check_golden(name, |threads| trace_with(&workload, 12, 7, 4, tmax, threads, fast_math));
+    check_golden(name, |threads| trace_with(&workload, 12, 7, 4, tmax, threads));
 }
 
-/// The canonical Lunar Lander experiment under one fit mode.
-fn lunar_golden(name: &str, fast_math: bool) {
+/// The canonical Lunar Lander experiment.
+fn lunar_golden(name: &str) {
     let workload = LunarWorkload::new().with_max_blocks(60);
     let tmax = SimTime::from_hours(200.0);
-    check_golden(name, |threads| trace_with(&workload, 10, 11, 3, tmax, threads, fast_math));
+    check_golden(name, |threads| trace_with(&workload, 10, 11, 3, tmax, threads));
 }
 
-// One committed trace per workload, replayed under both likelihoods
-// × {1, 4} fit threads. The vectorized likelihood (`fast_math`) evaluates
-// the same model through fused batched kernels with a different
-// (deterministic) floating-point factoring; it does not move a byte of
-// the scheduling trace, regardless of `HYPERDRIVE_VMATH` (the backends are
-// bit-identical). The modes stay separate `#[test]`s so they run in
-// parallel and a divergence names the mode that moved.
-
-#[test]
-fn cifar_surface_trace_is_golden() {
-    cifar_golden("cifar_trace.csv", false); // libm oracle
-}
+// One committed trace per workload, replayed at {1, 4} fit threads. The
+// likelihood's kernels are bit-identical between backends, so the trace
+// does not move a byte under `HYPERDRIVE_VMATH` either. These two tests
+// own regeneration.
 
 #[test]
 fn cifar_surface_fast_trace_is_golden() {
-    cifar_golden("cifar_trace.csv", true);
-}
-
-#[test]
-fn lunar_surface_trace_is_golden() {
-    lunar_golden("lunar_trace.csv", false); // libm oracle
+    cifar_golden("cifar_trace.csv");
 }
 
 #[test]
 fn lunar_surface_fast_trace_is_golden() {
-    lunar_golden("lunar_trace.csv", true);
+    lunar_golden("lunar_trace.csv");
 }
 
-/// A boundary's fits are independent pool messages, so the *default*
-/// `PredictorConfig` — no mode named — reproduces the golden however 1 or
-/// 4 workers spread them, with every fit scored by the fused
-/// half-ensemble evaluator (`batched_fits == fits`).
+/// A boundary's fits are independent pool messages, so the golden
+/// reproduces however 1 or 4 workers spread them, with every fit scored by
+/// the fused half-ensemble evaluator (`batched_fits == fits`).
 fn default_fit_golden(
     name: &str,
     workload: &dyn Workload,
@@ -234,21 +206,11 @@ fn default_fit_golden(
     tmax: SimTime,
 ) {
     if std::env::var("HYPERDRIVE_UPDATE_GOLDEN").is_ok() {
-        return; // the per-mode tests own regeneration
+        return; // the per-trace tests own regeneration
     }
     let golden = read_golden(name);
-    let defaults = PredictorConfig::test();
     for threads in [1, 4] {
-        let (trace, pop) = trace_cached(
-            workload,
-            configs,
-            seed,
-            machines,
-            tmax,
-            threads,
-            defaults.fast_math,
-            None,
-        );
+        let (trace, pop) = trace_cached(workload, configs, seed, machines, tmax, threads, None);
         assert_eq!(trace, golden, "{name}: the default fit diverged at {threads} fit threads");
         let stats = pop.fit_stats();
         assert!(stats.fits > 0, "{name}: the run never fit a curve");
@@ -268,9 +230,9 @@ fn lunar_surface_batch_trace_is_golden() {
     default_fit_golden("lunar_trace.csv", &workload, 10, 11, 3, SimTime::from_hours(200.0));
 }
 
-// The per-mode tests above pin fit-pool widths 1 and 4. A boundary's fits
-// — libm or fused — are all independent pool messages, so every mode's
-// golden must also survive the uneven spreads of a 2- and a 3-worker pool.
+// The per-trace tests above pin fit-pool widths 1 and 4. A boundary's fits
+// are all independent pool messages, so every golden must also survive the
+// uneven spreads of a 2- and a 3-worker pool.
 
 #[test]
 fn existing_goldens_are_untouched_by_batch_fit() {
@@ -281,21 +243,16 @@ fn existing_goldens_are_untouched_by_batch_fit() {
     let lunar = LunarWorkload::new().with_max_blocks(60);
     let cifar_t = SimTime::from_hours(48.0);
     let lunar_t = SimTime::from_hours(200.0);
-    type Case<'a> = (&'a str, &'a dyn Workload, usize, u64, usize, SimTime, bool);
-    let cases: [Case; 4] = [
-        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false),
-        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, true),
-        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false),
-        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, true),
+    type Case<'a> = (&'a str, &'a dyn Workload, usize, u64, usize, SimTime);
+    let cases: [Case; 2] = [
+        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t),
+        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t),
     ];
-    for (name, w, configs, seed, machines, tmax, fast) in cases {
+    for (name, w, configs, seed, machines, tmax) in cases {
         let golden = read_golden(name);
         for threads in [2, 3] {
-            let replay = trace_with(w, configs, seed, machines, tmax, threads, fast);
-            assert_eq!(
-                replay, golden,
-                "{name}: a {threads}-worker spread moved the trace (fast={fast})"
-            );
+            let replay = trace_with(w, configs, seed, machines, tmax, threads);
+            assert_eq!(replay, golden, "{name}: a {threads}-worker spread moved the trace");
         }
     }
 }
@@ -314,17 +271,15 @@ fn existing_goldens_are_untouched_by_fit_prefetch() {
     let lunar = LunarWorkload::new().with_max_blocks(60);
     let cifar_t = SimTime::from_hours(48.0);
     let lunar_t = SimTime::from_hours(200.0);
-    type Case<'a> = (&'a str, &'a dyn Workload, usize, u64, usize, SimTime, bool);
-    let cases: [Case; 4] = [
-        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false),
-        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, true),
-        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false),
-        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, true),
+    type Case<'a> = (&'a str, &'a dyn Workload, usize, u64, usize, SimTime);
+    let cases: [Case; 2] = [
+        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t),
+        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t),
     ];
-    for (name, w, configs, seed, machines, tmax, fast) in cases {
+    for (name, w, configs, seed, machines, tmax) in cases {
         let golden = read_golden(name);
         for threads in [1, 4] {
-            let replay = trace_prefetched(w, configs, seed, machines, tmax, threads, fast);
+            let replay = trace_prefetched(w, configs, seed, machines, tmax, threads);
             assert_eq!(
                 replay, golden,
                 "{name}: fit_prefetch=on moved the trace at {threads} fit threads"
@@ -333,8 +288,8 @@ fn existing_goldens_are_untouched_by_fit_prefetch() {
     }
 }
 
-// The shared content-addressed fit cache must be *pure speed*: every one
-// of the four (workload, likelihood) cases has to match its golden whether fits
+// The shared content-addressed fit cache must be *pure speed*: each
+// workload's trace has to match its golden whether fits
 // run cold (the tests above), run cold with a cache attached, or replay
 // from the cache that run warmed — at 1 and 4 fit threads. This is the
 // end-to-end pin on the fingerprint closure: if the key missed
@@ -350,26 +305,24 @@ fn golden_traces_are_invariant_under_shared_fit_cache_modes() {
     let lunar = LunarWorkload::new().with_max_blocks(60);
     let cifar_t = SimTime::from_hours(48.0);
     let lunar_t = SimTime::from_hours(200.0);
-    type Case<'a> = (&'a str, &'a dyn Workload, usize, u64, usize, SimTime, bool);
-    let cases: [Case; 4] = [
-        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, false),
-        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t, true),
-        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, false),
-        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t, true),
+    type Case<'a> = (&'a str, &'a dyn Workload, usize, u64, usize, SimTime);
+    let cases: [Case; 2] = [
+        ("cifar_trace.csv", &cifar, 12, 7, 4, cifar_t),
+        ("lunar_trace.csv", &lunar, 10, 11, 3, lunar_t),
     ];
-    for (name, w, configs, seed, machines, tmax, fast) in cases {
+    for (name, w, configs, seed, machines, tmax) in cases {
         let golden = read_golden(name);
 
         // Cold run populating a fresh cache at 1 thread, then a warmed
         // replay at 4 threads served from the same cache.
         let cache = SharedFitCache::in_memory();
         let (cold, cold_pop) =
-            trace_cached(w, configs, seed, machines, tmax, 1, fast, Some(cache.clone()));
+            trace_cached(w, configs, seed, machines, tmax, 1, Some(cache.clone()));
         assert_eq!(cold, golden, "{name}: attaching the fit cache changed the cold trace");
         let cold_preds = cold_pop.predictions_made();
         assert!(cold_preds > 0, "{name}: the cold run never consumed a prediction");
         let (replay, replay_pop) =
-            trace_cached(w, configs, seed, machines, tmax, 4, fast, Some(cache.clone()));
+            trace_cached(w, configs, seed, machines, tmax, 4, Some(cache.clone()));
         assert_eq!(replay, golden, "{name}: warmed replay diverged");
         assert!(cache.snapshot().shared_hits > 0, "{name}: the warmed replay never hit the cache");
         // Shared-cache hits report `cached: false` so the policy consumes

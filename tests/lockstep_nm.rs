@@ -7,10 +7,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use hyperdrive::curve::ensemble::PosteriorEval;
+use hyperdrive::curve::ensemble::{self, dimension};
 use hyperdrive::curve::fit::{fit_all_families, fit_families};
 use hyperdrive::curve::nelder_mead::{minimize, NelderMeadOptions, NmScratch, MAX_DIM};
-use hyperdrive::curve::{GridPoint, ModelFamily, ALL_FAMILIES};
+use hyperdrive::curve::{CurveObjective, ModelFamily, ALL_FAMILIES};
 use hyperdrive::workload::{CifarWorkload, LunarWorkload, Workload};
 
 /// A curve prefix of one sampled configuration, as `(epoch, value)`.
@@ -186,6 +186,66 @@ fn edge_runs_share_rounds_and_still_match_the_oracle() {
     }
 }
 
+/// The libm objective, one point after another, from the model's public
+/// definition: `fit_family`'s penalized least squares (box penalty, clamp a
+/// hair inside the box, mean squared residual) and
+/// `ensemble::log_posterior`.
+struct Libm<'a> {
+    obs: &'a [(f64, f64)],
+    horizon: f64,
+}
+
+impl Libm<'_> {
+    /// The summed squared residual: not finite where the family diverges
+    /// at some observation.
+    fn sse(&self, family: ModelFamily, params: &[f64]) -> f64 {
+        let mut sse = 0.0;
+        for &(x, y) in self.obs {
+            let m = family.eval(x, params);
+            sse += (y - m) * (y - m);
+        }
+        sse
+    }
+}
+
+impl CurveObjective for Libm<'_> {
+    fn log_posteriors(&mut self, thetas: &[f64], out: &mut [f64]) {
+        for (theta, lp) in thetas.chunks_exact(dimension()).zip(out) {
+            *lp = ensemble::log_posterior(theta, self.obs, self.horizon);
+        }
+    }
+
+    fn least_squares(&mut self, families: &[usize], points: &[f64], out: &mut [f64]) {
+        for ((&k, point), o) in families.iter().zip(points.chunks_exact(MAX_DIM)).zip(out) {
+            let family = ALL_FAMILIES[k];
+            let params = &point[..family.param_count()];
+            let mut penalty = 0.0;
+            let mut clamped = params.to_vec();
+            let mut finite = true;
+            for (p, (lo, hi)) in clamped.iter_mut().zip(family.bounds()) {
+                finite &= p.is_finite();
+                if *p < *lo {
+                    penalty += (lo - *p) * (lo - *p) * 100.0;
+                } else if *p > *hi {
+                    penalty += (*p - hi) * (*p - hi) * 100.0;
+                }
+                let margin = (hi - lo) * 1e-6;
+                *p = p.clamp(lo + margin, hi - margin);
+            }
+            let sse = self.sse(family, &clamped);
+            *o = if finite && sse.is_finite() {
+                sse / self.obs.len() as f64 + penalty
+            } else {
+                f64::INFINITY
+            };
+        }
+    }
+
+    fn mse(&self, family: ModelFamily, params: &[f64]) -> f64 {
+        self.sse(family, params) / self.obs.len() as f64
+    }
+}
+
 /// The lockstep family init over the libm objective is the oracle's
 /// `fit_all_families`, fit for fit: same RNG draws, same winners, same
 /// clamped parameters, same MSE.
@@ -194,11 +254,7 @@ fn lockstep_family_init_reproduces_the_oracle_fits() {
     let mut nm = NmScratch::default();
     for c in 0..6u64 {
         let obs = prefix(&CifarWorkload::new(), 300 + c, 8 + 4 * c as u32);
-        let mut pts: Vec<GridPoint> = obs.iter().map(|&(x, _)| GridPoint::new(x)).collect();
-        pts.push(GridPoint::new(120.0));
-        let ys: Vec<f64> = obs.iter().map(|&(_, y)| y).collect();
-        let mut means = vec![0.0; ys.len()];
-        let mut libm = PosteriorEval::new(&pts, &ys, &mut means);
+        let mut libm = Libm { obs: &obs, horizon: 120.0 };
 
         let mut rng_a = StdRng::seed_from_u64(40 + c);
         let mut rng_b = rng_a.clone();
