@@ -16,7 +16,7 @@ use hyperdrive_bench::{print_table, quick_mode, results_dir};
 use hyperdrive_core::{ert_query, estimate_remaining_time};
 use hyperdrive_curve::batch::MAX_SLOTS;
 use hyperdrive_curve::fastpath::{FastGrid, PosteriorEvalFast};
-use hyperdrive_curve::fit::{build_initial_walkers, fit_families};
+use hyperdrive_curve::fit::{build_initial_walkers, fit_families, Decline};
 use hyperdrive_curve::mcmc::{sample_into, McmcScratch, SamplerOptions};
 use hyperdrive_curve::nelder_mead::{NelderMeadOptions, NmScratch};
 use hyperdrive_curve::vmath::{self, Backend};
@@ -148,6 +148,7 @@ fn main() {
         &mut FusedPosterior::new(&grid, &ys, &mut fused, dispatched),
         &mut rng,
         &mut nm,
+        &mut Decline,
     );
     let init = build_initial_walkers(&fits, config.walkers, &mut rng);
     let flat_init = init.concat();

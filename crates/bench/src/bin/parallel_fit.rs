@@ -85,6 +85,21 @@ fn main() {
             format!("{:.3}", stats.hit_rate()),
         ]],
     );
+    // Who ran the offered Nelder–Mead init halves: the blocked caller
+    // (`helped`) or, when it was busy, the worker that offered them.
+    let help_row = |threads: usize, s: hyperdrive_curve::FitStats| {
+        vec![
+            threads.to_string(),
+            s.halves_offered.to_string(),
+            s.halves_helped.to_string(),
+            format!("{:.3}", s.help_nanos as f64 / 1e6),
+        ]
+    };
+    print_table(
+        "init halves the caller ran",
+        &["threads", "offered", "helped", "help_ms"],
+        &[help_row(1, serial_service.stats()), help_row(threads, stats)],
+    );
 
     let path = results_dir().join("BENCH_parallel_fit.json");
     let mut f = std::fs::File::create(&path).expect("json file creatable");
@@ -95,10 +110,14 @@ fn main() {
          \"pool_secs\": {pool_secs:.6},\n  \"speedup\": {speedup:.3},\n  \
          \"warm_secs\": {warm_secs:.6},\n  \"fits\": {},\n  \
          \"cache_hits\": {},\n  \"cache_hit_rate\": {:.4},\n  \
-         \"deterministic\": true\n}}\n",
+         \"halves_offered\": {},\n  \"halves_helped\": {},\n  \
+         \"help_secs\": {:.6},\n  \"deterministic\": true\n}}\n",
         stats.fits,
         stats.cache_hits,
         stats.hit_rate(),
+        stats.halves_offered,
+        stats.halves_helped,
+        stats.help_nanos as f64 / 1e9,
     )
     .expect("json write");
     println!("wrote {}", path.display());

@@ -8,7 +8,10 @@
 //!
 //! Every fit runs [`fit_families`]: all starts of all families advance in
 //! lockstep ([`NmScratch`]) and each round is one batch call on a
-//! [`CurveObjective`]. [`fit_family`] / [`fit_all_families`] are the libm
+//! [`CurveObjective`]. The runs are independent, so the fit offers the
+//! [`OFFERED`] families' runs to another thread through a [`ShareInit`]
+//! hook and runs the rest itself; the default hook, [`Decline`], keeps
+//! them all in one batch. [`fit_family`] / [`fit_all_families`] are the libm
 //! oracle — one `minimize` per start, one point at a time — kept as the
 //! executable definition the lockstep init is tested against (over a
 //! test-local libm objective built from [`ModelFamily::eval`]).
@@ -52,18 +55,7 @@ pub fn fit_family<R: Rng + ?Sized>(
 ) -> FamilyFit {
     let bounds = family.bounds();
     let objective = |params: &[f64]| -> f64 {
-        // Quadratic penalty outside the box keeps the simplex pointed home.
-        let mut penalty = 0.0;
-        for (p, (lo, hi)) in params.iter().zip(bounds) {
-            if !p.is_finite() {
-                return f64::INFINITY;
-            }
-            if *p < *lo {
-                penalty += (lo - p) * (lo - p) * 100.0;
-            } else if *p > *hi {
-                penalty += (p - hi) * (p - hi) * 100.0;
-            }
-        }
+        let Some(penalty) = box_penalty(family, params) else { return f64::INFINITY };
         let mut clamped: Vec<f64> = params.to_vec();
         clamp_into_box(family, &mut clamped);
         let mut sse = 0.0;
@@ -86,11 +78,7 @@ pub fn fit_family<R: Rng + ?Sized>(
 
     let mut best: Option<(Vec<f64>, f64)> = None;
     for start in starts {
-        let (x, fx) = minimize(
-            &objective,
-            &start,
-            NelderMeadOptions { max_evals: 300, ..Default::default() },
-        );
+        let (x, fx) = minimize(&objective, &start, init_options());
         if best.as_ref().is_none_or(|(_, bf)| fx < *bf) {
             best = Some((x, fx));
         }
@@ -156,46 +144,148 @@ pub trait CurveObjective {
     fn mse(&self, family: ModelFamily, params: &[f64]) -> f64;
 }
 
+/// The families ([`ALL_FAMILIES`] indices) [`fit_families`] offers to a
+/// helper: Pow3, Pow4, Weibull, MMF and Ilog2, measured at ≈ 47 % of the
+/// init's cost, so the fitting thread keeps the larger half.
+pub const OFFERED: [usize; 5] = [0, 1, 4, 5, 8];
+
+const OFFERED_RUNS: usize = 3 * OFFERED.len();
+
+fn init_options() -> NelderMeadOptions {
+    NelderMeadOptions { max_evals: 300, ..Default::default() }
+}
+
+/// A run's best point (zero beyond its family's parameters) and value.
+type Best = ([f64; MAX_DIM], f64);
+
+/// The offered half of one fit's init: the [`OFFERED`] families' starts as
+/// the fit drew them (three each) and, once minimized, each run's best.
+/// Whoever minimizes it over an objective on the same curve gets the same
+/// bits.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct InitHalf {
+    starts: [[f64; MAX_DIM]; OFFERED_RUNS],
+    best: [Best; OFFERED_RUNS],
+}
+
+impl InitHalf {
+    /// Minimizes the half's runs over `objective` on `nm`, in a lockstep
+    /// batch of their own.
+    pub fn minimize(&mut self, objective: &mut impl CurveObjective, nm: &mut NmScratch) {
+        nm.begin(init_options());
+        self.push_runs(nm);
+        nm.minimize_all(|families, points, out| objective.least_squares(families, points, out));
+        self.take_bests(nm, 0);
+    }
+
+    fn push_runs(&self, nm: &mut NmScratch) {
+        for (run, start) in self.starts.iter().enumerate() {
+            let k = OFFERED[run / 3];
+            nm.push_start(k, &start[..ALL_FAMILIES[k].param_count()]);
+        }
+    }
+
+    /// Reads the half's bests from `nm`, where its runs begin at `first`.
+    fn take_bests(&mut self, nm: &NmScratch, first: usize) {
+        for (run, best) in self.best.iter_mut().enumerate() {
+            *best = best_of(nm, first + run);
+        }
+    }
+}
+
+fn best_of(nm: &NmScratch, run: usize) -> Best {
+    let (x, f) = nm.best(run);
+    let mut point = [0.0; MAX_DIM];
+    point[..x.len()].copy_from_slice(x);
+    (point, f)
+}
+
+/// Who may run the offered half of a fit's init ([`fit_families`]): the
+/// fitting thread offers it, runs its own half, then collects it — run by
+/// a helper, or untouched for the fitting thread to run. Same bits either
+/// way. The provided methods decline.
+pub trait ShareInit {
+    /// Offers `half`; `true` when a helper may now claim it.
+    fn offer(&mut self, _half: &InitHalf) -> bool {
+        false
+    }
+
+    /// After an accepted offer: `false` when no helper claimed the half
+    /// (taking it back), else waits for the helper's results in `half`.
+    /// Never waits on a half nobody runs.
+    fn collect(&mut self, _half: &mut InitHalf) -> bool {
+        false
+    }
+}
+
+/// Declines every offer: the fitting thread runs both halves, in one batch.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Decline;
+
+impl ShareInit for Decline {}
+
 /// Fits all 11 families by lockstep Nelder–Mead ([`NmScratch`]): every
-/// start of every family is drawn up front, and each round of the
-/// simplex runs is one `objective.least_squares` call.
+/// start of every family is drawn up front, the [`OFFERED`] families' runs
+/// go to `share`, and each round of the simplex runs is one
+/// `objective.least_squares` call.
 ///
 /// This is [`fit_all_families`]' schedule — per family the default start
 /// plus two random points in the box, drawn in the same RNG order (the
 /// runs themselves consume none), 300 evaluations each, the first-best of
 /// the three kept — so over an objective with [`fit_family`]'s arithmetic
-/// the fits are bitwise the oracle's.
+/// the fits are bitwise the oracle's, whoever runs the offered half.
 pub fn fit_families<R: Rng + ?Sized>(
     objective: &mut impl CurveObjective,
     rng: &mut R,
     nm: &mut NmScratch,
+    share: &mut impl ShareInit,
 ) -> Vec<FamilyFit> {
     // Multi-start: the default start plus a couple of random points in the
     // box. Curve-family objectives are cheap, so a few restarts are free.
-    nm.begin(NelderMeadOptions { max_evals: 300, ..Default::default() });
-    let mut start = [0.0; MAX_DIM];
+    nm.begin(init_options());
+    let mut half = InitHalf::default();
+    let mut offered = half.starts.iter_mut();
     for (k, &family) in ALL_FAMILIES.iter().enumerate() {
-        nm.push_start(k, &family.default_params());
-        for _ in 0..2 {
-            let bounds = family.bounds();
-            for (s, (lo, hi)) in start.iter_mut().zip(bounds) {
-                *s = rng.gen_range(*lo..*hi);
+        let bounds = family.bounds();
+        let mut start = [0.0; MAX_DIM];
+        start[..bounds.len()].copy_from_slice(&family.default_params());
+        for draw in 0..3 {
+            if draw > 0 {
+                start.iter_mut().zip(bounds).for_each(|(s, (lo, hi))| *s = rng.gen_range(*lo..*hi));
             }
-            nm.push_start(k, &start[..bounds.len()]);
+            if OFFERED.contains(&k) {
+                *offered.next().expect("three runs per offered family") = start;
+            } else {
+                nm.push_start(k, &start[..bounds.len()]);
+            }
         }
     }
+    let shared = share.offer(&half);
+    if !shared {
+        // Declined: the offered runs share the kept runs' rounds.
+        half.push_runs(nm);
+    }
     nm.minimize_all(|families, points, out| objective.least_squares(families, points, out));
+    // Every run's best, three per family in `ALL_FAMILIES` order.
+    let mut best = [Best::default(); 3 * ALL_FAMILIES.len()];
+    let kept = best.chunks_exact_mut(3).enumerate().filter(|(k, _)| !OFFERED.contains(k));
+    for (own, run) in kept.flat_map(|(_, runs)| runs).enumerate() {
+        *run = best_of(nm, own);
+    }
+    if !shared {
+        half.take_bests(nm, 3 * ALL_FAMILIES.len() - OFFERED_RUNS);
+    } else if !share.collect(&mut half) {
+        half.minimize(objective, nm);
+    }
+    for (run, result) in OFFERED.iter().flat_map(|&k| 3 * k..3 * k + 3).zip(half.best) {
+        best[run] = result;
+    }
     ALL_FAMILIES
         .iter()
-        .enumerate()
-        .map(|(k, &family)| {
-            let mut best = 3 * k;
-            for run in 3 * k + 1..3 * k + 3 {
-                if nm.best(run).1 < nm.best(best).1 {
-                    best = run;
-                }
-            }
-            let mut params = nm.best(best).0.to_vec();
+        .zip(best.chunks_exact(3))
+        .map(|(&family, runs)| {
+            let pick = runs[1..].iter().fold(&runs[0], |a, b| if b.1 < a.1 { b } else { a });
+            let mut params = pick.0[..family.param_count()].to_vec();
             clamp_into_box(family, &mut params);
             let mse = objective.mse(family, &params);
             FamilyFit { family, params, mse }

@@ -12,7 +12,9 @@ use crate::batch::{self, FusedPosterior, FusedScratch};
 use crate::ensemble::dimension;
 use crate::fastpath::FastGrid;
 use crate::fit;
-use crate::fit::{build_initial_walkers, fit_families, CurveObjective};
+use crate::fit::{
+    build_initial_walkers, fit_families, CurveObjective, Decline, InitHalf, ShareInit,
+};
 use crate::mcmc::{sample_into, McmcScratch, SamplerOptions};
 use crate::nelder_mead::NmScratch;
 use crate::scratch::FitScratch;
@@ -207,7 +209,7 @@ impl CurvePredictor {
         scratch: &mut FitScratch,
         backend: Backend,
     ) -> Result<CurvePosterior> {
-        self.fit_streamed(curve, horizon, scratch, backend, |_| {})
+        self.fit_streamed(curve, horizon, scratch, backend, &mut Decline, |_| {})
     }
 
     /// The fit under every entry point, handing the posterior's draws to
@@ -216,37 +218,42 @@ impl CurvePredictor {
     /// ([`crate::mcmc::sample_into`]). The rows are a prefix of the
     /// returned posterior's draws — whoever absorbs them into an
     /// [`Exceedance`] finishes on the posterior itself — and an attempt
-    /// that then fails has handed out nothing.
+    /// that then fails has handed out nothing. The init offers half to `share`.
     pub(crate) fn fit_streamed(
         &self,
         curve: &LearningCurve,
         horizon: u32,
         scratch: &mut FitScratch,
         backend: Backend,
+        share: &mut impl ShareInit,
         mut on_rows: impl FnMut(&[f64]),
     ) -> Result<CurvePosterior> {
-        let (last_epoch, obs) = self.fit_inputs(curve, horizon)?;
-        let horizon_x = f64::from(horizon).max(obs.last().map_or(1.0, |&(x, _)| x));
-
-        // The SoA epoch grid, memoized once per fit: the grid never changes
-        // mid-fit, so every pure-x basis term is computed exactly once
-        // (through vmath's logs, so the fit is host-independent end to end).
         let FitScratch { ys, nm, mcmc, fast_grid, fused } = scratch;
-        ys.clear();
-        ys.extend(obs.iter().map(|&(_, y)| y));
-        fast_grid.clear();
-        for &(x, _) in &obs {
-            fast_grid.push(x);
-        }
-        fast_grid.push(horizon_x);
+        let last_epoch = self.fit_inputs(curve, horizon, ys, fast_grid)?;
         let mut objective = FusedPosterior::new(fast_grid, ys, fused, backend);
-        let acceptance_rate = self.fit_on(&mut objective, nm, mcmc, &mut on_rows)?;
+        let acceptance_rate = self.fit_on(&mut objective, nm, mcmc, share, &mut on_rows)?;
         // The sampler's row sink already took the `max_draws` subsample
         // that keeps queries cheap.
         if mcmc.kept().is_empty() {
             return Err(Error::CurveFit("sampler produced no draws".into()));
         }
         Ok(CurvePosterior { draws: mcmc.kept().to_vec(), last_epoch, horizon, acceptance_rate })
+    }
+
+    /// Minimizes `half`, offered by the fit of `curve` to `horizon` at this
+    /// fidelity, over an objective of its own on `scratch`.
+    pub(crate) fn minimize_offered(
+        &self,
+        curve: &LearningCurve,
+        horizon: u32,
+        half: &mut InitHalf,
+        scratch: &mut FitScratch,
+        backend: Backend,
+    ) -> Result<()> {
+        let FitScratch { ys, nm, fast_grid, fused, .. } = scratch;
+        self.fit_inputs(curve, horizon, ys, fast_grid)?;
+        half.minimize(&mut FusedPosterior::new(fast_grid, ys, fused, backend), nm);
+        Ok(())
     }
 
     /// The one fit schedule, over the batch objective that scores the
@@ -258,10 +265,11 @@ impl CurvePredictor {
         objective: &mut impl CurveObjective,
         nm: &mut NmScratch,
         mcmc: &mut McmcScratch,
+        share: &mut impl ShareInit,
         on_rows: &mut impl FnMut(&[f64]),
     ) -> Result<f64> {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let fits = fit_families(objective, &mut rng, nm);
+        let fits = fit_families(objective, &mut rng, nm, share);
         let mut init = build_initial_walkers(&fits, self.config.walkers, &mut rng);
         // The growth/ceiling prior can reject every least-squares-derived
         // walker (e.g. a decreasing observed curve); fall back to
@@ -277,12 +285,21 @@ impl CurvePredictor {
         Ok(sample_into(log_probs, &init, options, max_draws, &mut rng, mcmc, on_rows))
     }
 
-    /// Checks the fit contract and returns the last observed epoch with the
-    /// observation list the fit conditions on: long curves are strided
-    /// down to `max_obs` points (first and last always kept) — likelihood
-    /// cost is linear in observations, and a strided subsample preserves
-    /// the trajectory shape.
-    fn fit_inputs(&self, curve: &LearningCurve, horizon: u32) -> Result<(u32, Vec<(f64, f64)>)> {
+    /// Checks the fit contract, returns the last observed epoch and lays
+    /// out what the fit conditions on: the observed values in `ys` and, in
+    /// `grid`, their epochs then the horizon point `max(horizon, last x)`.
+    /// Long curves are strided down to `max_obs` points (first and last
+    /// always kept) — likelihood cost is linear in observations, and a
+    /// strided subsample preserves the trajectory shape. The grid memoizes
+    /// every pure-x basis term once per fit (through vmath's logs, so the
+    /// fit is host-independent end to end).
+    fn fit_inputs(
+        &self,
+        curve: &LearningCurve,
+        horizon: u32,
+        ys: &mut Vec<f64>,
+        grid: &mut FastGrid,
+    ) -> Result<u32> {
         let n = curve.len();
         if n < self.config.min_observations {
             return Err(Error::CurveFit(format!(
@@ -296,15 +313,19 @@ impl CurvePredictor {
                 "horizon {horizon} must exceed last observed epoch {last_epoch}"
             )));
         }
-        let obs = |i: usize| (f64::from(curve.points()[i].epoch), curve.points()[i].value);
         let keep = self.config.max_obs.max(2);
-        let thinned = if n > keep {
-            let stride = (n - 1) as f64 / (keep - 1) as f64;
-            (0..keep).map(|i| obs((i as f64 * stride).round() as usize)).collect()
-        } else {
-            (0..n).map(obs).collect()
-        };
-        Ok((last_epoch, thinned))
+        let stride = if n > keep { (n - 1) as f64 / (keep - 1) as f64 } else { 1.0 };
+        ys.clear();
+        grid.clear();
+        let mut last_x = 1.0;
+        for i in 0..n.min(keep) {
+            let point = &curve.points()[(i as f64 * stride).round() as usize];
+            last_x = f64::from(point.epoch);
+            grid.push(last_x);
+            ys.push(point.value);
+        }
+        grid.push(f64::from(horizon).max(last_x));
+        Ok(last_epoch)
     }
 
     fn sampler_options(&self) -> SamplerOptions {

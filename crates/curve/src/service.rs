@@ -79,6 +79,19 @@
 //! ask the finished posterior. A query never changes what is fitted,
 //! cached, fingerprinted or counted.
 //!
+//! # The waiting caller runs half of each fit's init
+//!
+//! Each demand fit's worker offers the [`crate::fit::OFFERED`] families'
+//! Nelder–Mead runs to the `fit_batch` blocked on it — POP's or EarlyTerm's
+//! simulation thread, a server shard, the live scheduler — and minimizes
+//! the rest. The caller claims the half with one atomic swap and runs it on
+//! a thread-local [`FitScratch`]; a half nobody claimed the worker takes
+//! back, so it only waits on a half already running. Each run is the same
+//! bits on any thread (`tests/lockstep_nm.rs`); a panic in the caller's
+//! half is the fit's [`Error::CurveFit`]. [`FitStats::halves_helped`]
+//! counts the sharing, which the boundary stall ([`FitPoolStats::stall_secs`])
+//! includes.
+//!
 //! # Speculative ahead-of-boundary prefetch
 //!
 //! The scheduler only *consumes* posteriors at evaluation boundaries, so
@@ -96,10 +109,11 @@
 //! is [`forget`](FitService::forget)-ten, so prefetch can never starve
 //! demand fits by more than `depth` queued entries on the shared FIFO.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, OnceLock, PoisonError};
 use std::time::Instant;
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
@@ -110,10 +124,12 @@ use hyperdrive_types::{Error, JobId, LearningCurve, Result};
 use crate::cache::{
     fit_fingerprint, posterior_hash, CacheStatsSnapshot, CurveFingerprint, SharedFitCache,
 };
+use crate::fit::{Decline, InitHalf, ShareInit};
 use crate::predictor::{
     CurvePosterior, CurvePredictor, Exceedance, ExceedanceQuery, PredictorConfig,
 };
 use crate::scratch::FitScratch;
+use crate::vmath;
 
 /// Key identifying one fit: the job and the last observed epoch the fit
 /// conditions on.
@@ -262,6 +278,13 @@ pub struct FitStats {
     pub query_tail_nanos: u64,
     /// Queries answered from the shared layer's memo beside a shared hit.
     pub memo_hits: u64,
+    /// Init halves ([`crate::fit::OFFERED`]) demand fits offered the
+    /// waiting `fit_batch`: one per fit that reached its init.
+    pub halves_offered: u64,
+    /// Offered halves `fit_batch` ran itself; workers took the rest back.
+    pub halves_helped: u64,
+    /// Nanoseconds `fit_batch` spent running them.
+    pub help_nanos: u64,
 }
 
 impl FitStats {
@@ -337,7 +360,8 @@ pub struct FitPoolStats {
     pub uptime_secs: f64,
     /// `fit_batch` calls timed into the stall histogram.
     pub stall_events: u64,
-    /// Total wall-clock seconds callers spent blocked in `fit_batch`.
+    /// Total wall-clock seconds callers spent in `fit_batch`, including
+    /// the time they ran offered init halves ([`FitStats::help_nanos`]).
     pub stall_secs: f64,
     /// Median per-call boundary stall, in milliseconds (log-bucket upper
     /// bound).
@@ -418,8 +442,11 @@ impl PoolTelemetry {
 
 /// What a demand fit sends the `fit_batch` waiting for it. One worker runs
 /// a key's whole fit and a channel keeps each sender's order, so per key
-/// the messages arrive as sent: rows in draw order, then the result.
+/// the messages arrive as sent: the init half, rows in draw order, then
+/// the result.
 enum FitReply {
+    /// The fit's offered init half, for the caller to claim and run.
+    Help(FitKey, Arc<HelpTask>),
     /// The fit's next [`crate::batch::MAX_SLOTS`] kept draws, in a buffer
     /// that returns to the pool's spare list once absorbed.
     Rows(FitKey, Vec<f64>),
@@ -427,16 +454,105 @@ enum FitReply {
     Done(FitKey, Result<CurvePosterior>),
 }
 
+thread_local! {
+    /// The scratch a `fit_batch` caller runs offered halves on.
+    static HELP_SCRATCH: RefCell<FitScratch> = RefCell::new(FitScratch::default());
+}
+
+/// A caller's results for an offered half, or what it panicked with.
+type Helped = std::thread::Result<InitHalf>;
+
+/// One demand fit's offered init half. Whichever of the waiting caller and
+/// the worker sets `taken` first runs it, so the worker only ever waits on
+/// a half that is already running.
+struct HelpTask {
+    taken: AtomicBool,
+    starts: InitHalf,
+    /// The caller's results, for the worker. A lock and a condition
+    /// variable allocate nothing, so a fit allocates the same whoever runs
+    /// its half.
+    done: std::sync::Mutex<Option<Helped>>,
+    answered: Condvar,
+}
+
+impl HelpTask {
+    /// Runs the half of the `config` fit of `curve` to `horizon` on this
+    /// thread's [`HELP_SCRATCH`] unless the worker took it back, returning
+    /// the nanoseconds it took. A panic goes to the worker to re-raise, and
+    /// this thread gets a fresh scratch.
+    fn help(&self, config: PredictorConfig, curve: &LearningCurve, horizon: u32) -> Option<u64> {
+        if self.taken.swap(true, Ordering::AcqRel) {
+            return None;
+        }
+        let t = Instant::now();
+        let mut half = self.starts;
+        let run = AssertUnwindSafe(|| {
+            HELP_SCRATCH.with_borrow_mut(|scratch| {
+                #[cfg(test)]
+                if tests::PANIC_WHEN_HELPING.get() == curve.len() {
+                    panic!("injected panic");
+                }
+                let backend = vmath::active_backend();
+                CurvePredictor::new(config)
+                    .minimize_offered(curve, horizon, &mut half, scratch, backend)
+                    .expect("the offering fit passed the same checks");
+            });
+        });
+        let helped = catch_unwind(run).map(|()| half);
+        if helped.is_err() {
+            HELP_SCRATCH.with_borrow_mut(|scratch| *scratch = FitScratch::default());
+        }
+        *self.done.lock().unwrap_or_else(PoisonError::into_inner) = Some(helped);
+        self.answered.notify_one();
+        Some(t.elapsed().as_nanos() as u64)
+    }
+}
+
+/// A demand fit's [`ShareInit`]: offers the init half to the batch waiting
+/// for the fit, down its reply channel.
+struct Offer<'a> {
+    key: FitKey,
+    reply: &'a Sender<FitReply>,
+    task: Option<Arc<HelpTask>>,
+}
+
+impl ShareInit for Offer<'_> {
+    fn offer(&mut self, half: &InitHalf) -> bool {
+        let task = self.task.insert(Arc::new(HelpTask {
+            taken: AtomicBool::new(false),
+            starts: *half,
+            done: std::sync::Mutex::new(None),
+            answered: Condvar::new(),
+        }));
+        self.reply.send(FitReply::Help(self.key, Arc::clone(task))).is_ok()
+    }
+
+    fn collect(&mut self, half: &mut InitHalf) -> bool {
+        let task = self.task.take().expect("collected after an accepted offer");
+        if !task.taken.swap(true, Ordering::AcqRel) {
+            return false;
+        }
+        // The caller is running it, and always answers.
+        let done = task.done.lock().unwrap_or_else(PoisonError::into_inner);
+        let wait = task.answered.wait_while(done, |d| d.is_none());
+        match wait.unwrap_or_else(PoisonError::into_inner).take().expect("answered") {
+            Ok(helped) => *half = helped,
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+        true
+    }
+}
+
 enum WorkerMsg {
     Fit {
         key: FitKey,
-        /// The requesting service's fidelity: the pool is shared across
-        /// services (studies), so each request names its own config
-        /// rather than the pool fixing one at spawn time.
+        /// The requesting service's fidelity, at the fit's derived seed:
+        /// the pool is shared across services (studies), so each request
+        /// names its own config rather than the pool fixing one at spawn
+        /// time.
         config: PredictorConfig,
         curve: LearningCurve,
         horizon: u32,
-        seed: u64,
         /// Whether the batch absorbs kept rows while the fit runs.
         stream: bool,
         /// The batch's count of demand fits that have stopped running.
@@ -452,7 +568,6 @@ enum WorkerMsg {
         config: PredictorConfig,
         curve: LearningCurve,
         horizon: u32,
-        seed: u64,
         cancelled: Arc<AtomicBool>,
         reply: Sender<(FitKey, Result<CurvePosterior>)>,
     },
@@ -709,10 +824,9 @@ impl FitService {
             let (reply_tx, reply_rx) = unbounded();
             self.pool.send(WorkerMsg::SpecFit {
                 key,
-                config: self.config,
+                config: self.config.with_seed(seed),
                 curve: curve.clone(),
                 horizon,
-                seed,
                 cancelled: Arc::clone(&cancelled),
                 reply: reply_tx,
             });
@@ -781,6 +895,9 @@ impl FitService {
         let mut shared_lookups = 0u64;
         let mut streamed_fits = 0u64;
         let mut memo_hits = 0u64;
+        // Offered init halves: [received, run here], and the nanoseconds.
+        let mut halves = [0u64; 2];
+        let mut help_nanos = 0u64;
         // Speculations this batch adopts (exact fingerprint match):
         // collected after all demand fits are enqueued, handled exactly
         // like a fresh fit's reply.
@@ -865,10 +982,9 @@ impl FitService {
                     }
                     self.pool.send(WorkerMsg::Fit {
                         key,
-                        config: self.config,
+                        config: self.config.with_seed(seed),
                         curve: req.curve.clone(),
                         horizon: req.horizon,
-                        seed,
                         stream: req.query.is_some(),
                         finished: Arc::clone(&finished),
                         reply: reply_tx.clone(),
@@ -914,6 +1030,15 @@ impl FitService {
                 (key, spec.reply.recv().map_or_else(|_| Err(vanished()), |(_, result)| result))
             } else {
                 match reply_rx.recv() {
+                    Ok(FitReply::Help(key, task)) => {
+                        let req = &requests[waiting[&key][0]];
+                        halves[0] += 1;
+                        if let Some(nanos) = task.help(self.config, &req.curve, req.horizon) {
+                            halves[1] += 1;
+                            help_nanos += nanos;
+                        }
+                        continue;
+                    }
                     Ok(FitReply::Rows(key, rows)) => {
                         let mass = streams.get_mut(&key).expect("only asked fits stream");
                         timed(&mut || mass.absorb(&rows));
@@ -979,6 +1104,9 @@ impl FitService {
             stats.query_tail_nanos += query_nanos[0];
             stats.query_overlap_nanos += query_nanos[1];
             stats.memo_hits += memo_hits;
+            stats.halves_offered += halves[0];
+            stats.halves_helped += halves[1];
+            stats.help_nanos += help_nanos;
         }
         if spec_adopted > 0 || spec_mismatched > 0 {
             let mut spec = self.shared.spec_stats.lock();
@@ -1074,20 +1202,21 @@ impl Drop for FitService {
     }
 }
 
-/// One fit on a worker thread. A panic inside it becomes its request's
+/// One fit on a worker thread, contained: a panic inside it — or in its
+/// init half on the caller that ran it — becomes its request's
 /// [`Error::CurveFit`] and the worker keeps serving, on a fresh scratch.
-fn contained_fit(
+fn run_fit(
     scratch: &mut FitScratch,
     config: PredictorConfig,
-    seed: u64,
     curve: &LearningCurve,
     horizon: u32,
+    share: &mut impl ShareInit,
     on_rows: impl FnMut(&[f64]),
 ) -> Result<CurvePosterior> {
-    let predictor = CurvePredictor::new(config.with_seed(seed));
-    let backend = crate::vmath::active_backend();
-    let fit =
-        AssertUnwindSafe(|| predictor.fit_streamed(curve, horizon, scratch, backend, on_rows));
+    let (predictor, backend) = (CurvePredictor::new(config), vmath::active_backend());
+    let fit = AssertUnwindSafe(|| {
+        predictor.fit_streamed(curve, horizon, scratch, backend, share, on_rows)
+    });
     catch_unwind(fit).unwrap_or_else(|panic| {
         *scratch = FitScratch::default();
         let what = panic
@@ -1113,9 +1242,10 @@ fn worker_loop(
             telemetry.queued.fetch_sub(1, Ordering::Relaxed);
         }
         match msg {
-            WorkerMsg::Fit { key, config, curve, horizon, seed, stream, finished, reply } => {
+            WorkerMsg::Fit { key, config, curve, horizon, stream, finished, reply } => {
                 let t = Instant::now();
-                let result = contained_fit(&mut scratch, config, seed, &curve, horizon, |rows| {
+                let mut share = Offer { key, reply: &reply, task: None };
+                let result = run_fit(&mut scratch, config, &curve, horizon, &mut share, |rows| {
                     if stream {
                         let mut chunk = spare_chunks.lock().pop().unwrap_or_default();
                         chunk.clear();
@@ -1130,13 +1260,13 @@ fn worker_loop(
                 // nothing useful to do then.
                 let _ = reply.send(FitReply::Done(key, result));
             }
-            WorkerMsg::SpecFit { key, config, curve, horizon, seed, cancelled, reply } => {
+            WorkerMsg::SpecFit { key, config, curve, horizon, cancelled, reply } => {
                 if cancelled.load(Ordering::Relaxed) {
                     telemetry.spec_skipped.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
                 let t = Instant::now();
-                let result = contained_fit(&mut scratch, config, seed, &curve, horizon, |_| {});
+                let result = run_fit(&mut scratch, config, &curve, horizon, &mut Decline, |_| {});
                 telemetry.busy_nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 telemetry.spec_fits.fetch_add(1, Ordering::Relaxed);
                 let _ = reply.send((key, result));
@@ -1171,6 +1301,13 @@ mod tests {
     use super::*;
     use crate::batch::MAX_SLOTS;
     use hyperdrive_types::{MetricKind, SimTime};
+
+    thread_local! {
+        /// Makes the offered halves this thread runs panic on curves this
+        /// many observations long.
+        pub(super) static PANIC_WHEN_HELPING: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+    }
 
     fn curve(n: u32) -> LearningCurve {
         let mut c = LearningCurve::new(MetricKind::Accuracy);
@@ -1422,10 +1559,9 @@ mod tests {
         for (job, config) in [(0, broken), (1, PredictorConfig::test())] {
             pool.send(WorkerMsg::Fit {
                 key: (JobId::new(job), 12),
-                config,
+                config: config.with_seed(3),
                 curve: curve(12),
                 horizon: 100,
-                seed: 3,
                 stream: true,
                 finished: Arc::clone(&finished),
                 reply: reply_tx.clone(),
@@ -1439,6 +1575,8 @@ mod tests {
             match msg {
                 FitReply::Rows((job, _), chunk) => rows[job.raw() as usize] += chunk.len(),
                 FitReply::Done((job, _), result) => done.push((job.raw(), result)),
+                // Left unclaimed: the worker takes the half back.
+                FitReply::Help(..) => {}
             }
         }
         assert_eq!(done.len(), 2, "both keys answered before the senders dropped");
@@ -1672,5 +1810,43 @@ mod tests {
         assert!(pool.busy_secs > 0.0);
         assert!(pool.uptime_secs > 0.0);
         assert!((0.0..=1.0).contains(&pool.idle_fraction()));
+    }
+
+    /// The half the waiting caller runs panics: that key alone is a typed
+    /// error, the batch answers its other key, and the pool and the
+    /// caller's fresh scratch serve the next fits bitwise.
+    #[test]
+    fn a_panic_in_the_callers_half_is_that_keys_error_and_nothing_else() {
+        let config = PredictorConfig::test();
+        let service = FitService::new(config, 7, 1);
+        PANIC_WHEN_HELPING.set(10);
+        // Whether the caller or the worker runs a half is a race; with one
+        // worker and an idle caller, the caller almost always wins it.
+        let (mut job, mut outcomes) = (0, Vec::new());
+        while outcomes.first().is_none_or(|o: &FitOutcome| o.result.is_ok()) {
+            assert!(job < 40, "the caller never claimed a half of a 10-epoch fit");
+            outcomes = service.fit_batch(&[req(job, 10), req(job + 1, 12)]);
+            job += 2;
+        }
+        PANIC_WHEN_HELPING.set(0);
+        match &outcomes[0].result {
+            Err(Error::CurveFit(why)) => {
+                assert!(why.contains("fit panicked: injected panic"), "{why}");
+            }
+            other => panic!("expected a typed fit error, got {other:?}"),
+        }
+        let healthy = sequential_fit(config, 7, &req(job - 1, 12)).unwrap();
+        assert_eq!(outcomes[1].result.as_ref().unwrap().draws(), healthy.draws());
+
+        let helped = service.stats().halves_helped;
+        for next in job..job + 40 {
+            let r = req(next, 10);
+            let out = service.fit_batch(std::slice::from_ref(&r)).remove(0);
+            assert_eq!(out.result.unwrap().draws(), sequential_fit(config, 7, &r).unwrap().draws());
+            if service.stats().halves_helped > helped {
+                return;
+            }
+        }
+        panic!("the caller never ran a half again");
     }
 }

@@ -26,7 +26,7 @@
 //!   step up to AVX-512 compilations when the CPU reports
 //!   `avx512f`/`avx512dq`/`avx512vl`. Setting `HYPERDRIVE_VMATH=scalar`
 //!   forces the scalar fallback (and the baseline tier everywhere a caller
-//!   dispatches on the crate-internal `simd_tier`); `HYPERDRIVE_VMATH=avx2`
+//!   dispatches on [`simd_tier`]); `HYPERDRIVE_VMATH=avx2`
 //!   caps the tier at AVX2. The choice is made once per process and cached.
 //! - **No allocation.** All kernels operate in place on caller-owned slices,
 //!   preserving the zero-alloc-per-MCMC-step invariant of `FitScratch`.
@@ -45,17 +45,20 @@ use std::sync::OnceLock;
 pub enum Backend {
     /// Plain scalar loop, no target features. Works on every host.
     Scalar,
-    /// Same loop compiled with AVX2 enabled so LLVM autovectorizes it.
-    /// Falls back to the scalar loop on non-x86_64 builds.
+    /// Same loop compiled with SIMD target features enabled so LLVM
+    /// autovectorizes it: the AVX-512 compilation when the CPU reports
+    /// `avx512f`/`avx512dq`/`avx512vl`, else the AVX2 one ([`simd_tier`]
+    /// names which). Falls back to the scalar loop on non-x86_64 builds.
     Simd,
 }
 
 /// Returns the backend batched calls dispatch to, deciding once per process.
 ///
-/// `HYPERDRIVE_VMATH=scalar` forces [`Backend::Scalar`]; otherwise AVX2 is
-/// used when the CPU reports it, and scalar everywhere else. Because the two
-/// backends are bit-identical, this choice never changes results — only
-/// throughput.
+/// `HYPERDRIVE_VMATH=scalar` forces [`Backend::Scalar`]; otherwise
+/// [`Backend::Simd`] is used when the CPU reports AVX2, and scalar
+/// everywhere else. `Simd` runs the AVX-512 compilation where the CPU has
+/// it ([`simd_tier`] reports the tier). Because the backends and tiers are
+/// bit-identical, this choice never changes results — only throughput.
 pub fn active_backend() -> Backend {
     static CHOICE: OnceLock<Backend> = OnceLock::new();
     *CHOICE.get_or_init(|| {
@@ -269,9 +272,11 @@ unsafe fn pow_slice_avx512(buf: &mut [f64], y: f64) {
 /// Decided once per process from CPU detection; `HYPERDRIVE_VMATH=scalar`
 /// forces 0 and `=avx2` caps at 1 (useful for pinning tiers against each
 /// other — every tier compiles the same exact per-lane arithmetic, so the
-/// cap only changes throughput).
+/// cap only changes throughput). Read-only: run provenance names the tier
+/// that ran with it.
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn simd_tier() -> u8 {
+#[must_use]
+pub fn simd_tier() -> u8 {
     static CHOICE: OnceLock<u8> = OnceLock::new();
     *CHOICE.get_or_init(|| {
         match std::env::var("HYPERDRIVE_VMATH").as_deref() {
@@ -292,6 +297,13 @@ pub(crate) fn simd_tier() -> u8 {
             0
         }
     })
+}
+
+/// SIMD compilation tier: always 0 (baseline) off x86_64.
+#[cfg(not(target_arch = "x86_64"))]
+#[must_use]
+pub fn simd_tier() -> u8 {
+    0
 }
 
 /// Whether the [`Backend::Simd`] slice loops should run their AVX-512

@@ -2,16 +2,28 @@
 //! (`nelder_mead::minimize`): every run of every batch must return the
 //! oracle's point, value **and** evaluation count bit for bit, however many
 //! other runs share its rounds, and the lockstep family init built on it
-//! must reproduce the oracle's `fit_all_families`.
+//! must reproduce the oracle's `fit_all_families` — whichever thread runs
+//! the half of it a fit offers ([`ShareInit`]).
+
+use std::thread::{Scope, ScopedJoinHandle};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use hyperdrive::curve::ensemble::{self, dimension};
-use hyperdrive::curve::fit::{fit_all_families, fit_families};
+use hyperdrive::curve::fastpath::FastGrid;
+use hyperdrive::curve::fit::{
+    fit_all_families, fit_families, Decline, FamilyFit, InitHalf, ShareInit,
+};
 use hyperdrive::curve::nelder_mead::{minimize, NelderMeadOptions, NmScratch, MAX_DIM};
-use hyperdrive::curve::{CurveObjective, ModelFamily, ALL_FAMILIES};
+use hyperdrive::curve::vmath::Backend;
+use hyperdrive::curve::{
+    sequential_fit, CurveObjective, FitRequest, FitService, FusedPosterior, FusedScratch,
+    ModelFamily, PredictorConfig, ALL_FAMILIES,
+};
 use hyperdrive::workload::{CifarWorkload, LunarWorkload, Workload};
+use hyperdrive::{JobId, LearningCurve, MetricKind, SimTime};
 
 /// A curve prefix of one sampled configuration, as `(epoch, value)`.
 fn prefix(workload: &dyn Workload, seed: u64, len: u32) -> Vec<(f64, f64)> {
@@ -258,7 +270,7 @@ fn lockstep_family_init_reproduces_the_oracle_fits() {
 
         let mut rng_a = StdRng::seed_from_u64(40 + c);
         let mut rng_b = rng_a.clone();
-        let lockstep = fit_families(&mut libm, &mut rng_a, &mut nm);
+        let lockstep = fit_families(&mut libm, &mut rng_a, &mut nm, &mut Decline);
         let oracle = fit_all_families(&obs, &mut rng_b);
         assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "the two inits drew differently");
         for (l, o) in lockstep.iter().zip(&oracle) {
@@ -269,4 +281,193 @@ fn lockstep_family_init_reproduces_the_oracle_fits() {
             }
         }
     }
+}
+
+/// One curve's fused objective inputs: the epoch grid with the horizon
+/// point, and the observed values.
+struct Fused {
+    grid: FastGrid,
+    ys: Vec<f64>,
+    backend: Backend,
+}
+
+impl Fused {
+    fn new(obs: &[(f64, f64)], horizon: f64, backend: Backend) -> Self {
+        let mut grid = FastGrid::new();
+        for &(x, _) in obs {
+            grid.push(x);
+        }
+        grid.push(horizon);
+        Fused { grid, ys: obs.iter().map(|&(_, y)| y).collect(), backend }
+    }
+
+    fn objective<'a>(&'a self, scratch: &'a mut FusedScratch) -> FusedPosterior<'a> {
+        FusedPosterior::new(&self.grid, &self.ys, scratch, self.backend)
+    }
+
+    /// Minimizes `half` over an objective and scratch of its own, as a
+    /// helper thread does.
+    fn minimize(&self, half: &mut InitHalf) {
+        half.minimize(&mut self.objective(&mut FusedScratch::default()), &mut NmScratch::default());
+    }
+}
+
+/// Runs the offered half on the spot, inside `offer`.
+struct Inline<'a>(&'a Fused, InitHalf);
+
+impl ShareInit for Inline<'_> {
+    fn offer(&mut self, half: &InitHalf) -> bool {
+        self.1 = *half;
+        self.0.minimize(&mut self.1);
+        true
+    }
+
+    fn collect(&mut self, half: &mut InitHalf) -> bool {
+        *half = self.1;
+        true
+    }
+}
+
+/// Runs the offered half on another thread while the fitting thread runs
+/// its own.
+struct Concurrent<'scope, 'env> {
+    scope: &'scope Scope<'scope, 'env>,
+    curve: &'env Fused,
+    helper: Option<ScopedJoinHandle<'scope, InitHalf>>,
+}
+
+impl ShareInit for Concurrent<'_, '_> {
+    fn offer(&mut self, half: &InitHalf) -> bool {
+        let (curve, mut half) = (self.curve, *half);
+        self.helper = Some(self.scope.spawn(move || {
+            curve.minimize(&mut half);
+            half
+        }));
+        true
+    }
+
+    fn collect(&mut self, half: &mut InitHalf) -> bool {
+        *half = self.helper.take().expect("offered").join().expect("the helper finished");
+        true
+    }
+}
+
+fn assert_same_fits(a: &[FamilyFit], b: &[FamilyFit], what: &str) {
+    assert_eq!(a.len(), b.len());
+    for (a, b) in a.iter().zip(b) {
+        assert_eq!(a.family, b.family);
+        assert_eq!(a.mse.to_bits(), b.mse.to_bits(), "{what}: {} mse", a.family.name());
+        let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.params), bits(&b.params), "{what}: {} params", a.family.name());
+    }
+}
+
+/// The fused init of `curve` from RNG seed `seed`, and the RNG's next draw.
+fn init(
+    curve: &Fused,
+    seed: u64,
+    nm: &mut NmScratch,
+    share: &mut impl ShareInit,
+) -> (Vec<FamilyFit>, u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let fits =
+        fit_families(&mut curve.objective(&mut FusedScratch::default()), &mut rng, nm, share);
+    (fits, rng.gen())
+}
+
+/// A seed that differs from run to run, printed so a failure reproduces.
+fn fresh_seed() -> u64 {
+    let seed = SystemTime::now().duration_since(UNIX_EPOCH).expect("after 1970").as_nanos() as u64;
+    eprintln!("fresh seed {seed}");
+    seed
+}
+
+/// The fused init is the same bits whoever runs its offered half: the
+/// fitting thread (declined), the hook the moment it is offered, or a
+/// thread running beside the fitting thread's own half. Fresh CIFAR and
+/// Lunar Lander prefixes of 6–30 epochs, under both kernel backends — which
+/// agree with each other too — and the RNG left where the init left it.
+#[test]
+fn the_offered_half_is_the_same_bits_on_any_thread() {
+    let seed = fresh_seed();
+    let mut nm = NmScratch::default();
+    let mut lengths = StdRng::seed_from_u64(seed);
+    for c in 0..16u64 {
+        let len = lengths.gen_range(6..=30);
+        let obs = if c % 2 == 0 {
+            prefix(&CifarWorkload::new(), seed ^ c, len)
+        } else {
+            prefix(&LunarWorkload::new(), seed ^ c, len)
+        };
+        let case = format!("seed {seed}, curve {c}, {len} epochs");
+        let mut by_backend = Vec::new();
+        for backend in [Backend::Scalar, Backend::Simd] {
+            let curve = Fused::new(&obs, 120.0, backend);
+            let rng_seed = seed.wrapping_add(c);
+            let declined = init(&curve, rng_seed, &mut nm, &mut Decline);
+            let inline = init(&curve, rng_seed, &mut nm, &mut Inline(&curve, InitHalf::default()));
+            let concurrent = std::thread::scope(|scope| {
+                let mut share = Concurrent { scope, curve: &curve, helper: None };
+                init(&curve, rng_seed, &mut nm, &mut share)
+            });
+            for (other, what) in [(&inline, "inline"), (&concurrent, "concurrent")] {
+                assert_same_fits(&declined.0, &other.0, &format!("{what} vs declined, {case}"));
+                assert_eq!(declined.1, other.1, "{what}: the init drew differently, {case}");
+            }
+            by_backend.push(declined);
+        }
+        assert_same_fits(&by_backend[0].0, &by_backend[1].0, &format!("scalar vs SIMD, {case}"));
+    }
+}
+
+/// A curve of `len` epochs sampled from one configuration.
+fn learning_curve(workload: &dyn Workload, seed: u64, len: u32) -> LearningCurve {
+    let mut curve = LearningCurve::new(MetricKind::Accuracy);
+    for (x, y) in prefix(workload, seed, len) {
+        curve.push(x as u32, SimTime::from_secs(60.0 * x), y);
+    }
+    curve
+}
+
+/// Through the service, where the blocked `fit_batch` caller runs the
+/// halves its fits offer: every posterior is `sequential_fit`'s draw for
+/// draw at pool widths 1 and 4, and the caller did run some of them.
+#[test]
+fn fits_the_caller_helped_are_the_sequential_fits() {
+    let seed = fresh_seed();
+    let config = PredictorConfig::test();
+    let requests: Vec<FitRequest> = (0..8u64)
+        .map(|j| {
+            let workload: &dyn Workload =
+                if j % 2 == 0 { &CifarWorkload::new() } else { &LunarWorkload::new() };
+            let len = 6 + (seed.wrapping_add(j) % 25) as u32;
+            let curve = learning_curve(workload, seed ^ j, len);
+            FitRequest { job: JobId::new(j), curve, horizon: 120, query: None }
+        })
+        .collect();
+    let mut helped = 0;
+    for threads in [1, 4] {
+        let service = FitService::new(config, seed, threads);
+        // One batch of all the requests, then each alone: a lone fit's
+        // caller has nothing to do but help.
+        let mut outcomes = service.fit_batch(&requests[..4]);
+        for r in &requests[4..] {
+            outcomes.extend(service.fit_batch(std::slice::from_ref(r)));
+        }
+        for (r, o) in requests.iter().zip(&outcomes) {
+            let alone = sequential_fit(config, seed, r).expect("the reference fits");
+            assert_eq!(
+                o.result.as_ref().expect("the pooled fit succeeds").draws(),
+                alone.draws(),
+                "seed {seed}, job {:?}, {threads} threads",
+                r.job
+            );
+        }
+        let stats = service.stats();
+        assert_eq!(stats.halves_offered, 8, "every fit offers its half once");
+        assert!(stats.halves_helped <= stats.halves_offered);
+        assert_eq!(stats.halves_helped > 0, stats.help_nanos > 0);
+        helped += stats.halves_helped;
+    }
+    assert!(helped > 0, "the caller never ran an offered half (seed {seed})");
 }

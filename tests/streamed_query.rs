@@ -275,7 +275,11 @@ fn within_watchdog<T: Send + 'static>(work: impl FnOnce() -> T + Send + 'static)
 }
 
 /// ROADMAP 5(e): a fit that panics on a pool worker used to leave its
-/// `fit_batch` blocked forever and the pool one worker short.
+/// `fit_batch` blocked forever and the pool one worker short. The panic
+/// here comes after the init, whose offered half the blocked caller may
+/// have run: a panic on either side of that split is contained the same
+/// way (the caller's side: `service.rs`'s
+/// `a_panic_in_the_callers_half_is_that_keys_error_and_nothing_else`).
 #[test]
 fn a_fit_that_panics_on_a_worker_is_a_typed_error_and_the_pool_keeps_serving() {
     let (curve, target) = workload_curve(&CifarWorkload::new(), 2, 12);
@@ -291,7 +295,11 @@ fn a_fit_that_panics_on_a_worker_is_a_typed_error_and_the_pool_keeps_serving() {
 
     let service = FitService::with_pool(broken, 1, pool.clone(), None);
     let first = request(0);
-    let outcome = within_watchdog(move || service.fit_batch(&[first]).remove(0));
+    let (outcome, stats) = within_watchdog(move || {
+        let outcome = service.fit_batch(&[first]).remove(0);
+        (outcome, service.stats())
+    });
+    assert_eq!(stats.halves_offered, 1, "the init offered its half before the sampler panicked");
     match &outcome.result {
         Err(Error::CurveFit(why)) => {
             assert!(why.contains("fit panicked") && why.contains("at least 4 walkers"), "{why}")
@@ -311,6 +319,7 @@ fn a_fit_that_panics_on_a_worker_is_a_typed_error_and_the_pool_keeps_serving() {
         let racing = std::thread::spawn(move || a.fit_batch(&[ra]).remove(0));
         let served = b.fit_batch(std::slice::from_ref(&rb)).remove(0);
         check_outcome(healthy, 2, &rb, &served);
+        assert_eq!(b.stats().halves_offered, 1);
         (racing.join().expect("the broken study's thread returns"), served)
     });
     assert!(matches!(broken_out.result, Err(Error::CurveFit(_))));
