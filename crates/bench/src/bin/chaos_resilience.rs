@@ -19,8 +19,8 @@ use std::io::Write as _;
 use hyperdrive_bench::{par_map, print_table, quick_mode, results_dir, write_csv, PolicyKind};
 use hyperdrive_curve::PredictorConfig;
 use hyperdrive_framework::{
-    ExperimentResult, ExperimentSpec, ExperimentWorkload, FaultConfig, FaultEvent, FaultKind,
-    FaultPlan, JobEnd,
+    check_trace, ExperimentResult, ExperimentSpec, ExperimentWorkload, FaultConfig, FaultEvent,
+    FaultKind, FaultPlan, JobEnd,
 };
 use hyperdrive_sim::{run_sim, run_sim_with_recovery, Simulation};
 use hyperdrive_types::{MachineId, SimTime};
@@ -40,10 +40,19 @@ fn scale() -> Scale {
     }
 }
 
-/// Sanity checks the acceptance criteria on one faulted run. Runs that
-/// stop at the target (or `Tmax`) legitimately leave jobs unfinished, so
-/// the every-job-terminal check applies only to `ran_to_completion` runs.
-fn check_run(result: &ExperimentResult, ran_to_completion: bool, label: &str) {
+/// Checks one faulted run against `check_trace`'s laws. Runs that stop at
+/// the target (or `Tmax`) legitimately leave jobs unfinished, so the
+/// every-job-terminal check applies only to `ran_to_completion` runs.
+fn check_run(
+    result: &ExperimentResult,
+    ew: &ExperimentWorkload,
+    spec: &ExperimentSpec,
+    ran_to_completion: bool,
+    label: &str,
+) {
+    if let Err(violation) = check_trace(result, ew, spec) {
+        panic!("{label}: {violation}");
+    }
     if ran_to_completion {
         for o in &result.outcomes {
             assert!(
@@ -54,17 +63,6 @@ fn check_run(result: &ExperimentResult, ran_to_completion: bool, label: &str) {
             );
         }
     }
-    let surviving: u64 = result.outcomes.iter().map(|o| u64::from(o.epochs)).sum();
-    assert_eq!(
-        result.total_epochs,
-        surviving + result.faults.lost_epochs,
-        "{label}: epoch accounting broken"
-    );
-    assert_eq!(
-        result.faults.dead_machines_at_end,
-        result.faults.machine_crashes - result.faults.machine_recoveries,
-        "{label}: crash/recovery books don't balance"
-    );
 }
 
 fn main() {
@@ -116,7 +114,13 @@ fn main() {
             let spec = ExperimentSpec::new(s.machines).with_tmax(horizon).with_seed(noise_seed);
             let mut policy = kind.build(fidelity, noise_seed);
             let result = Simulation::with_faults(policy.as_mut(), &ew, spec, &plan).run();
-            check_run(&result, false, &format!("{} {} target", kind.label(), rate_label));
+            check_run(
+                &result,
+                &ew,
+                &spec,
+                false,
+                &format!("{} {} target", kind.label(), rate_label),
+            );
             if intensity == 0.0 {
                 let base = baseline(p, repeat);
                 assert_eq!(
@@ -137,7 +141,13 @@ fn main() {
                 .with_stop_on_target(false);
             let mut policy = kind.build(fidelity, noise_seed);
             let full = Simulation::with_faults(policy.as_mut(), &ew, spec, &plan).run();
-            check_run(&full, true, &format!("{} {} completion", kind.label(), rate_label));
+            check_run(
+                &full,
+                &ew,
+                &spec,
+                true,
+                &format!("{} {} completion", kind.label(), rate_label),
+            );
             (result.time_to_target, full)
         });
 
@@ -285,17 +295,8 @@ fn main() {
         let recovered =
             run_sim_with_recovery(|| kind.build(fidelity, noise_seed), &ew, spec, &plan)
                 .expect("recovery replays cleanly");
-        let csv = |r: &ExperimentResult| {
-            let mut buf = Vec::new();
-            r.events.write_csv(&mut buf).expect("writing to a Vec cannot fail");
-            buf
-        };
-        let identical = csv(&baseline) == csv(&recovered)
-            && baseline.end_time == recovered.end_time
-            && baseline.total_epochs == recovered.total_epochs
-            && baseline.faults == recovered.faults;
         assert!(
-            identical,
+            baseline.signature() == recovered.signature(),
             "{}: EngineCrash recovery diverged from the uninterrupted run",
             kind.label()
         );

@@ -77,47 +77,6 @@ mod integration {
         assert!(!pop.timeline().is_empty(), "instrumentation recorded");
     }
 
-    /// Runs one experiment under POP with an explicit fit-pool width and
-    /// returns everything observable: scalar results plus the full event
-    /// log serialized to CSV bytes.
-    fn run_with_threads(threads: usize) -> (String, u64, usize, Vec<u8>) {
-        let w = CifarWorkload::new().with_max_epochs(40);
-        let ew = ExperimentWorkload::from_workload(&w, 10, 3);
-        let spec = ExperimentSpec::new(2)
-            .with_stop_on_target(false)
-            .with_tmax(hyperdrive_types::SimTime::from_hours(48.0));
-        let mut pop = PopPolicy::with_config(PopConfig {
-            predictor: PredictorConfig::test(),
-            fit_threads: threads,
-            ..Default::default()
-        });
-        let r = run_sim(&mut pop, &ew, spec);
-        assert!(pop.predictions_made() > 0, "POP fitted curves");
-        let mut csv = Vec::new();
-        r.events.write_csv(&mut csv).expect("event log serializes");
-        (format!("{}", r.end_time), r.total_epochs, r.terminated_early(), csv)
-    }
-
-    #[test]
-    fn parallel_fitting_is_byte_identical_across_thread_counts() {
-        // §5.2 parallel prediction, the determinism contract: per-config
-        // seed derivation makes the posterior draws a pure function of
-        // (experiment seed, config, epoch), so the entire scheduling
-        // trace — not just aggregate outcomes — must be byte-identical
-        // whether the fit pool has 1 or 4 workers.
-        let single = run_with_threads(1);
-        let quad = run_with_threads(4);
-        assert_eq!(single, quad, "fit-pool width leaked into scheduling decisions");
-    }
-
-    #[test]
-    fn repeated_runs_are_deterministic() {
-        // Same pool width, fresh policy/service each run: every source of
-        // nondeterminism (hash-map iteration, thread completion order,
-        // cache state) must be invisible in the trace.
-        assert_eq!(run_with_threads(2), run_with_threads(2));
-    }
-
     #[test]
     fn pop_reaches_target_within_budget() {
         let w = CifarWorkload::new().with_max_epochs(120);

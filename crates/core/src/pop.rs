@@ -18,10 +18,11 @@
 //!    round-robin sharing of the opportunistic pool.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 use hyperdrive_curve::{FitRequest, FitService, PredictorConfig};
 use hyperdrive_framework::{
-    JobDecision, JobEvent, PrefetchHint, SchedulerContext, SchedulingPolicy,
+    ExperimentResult, JobDecision, JobEvent, PrefetchHint, SchedulerContext, SchedulingPolicy,
 };
 use hyperdrive_types::{JobId, LearningCurve, SimTime};
 
@@ -293,6 +294,40 @@ impl PopPolicy {
     /// The allocation decisions recorded so far (Fig. 4 instrumentation).
     pub fn timeline(&self) -> &[AllocationSnapshot] {
         &self.timeline
+    }
+
+    /// Renders the canonical decision trace of a run this policy scheduled:
+    /// the event log as CSV, one `decision,…` line per [`timeline`]
+    /// snapshot, and a final `end,…` line. These are the bytes the golden
+    /// traces and the server's byte-identity contract compare.
+    ///
+    /// [`timeline`]: PopPolicy::timeline
+    pub fn render_trace(&self, result: &ExperimentResult) -> String {
+        let mut out = result.signature().csv;
+        out.push_str("decision,now_s,active,promising,running,promising_running,p_star,slots\n");
+        for s in &self.timeline {
+            writeln!(
+                out,
+                "decision,{:.3},{},{},{},{},{:.6},{}",
+                s.now.as_secs(),
+                s.active_jobs,
+                s.promising_jobs,
+                s.running_jobs,
+                s.promising_running,
+                s.p_threshold,
+                s.promising_slots,
+            )
+            .expect("string write");
+        }
+        writeln!(
+            out,
+            "end,{:.3},total_epochs={},terminated_early={}",
+            result.end_time.as_secs(),
+            result.total_epochs,
+            result.terminated_early(),
+        )
+        .expect("string write");
+        out
     }
 
     /// Number of curve-model predictions produced (diagnostic; §5.2

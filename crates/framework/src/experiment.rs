@@ -330,6 +330,18 @@ impl ExperimentResult {
     pub fn failed_jobs(&self) -> usize {
         self.outcomes.iter().filter(|o| o.end == JobEnd::Failed).count()
     }
+
+    /// Everything that must match for two runs to count as the same run.
+    pub fn signature(&self) -> RunSignature {
+        let mut csv = Vec::new();
+        self.events.write_csv(&mut csv).expect("writing to a Vec cannot fail");
+        RunSignature {
+            csv: String::from_utf8(csv).expect("the event log is utf-8"),
+            end_time: self.end_time,
+            total_epochs: self.total_epochs,
+            faults: self.faults,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -432,4 +444,20 @@ mod tests {
         assert_eq!(result.job_durations_mins(), vec![10.0]);
         assert_eq!(result.terminated_early(), 1);
     }
+}
+
+/// What makes two runs the same run ([`ExperimentResult::signature`]): the
+/// event log as CSV, the end time, the epochs executed and the fault
+/// counters. Journaling, resuming, fit threads, fit caching and fit
+/// prefetch must all leave it unmoved.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunSignature {
+    /// The event log, as [`EventLog::write_csv`] writes it.
+    pub csv: String,
+    /// The run's end time.
+    pub end_time: SimTime,
+    /// Epochs executed, re-runs included.
+    pub total_epochs: u64,
+    /// The fault counters.
+    pub faults: crate::fault::FaultStats,
 }

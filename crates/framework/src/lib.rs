@@ -19,6 +19,7 @@
 //!   `Tmax`) and results.
 //! * [`engine`] — the executor-independent experiment engine that turns
 //!   policy decisions into abstract commands.
+//! * [`validation`] — [`check_trace`], the laws every finished run obeys.
 //! * [`driver`] — the one event loop, `next input → deliver → route
 //!   commands`, generic over where inputs come from.
 //! * [`live`] — the live executor: node-agent threads exchanging messages
@@ -62,6 +63,7 @@ pub mod live;
 pub mod policy;
 pub mod resource;
 pub mod snapshot;
+pub mod validation;
 
 pub use appstat::{AppStatDb, SuspendEvent};
 pub use driver::{Driver, InputSource};
@@ -69,7 +71,7 @@ pub use engine::{Command, EngineEvent, EngineInput, ExperimentEngine};
 pub use events::{EventLog, GanttSegment, SchedulerEvent};
 pub use experiment::{
     ExperimentJob, ExperimentResult, ExperimentSpec, ExperimentWorkload, JobEnd, JobOutcome,
-    TargetMilestone,
+    RunSignature, TargetMilestone,
 };
 pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultPlan, FaultStats, RetryPolicy};
 pub use generator::{AdaptiveGenerator, GridGenerator, HyperparameterGenerator, RandomGenerator};
@@ -82,3 +84,4 @@ pub use policy::{
 };
 pub use resource::ResourceManager;
 pub use snapshot::JobSnapshot;
+pub use validation::{check_trace, TraceViolation};

@@ -508,13 +508,7 @@ mod tests {
             "interrupted work re-ran to completion: {:?}",
             result.outcomes.iter().map(|o| o.end).collect::<Vec<_>>()
         );
-        let surviving: u64 = result.outcomes.iter().map(|o| u64::from(o.epochs)).sum();
-        assert_eq!(surviving, 4 * 2, "every job still trained every epoch");
-        assert_eq!(
-            result.total_epochs,
-            surviving + result.faults.lost_epochs,
-            "lost-epoch accounting holds"
-        );
+        // Epoch accounting is `check_trace`'s, inside `into_result`.
     }
 
     #[test]

@@ -295,7 +295,8 @@ impl SchedulingPolicy for DefaultPolicy {
 
 pub mod testing {
     //! A scripted [`SchedulerContext`] for unit-testing policies without an
-    //! executor. Used by the policy crates' test suites.
+    //! executor, used by the policy crates' test suites, and
+    //! [`ChaosPolicy`], which fuzzes the engine.
 
     use std::collections::HashMap;
 
@@ -428,6 +429,41 @@ pub mod testing {
         }
         fn request_stop(&mut self) {
             self.stop_requested = true;
+        }
+    }
+
+    /// Pseudo-random continue / suspend / terminate decisions at every
+    /// epoch: a fuzzer for the engine's state machine.
+    #[derive(Debug)]
+    pub struct ChaosPolicy(u64);
+
+    impl ChaosPolicy {
+        /// A chaos policy whose decisions are drawn from `seed`.
+        pub fn new(seed: u64) -> Self {
+            ChaosPolicy(seed.wrapping_mul(2_654_435_761).max(1))
+        }
+    }
+
+    impl SchedulingPolicy for ChaosPolicy {
+        fn name(&self) -> &str {
+            "chaos"
+        }
+
+        fn on_iteration_finish(
+            &mut self,
+            _: &JobEvent,
+            _: &mut dyn SchedulerContext,
+        ) -> JobDecision {
+            // xorshift64*
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0 = self.0.wrapping_mul(0x2545_F491_4F6C_DD1D);
+            match self.0 % 10 {
+                0..=6 => JobDecision::Continue,
+                7 | 8 => JobDecision::Suspend,
+                _ => JobDecision::Terminate,
+            }
         }
     }
 }

@@ -31,13 +31,11 @@
 #![warn(rust_2018_idioms)]
 
 mod bandit;
-mod barrier;
 mod early_term;
 mod global_criterion;
 mod hyperband;
 
 pub use bandit::{BanditConfig, BanditPolicy};
-pub use barrier::BarrierPolicy;
 pub use early_term::{EarlyTermConfig, EarlyTermPolicy};
 pub use global_criterion::{Criterion, CriterionView, GlobalCriterionPolicy};
 pub use hyperband::{HyperbandConfig, HyperbandPolicy};

@@ -8,7 +8,6 @@
 //! whether it runs alone in its own process or multiplexed across a
 //! shard pool with thousands of neighbours.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -93,41 +92,6 @@ pub struct StudyOutcome {
     pub run_duration: Duration,
 }
 
-/// Renders the canonical decision trace for one finished study.
-///
-/// This is byte-for-byte the rendering the repository's golden-trace
-/// tests lock in: the full event log as CSV, one `decision,…` line per
-/// allocation snapshot, and a final `end,…` line.
-fn render_trace(pop: &PopPolicy, result: &hyperdrive_framework::ExperimentResult) -> String {
-    let mut csv = Vec::new();
-    result.events.write_csv(&mut csv).expect("event log serializes");
-    let mut out = String::from_utf8(csv).expect("csv is utf-8");
-    out.push_str("decision,now_s,active,promising,running,promising_running,p_star,slots\n");
-    for s in pop.timeline() {
-        writeln!(
-            out,
-            "decision,{:.3},{},{},{},{},{:.6},{}",
-            s.now.as_secs(),
-            s.active_jobs,
-            s.promising_jobs,
-            s.running_jobs,
-            s.promising_running,
-            s.p_threshold,
-            s.promising_slots,
-        )
-        .expect("string write");
-    }
-    writeln!(
-        out,
-        "end,{:.3},total_epochs={},terminated_early={}",
-        result.end_time.as_secs(),
-        result.total_epochs,
-        result.terminated_early(),
-    )
-    .expect("string write");
-    out
-}
-
 /// Runs one study to completion on the calling thread.
 ///
 /// With a pool the policy's fits multiplex through the shared workers
@@ -154,7 +118,7 @@ pub fn run_study(
     StudyOutcome {
         id,
         tenant: spec.tenant.clone(),
-        trace: render_trace(&pop, &result),
+        trace: pop.render_trace(&result),
         posterior_digest: pop.posterior_digest(),
         predictions: pop.predictions_made(),
         shared_cache: pop.shared_cache_snapshot(),

@@ -93,36 +93,23 @@ fn take_due(pending: &mut Pending, machine: MachineId, due: SimTime) -> Option<S
 mod tests {
     use crate::{run_sim, Simulation};
     use hyperdrive_framework::{
-        DefaultPolicy, ExperimentResult, ExperimentSpec, ExperimentWorkload, FaultConfig,
-        FaultPlan, JobEnd, RetryPolicy,
+        check_trace, DefaultPolicy, ExperimentResult, ExperimentSpec, ExperimentWorkload,
+        FaultConfig, FaultPlan, JobEnd, RetryPolicy,
     };
     use hyperdrive_types::SimTime;
     use hyperdrive_workload::CifarWorkload;
-    use proptest::prelude::*;
 
     fn experiment(n: usize, epochs: u32, seed: u64) -> ExperimentWorkload {
         let w = CifarWorkload::new().with_max_epochs(epochs);
         ExperimentWorkload::from_workload(&w, n, seed)
     }
 
-    fn event_csv(result: &ExperimentResult) -> Vec<u8> {
-        let mut buf = Vec::new();
-        result.events.write_csv(&mut buf).unwrap();
-        buf
-    }
-
-    /// `total_epochs` counts every executed epoch; completed epochs either
-    /// survive in a job's final count or were rolled back and re-run.
-    fn assert_epoch_accounting(result: &ExperimentResult) {
-        let surviving: u64 = result.outcomes.iter().map(|o| u64::from(o.epochs)).sum();
-        assert_eq!(
-            result.total_epochs,
-            surviving + result.faults.lost_epochs,
-            "epoch accounting: {} executed vs {} surviving + {} lost",
-            result.total_epochs,
-            surviving,
-            result.faults.lost_epochs
-        );
+    /// Holds a finished run to `check_trace`'s laws (epoch accounting,
+    /// crash/recovery books, failed jobs, ...).
+    fn assert_laws(result: &ExperimentResult, ew: &ExperimentWorkload, spec: &ExperimentSpec) {
+        if let Err(violation) = check_trace(result, ew, spec) {
+            panic!("{violation}");
+        }
     }
 
     #[test]
@@ -138,13 +125,7 @@ mod tests {
         let result = Simulation::with_faults(&mut policy, &ew, spec, &plan).run();
         assert!(result.faults.interruptions > 0, "faults actually struck");
         // The run may finish before the last scheduled recoveries fire;
-        // the books must still balance.
-        assert!(result.faults.machine_recoveries <= result.faults.machine_crashes);
-        assert_eq!(
-            result.faults.dead_machines_at_end,
-            result.faults.machine_crashes - result.faults.machine_recoveries,
-            "unrecovered crashes are exactly the machines dead at the end"
-        );
+        // the books must still balance (`check_trace`, below).
         assert!(
             result
                 .outcomes
@@ -153,25 +134,7 @@ mod tests {
             "no job left dangling: {:?}",
             result.outcomes.iter().map(|o| o.end).collect::<Vec<_>>()
         );
-        assert_epoch_accounting(&result);
-    }
-
-    #[test]
-    fn fault_runs_are_deterministic() {
-        let ew = experiment(6, 5, 9);
-        let spec = ExperimentSpec::new(2).with_stop_on_target(false).with_seed(9);
-        let plan = FaultPlan::generate(
-            2,
-            &FaultConfig::with_intensity(3, SimTime::from_hours(12.0), 15.0),
-        );
-        let mut p1 = DefaultPolicy::new();
-        let r1 = Simulation::with_faults(&mut p1, &ew, spec, &plan).run();
-        let mut p2 = DefaultPolicy::new();
-        let r2 = Simulation::with_faults(&mut p2, &ew, spec, &plan).run();
-        assert_eq!(r1.end_time, r2.end_time);
-        assert_eq!(r1.total_epochs, r2.total_epochs);
-        assert_eq!(r1.faults, r2.faults);
-        assert_eq!(event_csv(&r1), event_csv(&r2), "identical event logs");
+        assert_laws(&result, &ew, &spec);
     }
 
     #[test]
@@ -184,8 +147,7 @@ mod tests {
         let mut policy = DefaultPolicy::new();
         let result = Simulation::with_faults(&mut policy, &ew, spec, &plan).run();
         assert!(result.faults.failed_jobs > 0, "first interruption fails a job");
-        assert_eq!(result.faults.failed_jobs, result.failed_jobs() as u64);
-        assert_epoch_accounting(&result);
+        assert_laws(&result, &ew, &spec);
     }
 
     #[test]
@@ -207,7 +169,7 @@ mod tests {
         assert_eq!(faulty.faults.lost_epochs, 0, "delays lose nothing");
         assert_eq!(faulty.total_epochs, baseline.total_epochs);
         assert!(faulty.end_time >= baseline.end_time, "late reports can only lengthen the run");
-        assert_epoch_accounting(&faulty);
+        assert_laws(&faulty, &ew, &spec);
     }
 
     #[test]
@@ -225,32 +187,6 @@ mod tests {
         assert!(result.faults.interruptions > 0, "faults actually struck");
         assert_eq!(result.failed_jobs(), 0, "no retry budget to exhaust");
         assert!(result.outcomes.iter().all(|o| o.end == JobEnd::Completed));
-        assert_epoch_accounting(&result);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
-
-        // Determinism under arbitrary generated plans: same seed, same
-        // plan, same run — twice.
-        #[test]
-        fn seeded_fault_runs_replay_exactly(
-            seed in 0u64..500,
-            intensity in 0.0f64..25.0,
-        ) {
-            let ew = experiment(4, 4, seed);
-            let spec = ExperimentSpec::new(2).with_stop_on_target(false).with_seed(seed);
-            let plan = FaultPlan::generate(
-                2,
-                &FaultConfig::with_intensity(seed, SimTime::from_hours(8.0), intensity),
-            );
-            let mut p1 = DefaultPolicy::new();
-            let r1 = Simulation::with_faults(&mut p1, &ew, spec, &plan).run();
-            let mut p2 = DefaultPolicy::new();
-            let r2 = Simulation::with_faults(&mut p2, &ew, spec, &plan).run();
-            prop_assert_eq!(r1.end_time, r2.end_time);
-            prop_assert_eq!(r1.faults, r2.faults);
-            prop_assert_eq!(event_csv(&r1), event_csv(&r2));
-        }
+        assert_laws(&result, &ew, &spec);
     }
 }

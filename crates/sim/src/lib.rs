@@ -93,22 +93,6 @@ mod tests {
     }
 
     #[test]
-    fn simulation_is_deterministic() {
-        let ew = cifar_experiment(10, 6, 3);
-        let spec = ExperimentSpec::new(3).with_stop_on_target(false).with_seed(9);
-        let mut p1 = DefaultPolicy::new();
-        let r1 = run_sim(&mut p1, &ew, spec);
-        let mut p2 = DefaultPolicy::new();
-        let r2 = run_sim(&mut p2, &ew, spec);
-        assert_eq!(r1.end_time, r2.end_time);
-        assert_eq!(r1.total_epochs, r2.total_epochs);
-        for (a, b) in r1.outcomes.iter().zip(&r2.outcomes) {
-            assert_eq!(a.epochs, b.epochs);
-            assert_eq!(a.busy_time, b.busy_time);
-        }
-    }
-
-    #[test]
     fn stops_at_target() {
         let ew = cifar_experiment(6, 20, 1).with_target(0.05);
         let mut policy = DefaultPolicy::new();

@@ -11,10 +11,10 @@
 //! *every* journal position.
 
 use hyperdrive_framework::{
-    run_meta, ExperimentResult, ExperimentSpec, ExperimentWorkload, FaultKind, FaultPlan,
-    FaultStats, Journal, SchedulingPolicy,
+    run_meta, ExperimentResult, ExperimentSpec, ExperimentWorkload, FaultKind, FaultPlan, Journal,
+    SchedulingPolicy,
 };
-use hyperdrive_types::{Result, SimTime};
+use hyperdrive_types::Result;
 
 use crate::Simulation;
 
@@ -85,8 +85,8 @@ pub struct KillAnywhereReport {
 /// The everything-proof: runs the experiment once uninterrupted, then — for
 /// every journal position `k` — reruns it with a simulated process kill at
 /// `k`, recovers from the journal with a fresh policy, and compares the
-/// completed trace bytes (event CSV), end time, epoch count, and fault
-/// stats against the uninterrupted run.
+/// completed run's [`signature`](ExperimentResult::signature) against the
+/// uninterrupted run's.
 ///
 /// # Errors
 ///
@@ -112,7 +112,7 @@ where
     );
     while sim.step_input().is_some() {}
     let positions = sim.inputs_delivered();
-    let baseline = signature(&sim.finish());
+    let baseline = sim.finish().signature();
     drop(baseline_policy);
 
     let mut passes = 0;
@@ -126,7 +126,7 @@ where
         let mut fresh = make_policy();
         let resumed = Simulation::resume(fresh.as_mut(), workload, spec, plan, journal.reopen()?);
         match resumed.map(Simulation::run) {
-            Ok(result) if signature(&result) == baseline => passes += 1,
+            Ok(result) if result.signature() == baseline => passes += 1,
             Ok(_) => failures
                 .push(format!("position {k}: recovered trace differs from the uninterrupted run")),
             Err(e) => failures.push(format!("position {k}: recovery failed: {e}")),
@@ -135,21 +135,13 @@ where
     Ok(KillAnywhereReport { positions, passes, failures })
 }
 
-/// Everything that must match for two runs to count as identical.
-fn signature(result: &ExperimentResult) -> (Vec<u8>, SimTime, u64, FaultStats) {
-    let mut csv = Vec::new();
-    result.events.write_csv(&mut csv).expect("writing to a Vec cannot fail");
-    (csv, result.end_time, result.total_epochs, result.faults)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     use hyperdrive_framework::{DefaultPolicy, FaultConfig, FaultEvent};
-    use hyperdrive_types::{Error, MachineId};
+    use hyperdrive_types::{Error, MachineId, SimTime};
     use hyperdrive_workload::CifarWorkload;
-    use proptest::prelude::*;
 
     fn experiment(n: usize, epochs: u32, seed: u64) -> ExperimentWorkload {
         let w = CifarWorkload::new().with_max_epochs(epochs);
@@ -196,7 +188,7 @@ mod tests {
         let mut p_baseline = DefaultPolicy::new();
         let baseline = Simulation::with_faults(&mut p_baseline, &ew, spec, &plan).run();
         let recovered = run_sim_with_recovery(default_policy, &ew, spec, &plan).unwrap();
-        assert_eq!(signature(&baseline), signature(&recovered));
+        assert_eq!(baseline.signature(), recovered.signature());
     }
 
     #[test]
@@ -220,41 +212,5 @@ mod tests {
             matches!(err, Error::JournalDiverged { .. }),
             "expected JournalDiverged, got {err:?}"
         );
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
-
-        // Crash at a random position under a random fault plan: recovery
-        // is byte-identical to the uninterrupted run.
-        #[test]
-        fn random_crash_positions_recover_byte_identically(
-            seed in 0u64..200,
-            intensity in 0.0f64..15.0,
-            frac in 0.0f64..1.0,
-        ) {
-            let ew = experiment(4, 3, seed);
-            let spec = ExperimentSpec::new(2).with_stop_on_target(false).with_seed(seed);
-            let plan = fault_plan(seed ^ 0xC4A5, intensity);
-            let mut p0 = DefaultPolicy::new();
-            let meta = run_meta(p0.name(), &ew, &spec, &plan);
-            let mut uninterrupted =
-                Simulation::with_journal(&mut p0, &ew, spec, &plan, Journal::in_memory(meta));
-            while uninterrupted.step_input().is_some() {}
-            let inputs = uninterrupted.inputs_delivered();
-            let baseline = uninterrupted.finish();
-            let k = 1 + (frac * (inputs.saturating_sub(1)) as f64) as u64;
-            let journal = Journal::in_memory(meta);
-            let mut p1 = DefaultPolicy::new();
-            let mut victim = Simulation::with_journal(&mut p1, &ew, spec, &plan, journal.clone());
-            victim.run_to_input(k);
-            prop_assert_eq!(victim.inputs_delivered(), k);
-            drop(victim);
-            let mut fresh = DefaultPolicy::new();
-            let result = Simulation::resume(&mut fresh, &ew, spec, &plan, journal.reopen().unwrap())
-                .unwrap()
-                .run();
-            prop_assert_eq!(signature(&baseline), signature(&result));
-        }
     }
 }

@@ -1,63 +1,27 @@
 //! EarlyTerm on the one fit path: its boundary fit is one `FitService`
-//! request, so a shared-cache replay refits nothing and moves nothing, its
-//! seed is the service's `derive_fit_seed`, and a boundary asked twice
-//! with different curves fits twice.
+//! request, so a shared-cache replay refits nothing and moves nothing (the
+//! harness's EarlyTerm cache cell, `tests/harness`), its seed is the
+//! service's `derive_fit_seed`, and a boundary asked twice with different
+//! curves fits twice.
 
 use hyperdrive::curve::{
     derive_fit_seed, sequential_fit, CurvePredictor, ExceedanceQuery, FitRequest, FitService,
     PredictorConfig, SharedFitCache,
 };
 use hyperdrive::framework::testing::MockContext;
-use hyperdrive::framework::{
-    ExperimentSpec, ExperimentWorkload, JobDecision, JobEvent, SchedulerContext, SchedulingPolicy,
-};
+use hyperdrive::framework::{JobDecision, JobEvent, SchedulerContext, SchedulingPolicy};
 use hyperdrive::policies::{EarlyTermConfig, EarlyTermPolicy};
-use hyperdrive::sim::run_sim;
-use hyperdrive::workload::{CifarWorkload, LunarWorkload, Workload};
 use hyperdrive::{JobId, SimTime};
+
+#[macro_use]
+mod harness;
 
 fn config(seed: u64) -> EarlyTermConfig {
     EarlyTermConfig { predictor: PredictorConfig::test(), seed, ..Default::default() }
 }
 
-/// One EarlyTerm run against `cache`: its event log and its fit counters.
-fn run(
-    workload: &dyn Workload,
-    configs: usize,
-    seed: u64,
-    machines: usize,
-    tmax: SimTime,
-    cache: &std::sync::Arc<SharedFitCache>,
-) -> (Vec<u8>, u64, u64) {
-    let ew = ExperimentWorkload::from_workload(workload, configs, seed);
-    let spec = ExperimentSpec::new(machines).with_stop_on_target(false).with_tmax(tmax);
-    let mut policy = EarlyTermPolicy::with_config_and_cache(config(seed), Some(cache.clone()));
-    let result = run_sim(&mut policy, &ew, spec);
-    let mut csv = Vec::new();
-    result.events.write_csv(&mut csv).expect("writing to a Vec cannot fail");
-    let snap = policy.fit_cache_snapshot().expect("EarlyTerm reports its fits");
-    assert_eq!(policy.predictions_made(), snap.fits + snap.shared_hits);
-    (csv, snap.fits, snap.shared_hits)
-}
-
-#[test]
-fn a_warmed_cache_replays_earlyterm_runs_without_refitting() {
-    let cifar = CifarWorkload::new().with_max_epochs(60);
-    let lunar = LunarWorkload::new().with_max_blocks(60);
-    let cases: [(&str, &dyn Workload, usize, u64, usize, SimTime); 2] = [
-        ("cifar", &cifar, 12, 7, 4, SimTime::from_hours(48.0)),
-        ("lunar", &lunar, 10, 11, 3, SimTime::from_hours(200.0)),
-    ];
-    for (name, workload, configs, seed, machines, tmax) in cases {
-        let cache = SharedFitCache::in_memory();
-        let (cold, cold_fits, cold_hits) = run(workload, configs, seed, machines, tmax, &cache);
-        assert!(cold_fits > 0, "{name}: the cold run never reached a boundary fit");
-        assert_eq!(cold_hits, 0, "{name}: a fresh cache cannot answer");
-        let (replay, fits, hits) = run(workload, configs, seed, machines, tmax, &cache);
-        assert_eq!(replay, cold, "{name}: the warmed replay moved the event log");
-        assert_eq!(fits, 0, "{name}: the warmed replay refitted");
-        assert_eq!(fits + hits, cold_fits + cold_hits, "{name}: predictions consumed differ");
-    }
+cells! {
+    a_warmed_cache_replays_earlyterm_runs_without_refitting: EarlyTerm, Cache;
 }
 
 fn event(job: u64, epoch: u32, value: f64) -> JobEvent {

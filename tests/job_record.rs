@@ -79,12 +79,6 @@ impl<'w, 'p> OneMachine<'w, 'p> {
     }
 }
 
-fn event_csv(result: &ExperimentResult) -> Vec<u8> {
-    let mut csv = Vec::new();
-    result.events.write_csv(&mut csv).unwrap();
-    csv
-}
-
 #[test]
 fn busy_time_is_the_durations_summed_in_epoch_order() {
     let epochs = 9;
@@ -164,10 +158,8 @@ fn stale_reports_are_dropped_with_the_state_untouched() {
     // Same tokens, same durations, same order: nothing a dropped report
     // touched fed into a later command.
     assert_eq!(salted_batches, clean_batches);
-    assert_eq!(salted.total_epochs, clean.total_epochs);
+    assert_eq!(salted.signature(), clean.signature());
     assert_eq!(salted.total_epochs, 2 * 4, "the crashed epoch never completed, so none re-ran");
-    assert_eq!(event_csv(&salted), event_csv(&clean));
-    assert_eq!(salted.faults, clean.faults);
     assert_eq!(salted.faults.interruptions, 1);
     for (s, c) in salted.outcomes.iter().zip(&clean.outcomes) {
         assert_eq!(s.end, JobEnd::Completed);
@@ -243,7 +235,6 @@ fn busy_time_survives_suspend_resume_interrupt_and_retry() {
     assert_eq!(resumes, 2, "resumed after the suspend and again after the stall");
     assert_eq!(result.outcomes[0].end, JobEnd::Completed);
     assert_eq!(result.outcomes[0].epochs, epochs);
-    assert_eq!(result.total_epochs, u64::from(epochs) + result.faults.lost_epochs);
 
     // Busy time is every duration and latency the job was charged — the
     // resume latencies and the retry backoff ride inside the durations —

@@ -6,8 +6,8 @@ use std::path::{Path, PathBuf};
 
 use hyperdrive::framework::journal::JOURNAL_FORMAT;
 use hyperdrive::framework::{
-    run_meta, DefaultPolicy, ExperimentResult, ExperimentSpec, ExperimentWorkload, FaultConfig,
-    FaultPlan, FaultStats, Journal, RecoveredJournal, SchedulingPolicy,
+    run_meta, DefaultPolicy, ExperimentSpec, ExperimentWorkload, FaultConfig, FaultPlan, Journal,
+    RecoveredJournal, SchedulingPolicy,
 };
 use hyperdrive::sim::Simulation;
 use hyperdrive::workload::CifarWorkload;
@@ -20,12 +20,6 @@ const K_EVENT: u8 = 2;
 
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hyperdrive-{name}-{}.wal", std::process::id()))
-}
-
-fn signature(result: &ExperimentResult) -> (Vec<u8>, SimTime, FaultStats) {
-    let mut csv = Vec::new();
-    result.events.write_csv(&mut csv).unwrap();
-    (csv, result.end_time, result.faults)
 }
 
 fn small_run() -> (ExperimentWorkload, ExperimentSpec, FaultPlan) {
@@ -45,8 +39,8 @@ fn a_journal_file_cut_at_any_byte_resumes_to_the_uninterrupted_run() {
     let mut policy = DefaultPolicy::new();
     let journal = Journal::create(&path, meta).unwrap();
     let baseline =
-        signature(&Simulation::with_journal(&mut policy, &ew, spec, &plan, journal).run());
-    assert!(baseline.2.interruptions > 0, "the plan's faults struck");
+        Simulation::with_journal(&mut policy, &ew, spec, &plan, journal).run().signature();
+    assert!(baseline.faults.interruptions > 0, "the plan's faults struck");
     let full = std::fs::read(&path).unwrap();
     for len in 0..=full.len() {
         std::fs::write(&path, &full[..len]).unwrap();
@@ -56,7 +50,7 @@ fn a_journal_file_cut_at_any_byte_resumes_to_the_uninterrupted_run() {
         let resumed = Simulation::resume(&mut fresh, &ew, spec, &plan, recovered)
             .unwrap_or_else(|e| panic!("cut at byte {len}: {e}"))
             .run();
-        assert!(signature(&resumed) == baseline, "cut at byte {len} of {}", full.len());
+        assert!(resumed.signature() == baseline, "cut at byte {len} of {}", full.len());
     }
     let _ = std::fs::remove_file(&path);
 }

@@ -1,8 +1,9 @@
 //! Kill-anywhere on the live executor: a journaled [`LiveRun`] killed at
 //! any input, or drained by its shutdown flag, resumes from its journal to
 //! a valid result. Live runs are nondeterministic, so the check is
-//! validity — every job completed, epochs accounted for, the killed run's
-//! history kept — not byte identity with an uninterrupted run.
+//! validity — every job completed, the killed run's history kept, and
+//! `check_trace`'s laws (which `into_result` runs in debug builds) — not
+//! byte identity with an uninterrupted run.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -42,16 +43,14 @@ fn resume<'a>(
     LiveRun::resume(fresh, ew, spec(), SCALE, &LiveFaultPlan::default(), recovered)
 }
 
-/// Every job ran all its epochs, and every executed epoch either survives
-/// in a job's count or was lost to a rollback.
+/// Every job ran all its epochs (the rest of a valid result is
+/// `check_trace`'s, which `into_result` runs in every debug build).
 fn assert_complete(result: &ExperimentResult, epochs: u32) {
     assert!(
         result.outcomes.iter().all(|o| o.end == JobEnd::Completed && o.epochs == epochs),
         "{:?}",
         result.outcomes.iter().map(|o| (o.end, o.epochs)).collect::<Vec<_>>()
     );
-    let surviving: u64 = result.outcomes.iter().map(|o| u64::from(o.epochs)).sum();
-    assert_eq!(result.total_epochs, surviving + result.faults.lost_epochs);
 }
 
 #[test]

@@ -1,121 +1,27 @@
-//! The one simulation loop under faults, at the tier-1 level: stepping a
-//! fault-built, journaled [`Simulation`] input by input is the one-call
-//! unjournaled run, fault inputs are visible as steps, lost work is
-//! accounted for, and a kill at any journal position recovers
-//! byte-identically — under faults with `DefaultPolicy`, and with POP on a
-//! shared fit cache.
+//! The one simulation loop, at the tier-1 level: a scripted input source
+//! drives the framework's `Driver` through a journaled prefix with a
+//! stall and a stale report, and the prefix resumes on the one loop.
+//! Three cells of the differential harness (`tests/harness`) keep their
+//! names here: stepping a journaled simulation is the one-call run, and a
+//! kill at seed-drawn journal positions recovers byte-identically — under
+//! faults with `DefaultPolicy`, and with POP on a shared fit cache.
 
 use std::collections::VecDeque;
 
-use hyperdrive::curve::{PredictorConfig, SharedFitCache};
 use hyperdrive::framework::{
     run_meta, Command, DefaultPolicy, Driver, EngineEvent, EngineInput, ExperimentEngine,
-    ExperimentResult, ExperimentSpec, ExperimentWorkload, FaultConfig, FaultPlan, FaultStats,
-    InputSource, JobEnd, Journal, SchedulingPolicy,
+    ExperimentSpec, ExperimentWorkload, FaultPlan, InputSource, JobEnd, Journal, SchedulingPolicy,
 };
-use hyperdrive::pop::{PopConfig, PopPolicy};
-use hyperdrive::sim::{kill_at_every_event, Simulation};
 use hyperdrive::workload::CifarWorkload;
 use hyperdrive::{Error, SimTime};
 
-fn experiment(n: usize, epochs: u32, seed: u64) -> ExperimentWorkload {
-    let w = CifarWorkload::new().with_max_epochs(epochs);
-    ExperimentWorkload::from_workload(&w, n, seed)
-}
+#[macro_use]
+mod harness;
 
-fn fault_plan(machines: usize, seed: u64, intensity: f64) -> FaultPlan {
-    let config = FaultConfig::with_intensity(seed, SimTime::from_hours(12.0), intensity);
-    let plan = FaultPlan::generate(machines, &config);
-    assert!(!plan.is_empty(), "intensity {intensity} must inject faults");
-    plan
-}
-
-fn signature(result: &ExperimentResult) -> (Vec<u8>, SimTime, FaultStats) {
-    let mut csv = Vec::new();
-    result.events.write_csv(&mut csv).unwrap();
-    (csv, result.end_time, result.faults)
-}
-
-#[test]
-fn stepping_a_faulty_simulation_is_the_one_call_run() {
-    let ew = experiment(8, 6, 5);
-    let spec = ExperimentSpec::new(3).with_stop_on_target(false).with_seed(5);
-    let plan = fault_plan(3, 17, 20.0);
-
-    let mut p1 = DefaultPolicy::new();
-    let direct = Simulation::with_faults(&mut p1, &ew, spec, &plan).run();
-
-    // Stepped *and* journaled: neither may show in the trace.
-    let mut p2 = DefaultPolicy::new();
-    let journal = Journal::in_memory(run_meta(p2.name(), &ew, &spec, &plan));
-    let mut sim = Simulation::with_journal(&mut p2, &ew, spec, &plan, journal.clone());
-    let (mut completions, mut fault_inputs) = (0u64, 0u64);
-    let mut last = SimTime::ZERO;
-    while let Some((time, input)) = sim.step_input() {
-        assert!(time >= last, "time went backwards");
-        assert_eq!(sim.now(), time);
-        last = time;
-        match input {
-            EngineInput::Start => panic!("Start is delivered by the constructor"),
-            EngineInput::Event(_) => completions += 1,
-            EngineInput::MachineCrash(_)
-            | EngineInput::MachineRecovery(_)
-            | EngineInput::AgentStall(_) => fault_inputs += 1,
-        }
-    }
-    assert_eq!(sim.inputs_delivered(), 1 + completions + fault_inputs);
-    let stepped = sim.finish();
-    assert!(journal.is_sealed(), "finish seals the journal");
-    assert_eq!(journal.inputs_appended(), 1 + completions + fault_inputs, "one record per input");
-
-    assert_eq!(signature(&direct), signature(&stepped));
-    let faults = stepped.faults;
-    assert!(faults.interruptions > 0, "faults actually struck");
-    assert!(fault_inputs > 0, "fault inputs surface as steps");
-    assert!(
-        fault_inputs >= faults.machine_crashes + faults.machine_recoveries + faults.agent_stalls,
-        "every fault the engine acted on surfaced as a step: {fault_inputs} steps vs {faults:?}"
-    );
-    assert!(completions >= stepped.total_epochs, "every executed epoch was a completion step");
-    // Every executed epoch either survives in its job's final count or
-    // was rolled back by a fault and re-run.
-    let surviving: u64 = stepped.outcomes.iter().map(|o| u64::from(o.epochs)).sum();
-    assert_eq!(stepped.total_epochs, surviving + faults.lost_epochs);
-}
-
-#[test]
-fn kill_at_every_event_under_faults_with_default_policy() {
-    let ew = experiment(4, 3, 7);
-    let spec = ExperimentSpec::new(2).with_stop_on_target(false).with_seed(7);
-    let plan = fault_plan(2, 11, 12.0);
-    let make = || -> Box<dyn SchedulingPolicy> { Box::new(DefaultPolicy::new()) };
-    let report = kill_at_every_event(make, &ew, spec, &plan).unwrap();
-    assert!(report.positions > 0);
-    assert_eq!(report.failures, Vec::<String>::new());
-    assert_eq!(report.passes, report.positions);
-}
-
-#[test]
-fn kill_at_every_event_with_pop_policy_and_shared_cache() {
-    // POP on two fit threads with a shared fit cache: the most stateful
-    // policy configuration there is. A fresh policy per recovery plus
-    // replay must still land byte-identical.
-    let ew = experiment(4, 4, 13);
-    let spec = ExperimentSpec::new(2).with_stop_on_target(false).with_seed(13);
-    let plan = FaultPlan::none();
-    let cache = SharedFitCache::in_memory();
-    let make = move || -> Box<dyn SchedulingPolicy> {
-        let config = PopConfig {
-            predictor: PredictorConfig::test(),
-            fit_threads: 2,
-            ..PopConfig::default()
-        };
-        Box::new(PopPolicy::with_config_and_cache(config, Some(cache.clone())))
-    };
-    let report = kill_at_every_event(make, &ew, spec, &plan).unwrap();
-    assert!(report.positions > 0);
-    assert_eq!(report.failures, Vec::<String>::new());
-    assert_eq!(report.passes, report.positions);
+cells! {
+    stepping_a_faulty_simulation_is_the_one_call_run: Default, Journaled;
+    kill_at_every_event_under_faults_with_default_policy: Default, Killed { prefetch: false };
+    kill_at_every_event_with_pop_policy_and_shared_cache: Pop, Killed { prefetch: false };
 }
 
 /// An input source that hands out a fixed script and keeps every command
