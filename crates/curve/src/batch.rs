@@ -343,7 +343,7 @@ struct LsSlot {
 /// grid (posterior queries); the buffers grow to their high-water mark on
 /// first use and are retained, so steady-state sampling performs zero heap
 /// allocations per MCMC step, per Nelder–Mead round and per query
-/// (counting-allocator-pinned by the `fit_simd` bench).
+/// (counting-allocator-pinned by `tests/alloc_steady_state.rs`).
 #[derive(Debug, Default)]
 pub struct FusedScratch {
     arena: Arena,

@@ -74,7 +74,7 @@ impl PredictorConfig {
     }
 
     /// The reference implementation's original operating point: 100 × 2500
-    /// = 250k samples. Used by the `curve_prediction` bench to reproduce the
+    /// = 250k samples. Used by the `fit_frontier` bench to reproduce the
     /// §5.2 ">2× faster" claim.
     pub fn reference() -> Self {
         PredictorConfig { steps: 2500, ..Self::paper() }
@@ -497,7 +497,7 @@ impl CurvePosterior {
     }
 
     /// [`Self::prob_at_least_many`] on an explicit [`Backend`], for tests
-    /// and benches pinning that the backends agree bitwise.
+    /// pinning that the backends agree bitwise.
     ///
     /// # Panics
     ///

@@ -7,9 +7,9 @@
 //! constructs one and threads it through every fit; after the first fit
 //! sizes the buffers, subsequent fits of similar shape perform **zero heap
 //! allocations per MCMC step and per Nelder–Mead round** — the property
-//! the `fit_simd` bench pins with a counting allocator. A thread blocked in
-//! [`crate::FitService::fit_batch`] keeps one more, thread-local, for the
-//! init halves its fits offer it.
+//! `tests/alloc_steady_state.rs` pins with a counting allocator. A thread
+//! blocked in [`crate::FitService::fit_batch`] keeps one more,
+//! thread-local, for the init halves its fits offer it.
 
 use crate::batch::FusedScratch;
 use crate::fastpath::FastGrid;

@@ -181,11 +181,6 @@ impl<'w, 'p> Simulation<'w, 'p> {
         }
     }
 
-    /// Runs at most `n` steps, returning how many were processed.
-    pub fn step_n(&mut self, n: usize) -> usize {
-        (0..n).take_while(|_| self.step().is_some()).count()
-    }
-
     /// Runs until the virtual clock reaches `until` (or the experiment
     /// stops), returning the number of inputs processed.
     pub fn run_until(&mut self, until: SimTime) -> usize {
@@ -297,18 +292,6 @@ mod tests {
         while sim.step().is_some() {}
         let result = sim.finish();
         assert_eq!(result.total_epochs, 4 * 10);
-    }
-
-    #[test]
-    fn step_n_counts_processed_events() {
-        let ew = experiment(3, 4);
-        let mut policy = DefaultPolicy::new();
-        let mut sim =
-            Simulation::new(&mut policy, &ew, ExperimentSpec::new(1).with_stop_on_target(false));
-        assert_eq!(sim.step_n(5), 5);
-        let rest = sim.step_n(1_000);
-        assert_eq!(5 + rest, 12, "3 jobs x 4 epochs in total");
-        assert_eq!(sim.step_n(10), 0, "no events after completion");
     }
 
     #[test]

@@ -1,47 +1,73 @@
-//! Counting-allocator pin for the discrete-event spine: once every job has
-//! started and recorded its first statistic, stepping the simulator
-//! performs **zero heap allocations per event** — the non-fit analogue of
-//! the existing 0-allocs/MCMC-step pin on the fit hot path.
+//! Counting-allocator pins for the discrete-event spine and the fit path.
+//! Once every job has started and recorded its first statistic, stepping
+//! the simulator performs **zero heap allocations per event**.
 //!
 //! The pin runs the steady-state loop three ways: under the default FIFO
 //! policy, and under full POP with its fit service at 1 and at 4 worker
 //! threads (the policy's boundary is pushed past the epoch cap so the loop
-//! stays on the non-fit path — boundary fits allocate by design and have
-//! their own benches). Every reservation in the chain is exercised: the
-//! engine's pre-sized command buffer, event log, curve maps, and
-//! outstanding-token table; the stepper's pre-sized future-event heap; and
-//! the O(log n) ResourceManager free-set, which never allocates after
-//! construction.
+//! stays on the non-fit path — a boundary fit allocates its result by
+//! design, and the fit arms below pin the rest). Every reservation in the
+//! chain is exercised: the engine's pre-sized command buffer, event log,
+//! curve maps, and outstanding-token table; the stepper's pre-sized
+//! future-event heap; and the O(log n) ResourceManager free-set, which
+//! never allocates after construction.
 //!
 //! A fourth arm drives the other half of the spine — suspend, snapshot,
 //! resume — and pins it in allocated bytes per event (see
 //! `churn_path_allocations`).
 //!
+//! The fit arms pin the fit path at zero allocations once its buffers are
+//! sized: per MCMC run, per lockstep Nelder–Mead init, per boundary query
+//! (`fit_path_allocations`), and per streamed chunk of a `fit_batch` that
+//! carries its query (`streamed_chunk_allocations`).
+//!
 //! This file holds exactly one `#[test]` so no sibling test can allocate
 //! concurrently and pollute the counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hyperdrive_core::{PopConfig, PopPolicy};
-use hyperdrive_curve::PredictorConfig;
+use hyperdrive_core::{ert_query, estimate_remaining_time, PopConfig, PopPolicy};
+use hyperdrive_curve::batch::MAX_SLOTS;
+use hyperdrive_curve::fastpath::FastGrid;
+use hyperdrive_curve::fit::{build_initial_walkers, fit_families, Decline};
+use hyperdrive_curve::mcmc::{sample_into, McmcScratch, SamplerOptions};
+use hyperdrive_curve::nelder_mead::{NelderMeadOptions, NmScratch};
+use hyperdrive_curve::vmath;
+use hyperdrive_curve::{
+    CurveObjective, CurvePredictor, ExceedanceQuery, FitRequest, FitService, FusedPosterior,
+    FusedScratch, PredictorConfig, ALL_FAMILIES,
+};
 use hyperdrive_framework::{
     DefaultPolicy, EngineEvent, ExperimentSpec, ExperimentWorkload, JobDecision, JobEvent,
     SchedulerContext, SchedulerEvent, SchedulingPolicy,
 };
 use hyperdrive_sim::Simulation;
-use hyperdrive_workload::CifarWorkload;
+use hyperdrive_types::{JobId, LearningCurve, MetricKind, SimTime};
+use hyperdrive_workload::{CifarWorkload, Workload};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Counts allocation events (alloc + realloc) and the bytes they newly
-/// asked for (a realloc counts its growth), process-wide.
+/// asked for (a realloc counts its growth), process-wide, and the events
+/// of each thread on their own.
 struct CountingAlloc;
 
 static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    // Const-initialised and without a destructor, so reading it inside
+    // the allocator never allocates.
+    static THREAD_ALLOC_EVENTS: Cell<u64> = const { Cell::new(0) };
+}
+
 fn count(bytes: usize) {
     ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
     ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    let _ = THREAD_ALLOC_EVENTS.try_with(|n| n.set(n.get() + 1));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -71,6 +97,10 @@ fn alloc_events() -> u64 {
 
 fn alloc_bytes() -> u64 {
     ALLOC_BYTES.load(Ordering::Relaxed)
+}
+
+fn thread_alloc_events() -> u64 {
+    THREAD_ALLOC_EVENTS.with(Cell::get)
 }
 
 const JOBS: usize = 8;
@@ -221,6 +251,174 @@ fn churn_path_allocations() {
     );
 }
 
+const HORIZON: u32 = 120;
+
+/// A CIFAR configuration's curve observed for its first 20 epochs.
+fn cifar_curve() -> LearningCurve {
+    let workload = CifarWorkload::new();
+    let config = workload.space().sample(&mut StdRng::seed_from_u64(1));
+    let profile = workload.profile(&config, 100);
+    let mut curve = LearningCurve::new(MetricKind::Accuracy);
+    let mut elapsed = 0.0;
+    for e in 1..=20 {
+        elapsed += profile.epoch_duration(e).as_secs();
+        curve.push(e, SimTime::from_secs(elapsed), profile.value_at(e));
+    }
+    curve
+}
+
+/// Runs `pass` twice and returns the allocations this thread made in the
+/// second: the first sizes every buffer the pass reuses. Both passes must
+/// return the same.
+fn warm_then_count<T: PartialEq + Debug>(mut pass: impl FnMut() -> T) -> u64 {
+    let warm = pass();
+    let before = thread_alloc_events();
+    let counted = pass();
+    let allocs = thread_alloc_events() - before;
+    assert_eq!(warm, counted, "a repeated pass changed its result");
+    allocs
+}
+
+/// The three stages of a fit, each on this thread with the buffers its
+/// owner reuses: the sampler (`sample_into` on the fused posterior, exactly
+/// as `fit_with` drives it), the lockstep Nelder–Mead init (the fit's 33
+/// starts through `minimize_all` and the arena's least-squares objective),
+/// and a boundary decision's queries on a fitted posterior (POP's
+/// remaining-time estimate, EarlyTerm's single-epoch probability). Once
+/// its buffers are sized, each allocates nothing.
+fn fit_path_allocations() {
+    let config = PredictorConfig::test();
+    let curve = cifar_curve();
+    let mut grid = FastGrid::new();
+    for p in curve.points() {
+        grid.push(f64::from(p.epoch));
+    }
+    grid.push(f64::from(HORIZON));
+    let ys: Vec<f64> = curve.points().iter().map(|p| p.value).collect();
+    let (mut nm, mut fused) = (NmScratch::default(), FusedScratch::default());
+    let mut eval = FusedPosterior::new(&grid, &ys, &mut fused, vmath::active_backend());
+    let mut rng = StdRng::seed_from_u64(7);
+    let fits = fit_families(&mut eval, &mut rng, &mut nm, &mut Decline);
+    let init = build_initial_walkers(&fits, config.walkers, &mut rng);
+
+    let opts = SamplerOptions {
+        steps: config.steps,
+        burn_in_frac: config.burn_in_frac,
+        thin: config.thin,
+        stretch: 2.0,
+    };
+    let mut mcmc = McmcScratch::default();
+    let allocs = warm_then_count(|| {
+        let score = |t: &[f64], lp: &mut [f64]| eval.log_posteriors(t, lp);
+        let mut rng = StdRng::seed_from_u64(11);
+        sample_into(score, &init, opts, config.max_draws, &mut rng, &mut mcmc, |_| {}).to_bits()
+    });
+    let proposals = config.steps * config.walkers;
+    assert_eq!(allocs, 0, "MCMC: {allocs} allocs over {proposals} proposals");
+
+    let starts: Vec<(usize, Vec<f64>)> = ALL_FAMILIES
+        .iter()
+        .enumerate()
+        .flat_map(|(k, family)| {
+            let random = |rng: &mut StdRng| -> Vec<f64> {
+                family.bounds().iter().map(|(lo, hi)| rng.gen_range(*lo..*hi)).collect()
+            };
+            [(k, family.default_params()), (k, random(&mut rng)), (k, random(&mut rng))]
+        })
+        .collect();
+    let allocs = warm_then_count(|| {
+        nm.begin(NelderMeadOptions { max_evals: 300, ..Default::default() });
+        for (k, x0) in &starts {
+            nm.push_start(*k, x0);
+        }
+        nm.minimize_all(|families, points, out| eval.least_squares(families, points, out));
+        (0..starts.len()).map(|run| nm.evals(run)).sum::<usize>()
+    });
+    assert_eq!(allocs, 0, "Nelder–Mead: {allocs} allocs over a {}-start init", starts.len());
+
+    let posterior = CurvePredictor::new(config.with_seed(7)).fit(&curve, HORIZON).expect("fit ok");
+    let allocs = warm_then_count(|| {
+        let est = estimate_remaining_time(
+            &posterior,
+            0.77,
+            HORIZON - posterior.last_epoch(),
+            SimTime::from_secs(60.0),
+            SimTime::from_hours(5.0),
+        );
+        (est.confidence + posterior.prob_at_least(HORIZON, 0.77)).to_bits()
+    });
+    assert_eq!(allocs, 0, "queries: {allocs} allocs for one estimate and one probability");
+}
+
+const WARM_BATCHES: u64 = 3;
+const COUNTED_BATCHES: u64 = 10;
+
+/// Fits `curve` as a fresh job per one-request batch on a one-worker
+/// service keeping `max_draws` draws, and returns the fewest allocations a
+/// counted batch made on this thread (the caller) and on every other (the
+/// worker).
+///
+/// Counting per thread separates the two ways a batch's allocations vary
+/// with timing. The worker's vary only by growth that happens once: a row
+/// buffer the pool has no spare for because the caller has not absorbed
+/// an earlier chunk yet (at most one per chunk of a fit, since every
+/// buffer is back before the batch returns) and its scratch the first time
+/// it runs an init half the caller left. That is fewer events than counted
+/// batches, so some batch has none, and the minimum is exact. The
+/// caller's vary by the same kind of growth and, in every batch, by one
+/// allocation: the batch's reply channel takes a waker slot the first time
+/// the caller parks on it, and whether it ever parks depends on how far
+/// the worker has run ahead. So its minimum is exact to within that one
+/// slot.
+fn streamed_batch_allocs(
+    curve: &LearningCurve,
+    max_draws: usize,
+    query: Option<ExceedanceQuery>,
+) -> (u64, u64) {
+    let service = FitService::new(PredictorConfig { max_draws, ..PredictorConfig::test() }, 7, 1);
+    let (mut caller, mut worker) = (u64::MAX, u64::MAX);
+    for job in 0..WARM_BATCHES + COUNTED_BATCHES {
+        let request =
+            FitRequest { job: JobId::new(job), curve: curve.clone(), horizon: HORIZON, query };
+        let (all_before, mine_before) = (alloc_events(), thread_alloc_events());
+        let outcome = service.fit_batch(&[request]).remove(0);
+        let mine = thread_alloc_events() - mine_before;
+        let others = alloc_events() - all_before - mine;
+        assert_eq!(outcome.exceedance.is_some(), query.is_some());
+        assert_eq!(outcome.result.expect("fit ok").n_draws(), max_draws);
+        if job >= WARM_BATCHES {
+            caller = caller.min(mine);
+            worker = worker.min(others);
+        }
+    }
+    let streamed = if query.is_some() { WARM_BATCHES + COUNTED_BATCHES } else { 0 };
+    assert_eq!(service.stats().streamed_fits, streamed);
+    (caller, worker)
+}
+
+/// A fit that carries its query streams each run of 64 kept rows to the
+/// waiting `fit_batch` in a row buffer the pool recycles, so a longer
+/// stream allocates nothing more: a six-chunk and a one-chunk stream
+/// allocate the same on the worker, and on the caller to within the reply
+/// channel's waker slot. Streaming costs the worker nothing over a
+/// query-less fit, and the caller at most the accumulator, its map entry
+/// and the answer vector (plus that slot).
+fn streamed_chunk_allocations() {
+    let curve = cifar_curve();
+    let query = ert_query(20, HORIZON - 20, 0.77);
+    let (one_chunk, six_chunks) = (MAX_SLOTS + 1, 6 * MAX_SLOTS + 1);
+    let (one_caller, one_worker) = streamed_batch_allocs(&curve, one_chunk, Some(query));
+    let (six_caller, six_worker) = streamed_batch_allocs(&curve, six_chunks, Some(query));
+    let (plain_caller, plain_worker) = streamed_batch_allocs(&curve, six_chunks, None);
+    assert_eq!(six_worker, one_worker, "worker: six streamed chunks vs one");
+    assert_eq!(six_worker, plain_worker, "worker: six streamed chunks vs a query-less fit");
+    assert!(six_caller <= one_caller + 1, "caller: six chunks {six_caller} vs one {one_caller}");
+    assert!(
+        six_caller <= plain_caller + 4,
+        "caller: streamed {six_caller} vs query-less {plain_caller}"
+    );
+}
+
 #[test]
 fn steady_state_event_loop_is_allocation_free() {
     // The default FIFO policy: the bare engine + stepper path.
@@ -249,4 +447,6 @@ fn steady_state_event_loop_is_allocation_free() {
     }
 
     churn_path_allocations();
+    fit_path_allocations();
+    streamed_chunk_allocations();
 }

@@ -8,8 +8,8 @@
 //! both kernel backends must make the same support decision (finite vs
 //! −∞) as the definition on every row, and agree with its finite values to
 //! 1e-9 relative. The fused posterior is in turn bitwise its scalar
-//! per-proposal reference (`PosteriorEvalFast`) under both backends, for
-//! arbitrary curves and proposal mixes.
+//! per-proposal reference (`PosteriorEvalFast`) under both backends, on
+//! those draws and for arbitrary curves and proposal mixes.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -54,8 +54,8 @@ fn grid_of(curve: &LearningCurve, horizon: f64) -> (FastGrid, Vec<f64>) {
 
 /// 12 CIFAR and 12 Lunar Lander prefixes of 6–28 epochs, each fitted at
 /// `PredictorConfig::fast()`: every kept draw and a ±5 %-jittered
-/// neighbour of it, scored by the fused posterior under both backends and
-/// by the definition.
+/// neighbour of it, scored by the fused posterior under both backends, by
+/// its per-proposal reference (bit for bit) and by the definition.
 #[test]
 fn the_fused_posterior_matches_the_definition_on_fitted_draws() {
     let mut jitter = StdRng::seed_from_u64(30);
@@ -84,11 +84,19 @@ fn the_fused_posterior_matches_the_definition_on_fitted_draws() {
             let mut scratch = FusedScratch::default();
             FusedPosterior::new(&grid, &ys, &mut scratch, backend).log_posteriors(&thetas, out);
         }
+        let mut means = vec![0.0; ys.len()];
+        let mut reference = PosteriorEvalFast::new(&grid, &ys, &mut means);
         for (r, theta) in thetas.chunks_exact(dimension()).enumerate() {
             let want = ensemble::log_posterior(theta, &obs, f64::from(HORIZON));
             assert!(!want.is_nan(), "curve {i} row {r}: the definition returned NaN");
+            let per_proposal = reference.log_posterior(theta);
             for (backend, out) in ["scalar", "simd"].into_iter().zip(&scored) {
                 let got = out[r];
+                assert_eq!(
+                    got.to_bits(),
+                    per_proposal.to_bits(),
+                    "curve {i} row {r} ({backend}): fused {got} vs per-proposal {per_proposal}"
+                );
                 assert_eq!(
                     got.is_finite(),
                     want.is_finite(),
