@@ -235,10 +235,12 @@ impl McmcScratch {
 /// Of the `total` rows [`sample`] retains, this keeps only the uniform
 /// subsample a posterior answers queries from — row `⌊i · total / kept⌋`
 /// for `i < kept = min(total, max_draws)`, a schedule known before the
-/// first step — bitwise the rows of [`sample`] at those indices. `on_chunk`
-/// receives each completed run of [`MAX_SLOTS`] kept rows (one arena sweep
-/// of the query kernel) in draw order, as soon as the step that made them
-/// final has finished; a trailing partial run is only in `kept`.
+/// first step — bitwise the rows of [`sample`] at those indices. At every
+/// retained snapshot `on_rows` receives the kept rows it has not seen yet,
+/// in draw order and in runs of at most [`MAX_SLOTS`] rows (one arena sweep
+/// of the query kernel), before the next step begins; its flag is `true`
+/// on the run that completes the kept rows. Every kept row is handed out
+/// exactly once.
 ///
 /// # Panics
 ///
@@ -251,12 +253,12 @@ pub fn sample_into<F, R, C>(
     max_draws: usize,
     rng: &mut R,
     s: &mut McmcScratch,
-    mut on_chunk: C,
+    mut on_rows: C,
 ) -> f64
 where
     F: FnMut(&[f64], &mut [f64]),
     R: Rng + ?Sized,
-    C: FnMut(&[f64]),
+    C: FnMut(&[f64], bool),
 {
     let n_walkers = init.len();
     assert!(n_walkers >= 4, "need at least 4 walkers, got {n_walkers}");
@@ -303,7 +305,7 @@ where
     let stride = total as f64 / kept as f64;
     s.draws.clear();
     s.draws.reserve(kept * dim);
-    // Rows kept so far, rows already handed to `on_chunk`, and the index
+    // Rows kept so far, rows already handed to `on_rows`, and the index
     // among retained rows of the snapshot being taken.
     let (mut n_kept, mut flushed, mut snapshot_row) = (0usize, 0usize, 0usize);
 
@@ -361,9 +363,10 @@ where
                 n_kept += 1;
             }
             snapshot_row += n_walkers;
-            while n_kept - flushed >= MAX_SLOTS {
-                on_chunk(&s.draws[flushed * dim..(flushed + MAX_SLOTS) * dim]);
-                flushed += MAX_SLOTS;
+            while flushed < n_kept {
+                let end = n_kept.min(flushed + MAX_SLOTS);
+                on_rows(&s.draws[flushed * dim..end * dim], end == kept);
+                flushed = end;
             }
         }
     }
@@ -480,25 +483,34 @@ mod tests {
 
     /// The kept rows are bitwise the rows of [`sample`] the uniform
     /// subsample names — retain everything, then take row `⌊i · stride⌋` —
-    /// and the chunks handed out are the whole `MAX_SLOTS`-row runs of them,
-    /// in order. Covers zero retained steps, one kept row, both sides of
-    /// the chunk seam, and `max_draws` above the retained total (stride 1).
+    /// and all of them are handed out, in draw order: at each retained
+    /// snapshot, before the next step's first evaluator call, that
+    /// snapshot's kept rows in runs of at most [`MAX_SLOTS`], the last run
+    /// alone flagged. Covers zero retained steps, one kept row, snapshots
+    /// that keep no row, `max_draws` above the retained total, and — with
+    /// 100 walkers — snapshots that keep 64, 65 and ≈ 83 rows, so one
+    /// snapshot's rows span two runs.
     #[test]
     fn sample_into_keeps_exactly_the_subsample_of_sample() {
         let mut scratch = McmcScratch::default();
-        for (steps, burn_in_frac, thin, max_draws) in [
-            (40, 0.3, 2, 100),
-            (24, 0.5, 1, 63),
-            (24, 0.5, 1, 64),
-            (24, 0.5, 1, 65),
-            (24, 0.5, 1, 129),
-            (7, 0.9, 3, 1),
-            (7, 0.9, 3, 1000),
-            (5, 1.0, 1, 10),
+        for (n, steps, burn_in_frac, thin, max_draws) in [
+            (16, 40, 0.3, 2, 100),
+            (16, 24, 0.5, 1, 63),
+            (16, 24, 0.5, 1, 64),
+            (16, 24, 0.5, 1, 65),
+            (16, 24, 0.5, 1, 129),
+            (16, 7, 0.9, 3, 1),
+            (16, 7, 0.9, 3, 1000),
+            (16, 40, 0.0, 1, 5),
+            (16, 5, 1.0, 1, 10),
+            (100, 7, 0.9, 3, 64),
+            (100, 7, 0.9, 3, 65),
+            (100, 24, 0.5, 1, 1000),
+            (100, 30, 0.4, 1, 200),
         ] {
             let opts = SamplerOptions { steps, burn_in_frac, thin, stretch: 2.0 };
             let mut rng_a = StdRng::seed_from_u64(23);
-            let init = init_walkers(&mut rng_a, 16, 3, 0.5);
+            let init = init_walkers(&mut rng_a, n, 3, 0.5);
             let reference = sample(score_each(3, gaussian_lp), init.clone(), opts, &mut rng_a);
             let total = reference.draws.len();
             let kept = total.min(max_draws);
@@ -506,25 +518,46 @@ mod tests {
             let expected: Vec<f64> = (0..kept)
                 .flat_map(|i| reference.draws[(i as f64 * stride) as usize].iter().copied())
                 .collect();
+            // The runs the schedule implies: (evaluator calls made when the
+            // run arrives, rows, flagged last), per snapshot in order.
+            let burn_in = (steps as f64 * burn_in_frac).floor() as usize;
+            let mut runs = Vec::new();
+            for (t, step) in (burn_in..steps).step_by(thin).enumerate() {
+                let rows = (0..kept).filter(|&i| (i as f64 * stride) as usize / n == t).count();
+                for start in (0..rows).step_by(MAX_SLOTS) {
+                    runs.push((1 + 2 * (step + 1), (rows - start).min(MAX_SLOTS), false));
+                }
+            }
+            if let Some(last) = runs.last_mut() {
+                last.2 = true;
+            }
 
             let mut rng_b = StdRng::seed_from_u64(23);
-            let init_b = init_walkers(&mut rng_b, 16, 3, 0.5);
+            let init_b = init_walkers(&mut rng_b, n, 3, 0.5);
+            let calls = std::cell::Cell::new(0usize);
+            let mut score = score_each(3, gaussian_lp);
             let mut streamed = Vec::new();
+            let mut seen = Vec::new();
             let acceptance = sample_into(
-                score_each(3, gaussian_lp),
+                |thetas: &[f64], out: &mut [f64]| {
+                    calls.set(calls.get() + 1);
+                    score(thetas, out);
+                },
                 &init_b,
                 opts,
                 max_draws,
                 &mut rng_b,
                 &mut scratch,
-                |rows| {
-                    assert_eq!(rows.len(), MAX_SLOTS * 3, "chunks are whole runs");
+                |rows, last| {
+                    seen.push((calls.get(), rows.len() / 3, last));
                     streamed.extend_from_slice(rows);
                 },
             );
 
-            assert_eq!(scratch.kept(), expected.as_slice(), "kept rows diverged");
-            assert_eq!(streamed.as_slice(), &expected[..kept / MAX_SLOTS * MAX_SLOTS * 3]);
+            let case = format!("{n} walkers, steps {steps} thin {thin} max_draws {max_draws}");
+            assert_eq!(scratch.kept(), expected.as_slice(), "{case}: kept rows diverged");
+            assert_eq!(streamed, expected, "{case}: every kept row streams, in order");
+            assert_eq!(seen, runs, "{case}: runs break at each snapshot, at most MAX_SLOTS");
             assert_eq!(reference.acceptance_rate.to_bits(), acceptance.to_bits());
         }
     }
@@ -543,7 +576,7 @@ mod tests {
             (0..8).map(|i| if i % 2 == 0 { vec![100.0] } else { vec![0.1 * i as f64] }).collect();
         let mut scratch = McmcScratch::default();
         let opts = SamplerOptions::default();
-        sample_into(score_each(1, lp), &init, opts, usize::MAX, &mut rng, &mut scratch, |_| {});
+        sample_into(score_each(1, lp), &init, opts, usize::MAX, &mut rng, &mut scratch, |_, _| {});
         assert!(!scratch.kept().is_empty());
         assert!(scratch.kept().iter().all(|x| x.abs() < 5.0));
     }
@@ -609,7 +642,7 @@ mod tests {
             calls += 1;
         };
         let mut scratch = McmcScratch::default();
-        let acceptance = sample_into(evaluator, &init, opts, 0, &mut rng, &mut scratch, |_| {});
+        let acceptance = sample_into(evaluator, &init, opts, 0, &mut rng, &mut scratch, |_, _| {});
         assert_eq!(calls, 1 + 2 * steps);
         assert_eq!(acceptance, 0.5);
     }

@@ -209,16 +209,18 @@ impl CurvePredictor {
         scratch: &mut FitScratch,
         backend: Backend,
     ) -> Result<CurvePosterior> {
-        self.fit_streamed(curve, horizon, scratch, backend, &mut Decline, |_| {})
+        self.fit_streamed(curve, horizon, scratch, backend, &mut Decline, |_, _| {})
     }
 
     /// The fit under every entry point, handing the posterior's draws to
-    /// `on_rows` while the sampler is still running: each completed run of
-    /// [`batch::MAX_SLOTS`] rows, in draw order, as soon as it is final
-    /// ([`crate::mcmc::sample_into`]). The rows are a prefix of the
+    /// `on_rows` while the sampler is still running: at each retained
+    /// snapshot, the kept rows it made final, in draw order and in runs of
+    /// at most [`batch::MAX_SLOTS`] rows, the run that completes them
+    /// flagged ([`crate::mcmc::sample_into`]). The rows are all of the
     /// returned posterior's draws — whoever absorbs them into an
-    /// [`Exceedance`] finishes on the posterior itself — and an attempt
-    /// that then fails has handed out nothing. The init offers half to `share`.
+    /// [`Exceedance`] has nothing left for the posterior itself — and an
+    /// attempt that then fails has handed out nothing. The init offers half
+    /// to `share`.
     pub(crate) fn fit_streamed(
         &self,
         curve: &LearningCurve,
@@ -226,7 +228,7 @@ impl CurvePredictor {
         scratch: &mut FitScratch,
         backend: Backend,
         share: &mut impl ShareInit,
-        mut on_rows: impl FnMut(&[f64]),
+        mut on_rows: impl FnMut(&[f64], bool),
     ) -> Result<CurvePosterior> {
         let FitScratch { ys, nm, mcmc, fast_grid, fused } = scratch;
         let last_epoch = self.fit_inputs(curve, horizon, ys, fast_grid)?;
@@ -266,7 +268,7 @@ impl CurvePredictor {
         nm: &mut NmScratch,
         mcmc: &mut McmcScratch,
         share: &mut impl ShareInit,
-        on_rows: &mut impl FnMut(&[f64]),
+        on_rows: &mut impl FnMut(&[f64], bool),
     ) -> Result<f64> {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let fits = fit_families(objective, &mut rng, nm, share);
@@ -690,8 +692,9 @@ impl Exceedance {
         self.rows += rows.len() / dimension();
     }
 
-    /// Absorbs the draws of `posterior` not yet seen: all of them, or the
-    /// tail when the fit that produced it streamed the leading rows.
+    /// Absorbs the draws of `posterior` not yet seen: all of them when
+    /// nothing streamed (a speculation adopted at the boundary), none when
+    /// the fit that produced it streamed its rows.
     pub fn absorb_rest(&mut self, posterior: &CurvePosterior) {
         self.absorb(&posterior.draws[self.rows * dimension()..]);
     }

@@ -70,14 +70,16 @@
 //! # Answering the caller's query while the fit samples
 //!
 //! A [`FitRequest`] may carry the [`ExceedanceQuery`] its caller will ask
-//! of the posterior (POP's remaining-time grid). The worker sends each 64
-//! kept draws down the batch's reply channel as soon as they are final and
-//! `fit_batch` — blocked waiting anyway — absorbs them into an
-//! [`Exceedance`], finishing on the rows that come with the posterior. Per
-//! key, rows arrive in draw order, so [`FitOutcome::exceedance`] is bitwise
-//! the finished posterior's own answer; requests resolved any other way
-//! ask the finished posterior. A query never changes what is fitted,
-//! cached, fingerprinted or counted.
+//! of the posterior (POP's remaining-time grid). At every retained sampler
+//! snapshot the worker sends the kept draws that snapshot made final (in
+//! runs of at most [`crate::batch::MAX_SLOTS`]) down the batch's reply
+//! channel, and `fit_batch` — blocked waiting anyway — absorbs them into an
+//! [`Exceedance`]. Only the last snapshot's rows (≈11 of POP's 200) are
+//! left to absorb once the sampler ends, and nothing comes with the
+//! posterior. Per key, rows arrive in draw order, so
+//! [`FitOutcome::exceedance`] is bitwise the finished posterior's own
+//! answer; requests resolved any other way ask the finished posterior. A
+//! query never changes what is fitted, cached, fingerprinted or counted.
 //!
 //! # The waiting caller runs half of each fit's init
 //!
@@ -270,11 +272,16 @@ pub struct FitStats {
     /// Fits (subset of `fits`) that streamed their kept draws to the
     /// waiting `fit_batch` because the request carried a query.
     pub streamed_fits: u64,
+    /// Runs of kept draws those fits streamed: one per retained sampler
+    /// snapshot that kept a draw, more where a snapshot kept over
+    /// [`crate::batch::MAX_SLOTS`].
+    pub streamed_runs: u64,
     /// Nanoseconds of query work `fit_batch` began while a demand fit of
-    /// its batch was still running on a worker: hidden inside the wait.
+    /// its batch was still sampling on a worker: hidden inside the wait.
     pub query_overlap_nanos: u64,
-    /// Nanoseconds of query work begun with no such fit left running: the
-    /// part of the estimate still on the critical path.
+    /// Nanoseconds of query work begun with no such fit left sampling —
+    /// from the last fit's final run on: the part of the estimate still on
+    /// the critical path.
     pub query_tail_nanos: u64,
     /// Queries answered from the shared layer's memo beside a shared hit.
     pub memo_hits: u64,
@@ -447,10 +454,12 @@ impl PoolTelemetry {
 enum FitReply {
     /// The fit's offered init half, for the caller to claim and run.
     Help(FitKey, Arc<HelpTask>),
-    /// The fit's next [`crate::batch::MAX_SLOTS`] kept draws, in a buffer
-    /// that returns to the pool's spare list once absorbed.
+    /// The fit's next kept draws — a retained snapshot's, at most
+    /// [`crate::batch::MAX_SLOTS`] of them — in a buffer that returns to
+    /// the pool's spare list once absorbed.
     Rows(FitKey, Vec<f64>),
-    /// The result; an `Ok` posterior begins with every row sent before.
+    /// The result; an `Ok` posterior of a streamed fit is exactly the rows
+    /// sent before.
     Done(FitKey, Result<CurvePosterior>),
 }
 
@@ -555,7 +564,9 @@ enum WorkerMsg {
         horizon: u32,
         /// Whether the batch absorbs kept rows while the fit runs.
         stream: bool,
-        /// The batch's count of demand fits that have stopped running.
+        /// The batch's count of demand fits that have stopped sampling: a
+        /// fit counts itself as it hands out its final kept rows, or when
+        /// it ends having handed out none (an error or a panic).
         finished: Arc<AtomicUsize>,
         reply: Sender<FitReply>,
     },
@@ -894,6 +905,7 @@ impl FitService {
         let mut shared_hits = 0u64;
         let mut shared_lookups = 0u64;
         let mut streamed_fits = 0u64;
+        let mut streamed_runs = 0u64;
         let mut memo_hits = 0u64;
         // Offered init halves: [received, run here], and the nanoseconds.
         let mut halves = [0u64; 2];
@@ -1010,7 +1022,7 @@ impl FitService {
         let mut shared_inserts = 0u64;
         let spec_adopted = adopted_specs.len();
         // Nanoseconds of query work by whether a demand fit was still
-        // running when it began: [critical path, hidden behind the fit].
+        // sampling when it began: [critical path, hidden behind the fit].
         let mut query_nanos = [0u64; 2];
         let mut timed = |work: &mut dyn FnMut()| {
             let hidden = finished.load(Ordering::Acquire) < enqueued;
@@ -1041,6 +1053,7 @@ impl FitService {
                     }
                     Ok(FitReply::Rows(key, rows)) => {
                         let mass = streams.get_mut(&key).expect("only asked fits stream");
+                        streamed_runs += 1;
                         timed(&mut || mass.absorb(&rows));
                         self.pool.spare_chunks.lock().push(rows);
                         continue;
@@ -1052,9 +1065,10 @@ impl FitService {
                 }
             };
             let indices = waiting.remove(&key).expect("one reply per waiting key");
-            // The first request's answer: what was streamed plus the rows
-            // that only come with the posterior, kept beside the posterior
-            // in the shared layer. An error drops whatever was absorbed.
+            // The first request's answer: what was streamed (for an adopted
+            // speculation, nothing: all its rows come with the posterior),
+            // kept beside the posterior in the shared layer. An error drops
+            // whatever was absorbed.
             let first = requests[indices[0]].query.as_ref();
             let answer = match (streams.remove(&key), first, &result) {
                 (Some(mut mass), Some(query), Ok(p)) => {
@@ -1101,6 +1115,7 @@ impl FitService {
             stats.shared_lookups += shared_lookups;
             stats.shared_inserts += shared_inserts;
             stats.streamed_fits += streamed_fits;
+            stats.streamed_runs += streamed_runs;
             stats.query_tail_nanos += query_nanos[0];
             stats.query_overlap_nanos += query_nanos[1];
             stats.memo_hits += memo_hits;
@@ -1211,7 +1226,7 @@ fn run_fit(
     curve: &LearningCurve,
     horizon: u32,
     share: &mut impl ShareInit,
-    on_rows: impl FnMut(&[f64]),
+    on_rows: impl FnMut(&[f64], bool),
 ) -> Result<CurvePosterior> {
     let (predictor, backend) = (CurvePredictor::new(config), vmath::active_backend());
     let fit = AssertUnwindSafe(|| {
@@ -1245,17 +1260,27 @@ fn worker_loop(
             WorkerMsg::Fit { key, config, curve, horizon, stream, finished, reply } => {
                 let t = Instant::now();
                 let mut share = Offer { key, reply: &reply, task: None };
-                let result = run_fit(&mut scratch, config, &curve, horizon, &mut share, |rows| {
+                let mut sampled = false;
+                let on_rows = |rows: &[f64], last: bool| {
+                    // Counted before the final run is sent, so the caller
+                    // times absorbing it as the tail it is.
+                    if last {
+                        sampled = true;
+                        finished.fetch_add(1, Ordering::Release);
+                    }
                     if stream {
                         let mut chunk = spare_chunks.lock().pop().unwrap_or_default();
                         chunk.clear();
                         chunk.extend_from_slice(rows);
                         let _ = reply.send(FitReply::Rows(key, chunk));
                     }
-                });
+                };
+                let result = run_fit(&mut scratch, config, &curve, horizon, &mut share, on_rows);
                 telemetry.busy_nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 telemetry.demand_fits.fetch_add(1, Ordering::Relaxed);
-                finished.fetch_add(1, Ordering::Release);
+                if !sampled {
+                    finished.fetch_add(1, Ordering::Release);
+                }
                 // The batch owner can only be gone if it panicked itself;
                 // nothing useful to do then.
                 let _ = reply.send(FitReply::Done(key, result));
@@ -1266,7 +1291,8 @@ fn worker_loop(
                     continue;
                 }
                 let t = Instant::now();
-                let result = run_fit(&mut scratch, config, &curve, horizon, &mut Decline, |_| {});
+                let result =
+                    run_fit(&mut scratch, config, &curve, horizon, &mut Decline, |_, _| {});
                 telemetry.busy_nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 telemetry.spec_fits.fetch_add(1, Ordering::Relaxed);
                 let _ = reply.send((key, result));
@@ -1549,7 +1575,11 @@ mod tests {
     /// One reply channel carrying a fit that panics (two walkers cannot
     /// run a stretch move) and a healthy one — what a batch would see if
     /// one of its requests hit a bug: both keys are answered, the first
-    /// with a typed error, and the sole worker lives to run the second.
+    /// with a typed error, and the sole worker lives to run the second,
+    /// streaming every kept row in one run per retained snapshot (`test()`
+    /// keeps ≈17 of each snapshot's 100), so its `Done` leaves nothing to
+    /// absorb. The worker counts the healthy fit finished before it sends
+    /// the final run, so absorbing that run is timed as tail.
     #[test]
     fn a_panicking_and_a_healthy_fit_on_one_channel_are_both_answered() {
         let pool = FitPool::new(1);
@@ -1569,11 +1599,17 @@ mod tests {
         }
         drop(reply_tx);
         let mut done = Vec::new();
-        let mut rows = [0usize; 2];
+        let (mut rows, mut runs, mut finished_at_last_run) = ([0usize; 2], [0usize; 2], 0);
+        let dim = crate::ensemble::dimension();
         // The watchdog: a lost reply fails here instead of hanging.
         while let Ok(msg) = reply_rx.recv_timeout(std::time::Duration::from_secs(60)) {
             match msg {
-                FitReply::Rows((job, _), chunk) => rows[job.raw() as usize] += chunk.len(),
+                FitReply::Rows((job, _), chunk) => {
+                    assert!(!chunk.is_empty() && chunk.len() <= MAX_SLOTS * dim);
+                    rows[job.raw() as usize] += chunk.len();
+                    runs[job.raw() as usize] += 1;
+                    finished_at_last_run = finished.load(Ordering::Acquire);
+                }
                 FitReply::Done((job, _), result) => done.push((job.raw(), result)),
                 // Left unclaimed: the worker takes the half back.
                 FitReply::Help(..) => {}
@@ -1584,8 +1620,11 @@ mod tests {
         assert!(matches!(&done[0], (0, Err(Error::CurveFit(why))) if why.contains("fit panicked")));
         let healthy = done[1].1.as_ref().expect("the worker survived to fit the second request");
         assert_eq!(rows[0], 0, "a fit that never sampled streamed nothing");
-        let dim = crate::ensemble::dimension();
-        assert_eq!(rows[1], healthy.n_draws() / MAX_SLOTS * MAX_SLOTS * dim);
+        assert_eq!(rows[1], healthy.n_draws() * dim, "every kept row streamed");
+        let config = PredictorConfig::test();
+        let retained = config.steps - (config.steps as f64 * config.burn_in_frac) as usize;
+        assert_eq!(runs[1], retained, "one run per retained snapshot");
+        assert_eq!(finished_at_last_run, 2, "counted finished before its final run");
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!
 //! The fit arms pin the fit path at zero allocations once its buffers are
 //! sized: per MCMC run, per lockstep Nelder–Mead init, per boundary query
-//! (`fit_path_allocations`), and per streamed chunk of a `fit_batch` that
-//! carries its query (`streamed_chunk_allocations`).
+//! (`fit_path_allocations`), and per streamed run of kept rows of a
+//! `fit_batch` that carries its query (`streamed_chunk_allocations`).
 //!
 //! This file holds exactly one `#[test]` so no sibling test can allocate
 //! concurrently and pollute the counter.
@@ -311,7 +311,7 @@ fn fit_path_allocations() {
     let allocs = warm_then_count(|| {
         let score = |t: &[f64], lp: &mut [f64]| eval.log_posteriors(t, lp);
         let mut rng = StdRng::seed_from_u64(11);
-        sample_into(score, &init, opts, config.max_draws, &mut rng, &mut mcmc, |_| {}).to_bits()
+        sample_into(score, &init, opts, config.max_draws, &mut rng, &mut mcmc, |_, _| {}).to_bits()
     });
     let proposals = config.steps * config.walkers;
     assert_eq!(allocs, 0, "MCMC: {allocs} allocs over {proposals} proposals");
@@ -354,14 +354,14 @@ const WARM_BATCHES: u64 = 3;
 const COUNTED_BATCHES: u64 = 10;
 
 /// Fits `curve` as a fresh job per one-request batch on a one-worker
-/// service keeping `max_draws` draws, and returns the fewest allocations a
-/// counted batch made on this thread (the caller) and on every other (the
-/// worker).
+/// service at `config`, and returns the fewest allocations a counted batch
+/// made on this thread (the caller) and on every other (the worker), and
+/// the runs of kept rows each fit streamed.
 ///
 /// Counting per thread separates the two ways a batch's allocations vary
 /// with timing. The worker's vary only by growth that happens once: a row
 /// buffer the pool has no spare for because the caller has not absorbed
-/// an earlier chunk yet (at most one per chunk of a fit, since every
+/// an earlier run yet (at most one per run of a fit, since every
 /// buffer is back before the batch returns) and its scratch the first time
 /// it runs an init half the caller left. That is fewer events than counted
 /// batches, so some batch has none, and the minimum is exact. The
@@ -372,10 +372,10 @@ const COUNTED_BATCHES: u64 = 10;
 /// slot.
 fn streamed_batch_allocs(
     curve: &LearningCurve,
-    max_draws: usize,
+    config: PredictorConfig,
     query: Option<ExceedanceQuery>,
-) -> (u64, u64) {
-    let service = FitService::new(PredictorConfig { max_draws, ..PredictorConfig::test() }, 7, 1);
+) -> (u64, u64, u64) {
+    let service = FitService::new(config, 7, 1);
     let (mut caller, mut worker) = (u64::MAX, u64::MAX);
     for job in 0..WARM_BATCHES + COUNTED_BATCHES {
         let request =
@@ -385,34 +385,38 @@ fn streamed_batch_allocs(
         let mine = thread_alloc_events() - mine_before;
         let others = alloc_events() - all_before - mine;
         assert_eq!(outcome.exceedance.is_some(), query.is_some());
-        assert_eq!(outcome.result.expect("fit ok").n_draws(), max_draws);
+        assert_eq!(outcome.result.expect("fit ok").n_draws(), config.max_draws);
         if job >= WARM_BATCHES {
             caller = caller.min(mine);
             worker = worker.min(others);
         }
     }
+    let stats = service.stats();
     let streamed = if query.is_some() { WARM_BATCHES + COUNTED_BATCHES } else { 0 };
-    assert_eq!(service.stats().streamed_fits, streamed);
-    (caller, worker)
+    assert_eq!(stats.streamed_fits, streamed);
+    (caller, worker, stats.streamed_runs / streamed.max(1))
 }
 
-/// A fit that carries its query streams each run of 64 kept rows to the
-/// waiting `fit_batch` in a row buffer the pool recycles, so a longer
-/// stream allocates nothing more: a six-chunk and a one-chunk stream
-/// allocate the same on the worker, and on the caller to within the reply
-/// channel's waker slot. Streaming costs the worker nothing over a
-/// query-less fit, and the caller at most the accumulator, its map entry
-/// and the answer vector (plus that slot).
+/// A fit that carries its query streams each retained snapshot's kept
+/// rows to the waiting `fit_batch` in a row buffer the pool recycles, so a
+/// longer stream allocates nothing more. The two streams keep the same 64
+/// draws and differ only in how many snapshots they retain: every 12th of
+/// the 12 post-burn-in steps (one snapshot, one run) or every 2nd (six
+/// snapshots, six runs). They allocate the same on the worker, and on the
+/// caller to within the reply channel's waker slot. Streaming costs the
+/// worker nothing over a query-less fit, and the caller at most the
+/// accumulator, its map entry and the answer vector (plus that slot).
 fn streamed_chunk_allocations() {
     let curve = cifar_curve();
     let query = ert_query(20, HORIZON - 20, 0.77);
-    let (one_chunk, six_chunks) = (MAX_SLOTS + 1, 6 * MAX_SLOTS + 1);
-    let (one_caller, one_worker) = streamed_batch_allocs(&curve, one_chunk, Some(query));
-    let (six_caller, six_worker) = streamed_batch_allocs(&curve, six_chunks, Some(query));
-    let (plain_caller, plain_worker) = streamed_batch_allocs(&curve, six_chunks, None);
-    assert_eq!(six_worker, one_worker, "worker: six streamed chunks vs one");
-    assert_eq!(six_worker, plain_worker, "worker: six streamed chunks vs a query-less fit");
-    assert!(six_caller <= one_caller + 1, "caller: six chunks {six_caller} vs one {one_caller}");
+    let every = |thin| PredictorConfig { thin, max_draws: MAX_SLOTS, ..PredictorConfig::test() };
+    let (one_caller, one_worker, one_runs) = streamed_batch_allocs(&curve, every(12), Some(query));
+    let (six_caller, six_worker, six_runs) = streamed_batch_allocs(&curve, every(2), Some(query));
+    let (plain_caller, plain_worker, _) = streamed_batch_allocs(&curve, every(2), None);
+    assert_eq!((one_runs, six_runs), (1, 6), "runs streamed per fit");
+    assert_eq!(six_worker, one_worker, "worker: six streamed runs vs one");
+    assert_eq!(six_worker, plain_worker, "worker: six streamed runs vs a query-less fit");
+    assert!(six_caller <= one_caller + 1, "caller: six runs {six_caller} vs one {one_caller}");
     assert!(
         six_caller <= plain_caller + 4,
         "caller: streamed {six_caller} vs query-less {plain_caller}"

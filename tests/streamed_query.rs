@@ -161,7 +161,10 @@ fn interleaved_accumulators_do_not_disturb_each_other() {
 }
 
 /// The sampler's row sink against the pass it replaced: retain every
-/// post-burn-in snapshot, then take row `⌊i · total / kept⌋`.
+/// post-burn-in snapshot, then take row `⌊i · total / kept⌋`. The stream
+/// is every kept row, in draw order, broken at every retained snapshot
+/// into runs of at most `MAX_SLOTS`, with only the run that completes the
+/// kept rows flagged — so a streamed fit leaves `absorb_rest` nothing.
 #[test]
 fn row_sink_keeps_what_retain_all_then_subsample_kept() {
     let lp = |x: &[f64]| -0.5 * x.iter().map(|v| v * v).sum::<f64>();
@@ -190,22 +193,44 @@ fn row_sink_keeps_what_retain_all_then_subsample_kept() {
             .flat_map(|i| all.draws[(i as f64 * stride) as usize].iter().copied())
             .collect();
 
+        // The runs the schedule implies: (evaluator calls made when the run
+        // arrives — one for the start, then two per step — rows, flagged
+        // last), per retained snapshot in order.
+        let burn_in = (steps as f64 * burn_in_frac).floor() as usize;
+        let mut schedule = Vec::new();
+        for (t, step) in (burn_in..steps).step_by(thin).enumerate() {
+            let rows = (0..kept).filter(|&i| (i as f64 * stride) as usize / 20 == t).count();
+            for start in (0..rows).step_by(MAX_SLOTS) {
+                schedule.push((1 + 2 * (step + 1), (rows - start).min(MAX_SLOTS), false));
+            }
+        }
+        if let Some(last) = schedule.last_mut() {
+            last.2 = true;
+        }
+
         let mut rng_b = StdRng::seed_from_u64(77);
         let walkers = init(&mut rng_b);
-        let mut streamed = Vec::new();
+        let (mut streamed, mut runs) = (Vec::new(), Vec::new());
+        let calls = std::cell::Cell::new(0usize);
         let acceptance = sample_into(
-            score_each(4, lp),
+            |thetas: &[f64], out: &mut [f64]| {
+                calls.set(calls.get() + 1);
+                score_each(4, lp)(thetas, out)
+            },
             &walkers,
             opts,
             max_draws,
             &mut rng_b,
             &mut scratch,
-            |r| streamed.extend_from_slice(r),
+            |r, last| {
+                runs.push((calls.get(), r.len() / 4, last));
+                streamed.extend_from_slice(r);
+            },
         );
         assert_eq!(bits(scratch.kept()), bits(&expected), "steps {steps} thin {thin}");
         assert_eq!(acceptance.to_bits(), all.acceptance_rate.to_bits());
-        // Streamed: the whole chunks, in order, and nothing else.
-        assert_eq!(bits(&streamed), bits(&expected[..kept / MAX_SLOTS * MAX_SLOTS * 4]));
+        assert_eq!(bits(&streamed), bits(&expected), "every kept row streams, in draw order");
+        assert_eq!(runs, schedule, "steps {steps} thin {thin}: one run per retained snapshot");
     }
 }
 
