@@ -3,7 +3,7 @@
 //! The paper's system serves *one* experiment per scheduler instance;
 //! this crate is the front door for serving thousands at once. Tenants
 //! submit hermetic [`StudySpec`]s (workload + policy + seed); the
-//! [`Server`] shards them across a pool of workers, multiplexes **all**
+//! [`Server`] queues them for a pool of workers, multiplexes **all**
 //! curve fits through one process-global
 //! [`FitPool`](hyperdrive_curve::FitPool) and one shared
 //! content-addressed [`SharedFitCache`](hyperdrive_curve::SharedFitCache),
@@ -16,18 +16,20 @@
 //!    posterior digest are identical to the same study run standalone —
 //!    at any shard count, any fit-pool width, shared cache on or off.
 //!    Seeds derive per stream from the study seed
-//!    ([`derive_study_seed`]), placement is hash-based and
-//!    load-oblivious, and cross-study sharing happens only below the
-//!    policy in the content-addressed cache, whose hits are bitwise the
-//!    fits they replace.
-//! 2. **Bounded admission.** A saturated shard or an exhausted tenant
-//!    quota rejects immediately with a backoff hint; heavy traffic turns
-//!    into backpressure the client can see, never into unbounded memory.
+//!    ([`derive_study_seed`]), studies are hermetic (so whichever idle
+//!    worker takes one from the shared admission queue moves only when
+//!    it runs), and cross-study sharing happens only below the policy in
+//!    the content-addressed cache, whose hits are bitwise the fits they
+//!    replace.
+//! 2. **Bounded admission.** A full admission queue or an exhausted
+//!    tenant quota rejects immediately with a backoff hint; heavy traffic
+//!    turns into backpressure the client can see, never into unbounded
+//!    memory.
 
 mod server;
 mod study;
 
-pub use server::{AdmissionError, Server, ServerConfig, StudyTicket};
+pub use server::{AdmissionError, Server, ServerConfig, StudyFailed, StudyTicket};
 pub use study::{
     derive_study_seed, run_study, run_study_standalone, StudyId, StudyOutcome, StudySpec,
     STREAM_EXECUTOR, STREAM_POLICY,

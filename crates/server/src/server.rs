@@ -1,21 +1,24 @@
-//! The admission front door: quotas, bounded shard queues, backpressure.
+//! The admission front door: quotas, one bounded admission queue,
+//! backpressure.
 //!
 //! A [`Server`] owns a pool of shard workers, one [`FitPool`] for all of
 //! them, and (optionally) one [`SharedFitCache`] it hands to every study.
 //! Tenants submit [`StudySpec`]s; admission checks the tenant's in-flight
-//! quota, picks a shard by hashing the study id, and tries a non-blocking
-//! push into that shard's bounded queue. A full queue or an exhausted
-//! quota rejects with a `retry_after` hint instead of queueing unboundedly
-//! — heavy traffic degrades into explicit backpressure, never into
-//! unbounded memory growth.
+//! quota and tries a non-blocking push into the one bounded queue every
+//! worker pulls from, so a study starts on the first idle worker. A full
+//! queue or an exhausted quota rejects with a `retry_after` hint instead
+//! of queueing unboundedly — heavy traffic degrades into explicit
+//! backpressure, never into unbounded memory growth.
 //!
 //! Studies are hermetic (each carries its own workload, policy, and seed),
-//! so shard placement can never change a study's trace — only *when* it
-//! runs. Cross-study sharing happens exclusively below the policy, in the
-//! content-addressed fit cache, whose hits are bitwise the fits they
-//! replace.
+//! so which worker runs a study can never change its trace — only *when*
+//! it runs. Cross-study sharing happens exclusively below the policy, in
+//! the content-addressed fit cache, whose hits are bitwise the fits they
+//! replace. A study that panics is answered with a [`StudyFailed`]; its
+//! worker and its tenant's quota slot survive it.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -33,9 +36,9 @@ pub struct ServerConfig {
     /// Fit worker threads in the process-global pool (`0` = the
     /// `HYPERDRIVE_FIT_THREADS` / available-parallelism default).
     pub fit_threads: usize,
-    /// Bounded depth of each shard's admission queue (studies waiting
-    /// beyond the one executing). `0` means a shard accepts new work only
-    /// while its worker is parked in `recv`.
+    /// Bounded depth of the one admission queue all shard workers pull
+    /// from (studies waiting beyond those executing). `0` means a study is
+    /// accepted only while some worker is parked in `recv`.
     pub queue_capacity: usize,
     /// Maximum in-flight (queued + running) studies per tenant.
     pub tenant_quota: usize,
@@ -54,7 +57,7 @@ impl Default for ServerConfig {
         ServerConfig {
             shards: 4,
             fit_threads: 0,
-            queue_capacity: 64,
+            queue_capacity: 256,
             tenant_quota: 256,
             tenant_prefetch_budget: 1 << 20,
             retry_after: Duration::from_millis(50),
@@ -77,12 +80,11 @@ pub enum AdmissionError {
         /// When to retry.
         retry_after: Duration,
     },
-    /// The target shard's bounded queue is full.
+    /// The admission queue holds
+    /// [`queue_capacity`](ServerConfig::queue_capacity) waiting studies.
     Saturated {
         /// The rejected spec.
         spec: Box<StudySpec>,
-        /// The shard whose queue was full.
-        shard: usize,
         /// When to retry.
         retry_after: Duration,
     },
@@ -120,8 +122,8 @@ impl std::fmt::Display for AdmissionError {
                 "tenant {:?} quota exhausted ({in_flight}/{quota} in flight); retry after {:?}",
                 spec.tenant, retry_after
             ),
-            AdmissionError::Saturated { shard, retry_after, .. } => {
-                write!(f, "shard {shard} admission queue full; retry after {retry_after:?}")
+            AdmissionError::Saturated { retry_after, .. } => {
+                write!(f, "admission queue full; retry after {retry_after:?}")
             }
             AdmissionError::ShuttingDown(_) => write!(f, "server is shutting down"),
         }
@@ -130,26 +132,52 @@ impl std::fmt::Display for AdmissionError {
 
 impl std::error::Error for AdmissionError {}
 
-/// A handle to one admitted study.
+/// An admitted study that panicked instead of producing an outcome.
+#[derive(Debug)]
+pub struct StudyFailed {
+    /// The server-assigned id of the study.
+    pub id: StudyId,
+    /// The panic message.
+    pub message: String,
+}
+
+impl std::fmt::Display for StudyFailed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "study {} panicked: {}", self.id, self.message)
+    }
+}
+
+impl std::error::Error for StudyFailed {}
+
+/// A handle to one admitted study, redeemable once whichever shard worker
+/// took it from the admission queue has answered.
 #[derive(Debug)]
 pub struct StudyTicket {
     /// The server-assigned study id.
     pub id: StudyId,
-    /// The shard the study was placed on.
-    pub shard: usize,
-    rx: Receiver<StudyOutcome>,
+    rx: Receiver<Result<StudyOutcome, StudyFailed>>,
 }
 
 impl StudyTicket {
+    /// Blocks until the study finishes or fails.
+    ///
+    /// # Errors
+    ///
+    /// [`StudyFailed`] with the panic message if the study panicked (a
+    /// spec the engine refuses, such as zero machines or zero jobs).
+    pub fn try_wait(self) -> Result<StudyOutcome, StudyFailed> {
+        self.rx.recv().expect("a shard worker answers every admitted study")
+    }
+
     /// Blocks until the study finishes.
     ///
     /// # Panics
     ///
-    /// Panics if the shard worker died before completing the study (a
-    /// bug: workers outlive every admitted study by construction).
+    /// Panics if the study panicked; [`try_wait`](Self::try_wait) returns
+    /// that as an error instead.
     #[must_use]
     pub fn wait(self) -> StudyOutcome {
-        self.rx.recv().expect("shard worker completes every admitted study")
+        self.try_wait().expect("the admitted study completes")
     }
 }
 
@@ -158,7 +186,7 @@ struct StudyJob {
     id: StudyId,
     spec: StudySpec,
     submitted: Instant,
-    reply: Sender<StudyOutcome>,
+    reply: Sender<Result<StudyOutcome, StudyFailed>>,
 }
 
 /// Per-tenant in-flight accounting, shared by admission and shard workers.
@@ -174,7 +202,7 @@ type PrefetchLedger = Arc<Mutex<HashMap<String, u64>>>;
 /// [`StudyTicket`]s remain redeemable afterwards.
 pub struct Server {
     config: ServerConfig,
-    shards: Vec<Sender<StudyJob>>,
+    queue: Sender<StudyJob>,
     workers: Vec<std::thread::JoinHandle<()>>,
     pool: Arc<FitPool>,
     cache: Option<Arc<SharedFitCache>>,
@@ -187,7 +215,7 @@ impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("config", &self.config)
-            .field("shards", &self.shards.len())
+            .field("shards", &self.workers.len())
             .field("shared_cache", &self.cache.is_some())
             .finish_non_exhaustive()
     }
@@ -212,23 +240,23 @@ impl Server {
         let pool = FitPool::new(config.fit_threads);
         let tenants: TenantLoads = Arc::new(Mutex::new(HashMap::new()));
         let prefetch_spent: PrefetchLedger = Arc::new(Mutex::new(HashMap::new()));
-        let mut shards = Vec::with_capacity(config.shards);
-        let mut workers = Vec::with_capacity(config.shards);
-        for _ in 0..config.shards {
-            let (tx, rx) = bounded::<StudyJob>(config.queue_capacity);
-            let pool = Arc::clone(&pool);
-            let cache = cache.clone();
-            let tenants = Arc::clone(&tenants);
-            let ledger = Arc::clone(&prefetch_spent);
-            let budget = config.tenant_prefetch_budget;
-            shards.push(tx);
-            workers.push(std::thread::spawn(move || {
-                shard_loop(&rx, &pool, cache, &tenants, &ledger, budget);
-            }));
-        }
+        let (queue, rx) = bounded::<StudyJob>(config.queue_capacity);
+        let workers = (0..config.shards)
+            .map(|_| {
+                let rx = rx.clone();
+                let pool = Arc::clone(&pool);
+                let cache = cache.clone();
+                let tenants = Arc::clone(&tenants);
+                let ledger = Arc::clone(&prefetch_spent);
+                let budget = config.tenant_prefetch_budget;
+                std::thread::spawn(move || {
+                    shard_loop(&rx, &pool, cache, &tenants, &ledger, budget);
+                })
+            })
+            .collect();
         Server {
             config,
-            shards,
+            queue,
             workers,
             pool,
             cache,
@@ -236,13 +264,6 @@ impl Server {
             prefetch_spent,
             next_id: std::sync::atomic::AtomicU64::new(0),
         }
-    }
-
-    /// The shard a study id lands on (splitmix64 of the id). Placement is
-    /// load-oblivious on purpose: studies are hermetic, so placement can
-    /// only move wall-clock, never a trace byte.
-    fn shard_of(&self, id: StudyId) -> usize {
-        (crate::study::derive_study_seed(id, 0x5348_5244) % self.shards.len() as u64) as usize
     }
 
     /// Charges one in-flight slot to `tenant`, or reports the load that
@@ -267,14 +288,14 @@ impl Server {
         }
     }
 
-    /// Admits a study without blocking: quota check, shard pick, bounded
-    /// push.
+    /// Admits a study without blocking: quota check, then a bounded push
+    /// into the admission queue.
     ///
     /// # Errors
     ///
     /// [`AdmissionError::QuotaExhausted`] when the tenant is at quota,
-    /// [`AdmissionError::Saturated`] when the target shard's queue is
-    /// full. Both return the spec and a `retry_after` hint.
+    /// [`AdmissionError::Saturated`] when the admission queue is full.
+    /// Both return the spec and a `retry_after` hint.
     pub fn submit(&self, spec: StudySpec) -> Result<StudyTicket, AdmissionError> {
         if let Err(in_flight) = self.try_charge(&spec.tenant) {
             return Err(AdmissionError::QuotaExhausted {
@@ -285,16 +306,14 @@ impl Server {
             });
         }
         let id = self.next_id.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let shard = self.shard_of(id);
         let (reply, rx) = unbounded();
         let job = StudyJob { id, spec, submitted: Instant::now(), reply };
-        match self.shards[shard].try_send(job) {
-            Ok(()) => Ok(StudyTicket { id, shard, rx }),
+        match self.queue.try_send(job) {
+            Ok(()) => Ok(StudyTicket { id, rx }),
             Err(TrySendError::Full(job)) => {
                 Self::release(&self.tenants, &job.spec.tenant);
                 Err(AdmissionError::Saturated {
                     spec: Box::new(job.spec),
-                    shard,
                     retry_after: self.config.retry_after,
                 })
             }
@@ -305,7 +324,7 @@ impl Server {
         }
     }
 
-    /// Admits a study, blocking on a full shard queue instead of
+    /// Admits a study, blocking on a full admission queue instead of
     /// rejecting. Quota rejections still fail fast — a blocked submit
     /// holding a quota slot would deadlock the tenant against itself.
     ///
@@ -323,11 +342,10 @@ impl Server {
             });
         }
         let id = self.next_id.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let shard = self.shard_of(id);
         let (reply, rx) = unbounded();
         let job = StudyJob { id, spec, submitted: Instant::now(), reply };
-        match self.shards[shard].send(job) {
-            Ok(()) => Ok(StudyTicket { id, shard, rx }),
+        match self.queue.send(job) {
+            Ok(()) => Ok(StudyTicket { id, rx }),
             Err(crossbeam_channel::SendError(job)) => {
                 Self::release(&self.tenants, &job.spec.tenant);
                 Err(AdmissionError::ShuttingDown(Box::new(job.spec)))
@@ -338,7 +356,7 @@ impl Server {
     /// The number of shard workers.
     #[must_use]
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.workers.len()
     }
 
     /// The process-global fit pool every admitted study multiplexes onto.
@@ -376,17 +394,19 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        // Closing the senders ends each shard's recv loop once its queue
-        // drains; admitted studies finish and their tickets stay valid.
-        self.shards.clear();
+        // Closing the queue (swapping in a sender whose receiver is gone)
+        // ends every worker's recv loop once the queue drains; admitted
+        // studies finish and their tickets stay valid.
+        self.queue = bounded(0).0;
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
     }
 }
 
-/// One shard: drain the bounded queue, run each study on the shared
-/// pool/cache, release the tenant slot, deliver the outcome.
+/// One shard worker: take the next study from the admission queue, run it
+/// on the shared pool/cache, release the tenant slot, deliver the outcome
+/// — or, if the study panicked, a [`StudyFailed`], and carry on.
 fn shard_loop(
     rx: &Receiver<StudyJob>,
     pool: &Arc<FitPool>,
@@ -406,17 +426,32 @@ fn shard_loop(
         {
             job.spec.policy.fit_prefetch = Some(false);
         }
-        let outcome =
-            run_study(&job.spec, job.id, Some(Arc::clone(pool)), cache.clone(), queue_latency);
-        if outcome.spec_stats.speculated > 0 {
-            let mut ledger = prefetch_spent.lock();
-            let spent = ledger.entry(job.spec.tenant.clone()).or_insert(0);
-            *spent = spent.saturating_add(outcome.spec_stats.speculated);
+        // Unwind safety: the study's own state dies with the unwind, and
+        // the pool and cache it shares are reached only through their
+        // synchronised APIs (a cache entry is published whole or not at
+        // all), so the next study sees them intact.
+        let run = AssertUnwindSafe(|| {
+            run_study(&job.spec, job.id, Some(Arc::clone(pool)), cache.clone(), queue_latency)
+        });
+        let answer = catch_unwind(run).map_err(|panic| StudyFailed {
+            id: job.id,
+            message: panic
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_string()))
+                .unwrap_or_else(|| "no message".to_string()),
+        });
+        if let Ok(outcome) = &answer {
+            if outcome.spec_stats.speculated > 0 {
+                let mut ledger = prefetch_spent.lock();
+                let spent = ledger.entry(job.spec.tenant.clone()).or_insert(0);
+                *spent = spent.saturating_add(outcome.spec_stats.speculated);
+            }
         }
         // Release before replying so a waiter that resubmits immediately
         // sees its freed quota slot.
         Server::release(tenants, &job.spec.tenant);
-        let _ = job.reply.send(outcome);
+        let _ = job.reply.send(answer);
     }
 }
 
@@ -454,7 +489,7 @@ mod tests {
         // seed + study seed, different tenant) so its fits resolve from
         // the shared cache. It is submitted only after its twin finishes
         // — concurrent twins still trace identically, but whether any
-        // given fit hits would depend on shard timing.
+        // given fit hits would depend on worker timing.
         let specs = [study("alice", 7), study("bob", 11), study("carol", 7)];
         let first_wave: Vec<_> =
             specs[..2].iter().map(|s| server.submit(s.clone()).expect("admitted")).collect();
@@ -531,8 +566,7 @@ mod tests {
         }
         let err = rejection.expect("a depth-1 queue must saturate within 8 instant submits");
         match &err {
-            AdmissionError::Saturated { shard, retry_after, .. } => {
-                assert_eq!(*shard, 0);
+            AdmissionError::Saturated { retry_after, .. } => {
                 assert_eq!(*retry_after, Duration::from_millis(7));
             }
             other => panic!("expected Saturated, got {other:?}"),

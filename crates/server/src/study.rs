@@ -85,10 +85,10 @@ pub struct StudyOutcome {
     pub end_time: SimTime,
     /// Total training epochs executed.
     pub total_epochs: u64,
-    /// Wall-clock time from submit to dequeue (the scheduling-decision
-    /// latency the server bench reports at p50/p99).
+    /// Wall-clock time from submit to dequeue: how long the study waited
+    /// in the admission queue for an idle shard worker.
     pub queue_latency: Duration,
-    /// Wall-clock time the study spent executing on its shard.
+    /// Wall-clock time the study spent executing on its shard worker.
     pub run_duration: Duration,
 }
 

@@ -82,8 +82,9 @@ pub enum Mode {
     /// policy (for the fitting groups: 2 fit threads, one shared cache
     /// across the kills, prefetch as given).
     Killed { prefetch: bool },
-    /// Through `hyperdrive-server` at 1 and 2 shards, each fault-free study
-    /// followed by a twin under another tenant that the cache must serve.
+    /// Through `hyperdrive-server` at 1, 2 and 4 shards: every fault-free
+    /// study submitted at once, then every twin under another tenant at
+    /// once, which the cache must serve.
     Server,
 }
 
@@ -552,25 +553,32 @@ pub fn cell(mode: Mode, group: Group) -> u64 {
     cases
 }
 
-/// Every fault-free study through a server at 1 and 2 shards, each
-/// followed by a twin under another tenant.
+/// Every fault-free study through a server at 1, 2 and 4 shards: all the
+/// originals submitted at once and run concurrently, then all their twins
+/// under another tenant, which read what the originals published.
 fn server_cell(studies: &[Study]) -> u64 {
+    let fault_free: Vec<&Study> = studies.iter().filter(|s| s.plan.is_empty()).collect();
     let mut cases = 0;
-    for shards in [1, 2] {
+    for shards in [1, 2, 4] {
         let server = Server::new(ServerConfig { shards, fit_threads: 2, ..Default::default() });
-        for study in studies.iter().filter(|s| s.plan.is_empty()) {
-            let want = study.reference();
-            let original = StudySpec {
-                tenant: "original".to_string(),
-                workload: study.workload.clone(),
-                spec: study.spec,
-                policy: study.pop_config(&REFERENCE),
-                seed: study.seed,
-            };
-            let twin = StudySpec { tenant: "twin".to_string(), ..original.clone() };
-            for submitted in [original, twin] {
-                let how = format!("{} through the server at {shards} shards", submitted.tenant);
-                let outcome = server.submit(submitted).expect("the study is admitted").wait();
+        for tenant in ["original", "twin"] {
+            let tickets: Vec<_> = fault_free
+                .iter()
+                .map(|study| {
+                    let spec = StudySpec {
+                        tenant: tenant.to_string(),
+                        workload: study.workload.clone(),
+                        spec: study.spec,
+                        policy: study.pop_config(&REFERENCE),
+                        seed: study.seed,
+                    };
+                    server.submit(spec).expect("the study is admitted")
+                })
+                .collect();
+            for (study, ticket) in fault_free.iter().zip(tickets) {
+                let how = format!("{tenant} through the server at {shards} shards");
+                let want = study.reference();
+                let outcome = ticket.wait();
                 let (label, trace) = (&study.label, want.trace.as_deref().unwrap_or(""));
                 let diff = first_difference(trace, &outcome.trace);
                 assert!(outcome.trace == trace, "{label} {how}: {diff}");
