@@ -111,21 +111,49 @@ fn metric_kind_code(kind: MetricKind) -> u64 {
 
 /// Content hash of a posterior: every field, the draws' bit patterns
 /// included. `FitService::posterior_digest` folds it over a run's memoized
-/// posteriors.
+/// posteriors. Equal posteriors give equal hashes; a 64-bit hash can
+/// collide.
+///
+/// The draws fold in four independent multiply-rotate lanes (word `i` into
+/// lane `i % 4`), so the lanes' dependency chains overlap where one serial
+/// mix per word would wait on the last; the lanes then go through the
+/// fingerprint's `Fp128` finalizer beside the scalar fields and the
+/// matrix's shape.
 #[must_use]
 pub fn posterior_hash(p: &CurvePosterior) -> u64 {
     let mut h = Fp128::new(POSTERIOR_SALT);
     h.write_u64(u64::from(p.last_epoch()));
     h.write_u64(u64::from(p.horizon()));
     h.write_f64(p.acceptance_rate());
-    h.write_u64(p.draws().len() as u64);
-    for draw in p.draws() {
-        h.write_u64(draw.len() as u64);
-        for &v in draw {
-            h.write_f64(v);
+    let draws = p.draw_matrix();
+    h.write_u64(p.n_draws() as u64);
+    h.write_u64(draws.len() as u64);
+    let mut lanes = LANE_SEEDS;
+    let mut words = draws.chunks_exact(LANE_SEEDS.len());
+    for chunk in &mut words {
+        for (lane, v) in lanes.iter_mut().zip(chunk) {
+            *lane = lane_round(*lane, v.to_bits());
         }
     }
+    for (lane, v) in lanes.iter_mut().zip(words.remainder()) {
+        *lane = lane_round(*lane, v.to_bits());
+    }
+    for lane in lanes {
+        h.write_u64(lane);
+    }
     h.finish().0[0]
+}
+
+/// Starting values of [`posterior_hash`]'s four lanes (hex digits of π).
+const LANE_SEEDS: [u64; 4] =
+    [0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_7344, 0xA409_3822_299F_31D0, 0x082E_FA98_EC4E_6C89];
+
+/// One lane step: the xxHash64 round (multiply, rotate, multiply by two
+/// odd primes), which spreads every input bit across the lane.
+fn lane_round(lane: u64, word: u64) -> u64 {
+    lane.wrapping_add(word.wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
+        .rotate_left(31)
+        .wrapping_mul(0x9E37_79B1_85EB_CA87)
 }
 
 /// Computes the structural fingerprint of one fit.
@@ -404,6 +432,30 @@ mod tests {
             fit_fingerprint(&curve(10), &cfg, 42, 100, None),
             fit_fingerprint(&reward, &cfg, 42, 100, None)
         );
+    }
+
+    /// Equal posteriors hash equal, a shared clone included; flipping one
+    /// bit of a draw word in any lane, first row or last, or changing a
+    /// scalar field or the row count moves the hash.
+    #[test]
+    fn posterior_hash_sees_every_draw_word_and_field() {
+        let base = posterior(3);
+        assert_eq!(posterior_hash(&base), posterior_hash(&base.clone()));
+        assert_eq!(posterior_hash(&base), posterior_hash(&posterior(3)));
+        let matrix = base.draw_matrix().to_vec();
+        let rebuilt = |draws: Vec<f64>, rate: f64| {
+            CurvePosterior::from_parts(draws, base.last_epoch(), base.horizon(), rate).unwrap()
+        };
+        let mut seen = vec![posterior_hash(&base)];
+        for i in [0, 1, 2, 3, 4, matrix.len() - 2, matrix.len() - 1] {
+            let mut draws = matrix.clone();
+            draws[i] = f64::from_bits(draws[i].to_bits() ^ 1);
+            seen.push(posterior_hash(&rebuilt(draws, base.acceptance_rate())));
+        }
+        seen.push(posterior_hash(&rebuilt(matrix.clone(), 0.32)));
+        seen.push(posterior_hash(&rebuilt(matrix[..matrix.len() - dimension()].to_vec(), 0.31)));
+        let distinct: std::collections::HashSet<u64> = seen.iter().copied().collect();
+        assert_eq!(distinct.len(), seen.len(), "{seen:x?}");
     }
 
     #[test]

@@ -87,6 +87,6 @@ pub use predictor::{
 pub use scratch::FitScratch;
 pub use service::{
     derive_fit_seed, fit_prefetch_depth, fit_prefetch_forced, resolve_fit_threads, sequential_fit,
-    FitKey, FitOutcome, FitPool, FitPoolStats, FitRequest, FitService, FitStats, SpecStats,
-    DEFAULT_PREFETCH_DEPTH,
+    FitKey, FitOutcome, FitPool, FitPoolStats, FitRequest, FitService, FitStats, PoolOccupant,
+    SpecStats, DEFAULT_PREFETCH_DEPTH,
 };

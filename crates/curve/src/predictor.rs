@@ -2,6 +2,7 @@
 //! a partial learning curve.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -239,7 +240,8 @@ impl CurvePredictor {
         if mcmc.kept().is_empty() {
             return Err(Error::CurveFit("sampler produced no draws".into()));
         }
-        Ok(CurvePosterior { draws: mcmc.kept().to_vec(), last_epoch, horizon, acceptance_rate })
+        let draws = Arc::from(mcmc.kept());
+        Ok(CurvePosterior { draws, last_epoch, horizon, acceptance_rate })
     }
 
     /// Minimizes `half`, offered by the fit of `curve` to `horizon` at this
@@ -401,10 +403,14 @@ impl<'a> IntoIterator for Draws<'a> {
 }
 
 /// Posterior over future performance given an observed curve prefix.
+///
+/// The draws are immutable once fitted and shared between clones: the
+/// per-run cache, the shared layer and every outcome handed out hold the
+/// one buffer the fit allocated, and a clone is a reference-count bump.
 #[derive(Debug, Clone)]
 pub struct CurvePosterior {
     /// Row-major draw matrix, `dimension()` values per draw.
-    draws: Vec<f64>,
+    draws: Arc<[f64]>,
     last_epoch: u32,
     horizon: u32,
     acceptance_rate: f64,
@@ -424,8 +430,8 @@ impl CurvePosterior {
         horizon: u32,
         acceptance_rate: f64,
     ) -> Option<Self> {
-        draws.len().is_multiple_of(dimension()).then_some(CurvePosterior {
-            draws,
+        draws.len().is_multiple_of(dimension()).then(|| CurvePosterior {
+            draws: draws.into(),
             last_epoch,
             horizon,
             acceptance_rate,
@@ -442,6 +448,11 @@ impl CurvePosterior {
     /// agreement of summary statistics.
     pub fn draws(&self) -> Draws<'_> {
         Draws(&self.draws)
+    }
+
+    /// The draw matrix as stored, row after row.
+    pub(crate) fn draw_matrix(&self) -> &[f64] {
+        &self.draws
     }
 
     /// The last observed epoch the posterior conditions on.

@@ -94,6 +94,26 @@
 //! counts the sharing, which the boundary stall ([`FitPoolStats::stall_secs`])
 //! includes.
 //!
+//! # A full server fits on its shards
+//!
+//! Handing a fit to a worker pays off only while the worker has a core the
+//! caller would not use. A multi-tenant server marks each study it runs on
+//! its shared pool with a [`PoolOccupant`]; once at least as many studies
+//! occupy the pool as it has workers, and at least two, every core already
+//! has a study's thread to run, so `fit_batch` fits its fresh requests
+//! itself, one after another, instead of queueing them. Such a fit is the
+//! same `run_fit` a worker runs, on the caller's init-half scratch, with
+//! its whole init kept ([`Decline`]) and its kept rows absorbed into the
+//! request's [`Exceedance`] as the sampler hands them out: no messages, no
+//! row buffers, no offered half. Everything after the fit — shared-layer
+//! publication with the answer, the per-run cache, [`FitStats`],
+//! speculation adoption — is the pooled path's, and the bits are the same
+//! on any thread, so nothing a caller sees changes but the time.
+//! [`FitPoolStats::caller_fits`] counts these fits. A pool no study
+//! occupies — every private pool, and a server running one study — keeps
+//! the hand-off, so a lone study still splits each fit's init with a
+//! worker.
+//!
 //! # Speculative ahead-of-boundary prefetch
 //!
 //! The scheduler only *consumes* posteriors at evaluation boundaries, so
@@ -244,7 +264,8 @@ pub struct FitOutcome {
 pub struct FitStats {
     /// Requests answered from the `(config, epochs)` cache.
     pub cache_hits: u64,
-    /// Fresh ensemble fits executed by the pool.
+    /// Fresh ensemble fits executed for this service: by a pool worker,
+    /// or by the caller itself on a full pool (module docs).
     pub fits: u64,
     /// Always 0: every fit runs cold. Kept only because the repository
     /// benchmark reads it; removed with ROADMAP 1(a).
@@ -278,10 +299,13 @@ pub struct FitStats {
     pub streamed_runs: u64,
     /// Nanoseconds of query work `fit_batch` began while a demand fit of
     /// its batch was still sampling on a worker: hidden inside the wait.
+    /// Counts pooled fits only: a fit the caller runs itself absorbs its
+    /// rows between its own sampler steps, hidden behind nothing, and is
+    /// in neither this nor `query_tail_nanos`.
     pub query_overlap_nanos: u64,
     /// Nanoseconds of query work begun with no such fit left sampling —
-    /// from the last fit's final run on: the part of the estimate still on
-    /// the critical path.
+    /// from the last pooled fit's final run on: the part of the estimate
+    /// still on the critical path.
     pub query_tail_nanos: u64,
     /// Queries answered from the shared layer's memo beside a shared hit.
     pub memo_hits: u64,
@@ -354,21 +378,27 @@ pub struct FitPoolStats {
     pub threads: usize,
     /// Messages currently queued (sent but not yet picked up).
     pub queue_depth: u64,
-    /// Demand fits completed.
+    /// Demand fits completed by the workers.
     pub demand_completions: u64,
+    /// Demand fits their `fit_batch` callers ran themselves because the
+    /// pool was full (see the module docs); not in `demand_completions`,
+    /// `busy_secs` or `idle_fraction`.
+    pub caller_fits: u64,
     /// Speculative fits completed.
     pub speculative_completions: u64,
     /// Speculative fits skipped by a worker because they were cancelled
     /// before compute started.
     pub speculative_skipped: u64,
-    /// Total worker seconds spent fitting.
+    /// Total worker seconds spent fitting (caller-run fits excluded, so
+    /// `idle_fraction` stays a fraction of the workers' time).
     pub busy_secs: f64,
     /// Wall-clock seconds since the pool spawned.
     pub uptime_secs: f64,
     /// `fit_batch` calls timed into the stall histogram.
     pub stall_events: u64,
     /// Total wall-clock seconds callers spent in `fit_batch`, including
-    /// the time they ran offered init halves ([`FitStats::help_nanos`]).
+    /// the time they ran offered init halves ([`FitStats::help_nanos`])
+    /// and whole fits on a full pool ([`FitPoolStats::caller_fits`]).
     pub stall_secs: f64,
     /// Median per-call boundary stall, in milliseconds (log-bucket upper
     /// bound).
@@ -395,6 +425,7 @@ impl FitPoolStats {
 struct PoolTelemetry {
     queued: AtomicU64,
     demand_fits: AtomicU64,
+    caller_fits: AtomicU64,
     spec_fits: AtomicU64,
     spec_skipped: AtomicU64,
     busy_nanos: AtomicU64,
@@ -408,6 +439,7 @@ impl Default for PoolTelemetry {
         PoolTelemetry {
             queued: AtomicU64::new(0),
             demand_fits: AtomicU64::new(0),
+            caller_fits: AtomicU64::new(0),
             spec_fits: AtomicU64::new(0),
             spec_skipped: AtomicU64::new(0),
             busy_nanos: AtomicU64::new(0),
@@ -464,7 +496,8 @@ enum FitReply {
 }
 
 thread_local! {
-    /// The scratch a `fit_batch` caller runs offered halves on.
+    /// The scratch a `fit_batch` caller runs offered halves on, and whole
+    /// fits on a full pool.
     static HELP_SCRATCH: RefCell<FitScratch> = RefCell::new(FitScratch::default());
 }
 
@@ -599,7 +632,22 @@ pub struct FitPool {
     /// Buffers of absorbed [`FitReply::Rows`] for workers to refill: a
     /// warmed-up pool streams without allocating.
     spare_chunks: Arc<Mutex<Vec<Vec<f64>>>>,
+    /// Studies holding a [`PoolOccupant`].
+    occupants: AtomicUsize,
     started: Instant,
+}
+
+/// One study running on a shared [`FitPool`], counted from
+/// [`FitPool::occupy`] until this guard drops. With as many occupants as
+/// workers (and at least two), the studies' `fit_batch` calls fit on their
+/// own threads (see the module docs).
+#[derive(Debug)]
+pub struct PoolOccupant<'a>(&'a FitPool);
+
+impl Drop for PoolOccupant<'_> {
+    fn drop(&mut self) {
+        self.0.occupants.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 impl std::fmt::Debug for FitPool {
@@ -626,13 +674,39 @@ impl FitPool {
                 std::thread::spawn(move || worker_loop(&rx, &telemetry, &spare_chunks))
             })
             .collect();
-        Arc::new(FitPool { tx, workers, telemetry, spare_chunks, started: Instant::now() })
+        Arc::new(FitPool {
+            tx,
+            workers,
+            telemetry,
+            spare_chunks,
+            occupants: AtomicUsize::new(0),
+            started: Instant::now(),
+        })
     }
 
     /// Number of worker threads.
     #[must_use]
     pub fn threads(&self) -> usize {
         self.workers.len()
+    }
+
+    /// Counts one study as running on this pool until the guard drops.
+    #[must_use = "the study occupies the pool only while the guard lives"]
+    pub fn occupy(&self) -> PoolOccupant<'_> {
+        self.occupants.fetch_add(1, Ordering::Relaxed);
+        PoolOccupant(self)
+    }
+
+    /// Studies occupying the pool now.
+    #[must_use]
+    pub fn occupants(&self) -> usize {
+        self.occupants.load(Ordering::Relaxed)
+    }
+
+    /// Whether every worker has a study of its own behind it, and there
+    /// are at least two: a `fit_batch` then fits on its caller.
+    fn is_full(&self) -> bool {
+        self.occupants() >= self.threads().max(2)
     }
 
     /// A point-in-time snapshot of the pool's telemetry counters.
@@ -643,6 +717,7 @@ impl FitPool {
             threads: self.workers.len(),
             queue_depth: t.queued.load(Ordering::Relaxed),
             demand_completions: t.demand_fits.load(Ordering::Relaxed),
+            caller_fits: t.caller_fits.load(Ordering::Relaxed),
             speculative_completions: t.spec_fits.load(Ordering::Relaxed),
             speculative_skipped: t.spec_skipped.load(Ordering::Relaxed),
             busy_secs: t.busy_nanos.load(Ordering::Relaxed) as f64 / 1e9,
@@ -871,13 +946,17 @@ impl FitService {
     /// order. Cached prefixes are answered without refitting; the rest run
     /// concurrently on the pool, and the call blocks until all complete —
     /// answering each request's `query`, while it waits, from the kept
-    /// draws its fit streams back.
+    /// draws its fit streams back. On a full pool the rest run here, one
+    /// after another, instead (see the module docs).
     ///
     /// Duplicate `(job, last epoch)` keys within one batch are fitted once
     /// and share the result. A fit that panics, or whose worker vanishes,
     /// is an [`Error::CurveFit`] outcome for its key, never a block.
     pub fn fit_batch(&self, requests: &[FitRequest]) -> Vec<FitOutcome> {
         let stall_timer = Instant::now();
+        // Every worker has a study behind it: a hand-off would only move
+        // the fit to another thread of the same cores.
+        let on_caller = self.pool.is_full();
         // Snapshot once: when no speculation is in flight the whole
         // adoption path (including fingerprinting without a shared
         // layer) is skipped and the scan is exactly the pre-prefetch
@@ -900,7 +979,9 @@ impl FitService {
         let mut streams: HashMap<FitKey, Exceedance> = HashMap::new();
         let (reply_tx, reply_rx) = unbounded();
         let finished = Arc::new(AtomicUsize::new(0));
+        // Fits sent to the pool, and those this caller runs itself.
         let mut enqueued = 0usize;
+        let mut on_here: Vec<(FitKey, PredictorConfig)> = Vec::new();
         let mut hits = 0u64;
         let mut shared_hits = 0u64;
         let mut shared_lookups = 0u64;
@@ -992,16 +1073,21 @@ impl FitService {
                             spec_mismatched += 1;
                         }
                     }
-                    self.pool.send(WorkerMsg::Fit {
-                        key,
-                        config: self.config.with_seed(seed),
-                        curve: req.curve.clone(),
-                        horizon: req.horizon,
-                        stream: req.query.is_some(),
-                        finished: Arc::clone(&finished),
-                        reply: reply_tx.clone(),
-                    });
-                    enqueued += 1;
+                    let config = self.config.with_seed(seed);
+                    if on_caller {
+                        on_here.push((key, config));
+                    } else {
+                        self.pool.send(WorkerMsg::Fit {
+                            key,
+                            config,
+                            curve: req.curve.clone(),
+                            horizon: req.horizon,
+                            stream: req.query.is_some(),
+                            finished: Arc::clone(&finished),
+                            reply: reply_tx.clone(),
+                        });
+                        enqueued += 1;
+                    }
                     streamed_fits += u64::from(req.query.is_some());
                 }
             }
@@ -1020,7 +1106,7 @@ impl FitService {
         }
 
         let mut shared_inserts = 0u64;
-        let spec_adopted = adopted_specs.len();
+        let (spec_adopted, caller_fits) = (adopted_specs.len(), on_here.len());
         // Nanoseconds of query work by whether a demand fit was still
         // sampling when it began: [critical path, hidden behind the fit].
         let mut query_nanos = [0u64; 2];
@@ -1031,15 +1117,32 @@ impl FitService {
             query_nanos[usize::from(hidden)] += t.elapsed().as_nanos() as u64;
         };
         let vanished = || Error::CurveFit("fit worker vanished before replying".into());
-        // Adopted speculations resolve exactly like fresh replies: same
-        // shared-layer publication, same per-run cache insertion, same
-        // `cached: false` outcome — a caller (or a trace byte-compare)
-        // cannot tell a collected speculation from the demand fit it
-        // replaced. Every waiting key is one or the other.
+        // Adopted speculations and fits run here resolve exactly like fresh
+        // replies: same shared-layer publication, same per-run cache
+        // insertion, same `cached: false` outcome — a caller (or a trace
+        // byte-compare) cannot tell them from the pooled demand fit they
+        // replaced. Every waiting key is one of the three.
         let mut adopted = adopted_specs.into_iter();
+        let mut on_here = on_here.into_iter();
         while !waiting.is_empty() {
+            // Whether a worker sampled the fit, so its query work is timed.
+            let mut pooled = true;
             let (key, result) = if let Some((key, spec)) = adopted.next() {
                 (key, spec.reply.recv().map_or_else(|_| Err(vanished()), |(_, result)| result))
+            } else if let Some((key, config)) = on_here.next() {
+                let req = &requests[waiting[&key][0]];
+                let mut mass = streams.get_mut(&key);
+                let absorb = |rows: &[f64], _| {
+                    if let Some(mass) = mass.as_deref_mut() {
+                        mass.absorb(rows);
+                        streamed_runs += 1;
+                    }
+                };
+                let result = HELP_SCRATCH.with_borrow_mut(|scratch| {
+                    run_fit(scratch, config, &req.curve, req.horizon, &mut Decline, absorb)
+                });
+                pooled = false;
+                (key, result)
             } else {
                 match reply_rx.recv() {
                     Ok(FitReply::Help(key, task)) => {
@@ -1073,10 +1176,15 @@ impl FitService {
             let answer = match (streams.remove(&key), first, &result) {
                 (Some(mut mass), Some(query), Ok(p)) => {
                     let mut answer = vec![0.0; query.epochs().len()];
-                    timed(&mut || {
+                    let mut rest = || {
                         mass.absorb_rest(p);
                         mass.finish(&mut answer);
-                    });
+                    };
+                    if pooled {
+                        timed(&mut rest);
+                    } else {
+                        rest();
+                    }
                     Some(answer)
                 }
                 _ => None,
@@ -1107,7 +1215,7 @@ impl FitService {
         {
             let mut stats = self.shared.stats.lock();
             stats.cache_hits += hits;
-            let fits = (enqueued + spec_adopted) as u64;
+            let fits = (enqueued + caller_fits + spec_adopted) as u64;
             stats.fits += fits;
             stats.shared_hits += shared_hits;
             stats.batches += 1;
@@ -1122,6 +1230,9 @@ impl FitService {
             stats.halves_offered += halves[0];
             stats.halves_helped += halves[1];
             stats.help_nanos += help_nanos;
+        }
+        if caller_fits > 0 {
+            self.pool.telemetry.caller_fits.fetch_add(caller_fits as u64, Ordering::Relaxed);
         }
         if spec_adopted > 0 || spec_mismatched > 0 {
             let mut spec = self.shared.spec_stats.lock();
@@ -1163,8 +1274,9 @@ impl FitService {
 
     /// An order-independent digest over every memoized posterior (sorted
     /// by `(job, epoch)`, folding each posterior's structural hash): two
-    /// runs of the same study produced byte-identical posteriors iff their
-    /// digests match. Fit errors fold in as a fixed marker.
+    /// runs of the same study that produced byte-identical posteriors have
+    /// equal digests, and a 64-bit digest can collide. Fit errors fold in
+    /// as a fixed marker. Compare digests only within one build.
     pub fn posterior_digest(&self) -> u64 {
         let cache = self.shared.cache.lock();
         let mut keys: Vec<FitKey> = cache.keys().copied().collect();
@@ -1849,6 +1961,102 @@ mod tests {
         assert!(pool.busy_secs > 0.0);
         assert!(pool.uptime_secs > 0.0);
         assert!((0.0..=1.0).contains(&pool.idle_fraction()));
+    }
+
+    /// Requests with POP's query at three curve lengths, one job each.
+    fn asked(jobs: std::ops::Range<u64>) -> Vec<FitRequest> {
+        let query = ExceedanceQuery::new(&[40, 70, 100], 0.6);
+        jobs.map(|j| FitRequest { query: Some(query), ..req(j, 9 + j as u32 % 3) }).collect()
+    }
+
+    /// A 2-worker pool two studies occupy is full: the batch fits on its
+    /// caller, bitwise the reference, answers each query bitwise as the
+    /// posterior would, and counts and publishes exactly what the pooled
+    /// path does — but offers no half and sends no worker anything.
+    #[test]
+    fn a_full_pool_fits_on_the_caller_as_the_pooled_path_would() {
+        let config = PredictorConfig::test();
+        let requests = asked(0..4);
+        let pool = FitPool::new(2);
+        let (_a, _b) = (pool.occupy(), pool.occupy());
+        assert_eq!(pool.occupants(), 2);
+        let cache = SharedFitCache::in_memory();
+        let service = FitService::with_pool(config, 7, Arc::clone(&pool), Some(cache.clone()));
+        let outcomes = service.fit_batch(&requests);
+        for (r, o) in requests.iter().zip(&outcomes) {
+            let posterior = o.result.as_ref().expect("fit succeeds");
+            assert!(!o.cached);
+            assert_eq!(posterior.draws(), sequential_fit(config, 7, r).unwrap().draws());
+            let want = r.query.unwrap().answer(posterior);
+            let got = o.exceedance.as_ref().expect("the query was answered");
+            assert!(got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()));
+        }
+
+        let lone = FitService::with_shared_cache(config, 7, 2, Some(SharedFitCache::in_memory()));
+        lone.fit_batch(&requests);
+        let (here, there) = (service.stats(), lone.stats());
+        assert_eq!((here.fits, here.streamed_fits, here.shared_inserts), (4, 4, 4));
+        assert_eq!(
+            (here.fits, here.streamed_fits, here.streamed_runs, here.shared_inserts),
+            (there.fits, there.streamed_fits, there.streamed_runs, there.shared_inserts),
+        );
+        assert_eq!(here.halves_offered, 0, "a caller-run fit keeps its whole init");
+        assert!(there.halves_offered > 0);
+        let stats = pool.stats();
+        assert_eq!((stats.caller_fits, stats.demand_completions), (4, 0));
+        assert!(stats.busy_secs.abs() < f64::EPSILON, "no worker fitted");
+        // Published with its answer: a twin study takes memoized hits.
+        let twin = FitService::with_pool(config, 7, Arc::clone(&pool), Some(cache));
+        let again = twin.fit_batch(&requests);
+        assert_eq!((twin.stats().shared_hits, twin.stats().memo_hits), (4, 4));
+        for (o, a) in outcomes.iter().zip(&again) {
+            assert_eq!(o.exceedance, a.exceedance);
+        }
+        assert_eq!(service.posterior_digest(), lone.posterior_digest());
+    }
+
+    /// A fit that panics on a full pool's caller is its key's typed error,
+    /// and the caller's fresh scratch fits the next request bitwise.
+    #[test]
+    fn a_panic_in_a_caller_run_fit_is_that_keys_error() {
+        let pool = FitPool::new(1);
+        let (_a, _b) = (pool.occupy(), pool.occupy());
+        let broken = PredictorConfig { walkers: 2, ..PredictorConfig::test() };
+        let service = FitService::with_pool(broken, 7, Arc::clone(&pool), None);
+        match &service.fit_batch(&[req(0, 10)])[0].result {
+            Err(Error::CurveFit(why)) => assert!(why.contains("fit panicked"), "{why}"),
+            other => panic!("expected a typed fit error, got {other:?}"),
+        }
+        let config = PredictorConfig::test();
+        let healthy = FitService::with_pool(config, 7, Arc::clone(&pool), None);
+        let out = healthy.fit_batch(&[req(1, 12)]).remove(0);
+        assert_eq!(
+            out.result.unwrap().draws(),
+            sequential_fit(config, 7, &req(1, 12)).unwrap().draws()
+        );
+        assert_eq!(pool.stats().caller_fits, 2);
+    }
+
+    /// A pool fewer studies occupy than it has workers, or one study alone,
+    /// keeps the hand-off: halves are offered and rows streamed.
+    #[test]
+    fn a_pool_short_of_occupants_hands_fits_to_its_workers() {
+        let config = PredictorConfig::test();
+        for (threads, occupants) in [(2, 0), (2, 1), (1, 1), (4, 3)] {
+            let pool = FitPool::new(threads);
+            let _held: Vec<_> = (0..occupants).map(|_| pool.occupy()).collect();
+            let service = FitService::with_pool(config, 7, Arc::clone(&pool), None);
+            service.fit_batch(&asked(0..3));
+            let stats = service.stats();
+            let at = format!("{threads} workers, {occupants} occupants");
+            assert_eq!(stats.halves_offered, 3, "{at}");
+            assert!(stats.streamed_runs >= 3, "{at}");
+            assert_eq!((pool.stats().caller_fits, pool.stats().demand_completions), (0, 3), "{at}");
+        }
+        let pool = FitPool::new(1);
+        let guards = (pool.occupy(), pool.occupy());
+        drop(guards);
+        assert_eq!(pool.occupants(), 0, "a dropped guard releases its count");
     }
 
     /// The half the waiting caller runs panics: that key alone is a typed

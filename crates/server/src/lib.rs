@@ -3,12 +3,19 @@
 //! The paper's system serves *one* experiment per scheduler instance;
 //! this crate is the front door for serving thousands at once. Tenants
 //! submit hermetic [`StudySpec`]s (workload + policy + seed); the
-//! [`Server`] queues them for a pool of workers, multiplexes **all**
-//! curve fits through one process-global
-//! [`FitPool`](hyperdrive_curve::FitPool) and one shared
-//! content-addressed [`SharedFitCache`](hyperdrive_curve::SharedFitCache),
-//! and pushes back explicitly (bounded queues, per-tenant quotas,
+//! [`Server`] queues them for a pool of workers, gives every study one
+//! shared [`FitPool`](hyperdrive_curve::FitPool) of fit threads and one
+//! shared content-addressed
+//! [`SharedFitCache`](hyperdrive_curve::SharedFitCache), and pushes back
+//! explicitly (bounded queues, per-tenant quotas,
 //! reject-with-`retry_after`) instead of queueing without limit.
+//!
+//! A study's fits go to the fit pool only while some of its workers have
+//! no study behind them. Each running study occupies the pool
+//! ([`FitPool::occupy`](hyperdrive_curve::FitPool::occupy)); once at least
+//! as many studies run as the pool has workers, and at least two, every
+//! core already runs a study, and each study fits on its own shard thread
+//! — the same fit, bit for bit, without the hand-off.
 //!
 //! Two invariants carry the design:
 //!

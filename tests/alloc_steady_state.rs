@@ -19,7 +19,10 @@
 //! The fit arms pin the fit path at zero allocations once its buffers are
 //! sized: per MCMC run, per lockstep Nelder–Mead init, per boundary query
 //! (`fit_path_allocations`), and per streamed run of kept rows of a
-//! `fit_batch` that carries its query (`streamed_chunk_allocations`).
+//! `fit_batch` that carries its query (`streamed_chunk_allocations`) —
+//! handed to a worker, or run on the caller of a full pool, where the
+//! batch allocates exactly the fit's own allocations and a fixed
+//! bookkeeping count.
 //!
 //! This file holds exactly one `#[test]` so no sibling test can allocate
 //! concurrently and pollute the counter.
@@ -28,6 +31,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use hyperdrive_core::{ert_query, estimate_remaining_time, PopConfig, PopPolicy};
 use hyperdrive_curve::batch::MAX_SLOTS;
@@ -37,8 +41,8 @@ use hyperdrive_curve::mcmc::{sample_into, McmcScratch, SamplerOptions};
 use hyperdrive_curve::nelder_mead::{NelderMeadOptions, NmScratch};
 use hyperdrive_curve::vmath;
 use hyperdrive_curve::{
-    CurveObjective, CurvePredictor, ExceedanceQuery, FitRequest, FitService, FusedPosterior,
-    FusedScratch, PredictorConfig, ALL_FAMILIES,
+    CurveObjective, CurvePredictor, ExceedanceQuery, FitPool, FitRequest, FitScratch, FitService,
+    FusedPosterior, FusedScratch, PredictorConfig, ALL_FAMILIES,
 };
 use hyperdrive_framework::{
     DefaultPolicy, EngineEvent, ExperimentSpec, ExperimentWorkload, JobDecision, JobEvent,
@@ -356,7 +360,9 @@ const COUNTED_BATCHES: u64 = 10;
 /// Fits `curve` as a fresh job per one-request batch on a one-worker
 /// service at `config`, and returns the fewest allocations a counted batch
 /// made on this thread (the caller) and on every other (the worker), and
-/// the runs of kept rows each fit streamed.
+/// the runs of kept rows each fit streamed. `on_caller` has two studies
+/// occupy the pool, which makes it full: the batch then fits on this
+/// thread.
 ///
 /// Counting per thread separates the two ways a batch's allocations vary
 /// with timing. The worker's vary only by growth that happens once: a row
@@ -369,13 +375,17 @@ const COUNTED_BATCHES: u64 = 10;
 /// allocation: the batch's reply channel takes a waker slot the first time
 /// the caller parks on it, and whether it ever parks depends on how far
 /// the worker has run ahead. So its minimum is exact to within that one
-/// slot.
+/// slot. A caller-run batch races nothing; its minimum only skips the
+/// batches in which the per-run cache grew.
 fn streamed_batch_allocs(
     curve: &LearningCurve,
     config: PredictorConfig,
     query: Option<ExceedanceQuery>,
+    on_caller: bool,
 ) -> (u64, u64, u64) {
-    let service = FitService::new(config, 7, 1);
+    let pool = FitPool::new(1);
+    let _occupants: Vec<_> = (0..2 * usize::from(on_caller)).map(|_| pool.occupy()).collect();
+    let service = FitService::with_pool(config, 7, Arc::clone(&pool), None);
     let (mut caller, mut worker) = (u64::MAX, u64::MAX);
     for job in 0..WARM_BATCHES + COUNTED_BATCHES {
         let request =
@@ -394,6 +404,8 @@ fn streamed_batch_allocs(
     let stats = service.stats();
     let streamed = if query.is_some() { WARM_BATCHES + COUNTED_BATCHES } else { 0 };
     assert_eq!(stats.streamed_fits, streamed);
+    let fits_here = if on_caller { WARM_BATCHES + COUNTED_BATCHES } else { 0 };
+    assert_eq!(pool.stats().caller_fits, fits_here);
     (caller, worker, stats.streamed_runs / streamed.max(1))
 }
 
@@ -406,13 +418,23 @@ fn streamed_batch_allocs(
 /// caller to within the reply channel's waker slot. Streaming costs the
 /// worker nothing over a query-less fit, and the caller at most the
 /// accumulator, its map entry and the answer vector (plus that slot).
+///
+/// On a full pool the same batches fit on the caller, and no other thread
+/// allocates. There a fit allocates exactly what it allocates alone on a
+/// warmed scratch — its init's walkers and its posterior's one draws
+/// buffer, which the per-run cache and the outcome share rather than copy
+/// — and the batch adds its fixed bookkeeping, [`CALLER_RUN_BATCH`]. Six
+/// absorbed runs cost exactly what one does, and the query costs what it
+/// costs the pooled caller.
 fn streamed_chunk_allocations() {
     let curve = cifar_curve();
     let query = ert_query(20, HORIZON - 20, 0.77);
     let every = |thin| PredictorConfig { thin, max_draws: MAX_SLOTS, ..PredictorConfig::test() };
-    let (one_caller, one_worker, one_runs) = streamed_batch_allocs(&curve, every(12), Some(query));
-    let (six_caller, six_worker, six_runs) = streamed_batch_allocs(&curve, every(2), Some(query));
-    let (plain_caller, plain_worker, _) = streamed_batch_allocs(&curve, every(2), None);
+    let batches =
+        |thin, query, on_caller| streamed_batch_allocs(&curve, every(thin), query, on_caller);
+    let (one_caller, one_worker, one_runs) = batches(12, Some(query), false);
+    let (six_caller, six_worker, six_runs) = batches(2, Some(query), false);
+    let (plain_caller, plain_worker, _) = batches(2, None, false);
     assert_eq!((one_runs, six_runs), (1, 6), "runs streamed per fit");
     assert_eq!(six_worker, one_worker, "worker: six streamed runs vs one");
     assert_eq!(six_worker, plain_worker, "worker: six streamed runs vs a query-less fit");
@@ -421,7 +443,34 @@ fn streamed_chunk_allocations() {
         six_caller <= plain_caller + 4,
         "caller: streamed {six_caller} vs query-less {plain_caller}"
     );
+
+    let (one_here, one_elsewhere, one_runs) = batches(12, Some(query), true);
+    let (six_here, six_elsewhere, six_runs) = batches(2, Some(query), true);
+    let (plain_here, plain_elsewhere, _) = batches(2, None, true);
+    assert_eq!((one_runs, six_runs), (1, 6), "runs absorbed per caller-run fit");
+    assert_eq!((one_elsewhere, six_elsewhere, plain_elsewhere), (0, 0, 0), "a worker allocated");
+    let mut scratch = FitScratch::default();
+    let predictor = CurvePredictor::new(every(2).with_seed(3));
+    let alone = warm_then_count(|| {
+        let backend = vmath::active_backend();
+        let posterior = predictor.fit_with_backend(&curve, HORIZON, &mut scratch, backend);
+        posterior.expect("fit ok").acceptance_rate().to_bits()
+    });
+    assert_eq!(plain_here, alone + CALLER_RUN_BATCH, "caller-run: {plain_here} vs alone {alone}");
+    assert_eq!(six_here, one_here, "caller-run: six absorbed runs vs one");
+    assert_eq!(six_here - plain_here, one_caller - plain_caller, "caller-run: the query's cost");
+    assert!(
+        plain_here <= plain_caller + plain_worker,
+        "caller-run {plain_here} vs handed off {plain_caller} + {plain_worker}"
+    );
 }
+
+/// What a one-request batch that fits on its caller allocates besides the
+/// fit: the outcome slots, the reply channel and the finished counter (made
+/// before the batch knows whether a worker will use them), the waiting map
+/// and the key's index list, the list of fits to run here, and the
+/// returned outcomes.
+const CALLER_RUN_BATCH: u64 = 7;
 
 #[test]
 fn steady_state_event_loop_is_allocation_free() {

@@ -84,7 +84,8 @@ pub enum Mode {
     Killed { prefetch: bool },
     /// Through `hyperdrive-server` at 1, 2 and 4 shards: every fault-free
     /// study submitted at once, then every twin under another tenant at
-    /// once, which the cache must serve.
+    /// once, which the cache must serve. A lone shard hands its fits to
+    /// the pool; more shards fill it and fit on their own threads.
     Server,
 }
 
@@ -588,6 +589,15 @@ fn server_cell(studies: &[Study]) -> u64 {
             }
         }
         assert!(server.cache_snapshot().shared_hits > 0, "no twin hit at {shards} shards");
+        // Both fit modes ran: a lone shard hands its fits to the 2-worker
+        // pool; two or four shards running at once fill it and fit on
+        // their own threads.
+        let caller_fits = server.pool().stats().caller_fits;
+        if shards == 1 {
+            assert_eq!(caller_fits, 0, "a lone shard fitted on its own thread");
+        } else {
+            assert!(caller_fits > 0, "no shard fitted on its own thread at {shards} shards");
+        }
     }
     println!("Server × {:?}: {cases} cases over {} studies", studies[0].group, studies.len());
     cases

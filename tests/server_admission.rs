@@ -1,6 +1,7 @@
 //! Admission through `hyperdrive-server`: a study that panics is a typed
-//! failure that leaves its worker and its tenant's quota slot intact, and
-//! no shard worker sits idle while a study waits in the admission queue.
+//! failure that leaves its worker and its tenant's quota slot intact, no
+//! shard worker sits idle while a study waits in the admission queue, and
+//! studies that fill the fit pool fit on their own shard threads.
 
 use hyperdrive::curve::PredictorConfig;
 use hyperdrive::framework::{ExperimentSpec, ExperimentWorkload};
@@ -73,4 +74,46 @@ fn no_worker_idles_while_a_study_waits() {
         second.queue_latency,
         first.run_duration
     );
+}
+
+#[test]
+fn studies_that_fill_the_pool_fit_on_their_shards_and_release_it() {
+    let server = Server::new(ServerConfig { shards: 2, fit_threads: 2, ..Default::default() });
+    let pool = server.pool();
+    // Demand fits only: prefetch would fit ahead on the pool's workers.
+    let study = |tenant, seed| {
+        let spec = study(tenant, seed);
+        StudySpec { policy: PopConfig { fit_prefetch: Some(false), ..spec.policy }, ..spec }
+    };
+
+    // One study on a two-worker pool hands every fit off.
+    let lone = study("alice", 8);
+    let outcome = server.submit(lone.clone()).expect("admitted").wait();
+    assert_eq!(outcome.trace, run_study_standalone(&lone).trace);
+    let stats = pool.stats();
+    assert_eq!(stats.caller_fits, 0, "a lone study fitted on its shard");
+    assert!(stats.demand_completions > 0);
+    assert_eq!(pool.occupants(), 0, "a finished study still occupies the pool");
+
+    // Four studies on two shards keep both busy: the pool is full and
+    // the studies fit on their shards, each still byte-equal to its run
+    // alone.
+    let specs: Vec<StudySpec> =
+        (0..4).map(|i| study(["alice", "bob"][i % 2], 20 + i as u64)).collect();
+    let tickets: Vec<_> =
+        specs.iter().map(|s| server.submit(s.clone()).expect("admitted")).collect();
+    for (spec, ticket) in specs.iter().zip(tickets) {
+        let outcome = ticket.wait();
+        let reference = run_study_standalone(spec);
+        assert_eq!(outcome.trace, reference.trace, "trace diverged from standalone");
+        assert_eq!(outcome.posterior_digest, reference.posterior_digest);
+    }
+    assert!(pool.stats().caller_fits > 0, "two busy shards never fitted on their own threads");
+    assert_eq!(pool.occupants(), 0);
+
+    // A study that panics gives its occupancy back with its quota slot.
+    let broken = StudySpec { spec: ExperimentSpec::new(0), ..study("alice", 3) };
+    let failed = server.submit(broken).expect("admitted").try_wait();
+    assert!(failed.is_err());
+    assert_eq!(pool.occupants(), 0, "a panicking study kept its occupancy");
 }

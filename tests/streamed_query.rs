@@ -344,7 +344,11 @@ fn a_fit_that_panics_on_a_worker_is_a_typed_error_and_the_pool_keeps_serving() {
         let racing = std::thread::spawn(move || a.fit_batch(&[ra]).remove(0));
         let served = b.fit_batch(std::slice::from_ref(&rb)).remove(0);
         check_outcome(healthy, 2, &rb, &served);
+        // Two services on one pool, but no study occupies it: still the
+        // hand-off, the half offered and the rows streamed.
         assert_eq!(b.stats().halves_offered, 1);
+        assert!(b.stats().streamed_runs > 0);
+        assert_eq!(b.pool_stats().caller_fits, 0);
         (racing.join().expect("the broken study's thread returns"), served)
     });
     assert!(matches!(broken_out.result, Err(Error::CurveFit(_))));
