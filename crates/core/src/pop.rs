@@ -138,8 +138,9 @@ pub struct PopConfig {
     /// already-finished posterior instead of launching it synchronously.
     /// Prefetch changes *when* fits compute, never *what* they compute —
     /// traces stay byte-identical (see `FitService::prefetch_fit`).
-    /// `None` defers to the `HYPERDRIVE_FIT_PREFETCH` environment knob
-    /// (default off); `Some` overrides it either way.
+    /// Off unless `Some(true)`: `None` and `Some(false)` both mean off, in
+    /// every environment. `hyperdrive-server` runs every study with it
+    /// off, whatever its spec says.
     pub fit_prefetch: Option<bool>,
     /// Base seed for prediction determinism.
     pub seed: u64,
@@ -363,13 +364,6 @@ impl PopPolicy {
         self.service.pool_stats()
     }
 
-    /// Whether this policy speculates ahead of boundaries: the explicit
-    /// config override when present, else the `HYPERDRIVE_FIT_PREFETCH`
-    /// environment knob (default off).
-    fn prefetch_enabled(&self) -> bool {
-        self.config.fit_prefetch.unwrap_or_else(hyperdrive_curve::fit_prefetch_forced)
-    }
-
     /// An order-independent digest over every posterior this policy has
     /// memoized: two runs of the same experiment produced byte-identical
     /// posteriors iff their digests match (the server's equivalence tests
@@ -517,7 +511,8 @@ impl SchedulingPolicy for PopPolicy {
     }
 
     fn prefetch_boundary(&self, default_boundary: u32) -> Option<u32> {
-        self.prefetch_enabled().then(|| self.config.boundary.unwrap_or(default_boundary).max(1))
+        let enabled = self.config.fit_prefetch == Some(true);
+        enabled.then(|| self.config.boundary.unwrap_or(default_boundary).max(1))
     }
 
     fn prefetch_hint(&mut self, hint: &PrefetchHint, curve: &LearningCurve) {
@@ -944,8 +939,7 @@ mod tests {
                 ..Default::default()
             })
         };
-        // Explicit overrides win over whatever HYPERDRIVE_FIT_PREFETCH
-        // says, so these hold in any test environment.
+        assert_eq!(pop_with(None, None).prefetch_boundary(10), None);
         assert_eq!(pop_with(Some(false), None).prefetch_boundary(10), None);
         assert_eq!(pop_with(Some(true), None).prefetch_boundary(10), Some(10));
         assert_eq!(pop_with(Some(true), Some(7)).prefetch_boundary(10), Some(7));

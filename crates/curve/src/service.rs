@@ -126,19 +126,21 @@
 //! the boundary, `fit_batch` adopts a speculation only on an exact
 //! fingerprint match (anything else is counted waste and refit on
 //! demand), so prefetch changes *when* a fit computes, never
-//! *what* it computes. Speculation depth is bounded
-//! ([`fit_prefetch_depth`]) and a speculation is cancelled when its job
-//! is [`forget`](FitService::forget)-ten, so prefetch can never starve
-//! demand fits by more than `depth` queued entries on the shared FIFO.
+//! *what* it computes. At most 32 speculations are in flight per
+//! service, and a speculation is cancelled when its job is
+//! [`forget`](FitService::forget)-ten, so prefetch can never starve
+//! demand fits by more than 32 queued entries on the shared FIFO.
+//! Prefetch is a per-study opt-in (`PopConfig::fit_prefetch` in
+//! `hyperdrive-core`); no environment variable turns it on.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::Instant;
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
+use crossbeam_channel::{unbounded, Receiver, RecvError, Sender};
 use parking_lot::Mutex;
 
 use hyperdrive_types::{Error, JobId, LearningCurve, Result};
@@ -175,45 +177,10 @@ pub fn derive_fit_seed(experiment_seed: u64, config: u64, epoch: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Default bound on in-flight speculations per service when
-/// `HYPERDRIVE_FIT_PREFETCH_DEPTH` is unset.
-pub const DEFAULT_PREFETCH_DEPTH: usize = 32;
-
-/// True when `HYPERDRIVE_FIT_PREFETCH` turns speculative
-/// ahead-of-boundary fit prefetching on for every policy in the process
-/// (any value except empty, `0`, or `off`). Default **off**. Safe to
-/// force globally because an adopted speculation is keyed by the same
-/// [`CurveFingerprint`] the demand fit would resolve, so prefetch moves
-/// compute earlier in wall-clock time without changing any result.
-#[must_use]
-pub fn fit_prefetch_forced() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var("HYPERDRIVE_FIT_PREFETCH")
-            .map(|v| {
-                let v = v.trim();
-                !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("off")
-            })
-            .unwrap_or(false)
-    })
-}
-
-/// Resolves the speculation-depth bound: `HYPERDRIVE_FIT_PREFETCH_DEPTH`
-/// when set to a positive integer, else [`DEFAULT_PREFETCH_DEPTH`]. The
-/// bound caps how many speculative fits a service may have in flight, so
-/// a demand fit arriving at a boundary waits behind at most this many
-/// queued speculations on the pool's FIFO.
-#[must_use]
-pub fn fit_prefetch_depth() -> usize {
-    static DEPTH: OnceLock<usize> = OnceLock::new();
-    *DEPTH.get_or_init(|| {
-        std::env::var("HYPERDRIVE_FIT_PREFETCH_DEPTH")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|n| *n > 0)
-            .unwrap_or(DEFAULT_PREFETCH_DEPTH)
-    })
-}
+/// Bound on in-flight speculations per service: a demand fit arriving at
+/// a boundary waits behind at most this many queued speculations on the
+/// pool's FIFO.
+const PREFETCH_DEPTH: usize = 32;
 
 /// Resolves the worker-thread count: an explicit non-zero request wins,
 /// otherwise `HYPERDRIVE_FIT_THREADS`, otherwise one thread per core.
@@ -831,15 +798,13 @@ impl FitService {
             shared,
             shared_layer,
             pool,
-            prefetch_depth: fit_prefetch_depth(),
+            prefetch_depth: PREFETCH_DEPTH,
         }
     }
 
-    /// Overrides the in-flight speculation bound (default:
-    /// [`fit_prefetch_depth`]). A `0` depth disables speculation entirely
-    /// — [`prefetch_fit`](FitService::prefetch_fit) becomes a no-op.
-    #[must_use]
-    pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
+    /// Lowers the in-flight speculation bound, so a test can reach it.
+    #[cfg(test)]
+    fn with_prefetch_depth(mut self, depth: usize) -> Self {
         self.prefetch_depth = depth;
         self
     }
@@ -870,12 +835,9 @@ impl FitService {
     /// speculation can never change what a fit computes. Dedups against the per-run cache, in-flight speculations
     /// for the same key, and the shared content-addressed layer (via the
     /// stats-free [`SharedFitCache::peek`], so counted dedup accounting
-    /// stays invariant under prefetch). Skipped when the in-flight bound
-    /// (`prefetch_depth`) is reached.
+    /// stays invariant under prefetch). Skipped while 32 speculations are
+    /// in flight.
     pub fn prefetch_fit(&self, job: JobId, curve: &LearningCurve, horizon: u32) -> bool {
-        if self.prefetch_depth == 0 {
-            return false;
-        }
         let Some(last_epoch) = curve.last_epoch() else {
             return false;
         };
@@ -977,8 +939,10 @@ impl FitService {
         // The accumulator of each in-flight key whose first request asks a
         // query: the fit's rows as they arrive, the rest with the result.
         let mut streams: HashMap<FitKey, Exceedance> = HashMap::new();
-        let (reply_tx, reply_rx) = unbounded();
-        let finished = Arc::new(AtomicUsize::new(0));
+        // The reply channel and the count of fits finished on workers, made
+        // when the first fit goes to a worker: a batch that fits here, or
+        // is answered wholly from caches, allocates neither.
+        let mut to_workers: Option<(Sender<FitReply>, Receiver<FitReply>, Arc<AtomicUsize>)> = None;
         // Fits sent to the pool, and those this caller runs itself.
         let mut enqueued = 0usize;
         let mut on_here: Vec<(FitKey, PredictorConfig)> = Vec::new();
@@ -1077,14 +1041,18 @@ impl FitService {
                     if on_caller {
                         on_here.push((key, config));
                     } else {
+                        let (reply, _, finished) = to_workers.get_or_insert_with(|| {
+                            let (tx, rx) = unbounded();
+                            (tx, rx, Arc::new(AtomicUsize::new(0)))
+                        });
                         self.pool.send(WorkerMsg::Fit {
                             key,
                             config,
                             curve: req.curve.clone(),
                             horizon: req.horizon,
                             stream: req.query.is_some(),
-                            finished: Arc::clone(&finished),
-                            reply: reply_tx.clone(),
+                            finished: Arc::clone(finished),
+                            reply: reply.clone(),
                         });
                         enqueued += 1;
                     }
@@ -1094,7 +1062,7 @@ impl FitService {
         }
         // Only workers hold senders now: should they vanish, `recv` below
         // disconnects instead of blocking.
-        drop(reply_tx);
+        let (reply_rx, finished) = to_workers.map(|(_, rx, finished)| (rx, finished)).unzip();
 
         // Shared-layer hits become visible to *future* batches only, just
         // like fresh fits.
@@ -1111,7 +1079,7 @@ impl FitService {
         // sampling when it began: [critical path, hidden behind the fit].
         let mut query_nanos = [0u64; 2];
         let mut timed = |work: &mut dyn FnMut()| {
-            let hidden = finished.load(Ordering::Acquire) < enqueued;
+            let hidden = finished.as_ref().is_some_and(|f| f.load(Ordering::Acquire) < enqueued);
             let t = Instant::now();
             work();
             query_nanos[usize::from(hidden)] += t.elapsed().as_nanos() as u64;
@@ -1144,7 +1112,7 @@ impl FitService {
                 pooled = false;
                 (key, result)
             } else {
-                match reply_rx.recv() {
+                match reply_rx.as_ref().map_or(Err(RecvError), Receiver::recv) {
                     Ok(FitReply::Help(key, task)) => {
                         let req = &requests[waiting[&key][0]];
                         halves[0] += 1;
@@ -1834,7 +1802,7 @@ mod tests {
     fn adopted_speculations_are_bitwise_the_demand_fits() {
         let config = PredictorConfig::test();
         for threads in [1, 4] {
-            let service = FitService::new(config, 7, threads).with_prefetch_depth(32);
+            let service = FitService::new(config, 7, threads);
             let requests: Vec<FitRequest> = (0..4).map(|j| req(j, 10 + j as u32)).collect();
             for r in &requests {
                 assert!(service.prefetch_fit(r.job, &r.curve, r.horizon));
@@ -1886,7 +1854,7 @@ mod tests {
     #[test]
     fn mismatched_speculation_is_cancelled_and_refit_on_demand() {
         let config = PredictorConfig::test();
-        let service = FitService::new(config, 7, 2).with_prefetch_depth(8);
+        let service = FitService::new(config, 7, 2);
         let r = req(3, 12);
         assert!(service.prefetch_fit(r.job, &r.curve, 60), "speculate at a stale horizon");
         let demand = FitRequest { horizon: 100, ..r.clone() };
@@ -1903,7 +1871,7 @@ mod tests {
 
     #[test]
     fn forget_cancels_that_jobs_speculations() {
-        let service = FitService::new(PredictorConfig::test(), 7, 2).with_prefetch_depth(8);
+        let service = FitService::new(PredictorConfig::test(), 7, 2);
         let r0 = req(0, 10);
         let r1 = req(1, 10);
         assert!(service.prefetch_fit(r0.job, &r0.curve, r0.horizon));
@@ -1925,8 +1893,7 @@ mod tests {
         writer.fit_batch(&[req(0, 10)]);
         let counted_before = cache.snapshot();
 
-        let reader =
-            FitService::with_shared_cache(config, 7, 2, Some(cache.clone())).with_prefetch_depth(8);
+        let reader = FitService::with_shared_cache(config, 7, 2, Some(cache.clone()));
         let r = req(0, 10);
         assert!(
             !reader.prefetch_fit(r.job, &r.curve, r.horizon),
@@ -1946,7 +1913,7 @@ mod tests {
 
     #[test]
     fn pool_stats_report_demand_and_speculative_completions() {
-        let service = FitService::new(PredictorConfig::test(), 7, 2).with_prefetch_depth(8);
+        let service = FitService::new(PredictorConfig::test(), 7, 2);
         let r0 = req(0, 10);
         let r1 = req(1, 10);
         assert!(service.prefetch_fit(r0.job, &r0.curve, r0.horizon));

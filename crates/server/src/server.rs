@@ -38,8 +38,8 @@ pub struct ServerConfig {
     /// Fit worker threads in the pool every study shares (`0` = the
     /// `HYPERDRIVE_FIT_THREADS` / available-parallelism default). While
     /// at least this many studies run, and at least two, each fits on its
-    /// own shard thread instead and the pool's workers only run
-    /// speculative prefetch (see the crate docs).
+    /// own shard thread instead and the pool's workers sit idle (see the
+    /// crate docs).
     pub fit_threads: usize,
     /// Bounded depth of the one admission queue all shard workers pull
     /// from (studies waiting beyond those executing). `0` means a study is
@@ -47,12 +47,6 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Maximum in-flight (queued + running) studies per tenant.
     pub tenant_quota: usize,
-    /// Speculative fits a tenant may launch across all its studies
-    /// (prefetch burns pool time other tenants share, so it is metered
-    /// like admission). A tenant that exhausts the budget has later
-    /// studies run with prefetch forced off — same traces, demand-fit
-    /// timing. `u64::MAX` disables metering.
-    pub tenant_prefetch_budget: u64,
     /// The `retry_after` hint attached to saturation/quota rejections.
     pub retry_after: Duration,
 }
@@ -64,7 +58,6 @@ impl Default for ServerConfig {
             fit_threads: 0,
             queue_capacity: 256,
             tenant_quota: 256,
-            tenant_prefetch_budget: 1 << 20,
             retry_after: Duration::from_millis(50),
         }
     }
@@ -197,9 +190,6 @@ struct StudyJob {
 /// Per-tenant in-flight accounting, shared by admission and shard workers.
 type TenantLoads = Arc<Mutex<HashMap<String, usize>>>;
 
-/// Per-tenant speculative-fit ledger (lifetime totals, never released).
-type PrefetchLedger = Arc<Mutex<HashMap<String, u64>>>;
-
 /// The multi-tenant study server.
 ///
 /// Dropping the server closes admission and joins every shard worker;
@@ -212,7 +202,6 @@ pub struct Server {
     pool: Arc<FitPool>,
     cache: Option<Arc<SharedFitCache>>,
     tenants: TenantLoads,
-    prefetch_spent: PrefetchLedger,
     next_id: std::sync::atomic::AtomicU64,
 }
 
@@ -244,7 +233,6 @@ impl Server {
         assert!(config.shards > 0, "a server needs at least one shard");
         let pool = FitPool::new(config.fit_threads);
         let tenants: TenantLoads = Arc::new(Mutex::new(HashMap::new()));
-        let prefetch_spent: PrefetchLedger = Arc::new(Mutex::new(HashMap::new()));
         let (queue, rx) = bounded::<StudyJob>(config.queue_capacity);
         let workers = (0..config.shards)
             .map(|_| {
@@ -252,11 +240,7 @@ impl Server {
                 let pool = Arc::clone(&pool);
                 let cache = cache.clone();
                 let tenants = Arc::clone(&tenants);
-                let ledger = Arc::clone(&prefetch_spent);
-                let budget = config.tenant_prefetch_budget;
-                std::thread::spawn(move || {
-                    shard_loop(&rx, &pool, cache, &tenants, &ledger, budget);
-                })
+                std::thread::spawn(move || shard_loop(&rx, &pool, cache, &tenants))
             })
             .collect();
         Server {
@@ -266,7 +250,6 @@ impl Server {
             pool,
             cache,
             tenants,
-            prefetch_spent,
             next_id: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -390,13 +373,6 @@ impl Server {
     pub fn tenant_in_flight(&self, tenant: &str) -> usize {
         self.tenants.lock().get(tenant).copied().unwrap_or(0)
     }
-
-    /// Speculative fits a tenant has launched so far, charged against
-    /// [`ServerConfig::tenant_prefetch_budget`].
-    #[must_use]
-    pub fn tenant_prefetch_spent(&self, tenant: &str) -> u64 {
-        self.prefetch_spent.lock().get(tenant).copied().unwrap_or(0)
-    }
 }
 
 impl Drop for Server {
@@ -419,20 +395,14 @@ fn shard_loop(
     pool: &Arc<FitPool>,
     cache: Option<Arc<SharedFitCache>>,
     tenants: &TenantLoads,
-    prefetch_spent: &PrefetchLedger,
-    prefetch_budget: u64,
 ) {
     while let Ok(mut job) = rx.recv() {
         let queue_latency = job.submitted.elapsed();
-        // Prefetch budget gate: a tenant over budget keeps running, but
-        // its studies stop speculating. Forcing the override here (not in
-        // `run_study`) keeps the standalone path budget-free, and since
-        // speculation never changes a trace the gate cannot either.
-        if job.spec.policy.fit_prefetch != Some(false)
-            && prefetch_spent.lock().get(&job.spec.tenant).copied().unwrap_or(0) >= prefetch_budget
-        {
-            job.spec.policy.fit_prefetch = Some(false);
-        }
+        // No study speculates here: a speculative fit burns pool time
+        // every other tenant shares. Pinned here, not in `run_study`, so
+        // the standalone path keeps the spec's choice; speculation never
+        // changes a trace, so neither does the pin.
+        job.spec.policy.fit_prefetch = Some(false);
         // Unwind safety: the study's own state dies with the unwind, and
         // the pool and cache it shares are reached only through their
         // synchronised APIs (a cache entry is published whole or not at
@@ -453,13 +423,6 @@ fn shard_loop(
                 .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_string()))
                 .unwrap_or_else(|| "no message".to_string()),
         });
-        if let Ok(outcome) = &answer {
-            if outcome.spec_stats.speculated > 0 {
-                let mut ledger = prefetch_spent.lock();
-                let spent = ledger.entry(job.spec.tenant.clone()).or_insert(0);
-                *spent = spent.saturating_add(outcome.spec_stats.speculated);
-            }
-        }
         // Release before replying so a waiter that resubmits immediately
         // sees its freed quota slot.
         Server::release(tenants, &job.spec.tenant);
@@ -472,7 +435,7 @@ mod tests {
     use super::*;
     use crate::study::run_study_standalone;
     use hyperdrive_core::PopConfig;
-    use hyperdrive_curve::PredictorConfig;
+    use hyperdrive_curve::{PredictorConfig, SpecStats};
     use hyperdrive_framework::{ExperimentSpec, ExperimentWorkload};
     use hyperdrive_types::SimTime;
     use hyperdrive_workload::CifarWorkload;
@@ -596,44 +559,17 @@ mod tests {
     }
 
     #[test]
-    fn prefetched_studies_trace_identically_and_charge_the_budget() {
+    fn studies_never_speculate_on_the_server() {
         let server = Server::new(ServerConfig { shards: 1, fit_threads: 2, ..Default::default() });
         let mut spec = study("alice", 5);
         spec.policy.fit_prefetch = Some(true);
         let outcome = server.submit(spec.clone()).expect("admitted").wait();
-        // The reference runs with prefetch explicitly off: speculation may
-        // only move wall-clock, never a trace byte.
-        spec.policy.fit_prefetch = Some(false);
-        let reference = run_study_standalone(&spec);
-        assert_eq!(outcome.trace, reference.trace, "prefetch changed the trace");
-        assert_eq!(outcome.posterior_digest, reference.posterior_digest);
-        assert_eq!(outcome.predictions, reference.predictions);
-        assert!(outcome.spec_stats.speculated > 0, "prefetch never engaged");
-        assert_eq!(
-            server.tenant_prefetch_spent("alice"),
-            outcome.spec_stats.speculated,
-            "the ledger charges exactly the launched speculations"
-        );
-    }
-
-    #[test]
-    fn exhausted_prefetch_budget_silences_speculation() {
-        let server = Server::new(ServerConfig {
-            shards: 1,
-            fit_threads: 2,
-            tenant_prefetch_budget: 0,
-            ..Default::default()
-        });
-        let mut spec = study("alice", 5);
-        spec.policy.fit_prefetch = Some(true);
-        let outcome = server.submit(spec.clone()).expect("admitted").wait();
-        assert_eq!(outcome.spec_stats.speculated, 0, "budget 0 must force prefetch off");
-        assert_eq!(server.tenant_prefetch_spent("alice"), 0);
-        // Another tenant's ledger is untouched by alice's studies.
-        assert_eq!(server.tenant_prefetch_spent("bob"), 0);
-        // And the trace still matches the standalone reference.
+        assert_eq!(outcome.spec_stats, SpecStats::default(), "a server study speculated");
+        // The standalone run does speculate; the trace and the posteriors
+        // cannot tell.
         let reference = run_study_standalone(&spec);
         assert_eq!(outcome.trace, reference.trace);
+        assert_eq!(outcome.posterior_digest, reference.posterior_digest);
     }
 
     #[test]

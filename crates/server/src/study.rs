@@ -51,7 +51,9 @@ pub struct StudySpec {
     pub spec: ExperimentSpec,
     /// POP policy configuration. `seed` and `fit_threads` are overwritten:
     /// the policy seed is derived from [`StudySpec::seed`] and the fit
-    /// workers belong to the server's process-global pool.
+    /// workers belong to the server's process-global pool. The server
+    /// ignores `fit_prefetch` and runs every study with prefetch off;
+    /// [`run_study_standalone`] honours it.
     pub policy: PopConfig,
     /// The study seed; all per-stream seeds derive from it.
     pub seed: u64,
@@ -74,8 +76,9 @@ pub struct StudyOutcome {
     /// This study's traffic against the shared content-addressed cache.
     pub shared_cache: CacheStatsSnapshot,
     /// This study's speculative-prefetch counters (all zero with prefetch
-    /// off); `speculated` is what the server charges against the tenant's
-    /// prefetch budget.
+    /// off). Always zero from a server, which never speculates; kept only
+    /// because the repository benchmark reads it; removed with ROADMAP
+    /// 1(a).
     pub spec_stats: hyperdrive_curve::SpecStats,
     /// The policy's full fit-cache counters.
     pub fit_cache: Option<FitCacheSnapshot>,

@@ -2,11 +2,8 @@
 # Regenerates every paper figure/table at full scale. CSVs land in results/,
 # terminal tables in results/logs/.
 #
-# Usage: ./run_all_figures.sh [-j N] [-P]
+# Usage: ./run_all_figures.sh [-j N]
 #   -j N   run N figure bins concurrently (default: number of CPUs).
-#   -P     also run the speculative fit-prefetch bench (fit_prefetch; off
-#          by default — it measures boundary-stall overlap, not a paper
-#          figure).
 #
 # The workspace is built once up front; the figure bins then run from the
 # prebuilt binaries in parallel, and the fidelity-frontier bench
@@ -18,25 +15,18 @@
 # own: its live executor sleeps in real time (every live leg at once, on a
 # thread each), so it still outlasts the other 16 bins together, but by
 # less than fit_frontier takes after it. Each stage's wall-clock is printed
-# as it ends. The opt-in fit_prefetch bench runs as a dedicated
-# serial stage after the figure pool — it measures wall-clock contention
-# effects, so it must not share the machine with the figure bins, and
-# running it directly (rather than inside the xargs pool) propagates its
-# exact nonzero exit status.
+# as it ends.
 set -e
 
 JOBS=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 2)
-FIT_PREFETCH=0
-while getopts "j:P" opt; do
+while getopts "j:" opt; do
   case "$opt" in
     j) JOBS="$OPTARG" ;;
-    P) FIT_PREFETCH=1 ;;
-    *) echo "usage: $0 [-j N] [-P]" >&2; exit 2 ;;
+    *) echo "usage: $0 [-j N]" >&2; exit 2 ;;
   esac
 done
 
-# The parallel figure pool. The opt-in bench is appended to the *build*
-# list only; it runs serially below.
+# The parallel figure pool.
 RUN_BINS="fig01_cifar_curves fig02_distribution_overtake fig03_prediction_over_time \
 fig04_slot_allocation fig08_lunar_curves fig10_criu_overhead \
 fig06_job_durations tab01_suspend_overhead \
@@ -44,9 +34,6 @@ fig09_time_to_target_lunar fig07_time_to_target_cifar \
 fig12b_capacity_sweep fig12c_order_sensitivity \
 tab02_lstm_frontier ablation_pop gantt_export scale_imagenet"
 BINS="$RUN_BINS fig12a_sim_validation fit_frontier"
-if [ "$FIT_PREFETCH" = 1 ]; then
-  BINS="$BINS fit_prefetch"
-fi
 
 mkdir -p results/logs
 
@@ -107,14 +94,5 @@ if ! "$BIN_DIR/fit_frontier" > results/logs/fit_frontier.log 2>&1; then
   exit 1
 fi
 echo "--- fit_frontier: $(since "$T_FRONTIER")"
-
-# The opt-in bench, on an otherwise idle machine.
-if [ "$FIT_PREFETCH" = 1 ]; then
-  echo "=== fit_prefetch (speculative boundary-fit prefetch) ==="
-  if ! "$BIN_DIR/fit_prefetch" > results/logs/fit_prefetch.log 2>&1; then
-    echo "FAILED: fit_prefetch (see results/logs/fit_prefetch.log)" >&2
-    exit 1
-  fi
-fi
 
 echo "all figures regenerated; logs in results/logs/"

@@ -466,11 +466,11 @@ fn streamed_chunk_allocations() {
 }
 
 /// What a one-request batch that fits on its caller allocates besides the
-/// fit: the outcome slots, the reply channel and the finished counter (made
-/// before the batch knows whether a worker will use them), the waiting map
-/// and the key's index list, the list of fits to run here, and the
-/// returned outcomes.
-const CALLER_RUN_BATCH: u64 = 7;
+/// fit: the outcome slots (which the returned outcomes reuse), the waiting
+/// map and the key's index list, and the list of fits to run here. No reply
+/// channel and no finished counter: those are made only for a fit that
+/// goes to a worker.
+const CALLER_RUN_BATCH: u64 = 4;
 
 #[test]
 fn steady_state_event_loop_is_allocation_free() {

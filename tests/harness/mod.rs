@@ -109,11 +109,11 @@ pub struct Study {
 struct Knobs {
     fit_threads: usize,
     cache: Option<Arc<SharedFitCache>>,
-    prefetch: Option<bool>,
+    prefetch: bool,
 }
 
 /// The reference: one fit thread, nothing shared, prefetch pinned off.
-const REFERENCE: Knobs = Knobs { fit_threads: 1, cache: None, prefetch: Some(false) };
+const REFERENCE: Knobs = Knobs { fit_threads: 1, cache: None, prefetch: false };
 
 /// One finished case; everything but `fits` and `spec` must match.
 struct Case {
@@ -278,7 +278,7 @@ impl Study {
             predictor: PredictorConfig::test(),
             boundary: self.boundary,
             fit_threads: knobs.fit_threads,
-            fit_prefetch: knobs.prefetch,
+            fit_prefetch: Some(knobs.prefetch),
             seed: self.policy_seed,
             ..Default::default()
         }
@@ -310,10 +310,9 @@ impl Study {
         self.finish(&policy, &result)
     }
 
-    /// The plain run at `fit_threads`, prefetch left to the environment:
-    /// the golden owners' rendering.
+    /// The plain run at `fit_threads`: the golden owners' rendering.
     pub fn trace_at(&self, fit_threads: usize) -> String {
-        let knobs = Knobs { fit_threads, prefetch: None, ..REFERENCE };
+        let knobs = Knobs { fit_threads, ..REFERENCE };
         self.run(&knobs).trace.expect("a golden study runs POP")
     }
 
@@ -517,7 +516,7 @@ pub fn cell(mode: Mode, group: Group) -> u64 {
             }
             Mode::Prefetch(threads) => {
                 for &fit_threads in threads {
-                    let knobs = Knobs { fit_threads, prefetch: Some(true), ..REFERENCE };
+                    let knobs = Knobs { fit_threads, prefetch: true, ..REFERENCE };
                     check(study.run(&knobs), &format!("prefetching at {fit_threads} fit threads"));
                 }
             }
@@ -529,10 +528,8 @@ pub fn cell(mode: Mode, group: Group) -> u64 {
                 check(journaled, "stepped and journaled");
                 let cache = Some(SharedFitCache::in_memory());
                 let (kills, knobs) = match group {
-                    Group::Golden => (2, Knobs { fit_threads: 2, cache, prefetch: Some(prefetch) }),
-                    Group::Pop | Group::EarlyTerm => {
-                        (4, Knobs { fit_threads: 2, cache, prefetch: Some(prefetch) })
-                    }
+                    Group::Golden => (2, Knobs { fit_threads: 2, cache, prefetch }),
+                    Group::Pop | Group::EarlyTerm => (4, Knobs { fit_threads: 2, cache, prefetch }),
                     _ => (24, REFERENCE),
                 };
                 for k in positions(inputs, kills, mix(study.seed)) {

@@ -80,11 +80,6 @@ fn no_worker_idles_while_a_study_waits() {
 fn studies_that_fill_the_pool_fit_on_their_shards_and_release_it() {
     let server = Server::new(ServerConfig { shards: 2, fit_threads: 2, ..Default::default() });
     let pool = server.pool();
-    // Demand fits only: prefetch would fit ahead on the pool's workers.
-    let study = |tenant, seed| {
-        let spec = study(tenant, seed);
-        StudySpec { policy: PopConfig { fit_prefetch: Some(false), ..spec.policy }, ..spec }
-    };
 
     // One study on a two-worker pool hands every fit off.
     let lone = study("alice", 8);
