@@ -12,6 +12,8 @@ use hyperdrive_types::stats::BoxPlot;
 use hyperdrive_types::SimTime;
 use hyperdrive_workload::Workload;
 
+use crate::par_map;
+
 /// The policies evaluated throughout the paper, plus the Hyperband
 /// extension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,16 +30,16 @@ pub enum PolicyKind {
     Hyperband,
 }
 
-/// Fit-pool width of every POP instance the harness builds.
+/// Fit-pool width of every POP instance a [`par_map`] task builds.
 ///
-/// [`run_comparison`] already parallelizes across replicates with one
-/// worker per hardware thread. A `PopConfig` default of `fit_threads: 0`
-/// would make *each* replicate spawn its own hardware-sized fit pool —
-/// O(cores²) threads on a big host, which oversubscribes the machine and
-/// slows the sweep down. Each simulation is deterministic regardless of
-/// pool width, so the harness caps per-replicate pools at one thread and
-/// keeps the parallelism at the replicate level where it scales cleanly.
-const HARNESS_FIT_THREADS: usize = 1;
+/// [`par_map`] already parallelizes a grid with one worker per hardware
+/// thread. A `PopConfig` default of `fit_threads: 0` would make *each*
+/// task spawn its own hardware-sized fit pool — O(cores²) threads on a big
+/// host, which oversubscribes the machine and slows the sweep down. Each
+/// simulation is deterministic regardless of pool width, so a grid caps
+/// its per-task pools at one thread and keeps the parallelism at the task
+/// level where it scales cleanly.
+pub const HARNESS_FIT_THREADS: usize = 1;
 
 impl PolicyKind {
     /// Display label.
@@ -182,7 +184,7 @@ fn noise_seed(config_seed: u64, repeat: usize) -> u64 {
 /// configuration set fixed and varying training noise per repeat (§6.1's
 /// non-determinism protocol).
 ///
-/// The `repeats × policies` grid runs on a worker pool (each simulation is
+/// The `repeats × policies` grid runs on [`par_map`] (each simulation is
 /// single-threaded and deterministic, so parallelism across runs changes
 /// nothing but wall time); results come back in a fixed order.
 pub fn run_comparison(
@@ -190,9 +192,6 @@ pub fn run_comparison(
     settings: ComparisonSettings,
     policies: &[PolicyKind],
 ) -> Vec<ComparisonRun> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
     // Pre-build the per-repeat experiments once; they are shared read-only.
     let experiments: Vec<(u64, ExperimentWorkload)> = (0..settings.repeats)
         .map(|repeat| {
@@ -210,41 +209,14 @@ pub fn run_comparison(
     let tasks: Vec<(usize, PolicyKind)> = (0..settings.repeats)
         .flat_map(|repeat| policies.iter().map(move |p| (repeat, *p)))
         .collect();
-    let n_tasks = tasks.len();
-    let results: Mutex<Vec<Option<ComparisonRun>>> =
-        Mutex::new((0..n_tasks).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
-        .min(n_tasks.max(1));
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n_tasks {
-                    break;
-                }
-                let (repeat, policy_kind) = tasks[i];
-                let (noise_seed, ref experiment) = experiments[repeat];
-                let spec = ExperimentSpec::new(settings.machines)
-                    .with_tmax(settings.tmax)
-                    .with_seed(noise_seed);
-                let mut policy = policy_kind.build(settings.fidelity, noise_seed);
-                let result = run_sim(policy.as_mut(), experiment, spec);
-                results.lock().expect("no panics hold the lock")[i] =
-                    Some(ComparisonRun { policy: policy_kind, repeat, result });
-            });
-        }
-    });
-
-    results
-        .into_inner()
-        .expect("workers finished")
-        .into_iter()
-        .map(|r| r.expect("every task ran"))
-        .collect()
+    par_map(&tasks, |&(repeat, policy_kind)| {
+        let (noise_seed, ref experiment) = experiments[repeat];
+        let spec =
+            ExperimentSpec::new(settings.machines).with_tmax(settings.tmax).with_seed(noise_seed);
+        let mut policy = policy_kind.build(settings.fidelity, noise_seed);
+        let result = run_sim(policy.as_mut(), experiment, spec);
+        ComparisonRun { policy: policy_kind, repeat, result }
+    })
 }
 
 /// Summarizes time-to-target per policy.

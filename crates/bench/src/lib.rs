@@ -29,6 +29,7 @@ pub mod scorecard;
 
 pub use harness::{
     run_comparison, summarize, ComparisonRun, ComparisonSettings, PolicyKind, PolicySummary,
+    HARNESS_FIT_THREADS,
 };
 pub use par::par_map;
 pub use report::{hours, mins, print_table, quick_mode, results_dir, write_csv};

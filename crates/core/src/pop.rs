@@ -123,10 +123,9 @@ pub struct PopConfig {
     /// Ablation: replace the dynamic `p*` with a static threshold
     /// (§2.2c's strawman).
     pub static_threshold: Option<f64>,
-    /// Physical worker threads for the parallel fit service (0 =
-    /// `HYPERDRIVE_FIT_THREADS`, falling back to one per core). Results
-    /// are byte-identical whatever this is set to; it only changes how
-    /// fast they arrive.
+    /// Physical worker threads for the parallel fit service (0 = one per
+    /// core). Results are byte-identical whatever this is set to; it only
+    /// changes how fast they arrive.
     pub fit_threads: usize,
     /// Optional virtual-time accounting of prediction overhead: when set,
     /// each boundary decision reports the modeled makespan of its fit

@@ -86,6 +86,6 @@ pub use predictor::{
 };
 pub use scratch::FitScratch;
 pub use service::{
-    derive_fit_seed, resolve_fit_threads, sequential_fit, FitKey, FitOutcome, FitPool,
-    FitPoolStats, FitRequest, FitService, FitStats, PoolOccupant, SpecStats,
+    derive_fit_seed, sequential_fit, FitKey, FitOutcome, FitPool, FitPoolStats, FitRequest,
+    FitService, FitStats, PoolOccupant, SpecStats,
 };

@@ -182,23 +182,6 @@ pub fn derive_fit_seed(experiment_seed: u64, config: u64, epoch: u32) -> u64 {
 /// pool's FIFO.
 const PREFETCH_DEPTH: usize = 32;
 
-/// Resolves the worker-thread count: an explicit non-zero request wins,
-/// otherwise `HYPERDRIVE_FIT_THREADS`, otherwise one thread per core.
-#[must_use]
-pub fn resolve_fit_threads(requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    if let Some(n) = std::env::var("HYPERDRIVE_FIT_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|n| *n > 0)
-    {
-        return n;
-    }
-    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(2)
-}
-
 /// One curve-fitting request: fit `curve` for configuration `job`,
 /// extrapolating to `horizon`.
 #[derive(Debug, Clone)]
@@ -624,12 +607,15 @@ impl std::fmt::Debug for FitPool {
 }
 
 impl FitPool {
-    /// Spawns a pool with `threads` workers (`0` = environment / hardware
-    /// default, see [`resolve_fit_threads`]). The pool shuts its workers
-    /// down when the last `Arc` clone drops.
+    /// Spawns a pool with `threads` workers (`0` = one per core). The pool
+    /// shuts its workers down when the last `Arc` clone drops.
     #[must_use]
     pub fn new(threads: usize) -> Arc<Self> {
-        let threads = resolve_fit_threads(threads);
+        let threads = if threads > 0 {
+            threads
+        } else {
+            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(2)
+        };
         let telemetry = Arc::new(PoolTelemetry::default());
         let spare_chunks = Arc::new(Mutex::new(Vec::new()));
         let (tx, rx): (Sender<WorkerMsg>, Receiver<WorkerMsg>) = unbounded();
@@ -754,10 +740,10 @@ impl std::fmt::Debug for FitService {
 }
 
 impl FitService {
-    /// Starts a service with `threads` workers (`0` = environment /
-    /// hardware default, see [`resolve_fit_threads`]) using `config`
-    /// fidelity. `experiment_seed` is the root of every per-fit seed.
-    /// The service shares its fits with no other.
+    /// Starts a service with `threads` workers (`0` = one per core, as
+    /// [`FitPool::new`]) using `config` fidelity. `experiment_seed` is the
+    /// root of every per-fit seed. The service shares its fits with no
+    /// other.
     pub fn new(config: PredictorConfig, experiment_seed: u64, threads: usize) -> Self {
         Self::with_shared_cache(config, experiment_seed, threads, None)
     }
@@ -1526,9 +1512,10 @@ mod tests {
     }
 
     #[test]
-    fn explicit_thread_request_beats_environment() {
-        assert_eq!(resolve_fit_threads(3), 3);
-        assert!(resolve_fit_threads(0) >= 1);
+    fn pool_width_is_the_callers_argument() {
+        assert_eq!(FitPool::new(3).threads(), 3);
+        let cores = std::thread::available_parallelism().map(std::num::NonZeroUsize::get);
+        assert_eq!(FitPool::new(0).threads(), cores.unwrap_or(2));
     }
 
     #[test]

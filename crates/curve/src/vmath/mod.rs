@@ -26,8 +26,8 @@
 //!   step up to AVX-512 compilations when the CPU reports
 //!   `avx512f`/`avx512dq`/`avx512vl`. Setting `HYPERDRIVE_VMATH=scalar`
 //!   forces the scalar fallback (and the baseline tier everywhere a caller
-//!   dispatches on [`simd_tier`]); `HYPERDRIVE_VMATH=avx2`
-//!   caps the tier at AVX2. The choice is made once per process and cached.
+//!   dispatches on [`simd_tier`]). The choice is made once per process and
+//!   cached.
 //! - **No allocation.** All kernels operate in place on caller-owned slices,
 //!   preserving the zero-alloc-per-MCMC-step invariant of `FitScratch`.
 //!
@@ -270,21 +270,16 @@ unsafe fn pow_slice_avx512(buf: &mut [f64], y: f64) {
 /// SIMD compilation tier for the slice loops and the autovectorized
 /// helper loops around them (2 = AVX-512, 1 = AVX2, 0 = baseline).
 /// Decided once per process from CPU detection; `HYPERDRIVE_VMATH=scalar`
-/// forces 0 and `=avx2` caps at 1 (useful for pinning tiers against each
-/// other — every tier compiles the same exact per-lane arithmetic, so the
-/// cap only changes throughput). Read-only: run provenance names the tier
-/// that ran with it.
+/// forces 0 (every tier compiles the same exact per-lane arithmetic, so
+/// the override only changes throughput). Read-only: run provenance names
+/// the tier that ran with it.
 #[cfg(target_arch = "x86_64")]
 #[must_use]
 pub fn simd_tier() -> u8 {
     static CHOICE: OnceLock<u8> = OnceLock::new();
     *CHOICE.get_or_init(|| {
-        match std::env::var("HYPERDRIVE_VMATH").as_deref() {
-            Ok("scalar") => return 0,
-            Ok("avx2") => {
-                return u8::from(std::arch::is_x86_feature_detected!("avx2"));
-            }
-            _ => {}
+        if std::env::var("HYPERDRIVE_VMATH").is_ok_and(|v| v == "scalar") {
+            return 0;
         }
         if std::arch::is_x86_feature_detected!("avx512f")
             && std::arch::is_x86_feature_detected!("avx512dq")

@@ -35,11 +35,10 @@ use crate::study::{run_study, StudyId, StudyOutcome, StudySpec};
 pub struct ServerConfig {
     /// Number of shard workers (each runs one study at a time).
     pub shards: usize,
-    /// Fit worker threads in the pool every study shares (`0` = the
-    /// `HYPERDRIVE_FIT_THREADS` / available-parallelism default). While
-    /// at least this many studies run, and at least two, each fits on its
-    /// own shard thread instead and the pool's workers sit idle (see the
-    /// crate docs).
+    /// Fit worker threads in the pool every study shares (`0` = one per
+    /// core). While at least this many studies run, and at least two,
+    /// each fits on its own shard thread instead and the pool's workers
+    /// sit idle (see the crate docs).
     pub fit_threads: usize,
     /// Bounded depth of the one admission queue all shard workers pull
     /// from (studies waiting beyond those executing). `0` means a study is

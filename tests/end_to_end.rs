@@ -3,7 +3,7 @@
 
 use hyperdrive::curve::PredictorConfig;
 use hyperdrive::framework::{
-    DefaultPolicy, ExperimentSpec, ExperimentWorkload, JobEnd, SchedulingPolicy,
+    DefaultPolicy, ExperimentResult, ExperimentSpec, ExperimentWorkload, JobEnd, SchedulingPolicy,
 };
 use hyperdrive::policies::{BanditPolicy, EarlyTermConfig, EarlyTermPolicy, HyperbandPolicy};
 use hyperdrive::pop::{PopConfig, PopPolicy};
@@ -12,7 +12,33 @@ use hyperdrive::workload::{CifarWorkload, LunarWorkload, Workload};
 use hyperdrive::SimTime;
 
 fn pop() -> PopPolicy {
-    PopPolicy::with_config(PopConfig { predictor: PredictorConfig::test(), ..Default::default() })
+    pop_at(0)
+}
+
+fn pop_at(fit_threads: usize) -> PopPolicy {
+    PopPolicy::with_config(PopConfig {
+        predictor: PredictorConfig::test(),
+        fit_threads,
+        ..Default::default()
+    })
+}
+
+/// POP at 1 and at 4 fit threads, held to the same run; returns the
+/// 1-thread run and its policy. For the workloads no harness study runs,
+/// so that their fit-pool width is an input, not the host's core count.
+fn pop_at_one_and_four(
+    experiment: &ExperimentWorkload,
+    spec: ExperimentSpec,
+) -> (ExperimentResult, PopPolicy) {
+    let [one, four] = [1, 4].map(|fit_threads| {
+        let mut p = pop_at(fit_threads);
+        (run_sim(&mut p, experiment, spec), p)
+    });
+    let run = |(result, p): &(ExperimentResult, PopPolicy)| {
+        (p.render_trace(result), p.posterior_digest(), p.predictions_made())
+    };
+    assert_eq!(run(&one), run(&four), "4 fit threads moved the run");
+    one
 }
 
 fn early_term() -> EarlyTermPolicy {
@@ -179,8 +205,7 @@ fn lstm_workload_runs_through_the_full_stack() {
     let experiment = ExperimentWorkload::from_workload(&workload, 12, 12)
         .with_target(LstmWorkload::normalize_perplexity(200.0));
     let spec = ExperimentSpec::new(4).with_tmax(SimTime::from_hours(48.0));
-    let mut p = pop();
-    let result = run_sim(&mut p, &experiment, spec);
+    let (result, _) = pop_at_one_and_four(&experiment, spec);
     assert!(result.total_epochs > 0);
     if let Some(winner) = result.winner {
         let ppl = LstmWorkload::denormalize_perplexity(experiment.profile(winner).best_value());
@@ -196,8 +221,7 @@ fn imagenet_workload_runs_through_the_full_stack() {
     let spec = ExperimentSpec::new(3)
         .with_tmax(SimTime::from_hours(24.0 * 20.0))
         .with_stop_on_target(false);
-    let mut p = pop();
-    let result = run_sim(&mut p, &experiment, spec);
+    let (result, p) = pop_at_one_and_four(&experiment, spec);
     // Hours-long epochs: total busy time lands in machine-days territory.
     let busy_days: f64 = result.outcomes.iter().map(|o| o.busy_time.as_hours() / 24.0).sum();
     assert!(busy_days > 1.0, "imagenet jobs consume machine-days: {busy_days}");

@@ -17,8 +17,11 @@ fn default_policy_agrees_across_executors() {
 
     let mut sim_policy = DefaultPolicy::new();
     let sim = run_sim(&mut sim_policy, &experiment, spec);
+    // At 600× a 20 ms stall of the scheduler thread is 12 virtual seconds,
+    // ≈1.6 % of the 12.6-minute run, so host load alone does not reach the
+    // bound below.
     let mut live_policy = DefaultPolicy::new();
-    let live = run_live(&mut live_policy, &experiment, spec, 6_000.0);
+    let live = run_live(&mut live_policy, &experiment, spec, 600.0);
 
     assert_eq!(sim.total_epochs, live.total_epochs);
     // Generous bound: on a loaded single-core machine sleep overshoot can
@@ -40,13 +43,31 @@ fn pop_agrees_across_executors_on_time_to_target() {
 
     let mut sim_policy = PopPolicy::with_config(config);
     let sim = run_sim(&mut sim_policy, &experiment, spec);
-    let mut live_policy = PopPolicy::with_config(config);
-    let live = run_live(&mut live_policy, &experiment, spec, 300.0);
+    // The live leg at 1 and at 4 fit threads, side by side: a narrower
+    // pool only slows the scheduler's wall clock, which must not show in
+    // virtual time.
+    let experiment = &experiment;
+    let lives = std::thread::scope(|scope| {
+        [1, 4]
+            .map(|fit_threads| {
+                scope.spawn(move || {
+                    let mut live_policy =
+                        PopPolicy::with_config(PopConfig { fit_threads, ..config });
+                    (fit_threads, run_live(&mut live_policy, experiment, spec, 300.0))
+                })
+            })
+            .map(|leg| leg.join().expect("the live leg finished"))
+    });
 
     let sim_t = sim.time_to_target.unwrap_or(sim.end_time).as_mins();
-    let live_t = live.time_to_target.unwrap_or(live.end_time).as_mins();
-    let err = (sim_t - live_t).abs() / sim_t.max(1e-9);
-    assert!(err < 0.25, "sim {sim_t:.1}min vs live {live_t:.1}min ({err:.3})");
+    for (fit_threads, live) in lives {
+        let live_t = live.time_to_target.unwrap_or(live.end_time).as_mins();
+        let err = (sim_t - live_t).abs() / sim_t.max(1e-9);
+        assert!(
+            err < 0.25,
+            "sim {sim_t:.1}min vs live {live_t:.1}min at {fit_threads} fit threads ({err:.3})"
+        );
+    }
 }
 
 #[test]
