@@ -221,13 +221,9 @@ fn main() {
     );
     println!("\nexpected: removing the kill threshold and the p < 0.05 prune inflates the");
     println!("epochs burned on configurations that never escape random accuracy");
-    let shared = cache.snapshot();
-    println!(
-        "\nshared fits: {} lookups, {} hits ({:.1}%)",
-        shared.lookups,
-        shared.shared_hits,
-        100.0 * shared.hit_rate()
-    );
+    // Only the lookups: which of two tasks needing one fit at once hits
+    // the cache is a thread race (ROADMAP 9's single-flight work).
+    println!("\nshared fits: {} lookups", cache.snapshot().lookups);
 }
 
 #[cfg(test)]

@@ -254,7 +254,7 @@ mod tests {
         let theta = default_theta();
         let view = ParamView::new(&theta);
         for (k, f) in ALL_FAMILIES.iter().enumerate() {
-            assert_eq!(view.family_params(k), f.default_params().as_slice(), "{}", f.name());
+            assert_eq!(view.family_params(k), f.default_params(), "{}", f.name());
         }
     }
 

@@ -8,10 +8,11 @@
 //!
 //! Every fit runs [`fit_families`]: all starts of all families advance in
 //! lockstep ([`NmScratch`]) and each round is one batch call on a
-//! [`CurveObjective`]. The runs are independent, so the fit offers the
-//! [`OFFERED`] families' runs to another thread through a [`ShareInit`]
-//! hook and runs the rest itself; the default hook, [`Decline`], keeps
-//! them all in one batch. [`fit_family`] / [`fit_all_families`] are the libm
+//! [`CurveObjective`]. The runs are independent, so another thread that
+//! draws the same starts ([`InitHalf::drawn`]) can run the [`OFFERED`]
+//! families' runs: the fit claims that half through a [`ShareInit`] hook
+//! and runs it merged with its own when nobody else holds it; the default
+//! hook, [`Decline`], always does. [`fit_family`] / [`fit_all_families`] are the libm
 //! oracle — one `minimize` per start, one point at a time — kept as the
 //! executable definition the lockstep init is tested against (over a
 //! test-local libm objective built from [`ModelFamily::eval`]).
@@ -71,7 +72,7 @@ pub fn fit_family<R: Rng + ?Sized>(
 
     // Multi-start: the default start plus a couple of random points in the
     // box. Curve-family objectives are cheap, so a few restarts are free.
-    let mut starts = vec![family.default_params()];
+    let mut starts = vec![family.default_params().to_vec()];
     for _ in 0..2 {
         starts.push(bounds.iter().map(|(lo, hi)| rng.gen_range(*lo..*hi)).collect::<Vec<f64>>());
     }
@@ -144,9 +145,10 @@ pub trait CurveObjective {
     fn mse(&self, family: ModelFamily, params: &[f64]) -> f64;
 }
 
-/// The families ([`ALL_FAMILIES`] indices) [`fit_families`] offers to a
-/// helper: Pow3, Pow4, Weibull, MMF and Ilog2, measured at ≈ 47 % of the
-/// init's cost, so the fitting thread keeps the larger half.
+/// The families ([`ALL_FAMILIES`] indices) whose runs another thread may
+/// claim from [`fit_families`]: Pow3, Pow4, Weibull, MMF and Ilog2,
+/// measured at ≈ 47 % of the init's cost, so the fitting thread keeps the
+/// larger half.
 pub const OFFERED: [usize; 5] = [0, 1, 4, 5, 8];
 
 const OFFERED_RUNS: usize = 3 * OFFERED.len();
@@ -159,7 +161,7 @@ fn init_options() -> NelderMeadOptions {
 type Best = ([f64; MAX_DIM], f64);
 
 /// The offered half of one fit's init: the [`OFFERED`] families' starts as
-/// the fit drew them (three each) and, once minimized, each run's best.
+/// the fit draws them (three each) and, once minimized, each run's best.
 /// Whoever minimizes it over an objective on the same curve gets the same
 /// bits.
 #[derive(Debug, Clone, Copy, Default)]
@@ -169,6 +171,31 @@ pub struct InitHalf {
 }
 
 impl InitHalf {
+    /// Draws every family's three starts from `rng` in [`fit_all_families`]'
+    /// order, hands the kept families' to `keep`, and returns the offered
+    /// half: what [`fit_families`] draws from the same RNG state.
+    pub fn drawn<R: Rng + ?Sized>(rng: &mut R, mut keep: impl FnMut(usize, &[f64])) -> Self {
+        let mut half = InitHalf::default();
+        let mut offered = half.starts.iter_mut();
+        for (k, &family) in ALL_FAMILIES.iter().enumerate() {
+            let bounds = family.bounds();
+            let mut start = [0.0; MAX_DIM];
+            start[..bounds.len()].copy_from_slice(family.default_params());
+            for draw in 0..3 {
+                if draw > 0 {
+                    let random = start.iter_mut().zip(bounds);
+                    random.for_each(|(s, (lo, hi))| *s = rng.gen_range(*lo..*hi));
+                }
+                if OFFERED.contains(&k) {
+                    *offered.next().expect("three runs per offered family") = start;
+                } else {
+                    keep(k, &start[..bounds.len()]);
+                }
+            }
+        }
+        half
+    }
+
     /// Minimizes the half's runs over `objective` on `nm`, in a lockstep
     /// batch of their own.
     pub fn minimize(&mut self, objective: &mut impl CurveObjective, nm: &mut NmScratch) {
@@ -200,25 +227,26 @@ fn best_of(nm: &NmScratch, run: usize) -> Best {
     (point, f)
 }
 
-/// Who may run the offered half of a fit's init ([`fit_families`]): the
-/// fitting thread offers it, runs its own half, then collects it — run by
-/// a helper, or untouched for the fitting thread to run. Same bits either
-/// way. The provided methods decline.
+/// Who runs the offered half of a fit's init ([`fit_families`]): the fit
+/// claims it once its starts are drawn, and runs it merged with its own
+/// runs, or — lost to a thread holding the same starts
+/// ([`InitHalf::drawn`]) — collects that thread's bests after its own.
+/// Same bits either way. The provided `claim` always wins.
 pub trait ShareInit {
-    /// Offers `half`; `true` when a helper may now claim it.
-    fn offer(&mut self, _half: &InitHalf) -> bool {
-        false
+    /// Claims the half for the fitting thread; `false` when another thread
+    /// holds it.
+    fn claim(&mut self) -> bool {
+        true
     }
 
-    /// After an accepted offer: `false` when no helper claimed the half
-    /// (taking it back), else waits for the helper's results in `half`.
-    /// Never waits on a half nobody runs.
-    fn collect(&mut self, _half: &mut InitHalf) -> bool {
-        false
+    /// After a lost claim: the holder's bests in `half`, waiting for them
+    /// if it is still running. Never called after a won claim.
+    fn collect(&mut self, _half: &mut InitHalf) {
+        unreachable!("a won claim collects nothing")
     }
 }
 
-/// Declines every offer: the fitting thread runs both halves, in one batch.
+/// Shares nothing: the fitting thread runs both halves, in one batch.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Decline;
 
@@ -226,7 +254,7 @@ impl ShareInit for Decline {}
 
 /// Fits all 11 families by lockstep Nelder–Mead ([`NmScratch`]): every
 /// start of every family is drawn up front, the [`OFFERED`] families' runs
-/// go to `share`, and each round of the simplex runs is one
+/// are claimed through `share`, and each round of the simplex runs is one
 /// `objective.least_squares` call.
 ///
 /// This is [`fit_all_families`]' schedule — per family the default start
@@ -243,26 +271,10 @@ pub fn fit_families<R: Rng + ?Sized>(
     // Multi-start: the default start plus a couple of random points in the
     // box. Curve-family objectives are cheap, so a few restarts are free.
     nm.begin(init_options());
-    let mut half = InitHalf::default();
-    let mut offered = half.starts.iter_mut();
-    for (k, &family) in ALL_FAMILIES.iter().enumerate() {
-        let bounds = family.bounds();
-        let mut start = [0.0; MAX_DIM];
-        start[..bounds.len()].copy_from_slice(&family.default_params());
-        for draw in 0..3 {
-            if draw > 0 {
-                start.iter_mut().zip(bounds).for_each(|(s, (lo, hi))| *s = rng.gen_range(*lo..*hi));
-            }
-            if OFFERED.contains(&k) {
-                *offered.next().expect("three runs per offered family") = start;
-            } else {
-                nm.push_start(k, &start[..bounds.len()]);
-            }
-        }
-    }
-    let shared = share.offer(&half);
-    if !shared {
-        // Declined: the offered runs share the kept runs' rounds.
+    let mut half = InitHalf::drawn(rng, |k, start| nm.push_start(k, start));
+    let merged = share.claim();
+    if merged {
+        // Held here: the offered runs share the kept runs' rounds.
         half.push_runs(nm);
     }
     nm.minimize_all(|families, points, out| objective.least_squares(families, points, out));
@@ -272,10 +284,10 @@ pub fn fit_families<R: Rng + ?Sized>(
     for (own, run) in kept.flat_map(|(_, runs)| runs).enumerate() {
         *run = best_of(nm, own);
     }
-    if !shared {
+    if merged {
         half.take_bests(nm, 3 * ALL_FAMILIES.len() - OFFERED_RUNS);
-    } else if !share.collect(&mut half) {
-        half.minimize(objective, nm);
+    } else {
+        share.collect(&mut half);
     }
     for (run, result) in OFFERED.iter().flat_map(|&k| 3 * k..3 * k + 3).zip(half.best) {
         best[run] = result;

@@ -87,5 +87,5 @@ pub use predictor::{
 pub use scratch::FitScratch;
 pub use service::{
     derive_fit_seed, sequential_fit, FitKey, FitOutcome, FitPool, FitPoolStats, FitRequest,
-    FitService, FitStats, PoolOccupant, SpecStats,
+    FitService, FitStats, SpecStats,
 };

@@ -105,19 +105,19 @@ impl ModelFamily {
 
     /// A reasonable default starting point for fitting (roughly: a curve
     /// rising from ~0.1 toward ~0.6).
-    pub fn default_params(self) -> Vec<f64> {
+    pub fn default_params(self) -> &'static [f64] {
         match self {
-            ModelFamily::Pow3 => vec![0.6, 0.5, 0.5],
-            ModelFamily::Pow4 => vec![0.6, 0.5, 1.0, 0.5],
-            ModelFamily::LogLogLinear => vec![0.3, 1.1],
-            ModelFamily::LogPower => vec![0.6, 1.0, -1.0],
-            ModelFamily::Weibull => vec![0.6, 0.1, 0.05, 1.0],
-            ModelFamily::Mmf => vec![0.6, 0.1, 0.05, 1.0],
-            ModelFamily::Janoschek => vec![0.6, 0.1, 0.05, 1.0],
-            ModelFamily::Exp4 => vec![0.7, 0.05, 1.0, 0.0],
-            ModelFamily::Ilog2 => vec![0.7, 0.6],
-            ModelFamily::VaporPressure => vec![-0.7, -1.0, 0.05],
-            ModelFamily::Hill3 => vec![0.6, 1.0, 20.0],
+            ModelFamily::Pow3 => &[0.6, 0.5, 0.5],
+            ModelFamily::Pow4 => &[0.6, 0.5, 1.0, 0.5],
+            ModelFamily::LogLogLinear => &[0.3, 1.1],
+            ModelFamily::LogPower => &[0.6, 1.0, -1.0],
+            ModelFamily::Weibull => &[0.6, 0.1, 0.05, 1.0],
+            ModelFamily::Mmf => &[0.6, 0.1, 0.05, 1.0],
+            ModelFamily::Janoschek => &[0.6, 0.1, 0.05, 1.0],
+            ModelFamily::Exp4 => &[0.7, 0.05, 1.0, 0.0],
+            ModelFamily::Ilog2 => &[0.7, 0.6],
+            ModelFamily::VaporPressure => &[-0.7, -1.0, 0.05],
+            ModelFamily::Hill3 => &[0.6, 1.0, 20.0],
         }
     }
 
@@ -236,9 +236,9 @@ mod tests {
     fn defaults_are_in_bounds_and_finite_over_horizon() {
         for f in ALL_FAMILIES {
             let p = f.default_params();
-            assert!(f.in_bounds(&p), "{} default out of bounds", f.name());
+            assert!(f.in_bounds(p), "{} default out of bounds", f.name());
             for x in [1.0, 2.0, 10.0, 50.0, 200.0, 1000.0] {
-                let y = f.eval(x, &p);
+                let y = f.eval(x, p);
                 assert!(y.is_finite(), "{} not finite at {x}: {y}", f.name());
                 assert!(y > -1.0 && y < 2.0, "{} wild value {y} at {x}", f.name());
             }
@@ -251,8 +251,8 @@ mod tests {
         // training horizon — they model saturating improvement.
         for f in ALL_FAMILIES {
             let p = f.default_params();
-            let early = f.eval(2.0, &p);
-            let late = f.eval(150.0, &p);
+            let early = f.eval(2.0, p);
+            let late = f.eval(150.0, p);
             assert!(late >= early - 1e-9, "{}: {early} -> {late}", f.name());
         }
     }

@@ -220,8 +220,8 @@ impl CurvePredictor {
     /// flagged ([`crate::mcmc::sample_into`]). The rows are all of the
     /// returned posterior's draws — whoever absorbs them into an
     /// [`Exceedance`] has nothing left for the posterior itself — and an
-    /// attempt that then fails has handed out nothing. The init offers half
-    /// to `share`.
+    /// attempt that then fails has handed out nothing. The init's offered
+    /// half is claimed through `share`.
     pub(crate) fn fit_streamed(
         &self,
         curve: &LearningCurve,
@@ -244,20 +244,20 @@ impl CurvePredictor {
         Ok(CurvePosterior { draws, last_epoch, horizon, acceptance_rate })
     }
 
-    /// Minimizes `half`, offered by the fit of `curve` to `horizon` at this
-    /// fidelity, over an objective of its own on `scratch`.
-    pub(crate) fn minimize_offered(
+    /// The offered half of the init of the fit of `curve` to `horizon` at
+    /// this fidelity, minimized over an objective of its own on `scratch`.
+    pub(crate) fn init_half(
         &self,
         curve: &LearningCurve,
         horizon: u32,
-        half: &mut InitHalf,
         scratch: &mut FitScratch,
         backend: Backend,
-    ) -> Result<()> {
+    ) -> Result<InitHalf> {
         let FitScratch { ys, nm, fast_grid, fused, .. } = scratch;
         self.fit_inputs(curve, horizon, ys, fast_grid)?;
+        let mut half = InitHalf::drawn(&mut StdRng::seed_from_u64(self.config.seed), |_, _| {});
         half.minimize(&mut FusedPosterior::new(fast_grid, ys, fused, backend), nm);
-        Ok(())
+        Ok(half)
     }
 
     /// The one fit schedule, over the batch objective that scores the

@@ -8,8 +8,8 @@
 //! sizes the buffers, subsequent fits of similar shape perform **zero heap
 //! allocations per MCMC step and per Nelder–Mead round** — the property
 //! `tests/alloc_steady_state.rs` pins with a counting allocator. A thread
-//! blocked in [`crate::FitService::fit_batch`] keeps one more,
-//! thread-local, for the init halves its fits offer it.
+//! in [`crate::FitService::fit_batch`] keeps one more, thread-local, for
+//! the units of its own fits it claims.
 
 use crate::batch::FusedScratch;
 use crate::fastpath::FastGrid;

@@ -11,11 +11,11 @@
 //! reject-with-`retry_after`) instead of queueing without limit.
 //!
 //! A study's fits go to the fit pool only while some of its workers have
-//! no study behind them. Each running study occupies the pool
-//! ([`FitPool::occupy`](hyperdrive_curve::FitPool::occupy)); once at least
-//! as many studies run as the pool has workers, and at least two, every
-//! core already runs a study, and each study fits on its own shard thread
-//! — the same fit, bit for bit, without the hand-off.
+//! no study behind them. Each running study's fit service is bound to the
+//! pool ([`FitPool::services`](hyperdrive_curve::FitPool::services)); once
+//! at least as many studies run as the pool has workers, and at least two,
+//! every core already runs a study, and each study fits on its own shard
+//! thread — the same fit, bit for bit, without the hand-off.
 //!
 //! Two invariants carry the design:
 //!

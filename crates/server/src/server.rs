@@ -3,8 +3,8 @@
 //!
 //! A [`Server`] owns a pool of shard workers, one [`FitPool`] for all of
 //! them, and (optionally) one [`SharedFitCache`] it hands to every study.
-//! A shard worker occupies the fit pool while it runs a study, so a full
-//! server fits on its shard threads (see the crate docs).
+//! Each running study binds its fit service to that pool, so a full server
+//! fits on its shard threads (see the crate docs).
 //! Tenants submit [`StudySpec`]s; admission checks the tenant's in-flight
 //! quota and tries a non-blocking push into the one bounded queue every
 //! worker pulls from, so a study starts on the first idle worker. A full
@@ -36,9 +36,9 @@ pub struct ServerConfig {
     /// Number of shard workers (each runs one study at a time).
     pub shards: usize,
     /// Fit worker threads in the pool every study shares (`0` = one per
-    /// core). While at least this many studies run, and at least two,
-    /// each fits on its own shard thread instead and the pool's workers
-    /// sit idle (see the crate docs).
+    /// core). While at least this many studies run, and at least two, the
+    /// pool is full: each study fits on its own shard thread and the
+    /// pool's workers sit idle (see the crate docs).
     pub fit_threads: usize,
     /// Bounded depth of the one admission queue all shard workers pull
     /// from (studies waiting beyond those executing). `0` means a study is
@@ -409,12 +409,10 @@ fn shard_loop(
         let run = AssertUnwindSafe(|| {
             run_study(&job.spec, job.id, Some(Arc::clone(pool)), cache.clone(), queue_latency)
         });
-        // Counted on the pool while it runs: once the running studies
-        // fill the pool, each fits on this thread instead of handing off.
-        let occupant = pool.occupy();
-        let answer = catch_unwind(run);
-        drop(occupant);
-        let answer = answer.map_err(|panic| StudyFailed {
+        // The study's fit service counts on the pool while it runs, and
+        // an unwind drops it like a return: once the running studies fill
+        // the pool, each fits on this thread instead of handing off.
+        let answer = catch_unwind(run).map_err(|panic| StudyFailed {
             id: job.id,
             message: panic
                 .downcast_ref::<String>()

@@ -327,7 +327,7 @@ fn fit_path_allocations() {
             let random = |rng: &mut StdRng| -> Vec<f64> {
                 family.bounds().iter().map(|(lo, hi)| rng.gen_range(*lo..*hi)).collect()
             };
-            [(k, family.default_params()), (k, random(&mut rng)), (k, random(&mut rng))]
+            [(k, family.default_params().to_vec()), (k, random(&mut rng)), (k, random(&mut rng))]
         })
         .collect();
     let allocs = warm_then_count(|| {
@@ -360,8 +360,8 @@ const COUNTED_BATCHES: u64 = 10;
 /// Fits `curve` as a fresh job per one-request batch on a one-worker
 /// service at `config`, and returns the fewest allocations a counted batch
 /// made on this thread (the caller) and on every other (the worker), and
-/// the runs of kept rows each fit streamed. `on_caller` has two studies
-/// occupy the pool, which makes it full: the batch then fits on this
+/// the runs of kept rows each fit streamed. `on_caller` binds a second
+/// service to the pool, which makes it full: the batch then fits on this
 /// thread.
 ///
 /// Counting per thread separates the two ways a batch's allocations vary
@@ -384,23 +384,28 @@ fn streamed_batch_allocs(
     on_caller: bool,
 ) -> (u64, u64, u64) {
     let pool = FitPool::new(1);
-    let _occupants: Vec<_> = (0..2 * usize::from(on_caller)).map(|_| pool.occupy()).collect();
+    let _other = on_caller.then(|| FitService::with_pool(config, 8, Arc::clone(&pool), None));
     let service = FitService::with_pool(config, 7, Arc::clone(&pool), None);
     let (mut caller, mut worker) = (u64::MAX, u64::MAX);
     for job in 0..WARM_BATCHES + COUNTED_BATCHES {
         let request =
             FitRequest { job: JobId::new(job), curve: curve.clone(), horizon: HORIZON, query };
+        let handed_off = pool.stats().demand_completions;
         let (all_before, mine_before) = (alloc_events(), thread_alloc_events());
         let outcome = service.fit_batch(&[request]).remove(0);
         let mine = thread_alloc_events() - mine_before;
         let others = alloc_events() - all_before - mine;
         assert_eq!(outcome.exceedance.is_some(), query.is_some());
         assert_eq!(outcome.result.expect("fit ok").n_draws(), config.max_draws);
-        if job >= WARM_BATCHES {
+        // A handed-off fit the caller took back before the worker woke ran
+        // whole on this thread: not the split this counts.
+        let worker_ran = pool.stats().demand_completions > handed_off;
+        if job >= WARM_BATCHES && worker_ran != on_caller {
             caller = caller.min(mine);
             worker = worker.min(others);
         }
     }
+    assert!(caller < u64::MAX, "no counted batch split its fit with the worker");
     let stats = service.stats();
     let streamed = if query.is_some() { WARM_BATCHES + COUNTED_BATCHES } else { 0 };
     assert_eq!(stats.streamed_fits, streamed);
@@ -467,9 +472,9 @@ fn streamed_chunk_allocations() {
 
 /// What a one-request batch that fits on its caller allocates besides the
 /// fit: the outcome slots (which the returned outcomes reuse), the waiting
-/// map and the key's index list, and the list of fits to run here. No reply
-/// channel and no finished counter: those are made only for a fit that
-/// goes to a worker.
+/// map and the key's index list, and the list of fresh fits. No reply
+/// channel, no finished counter and no claim slots: those are made only
+/// for a fit handed to the pool.
 const CALLER_RUN_BATCH: u64 = 4;
 
 #[test]

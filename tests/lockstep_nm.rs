@@ -2,10 +2,10 @@
 //! (`nelder_mead::minimize`): every run of every batch must return the
 //! oracle's point, value **and** evaluation count bit for bit, however many
 //! other runs share its rounds, and the lockstep family init built on it
-//! must reproduce the oracle's `fit_all_families` — whichever thread runs
-//! the half of it a fit offers ([`ShareInit`]).
+//! must reproduce the oracle's `fit_all_families` — whichever thread claims
+//! the half of it another thread may run ([`ShareInit`]).
 
-use std::thread::{Scope, ScopedJoinHandle};
+use std::thread::ScopedJoinHandle;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use rand::rngs::StdRng;
@@ -113,7 +113,7 @@ fn every_family_start_curve_run_is_bitwise_the_oracle() {
         };
         let mut starts = Vec::new();
         for family in ALL_FAMILIES {
-            starts.push(family.default_params());
+            starts.push(family.default_params().to_vec());
             for _ in 0..2 {
                 starts
                     .push(family.bounds().iter().map(|(lo, hi)| rng.gen_range(*lo..*hi)).collect());
@@ -312,43 +312,44 @@ impl Fused {
     }
 }
 
-/// Runs the offered half on the spot, inside `offer`.
-struct Inline<'a>(&'a Fused, InitHalf);
+/// The offered half of the init from RNG seed `seed`, drawn and minimized
+/// apart from the fit, as a thread holding the half does.
+fn held_half(curve: &Fused, seed: u64) -> InitHalf {
+    let mut half = InitHalf::drawn(&mut StdRng::seed_from_u64(seed), |_, _| {});
+    curve.minimize(&mut half);
+    half
+}
+
+/// Wins the half the moment the fit claims it, and runs it on the spot.
+struct Inline<'a> {
+    curve: &'a Fused,
+    seed: u64,
+    half: InitHalf,
+}
 
 impl ShareInit for Inline<'_> {
-    fn offer(&mut self, half: &InitHalf) -> bool {
-        self.1 = *half;
-        self.0.minimize(&mut self.1);
-        true
+    fn claim(&mut self) -> bool {
+        self.half = held_half(self.curve, self.seed);
+        false
     }
 
-    fn collect(&mut self, half: &mut InitHalf) -> bool {
-        *half = self.1;
-        true
+    fn collect(&mut self, half: &mut InitHalf) {
+        *half = self.half;
     }
 }
 
-/// Runs the offered half on another thread while the fitting thread runs
-/// its own.
-struct Concurrent<'scope, 'env> {
-    scope: &'scope Scope<'scope, 'env>,
-    curve: &'env Fused,
-    helper: Option<ScopedJoinHandle<'scope, InitHalf>>,
-}
+/// Holds the half from before the init starts: another thread runs it
+/// while the fitting thread runs its own, as a caller that claimed it when
+/// it submitted the fit.
+struct Concurrent<'scope>(Option<ScopedJoinHandle<'scope, InitHalf>>);
 
-impl ShareInit for Concurrent<'_, '_> {
-    fn offer(&mut self, half: &InitHalf) -> bool {
-        let (curve, mut half) = (self.curve, *half);
-        self.helper = Some(self.scope.spawn(move || {
-            curve.minimize(&mut half);
-            half
-        }));
-        true
+impl ShareInit for Concurrent<'_> {
+    fn claim(&mut self) -> bool {
+        false
     }
 
-    fn collect(&mut self, half: &mut InitHalf) -> bool {
-        *half = self.helper.take().expect("offered").join().expect("the helper finished");
-        true
+    fn collect(&mut self, half: &mut InitHalf) {
+        *half = self.0.take().expect("collected once").join().expect("the helper finished");
     }
 }
 
@@ -383,8 +384,9 @@ fn fresh_seed() -> u64 {
 }
 
 /// The fused init is the same bits whoever runs its offered half: the
-/// fitting thread (declined), the hook the moment it is offered, or a
-/// thread running beside the fitting thread's own half. Fresh CIFAR and
+/// fitting thread (merged, declined), the hook the moment it is claimed,
+/// or a thread that held it from the start, running beside the fitting
+/// thread's own half. Fresh CIFAR and
 /// Lunar Lander prefixes of 6–30 epochs, under both kernel backends — which
 /// agree with each other too — and the RNG left where the init left it.
 #[test]
@@ -405,10 +407,11 @@ fn the_offered_half_is_the_same_bits_on_any_thread() {
             let curve = Fused::new(&obs, 120.0, backend);
             let rng_seed = seed.wrapping_add(c);
             let declined = init(&curve, rng_seed, &mut nm, &mut Decline);
-            let inline = init(&curve, rng_seed, &mut nm, &mut Inline(&curve, InitHalf::default()));
+            let mut inline = Inline { curve: &curve, seed: rng_seed, half: InitHalf::default() };
+            let inline = init(&curve, rng_seed, &mut nm, &mut inline);
             let concurrent = std::thread::scope(|scope| {
-                let mut share = Concurrent { scope, curve: &curve, helper: None };
-                init(&curve, rng_seed, &mut nm, &mut share)
+                let helper = scope.spawn(|| held_half(&curve, rng_seed));
+                init(&curve, rng_seed, &mut nm, &mut Concurrent(Some(helper)))
             });
             for (other, what) in [(&inline, "inline"), (&concurrent, "concurrent")] {
                 assert_same_fits(&declined.0, &other.0, &format!("{what} vs declined, {case}"));
@@ -429,9 +432,10 @@ fn learning_curve(workload: &dyn Workload, seed: u64, len: u32) -> LearningCurve
     curve
 }
 
-/// Through the service, where the blocked `fit_batch` caller runs the
-/// halves its fits offer: every posterior is `sequential_fit`'s draw for
-/// draw at pool widths 1 and 4, and the caller did run some of them.
+/// Through the service, where the blocked `fit_batch` caller claims the
+/// halves of its fits and the rest-units no worker started: every
+/// posterior is `sequential_fit`'s draw for draw at pool widths 1 and 4,
+/// and the caller did run some halves.
 #[test]
 fn fits_the_caller_helped_are_the_sequential_fits() {
     let seed = fresh_seed();
@@ -464,10 +468,10 @@ fn fits_the_caller_helped_are_the_sequential_fits() {
             );
         }
         let stats = service.stats();
-        assert_eq!(stats.halves_offered, 8, "every fit offers its half once");
-        assert!(stats.halves_helped <= stats.halves_offered);
+        assert_eq!(stats.fits, 8);
+        assert!(stats.halves_helped <= stats.fits);
         assert_eq!(stats.halves_helped > 0, stats.help_nanos > 0);
         helped += stats.halves_helped;
     }
-    assert!(helped > 0, "the caller never ran an offered half (seed {seed})");
+    assert!(helped > 0, "the caller never ran a half (seed {seed})");
 }

@@ -88,7 +88,7 @@ fn studies_that_fill_the_pool_fit_on_their_shards_and_release_it() {
     let stats = pool.stats();
     assert_eq!(stats.caller_fits, 0, "a lone study fitted on its shard");
     assert!(stats.demand_completions > 0);
-    assert_eq!(pool.occupants(), 0, "a finished study still occupies the pool");
+    assert_eq!(pool.services(), 0, "a finished study still occupies the pool");
 
     // Four studies on two shards keep both busy: the pool is full and
     // the studies fit on their shards, each still byte-equal to its run
@@ -104,11 +104,12 @@ fn studies_that_fill_the_pool_fit_on_their_shards_and_release_it() {
         assert_eq!(outcome.posterior_digest, reference.posterior_digest);
     }
     assert!(pool.stats().caller_fits > 0, "two busy shards never fitted on their own threads");
-    assert_eq!(pool.occupants(), 0);
+    assert_eq!(pool.services(), 0);
 
-    // A study that panics gives its occupancy back with its quota slot.
+    // A study that panics gives its pool slot back with its quota slot:
+    // the unwind drops its fit service.
     let broken = StudySpec { spec: ExperimentSpec::new(0), ..study("alice", 3) };
     let failed = server.submit(broken).expect("admitted").try_wait();
     assert!(failed.is_err());
-    assert_eq!(pool.occupants(), 0, "a panicking study kept its occupancy");
+    assert_eq!(pool.services(), 0, "a panicking study kept its occupancy");
 }
