@@ -403,8 +403,11 @@ impl PopPolicy {
         }
         let mut requests: Vec<FitRequest> = Vec::new();
         let mut meta: Vec<Meta> = Vec::new();
-        for (job, curve) in ctx.active_curves() {
-            let Some(last_epoch) = curve.last_epoch() else { continue };
+        // Job-id order (the context keeps its active index sorted): request
+        // order is part of the determinism contract. Only a job whose fit
+        // point advanced has its curve built.
+        for &job in ctx.active_jobs() {
+            let last_epoch = ctx.epochs_done(job);
             // Fit points sit on evaluation boundaries; the reporting job is
             // exactly at one (the caller checked).
             let fit_epoch =
@@ -415,6 +418,7 @@ impl PopPolicy {
             if self.assessments.get(&job).is_some_and(|a| a.epoch >= fit_epoch) {
                 continue; // prefix unchanged since the last assessment
             }
+            let Some(curve) = ctx.curve(job) else { continue };
             let prefix = if fit_epoch == last_epoch { curve } else { curve.prefix(fit_epoch) };
             let epoch_duration = prefix.mean_epoch_duration().unwrap_or_else(|| {
                 SimTime::from_secs(event.now.as_secs() / f64::from(fit_epoch.max(1)))

@@ -1,7 +1,7 @@
 //! A dense-keyed job map.
 //!
-//! Every hot per-event structure in the engine — job entries, outstanding
-//! tokens, recorded curves — is keyed by [`JobId`], and the workload
+//! Every hot per-event structure in the engine — job entries, retry
+//! counts, stored snapshots — is keyed by [`JobId`], and the workload
 //! builders hand out ids densely from zero. A hash map pays a SipHash plus
 //! a bucket-probe cache miss on every event for keys that are really just
 //! small indexes; this map is a plain `Vec<Option<T>>` indexed by the raw
@@ -9,9 +9,9 @@
 //!
 //! Sparse ids still work (the slot vector grows to the highest inserted
 //! id), they just waste slots — the framework itself never produces them.
-//! The only iteration offered is [`iter`](DenseMap::iter), which walks
-//! ascending id order: deterministic by construction, unlike hash-map
-//! iteration, so it cannot leak scheduling nondeterminism.
+//! The only iteration offered, to tests, is `iter`, which walks ascending
+//! id order: deterministic by construction, unlike hash-map iteration, so
+//! it cannot leak scheduling nondeterminism.
 
 use hyperdrive_types::JobId;
 
@@ -100,6 +100,7 @@ impl<T> DenseMap<T> {
     }
 
     /// All present entries in ascending id order.
+    #[cfg(test)]
     pub fn iter(&self) -> impl Iterator<Item = (JobId, &T)> {
         self.slots
             .iter()

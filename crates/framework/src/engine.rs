@@ -18,7 +18,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use hyperdrive_types::{DomainKnowledge, JobId, LearningCurve, MachineId, SimTime};
-use hyperdrive_workload::EpochRow;
 
 use crate::appstat::{AppStatDb, SuspendEvent};
 use crate::dense::DenseMap;
@@ -144,16 +143,12 @@ pub enum EngineInput {
 /// for policy up-calls.
 struct EngineCore<'w> {
     workload: &'w ExperimentWorkload,
-    /// Each job's ground-truth rows, indexed by raw job id: the per-epoch
-    /// path reads them without going through `workload.jobs[job]`.
-    rows: Vec<&'w [EpochRow]>,
-    /// Whether any profile carries a secondary metric; when none does the
-    /// per-epoch path never touches the profile struct.
-    has_secondary: bool,
     spec: ExperimentSpec,
     rm: ResourceManager,
     jm: JobManager,
-    db: AppStatDb,
+    /// Also holds each job's ground-truth rows, which the per-epoch path
+    /// reads without going through `workload.jobs[job]`.
+    db: AppStatDb<'w>,
     rng: StdRng,
     now: SimTime,
     pending: Vec<Command>,
@@ -203,11 +198,7 @@ struct EngineCore<'w> {
     prefetch_hints: Vec<(JobId, u32, SimTime, f64)>,
 }
 
-impl<'w> EngineCore<'w> {
-    fn rows_of(&self, job: JobId) -> &'w [EpochRow] {
-        self.rows[job.raw() as usize]
-    }
-
+impl EngineCore<'_> {
     /// Records a scheduler event in the log *and* the journal (as a
     /// verification record): every externally visible transition goes
     /// through here.
@@ -229,7 +220,7 @@ impl<'w> EngineCore<'w> {
     /// `extra` latency (resume cost and/or retry backoff).
     fn issue_epoch(&mut self, job: JobId, machine: MachineId, epochs_done: u32, extra: SimTime) {
         let next_epoch = epochs_done + 1;
-        let rows = self.rows_of(job);
+        let rows = self.db.rows(job);
         let duration = rows[epochs_done as usize].duration + extra;
         let token = self.issue_token(job, duration);
         self.pending.push(Command::RunEpoch { job, machine, epoch: next_epoch, duration, token });
@@ -298,15 +289,14 @@ impl<'w> EngineCore<'w> {
         }
     }
 
-    /// True once a job's observed curve satisfies the experiment's goal at
-    /// the *current* target: the workload's solved condition (sustained
+    /// True once a job's observed history satisfies the experiment's goal
+    /// at the *current* target: the workload's solved condition (sustained
     /// trailing mean over its window) if it has one, otherwise a plain
     /// threshold on the latest value.
-    fn goal_reached(&self, curve: &LearningCurve, value: f64) -> bool {
+    fn goal_reached(&self, job: JobId, value: f64) -> bool {
         match &self.workload.domain.solved {
             Some(cond) => {
-                curve.len() >= cond.window
-                    && curve.trailing_mean(cond.window).is_some_and(|m| m >= self.current_target)
+                self.db.window_mean(job, cond.window).is_some_and(|m| m >= self.current_target)
             }
             None => value >= self.current_target,
         }
@@ -361,11 +351,11 @@ impl SchedulerContext for EngineCore<'_> {
     }
 
     fn curve(&self, job: JobId) -> Option<LearningCurve> {
-        self.db.curve_ref(job).cloned()
+        self.db.curve(job)
     }
 
     fn secondary_curve(&self, job: JobId) -> Option<LearningCurve> {
-        self.db.secondary_curve_ref(job).cloned()
+        self.db.secondary_curve(job)
     }
 
     fn epochs_done(&self, job: JobId) -> u32 {
@@ -485,10 +475,6 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
             jm.add_job(job.job);
         }
         let n_jobs = workload.jobs.len();
-        // Job ids are positions in `workload.jobs` (the builders number
-        // them densely from zero), which is what `rows` is indexed by.
-        let rows = workload.jobs.iter().map(|j| j.profile.rows()).collect();
-        let has_secondary = workload.jobs.iter().any(|j| j.profile.secondary_values().is_some());
         // Steady-state zero-alloc sizing: one command batch can start at
         // most min(jobs, machines) jobs, plus one Suspend and one Stop.
         let batch_cap = n_jobs.min(spec.machines) + 2;
@@ -498,15 +484,15 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
         ExperimentEngine {
             core: EngineCore {
                 workload,
-                rows,
-                has_secondary,
                 spec,
                 rm: ResourceManager::new(spec.machines).expect("non-empty cluster"),
                 jm,
-                db: AppStatDb::with_capacity(
+                // Job ids are positions in `workload.jobs` (the builders
+                // number them densely from zero), which is how the DB
+                // indexes its per-job state.
+                db: AppStatDb::new(
                     workload.domain.metric,
-                    n_jobs,
-                    workload.max_epochs as usize,
+                    workload.jobs.iter().map(|j| &j.profile),
                 ),
                 rng: StdRng::seed_from_u64(spec.seed ^ 0xE46),
                 now: SimTime::ZERO,
@@ -605,9 +591,9 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
         // buffer keeps its capacity for the next turn.
         for i in 0..self.core.prefetch_hints.len() {
             let (job, epoch, completion_time, value) = self.core.prefetch_hints[i];
-            if let Some(curve) = self.core.db.curve_ref(job) {
+            if let Some(curve) = self.core.db.curve(job) {
                 let hint = PrefetchHint { job, epoch, completion_time, value, max_epochs, tmax };
-                self.policy.prefetch_hint(&hint, curve);
+                self.policy.prefetch_hint(&hint, &curve);
             }
         }
         self.core.prefetch_hints.clear();
@@ -699,51 +685,42 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
     fn on_epoch_done(&mut self, job: JobId) {
         let (epoch, machine) = self.core.jm.record_epoch(job).expect("epoch on running job");
         self.core.total_epochs += 1;
-        let rows = self.core.rows_of(job);
+        let rows = self.core.db.rows(job);
         let value = rows[(epoch - 1) as usize].value;
-        let secondary = if self.core.has_secondary {
-            self.core.workload.profile(job).secondary_at(epoch)
-        } else {
-            None
-        };
         let now = self.core.now;
-        self.core.db.record_stat(job, epoch, now, value);
-        if let Some(sv) = secondary {
-            self.core.db.record_secondary(job, epoch, now, sv);
-        }
+        self.core.db.record_stat(job, epoch, now);
 
         // Experiment-level goal check happens before policy up-calls: the
         // run is over the moment any job exhibits the target — unless
         // dynamic-target mode keeps raising the bar (§9).
-        if self.core.spec.stop_on_target || self.core.spec.dynamic_target_increment.is_some() {
-            let curve = self.core.db.curve_ref(job).expect("stat just recorded");
-            if self.core.goal_reached(curve, value) {
-                self.core.milestones.push(TargetMilestone {
-                    target: self.core.current_target,
-                    time: now,
-                    job,
-                });
-                self.core.record(SchedulerEvent::TargetReached {
-                    job,
-                    target: self.core.current_target,
-                    time: now,
-                });
-                if self.core.time_to_target.is_none() {
-                    self.core.time_to_target = Some(now);
-                    self.core.winner = Some(job);
-                }
-                match self.core.spec.dynamic_target_increment {
-                    Some(increment) => {
-                        self.core.current_target += increment;
-                        if self.core.current_target > 1.0 {
-                            self.core.stop();
-                            return;
-                        }
-                    }
-                    None => {
+        let goal_checked =
+            self.core.spec.stop_on_target || self.core.spec.dynamic_target_increment.is_some();
+        if goal_checked && self.core.goal_reached(job, value) {
+            self.core.milestones.push(TargetMilestone {
+                target: self.core.current_target,
+                time: now,
+                job,
+            });
+            self.core.record(SchedulerEvent::TargetReached {
+                job,
+                target: self.core.current_target,
+                time: now,
+            });
+            if self.core.time_to_target.is_none() {
+                self.core.time_to_target = Some(now);
+                self.core.winner = Some(job);
+            }
+            match self.core.spec.dynamic_target_increment {
+                Some(increment) => {
+                    self.core.current_target += increment;
+                    if self.core.current_target > 1.0 {
                         self.core.stop();
                         return;
                     }
+                }
+                None => {
+                    self.core.stop();
+                    return;
                 }
             }
         }
@@ -855,7 +832,7 @@ impl<'w, 'p> ExperimentEngine<'w, 'p> {
                     job: j.job,
                     epochs: core.jm.epochs_done(j.job).unwrap_or(0),
                     busy_time: core.jm.busy_time(j.job).expect("job registered"),
-                    best_value: core.db.curve_ref(j.job).and_then(|c| c.best()).unwrap_or(f64::NAN),
+                    best_value: core.db.best(j.job).unwrap_or(f64::NAN),
                     end,
                 }
             })

@@ -119,19 +119,6 @@ pub trait SchedulerContext {
     /// report).
     fn curve(&self, job: JobId) -> Option<LearningCurve>;
 
-    /// The observed curves of all active jobs in one batch, **sorted by
-    /// job id**. Batch-fitting policies iterate this instead of issuing
-    /// per-job [`curve`](Self::curve) calls; the fixed ordering is part of
-    /// the determinism contract (request order must not depend on hash-map
-    /// iteration or executor timing).
-    fn active_curves(&self) -> Vec<(JobId, LearningCurve)> {
-        let mut jobs = self.active_jobs().to_vec();
-        // The engine's index is already id-sorted; this is a no-op there
-        // but keeps the ordering contract for contexts that are not.
-        jobs.sort_unstable();
-        jobs.into_iter().filter_map(|j| self.curve(j).map(|c| (j, c))).collect()
-    }
-
     /// The observed secondary-metric history of a job (§9's additional
     /// metrics, e.g. sparsity). `None` for workloads without a secondary
     /// metric. The default returns `None`, so single-metric contexts need

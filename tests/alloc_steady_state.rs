@@ -1,6 +1,7 @@
 //! Counting-allocator pins for the discrete-event spine and the fit path.
-//! Once every job has started and recorded its first statistic, stepping
-//! the simulator performs **zero heap allocations per event**.
+//! From the first epoch report after `Start` on — each job's first recorded
+//! statistic included — stepping the simulator performs **zero heap
+//! allocations per event**.
 //!
 //! The pin runs the steady-state loop three ways: under the default FIFO
 //! policy, and under full POP with its fit service at 1 and at 4 worker
@@ -8,7 +9,7 @@
 //! stays on the non-fit path — a boundary fit allocates its result by
 //! design, and the fit arms below pin the rest). Every reservation in the
 //! chain is exercised: the engine's pre-sized command buffer, event log,
-//! curve maps, and outstanding-token table; the stepper's pre-sized
+//! AppStat DB time array, and outstanding-token table; the stepper's pre-sized
 //! future-event heap; and the O(log n) ResourceManager free-set, which
 //! never allocates after construction.
 //!
@@ -147,12 +148,11 @@ fn steady_state_allocs(policy: &mut dyn SchedulingPolicy) -> (u64, u64) {
     let ew = ExperimentWorkload::from_workload(&w, JOBS, 11);
     let spec = ExperimentSpec::new(JOBS).with_seed(7).with_stop_on_target(false);
     let mut sim = Simulation::new(policy, &ew, spec);
-    // Warmup: the first two epochs of every job cover each job's first
-    // `record_stat` (which creates its pre-sized curve) and warm the
-    // reusable command buffer to the largest batch.
-    for _ in 0..2 * JOBS {
-        sim.step().expect("workload outlasts warmup");
-    }
+    // Warmup: one epoch report. `Start` filled the engine's pre-sized
+    // command buffer with the largest batch and swapped it into the
+    // driver; this first report gives the other buffer its capacity. Every
+    // other job's first report — its first `record_stat` — is measured.
+    sim.step().expect("workload outlasts warmup");
     wait_until_other_threads_are_parked();
     let before = alloc_events();
     let mut measured = 0u64;
@@ -197,7 +197,7 @@ fn churn_path_allocations() {
     let mut policy = ChurnPolicy;
     let mut sim = Simulation::new(&mut policy, &ew, spec);
     // Warmup: two run-5-epochs-then-suspend cycles per job, so every job
-    // has started, created its curve and taken its first snapshot.
+    // has started and taken its first snapshot.
     for _ in 0..12 * CHURN_JOBS {
         sim.step().expect("workload outlasts warmup");
     }
