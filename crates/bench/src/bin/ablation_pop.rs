@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use hyperdrive_bench::{par_map, print_table, quick_mode, write_csv, HARNESS_FIT_THREADS};
 use hyperdrive_core::{KillRule, PopConfig, PopPolicy};
-use hyperdrive_curve::{PredictorConfig, SharedFitCache};
+use hyperdrive_curve::{FitPool, PredictorConfig, SharedFitCache};
 use hyperdrive_framework::{ExperimentSpec, ExperimentWorkload};
 use hyperdrive_sim::run_sim;
 use hyperdrive_types::{stats, SimTime};
@@ -41,8 +41,8 @@ fn sweep(
     par_map(&tasks, |&(v, order)| {
         let seed = order as u64;
         let spec = ExperimentSpec::new(5).with_tmax(SimTime::from_hours(48.0)).with_seed(seed);
-        let config = PopConfig { seed, fit_threads: HARNESS_FIT_THREADS, ..variants[v].1 };
-        let mut policy = PopPolicy::with_config_and_cache(config, cache.cloned());
+        let config = PopConfig { seed, ..variants[v].1 };
+        let mut policy = PopPolicy::new(config, FitPool::new(HARNESS_FIT_THREADS), cache.cloned());
         let result = run_sim(&mut policy, &experiments[order], spec);
         (result.time_to_target.map(|t| t.as_hours()), result.total_epochs as f64)
     })
@@ -198,8 +198,9 @@ fn main() {
         ),
     ];
     let waste_rows = par_map(&waste_variants, |(name, config)| {
-        let config = PopConfig { seed: 1, fit_threads: HARNESS_FIT_THREADS, ..*config };
-        let mut policy = PopPolicy::with_config_and_cache(config, Some(cache.clone()));
+        let config = PopConfig { seed: 1, ..*config };
+        let pool = FitPool::new(HARNESS_FIT_THREADS);
+        let mut policy = PopPolicy::new(config, pool, Some(cache.clone()));
         let result = run_sim(&mut policy, &experiment, spec);
         let wasted: u64 = result
             .outcomes

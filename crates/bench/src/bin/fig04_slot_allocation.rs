@@ -10,7 +10,7 @@
 
 use hyperdrive_bench::{print_table, quick_mode, write_csv};
 use hyperdrive_core::{PopConfig, PopPolicy};
-use hyperdrive_curve::PredictorConfig;
+use hyperdrive_curve::{FitPool, PredictorConfig};
 use hyperdrive_framework::{ExperimentSpec, ExperimentWorkload};
 use hyperdrive_sim::run_sim;
 use hyperdrive_types::SimTime;
@@ -39,11 +39,11 @@ fn main() {
     let spec = ExperimentSpec::new(machines).with_tmax(SimTime::from_hours(4.0));
 
     let fidelity = if quick_mode() { PredictorConfig::test() } else { PredictorConfig::fast() };
-    let mut pop = PopPolicy::with_config(PopConfig {
-        predictor: fidelity,
-        static_threshold,
-        ..Default::default()
-    });
+    let mut pop = PopPolicy::new(
+        PopConfig { predictor: fidelity, static_threshold, ..Default::default() },
+        FitPool::new(0),
+        None,
+    );
     let result = run_sim(&mut pop, &experiment, spec);
 
     let timeline = pop.timeline();

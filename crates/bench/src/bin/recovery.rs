@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use hyperdrive_bench::{print_table, quick_mode, results_dir};
 use hyperdrive_core::{PopConfig, PopPolicy};
-use hyperdrive_curve::PredictorConfig;
+use hyperdrive_curve::{FitPool, PredictorConfig};
 use hyperdrive_framework::{
     run_meta, DefaultPolicy, ExperimentSpec, ExperimentWorkload, FaultConfig, FaultPlan, Journal,
     SchedulingPolicy,
@@ -37,13 +37,11 @@ fn scale() -> Scale {
 
 /// POP evaluating every `boundary` epochs (`None`: the workload's `b`).
 fn pop_policy(boundary: Option<u32>, fit_threads: usize, seed: u64) -> Box<dyn SchedulingPolicy> {
-    Box::new(PopPolicy::with_config(PopConfig {
-        predictor: PredictorConfig::test(),
-        boundary,
-        seed,
-        fit_threads,
-        ..Default::default()
-    }))
+    Box::new(PopPolicy::new(
+        PopConfig { predictor: PredictorConfig::test(), boundary, seed, ..Default::default() },
+        FitPool::new(fit_threads),
+        None,
+    ))
 }
 
 fn min_of(samples: &[f64]) -> f64 {

@@ -12,7 +12,7 @@
 
 use hyperdrive_bench::{par_map, print_table, quick_mode, write_csv};
 use hyperdrive_core::{PopConfig, PopPolicy};
-use hyperdrive_curve::PredictorConfig;
+use hyperdrive_curve::{FitPool, PredictorConfig};
 use hyperdrive_framework::{ExperimentSpec, ExperimentWorkload};
 use hyperdrive_policies::GlobalCriterionPolicy;
 use hyperdrive_sim::run_sim;
@@ -68,7 +68,11 @@ fn main() {
 
     let ppl_bound = LstmWorkload::normalize_perplexity(150.0);
     let mut with_criterion = GlobalCriterionPolicy::new(
-        PopPolicy::with_config(PopConfig { predictor: fidelity, ..Default::default() }),
+        PopPolicy::new(
+            PopConfig { predictor: fidelity, ..Default::default() },
+            FitPool::new(0),
+            None,
+        ),
         move |view| {
             view.primary.last_value().is_some_and(|v| v >= ppl_bound)
                 && view.secondary.and_then(|s| s.last_value()).is_some_and(|s| s >= 0.35)
@@ -79,8 +83,11 @@ fn main() {
     // `satisfied_by` works below).
     let (stopped, exhaustive) = std::thread::scope(|scope| {
         let handle = scope.spawn(|| {
-            let mut without =
-                PopPolicy::with_config(PopConfig { predictor: fidelity, ..Default::default() });
+            let mut without = PopPolicy::new(
+                PopConfig { predictor: fidelity, ..Default::default() },
+                FitPool::new(0),
+                None,
+            );
             run_sim(&mut without, &experiment, spec)
         });
         let stopped = run_sim(&mut with_criterion, &experiment, spec);

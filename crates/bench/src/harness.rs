@@ -2,7 +2,7 @@
 //! time-to-target comparisons.
 
 use hyperdrive_core::{PopConfig, PopPolicy};
-use hyperdrive_curve::PredictorConfig;
+use hyperdrive_curve::{FitPool, PredictorConfig};
 use hyperdrive_framework::{
     DefaultPolicy, ExperimentResult, ExperimentSpec, ExperimentWorkload, SchedulingPolicy,
 };
@@ -30,14 +30,15 @@ pub enum PolicyKind {
     Hyperband,
 }
 
-/// Fit-pool width of every POP instance a [`par_map`] task builds.
+/// Fit-pool width of every POP instance a [`par_map`] task builds: each
+/// gets a `FitPool::new(HARNESS_FIT_THREADS)` of its own.
 ///
 /// [`par_map`] already parallelizes a grid with one worker per hardware
-/// thread. A `PopConfig` default of `fit_threads: 0` would make *each*
-/// task spawn its own hardware-sized fit pool — O(cores²) threads on a big
-/// host, which oversubscribes the machine and slows the sweep down. Each
-/// simulation is deterministic regardless of pool width, so a grid caps
-/// its per-task pools at one thread and keeps the parallelism at the task
+/// thread. A `FitPool::new(0)` per task would give *each* task its own
+/// hardware-sized fit pool — O(cores²) threads on a big host, which
+/// oversubscribes the machine and slows the sweep down. Each simulation
+/// is deterministic regardless of pool width, so a grid caps its
+/// per-task pools at one thread and keeps the parallelism at the task
 /// level where it scales cleanly.
 pub const HARNESS_FIT_THREADS: usize = 1;
 
@@ -68,12 +69,11 @@ impl PolicyKind {
     /// reproducible per run.
     pub fn build(self, fidelity: PredictorConfig, seed: u64) -> Box<dyn SchedulingPolicy> {
         match self {
-            PolicyKind::Pop => Box::new(PopPolicy::with_config(PopConfig {
-                predictor: fidelity,
-                seed,
-                fit_threads: HARNESS_FIT_THREADS,
-                ..Default::default()
-            })),
+            PolicyKind::Pop => Box::new(PopPolicy::new(
+                PopConfig { predictor: fidelity, seed, ..Default::default() },
+                FitPool::new(HARNESS_FIT_THREADS),
+                None,
+            )),
             PolicyKind::Bandit => Box::new(BanditPolicy::new()),
             PolicyKind::EarlyTerm => Box::new(EarlyTermPolicy::with_config(EarlyTermConfig {
                 predictor: fidelity,

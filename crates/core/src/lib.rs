@@ -20,14 +20,15 @@
 //! # Example
 //!
 //! ```no_run
-//! use hyperdrive_core::PopPolicy;
+//! use hyperdrive_core::{PopConfig, PopPolicy};
+//! use hyperdrive_curve::FitPool;
 //! use hyperdrive_framework::{ExperimentSpec, ExperimentWorkload};
 //! use hyperdrive_sim::run_sim;
 //! use hyperdrive_workload::CifarWorkload;
 //!
 //! let workload = CifarWorkload::new();
 //! let experiment = ExperimentWorkload::from_workload(&workload, 100, 42);
-//! let mut pop = PopPolicy::new();
+//! let mut pop = PopPolicy::new(PopConfig::default(), FitPool::new(0), None);
 //! let result = run_sim(&mut pop, &experiment, ExperimentSpec::new(4));
 //! println!("time to 77% accuracy: {:?}", result.time_to_target);
 //! ```
@@ -41,12 +42,12 @@ pub mod pop;
 
 pub use allocation::{allocate_slots, AllocationPoint, SlotAllocation};
 pub use ert::{ert_from_exceedance, ert_query, estimate_remaining_time, ErtEstimate};
-pub use pop::{AllocationSnapshot, FitCostModel, JobAssessment, KillRule, PopConfig, PopPolicy};
+pub use pop::{AllocationSnapshot, FitCostModel, KillRule, PopConfig, PopPolicy};
 
 #[cfg(test)]
 mod integration {
     use super::*;
-    use hyperdrive_curve::PredictorConfig;
+    use hyperdrive_curve::{FitPool, PredictorConfig};
     use hyperdrive_framework::{DefaultPolicy, ExperimentSpec, ExperimentWorkload};
     use hyperdrive_sim::run_sim;
     use hyperdrive_workload::CifarWorkload;
@@ -57,10 +58,11 @@ mod integration {
         let ew = ExperimentWorkload::from_workload(&w, 16, 4242);
         let spec = ExperimentSpec::new(4).with_stop_on_target(false);
 
-        let mut pop = PopPolicy::with_config(PopConfig {
-            predictor: PredictorConfig::test(),
-            ..Default::default()
-        });
+        let mut pop = PopPolicy::new(
+            PopConfig { predictor: PredictorConfig::test(), ..Default::default() },
+            FitPool::new(0),
+            None,
+        );
         let with_pop = run_sim(&mut pop, &ew, spec);
 
         let mut default = DefaultPolicy::new();
@@ -84,10 +86,11 @@ mod integration {
         let ew = ExperimentWorkload::from_workload(&w, 24, 4);
         let spec = ExperimentSpec::new(4).with_tmax(hyperdrive_types::SimTime::from_hours(24.0));
 
-        let mut pop = PopPolicy::with_config(PopConfig {
-            predictor: PredictorConfig::test(),
-            ..Default::default()
-        });
+        let mut pop = PopPolicy::new(
+            PopConfig { predictor: PredictorConfig::test(), ..Default::default() },
+            FitPool::new(0),
+            None,
+        );
         let pop_result = run_sim(&mut pop, &ew, spec);
         assert!(pop_result.reached_target(), "POP found the target config");
 

@@ -19,8 +19,9 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-use hyperdrive_curve::{FitRequest, FitService, PredictorConfig};
+use hyperdrive_curve::{FitPool, FitRequest, FitService, PredictorConfig, SharedFitCache};
 use hyperdrive_framework::{
     ExperimentResult, JobDecision, JobEvent, PrefetchHint, SchedulerContext, SchedulingPolicy,
 };
@@ -54,7 +55,7 @@ pub enum KillRule {
 /// schedules the batch onto `modeled_workers` *virtual* workers (greedy
 /// least-loaded assignment, in request order), charging the resulting
 /// makespan to the decision. `modeled_workers` is a model parameter,
-/// deliberately decoupled from the physical `fit_threads` pool size, so
+/// deliberately decoupled from the width of the physical fit pool, so
 /// results stay byte-identical across physical thread counts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitCostModel {
@@ -123,10 +124,6 @@ pub struct PopConfig {
     /// Ablation: replace the dynamic `p*` with a static threshold
     /// (§2.2c's strawman).
     pub static_threshold: Option<f64>,
-    /// Physical worker threads for the parallel fit service (0 = one per
-    /// core). Results are byte-identical whatever this is set to; it only
-    /// changes how fast they arrive.
-    pub fit_threads: usize,
     /// Optional virtual-time accounting of prediction overhead: when set,
     /// each boundary decision reports the modeled makespan of its fit
     /// batch, which the engine charges to the decided job.
@@ -154,7 +151,6 @@ impl Default for PopConfig {
             kill_rule: KillRule::DomainDefault,
             boundary: None,
             static_threshold: None,
-            fit_threads: 0,
             fit_cost: None,
             fit_prefetch: None,
             seed: 0,
@@ -164,13 +160,13 @@ impl Default for PopConfig {
 
 /// POP's latest assessment of one job.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JobAssessment {
+struct JobAssessment {
     /// Prediction confidence `p`.
-    pub confidence: f64,
+    confidence: f64,
     /// Expected remaining time to target.
-    pub ert: SimTime,
+    ert: SimTime,
     /// Epoch at which the assessment was made.
-    pub epoch: u32,
+    epoch: u32,
 }
 
 /// One recorded allocation decision, for the Fig. 4 reproduction.
@@ -218,62 +214,16 @@ pub struct PopPolicy {
 }
 
 impl PopPolicy {
-    /// Creates POP with default (paper §5.3) parameters and fast predictor
-    /// fidelity.
-    pub fn new() -> Self {
-        Self::with_config(PopConfig::default())
-    }
-
-    /// Creates POP with explicit configuration; its fits are shared with
-    /// no other policy.
+    /// Creates POP fitting on `pool`, whose threads every service bound to
+    /// it shares, and reusing the fits of every policy handed the same
+    /// `cache` (`None` = share no fits). Per-fit seeds derive from
+    /// `config.seed` alone, so the trace is byte-identical at any pool
+    /// width and however the pool and cache are shared.
     ///
     /// # Panics
     ///
     /// Panics if `k` is zero or the lower bound is outside `[0, 1]`.
-    pub fn with_config(config: PopConfig) -> Self {
-        let service = FitService::new(config.predictor, config.seed, config.fit_threads);
-        Self::with_service(config, service)
-    }
-
-    /// [`PopPolicy::with_config`] with a shared content-addressed fit
-    /// cache: every policy handed the same cache reuses the others' fits
-    /// (`None` = never share fits across runs). `PopConfig` stays `Copy`,
-    /// so the handle is a separate argument rather than a field.
-    ///
-    /// # Panics
-    ///
-    /// As [`PopPolicy::with_config`].
-    pub fn with_config_and_cache(
-        config: PopConfig,
-        cache: Option<std::sync::Arc<hyperdrive_curve::SharedFitCache>>,
-    ) -> Self {
-        let service =
-            FitService::with_shared_cache(config.predictor, config.seed, config.fit_threads, cache);
-        Self::with_service(config, service)
-    }
-
-    /// [`PopPolicy::with_config`] fitting through an **existing**
-    /// [`FitPool`](hyperdrive_curve::FitPool) instead of spawning one:
-    /// `config.fit_threads` is ignored and the pool's width applies. This
-    /// is the multi-tenant server's constructor — every study's policy
-    /// binds to one process-global pool (and optionally one shared
-    /// content-addressed cache), and because per-fit seeds derive from
-    /// `config.seed` alone, the resulting traces are byte-identical to
-    /// [`PopPolicy::with_config`] at any pool width.
-    ///
-    /// # Panics
-    ///
-    /// As [`PopPolicy::with_config`].
-    pub fn with_config_pooled(
-        config: PopConfig,
-        pool: std::sync::Arc<hyperdrive_curve::FitPool>,
-        cache: Option<std::sync::Arc<hyperdrive_curve::SharedFitCache>>,
-    ) -> Self {
-        let service = FitService::with_pool(config.predictor, config.seed, pool, cache);
-        Self::with_service(config, service)
-    }
-
-    fn with_service(config: PopConfig, service: FitService) -> Self {
+    pub fn new(config: PopConfig, pool: Arc<FitPool>, cache: Option<Arc<SharedFitCache>>) -> Self {
         assert!(config.k > 0, "k must be positive");
         assert!(
             (0.0..=1.0).contains(&config.lower_bound_confidence),
@@ -283,12 +233,26 @@ impl PopPolicy {
             config,
             assessments: HashMap::new(),
             timeline: Vec::new(),
-            service,
+            service: FitService::new(config.predictor, config.seed, pool, cache),
             pending_overhead: SimTime::ZERO,
             confidences: Vec::new(),
             ranked: Vec::new(),
             promising: Vec::new(),
         }
+    }
+
+    /// [`PopPolicy::new`] on a pool of its own, one worker per core, sharing
+    /// no fits. Kept only because the repository benchmark calls it;
+    /// removed with ROADMAP 1(a).
+    pub fn with_config(config: PopConfig) -> Self {
+        Self::new(config, FitPool::new(0), None)
+    }
+
+    /// [`PopPolicy::new`] on a pool of its own, one worker per core. Kept
+    /// only because the repository benchmark calls it; removed with
+    /// ROADMAP 1(a).
+    pub fn with_config_and_cache(config: PopConfig, cache: Option<Arc<SharedFitCache>>) -> Self {
+        Self::new(config, FitPool::new(0), cache)
     }
 
     /// The allocation decisions recorded so far (Fig. 4 instrumentation).
@@ -369,11 +333,6 @@ impl PopPolicy {
     /// compare this alongside the event trace).
     pub fn posterior_digest(&self) -> u64 {
         self.service.posterior_digest()
-    }
-
-    /// POP's latest assessment of a job, if it has one.
-    pub fn assessment(&self, job: JobId) -> Option<&JobAssessment> {
-        self.assessments.get(&job)
     }
 
     /// Drops all state for a terminated job.
@@ -483,12 +442,6 @@ impl PopPolicy {
             KillRule::Custom { threshold, warmup_evals } => Some((threshold, warmup_evals)),
             KillRule::Disabled => None,
         }
-    }
-}
-
-impl Default for PopPolicy {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -662,10 +615,11 @@ mod tests {
     }
 
     fn pop() -> PopPolicy {
-        PopPolicy::with_config(PopConfig {
-            predictor: PredictorConfig::test(),
-            ..Default::default()
-        })
+        PopPolicy::new(
+            PopConfig { predictor: PredictorConfig::test(), ..Default::default() },
+            FitPool::new(0),
+            None,
+        )
     }
 
     /// Saturating curve rising from 0.1 toward `limit`.
@@ -691,11 +645,15 @@ mod tests {
         // Disable the confidence prune so the test isolates the §2.1 kill
         // threshold (CIFAR-10 knowledge: kill at <= 0.15 after 3 evals).
         let make_policy = || {
-            PopPolicy::with_config(PopConfig {
-                predictor: PredictorConfig::test(),
-                lower_bound_confidence: 0.0,
-                ..Default::default()
-            })
+            PopPolicy::new(
+                PopConfig {
+                    predictor: PredictorConfig::test(),
+                    lower_bound_confidence: 0.0,
+                    ..Default::default()
+                },
+                FitPool::new(0),
+                None,
+            )
         };
         let mut ctx = MockContext::new(4);
         ctx.push_curve(JobId::new(0), &vec![0.10; 30], 60.0);
@@ -732,12 +690,16 @@ mod tests {
         let mut ctx = MockContext::new(4);
         ctx.push_curve(JobId::new(0), &vec![0.10; 30], 60.0);
         ctx.active = vec![JobId::new(0)];
-        let mut policy = PopPolicy::with_config(PopConfig {
-            predictor: PredictorConfig::test(),
-            kill_rule: KillRule::Disabled,
-            lower_bound_confidence: 0.0, // isolate the kill-rule effect
-            ..Default::default()
-        });
+        let mut policy = PopPolicy::new(
+            PopConfig {
+                predictor: PredictorConfig::test(),
+                kill_rule: KillRule::Disabled,
+                lower_bound_confidence: 0.0, // isolate the kill-rule effect
+                ..Default::default()
+            },
+            FitPool::new(0),
+            None,
+        );
         assert_eq!(policy.on_iteration_finish(&event(0, 30, 0.1), &mut ctx), JobDecision::Continue);
     }
 
@@ -766,7 +728,7 @@ mod tests {
         let mut policy = pop();
         let decision = policy.on_iteration_finish(&event(0, 30, 0.8), &mut ctx);
         assert_eq!(decision, JobDecision::Continue);
-        let a = policy.assessment(JobId::new(0)).expect("assessed");
+        let a = policy.assessments.get(&JobId::new(0)).expect("assessed");
         assert!(a.confidence > 0.5, "confidence {}", a.confidence);
         let label = ctx.labels.iter().find(|(j, _)| *j == JobId::new(0)).expect("labelled");
         assert!(label.1 > 0.0, "promising jobs carry their confidence as priority");
@@ -781,11 +743,15 @@ mod tests {
             ctx.push_curve(JobId::new(0), &saturating(0.85, 30), 60.0);
             ctx.active = vec![JobId::new(0)];
             ctx.idle_jobs = idle;
-            let policy = PopPolicy::with_config(PopConfig {
-                predictor: PredictorConfig::test(),
-                static_threshold: Some(1.5),
-                ..Default::default()
-            });
+            let policy = PopPolicy::new(
+                PopConfig {
+                    predictor: PredictorConfig::test(),
+                    static_threshold: Some(1.5),
+                    ..Default::default()
+                },
+                FitPool::new(0),
+                None,
+            );
             (ctx, policy)
         };
         let (mut ctx, mut policy) = setup(vec![JobId::new(3)]);
@@ -811,10 +777,10 @@ mod tests {
         let mut policy = pop();
         policy.on_iteration_finish(&event(0, 30, 0.8), &mut ctx);
         policy.on_iteration_finish(&event(1, 30, 0.55), &mut ctx);
-        let strong = policy.assessment(JobId::new(0)).map(|a| a.confidence).unwrap_or(0.0);
+        let strong = policy.assessments.get(&JobId::new(0)).map(|a| a.confidence).unwrap_or(0.0);
         // The weak job may already have been pruned (p < 0.05); if it
         // survives, it must rank below the strong one.
-        if let Some(weak) = policy.assessment(JobId::new(1)) {
+        if let Some(weak) = policy.assessments.get(&JobId::new(1)) {
             assert!(strong > weak.confidence);
         }
         assert!(strong > 0.3, "strong confidence {strong}");
@@ -841,11 +807,15 @@ mod tests {
         ctx.idle_jobs = vec![JobId::new(1)];
         // Impossible static threshold (confidence clamps at 1.0, so use a
         // value above 1): nothing is ever promising.
-        let mut policy = PopPolicy::with_config(PopConfig {
-            predictor: PredictorConfig::test(),
-            static_threshold: Some(1.5),
-            ..Default::default()
-        });
+        let mut policy = PopPolicy::new(
+            PopConfig {
+                predictor: PredictorConfig::test(),
+                static_threshold: Some(1.5),
+                ..Default::default()
+            },
+            FitPool::new(0),
+            None,
+        );
         assert_eq!(
             policy.on_iteration_finish(&event(0, 30, 0.8), &mut ctx),
             JobDecision::Suspend,
@@ -856,7 +826,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "k must be positive")]
     fn zero_k_rejected() {
-        let _ = PopPolicy::with_config(PopConfig { k: 0, ..Default::default() });
+        let _ = PopPolicy::new(PopConfig { k: 0, ..Default::default() }, FitPool::new(0), None);
     }
 
     #[test]
@@ -935,12 +905,16 @@ mod tests {
     #[test]
     fn prefetch_boundary_follows_config_not_environment() {
         let pop_with = |fit_prefetch, boundary| {
-            PopPolicy::with_config(PopConfig {
-                predictor: PredictorConfig::test(),
-                fit_prefetch,
-                boundary,
-                ..Default::default()
-            })
+            PopPolicy::new(
+                PopConfig {
+                    predictor: PredictorConfig::test(),
+                    fit_prefetch,
+                    boundary,
+                    ..Default::default()
+                },
+                FitPool::new(0),
+                None,
+            )
         };
         assert_eq!(pop_with(None, None).prefetch_boundary(10), None);
         assert_eq!(pop_with(Some(false), None).prefetch_boundary(10), None);
@@ -956,11 +930,15 @@ mod tests {
         // The policy sees 29 observed epochs while epoch 30 is in flight.
         ctx.push_curve(JobId::new(0), &values[..29], 60.0);
         ctx.active = vec![JobId::new(0)];
-        let mut policy = PopPolicy::with_config(PopConfig {
-            predictor: PredictorConfig::test(),
-            fit_prefetch: Some(true),
-            ..Default::default()
-        });
+        let mut policy = PopPolicy::new(
+            PopConfig {
+                predictor: PredictorConfig::test(),
+                fit_prefetch: Some(true),
+                ..Default::default()
+            },
+            FitPool::new(0),
+            None,
+        );
         let curve = ctx.curve(JobId::new(0)).expect("curve");
         let hint = PrefetchHint {
             job: JobId::new(0),
@@ -984,29 +962,37 @@ mod tests {
 
         // Byte-equivalence with the prefetch-off policy: same decision,
         // same assessment, same posterior digest.
-        let mut plain = PopPolicy::with_config(PopConfig {
-            predictor: PredictorConfig::test(),
-            fit_prefetch: Some(false),
-            ..Default::default()
-        });
+        let mut plain = PopPolicy::new(
+            PopConfig {
+                predictor: PredictorConfig::test(),
+                fit_prefetch: Some(false),
+                ..Default::default()
+            },
+            FitPool::new(0),
+            None,
+        );
         let mut plain_ctx = MockContext::new(4);
         plain_ctx.push_curve(JobId::new(0), &values, 60.0);
         plain_ctx.active = vec![JobId::new(0)];
         assert_eq!(plain.on_iteration_finish(&event(0, 30, values[29]), &mut plain_ctx), decision);
         assert_eq!(
-            policy.assessment(JobId::new(0)).map(|a| (a.confidence, a.ert)),
-            plain.assessment(JobId::new(0)).map(|a| (a.confidence, a.ert)),
+            policy.assessments.get(&JobId::new(0)).map(|a| (a.confidence, a.ert)),
+            plain.assessments.get(&JobId::new(0)).map(|a| (a.confidence, a.ert)),
         );
         assert_eq!(policy.posterior_digest(), plain.posterior_digest());
     }
 
     #[test]
     fn out_of_step_hints_are_dropped() {
-        let mut policy = PopPolicy::with_config(PopConfig {
-            predictor: PredictorConfig::test(),
-            fit_prefetch: Some(true),
-            ..Default::default()
-        });
+        let mut policy = PopPolicy::new(
+            PopConfig {
+                predictor: PredictorConfig::test(),
+                fit_prefetch: Some(true),
+                ..Default::default()
+            },
+            FitPool::new(0),
+            None,
+        );
         let mut ctx = MockContext::new(4);
         ctx.push_curve(JobId::new(0), &saturating(0.85, 20), 60.0);
         let curve = ctx.curve(JobId::new(0)).expect("curve");
@@ -1040,16 +1026,20 @@ mod tests {
         let mut ctx = MockContext::new(4);
         ctx.push_curve(JobId::new(0), &saturating(0.85, 30), 60.0);
         ctx.active = vec![JobId::new(0)];
-        let mut policy = PopPolicy::with_config(PopConfig {
-            predictor: PredictorConfig::test(),
-            fit_cost: Some(FitCostModel {
-                secs_per_kiloeval: 1.0,
-                modeled_workers: 1,
-                fast_math_speedup: 1.0,
-                batch_fit_speedup: 1.0,
-            }),
-            ..Default::default()
-        });
+        let mut policy = PopPolicy::new(
+            PopConfig {
+                predictor: PredictorConfig::test(),
+                fit_cost: Some(FitCostModel {
+                    secs_per_kiloeval: 1.0,
+                    modeled_workers: 1,
+                    fast_math_speedup: 1.0,
+                    batch_fit_speedup: 1.0,
+                }),
+                ..Default::default()
+            },
+            FitPool::new(0),
+            None,
+        );
         policy.on_iteration_finish(&event(0, 30, 0.8), &mut ctx);
         let first = policy.take_decision_overhead();
         assert!(first > SimTime::ZERO, "fresh fit was priced");

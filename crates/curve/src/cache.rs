@@ -10,7 +10,7 @@
 //! rather than where, and an in-memory [`SharedFitCache`] mapping
 //! fingerprints to posteriors. A cache is a value its owner builds and
 //! hands to every service that should share it
-//! ([`FitService::with_shared_cache`](crate::FitService::with_shared_cache));
+//! ([`FitService::new`](crate::FitService::new));
 //! nothing finds one ambiently and nothing of it outlives the process.
 //!
 //! # Why a hit is bitwise-identical by construction

@@ -20,11 +20,10 @@
 //! `(experiment seed, config id, last observed epoch)` by
 //! [`derive_fit_seed`] — never from worker identity, completion order, or
 //! wall-clock time. A batch therefore returns **byte-identical** posteriors
-//! whatever the worker count: `FitService::new(cfg, seed, 1)` and
-//! `FitService::new(cfg, seed, 8)` are observationally the same service,
-//! only faster. [`sequential_fit`] is the single-threaded reference
-//! definition each pooled fit must reproduce bit-for-bit; the crate's
-//! property tests pin the equivalence.
+//! whatever the worker count: a service on `FitPool::new(1)` and one on
+//! `FitPool::new(8)` differ only in speed. [`sequential_fit`] is the
+//! single-threaded reference definition each pooled fit must reproduce
+//! bit-for-bit; the crate's property tests pin the equivalence.
 //!
 //! # Cache keying
 //!
@@ -49,15 +48,14 @@
 //! virtual pricing in `hyperdrive-core`, which prices only `!cached`
 //! outcomes) cannot distinguish a shared hit from the fit it replaced,
 //! which keeps scheduling traces byte-identical with or without the layer.
-//! A service shares exactly the cache its constructor is handed
-//! ([`FitService::with_shared_cache`], [`FitService::with_pool`]);
-//! [`FitService::new`] shares nothing.
+//! A service shares exactly the cache [`FitService::new`] is handed, and
+//! nothing when it is handed `None`.
 //!
 //! # Sharing one worker pool across services
 //!
 //! The worker threads live in a [`FitPool`], separable from the service:
-//! [`FitService::with_pool`] binds a new service (its own per-run cache,
-//! experiment seed, fidelity, and stats) to an *existing* pool, so a
+//! [`FitService::new`] binds a service (its own per-run cache, experiment
+//! seed, fidelity, and stats) to the pool it is handed, so a
 //! multi-tenant process can run thousands of concurrent studies over one
 //! fixed set of fit threads instead of spawning a pool per study. Every
 //! request carries its service's [`PredictorConfig`], so heterogeneous
@@ -65,7 +63,7 @@
 //! seeds are derived per request ([`derive_fit_seed`]), `fit_batch`
 //! blocks until exactly its own replies arrive, and workers hold no
 //! state beyond reusable scratch buffers — so a study's outcomes are
-//! byte-identical whether its service owns the pool or shares it.
+//! byte-identical whether its service is alone on the pool or shares it.
 //!
 //! # Answering the caller's query while the fit samples
 //!
@@ -107,7 +105,7 @@
 //! whole, its init merged ([`Decline`]), with no messages and no row
 //! buffers. [`FitPoolStats::caller_fits`] counts those fits, and
 //! [`FitStats::halves_helped`] the halves callers ran beside a worker. A
-//! private pool has one service, so it never fills.
+//! pool with one service bound never fills.
 //!
 //! # Speculative ahead-of-boundary prefetch
 //!
@@ -702,33 +700,14 @@ impl std::fmt::Debug for FitService {
 }
 
 impl FitService {
-    /// Starts a service with `threads` workers (`0` = one per core, as
-    /// [`FitPool::new`]) using `config` fidelity. `experiment_seed` is the
-    /// root of every per-fit seed. The service shares its fits with no
-    /// other.
-    pub fn new(config: PredictorConfig, experiment_seed: u64, threads: usize) -> Self {
-        Self::with_shared_cache(config, experiment_seed, threads, None)
-    }
-
-    /// [`FitService::new`] with a shared content-addressed layer: every
-    /// service handed the same cache reuses the others' fits (`None` =
-    /// this service never shares fits across runs).
-    pub fn with_shared_cache(
-        config: PredictorConfig,
-        experiment_seed: u64,
-        threads: usize,
-        shared_layer: Option<Arc<SharedFitCache>>,
-    ) -> Self {
-        Self::with_pool(config, experiment_seed, FitPool::new(threads), shared_layer)
-    }
-
-    /// Binds a new service to an **existing** worker pool instead of
-    /// spawning its own: the per-run cache, experiment seed, fidelity, and
-    /// stats are all fresh and private, only the threads are shared. This
-    /// is how a multi-tenant process runs many concurrent studies over one
-    /// fixed-size pool. Results are byte-identical to a service owning its
-    /// own pool of any width (see the module docs).
-    pub fn with_pool(
+    /// Binds a new service to `pool`: the per-run cache, experiment seed
+    /// (the root of every per-fit seed), fidelity and stats are the
+    /// service's own, only the threads are shared. Every service handed
+    /// the same `shared_layer` reuses the others' fits (`None` = this
+    /// service shares no fits). Results are byte-identical whatever the
+    /// pool's width and however many services share it (see the module
+    /// docs).
+    pub fn new(
         config: PredictorConfig,
         experiment_seed: u64,
         pool: Arc<FitPool>,
@@ -763,7 +742,7 @@ impl FitService {
         self.pool.threads()
     }
 
-    /// The worker pool this service submits to (shared or private).
+    /// The worker pool this service submits to.
     pub fn pool(&self) -> &Arc<FitPool> {
         &self.pool
     }
@@ -1421,7 +1400,7 @@ mod tests {
     fn batch_results_match_sequential_reference_bitwise() {
         let config = PredictorConfig::test();
         for threads in [1, 4] {
-            let service = FitService::new(config, 7, threads);
+            let service = FitService::new(config, 7, FitPool::new(threads), None);
             let requests: Vec<FitRequest> = (0..6).map(|j| req(j, 10 + j as u32)).collect();
             let outcomes = service.fit_batch(&requests);
             for (r, o) in requests.iter().zip(&outcomes) {
@@ -1440,7 +1419,7 @@ mod tests {
 
     #[test]
     fn cache_answers_repeat_batches_without_refitting() {
-        let service = FitService::new(PredictorConfig::test(), 3, 2);
+        let service = FitService::new(PredictorConfig::test(), 3, FitPool::new(2), None);
         let requests = vec![req(0, 10), req(1, 12)];
         let cold = service.fit_batch(&requests);
         let repeat = service.fit_batch(&requests);
@@ -1462,7 +1441,7 @@ mod tests {
 
     #[test]
     fn duplicate_keys_in_one_batch_fit_once() {
-        let service = FitService::new(PredictorConfig::test(), 11, 3);
+        let service = FitService::new(PredictorConfig::test(), 11, FitPool::new(3), None);
         let requests = vec![req(5, 10), req(5, 10), req(5, 10)];
         let outcomes = service.fit_batch(&requests);
         assert_eq!(service.stats().fits, 1, "one fit shared by all duplicates");
@@ -1474,7 +1453,7 @@ mod tests {
 
     #[test]
     fn grown_curve_is_a_cache_miss() {
-        let service = FitService::new(PredictorConfig::test(), 1, 2);
+        let service = FitService::new(PredictorConfig::test(), 1, FitPool::new(2), None);
         service.fit_batch(&[req(0, 10)]);
         let outcomes = service.fit_batch(&[req(0, 14)]);
         assert!(!outcomes[0].cached, "new observations demand a new fit");
@@ -1483,7 +1462,7 @@ mod tests {
 
     #[test]
     fn forget_clears_only_that_job() {
-        let service = FitService::new(PredictorConfig::test(), 1, 2);
+        let service = FitService::new(PredictorConfig::test(), 1, FitPool::new(2), None);
         service.fit_batch(&[req(0, 10), req(1, 10)]);
         service.forget(JobId::new(0));
         assert!(service.cached(JobId::new(0), 10).is_none());
@@ -1492,7 +1471,7 @@ mod tests {
 
     #[test]
     fn empty_curves_error_without_poisoning_the_batch() {
-        let service = FitService::new(PredictorConfig::test(), 1, 2);
+        let service = FitService::new(PredictorConfig::test(), 1, FitPool::new(2), None);
         let empty = FitRequest {
             job: JobId::new(9),
             curve: LearningCurve::new(MetricKind::Accuracy),
@@ -1523,7 +1502,7 @@ mod tests {
 
     #[test]
     fn large_batches_complete_on_small_pools() {
-        let service = FitService::new(PredictorConfig::test(), 5, 2);
+        let service = FitService::new(PredictorConfig::test(), 5, FitPool::new(2), None);
         let requests: Vec<FitRequest> = (0..16).map(|j| req(j, 10)).collect();
         let outcomes = service.fit_batch(&requests);
         assert_eq!(outcomes.len(), 16);
@@ -1535,7 +1514,7 @@ mod tests {
     fn shared_hit_is_bitwise_identical_and_reported_uncached() {
         let config = PredictorConfig::test();
         let cache = SharedFitCache::in_memory();
-        let writer = FitService::with_shared_cache(config, 7, 2, Some(cache.clone()));
+        let writer = FitService::new(config, 7, FitPool::new(2), Some(cache.clone()));
         let cold = writer.fit_batch(&[req(0, 10)]);
         assert_eq!(writer.stats().fits, 1);
         assert_eq!(cache.len(), 1);
@@ -1543,7 +1522,7 @@ mod tests {
         // A *different service instance* (fresh per-run cache) replaying
         // the same request: answered from the shared layer, no fit
         // executed, outcome indistinguishable from a cold fit.
-        let reader = FitService::with_shared_cache(config, 7, 2, Some(cache.clone()));
+        let reader = FitService::new(config, 7, FitPool::new(2), Some(cache.clone()));
         let replay = reader.fit_batch(&[req(0, 10)]);
         let stats = reader.stats();
         assert_eq!((stats.fits, stats.shared_hits, stats.cache_hits), (0, 1, 0));
@@ -1561,8 +1540,8 @@ mod tests {
     fn shared_hit_lands_in_the_per_run_cache_for_later_batches() {
         let config = PredictorConfig::test();
         let cache = SharedFitCache::in_memory();
-        FitService::with_shared_cache(config, 7, 2, Some(cache.clone())).fit_batch(&[req(0, 10)]);
-        let reader = FitService::with_shared_cache(config, 7, 2, Some(cache));
+        FitService::new(config, 7, FitPool::new(2), Some(cache.clone())).fit_batch(&[req(0, 10)]);
+        let reader = FitService::new(config, 7, FitPool::new(2), Some(cache));
         assert!(!reader.fit_batch(&[req(0, 10)])[0].cached);
         assert!(reader.fit_batch(&[req(0, 10)])[0].cached, "second batch hits the per-run cache");
         assert_eq!(reader.stats().shared_hits, 1, "the shared layer was consulted only once");
@@ -1572,8 +1551,8 @@ mod tests {
     fn shared_duplicates_within_one_batch_resolve_once() {
         let config = PredictorConfig::test();
         let cache = SharedFitCache::in_memory();
-        FitService::with_shared_cache(config, 7, 2, Some(cache.clone())).fit_batch(&[req(5, 10)]);
-        let reader = FitService::with_shared_cache(config, 7, 2, Some(cache.clone()));
+        FitService::new(config, 7, FitPool::new(2), Some(cache.clone())).fit_batch(&[req(5, 10)]);
+        let reader = FitService::new(config, 7, FitPool::new(2), Some(cache.clone()));
         let outcomes = reader.fit_batch(&[req(5, 10), req(5, 10), req(5, 10)]);
         let stats = reader.stats();
         assert_eq!((stats.fits, stats.shared_hits), (0, 1));
@@ -1589,9 +1568,9 @@ mod tests {
     fn different_experiment_seeds_never_share_fits() {
         let config = PredictorConfig::test();
         let cache = SharedFitCache::in_memory();
-        let a = FitService::with_shared_cache(config, 1, 2, Some(cache.clone()));
+        let a = FitService::new(config, 1, FitPool::new(2), Some(cache.clone()));
         a.fit_batch(&[req(0, 10)]);
-        let b = FitService::with_shared_cache(config, 2, 2, Some(cache.clone()));
+        let b = FitService::new(config, 2, FitPool::new(2), Some(cache.clone()));
         b.fit_batch(&[req(0, 10)]);
         assert_eq!(b.stats().fits, 1, "different derived seed ⇒ different fingerprint");
         assert_eq!(cache.len(), 2);
@@ -1602,7 +1581,7 @@ mod tests {
         // One observation < min_observations: a deterministic fit error.
         let config = PredictorConfig::test();
         let cache = SharedFitCache::in_memory();
-        let service = FitService::with_shared_cache(config, 1, 2, Some(cache.clone()));
+        let service = FitService::new(config, 1, FitPool::new(2), Some(cache.clone()));
         let short = FitRequest { job: JobId::new(0), curve: curve(1), horizon: 100, query: None };
         assert!(service.fit_batch(&[short])[0].result.is_err());
         assert!(cache.is_empty(), "errors recompute; only posteriors are shared");
@@ -1617,7 +1596,7 @@ mod tests {
         let config = PredictorConfig::test();
         let requests: Vec<FitRequest> = (0..6).map(|j| req(j, 8 + j as u32 % 3)).collect();
         for threads in [1, 4] {
-            let service = FitService::new(config, 7, threads);
+            let service = FitService::new(config, 7, FitPool::new(threads), None);
             let outcomes = service.fit_batch(&requests);
             let stats = service.stats();
             assert_eq!((stats.fits, stats.batched_fits), (6, 6), "at {threads} threads");
@@ -1634,7 +1613,7 @@ mod tests {
 
     #[test]
     fn batched_errors_surface_per_item() {
-        let service = FitService::new(PredictorConfig::test(), 7, 2);
+        let service = FitService::new(PredictorConfig::test(), 7, FitPool::new(2), None);
         let short = FitRequest { job: JobId::new(8), curve: curve(1), horizon: 100, query: None };
         let outcomes = service.fit_batch(&[req(0, 10), short, req(1, 12)]);
         assert!(outcomes[0].result.is_ok());
@@ -1705,13 +1684,13 @@ mod tests {
         let pool = FitPool::new(2);
         let long = PredictorConfig { steps: 30, ..PredictorConfig::test() };
         let short = PredictorConfig::test();
-        let a = FitService::with_pool(long, 7, Arc::clone(&pool), None);
-        let b = FitService::with_pool(short, 21, Arc::clone(&pool), None);
+        let a = FitService::new(long, 7, Arc::clone(&pool), None);
+        let b = FitService::new(short, 21, Arc::clone(&pool), None);
         let requests: Vec<FitRequest> = (0..4).map(|j| req(j, 10 + j as u32)).collect();
         let out_a = a.fit_batch(&requests);
         let out_b = b.fit_batch(&requests);
-        let own_a = FitService::new(long, 7, 2).fit_batch(&requests);
-        let own_b = FitService::new(short, 21, 2).fit_batch(&requests);
+        let own_a = FitService::new(long, 7, FitPool::new(2), None).fit_batch(&requests);
+        let own_b = FitService::new(short, 21, FitPool::new(2), None).fit_batch(&requests);
         for ((shared, own), r) in out_a.iter().zip(&own_a).zip(&requests) {
             assert_eq!(
                 shared.result.as_ref().unwrap().draws(),
@@ -1735,11 +1714,11 @@ mod tests {
     fn pool_outlives_services_and_shuts_down_cleanly() {
         let pool = FitPool::new(1);
         for seed in 0..3 {
-            let service = FitService::with_pool(PredictorConfig::test(), seed, pool.clone(), None);
+            let service = FitService::new(PredictorConfig::test(), seed, pool.clone(), None);
             assert!(service.fit_batch(&[req(seed, 10)])[0].result.is_ok());
         }
         // Dropping every service left the pool alive and reusable.
-        let last = FitService::with_pool(PredictorConfig::test(), 9, pool, None);
+        let last = FitService::new(PredictorConfig::test(), 9, pool, None);
         assert!(last.fit_batch(&[req(9, 10)])[0].result.is_ok());
     }
 
@@ -1747,13 +1726,13 @@ mod tests {
     fn shared_snapshot_reports_per_service_dedup() {
         let config = PredictorConfig::test();
         let cache = SharedFitCache::in_memory();
-        let writer = FitService::with_shared_cache(config, 7, 2, Some(cache.clone()));
+        let writer = FitService::new(config, 7, FitPool::new(2), Some(cache.clone()));
         writer.fit_batch(&[req(0, 10), req(1, 10)]);
         let ws = writer.shared_snapshot();
         assert_eq!((ws.lookups, ws.shared_hits, ws.inserts), (2, 0, 2));
         assert!(ws.hit_rate().abs() < 1e-12);
 
-        let reader = FitService::with_shared_cache(config, 7, 2, Some(cache.clone()));
+        let reader = FitService::new(config, 7, FitPool::new(2), Some(cache.clone()));
         reader.fit_batch(&[req(0, 10), req(1, 10), req(2, 10)]);
         let rs = reader.shared_snapshot();
         assert_eq!((rs.lookups, rs.shared_hits, rs.inserts), (3, 2, 1));
@@ -1768,7 +1747,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_all_zero_without_a_shared_layer() {
-        let service = FitService::new(PredictorConfig::test(), 3, 1);
+        let service = FitService::new(PredictorConfig::test(), 3, FitPool::new(1), None);
         service.fit_batch(&[req(0, 10)]);
         assert_eq!(service.shared_snapshot(), CacheStatsSnapshot::default());
     }
@@ -1777,13 +1756,13 @@ mod tests {
     fn posterior_digest_pins_run_equivalence() {
         let config = PredictorConfig::test();
         let digest = |threads: usize, seed: u64| {
-            let service = FitService::new(config, seed, threads);
+            let service = FitService::new(config, seed, FitPool::new(threads), None);
             service.fit_batch(&(0..3).map(|j| req(j, 10)).collect::<Vec<_>>());
             service.posterior_digest()
         };
         assert_eq!(digest(1, 7), digest(4, 7), "digest must be worker-count invariant");
         assert_ne!(digest(1, 7), digest(1, 8), "different seeds fit different posteriors");
-        let empty = FitService::new(config, 7, 1);
+        let empty = FitService::new(config, 7, FitPool::new(1), None);
         assert_ne!(digest(1, 7), empty.posterior_digest());
     }
 
@@ -1791,7 +1770,7 @@ mod tests {
     fn adopted_speculations_are_bitwise_the_demand_fits() {
         let config = PredictorConfig::test();
         for threads in [1, 4] {
-            let service = FitService::new(config, 7, threads);
+            let service = FitService::new(config, 7, FitPool::new(threads), None);
             let requests: Vec<FitRequest> = (0..4).map(|j| req(j, 10 + j as u32)).collect();
             for r in &requests {
                 assert!(service.prefetch_fit(r.job, &r.curve, r.horizon));
@@ -1816,7 +1795,8 @@ mod tests {
 
     #[test]
     fn prefetch_dedups_cached_inflight_and_bounded_work() {
-        let service = FitService::new(PredictorConfig::test(), 7, 2).with_prefetch_depth(2);
+        let service = FitService::new(PredictorConfig::test(), 7, FitPool::new(2), None)
+            .with_prefetch_depth(2);
         let r0 = req(0, 10);
         let r1 = req(1, 10);
         let r2 = req(2, 10);
@@ -1843,7 +1823,7 @@ mod tests {
     #[test]
     fn mismatched_speculation_is_cancelled_and_refit_on_demand() {
         let config = PredictorConfig::test();
-        let service = FitService::new(config, 7, 2);
+        let service = FitService::new(config, 7, FitPool::new(2), None);
         let r = req(3, 12);
         assert!(service.prefetch_fit(r.job, &r.curve, 60), "speculate at a stale horizon");
         let demand = FitRequest { horizon: 100, ..r.clone() };
@@ -1860,7 +1840,7 @@ mod tests {
 
     #[test]
     fn forget_cancels_that_jobs_speculations() {
-        let service = FitService::new(PredictorConfig::test(), 7, 2);
+        let service = FitService::new(PredictorConfig::test(), 7, FitPool::new(2), None);
         let r0 = req(0, 10);
         let r1 = req(1, 10);
         assert!(service.prefetch_fit(r0.job, &r0.curve, r0.horizon));
@@ -1878,11 +1858,11 @@ mod tests {
     fn prefetch_probes_do_not_perturb_counted_shared_stats() {
         let config = PredictorConfig::test();
         let cache = SharedFitCache::in_memory();
-        let writer = FitService::with_shared_cache(config, 7, 2, Some(cache.clone()));
+        let writer = FitService::new(config, 7, FitPool::new(2), Some(cache.clone()));
         writer.fit_batch(&[req(0, 10)]);
         let counted_before = cache.snapshot();
 
-        let reader = FitService::with_shared_cache(config, 7, 2, Some(cache.clone()));
+        let reader = FitService::new(config, 7, FitPool::new(2), Some(cache.clone()));
         let r = req(0, 10);
         assert!(
             !reader.prefetch_fit(r.job, &r.curve, r.horizon),
@@ -1902,7 +1882,7 @@ mod tests {
 
     #[test]
     fn pool_stats_report_demand_and_speculative_completions() {
-        let service = FitService::new(PredictorConfig::test(), 7, 2);
+        let service = FitService::new(PredictorConfig::test(), 7, FitPool::new(2), None);
         let r0 = req(0, 10);
         let r1 = req(1, 10);
         assert!(service.prefetch_fit(r0.job, &r0.curve, r0.horizon));
@@ -1950,14 +1930,14 @@ mod tests {
         let config = PredictorConfig::test();
         let requests = asked(0..4);
         let pool = FitPool::new(2);
-        let _other = FitService::with_pool(config, 8, Arc::clone(&pool), None);
+        let _other = FitService::new(config, 8, Arc::clone(&pool), None);
         let cache = SharedFitCache::in_memory();
-        let service = FitService::with_pool(config, 7, Arc::clone(&pool), Some(cache.clone()));
+        let service = FitService::new(config, 7, Arc::clone(&pool), Some(cache.clone()));
         assert_eq!(pool.services(), 2);
         let outcomes = service.fit_batch(&requests);
         assert_reference(config, &requests, &outcomes);
 
-        let lone = FitService::with_shared_cache(config, 7, 2, Some(SharedFitCache::in_memory()));
+        let lone = FitService::new(config, 7, FitPool::new(2), Some(SharedFitCache::in_memory()));
         lone.fit_batch(&requests);
         let (here, there) = (service.stats(), lone.stats());
         assert_eq!((here.fits, here.streamed_fits, here.shared_inserts), (4, 4, 4));
@@ -1970,7 +1950,7 @@ mod tests {
         assert_eq!((stats.caller_fits, stats.demand_completions), (4, 0));
         assert!(stats.busy_secs.abs() < f64::EPSILON, "no worker fitted");
         // Published with its answer: a twin study takes memoized hits.
-        let twin = FitService::with_pool(config, 7, Arc::clone(&pool), Some(cache));
+        let twin = FitService::new(config, 7, Arc::clone(&pool), Some(cache));
         let again = twin.fit_batch(&requests);
         assert_eq!((twin.stats().shared_hits, twin.stats().memo_hits), (4, 4));
         for (o, a) in outcomes.iter().zip(&again) {
@@ -1985,14 +1965,14 @@ mod tests {
     fn a_panic_in_a_caller_run_fit_is_that_keys_error() {
         let pool = FitPool::new(1);
         let config = PredictorConfig::test();
-        let _other = FitService::with_pool(config, 8, Arc::clone(&pool), None);
+        let _other = FitService::new(config, 8, Arc::clone(&pool), None);
         let broken = PredictorConfig { walkers: 2, ..config };
-        let service = FitService::with_pool(broken, 7, Arc::clone(&pool), None);
+        let service = FitService::new(broken, 7, Arc::clone(&pool), None);
         match &service.fit_batch(&[req(0, 10)])[0].result {
             Err(Error::CurveFit(why)) => assert!(why.contains("fit panicked"), "{why}"),
             other => panic!("expected a typed fit error, got {other:?}"),
         }
-        let healthy = FitService::with_pool(config, 7, Arc::clone(&pool), None);
+        let healthy = FitService::new(config, 7, Arc::clone(&pool), None);
         let out = healthy.fit_batch(&[req(1, 12)]).remove(0);
         assert_eq!(
             out.result.unwrap().draws(),
@@ -2009,10 +1989,9 @@ mod tests {
         let config = PredictorConfig::test();
         for (threads, services) in [(2, 1), (1, 1), (4, 3)] {
             let pool = FitPool::new(threads);
-            let others: Vec<_> = (1..services)
-                .map(|_| FitService::with_pool(config, 8, pool.clone(), None))
-                .collect();
-            let service = FitService::with_pool(config, 7, Arc::clone(&pool), None);
+            let others: Vec<_> =
+                (1..services).map(|_| FitService::new(config, 8, pool.clone(), None)).collect();
+            let service = FitService::new(config, 7, Arc::clone(&pool), None);
             assert_eq!(pool.services(), services);
             // Every rest-unit stays a worker's: the hand-off itself.
             CALLER_CLAIMS.set(Some(true));
@@ -2025,8 +2004,8 @@ mod tests {
         }
 
         let pool = FitPool::new(2);
-        let a = FitService::with_pool(config, 7, Arc::clone(&pool), None);
-        let b = FitService::with_pool(config, 8, Arc::clone(&pool), None);
+        let a = FitService::new(config, 7, Arc::clone(&pool), None);
+        let b = FitService::new(config, 8, Arc::clone(&pool), None);
         assert_reference(config, &asked(0..2), &a.fit_batch(&asked(0..2)));
         assert_eq!((pool.stats().caller_fits, pool.stats().demand_completions), (2, 0));
         drop(b);
@@ -2045,7 +2024,7 @@ mod tests {
     fn every_claim_outcome_is_the_sequential_fit() {
         let config = PredictorConfig::test();
         for (caller, threads) in [(true, 1), (true, 2), (false, 1), (false, 2)] {
-            let service = FitService::new(config, 7, threads);
+            let service = FitService::new(config, 7, FitPool::new(threads), None);
             let requests = asked(0..4);
             CALLER_CLAIMS.set(Some(caller));
             let outcomes = service.fit_batch(&requests);
@@ -2095,7 +2074,7 @@ mod tests {
         let config = PredictorConfig::test();
         let pool = FitPool::new(1);
         let release = hold_the_only_worker(&pool);
-        let service = FitService::with_pool(config, 7, Arc::clone(&pool), None);
+        let service = FitService::new(config, 7, Arc::clone(&pool), None);
         let requests = asked(0..4);
         PANIC_WHEN_HELPING.set(requests[1].curve.len());
         let mut outcomes = service.fit_batch(&requests);
@@ -2130,7 +2109,7 @@ mod tests {
     #[test]
     fn a_panic_in_the_callers_half_is_that_keys_error_and_nothing_else() {
         let config = PredictorConfig::test();
-        let service = FitService::new(config, 7, 1);
+        let service = FitService::new(config, 7, FitPool::new(1), None);
         CALLER_CLAIMS.set(Some(true));
         PANIC_WHEN_HELPING.set(10);
         let outcomes = service.fit_batch(&[req(0, 10), req(1, 12)]);

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use hyperdrive_curve::ensemble::{self, dimension, SIGMA_BOUNDS, SIGMA_INDEX};
 use hyperdrive_curve::models::ALL_FAMILIES;
-use hyperdrive_curve::{CurvePredictor, PredictorConfig};
+use hyperdrive_curve::{CurvePredictor, FitPool, PredictorConfig};
 use hyperdrive_types::{LearningCurve, MetricKind, SimTime};
 
 /// Strategy: one parameter vector inside every family's prior box.
@@ -142,7 +142,7 @@ mod service_equivalence {
                 })
                 .collect();
             for threads in [1usize, 4] {
-                let service = FitService::new(config, seed, threads);
+                let service = FitService::new(config, seed, FitPool::new(threads), None);
                 let outcomes = service.fit_batch(&requests);
                 for (r, o) in requests.iter().zip(&outcomes) {
                     prop_assert!(!o.cached, "fresh service must cold-fit");
@@ -183,7 +183,7 @@ mod service_equivalence {
                 horizon: 60,
                 query: None,
             };
-            let service = FitService::new(config, seed, 2);
+            let service = FitService::new(config, seed, FitPool::new(2), None);
             let cold = service.fit_batch(std::slice::from_ref(&request));
             let warm = service.fit_batch(std::slice::from_ref(&request));
             prop_assert!(!cold[0].cached);
@@ -218,11 +218,11 @@ mod service_equivalence {
                 })
                 .collect();
             let cache = hyperdrive_curve::SharedFitCache::in_memory();
-            let writer = FitService::with_shared_cache(config, seed, 1, Some(cache.clone()));
+            let writer = FitService::new(config, seed, FitPool::new(1), Some(cache.clone()));
             writer.fit_batch(&requests);
             for threads in [1usize, 4] {
                 let reader =
-                    FitService::with_shared_cache(config, seed, threads, Some(cache.clone()));
+                    FitService::new(config, seed, FitPool::new(threads), Some(cache.clone()));
                 let outcomes = reader.fit_batch(&requests);
                 let stats = reader.stats();
                 prop_assert_eq!(stats.fits, 0, "a warmed replay must execute no fits");

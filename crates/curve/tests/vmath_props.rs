@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use hyperdrive_curve::vmath::{self, Backend};
 use hyperdrive_curve::{
-    sequential_fit, CurvePredictor, FitRequest, FitScratch, FitService, PredictorConfig,
+    sequential_fit, CurvePredictor, FitPool, FitRequest, FitScratch, FitService, PredictorConfig,
 };
 use hyperdrive_types::{JobId, LearningCurve, MetricKind, SimTime};
 
@@ -163,7 +163,7 @@ proptest! {
             })
             .collect();
         for threads in [1usize, 4] {
-            let service = FitService::new(config, seed, threads);
+            let service = FitService::new(config, seed, FitPool::new(threads), None);
             let outcomes = service.fit_batch(&requests);
             for (r, o) in requests.iter().zip(&outcomes) {
                 let reference = sequential_fit(config, seed, r);

@@ -310,11 +310,6 @@ impl JobManager {
         self.running_cache.get_or_init(|| self.running_set.iter().copied().collect())
     }
 
-    /// Number of running jobs, without materializing the listing.
-    pub fn running_len(&self) -> usize {
-        self.running_set.len()
-    }
-
     /// All active jobs — running, suspending, or idle-but-not-finished —
     /// sorted by job id (see [`running_jobs`](Self::running_jobs) for why
     /// the order is fixed). The paper's "non-terminated" set used for the

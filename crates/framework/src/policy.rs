@@ -249,19 +249,6 @@ pub struct FitCacheSnapshot {
     pub shared_inserts: u64,
 }
 
-impl FitCacheSnapshot {
-    /// Fraction of shared-layer lookups answered from the layer (0 when
-    /// idle): the cross-run/cross-study dedup rate.
-    #[must_use]
-    pub fn dedup_rate(&self) -> f64 {
-        if self.shared_lookups == 0 {
-            0.0
-        } else {
-            self.shared_hits as f64 / self.shared_lookups as f64
-        }
-    }
-}
-
 /// The paper's Default SAP: greedy allocation, run to completion (§4.2,
 /// §6.1 baseline 1).
 #[derive(Debug, Clone, Copy, Default)]

@@ -24,7 +24,9 @@
 
 use std::sync::Arc;
 
-use hyperdrive_curve::{ExceedanceQuery, FitRequest, FitService, PredictorConfig, SharedFitCache};
+use hyperdrive_curve::{
+    ExceedanceQuery, FitPool, FitRequest, FitService, PredictorConfig, SharedFitCache,
+};
 use hyperdrive_framework::{
     FitCacheSnapshot, JobDecision, JobEvent, SchedulerContext, SchedulingPolicy,
 };
@@ -61,13 +63,8 @@ pub struct EarlyTermPolicy {
 }
 
 impl EarlyTermPolicy {
-    /// Creates the policy with the paper's parameters (δ = 0.05, b = 30 for
-    /// supervised workloads).
-    pub fn new() -> Self {
-        Self::with_config(EarlyTermConfig::default())
-    }
-
-    /// Creates the policy with explicit configuration; every prediction
+    /// Creates the policy with explicit configuration (the paper's δ = 0.05
+    /// and b = 30 for supervised workloads by default); every prediction
     /// fits cold.
     pub fn with_config(config: EarlyTermConfig) -> Self {
         Self::with_config_and_cache(config, None)
@@ -80,7 +77,7 @@ impl EarlyTermPolicy {
         config: EarlyTermConfig,
         cache: Option<Arc<SharedFitCache>>,
     ) -> Self {
-        let service = FitService::with_shared_cache(config.predictor, config.seed, 1, cache);
+        let service = FitService::new(config.predictor, config.seed, FitPool::new(1), cache);
         EarlyTermPolicy { config, service }
     }
 
@@ -127,12 +124,6 @@ impl EarlyTermPolicy {
             // `None` is a fit error: too little history, keep training.
             _ => JobDecision::Continue,
         }
-    }
-}
-
-impl Default for EarlyTermPolicy {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

@@ -88,7 +88,7 @@ mod integration {
     fn early_term_prunes_hopeless_jobs_in_simulation() {
         let ew = experiment(60);
         let spec = ExperimentSpec::new(4).with_stop_on_target(false);
-        let mut et = EarlyTermPolicy::new();
+        let mut et = EarlyTermPolicy::with_config(EarlyTermConfig::default());
         let result = run_sim(&mut et, &ew, spec);
         assert!(result.terminated_early() > 0, "earlyterm must prune something");
         // Jobs can only be killed at epoch 30+, so every terminated job

@@ -311,35 +311,6 @@ impl Server {
         }
     }
 
-    /// Admits a study, blocking on a full admission queue instead of
-    /// rejecting. Quota rejections still fail fast — a blocked submit
-    /// holding a quota slot would deadlock the tenant against itself.
-    ///
-    /// # Errors
-    ///
-    /// [`AdmissionError::QuotaExhausted`] or
-    /// [`AdmissionError::ShuttingDown`].
-    pub fn submit_blocking(&self, spec: StudySpec) -> Result<StudyTicket, AdmissionError> {
-        if let Err(in_flight) = self.try_charge(&spec.tenant) {
-            return Err(AdmissionError::QuotaExhausted {
-                spec: Box::new(spec),
-                in_flight,
-                quota: self.config.tenant_quota,
-                retry_after: self.config.retry_after,
-            });
-        }
-        let id = self.next_id.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let (reply, rx) = unbounded();
-        let job = StudyJob { id, spec, submitted: Instant::now(), reply };
-        match self.queue.send(job) {
-            Ok(()) => Ok(StudyTicket { id, rx }),
-            Err(crossbeam_channel::SendError(job)) => {
-                Self::release(&self.tenants, &job.spec.tenant);
-                Err(AdmissionError::ShuttingDown(Box::new(job.spec)))
-            }
-        }
-    }
-
     /// The number of shard workers.
     #[must_use]
     pub fn shards(&self) -> usize {
@@ -407,7 +378,7 @@ fn shard_loop(
         // synchronised APIs (a cache entry is published whole or not at
         // all), so the next study sees them intact.
         let run = AssertUnwindSafe(|| {
-            run_study(&job.spec, job.id, Some(Arc::clone(pool)), cache.clone(), queue_latency)
+            run_study(&job.spec, job.id, Arc::clone(pool), cache.clone(), queue_latency)
         });
         // The study's fit service counts on the pool while it runs, and
         // an unwind drops it like a return: once the running studies fill
@@ -430,7 +401,7 @@ fn shard_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::run_study_standalone;
+    use crate::study::run_study;
     use hyperdrive_core::PopConfig;
     use hyperdrive_curve::{PredictorConfig, SpecStats};
     use hyperdrive_framework::{ExperimentSpec, ExperimentWorkload};
@@ -445,13 +416,14 @@ mod tests {
             spec: ExperimentSpec::new(2)
                 .with_stop_on_target(false)
                 .with_tmax(SimTime::from_hours(24.0)),
-            policy: PopConfig {
-                predictor: PredictorConfig::test(),
-                fit_threads: 1,
-                ..Default::default()
-            },
+            policy: PopConfig { predictor: PredictorConfig::test(), ..Default::default() },
             seed,
         }
+    }
+
+    /// The study run alone, on a one-worker pool of its own.
+    fn alone(spec: &StudySpec) -> StudyOutcome {
+        run_study(spec, 0, FitPool::new(1), None, Duration::ZERO)
     }
 
     #[test]
@@ -469,7 +441,7 @@ mod tests {
         outcomes.push(server.submit(specs[2].clone()).expect("admitted").wait());
 
         for (spec, outcome) in specs.iter().zip(&outcomes) {
-            let reference = run_study_standalone(spec);
+            let reference = alone(spec);
             assert_eq!(outcome.trace, reference.trace, "server trace diverged from standalone");
             assert_eq!(outcome.posterior_digest, reference.posterior_digest);
             assert_eq!(outcome.predictions, reference.predictions);
@@ -546,12 +518,12 @@ mod tests {
         // The rejected study's quota slot was rolled back: in-flight can
         // never exceed the number of admitted (still-unfinished) studies.
         assert!(server.tenant_in_flight("alice") <= tickets.len());
-        // ...and a blocking resubmit eventually gets through.
-        let blocked = server.submit_blocking(err.into_spec()).expect("blocking submit admits");
+        // ...and once the queue drains, the same spec resubmits.
         for t in tickets {
             let _ = t.wait();
         }
-        let _ = blocked.wait();
+        let retried = server.submit(err.into_spec()).expect("a drained queue admits");
+        let _ = retried.wait();
         assert_eq!(server.tenant_in_flight("alice"), 0);
     }
 
@@ -564,7 +536,7 @@ mod tests {
         assert_eq!(outcome.spec_stats, SpecStats::default(), "a server study speculated");
         // The standalone run does speculate; the trace and the posteriors
         // cannot tell.
-        let reference = run_study_standalone(&spec);
+        let reference = alone(&spec);
         assert_eq!(outcome.trace, reference.trace);
         assert_eq!(outcome.posterior_digest, reference.posterior_digest);
     }
@@ -589,7 +561,7 @@ mod tests {
         );
         let spec = study("alice", 3);
         let outcome = server.submit(spec.clone()).expect("admitted").wait();
-        let reference = run_study_standalone(&spec);
+        let reference = alone(&spec);
         assert_eq!(outcome.trace, reference.trace);
         assert_eq!(outcome.posterior_digest, reference.posterior_digest);
         assert_eq!(outcome.shared_cache, CacheStatsSnapshot::default());

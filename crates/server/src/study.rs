@@ -49,10 +49,9 @@ pub struct StudySpec {
     /// Cluster size, `Tmax`, stopping behaviour. The `seed` field is
     /// overwritten with the derived executor stream of [`StudySpec::seed`].
     pub spec: ExperimentSpec,
-    /// POP policy configuration. `seed` and `fit_threads` are overwritten:
-    /// the policy seed is derived from [`StudySpec::seed`] and the fit
-    /// workers belong to the server's process-global pool. The server
-    /// ignores `fit_prefetch` and runs every study with prefetch off;
+    /// POP policy configuration. `seed` is overwritten with the policy
+    /// seed derived from [`StudySpec::seed`]. The server ignores
+    /// `fit_prefetch` and runs every study with prefetch off;
     /// [`run_study_standalone`] honours it.
     pub policy: PopConfig,
     /// The study seed; all per-stream seeds derive from it.
@@ -95,27 +94,21 @@ pub struct StudyOutcome {
     pub run_duration: Duration,
 }
 
-/// Runs one study to completion on the calling thread.
-///
-/// With a pool the policy's fits multiplex through the shared workers
-/// (and optionally the shared content-addressed cache); without one the
-/// policy owns a private pool sized by `spec.policy.fit_threads`. Either
-/// way the seeds come from [`derive_study_seed`], so the rendered trace
-/// is identical.
+/// Runs one study to completion on the calling thread, its fits
+/// multiplexed through `pool` (and optionally the shared content-addressed
+/// cache). The seeds come from [`derive_study_seed`], so the rendered
+/// trace is the same whatever the pool and whoever shares it.
 pub fn run_study(
     spec: &StudySpec,
     id: StudyId,
-    pool: Option<Arc<FitPool>>,
+    pool: Arc<FitPool>,
     cache: Option<Arc<SharedFitCache>>,
     queue_latency: Duration,
 ) -> StudyOutcome {
     let config = PopConfig { seed: derive_study_seed(spec.seed, STREAM_POLICY), ..spec.policy };
     let run_spec = spec.spec.with_seed(derive_study_seed(spec.seed, STREAM_EXECUTOR));
     let started = std::time::Instant::now();
-    let mut pop = match pool {
-        Some(pool) => PopPolicy::with_config_pooled(config, pool, cache),
-        None => PopPolicy::with_config_and_cache(config, cache),
-    };
+    let mut pop = PopPolicy::new(config, pool, cache);
     let result = run_sim(&mut pop, &spec.workload, run_spec);
     let run_duration = started.elapsed();
     StudyOutcome {
@@ -135,13 +128,12 @@ pub fn run_study(
     }
 }
 
-/// Runs one study exactly as a dedicated single-study process would:
-/// private fit workers (sized by `spec.policy.fit_threads`), no shared
-/// cache, same derived seeds. The reference side of every byte-identity
-/// assertion.
+/// Runs one study exactly as a dedicated single-study process would: a
+/// fit pool of its own with one worker per core, no shared cache, same
+/// derived seeds. The reference side of every byte-identity assertion.
 #[must_use]
 pub fn run_study_standalone(spec: &StudySpec) -> StudyOutcome {
-    run_study(spec, 0, None, None, Duration::ZERO)
+    run_study(spec, 0, FitPool::new(0), None, Duration::ZERO)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! decisions stay put, and *physical* fit-thread counts remain invisible.
 
 use hyperdrive_core::{FitCostModel, PopConfig, PopPolicy};
-use hyperdrive_curve::PredictorConfig;
+use hyperdrive_curve::{FitPool, PredictorConfig};
 use hyperdrive_framework::{ExperimentSpec, ExperimentWorkload};
 use hyperdrive_sim::run_sim;
 use hyperdrive_types::SimTime;
@@ -22,12 +22,11 @@ fn run(fit_cost: Option<FitCostModel>, fit_threads: usize) -> (SimTime, u64, usi
     // *decisions* and the epoch counts below can be compared exactly.
     let spec =
         ExperimentSpec::new(2).with_stop_on_target(false).with_tmax(SimTime::from_hours(200.0));
-    let mut pop = PopPolicy::with_config(PopConfig {
-        predictor: PredictorConfig::test(),
-        fit_threads,
-        fit_cost,
-        ..Default::default()
-    });
+    let mut pop = PopPolicy::new(
+        PopConfig { predictor: PredictorConfig::test(), fit_cost, ..Default::default() },
+        FitPool::new(fit_threads),
+        None,
+    );
     let r = run_sim(&mut pop, &ew, spec);
     let mut csv = Vec::new();
     r.events.write_csv(&mut csv).expect("event log serializes");
@@ -142,7 +141,7 @@ fn modeled_workers_never_lengthen_the_run() {
 
 #[test]
 fn modeled_cost_is_invariant_to_physical_thread_count() {
-    // The whole point of splitting `modeled_workers` from `fit_threads`:
+    // The whole point of splitting `modeled_workers` from the pool width:
     // the virtual timeline is a function of the model, never of how many
     // OS threads actually ran the fits.
     let model = Some(FitCostModel {
@@ -167,10 +166,9 @@ fn shared_fit_cache_is_invisible_to_the_virtual_timeline() {
         let ew = ExperimentWorkload::from_workload(&w, 8, 5);
         let spec =
             ExperimentSpec::new(2).with_stop_on_target(false).with_tmax(SimTime::from_hours(200.0));
-        let mut pop = PopPolicy::with_config_and_cache(
+        let mut pop = PopPolicy::new(
             PopConfig {
                 predictor: PredictorConfig::test(),
-                fit_threads: 2,
                 fit_cost: Some(FitCostModel {
                     secs_per_kiloeval: COST,
                     modeled_workers: 2,
@@ -179,6 +177,7 @@ fn shared_fit_cache_is_invisible_to_the_virtual_timeline() {
                 }),
                 ..Default::default()
             },
+            FitPool::new(2),
             cache,
         );
         let r = run_sim(&mut pop, &ew, spec);

@@ -5,9 +5,9 @@
 //! cargo run --release --example compare_policies
 //! ```
 
-use hyperdrive::curve::PredictorConfig;
+use hyperdrive::curve::{FitPool, PredictorConfig};
 use hyperdrive::framework::{DefaultPolicy, ExperimentSpec, ExperimentWorkload, SchedulingPolicy};
-use hyperdrive::policies::{BanditPolicy, EarlyTermPolicy, HyperbandPolicy};
+use hyperdrive::policies::{BanditPolicy, EarlyTermConfig, EarlyTermPolicy, HyperbandPolicy};
 use hyperdrive::pop::{PopConfig, PopPolicy};
 use hyperdrive::sim::run_sim;
 use hyperdrive::workload::CifarWorkload;
@@ -21,12 +21,13 @@ fn main() {
     // The same experiment (identical configurations and training noise)
     // under every policy.
     let mut policies: Vec<Box<dyn SchedulingPolicy>> = vec![
-        Box::new(PopPolicy::with_config(PopConfig {
-            predictor: PredictorConfig::fast(),
-            ..Default::default()
-        })),
+        Box::new(PopPolicy::new(
+            PopConfig { predictor: PredictorConfig::fast(), ..Default::default() },
+            FitPool::new(0),
+            None,
+        )),
         Box::new(BanditPolicy::new()),
-        Box::new(EarlyTermPolicy::new()),
+        Box::new(EarlyTermPolicy::with_config(EarlyTermConfig::default())),
         Box::new(HyperbandPolicy::new()),
         Box::new(DefaultPolicy::new()),
     ];

@@ -6,8 +6,9 @@
 //! cargo run --release --example dynamic_target
 //! ```
 
+use hyperdrive::curve::FitPool;
 use hyperdrive::framework::{ExperimentSpec, ExperimentWorkload};
-use hyperdrive::pop::PopPolicy;
+use hyperdrive::pop::{PopConfig, PopPolicy};
 use hyperdrive::sim::run_sim;
 use hyperdrive::workload::CifarWorkload;
 use hyperdrive::SimTime;
@@ -20,7 +21,7 @@ fn main() {
     let spec =
         ExperimentSpec::new(4).with_tmax(SimTime::from_hours(24.0)).with_dynamic_target(0.05);
 
-    let mut pop = PopPolicy::new();
+    let mut pop = PopPolicy::new(PopConfig::default(), FitPool::new(0), None);
     let result = run_sim(&mut pop, &experiment, spec);
 
     println!("{:>8} {:>12} {:>8}", "target", "reached at", "by job");

@@ -9,6 +9,7 @@
 //! cargo run --release --example lstm_sparsity
 //! ```
 
+use hyperdrive::curve::FitPool;
 use hyperdrive::framework::{ExperimentSpec, ExperimentWorkload};
 use hyperdrive::policies::GlobalCriterionPolicy;
 use hyperdrive::pop::{PopConfig, PopPolicy};
@@ -36,13 +37,15 @@ fn main() {
 
     let ppl_bound = LstmWorkload::normalize_perplexity(150.0);
     let sparsity_bound = 0.35;
-    let mut policy =
-        GlobalCriterionPolicy::new(PopPolicy::with_config(PopConfig::default()), move |view| {
+    let mut policy = GlobalCriterionPolicy::new(
+        PopPolicy::new(PopConfig::default(), FitPool::new(0), None),
+        move |view| {
             let ppl_ok = view.primary.last_value().is_some_and(|v| v >= ppl_bound);
             let sparse_ok =
                 view.secondary.and_then(|s| s.last_value()).is_some_and(|s| s >= sparsity_bound);
             ppl_ok && sparse_ok
-        });
+        },
+    );
 
     let result = run_sim(&mut policy, &experiment, spec);
     match policy.satisfied_by() {

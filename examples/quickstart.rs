@@ -5,8 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use hyperdrive::curve::FitPool;
 use hyperdrive::framework::{ExperimentSpec, ExperimentWorkload};
-use hyperdrive::pop::PopPolicy;
+use hyperdrive::pop::{PopConfig, PopPolicy};
 use hyperdrive::sim::run_sim;
 use hyperdrive::workload::CifarWorkload;
 use hyperdrive::SimTime;
@@ -23,7 +24,7 @@ fn main() {
 
     // POP with default paper parameters (kill threshold from domain
     // knowledge, confidence lower bound 0.05, dynamic p* threshold).
-    let mut pop = PopPolicy::new();
+    let mut pop = PopPolicy::new(PopConfig::default(), FitPool::new(0), None);
     let result = run_sim(&mut pop, &experiment, spec);
 
     match result.time_to_target {

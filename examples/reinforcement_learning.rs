@@ -6,8 +6,9 @@
 //! cargo run --release --example reinforcement_learning
 //! ```
 
+use hyperdrive::curve::FitPool;
 use hyperdrive::framework::{ExperimentSpec, ExperimentWorkload};
-use hyperdrive::pop::PopPolicy;
+use hyperdrive::pop::{PopConfig, PopPolicy};
 use hyperdrive::sim::run_sim;
 use hyperdrive::workload::{LunarWorkload, Workload};
 use hyperdrive::{DomainKnowledge, SimTime};
@@ -35,7 +36,7 @@ fn main() {
     let experiment = ExperimentWorkload::from_workload(&workload, 100, 5);
     let spec = ExperimentSpec::new(15).with_tmax(SimTime::from_hours(24.0));
 
-    let mut pop = PopPolicy::new();
+    let mut pop = PopPolicy::new(PopConfig::default(), FitPool::new(0), None);
     let result = run_sim(&mut pop, &experiment, spec);
 
     match result.time_to_target {

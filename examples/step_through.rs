@@ -8,10 +8,11 @@
 //! cargo run --release --example step_through
 //! ```
 
+use hyperdrive::curve::FitPool;
 use hyperdrive::framework::{
     EngineInput, ExperimentSpec, ExperimentWorkload, FaultConfig, FaultPlan,
 };
-use hyperdrive::pop::PopPolicy;
+use hyperdrive::pop::{PopConfig, PopPolicy};
 use hyperdrive::sim::Simulation;
 use hyperdrive::workload::CifarWorkload;
 use hyperdrive::SimTime;
@@ -22,7 +23,7 @@ fn main() {
     let spec = ExperimentSpec::new(4).with_tmax(SimTime::from_hours(24.0));
     let plan = FaultPlan::generate(4, &FaultConfig::with_intensity(7, spec.tmax, 2.0));
 
-    let mut pop = PopPolicy::new();
+    let mut pop = PopPolicy::new(PopConfig::default(), FitPool::new(0), None);
     // `Simulation::new` is the fault-free constructor; an empty plan here
     // would be exactly that run.
     let mut sim = Simulation::with_faults(&mut pop, &experiment, spec, &plan);

@@ -7,8 +7,9 @@
 //! cargo run --release --example trace_workflow
 //! ```
 
+use hyperdrive::curve::FitPool;
 use hyperdrive::framework::{DefaultPolicy, ExperimentSpec, ExperimentWorkload};
-use hyperdrive::pop::PopPolicy;
+use hyperdrive::pop::{PopConfig, PopPolicy};
 use hyperdrive::sim::run_sim;
 use hyperdrive::workload::{CifarWorkload, TraceSet, Workload};
 use hyperdrive::SimTime;
@@ -37,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             workload.default_target(),
             workload.suspend_model(),
         );
-        let mut pop = PopPolicy::new();
+        let mut pop = PopPolicy::new(PopConfig::default(), FitPool::new(0), None);
         let pop_result = run_sim(&mut pop, &experiment, spec);
         let mut default = DefaultPolicy::new();
         let default_result = run_sim(&mut default, &experiment, spec);

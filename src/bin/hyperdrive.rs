@@ -12,7 +12,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use hyperdrive::curve::PredictorConfig;
+use hyperdrive::curve::{FitPool, PredictorConfig};
 use hyperdrive::framework::{
     install_sigterm_handler, run_meta, DefaultPolicy, ExperimentResult, ExperimentSpec,
     ExperimentWorkload, FaultPlan, Journal, LiveFaultPlan, LiveRun, RecoveredJournal,
@@ -110,11 +110,11 @@ fn make_workload(name: &str) -> Result<Box<dyn Workload>, String> {
 fn make_policy(name: &str, seed: u64) -> Result<Box<dyn SchedulingPolicy>, String> {
     let fidelity = PredictorConfig::fast();
     match name {
-        "pop" => Ok(Box::new(PopPolicy::with_config(PopConfig {
-            predictor: fidelity,
-            seed,
-            ..Default::default()
-        }))),
+        "pop" => Ok(Box::new(PopPolicy::new(
+            PopConfig { predictor: fidelity, seed, ..Default::default() },
+            FitPool::new(0),
+            None,
+        ))),
         "bandit" => Ok(Box::new(BanditPolicy::new())),
         "earlyterm" => Ok(Box::new(EarlyTermPolicy::with_config(EarlyTermConfig {
             predictor: fidelity,

@@ -384,8 +384,8 @@ fn streamed_batch_allocs(
     on_caller: bool,
 ) -> (u64, u64, u64) {
     let pool = FitPool::new(1);
-    let _other = on_caller.then(|| FitService::with_pool(config, 8, Arc::clone(&pool), None));
-    let service = FitService::with_pool(config, 7, Arc::clone(&pool), None);
+    let _other = on_caller.then(|| FitService::new(config, 8, Arc::clone(&pool), None));
+    let service = FitService::new(config, 7, Arc::clone(&pool), None);
     let (mut caller, mut worker) = (u64::MAX, u64::MAX);
     for job in 0..WARM_BATCHES + COUNTED_BATCHES {
         let request =
@@ -490,12 +490,15 @@ fn steady_state_event_loop_is_allocation_free() {
     // this is the per-event policy path (early boundary check, decision
     // plumbing, allocate_jobs) with the whole fit stack instantiated.
     for fit_threads in [1usize, 4] {
-        let mut pop = PopPolicy::with_config(PopConfig {
-            predictor: PredictorConfig::test(),
-            boundary: Some(u32::MAX),
-            fit_threads,
-            ..Default::default()
-        });
+        let mut pop = PopPolicy::new(
+            PopConfig {
+                predictor: PredictorConfig::test(),
+                boundary: Some(u32::MAX),
+                ..Default::default()
+            },
+            FitPool::new(fit_threads),
+            None,
+        );
         let (allocs, events) = steady_state_allocs(&mut pop);
         assert!(events > u64::from(EPOCHS), "measured a real stretch ({events} events)");
         assert_eq!(

@@ -5,8 +5,8 @@
 //! curves fits twice.
 
 use hyperdrive::curve::{
-    derive_fit_seed, sequential_fit, CurvePredictor, ExceedanceQuery, FitRequest, FitService,
-    PredictorConfig, SharedFitCache,
+    derive_fit_seed, sequential_fit, CurvePredictor, ExceedanceQuery, FitPool, FitRequest,
+    FitService, PredictorConfig, SharedFitCache,
 };
 use hyperdrive::framework::testing::MockContext;
 use hyperdrive::framework::{JobDecision, JobEvent, SchedulerContext, SchedulingPolicy};
@@ -73,7 +73,7 @@ fn the_verdict_is_the_reference_fit_at_the_services_seed() {
 
         // A second service asked the same query hits the policy's fit and
         // its memoised answer: the policy's p-value, bitwise the reference.
-        let probe = FitService::with_shared_cache(config.predictor, config.seed, 1, Some(cache));
+        let probe = FitService::new(config.predictor, config.seed, FitPool::new(1), Some(cache));
         let query = Some(ExceedanceQuery::new(&[m], y_hat));
         let asked = probe.fit_batch(&[FitRequest { query, ..request }]).remove(0);
         let stats = probe.stats();

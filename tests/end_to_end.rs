@@ -1,7 +1,7 @@
 //! End-to-end integration: workload → framework → policy → result, across
 //! both learning domains and all scheduling policies.
 
-use hyperdrive::curve::PredictorConfig;
+use hyperdrive::curve::{FitPool, PredictorConfig};
 use hyperdrive::framework::{
     DefaultPolicy, ExperimentResult, ExperimentSpec, ExperimentWorkload, JobEnd, SchedulingPolicy,
 };
@@ -16,11 +16,11 @@ fn pop() -> PopPolicy {
 }
 
 fn pop_at(fit_threads: usize) -> PopPolicy {
-    PopPolicy::with_config(PopConfig {
-        predictor: PredictorConfig::test(),
-        fit_threads,
-        ..Default::default()
-    })
+    PopPolicy::new(
+        PopConfig { predictor: PredictorConfig::test(), ..Default::default() },
+        FitPool::new(fit_threads),
+        None,
+    )
 }
 
 /// POP at 1 and at 4 fit threads, held to the same run; returns the

@@ -2,7 +2,7 @@
 //! same policy on the same experiment must produce closely matching
 //! virtual end times on both executors.
 
-use hyperdrive::curve::PredictorConfig;
+use hyperdrive::curve::{FitPool, PredictorConfig};
 use hyperdrive::framework::{run_live, DefaultPolicy, ExperimentSpec, ExperimentWorkload};
 use hyperdrive::pop::{PopConfig, PopPolicy};
 use hyperdrive::sim::run_sim;
@@ -41,7 +41,7 @@ fn pop_agrees_across_executors_on_time_to_target() {
     let spec = ExperimentSpec::new(6).with_tmax(SimTime::from_hours(12.0)).with_seed(5);
     let config = PopConfig { predictor: PredictorConfig::test(), ..Default::default() };
 
-    let mut sim_policy = PopPolicy::with_config(config);
+    let mut sim_policy = PopPolicy::new(config, FitPool::new(0), None);
     let sim = run_sim(&mut sim_policy, &experiment, spec);
     // The live leg at 1 and at 4 fit threads, side by side: a narrower
     // pool only slows the scheduler's wall clock, which must not show in
@@ -51,8 +51,7 @@ fn pop_agrees_across_executors_on_time_to_target() {
         [1, 4]
             .map(|fit_threads| {
                 scope.spawn(move || {
-                    let mut live_policy =
-                        PopPolicy::with_config(PopConfig { fit_threads, ..config });
+                    let mut live_policy = PopPolicy::new(config, FitPool::new(fit_threads), None);
                     (fit_threads, run_live(&mut live_policy, experiment, spec, 300.0))
                 })
             })

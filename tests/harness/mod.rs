@@ -20,7 +20,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use hyperdrive::curve::{PredictorConfig, SharedFitCache, SpecStats};
+use hyperdrive::curve::{FitPool, PredictorConfig, SharedFitCache, SpecStats};
 use hyperdrive::framework::testing::ChaosPolicy;
 use hyperdrive::framework::{
     check_trace, run_meta, DefaultPolicy, EngineInput, ExperimentResult, ExperimentSpec,
@@ -257,8 +257,9 @@ impl Study {
             Group::Default => Built::Other(Box::new(DefaultPolicy::new())),
             Group::Bandit => Built::Other(Box::new(BanditPolicy::new())),
             Group::Chaos => Built::Other(Box::new(ChaosPolicy::new(self.policy_seed))),
-            Group::Pop | Group::Golden => Built::Pop(Box::new(PopPolicy::with_config_and_cache(
+            Group::Pop | Group::Golden => Built::Pop(Box::new(PopPolicy::new(
                 self.pop_config(knobs),
+                FitPool::new(knobs.fit_threads),
                 cache,
             ))),
             Group::EarlyTerm => Built::EarlyTerm(EarlyTermPolicy::with_config_and_cache(
@@ -277,7 +278,6 @@ impl Study {
         PopConfig {
             predictor: PredictorConfig::test(),
             boundary: self.boundary,
-            fit_threads: knobs.fit_threads,
             fit_prefetch: Some(knobs.prefetch),
             seed: self.policy_seed,
             ..Default::default()

@@ -19,7 +19,7 @@ use hyperdrive::curve::fit::{
 use hyperdrive::curve::nelder_mead::{minimize, NelderMeadOptions, NmScratch, MAX_DIM};
 use hyperdrive::curve::vmath::Backend;
 use hyperdrive::curve::{
-    sequential_fit, CurveObjective, FitRequest, FitService, FusedPosterior, FusedScratch,
+    sequential_fit, CurveObjective, FitPool, FitRequest, FitService, FusedPosterior, FusedScratch,
     ModelFamily, PredictorConfig, ALL_FAMILIES,
 };
 use hyperdrive::workload::{CifarWorkload, LunarWorkload, Workload};
@@ -451,7 +451,7 @@ fn fits_the_caller_helped_are_the_sequential_fits() {
         .collect();
     let mut helped = 0;
     for threads in [1, 4] {
-        let service = FitService::new(config, seed, threads);
+        let service = FitService::new(config, seed, FitPool::new(threads), None);
         // One batch of all the requests, then each alone: a lone fit's
         // caller has nothing to do but help.
         let mut outcomes = service.fit_batch(&requests[..4]);

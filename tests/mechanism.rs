@@ -2,7 +2,7 @@
 //! behaviour must be reproducible from our implementation, not just the
 //! aggregate numbers.
 
-use hyperdrive::curve::{CurvePredictor, PredictorConfig};
+use hyperdrive::curve::{CurvePredictor, FitPool, PredictorConfig};
 use hyperdrive::framework::{ExperimentSpec, ExperimentWorkload, JobEnd};
 use hyperdrive::policies::{BanditPolicy, EarlyTermConfig, EarlyTermPolicy};
 use hyperdrive::pop::{PopConfig, PopPolicy};
@@ -154,10 +154,11 @@ fn pop_kills_non_learners_early() {
 
     let spec =
         ExperimentSpec::new(4).with_tmax(SimTime::from_hours(48.0)).with_stop_on_target(false);
-    let mut pop = PopPolicy::with_config(PopConfig {
-        predictor: PredictorConfig::test(),
-        ..Default::default()
-    });
+    let mut pop = PopPolicy::new(
+        PopConfig { predictor: PredictorConfig::test(), ..Default::default() },
+        FitPool::new(0),
+        None,
+    );
     let result = run_sim(&mut pop, &experiment, spec);
 
     for o in &result.outcomes {
@@ -181,10 +182,11 @@ fn pop_exploitation_share_rises_over_time() {
     let experiment = ExperimentWorkload::from_workload(&workload, 40, 2);
     let spec =
         ExperimentSpec::new(8).with_tmax(SimTime::from_hours(48.0)).with_stop_on_target(false);
-    let mut pop = PopPolicy::with_config(PopConfig {
-        predictor: PredictorConfig::test(),
-        ..Default::default()
-    });
+    let mut pop = PopPolicy::new(
+        PopConfig { predictor: PredictorConfig::test(), ..Default::default() },
+        FitPool::new(0),
+        None,
+    );
     run_sim(&mut pop, &experiment, spec);
     let timeline = pop.timeline();
     assert!(timeline.len() >= 10, "enough allocation decisions");

@@ -8,7 +8,8 @@
 
 use hyperdrive::curve::batch::MAX_SLOTS;
 use hyperdrive::curve::{
-    derive_fit_seed, fit_fingerprint, FitRequest, FitService, PredictorConfig, SharedFitCache,
+    derive_fit_seed, fit_fingerprint, FitPool, FitRequest, FitService, PredictorConfig,
+    SharedFitCache,
 };
 use hyperdrive::framework::{ExperimentSpec, ExperimentWorkload};
 use hyperdrive::pop::{ert_query, PopConfig, PopPolicy};
@@ -65,7 +66,7 @@ fn the_fast_shape_streams_three_chunks_and_a_tail_bitwise() {
         .collect();
     let mut answers: Vec<Vec<Vec<u64>>> = Vec::new();
     for threads in [1, 2, 4] {
-        let service = FitService::with_shared_cache(config, 13, threads, None);
+        let service = FitService::new(config, 13, FitPool::new(threads), None);
         let outcomes = service.fit_batch(&batch);
         let mut bits = Vec::new();
         for (request, outcome) in batch.iter().zip(&outcomes) {
@@ -101,9 +102,8 @@ fn study(lunar: bool, set: u64, seed: u64, predictor: PredictorConfig, shift: u6
         .with_tmax(SimTime::from_hours(tmax_h))
         .with_seed(noise_seed)
         .with_stop_on_target(true);
-    let config =
-        PopConfig { predictor, seed: noise_seed + shift, fit_threads: 2, ..Default::default() };
-    let mut pop = PopPolicy::with_config_and_cache(config, None);
+    let config = PopConfig { predictor, seed: noise_seed + shift, ..Default::default() };
+    let mut pop = PopPolicy::new(config, FitPool::new(2), None);
     let result = run_sim(&mut pop, &experiment, spec);
     let reached = result
         .time_to_target
@@ -178,7 +178,7 @@ fn a_cache_holding_one_budgets_posterior_misses_for_the_other() {
 
     let cache = SharedFitCache::in_memory();
     let study = |config: PredictorConfig| {
-        let service = FitService::with_shared_cache(config, 17, 1, Some(cache.clone()));
+        let service = FitService::new(config, 17, FitPool::new(1), Some(cache.clone()));
         let outcome = service.fit_batch(std::slice::from_ref(&request)).remove(0);
         (outcome.result.expect("fits").n_draws(), service.stats())
     };

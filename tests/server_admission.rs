@@ -3,12 +3,14 @@
 //! shard worker sits idle while a study waits in the admission queue, and
 //! studies that fill the fit pool fit on their own shard threads.
 
-use hyperdrive::curve::PredictorConfig;
+use std::time::{Duration, Instant};
+
+use hyperdrive::curve::{FitPool, PredictorConfig};
 use hyperdrive::framework::{ExperimentSpec, ExperimentWorkload};
 use hyperdrive::pop::PopConfig;
 use hyperdrive::workload::CifarWorkload;
 use hyperdrive::SimTime;
-use hyperdrive_server::{run_study_standalone, Server, ServerConfig, StudySpec};
+use hyperdrive_server::{run_study, Server, ServerConfig, StudyOutcome, StudySpec};
 
 /// A POP study on 4 CIFAR configurations and 2 machines.
 fn study(tenant: &str, seed: u64) -> StudySpec {
@@ -19,13 +21,14 @@ fn study(tenant: &str, seed: u64) -> StudySpec {
         spec: ExperimentSpec::new(2)
             .with_stop_on_target(false)
             .with_tmax(SimTime::from_hours(24.0)),
-        policy: PopConfig {
-            predictor: PredictorConfig::test(),
-            fit_threads: 1,
-            ..Default::default()
-        },
+        policy: PopConfig { predictor: PredictorConfig::test(), ..Default::default() },
         seed,
     }
+}
+
+/// The study run alone, on a one-worker pool of its own.
+fn alone(spec: &StudySpec) -> StudyOutcome {
+    run_study(spec, 0, FitPool::new(1), None, Duration::ZERO)
 }
 
 #[test]
@@ -52,7 +55,7 @@ fn a_panicking_study_is_a_typed_failure_and_its_worker_survives() {
         .expect("the quota slot was released")
         .try_wait()
         .expect("the worker survived the panic");
-    let reference = run_study_standalone(&spec);
+    let reference = alone(&spec);
     assert_eq!(outcome.trace, reference.trace, "trace diverged from standalone");
     assert_eq!(outcome.posterior_digest, reference.posterior_digest);
     assert_eq!(outcome.predictions, reference.predictions);
@@ -64,14 +67,27 @@ fn no_worker_idles_while_a_study_waits() {
     // Admission ids 0 and 1 once hashed to the same shard of two, so the
     // second study waited out the first's whole run beside an idle worker.
     let server = Server::new(ServerConfig { shards: 2, fit_threads: 2, ..Default::default() });
-    let tickets = [server.submit(study("alice", 5)), server.submit(study("bob", 6))]
-        .map(|t| t.expect("an idle server admits"));
+    let specs = [study("alice", 5), study("bob", 6)];
+    let before = Instant::now();
+    let tickets = specs.map(|s| server.submit(s).expect("an idle server admits"));
+    let after = Instant::now();
     assert_eq!(tickets.each_ref().map(|t| t.id), [0, 1]);
     let [first, second] = tickets.map(|t| t.wait());
+    // The two runs overlap: the second started (at most `after` plus its
+    // queueing) before the first ended (at least `before` plus its
+    // queueing and its run). A second study that waited for the first's
+    // shard starts only once the first has ended; with both shards idle,
+    // so does one whose shard the host did not schedule for the first's
+    // whole run (milliseconds), the one legal way to fail.
+    let second_started = after + second.queue_latency;
+    let first_ended = before + first.queue_latency + first.run_duration;
     assert!(
-        second.queue_latency < first.run_duration / 2,
-        "the second study queued {:?} while the first ran {:?}",
+        second_started < first_ended,
+        "the second study started {:?} after the first ended (queued {:?}; the first queued \
+         {:?} and ran {:?})",
+        second_started - first_ended,
         second.queue_latency,
+        first.queue_latency,
         first.run_duration
     );
 }
@@ -81,13 +97,15 @@ fn studies_that_fill_the_pool_fit_on_their_shards_and_release_it() {
     let server = Server::new(ServerConfig { shards: 2, fit_threads: 2, ..Default::default() });
     let pool = server.pool();
 
-    // One study on a two-worker pool hands every fit off.
+    // One study on a two-worker pool hands every fit off. Its shard may
+    // take back any rest no worker has dequeued yet — all of them, on a
+    // busy host — so who ran them is not fixed; that none ran as a full
+    // pool's caller fit is.
     let lone = study("alice", 8);
     let outcome = server.submit(lone.clone()).expect("admitted").wait();
-    assert_eq!(outcome.trace, run_study_standalone(&lone).trace);
-    let stats = pool.stats();
-    assert_eq!(stats.caller_fits, 0, "a lone study fitted on its shard");
-    assert!(stats.demand_completions > 0);
+    assert_eq!(outcome.trace, alone(&lone).trace);
+    let fits = outcome.fit_cache.expect("POP counts its fits").fits;
+    assert!(fits > 0 && pool.stats().caller_fits == 0, "a lone study fitted on its shard");
     assert_eq!(pool.services(), 0, "a finished study still occupies the pool");
 
     // Four studies on two shards keep both busy: the pool is full and
@@ -99,7 +117,7 @@ fn studies_that_fill_the_pool_fit_on_their_shards_and_release_it() {
         specs.iter().map(|s| server.submit(s.clone()).expect("admitted")).collect();
     for (spec, ticket) in specs.iter().zip(tickets) {
         let outcome = ticket.wait();
-        let reference = run_study_standalone(spec);
+        let reference = alone(spec);
         assert_eq!(outcome.trace, reference.trace, "trace diverged from standalone");
         assert_eq!(outcome.posterior_digest, reference.posterior_digest);
     }

@@ -88,7 +88,7 @@ fn streamed_answers_are_bitwise_the_finished_posteriors_own() {
     let config = PredictorConfig::test();
     let mut cases = 0u64;
     for (round, threads) in [1usize, 2, 4].into_iter().cycle().take(24).enumerate() {
-        let service = FitService::with_shared_cache(config, 11, threads, None);
+        let service = FitService::new(config, 11, FitPool::new(threads), None);
         // One boundary's batch of one, then a batch of eight whose fits
         // share the pool and interleave their rows on one reply channel.
         let alone = vec![case(cases)];
@@ -121,7 +121,7 @@ fn every_kept_row_count_streams_the_same_answer() {
     for max_draws in [1, 63, 64, 65, 400, retained, retained + 1000] {
         let config = PredictorConfig { max_draws, ..PredictorConfig::test() };
         for threads in [1, 2] {
-            let service = FitService::with_shared_cache(config, 5, threads, None);
+            let service = FitService::new(config, 5, FitPool::new(threads), None);
             let batch: Vec<FitRequest> = (0..3).map(case).collect();
             let outcomes = service.fit_batch(&batch);
             for (request, outcome) in batch.iter().zip(&outcomes) {
@@ -241,7 +241,7 @@ fn shared_memo_returns_the_first_studys_answer_and_misses_on_any_other_query() {
     let query = asked.query.expect("asks");
     let plain = FitRequest { query: None, ..asked.clone() };
     let study = |cache: &std::sync::Arc<SharedFitCache>, request: &FitRequest| {
-        let service = FitService::with_shared_cache(config, 21, 2, Some(cache.clone()));
+        let service = FitService::new(config, 21, FitPool::new(2), Some(cache.clone()));
         let outcome = service.fit_batch(std::slice::from_ref(request)).remove(0);
         (outcome, service.stats())
     };
@@ -310,7 +310,7 @@ fn fit_on_a_worker(
     jobs: std::ops::Range<u64>,
 ) -> (FitRequest, FitOutcome) {
     for job in jobs {
-        let service = FitService::with_pool(config, seed, Arc::clone(pool), None);
+        let service = FitService::new(config, seed, Arc::clone(pool), None);
         let before = pool.stats().demand_completions;
         let request = request(job);
         let outcome = service.fit_batch(std::slice::from_ref(&request)).remove(0);
@@ -366,8 +366,8 @@ fn a_fit_that_panics_on_a_worker_is_a_typed_error_and_the_pool_keeps_serving() {
     let wide = FitPool::new(3);
     within_watchdog(move || {
         for job in (40..80).step_by(2) {
-            let a = FitService::with_pool(broken, 2, Arc::clone(&wide), None);
-            let b = FitService::with_pool(healthy, 2, Arc::clone(&wide), None);
+            let a = FitService::new(broken, 2, Arc::clone(&wide), None);
+            let b = FitService::new(healthy, 2, Arc::clone(&wide), None);
             let before = wide.stats().demand_completions;
             let (ra, rb) = (request(job), request(job + 1));
             let racing = std::thread::spawn(move || a.fit_batch(&[ra]).remove(0));
